@@ -5,7 +5,7 @@ operations for forecasting, imputation, and dependence-structure discovery.
 """
 
 from .conjugate import NigHyper, NigStats, StudentT
-from .panel import LagVector, PanelError, TimeSeriesPanel, lag_vector, load_csv, write_csv
+from .panel import PanelError, TimeSeriesPanel, load_csv, write_csv
 
 __version__ = "0.1.0"
 
@@ -14,10 +14,8 @@ __all__ = [
     "NigStats",
     "StudentT",
     "TimeSeriesPanel",
-    "LagVector",
     "PanelError",
     "load_csv",
     "write_csv",
-    "lag_vector",
     "__version__",
 ]

@@ -30,7 +30,7 @@ from .engine import (
     save_sampleset,
 )
 from .hypers import build_grids, grids_payload
-from .model import SeriesHypers, simulate, state_payload
+from .model import SeriesHypers, simulate
 from .panel import PanelError, load_csv, write_csv
 from .smc import NumericalError
 
@@ -81,25 +81,24 @@ def main():
 def cmd_fit(data, out, window, chains, sweeps, burnin, particles, seed, threads,
             deterministic, hierarchical, init_sweeps, hyper_cadence, smc_init, full_mh):
     """Run S chains of posterior inference and write the sample set."""
-    if window < 0:
-        raise click.UsageError("--window must be >= 0")
-    if chains < 1 or particles < 1 or threads < 1:
-        raise click.UsageError("--chains, --particles, --threads must be >= 1")
-    config = RunConfig(
-        window=window,
-        chains=chains,
-        sweeps=sweeps,
-        burnin=burnin,
-        particles=particles,
-        seed=seed,
-        threads=threads,
-        deterministic=deterministic,
-        hierarchical=hierarchical,
-        init_sweeps=init_sweeps,
-        hyper_cadence=hyper_cadence,
-        smc_init=smc_init,
-        full_mh=full_mh,
-    )
+    try:
+        config = RunConfig(
+            window=window,
+            chains=chains,
+            sweeps=sweeps,
+            burnin=burnin,
+            particles=particles,
+            seed=seed,
+            threads=threads,
+            deterministic=deterministic,
+            hierarchical=hierarchical,
+            init_sweeps=init_sweeps,
+            hyper_cadence=hyper_cadence,
+            smc_init=smc_init,
+            full_mh=full_mh,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     try:
         panel = load_csv(data, window)
     except PanelError as exc:
@@ -108,13 +107,13 @@ def cmd_fit(data, out, window, chains, sweeps, burnin, particles, seed, threads,
     try:
         samples = fit(panel, config)
     except (NumericalError, ValueError) as exc:
-        _fail(EXIT_NUMERICAL, f"inference failed: {exc}")
-    for idx, stats in enumerate(samples.provenance["chain_stats"]):
-        if not np.isfinite(stats["log_joint"]):
+        message = f"inference failed: {exc}"
+        if isinstance(exc, NumericalError) and len(exc.args) > 1:
             dump = f"{out}.diagnostic.json"
             with open(dump, "w") as fh:
-                json.dump(state_payload(samples.chains[idx]), fh)
-            _fail(EXIT_NUMERICAL, f"chain {idx} has non-finite log joint; state dumped to {dump}")
+                json.dump(exc.args[1], fh)
+            message += f"; chain state dumped to {dump}"
+        _fail(EXIT_NUMERICAL, message)
     digest = save_sampleset(samples, config, out)
     with open(f"{out}.provenance.json", "w") as fh:
         json.dump(

@@ -25,23 +25,23 @@ __all__ = [
     "posterior_predictive",
     "predictive_logpdf",
     "predictive_logpdf_raw",
-    "sample_predictive",
-    "cohesion_logpdf",
     "marginal_loglik",
 ]
 
 _LOG_PI = math.log(math.pi)
 
 # lgamma is the dominant cost of a predictive evaluation; shape parameters
-# repeat heavily (a0 + count/2 for small integer counts), so memoize.
+# repeat heavily (a0 + count/2 for small integer counts), so memoize.  The
+# hot path looks the cache up inline and calls _lgamma only on a miss.
 _LGAMMA_CACHE: dict[float, float] = {}
+_LGAMMA_CACHE_MAX = 1_000_000
 
 
 def _lgamma(x: float) -> float:
     y = _LGAMMA_CACHE.get(x)
     if y is None:
         y = math.lgamma(x)
-        if len(_LGAMMA_CACHE) < 1_000_000:
+        if len(_LGAMMA_CACHE) < _LGAMMA_CACHE_MAX:
             _LGAMMA_CACHE[x] = y
     return y
 
@@ -130,24 +130,8 @@ class StudentT:
     loc: float
     scale_sq: float
 
-    def logpdf(self, x: float) -> float:
-        return t_logpdf(x, self.dof, self.loc, self.scale_sq)
-
     def sample(self, rng) -> float:
         return self.loc + math.sqrt(self.scale_sq) * rng.standard_t(self.dof)
-
-
-def t_logpdf(x: float, dof: float, loc: float, scale_sq: float) -> float:
-    """Log density of the location-scale Student-T at ``x``."""
-    half = 0.5 * dof
-    z = x - loc
-    return (
-        _lgamma(half + 0.5)
-        - _lgamma(half)
-        - 0.5 * math.log(dof * scale_sq)
-        - 0.5 * _LOG_PI
-        - (half + 0.5) * math.log1p(z * z / (dof * scale_sq))
-    )
 
 
 def posterior_params(hyper: NigHyper, stats: NigStats) -> NigHyper:
@@ -197,7 +181,7 @@ def predictive_logpdf_raw(
     total_sq: float,
     x: float,
 ) -> float:
-    # posterior_params + t_logpdf fused; no intermediate objects on the hot path.
+    # posterior_params + Student-T log density fused; no intermediate objects on the hot path.
     if count == 0:
         m_post, v_post, a_post, b_post = m0, v0, a0, b0
     else:
@@ -215,12 +199,10 @@ def predictive_logpdf_raw(
     z = x - m_post
     lg = _LGAMMA_CACHE.get(a_post)
     if lg is None:
-        lg = math.lgamma(a_post)
-        _LGAMMA_CACHE[a_post] = lg
+        lg = _lgamma(a_post)
     lg_half = _LGAMMA_CACHE.get(a_post + 0.5)
     if lg_half is None:
-        lg_half = math.lgamma(a_post + 0.5)
-        _LGAMMA_CACHE[a_post + 0.5] = lg_half
+        lg_half = _lgamma(a_post + 0.5)
     return (
         lg_half
         - lg
@@ -228,31 +210,6 @@ def predictive_logpdf_raw(
         - 0.5 * _LOG_PI
         - (a_post + 0.5) * math.log1p(z * z / (dof * scale_sq))
     )
-
-
-def sample_predictive(hyper: NigHyper, stats: NigStats, rng) -> float:
-    """Draw one value from the cell's Student-T posterior predictive."""
-    return posterior_predictive(hyper, stats).sample(rng)
-
-
-def cohesion_logpdf(values, observed, hypers, stats) -> float:
-    """Lag-matching cohesion weight, in log space.
-
-    ``values[i-1]`` is the query value at lag offset i (the value i steps
-    back), ``observed[i-1]`` its observation flag, ``hypers[i-1]`` and
-    ``stats[i-1]`` the cell for that offset.  Unobserved offsets contribute
-    nothing; an empty window (p = 0) returns 0, reducing the model to a plain
-    CRP mixture.
-    """
-    total = 0.0
-    for i in range(len(values)):
-        if observed[i]:
-            h = hypers[i]
-            s = stats[i]
-            total += predictive_logpdf_raw(
-                h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, values[i]
-            )
-    return total
 
 
 def marginal_loglik(hyper: NigHyper, stats: NigStats) -> float:

@@ -27,17 +27,15 @@ from . import mcmc, structure
 from .conjugate import NigHyper
 from .model import (
     ChainState,
-    GroupModel,
     SeriesHypers,
-    crp_log_weights,
+    crp_draw,
     log_joint,
     state_from_payload,
     state_payload,
 )
 from .panel import TimeSeriesPanel
 from .predict import SampleSet
-from .smc import smc_block_sample
-from .util import gumbel_argmax
+from .smc import NumericalError, smc_block_sample
 
 __all__ = [
     "RunConfig",
@@ -113,30 +111,12 @@ def config_hash(config: RunConfig, extra: dict | None = None) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _initial_assignments(num_series: int, alpha0: float, hierarchical: bool, rng) -> list[int]:
-    if not hierarchical or num_series == 1:
-        return [1] * num_series
-    assignments = []
-    counts: list[int] = []
-    for _ in range(num_series):
-        weights = crp_log_weights(counts, alpha0)
-        idx = gumbel_argmax(weights, rng)
-        if idx == len(counts):
-            counts.append(0)
-        counts[idx] += 1
-        assignments.append(idx + 1)
-    return assignments
-
-
-def _apply_sequence(group: GroupModel, z, values, observed) -> None:
-    for _ in range(max(z) if z else 0):
-        group.add_regime()
-    for t, k in enumerate(z, start=1):
-        group.assign(t, k, values, observed)
-
-
 def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict, dict]:
-    """Run one chain to completion; returns (state payload, chain stats)."""
+    """Run one chain to completion; returns (state payload, chain stats).
+
+    A non-finite final log joint raises :class:`NumericalError` whose second
+    argument is the chain's state payload, so it survives a worker process.
+    """
     rng = np.random.default_rng(seed_seq)
     grids = hypers_mod.build_grids(panel)
     if config.fixed_hypers is not None:
@@ -150,7 +130,10 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
     alpha0 = config.fixed_alpha0 if config.fixed_alpha0 is not None else 1.0
     group_alpha = config.fixed_alpha if config.fixed_alpha is not None else 1.0
 
-    assignments = _initial_assignments(panel.num_series, alpha0, config.hierarchical, rng)
+    if config.hierarchical and panel.num_series > 1:
+        assignments = crp_draw(panel.num_series, alpha0, rng)
+    else:
+        assignments = [1] * panel.num_series
     num_groups = max(assignments)
     state = ChainState.create(
         panel, alpha0, assignments, [group_alpha] * num_groups, series_hypers, rng
@@ -159,7 +142,7 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
 
     for group in state.groups:
         if config.smc_init:
-            result = smc_block_sample(
+            z = smc_block_sample(
                 group.members,
                 group.alpha,
                 state.hyper_map,
@@ -170,12 +153,10 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
                 config.particles,
                 rng,
                 ess_threshold=config.ess_threshold,
-            )
-            _apply_sequence(group, result.z, panel.values, panel.observed)
+            ).z
         else:
-            group.add_regime()
-            for t in range(1, panel.num_steps + 1):
-                group.assign(t, 1, panel.values, panel.observed)
+            z = [1] * panel.num_steps
+        group.load_sequence(z, panel.values, panel.observed)
 
     accept_z = {"sites": 0, "accepted": 0, "moved": 0}
     accept_c = {"series": 0, "accepted": 0, "moved": 0}
@@ -196,7 +177,7 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
 
     joint = log_joint(state)
     if not math.isfinite(joint):
-        raise ValueError(f"non-finite log joint after fit: {joint}")
+        raise NumericalError(f"non-finite log joint after fit: {joint}", state_payload(state))
     stats = {
         "log_joint": joint,
         "num_groups": len(state.groups),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import NigHyper, marginal_loglik, predictive_logpdf_raw
+from .conjugate import NigHyper, NigStats, marginal_loglik, predictive_logpdf_raw
 from .model import ChainState, SeriesHypers
 from .panel import TimeSeriesPanel
 from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf, logsumexp
@@ -168,11 +168,10 @@ class _GroupTable:
 
     def __init__(self, group, values, observed):
         scratch = group.empty_clone()
-        label_map: dict[int, int] = {}
         p = scratch.window
+        fresh = NigStats()
         self.rows = []
-        z = group.regimes.z
-        for t in range(1, group.num_steps + 1):
+        for t, z_slot, _ in scratch.replay(group.regimes.z, values, observed):
             col = p + t - 1
             counts = list(scratch.regimes.counts)
             num_blocks = len(counts)
@@ -190,23 +189,13 @@ class _GroupTable:
                     if x is None:
                         continue
                     h = scratch.hypers[n].cohesion[i - 1]
-                    if slot < num_blocks:
-                        s = scratch.cohesion[n][slot][i - 1]
-                        cnt, sm, ssq = s.count, s.sum, s.sum_sq
-                    else:
-                        cnt, sm, ssq = 0, 0.0, 0.0
+                    s = scratch.cohesion[n][slot][i - 1] if slot < num_blocks else fresh
+                    cnt, sm, ssq = s.count, s.sum, s.sum_sq
                     f = predictive_logpdf_raw(h.m, h.V, h.a, h.b, cnt, sm, ssq, x)
                     coh += f
                     factors[(n, i)] = (f, cnt, sm, ssq)
                 slots.append([coh, factors])
-            zt = z[t - 1]
-            k = label_map.get(zt)
-            z_slot = (k - 1) if k is not None else num_blocks
             self.rows.append((counts, z_slot, queries, slots))
-            if k is None:
-                k = scratch.add_regime()
-                label_map[zt] = k
-            scratch.assign(t, k, values, observed)
 
     def alpha_restricted(self, alpha: float) -> float:
         """Sequential assignment loglik of the group's z under concentration alpha."""

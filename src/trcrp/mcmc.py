@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conjugate import predictive_logpdf_raw
+from .conjugate import NigStats, predictive_logpdf_raw
 from .util import gumbel_argmax, logsumexp
 
 __all__ = ["MhConfig", "NEW_REGIME", "propose_z", "acceptance_log_ratio", "sweep_z"]
@@ -30,12 +30,7 @@ NEW_REGIME = 0
 @dataclass
 class MhConfig:
     full_mh: bool = True
-    sweeps: int = 1
     shuffle: bool = False
-
-    def __post_init__(self):
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
 
 
 def propose_z(group, t, values, observed, rng):
@@ -65,8 +60,7 @@ def acceptance_log_ratio(group, t, branch_old, branch_new, values, observed) -> 
     """
     if branch_old == branch_new:
         return 0.0
-    num_steps = group.num_steps
-    if t >= num_steps:
+    if t >= group.num_steps:
         return 0.0
     p = group.window
     col_t = p + t - 1
@@ -80,23 +74,13 @@ def acceptance_log_ratio(group, t, branch_old, branch_new, values, observed) -> 
         ]
 
     scratch = group.empty_clone()
-    label_map: dict[int, int] = {}
-    z = group.regimes.z
     delta = 0.0
-    for t2 in range(1, num_steps + 1):
-        if t2 == t:
-            continue
+    for t2, _, label_map in scratch.replay(group.regimes.z, values, observed, skip=t):
         if t2 > t:
             base = scratch.reweighted_log_weights(t2, values, observed)
             lse_old = _branch_lse(scratch, base, branch_old, label_map, t2, t_lags, values, observed)
             lse_new = _branch_lse(scratch, base, branch_new, label_map, t2, t_lags, values, observed)
             delta += lse_old - lse_new
-        zt = z[t2 - 1]
-        k = label_map.get(zt)
-        if k is None:
-            k = scratch.add_regime()
-            label_map[zt] = k
-        scratch.assign(t2, k, values, observed)
     return delta
 
 
@@ -105,28 +89,20 @@ def _branch_lse(scratch, base, branch, label_map, t2, t_lags, values, observed):
     p = scratch.window
     col2 = p + t2 - 1
     k = label_map.get(branch) if branch != NEW_REGIME else None
-    if k is None:
-        shared_count = 0
-        shared_stats = None
-    else:
-        shared_count = scratch.regimes.counts[k - 1]
-        shared_stats = scratch.cohesion
-    aug = math.log(shared_count + 1)
+    aug = math.log((scratch.regimes.counts[k - 1] if k is not None else 0) + 1)
+    empty_row = [NigStats()] * p
     for n in scratch.members:
         orow = observed[n]
         vrow = values[n]
         hypers = scratch.hypers[n].cohesion
         contrib = t_lags[n]
-        stats_row = shared_stats[n][k - 1] if shared_stats is not None else None
+        stats_row = scratch.cohesion[n][k - 1] if k is not None else empty_row
         for i in range(1, p + 1):
             if not orow[col2 - i]:
                 continue
             h = hypers[i - 1]
-            if stats_row is None:
-                cnt, sm, ssq = 0, 0.0, 0.0
-            else:
-                s = stats_row[i - 1]
-                cnt, sm, ssq = s.count, s.sum, s.sum_sq
+            s = stats_row[i - 1]
+            cnt, sm, ssq = s.count, s.sum, s.sum_sq
             v = contrib[i - 1]
             if v is not None:
                 cnt += 1
@@ -169,16 +145,13 @@ def sweep_z(group, values, observed, rng, config: MhConfig) -> dict:
     applied and ``accepted`` equals ``sites``.
     """
     stats = {"sites": 0, "accepted": 0, "moved": 0}
-    for _ in range(config.sweeps):
-        order = list(range(1, group.num_steps + 1))
-        if config.shuffle:
-            rng.shuffle(order)
-        for t in order:
-            moved, accepted = transition_site(
-                group, t, values, observed, rng, config.full_mh
-            )
-            stats["sites"] += 1
-            stats["accepted"] += accepted
-            stats["moved"] += moved
+    order = list(range(1, group.num_steps + 1))
+    if config.shuffle:
+        rng.shuffle(order)
+    for t in order:
+        moved, accepted = transition_site(group, t, values, observed, rng, config.full_mh)
+        stats["sites"] += 1
+        stats["accepted"] += accepted
+        stats["moved"] += moved
     group.maintain(values, observed)
     return stats

@@ -9,11 +9,14 @@ throughout; all per-cell densities are Student-T posterior predictives.
 
 Two stat disciplines coexist.  Persistent groups inside a chain hold *full*
 statistics (all assigned times), which is what the single-site sampler's full
-conditionals need.  Sequential quantities (the per-step normalizer, the
-one-step predictive, the log joint) are evaluated by replaying assignments
-into a scratch group so that the term at time t sees only data before t.
-Sequential sums are computed over the blocks occupied so far plus one fresh
-block, which makes every quantity invariant to regime relabeling.
+conditionals need.  Every sequential quantity (the log joint, the full-MH
+normalizer ratios, the griddy-Gibbs tables) comes from one pass,
+:meth:`GroupModel.replay`, which assigns a regime sequence to an empty group
+step by step so that the term at time t sees only data before t; forward
+sampling (:meth:`GroupModel.draw`) is the same pass with z_t drawn instead of
+given.  Sequential sums are computed over the blocks occupied so far plus one
+fresh block with empty statistics, which makes every quantity invariant to
+regime relabeling.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .conjugate import (
     predictive_logpdf_raw,
 )
 from .panel import TimeSeriesPanel
-from .util import NEG_INF, crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf, logsumexp
+from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf, logsumexp
 
 __all__ = [
     "SeriesHypers",
@@ -38,6 +41,7 @@ __all__ = [
     "GroupModel",
     "ChainState",
     "crp_log_weights",
+    "crp_draw",
     "sequence_loglik",
     "group_sequence_loglik",
     "forward_sample_sequence",
@@ -105,6 +109,19 @@ def crp_log_weights(counts, alpha: float) -> list[float]:
     return weights
 
 
+def crp_draw(num: int, alpha: float, rng) -> list[int]:
+    """Labels 1..K of ``num`` customers seated one by one by a CRP(alpha)."""
+    labels = []
+    counts: list[int] = []
+    for _ in range(num):
+        idx = gumbel_argmax(crp_log_weights(counts, alpha), rng)
+        if idx == len(counts):
+            counts.append(0)
+        counts[idx] += 1
+        labels.append(idx + 1)
+    return labels
+
+
 class GroupModel:
     """One group: member series, CRP concentration, regime sequence, all stat cells.
 
@@ -153,6 +170,15 @@ class GroupModel:
             if z[t] > k:
                 z[t] -= 1
 
+    def load_sequence(self, z, values, observed) -> None:
+        """Give this empty group the regime sequence ``z`` (labels kept as given)."""
+        for _ in range(max(z, default=0)):
+            self.add_regime()
+        self.regimes.z = list(z)
+        for k in z:
+            self.regimes.counts[k - 1] += 1
+        self._fold(self.members, range(1, self.num_steps + 1), values, observed)
+
     def add_member(self, n: int, values, observed) -> None:
         """Bring series n into the group, replaying its data against current z."""
         self.members.append(n)
@@ -160,20 +186,7 @@ class GroupModel:
         self.cohesion[n] = [
             [NigStats() for _ in range(self.window)] for _ in range(self.regimes.num_regimes)
         ]
-        p = self.window
-        vrow = values[n]
-        orow = observed[n]
-        for t in range(1, self.num_steps + 1):
-            k = self.regimes.z[t - 1]
-            if k == 0:
-                continue
-            col = p + t - 1
-            if orow[col]:
-                self.emission[n][k - 1].incorporate(float(vrow[col]))
-            coh = self.cohesion[n][k - 1]
-            for i in range(1, p + 1):
-                if orow[col - i]:
-                    coh[i - 1].incorporate(float(vrow[col - i]))
+        self._fold((n,), range(1, self.num_steps + 1), values, observed)
 
     def drop_member(self, n: int) -> None:
         self.members.remove(n)
@@ -182,21 +195,34 @@ class GroupModel:
 
     # -- incremental assignment ---------------------------------------------
 
+    def _fold(self, members, steps, values, observed) -> None:
+        """Incorporate the data of the assigned ``steps`` into the cells of ``members``.
+
+        Callers pass steps in time order, so every cell sums its values in
+        time order and the statistics do not depend on how calls are batched.
+        """
+        p = self.window
+        z = self.regimes.z
+        for t in steps:
+            k = z[t - 1]
+            if k == 0:
+                continue
+            col = p + t - 1
+            for n in members:
+                vrow = values[n]
+                orow = observed[n]
+                if orow[col]:
+                    self.emission[n][k - 1].incorporate(float(vrow[col]))
+                coh = self.cohesion[n][k - 1]
+                for i in range(1, p + 1):
+                    if orow[col - i]:
+                        coh[i - 1].incorporate(float(vrow[col - i]))
+
     def assign(self, t: int, k: int, values, observed) -> None:
         """Assign time t to regime k (1..K) and fold its data into the stats."""
-        p = self.window
-        col = p + t - 1
         self.regimes.z[t - 1] = k
         self.regimes.counts[k - 1] += 1
-        for n in self.members:
-            vrow = values[n]
-            orow = observed[n]
-            if orow[col]:
-                self.emission[n][k - 1].incorporate(float(vrow[col]))
-            coh = self.cohesion[n][k - 1]
-            for i in range(1, p + 1):
-                if orow[col - i]:
-                    coh[i - 1].incorporate(float(vrow[col - i]))
+        self._fold(self.members, (t,), values, observed)
 
     def unassign(self, t: int, values, observed) -> tuple[int, bool]:
         """Remove time t's contributions; returns (old label, regime removed?)."""
@@ -221,36 +247,60 @@ class GroupModel:
             self._drop_regime(k)
         return k, removed
 
-    # -- weights ------------------------------------------------------------
+    # -- sequential passes ----------------------------------------------------
 
-    def cohesion_logweight(self, n: int, k: int, t: int, values, observed) -> float:
-        """Lag-matching weight of regime k for series n's window before t.
+    def replay(self, z, values, observed, skip: int = 0):
+        """Assign the regime sequence ``z`` to this empty group, one step at a time.
 
-        Only observed lag cells contribute; ``k = 0`` evaluates the prior
-        (empty-stats) predictive for a fresh regime.
+        Yields ``(t, slot, label_map)`` before step t is assigned, so the
+        statistics then summarize exactly the steps before t.  ``slot`` is the
+        weight index of z_t (0-based block, or ``num_regimes`` for the fresh
+        block) and ``label_map`` maps labels of ``z`` to labels of this group,
+        which numbers blocks in order of first appearance.  Step ``skip`` is
+        left out.
         """
-        p = self.window
-        if p == 0:
-            return 0.0
+        label_map: dict[int, int] = {}
+        for t in range(1, self.num_steps + 1):
+            if t == skip:
+                continue
+            zt = z[t - 1]
+            if zt == 0:
+                raise ValueError(f"sequence has unassigned step {t}")
+            k = label_map.get(zt)
+            yield t, (k - 1 if k is not None else self.regimes.num_regimes), label_map
+            if k is None:
+                k = self.add_regime()
+                label_map[zt] = k
+            self.assign(t, k, values, observed)
+
+    def draw(self, t: int, log_weights, values, observed, rng, fill=()) -> tuple[int, int]:
+        """Forward-sample step t: draw a weight index (fresh block last), then assign.
+
+        Before assigning, the cells at t of the series in ``fill`` are drawn
+        from the chosen regime's emission predictive and written to
+        ``values``.  Returns ``(weight index, label)``.
+        """
+        idx = gumbel_argmax(log_weights, rng)
+        k = self.add_regime() if idx == self.regimes.num_regimes else idx + 1
         col = self.window + t - 1
-        vrow = values[n]
-        orow = observed[n]
-        hypers = self.hypers[n].cohesion
-        stats = self.cohesion[n][k - 1] if k else None
-        total = 0.0
-        for i in range(1, p + 1):
-            if orow[col - i]:
-                h = hypers[i - 1]
-                if stats is None:
-                    total += predictive_logpdf_raw(
-                        h.m, h.V, h.a, h.b, 0, 0.0, 0.0, float(vrow[col - i])
-                    )
-                else:
-                    s = stats[i - 1]
-                    total += predictive_logpdf_raw(
-                        h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, float(vrow[col - i])
-                    )
-        return total
+        for n in fill:
+            values[n, col] = self.sample_emission(n, k, rng)
+        self.assign(t, k, values, observed)
+        return idx, k
+
+    def rollout(self, steps, values, observed, rng) -> list[int]:
+        """Simulate every member over ``steps`` from the generative process; returns labels."""
+        labels = []
+        for t in steps:
+            base = self.reweighted_log_weights(t, values, observed)
+            labels.append(self.draw(t, base, values, observed, rng, fill=self.members)[1])
+        return labels
+
+    def sample_emission(self, n: int, k: int, rng) -> float:
+        """One draw from series n's emission predictive in regime k."""
+        return posterior_predictive(self.hypers[n].emission, self.emission[n][k - 1]).sample(rng)
+
+    # -- weights ------------------------------------------------------------
 
     def regime_log_weights_split(self, t: int, values, observed, emission_observed=None):
         """Per-regime (base, emission) log-weight pairs at time t, fresh block last.
@@ -258,16 +308,18 @@ class GroupModel:
         ``base`` is CRP count/concentration plus cohesion; ``emission`` holds
         the observed-cell emission predictives (zero where the cell at t is
         unobserved).  ``emission_observed`` lets particle filters use their
-        filled lag history while scoring only truly observed cells.
+        filled lag history while scoring only truly observed cells.  The
+        fresh block is scored against empty statistics.
         """
         if emission_observed is None:
             emission_observed = observed
         p = self.window
         col = p + t - 1
-        counts = self.regimes.counts
-        num_regimes = len(counts)
-        # hoist per-member queries out of the regime loop
-        queries = []  # (n, emission hyper, x_t or None, [(offset idx, lag hyper, lag value)...])
+        fresh = NigStats()
+        fresh_row = [fresh] * p
+        # per member, hoisted out of the regime loop: emission hyper, x_t or None,
+        # observed lags [(offset idx, lag hyper, value)], lag and emission stats per block
+        queries = []
         for n in self.members:
             vrow = values[n]
             orow = observed[n]
@@ -277,52 +329,32 @@ class GroupModel:
             for i in range(1, p + 1):
                 if orow[col - i]:
                     lags.append((i - 1, sh.cohesion[i - 1], float(vrow[col - i])))
-            queries.append((n, sh.emission, x_t, lags))
+            queries.append(
+                (sh.emission, x_t, lags, self.cohesion[n] + [fresh_row], self.emission[n] + [fresh])
+            )
         base = []
         emis = []
-        for k in range(num_regimes):
-            w = math.log(counts[k])
+        for k, w in enumerate(crp_log_weights(self.regimes.counts, self.alpha)):
             e = 0.0
-            for n, eh, x_t, lags in queries:
-                coh_row = self.cohesion[n][k]
+            for eh, x_t, lags, coh_rows, emis_cells in queries:
+                coh_row = coh_rows[k]
                 for idx, h, v in lags:
                     s = coh_row[idx]
                     w += predictive_logpdf_raw(
                         h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, v
                     )
                 if x_t is not None:
-                    s = self.emission[n][k]
+                    s = emis_cells[k]
                     e += predictive_logpdf_raw(
                         eh.m, eh.V, eh.a, eh.b, s.count, s.sum, s.sum_sq, x_t
                     )
             base.append(w)
             emis.append(e)
-        w = math.log(self.alpha)
-        e = 0.0
-        for n, eh, x_t, lags in queries:
-            for idx, h, v in lags:
-                w += predictive_logpdf_raw(h.m, h.V, h.a, h.b, 0, 0.0, 0.0, v)
-            if x_t is not None:
-                e += predictive_logpdf_raw(eh.m, eh.V, eh.a, eh.b, 0, 0.0, 0.0, x_t)
-        base.append(w)
-        emis.append(e)
         return base, emis
 
-    def reweighted_log_weights(self, t: int, values, observed, with_emission=False):
-        """CRP-times-cohesion log weights at time t (optionally with emission terms)."""
-        base, emis = self.regime_log_weights_split(t, values, observed)
-        if with_emission:
-            return [b + e for b, e in zip(base, emis)]
-        return base
-
-    def log_step_normalizer(self, t: int, values, observed) -> float:
-        """Log of the per-step coupling normalizer, with stats in prefix state."""
-        return -logsumexp(self.reweighted_log_weights(t, values, observed))
-
-    def log_step_predictive(self, t: int, values, observed, emission_observed=None) -> float:
-        """Log one-step predictive of the observed cells at t, regime summed out."""
-        base, emis = self.regime_log_weights_split(t, values, observed, emission_observed)
-        return logsumexp([b + e for b, e in zip(base, emis)]) - logsumexp(base)
+    def reweighted_log_weights(self, t: int, values, observed):
+        """CRP-times-cohesion log weights at time t, fresh block last."""
+        return self.regime_log_weights_split(t, values, observed)[0]
 
     # -- maintenance ----------------------------------------------------------
 
@@ -346,21 +378,7 @@ class GroupModel:
             for row in self.cohesion[n]:
                 for s in row:
                     s.reset()
-        p = self.window
-        for t in range(1, self.num_steps + 1):
-            k = self.regimes.z[t - 1]
-            if k == 0:
-                continue
-            col = p + t - 1
-            for n in self.members:
-                vrow = values[n]
-                orow = observed[n]
-                if orow[col]:
-                    self.emission[n][k - 1].incorporate(float(vrow[col]))
-                coh = self.cohesion[n][k - 1]
-                for i in range(1, p + 1):
-                    if orow[col - i]:
-                        coh[i - 1].incorporate(float(vrow[col - i]))
+        self._fold(self.members, range(1, self.num_steps + 1), values, observed)
 
     def maintain(self, values, observed) -> None:
         """Rebuild drifted cells (exact-subtraction safeguard)."""
@@ -405,7 +423,6 @@ def sequence_loglik(
     num_steps: int,
     window: int,
     include_emission: bool = True,
-    detail: bool = False,
 ):
     """Log joint contribution of one group for a fixed regime sequence.
 
@@ -415,37 +432,14 @@ def sequence_loglik(
     terms this is exactly the density of the lag-reweighted sequence prior,
     which is also the forward-sampling proposal density used by the outer
     cluster moves.
-
-    With ``detail=True`` returns ``(total, series_terms)`` where
-    ``series_terms`` collects the per-series cohesion and emission terms at
-    the assigned regimes (the part additive across disjoint member sets).
     """
     scratch = GroupModel(members, alpha, num_steps, window, hypers)
-    label_map: dict[int, int] = {}
     total = 0.0
-    series_terms = 0.0
-    for t in range(1, num_steps + 1):
-        zt = z[t - 1]
-        if zt == 0:
-            raise ValueError(f"sequence has unassigned step {t}")
+    for t, slot, _ in scratch.replay(z, values, observed):
         base, emis = scratch.regime_log_weights_split(t, values, observed)
-        k = label_map.get(zt)
-        idx = (k - 1) if k is not None else len(base) - 1
-        total += base[idx] - logsumexp(base)
+        total += base[slot] - logsumexp(base)
         if include_emission:
-            total += emis[idx]
-        if detail:
-            coh = 0.0
-            for n in scratch.members:
-                series_k = k if k is not None else 0
-                coh += scratch.cohesion_logweight(n, series_k, t, values, observed)
-            series_terms += coh + (emis[idx] if include_emission else 0.0)
-        if k is None:
-            k = scratch.add_regime()
-            label_map[zt] = k
-        scratch.assign(t, k, values, observed)
-    if detail:
-        return total, series_terms
+            total += emis[slot]
     return total
 
 
@@ -470,19 +464,12 @@ def forward_sample_sequence(members, alpha, hypers, values, observed, num_steps,
     step probabilities, so it is exactly what an MH correction needs.
     """
     scratch = GroupModel(members, alpha, num_steps, window, hypers)
-    z = []
     total = 0.0
     for t in range(1, num_steps + 1):
         base = scratch.reweighted_log_weights(t, values, observed)
-        idx = gumbel_argmax(base, rng)
+        idx, _ = scratch.draw(t, base, values, observed, rng)
         total += base[idx] - logsumexp(base)
-        if idx == len(base) - 1:
-            k = scratch.add_regime()
-        else:
-            k = idx + 1
-        scratch.assign(t, k, values, observed)
-        z.append(k)
-    return z, total
+    return list(scratch.regimes.z), total
 
 
 # -- chain state ---------------------------------------------------------------
@@ -610,18 +597,7 @@ def simulate(
     num_series = prefix.shape[0]
     if prefix.shape != (num_series, window):
         raise ValueError(f"prefix must be (N, {window}), got {prefix.shape}")
-    if assignments is None:
-        assignments = []
-        counts: list[int] = []
-        for _ in range(num_series):
-            weights = crp_log_weights(counts, alpha0)
-            idx = gumbel_argmax(weights, rng)
-            if idx == len(counts):
-                counts.append(0)
-            counts[idx] += 1
-            assignments.append(idx + 1)
-    else:
-        assignments = list(assignments)
+    assignments = crp_draw(num_series, alpha0, rng) if assignments is None else list(assignments)
     num_groups = max(assignments)
 
     values = np.zeros((num_series, window + num_steps))
@@ -636,19 +612,7 @@ def simulate(
         a = float(alpha) if alpha is not None else float(rng.gamma(1.0, 1.0))
         group_alphas.append(a)
         group = GroupModel(members, a, num_steps, window, hyper_map)
-        z = []
-        for t in range(1, num_steps + 1):
-            base = group.reweighted_log_weights(t, values, observed)
-            idx = gumbel_argmax(base, rng)
-            k = group.add_regime() if idx == len(base) - 1 else idx + 1
-            col = window + t - 1
-            for n in members:
-                h = group.hypers[n].emission
-                s = group.emission[n][k - 1]
-                values[n, col] = posterior_predictive(h, s).sample(rng)
-            group.assign(t, k, values, observed)
-            z.append(k)
-        group_z.append(z)
+        group_z.append(group.rollout(range(1, num_steps + 1), values, observed, rng))
 
     if series_names is None:
         series_names = tuple(f"s{n + 1}" for n in range(num_series))
@@ -724,10 +688,6 @@ def state_from_payload(payload: dict, panel: TimeSeriesPanel) -> ChainState:
         group = GroupModel(
             entry["members"], entry["alpha"], panel.num_steps, panel.window, hyper_map
         )
-        z = entry["z"]
-        for _ in range(max(z) if z else 0):
-            group.add_regime()
-        for t, k in enumerate(z, start=1):
-            group.assign(t, k, panel.values, panel.observed)
+        group.load_sequence(entry["z"], panel.values, panel.observed)
         groups.append(group)
     return ChainState(panel, payload["alpha0"], payload["assignments"], groups, hypers, rng)

@@ -1,4 +1,4 @@
-"""Observed data: panel construction, missingness bookkeeping, lag windows, CSV I/O.
+"""Observed data: panel construction, missingness bookkeeping, CSV I/O.
 
 A panel holds N aligned discrete-time series over a shared clock.  The first
 ``window`` rows of the input are the conditioning prefix (times -p+1 .. 0) and
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PanelError", "TimeSeriesPanel", "LagVector", "load_csv", "write_csv", "lag_vector"]
+__all__ = ["PanelError", "TimeSeriesPanel", "load_csv", "write_csv"]
 
 
 class PanelError(ValueError):
@@ -100,43 +100,6 @@ class TimeSeriesPanel:
                 if not self.observed[n, self.column(t)]:
                     out.append((n, t))
         return out
-
-
-@dataclass(frozen=True)
-class LagVector:
-    """The ``window`` values immediately preceding time t for one series.
-
-    ``lags`` is ordered oldest to newest (x_{t-p} .. x_{t-1});
-    ``lag_observed`` mirrors the mask.  ``value_at_offset(i)`` returns the
-    value i steps back (offset 1 is the most recent).
-    """
-
-    series: int
-    time: int
-    lags: tuple[float, ...]
-    lag_observed: tuple[bool, ...]
-
-    def value_at_offset(self, i: int) -> float:
-        return self.lags[len(self.lags) - i]
-
-    def observed_at_offset(self, i: int) -> bool:
-        return self.lag_observed[len(self.lags) - i]
-
-
-def lag_vector(panel: TimeSeriesPanel, n: int, t: int) -> LagVector:
-    """Lag window of series n at time t, crossing into the prefix when t <= window."""
-    if not 0 <= n < panel.num_series:
-        raise IndexError(f"series index {n} out of range")
-    if not 1 <= t <= panel.num_steps:
-        raise IndexError(f"time index {t} out of range")
-    lo = panel.column(t) - panel.window
-    hi = panel.column(t)
-    return LagVector(
-        series=n,
-        time=t,
-        lags=tuple(float(v) for v in panel.values[n, lo:hi]),
-        lag_observed=tuple(bool(o) for o in panel.observed[n, lo:hi]),
-    )
 
 
 def load_csv(path, window: int) -> TimeSeriesPanel:

@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugate import posterior_predictive
 from .model import ChainState
 from .panel import TimeSeriesPanel
-from .util import gumbel_argmax
 
 __all__ = [
     "SampleSet",
@@ -116,10 +114,7 @@ def _fill_tail_missing(chain: ChainState, group, ext_values, ext_observed, rng) 
         for t in range(max(1, steps - p + 1), steps + 1):
             col = p + t - 1
             if not ext_observed[n][col]:
-                k = group.regimes.z[t - 1]
-                h = group.hypers[n].emission
-                s = group.emission[n][k - 1]
-                ext_values[n, col] = posterior_predictive(h, s).sample(rng)
+                ext_values[n, col] = group.sample_emission(n, group.regimes.z[t - 1], rng)
                 ext_observed[n, col] = True
 
 
@@ -154,26 +149,14 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int, record_reg
         ext_observed[:, p + steps :] = True
         draw_regimes = {} if record_regimes else None
         for g_idx, group in enumerate(chain.groups):
-            rollout = group.clone()
-            rollout.num_steps = steps + horizon
-            rollout.regimes.z = rollout.regimes.z + [0] * horizon
-            _fill_tail_missing(chain, rollout, ext_values, ext_observed, rng)
-            ks = []
-            for t in range(steps + 1, steps + horizon + 1):
-                base = rollout.reweighted_log_weights(t, ext_values, ext_observed)
-                idx = gumbel_argmax(base, rng)
-                k = rollout.add_regime() if idx == len(base) - 1 else idx + 1
-                col = p + t - 1
-                for n in rollout.members:
-                    h = rollout.hypers[n].emission
-                    st = rollout.emission[n][k - 1]
-                    x = posterior_predictive(h, st).sample(rng)
-                    ext_values[n, col] = x
-                    out[r, n, t - steps - 1] = x
-                rollout.assign(t, k, ext_values, ext_observed)
-                ks.append(k)
+            future = group.clone()
+            future.num_steps = steps + horizon
+            future.regimes.z = future.regimes.z + [0] * horizon
+            _fill_tail_missing(chain, future, ext_values, ext_observed, rng)
+            ks = future.rollout(range(steps + 1, steps + horizon + 1), ext_values, ext_observed, rng)
             if record_regimes:
                 draw_regimes[g_idx] = ks
+        out[r] = ext_values[:, p + steps :]
         if record_regimes:
             regime_log.append(draw_regimes)
     return ForecastResult(
@@ -204,10 +187,7 @@ def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
         chain = samples.chains[s_idx]
         for ci, (n, t) in enumerate(cells):
             group = chain.group_of(n)
-            k = group.regimes.z[t - 1]
-            h = group.hypers[n].emission
-            s = group.emission[n][k - 1]
-            out[ci, r] = posterior_predictive(h, s).sample(rng)
+            out[ci, r] = group.sample_emission(n, group.regimes.z[t - 1], rng)
     return ImputationResult(
         cells=cells,
         draws=out,

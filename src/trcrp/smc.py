@@ -15,14 +15,20 @@ import math
 
 import numpy as np
 
-from .conjugate import posterior_predictive
 from .util import NEG_INF, gumbel_argmax, logsumexp
 
 __all__ = ["NumericalError", "Particle", "ParticleSet", "smc_step", "maybe_resample", "smc_block_sample", "SmcResult"]
 
 
 class NumericalError(RuntimeError):
-    """All particle weights collapsed; rerun with more particles."""
+    """Collapsed particle weights or a non-finite log joint.
+
+    ``args[0]`` is the message; a second argument, when present, is the
+    failing chain's state payload.
+    """
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
 
 
 class Particle:
@@ -98,6 +104,7 @@ def smc_step(ps: ParticleSet, t: int, rng) -> None:
         raise ValueError(f"cursor at {ps.cursor}, cannot step to {t}")
     col = ps.window + t - 1
     panel_observed = ps.panel_observed
+    missing = [n for n in ps.particles[0].group.members if not panel_observed[n][col]]
     for particle in ps.particles:
         group = particle.group
         base, emis = group.regime_log_weights_split(
@@ -105,17 +112,11 @@ def smc_step(ps: ParticleSet, t: int, rng) -> None:
         )
         full = [b + e for b, e in zip(base, emis)]
         particle.log_weight += logsumexp(full) - logsumexp(base)
-        idx = gumbel_argmax(full, rng)
-        k = group.add_regime() if idx == len(base) - 1 else idx + 1
-        for n in group.members:
-            if not panel_observed[n][col]:
-                h = group.hypers[n].emission
-                s = group.emission[n][k - 1]
-                x = posterior_predictive(h, s).sample(rng)
-                particle.values[n, col] = x
-                particle.filled[n, col] = True
-                particle.imputed[(n, t)] = float(x)
-        group.assign(t, k, particle.values, particle.filled)
+        for n in missing:  # the drawn fill-ins are folded in like observed cells
+            particle.filled[n, col] = True
+        group.draw(t, full, particle.values, particle.filled, rng, fill=missing)
+        for n in missing:
+            particle.imputed[(n, t)] = float(particle.values[n, col])
     ps.cursor = t
 
 
@@ -126,14 +127,10 @@ def maybe_resample(ps: ParticleSet, rng, threshold: float = 0.5) -> bool:
     accumulator and weights reset to uniform.
     """
     num = len(ps.particles)
-    lws = ps.log_weights()
-    lse = logsumexp(lws)
-    if lse == NEG_INF:
-        raise NumericalError("all particle weights are zero")
-    probs = np.exp(np.asarray(lws) - lse)
-    ess = 1.0 / float(np.sum(probs * probs))
-    if ess >= threshold * num:
+    if ps.ess() >= threshold * num:
         return False
+    lse = logsumexp(ps.log_weights())
+    probs = ps.normalized_weights()
     counts = rng.multinomial(num, probs / probs.sum())
     survivors = []
     for j, c in enumerate(counts):

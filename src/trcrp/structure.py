@@ -29,8 +29,6 @@ from .model import (
 from .util import gumbel_argmax, logsumexp
 
 __all__ = [
-    "OuterPartition",
-    "outer_partition",
     "partial_loglik",
     "group_loglik_cached",
     "ClusterProposal",
@@ -42,40 +40,7 @@ __all__ = [
 FRESH = 0  # proposal target meaning "new singleton group"
 
 
-@dataclass(frozen=True)
-class OuterPartition:
-    """Snapshot of the series partition: labels 1..M, nonempty disjoint groups."""
-
-    assignments: tuple[int, ...]
-    alpha0: float
-    members: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        num = len(self.assignments)
-        labels = set(self.assignments)
-        if labels != set(range(1, len(self.members) + 1)):
-            raise ValueError(f"labels not contiguous: {self.assignments}")
-        seen = set()
-        for m, group in enumerate(self.members, start=1):
-            if not group:
-                raise ValueError(f"group {m} empty")
-            for n in group:
-                if self.assignments[n] != m or n in seen:
-                    raise ValueError("membership inconsistent with assignments")
-                seen.add(n)
-        if seen != set(range(num)):
-            raise ValueError("groups do not partition the series")
-
-
-def outer_partition(state: ChainState) -> OuterPartition:
-    return OuterPartition(
-        assignments=tuple(state.assignments),
-        alpha0=state.alpha0,
-        members=tuple(tuple(g.members) for g in state.groups),
-    )
-
-
-def partial_loglik(state: ChainState, z, alpha, series, include_emission=True, detail=False):
+def partial_loglik(state: ChainState, z, alpha, series, include_emission=True):
     """Group term of the log joint for sequence ``z`` scored against ``series``.
 
     With an empty subset this is the CRP log mass of the sequence itself (the
@@ -92,7 +57,6 @@ def partial_loglik(state: ChainState, z, alpha, series, include_emission=True, d
         state.panel.num_steps,
         state.panel.window,
         include_emission=include_emission,
-        detail=detail,
     )
 
 
@@ -253,18 +217,9 @@ def _apply_move(state: ChainState, proposal: ClusterProposal) -> None:
 
     if target == FRESH:
         fresh = GroupModel(
-            [],
-            proposal.slot_alpha,
-            state.panel.num_steps,
-            state.panel.window,
-            state.hyper_map,
+            [n], proposal.slot_alpha, state.panel.num_steps, state.panel.window, state.hyper_map
         )
-        for _ in range(max(proposal.slot_z)):
-            fresh.add_regime()
-        for t, k in enumerate(proposal.slot_z, start=1):
-            fresh.regimes.z[t - 1] = k
-            fresh.regimes.counts[k - 1] += 1
-        fresh.add_member(n, state.values, state.observed)
+        fresh.load_sequence(proposal.slot_z, state.values, state.observed)
         state.groups.append(fresh)
         state.assignments[n] = len(state.groups)
     else:

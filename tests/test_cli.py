@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from trcrp import engine
 from trcrp.cli import main
+from trcrp.model import state_from_payload
 from trcrp.panel import load_csv
 
 
@@ -80,6 +82,43 @@ def test_fit_usage_error_exit_2(runner, tmp_path, rng):
         "fit", "--data", str(data), "--out", str(tmp_path / "o.json"), "--chains", "0",
     ])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--window", "-1"),
+        ("--sweeps", "-1"),
+        ("--burnin", "-1"),
+        ("--particles", "0"),
+        ("--threads", "0"),
+        ("--init-sweeps", "-1"),
+        ("--hyper-cadence", "-1"),
+    ],
+)
+def test_fit_out_of_range_option_exit_2(runner, tmp_path, rng, flag, value):
+    data = write_panel_csv(tmp_path / "data.csv", rng)
+    out = tmp_path / "o.json"
+    result = runner.invoke(main, [
+        "fit", "--data", str(data), "--out", str(out), "--window", "1", "--chains", "1",
+        "--burnin", "0", "--particles", "2", flag, value,
+    ])
+    assert result.exit_code == 2, result.output
+    assert not out.exists()
+
+
+def test_fit_non_finite_log_joint_dumps_state_exit_4(runner, tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(engine, "log_joint", lambda state: float("nan"))
+    data = write_panel_csv(tmp_path / "data.csv", rng)
+    out = tmp_path / "samples.json"
+    result = runner.invoke(main, [
+        "fit", "--data", str(data), "--out", str(out), "--window", "1", "--chains", "2",
+        "--burnin", "2", "--particles", "4", "--deterministic",
+    ])
+    assert result.exit_code == 4, result.output
+    assert not out.exists()
+    payload = json.loads((tmp_path / "samples.json.diagnostic.json").read_text())
+    state_from_payload(payload, load_csv(data, 1)).check_consistency()
 
 
 def test_forecast_outputs(runner, tmp_path, rng):

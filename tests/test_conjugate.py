@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_posterior, naive_predictive_logpdf
+from trcrp import conjugate
+from conftest import make_panel
 from trcrp.conjugate import (
     NigHyper,
     NigStats,
-    cohesion_logpdf,
     marginal_loglik,
     posterior_params,
     posterior_predictive,
     predictive_logpdf,
-    sample_predictive,
+    predictive_logpdf_raw,
 )
+from trcrp.model import GroupModel, SeriesHypers, crp_log_weights
 
 UNIT = NigHyper(0.0, 1.0, 1.0, 1.0)
 
@@ -195,9 +197,10 @@ def test_posterior_composes_over_batches(rng):
     data=st.lists(st.floats(-100, 100), max_size=8),
 )
 def test_predictive_scale_always_positive(m, V, a, b, data):
-    pred = posterior_predictive(NigHyper(m, V, a, b), stats_of(*data))
-    assert pred.scale_sq > 0
-    assert math.isfinite(pred.logpdf(0.0))
+    hyper = NigHyper(m, V, a, b)
+    stats = stats_of(*data)
+    assert posterior_predictive(hyper, stats).scale_sq > 0
+    assert math.isfinite(predictive_logpdf(hyper, stats, 0.0))
 
 
 def test_marginal_loglik_telescopes(rng):
@@ -211,29 +214,66 @@ def test_marginal_loglik_telescopes(rng):
     assert marginal_loglik(hyper, s) == pytest.approx(total, abs=1e-10)
 
 
+def lag_group(panel, cohesion, z):
+    """One-series group over ``panel`` with lag cells ``cohesion`` and sequence ``z``."""
+    hypers = {0: SeriesHypers(UNIT, cohesion)}
+    group = GroupModel([0], 1.0, panel.num_steps, panel.window, hypers)
+    group.load_sequence(z, panel.values, panel.observed)
+    return group
+
+
 def test_cohesion_empty_window_is_zero():
-    assert cohesion_logpdf((), (), (), ()) == 0.0
+    panel = make_panel([[0.3, -1.2, 0.8, 2.0]], window=0)
+    group = lag_group(panel, (), [1, 2, 1, 1])
+    got = group.reweighted_log_weights(3, panel.values, panel.observed)
+    assert got == crp_log_weights(group.regimes.counts, group.alpha)
 
 
 def test_cohesion_unobserved_lags_contribute_nothing():
-    hypers = (UNIT, UNIT)
-    stats = (stats_of(1.0), stats_of(2.0))
-    assert cohesion_logpdf((5.0, 7.0), (False, False), hypers, stats) == 0.0
+    # both lag cells of the last step are missing: its weights are the CRP's
+    panel = make_panel([[0.5, 1.5, 1.0, 2.0, None, None, 7.0]], window=2)
+    group = lag_group(panel, (UNIT, UNIT), [1, 2, 1, 2, 1])
+    got = group.reweighted_log_weights(5, panel.values, panel.observed)
+    assert got == crp_log_weights(group.regimes.counts, group.alpha)
 
 
 def test_cohesion_factorizes():
     hypers = (UNIT, NigHyper(1.0, 2.0, 3.0, 4.0))
-    stats = (stats_of(1.0, 2.0), stats_of(-1.0))
-    got = cohesion_logpdf((0.5, -0.5), (True, True), hypers, stats)
-    want = predictive_logpdf(hypers[0], stats[0], 0.5) + predictive_logpdf(
-        hypers[1], stats[1], -0.5
-    )
-    assert got == pytest.approx(want, abs=1e-12)
+    panel = make_panel([[1.0, 2.0, -1.0, 0.5, -0.5, 3.0]], window=2)
+    group = lag_group(panel, hypers, [1, 1, 2, 2])
+    # at t = 1 both lags lie in the prefix; at t = 4 they are times 3 and 2
+    for t in (1, 4):
+        weights = group.reweighted_log_weights(t, panel.values, panel.observed)
+        for k in (1, 2):
+            stats = group.cohesion[0][k - 1]
+            want = math.log(group.regimes.counts[k - 1]) + sum(
+                predictive_logpdf(hypers[i - 1], stats[i - 1], panel.value(0, t - i))
+                for i in (1, 2)
+            )
+            assert weights[k - 1] == pytest.approx(want, abs=1e-12)
 
 
-def test_sample_predictive_moments(rng):
+def test_predictive_draw_moments(rng):
     hyper = NigHyper(3.0, 0.5, 6.0, 2.0)
     s = stats_of(*rng.normal(3.0, 0.4, size=30))
     pred = posterior_predictive(hyper, s)
-    draws = np.array([sample_predictive(hyper, s, rng) for _ in range(4000)])
+    draws = np.array([pred.sample(rng) for _ in range(4000)])
     assert draws.mean() == pytest.approx(pred.loc, abs=0.1)
+
+
+def test_lgamma_cache_full_still_evaluates_without_growing(monkeypatch):
+    predictive_logpdf_raw(0.0, 1.0, 1.0, 1.0, 0, 0.0, 0.0, 0.0)
+    size = len(conjugate._LGAMMA_CACHE)
+    monkeypatch.setattr(conjugate, "_LGAMMA_CACHE_MAX", size)
+    a = 1234.5678  # a shape no other test evaluates
+    stats = stats_of(0.2, 0.8)
+    assert a + 1.0 not in conjugate._LGAMMA_CACHE
+    got = predictive_logpdf_raw(0.3, 1.5, a, 2.0, stats.count, stats.sum, stats.sum_sq, 0.7)
+    want = naive_predictive_logpdf(0.3, 1.5, a, 2.0, [0.2, 0.8], 0.7)
+    assert got == pytest.approx(want, abs=1e-9)
+    hyper = NigHyper(0.3, 1.5, a + 3.0, 2.0)
+    assert marginal_loglik(hyper, stats) == pytest.approx(
+        predictive_logpdf(hyper, NigStats(), 0.2) + predictive_logpdf(hyper, stats_of(0.2), 0.8),
+        abs=1e-9,
+    )
+    assert len(conjugate._LGAMMA_CACHE) == size

@@ -1,12 +1,15 @@
 """Fit orchestration: schedules, determinism, serialization."""
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import make_panel, uniform_hypers
+from trcrp import engine
 from trcrp.engine import (
     RunConfig,
     SchemaVersionError,
@@ -15,9 +18,11 @@ from trcrp.engine import (
     load_sampleset,
     panel_from_payload,
     panel_payload,
+    run_chain,
     save_sampleset,
 )
 from trcrp.model import log_joint, state_from_payload, state_payload
+from trcrp.smc import NumericalError
 from trcrp.predict import dependence_matrix
 
 
@@ -153,3 +158,25 @@ def test_no_smc_init_path(rng):
     panel = small_panel(rng)
     samples = fit(panel, quick_config(smc_init=False, chains=1, burnin=4))
     samples.chains[0].check_consistency()
+
+
+def test_fit_parallel_matches_sequential(rng):
+    panel = small_panel(rng, num_series=3, steps=15, missing=[(2, 6)])
+    config = quick_config(chains=3, burnin=4)
+    runs = [fit(panel, config), fit(panel, dataclasses.replace(config, threads=2))]
+    payloads = [[json.dumps(state_payload(c)) for c in run.chains] for run in runs]
+    stats = [json.dumps(run.provenance["chain_stats"]) for run in runs]
+    assert payloads[0] == payloads[1]
+    assert stats[0] == stats[1]
+
+
+def test_non_finite_joint_raises_with_state_payload(rng, monkeypatch):
+    panel = small_panel(rng)
+    monkeypatch.setattr(engine, "log_joint", lambda state: math.nan)
+    config = quick_config(chains=1, burnin=2)
+    with pytest.raises(NumericalError) as info:
+        run_chain(panel, config, np.random.SeedSequence(0))
+    # the payload travels in the exception's arguments, which is what a worker pickles
+    back = pickle.loads(pickle.dumps(info.value))
+    assert str(back) == str(info.value)
+    state_from_payload(back.args[1], panel).check_consistency()

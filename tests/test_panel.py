@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
-from trcrp.panel import PanelError, lag_vector, load_csv, write_csv
+from trcrp.panel import PanelError, load_csv, write_csv
 
 
 def write_lines(path, lines):
@@ -51,50 +51,6 @@ def test_load_csv_rejects_duplicate_labels(tmp_path):
     lines = ["time,a", "r0,1.0", "r0,2.0"]
     with pytest.raises(PanelError, match="duplicate"):
         load_csv(write_lines(tmp_path / "p.csv", lines), window=0)
-
-
-def test_lag_vector_crosses_prefix():
-    panel = make_panel([[10, 11, 12, 13]], window=1)
-    lv = lag_vector(panel, 0, 1)
-    assert lv.lags == (10.0,)
-    assert lv.lag_observed == (True,)
-
-
-def test_lag_vector_window_three():
-    # times: -2 -1 0 | 1 2
-    panel = make_panel([[-2, -1, 0, 1, 2]], window=3)
-    lv = lag_vector(panel, 0, 2)
-    assert lv.lags == (-1.0, 0.0, 1.0)
-    assert lv.value_at_offset(1) == 1.0
-    assert lv.value_at_offset(3) == -1.0
-
-
-def test_lag_vector_empty_window():
-    panel = make_panel([[1, 2, 3]], window=0)
-    assert lag_vector(panel, 0, 2).lags == ()
-
-
-def test_lag_vector_out_of_range():
-    panel = make_panel([[1, 2, 3]], window=1)
-    with pytest.raises(IndexError):
-        lag_vector(panel, 0, 3)
-    with pytest.raises(IndexError):
-        lag_vector(panel, 0, 0)
-    with pytest.raises(IndexError):
-        lag_vector(panel, 1, 1)
-
-
-def test_lag_vectors_shift_by_one():
-    panel = make_panel([[5, 1, 2, None, 4, 5]], window=2)
-    for t in range(1, panel.num_steps):
-        cur = lag_vector(panel, 0, t)
-        nxt = lag_vector(panel, 0, t + 1)
-        tail_vals = cur.lags[1:] + (panel.value(0, t),)
-        tail_obs = cur.lag_observed[1:] + (panel.is_observed(0, t),)
-        assert nxt.lag_observed == tail_obs
-        for a, b, ok in zip(nxt.lags, tail_vals, tail_obs):
-            if ok:
-                assert a == b
 
 
 def test_csv_round_trip(tmp_path):
