@@ -3,7 +3,7 @@
 Exit codes: 0 ok, 2 usage, 3 data error, 4 numerical failure.  Every output
 file embeds the config hash (a JSON field, or a leading ``#`` comment line in
 CSVs); re-running a command with the same inputs and seed reproduces outputs
-byte-exactly in sequential mode.
+byte-exactly, whatever the number of fit threads.
 """
 
 from __future__ import annotations
@@ -67,38 +67,35 @@ def main():
 @click.option("--out", required=True, type=click.Path(), help="sample-set JSON output")
 @click.option("--window", default=10, show_default=True, type=int)
 @click.option("--chains", default=64, show_default=True, type=int)
-@click.option("--sweeps", default=0, show_default=True, type=int)
 @click.option("--burnin", default=5000, show_default=True, type=int)
 @click.option("--particles", default=64, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--threads", default=1, show_default=True, type=int)
-@click.option("--deterministic", is_flag=True, help="force sequential chain execution")
 @click.option("--hierarchical/--no-hierarchical", default=True, show_default=True)
 @click.option("--init-sweeps", default=10, show_default=True, type=int)
 @click.option("--hyper-cadence", default=1, show_default=True, type=int)
 @click.option("--smc-init/--no-smc-init", default=True, show_default=True)
 @click.option("--full-mh/--heuristic-only", default=True, show_default=True)
-def cmd_fit(data, out, window, chains, sweeps, burnin, particles, seed, threads,
-            deterministic, hierarchical, init_sweeps, hyper_cadence, smc_init, full_mh):
+def cmd_fit(data, out, window, chains, burnin, particles, seed, threads,
+            hierarchical, init_sweeps, hyper_cadence, smc_init, full_mh):
     """Run S chains of posterior inference and write the sample set."""
     try:
         config = RunConfig(
             window=window,
             chains=chains,
-            sweeps=sweeps,
             burnin=burnin,
             particles=particles,
             seed=seed,
             threads=threads,
-            deterministic=deterministic,
             hierarchical=hierarchical,
             init_sweeps=init_sweeps,
             hyper_cadence=hyper_cadence,
             smc_init=smc_init,
             full_mh=full_mh,
         )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    except ValueError as exc:  # the message starts with the field name
+        field, _, rule = str(exc).partition(" ")
+        raise click.UsageError(f"--{field.replace('_', '-')} {rule}") from None
     try:
         panel = load_csv(data, window)
     except PanelError as exc:

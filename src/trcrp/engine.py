@@ -7,9 +7,8 @@ interleaved with outer-cluster and griddy-Gibbs hyperparameter moves.  The
 final state of each chain is one posterior sample.
 
 All randomness derives from the single run seed: chain i uses the i-th spawn
-of ``SeedSequence(seed)``, so results are identical whether chains run
-sequentially or across worker processes; ``deterministic`` simply forces the
-sequential path.
+of ``SeedSequence(seed)``, so results are identical, byte for byte, whether
+chains run sequentially or across any number of worker processes.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ __all__ = [
     "SchemaVersionError",
 ]
 
-SAMPLESET_SCHEMA_VERSION = 1
+SAMPLESET_SCHEMA_VERSION = 2
 
 
 class SchemaVersionError(ValueError):
@@ -59,27 +58,24 @@ class SchemaVersionError(ValueError):
 class RunConfig:
     """Sampler schedule and sizes.
 
-    ``burnin + sweeps`` total sweeps run per chain; the final state is the
-    chain's sample.  The first ``init_sweeps`` regime sweeps always accept
-    (initialization heuristic); hyperparameter sweeps fire every
-    ``hyper_cadence``-th iteration (0 disables them, as do fixed overrides).
+    ``burnin`` sweeps run per chain; the final state is the chain's sample.
+    The first ``init_sweeps`` regime sweeps always accept (initialization
+    heuristic); hyperparameter sweeps fire every ``hyper_cadence``-th
+    iteration (0 disables them, as do fixed overrides).  Validation messages
+    start with the offending field's name.
     """
 
     window: int = 10
     chains: int = 64
-    sweeps: int = 0
     burnin: int = 5000
     particles: int = 64
     seed: int = 0
     threads: int = 1
-    deterministic: bool = False
     hierarchical: bool = True
     full_mh: bool = True
     init_sweeps: int = 10
     hyper_cadence: int = 1
     smc_init: bool = True
-    ess_threshold: float = 0.5
-    shuffle: bool = False
     fixed_alpha: float | None = None
     fixed_alpha0: float | None = None
     fixed_hypers: tuple[float, float, float, float] | None = None
@@ -90,13 +86,9 @@ class RunConfig:
         for name in ("chains", "particles", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("sweeps", "burnin", "init_sweeps", "hyper_cadence"):
+        for name in ("burnin", "init_sweeps", "hyper_cadence"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def total_sweeps(self) -> int:
-        return self.burnin + self.sweeps
 
     @property
     def hypers_enabled(self) -> bool:
@@ -142,27 +134,16 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
 
     for group in state.groups:
         if config.smc_init:
-            z = smc_block_sample(
-                group.members,
-                group.alpha,
-                state.hyper_map,
-                panel.values,
-                panel.observed,
-                panel.num_steps,
-                panel.window,
-                config.particles,
-                rng,
-                ess_threshold=config.ess_threshold,
-            ).z
+            z, _ = smc_block_sample(group, panel.values, panel.observed, config.particles, rng)
         else:
             z = [1] * panel.num_steps
         group.load_sequence(z, panel.values, panel.observed)
 
     accept_z = {"sites": 0, "accepted": 0, "moved": 0}
     accept_c = {"series": 0, "accepted": 0, "moved": 0}
-    for sweep_idx in range(config.total_sweeps):
+    for sweep_idx in range(config.burnin):
         full = config.full_mh and sweep_idx >= config.init_sweeps
-        cfg = mcmc.MhConfig(full_mh=full, shuffle=config.shuffle)
+        cfg = mcmc.MhConfig(full_mh=full)
         for group in list(state.groups):
             stats = mcmc.sweep_z(group, state.values, state.observed, rng, cfg)
             state.loglik_cache.pop(group, None)
@@ -190,9 +171,8 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
 def fit(panel: TimeSeriesPanel, config: RunConfig) -> SampleSet:
     """Run all chains and assemble the sample set."""
     seed_seqs = np.random.SeedSequence(config.seed).spawn(config.chains)
-    workers = 1 if config.deterministic else config.threads
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if config.threads > 1:
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(run_chain, [panel] * config.chains, [config] * config.chains, seed_seqs))
     else:
         results = [run_chain(panel, config, seq) for seq in seed_seqs]
@@ -200,7 +180,6 @@ def fit(panel: TimeSeriesPanel, config: RunConfig) -> SampleSet:
     provenance = {
         "seed": config.seed,
         "burnin": config.burnin,
-        "sweeps": config.sweeps,
         "schedule": {
             "smc_init": config.smc_init,
             "init_sweeps": config.init_sweeps,

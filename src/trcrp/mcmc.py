@@ -30,7 +30,6 @@ NEW_REGIME = 0
 @dataclass
 class MhConfig:
     full_mh: bool = True
-    shuffle: bool = False
 
 
 def propose_z(group, t, values, observed, rng):
@@ -42,7 +41,7 @@ def propose_z(group, t, values, observed, rng):
     ``(branch, proposal_logprob, log_weights)`` where ``branch`` is an
     existing label or ``NEW_REGIME``.
     """
-    base, emis = group.regime_log_weights_split(t, values, observed)
+    base, emis = group.regime_log_weights_split(t, values, observed, observed)
     weights = [b + e for b, e in zip(base, emis)]
     idx = gumbel_argmax(weights, rng)
     logprob = weights[idx] - logsumexp(weights)
@@ -139,16 +138,13 @@ def transition_site(group, t, values, observed, rng, full_mh: bool):
 
 
 def sweep_z(group, values, observed, rng, config: MhConfig) -> dict:
-    """One pass over t = 1..T (deterministic order unless shuffled).
+    """One pass over t = 1..T in order.
 
     Returns acceptance statistics; in always-accept mode every proposal is
     applied and ``accepted`` equals ``sites``.
     """
     stats = {"sites": 0, "accepted": 0, "moved": 0}
-    order = list(range(1, group.num_steps + 1))
-    if config.shuffle:
-        rng.shuffle(order)
-    for t in order:
+    for t in range(1, group.num_steps + 1):
         moved, accepted = transition_site(group, t, values, observed, rng, config.full_mh)
         stats["sites"] += 1
         stats["accepted"] += accepted

@@ -88,9 +88,6 @@ class RegimeSeq:
     def num_regimes(self) -> int:
         return len(self.counts)
 
-    def assigned(self) -> int:
-        return sum(self.counts)
-
     def check(self) -> None:
         seen = [0] * len(self.counts)
         for label in self.z:
@@ -146,7 +143,7 @@ class GroupModel:
         self.alpha = float(alpha)
         self.num_steps = num_steps
         self.window = window
-        self.hypers = hypers  # mapping: series index -> SeriesHypers
+        self.hypers = hypers  # SeriesHypers indexed by series (list or mapping)
         self.regimes = RegimeSeq(num_steps)
         self.emission = {n: [] for n in self.members}
         self.cohesion = {n: [] for n in self.members}
@@ -302,17 +299,15 @@ class GroupModel:
 
     # -- weights ------------------------------------------------------------
 
-    def regime_log_weights_split(self, t: int, values, observed, emission_observed=None):
+    def regime_log_weights_split(self, t: int, values, observed, emission_observed):
         """Per-regime (base, emission) log-weight pairs at time t, fresh block last.
 
-        ``base`` is CRP count/concentration plus cohesion; ``emission`` holds
-        the observed-cell emission predictives (zero where the cell at t is
-        unobserved).  ``emission_observed`` lets particle filters use their
-        filled lag history while scoring only truly observed cells.  The
-        fresh block is scored against empty statistics.
+        ``base`` is CRP count/concentration plus cohesion over the lag cells
+        marked in ``observed``; ``emission`` holds the emission predictives of
+        the cells at t marked in ``emission_observed`` (zero elsewhere, and
+        everywhere when it is None, in which case no emission term is
+        evaluated).  The fresh block is scored against empty statistics.
         """
-        if emission_observed is None:
-            emission_observed = observed
         p = self.window
         col = p + t - 1
         fresh = NigStats()
@@ -324,7 +319,9 @@ class GroupModel:
             vrow = values[n]
             orow = observed[n]
             sh = self.hypers[n]
-            x_t = float(vrow[col]) if emission_observed[n][col] else None
+            x_t = None
+            if emission_observed is not None and emission_observed[n][col]:
+                x_t = float(vrow[col])
             lags = []
             for i in range(1, p + 1):
                 if orow[col - i]:
@@ -354,7 +351,7 @@ class GroupModel:
 
     def reweighted_log_weights(self, t: int, values, observed):
         """CRP-times-cohesion log weights at time t, fresh block last."""
-        return self.regime_log_weights_split(t, values, observed)[0]
+        return self.regime_log_weights_split(t, values, observed, None)[0]
 
     # -- maintenance ----------------------------------------------------------
 
@@ -435,11 +432,11 @@ def sequence_loglik(
     """
     scratch = GroupModel(members, alpha, num_steps, window, hypers)
     total = 0.0
+    emission_observed = observed if include_emission else None
     for t, slot, _ in scratch.replay(z, values, observed):
-        base, emis = scratch.regime_log_weights_split(t, values, observed)
+        base, emis = scratch.regime_log_weights_split(t, values, observed, emission_observed)
         total += base[slot] - logsumexp(base)
-        if include_emission:
-            total += emis[slot]
+        total += emis[slot]
     return total
 
 
@@ -485,10 +482,9 @@ class ChainState:
         self.alpha0 = float(alpha0)
         self.assignments = list(assignments)
         self.groups = groups
-        self.hypers = list(hypers)  # list[SeriesHypers] indexed by series
-        self.hyper_map = {n: h for n, h in enumerate(self.hypers)}
+        self.hypers = list(hypers)  # list[SeriesHypers] indexed by series, shared by the groups
         for group in self.groups:
-            group.hypers = self.hyper_map
+            group.hypers = self.hypers
         self.rng = rng
         self.grids = None
         self.loglik_cache: dict[GroupModel, float] = {}
@@ -499,12 +495,11 @@ class ChainState:
         labels = sorted(set(assignments))
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError(f"assignments must use contiguous labels 1..M: {assignments}")
-        hyper_map = {n: hypers[n] for n in range(panel.num_series)}
         groups = []
         for m in labels:
             members = [n for n, c in enumerate(assignments) if c == m]
             groups.append(
-                GroupModel(members, group_alphas[m - 1], panel.num_steps, panel.window, hyper_map)
+                GroupModel(members, group_alphas[m - 1], panel.num_steps, panel.window, hypers)
             )
         return cls(panel, alpha0, assignments, groups, hypers, rng)
 
@@ -517,7 +512,6 @@ class ChainState:
 
     def set_series_hyper(self, n: int, hyper: SeriesHypers) -> None:
         self.hypers[n] = hyper
-        self.hyper_map[n] = hyper
         self.loglik_cache.clear()
 
     def check_outer(self) -> None:
@@ -603,7 +597,6 @@ def simulate(
     values = np.zeros((num_series, window + num_steps))
     values[:, :window] = prefix
     observed = np.ones_like(values, dtype=bool)
-    hyper_map = {n: hypers[n] for n in range(num_series)}
 
     group_alphas = []
     group_z = []
@@ -611,7 +604,7 @@ def simulate(
         members = [n for n, c in enumerate(assignments) if c == m]
         a = float(alpha) if alpha is not None else float(rng.gamma(1.0, 1.0))
         group_alphas.append(a)
-        group = GroupModel(members, a, num_steps, window, hyper_map)
+        group = GroupModel(members, a, num_steps, window, hypers)
         group_z.append(group.rollout(range(1, num_steps + 1), values, observed, rng))
 
     if series_names is None:
@@ -682,12 +675,9 @@ def state_from_payload(payload: dict, panel: TimeSeriesPanel) -> ChainState:
     bit_gen.state = rng_info["state"]
     rng = np.random.Generator(bit_gen)
 
-    hyper_map = {n: hypers[n] for n in range(panel.num_series)}
     groups = []
     for entry in payload["groups"]:
-        group = GroupModel(
-            entry["members"], entry["alpha"], panel.num_steps, panel.window, hyper_map
-        )
+        group = GroupModel(entry["members"], entry["alpha"], panel.num_steps, panel.window, hypers)
         group.load_sequence(entry["z"], panel.values, panel.observed)
         groups.append(group)
     return ChainState(panel, payload["alpha0"], payload["assignments"], groups, hypers, rng)

@@ -51,7 +51,7 @@ def partial_loglik(state: ChainState, z, alpha, series, include_emission=True):
         z,
         list(series),
         alpha,
-        state.hyper_map,
+        state.hypers,
         state.values,
         state.observed,
         state.panel.num_steps,
@@ -119,7 +119,7 @@ def propose_c(state: ChainState, n: int, rng) -> ClusterProposal:
         slot_z, slot_log_density = forward_sample_sequence(
             [n],
             slot_alpha,
-            state.hyper_map,
+            state.hypers,
             state.values,
             state.observed,
             state.panel.num_steps,
@@ -217,7 +217,7 @@ def _apply_move(state: ChainState, proposal: ClusterProposal) -> None:
 
     if target == FRESH:
         fresh = GroupModel(
-            [n], proposal.slot_alpha, state.panel.num_steps, state.panel.window, state.hyper_map
+            [n], proposal.slot_alpha, state.panel.num_steps, state.panel.window, state.hypers
         )
         fresh.load_sequence(proposal.slot_z, state.values, state.observed)
         state.groups.append(fresh)

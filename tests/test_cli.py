@@ -37,7 +37,7 @@ def run_fit(runner, tmp_path, rng, missing=(), extra=()):
     args = [
         "fit", "--data", str(data), "--out", str(out), "--window", "1",
         "--chains", "2", "--burnin", "6", "--particles", "8", "--seed", "3",
-        "--init-sweeps", "2", "--hyper-cadence", "3", "--deterministic", *extra,
+        "--init-sweeps", "2", "--hyper-cadence", "3", *extra,
     ]
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
@@ -47,7 +47,7 @@ def run_fit(runner, tmp_path, rng, missing=(), extra=()):
 def test_fit_writes_sampleset_and_provenance(runner, tmp_path, rng):
     _, out = run_fit(runner, tmp_path, rng, missing=[(0, 9)])
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert len(doc["chains"]) == 2
     assert "config_hash" in doc
     sidecar = json.loads((tmp_path / "samples.json.provenance.json").read_text())
@@ -62,7 +62,7 @@ def test_fit_byte_reproducible(runner, tmp_path, rng):
         out = tmp_path / name
         result = runner.invoke(main, [
             "fit", "--data", str(data), "--out", str(out), "--window", "1",
-            "--chains", "2", "--burnin", "5", "--seed", "7", "--deterministic",
+            "--chains", "2", "--burnin", "5", "--seed", "7",
         ], catch_exceptions=False)
         assert result.exit_code == 0
         outs.append(out.read_bytes())
@@ -88,7 +88,6 @@ def test_fit_usage_error_exit_2(runner, tmp_path, rng):
     "flag, value",
     [
         ("--window", "-1"),
-        ("--sweeps", "-1"),
         ("--burnin", "-1"),
         ("--particles", "0"),
         ("--threads", "0"),
@@ -104,6 +103,7 @@ def test_fit_out_of_range_option_exit_2(runner, tmp_path, rng, flag, value):
         "--burnin", "0", "--particles", "2", flag, value,
     ])
     assert result.exit_code == 2, result.output
+    assert f"{flag} must be" in result.output
     assert not out.exists()
 
 
@@ -113,7 +113,7 @@ def test_fit_non_finite_log_joint_dumps_state_exit_4(runner, tmp_path, rng, monk
     out = tmp_path / "samples.json"
     result = runner.invoke(main, [
         "fit", "--data", str(data), "--out", str(out), "--window", "1", "--chains", "2",
-        "--burnin", "2", "--particles", "4", "--deterministic",
+        "--burnin", "2", "--particles", "4",
     ])
     assert result.exit_code == 4, result.output
     assert not out.exists()
@@ -203,7 +203,7 @@ def test_depprob_single_series(runner, tmp_path, rng):
     out = tmp_path / "samples.json"
     result = runner.invoke(main, [
         "fit", "--data", str(data), "--out", str(out), "--window", "1",
-        "--chains", "1", "--burnin", "3", "--deterministic",
+        "--chains", "1", "--burnin", "3",
     ], catch_exceptions=False)
     assert result.exit_code == 0
     dp = tmp_path / "dp.csv"
@@ -239,7 +239,7 @@ def test_simulate_round_trips_through_fit(runner, tmp_path):
     fit_out = tmp_path / "fitted.json"
     result = runner.invoke(main, [
         "fit", "--data", str(out), "--out", str(fit_out), "--window", "1",
-        "--chains", "1", "--burnin", "3", "--deterministic",
+        "--chains", "1", "--burnin", "3",
     ], catch_exceptions=False)
     assert result.exit_code == 0
 

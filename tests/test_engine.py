@@ -36,7 +36,7 @@ def small_panel(rng, num_series=2, steps=20, missing=()):
 
 def quick_config(**kwargs):
     defaults = dict(
-        window=1, chains=2, sweeps=0, burnin=8, particles=8, seed=11,
+        window=1, chains=2, burnin=8, particles=8, seed=11,
         init_sweeps=3, hyper_cadence=4,
     )
     defaults.update(kwargs)
@@ -55,7 +55,7 @@ def test_fit_smoke_finite_joint(rng):
 
 def test_fit_deterministic_across_runs(rng, tmp_path):
     panel = small_panel(rng)
-    config = quick_config(deterministic=True)
+    config = quick_config()
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     save_sampleset(fit(panel, config), config, out_a)
@@ -148,10 +148,11 @@ def test_sampleset_schema_mismatch(rng, tmp_path):
     path = tmp_path / "samples.json"
     save_sampleset(fit(panel, config), config, path)
     doc = json.loads(path.read_text())
-    doc["schema_version"] = 999
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaVersionError):
-        load_sampleset(path)
+    for version in (1, 999):  # 1 had other RunConfig fields
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaVersionError):
+            load_sampleset(path)
 
 
 def test_no_smc_init_path(rng):

@@ -123,7 +123,9 @@ def exact_log_ratio(panel, hypers, z, t_site, z_new_label, alpha=1.0):
     # proposal weights over the shared conditional (independence proposal)
     group = build_group(panel, hypers, z_old, alpha=alpha)
     group.unassign(t_site, panel.values, panel.observed)
-    base, emis = group.regime_log_weights_split(t_site, panel.values, panel.observed)
+    base, emis = group.regime_log_weights_split(
+        t_site, panel.values, panel.observed, panel.observed
+    )
     weights = [b + e for b, e in zip(base, emis)]
     # map original labels to the group's post-removal labels
     def weight_of(label):

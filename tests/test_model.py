@@ -12,6 +12,7 @@ from oracles import (
     naive_log_joint,
     total_variation,
 )
+import trcrp.model as model_mod
 from trcrp.conjugate import NigHyper, predictive_logpdf, NigStats
 from trcrp.model import (
     ChainState,
@@ -111,6 +112,24 @@ def test_reweighted_weights_normalize(rng):
         scratch.assign(t, k, panel.values, panel.observed)
 
 
+def test_reweighted_weights_evaluate_no_emission_terms(monkeypatch):
+    # both cells at t=3 are observed; one of the four lag cells is not
+    panel = make_panel([[0.1, 0.5, 0.9, -0.2, 0.7], [0.3, 0.2, 0.4, None, 1.1]], window=2)
+    group = build_group(panel, uniform_hypers(2, 2), [1, 2, 1])
+    group.unassign(3, panel.values, panel.observed)
+    calls = []
+    original = model_mod.predictive_logpdf_raw
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(model_mod, "predictive_logpdf_raw", counting)
+    group.reweighted_log_weights(3, panel.values, panel.observed)
+    num_blocks = group.regimes.num_regimes + 1
+    assert len(calls) == num_blocks * 3
+
+
 # -- step normalizer -----------------------------------------------------------
 
 
@@ -149,7 +168,7 @@ def test_normalizer_single_regime_tiny_alpha_inverts_cohesion():
 
 def step_predictive(group, t, panel):
     """Log one-step predictive of the observed cells at t, regime summed out."""
-    base, emis = group.regime_log_weights_split(t, panel.values, panel.observed)
+    base, emis = group.regime_log_weights_split(t, panel.values, panel.observed, panel.observed)
     return logsumexp([b + e for b, e in zip(base, emis)]) - logsumexp(base)
 
 
@@ -262,7 +281,9 @@ def test_log_joint_sequential_decomposition(rng):
         math.lgamma(state.alpha0 + 2) - math.lgamma(state.alpha0)
     )
     for t, zt in enumerate(z, start=1):
-        base, emis = scratch.regime_log_weights_split(t, panel.values, panel.observed)
+        base, emis = scratch.regime_log_weights_split(
+            t, panel.values, panel.observed, panel.observed
+        )
         full = [b + e for b, e in zip(base, emis)]
         q_t = logsumexp(full) - logsumexp(base)
         k = label_map.get(zt)

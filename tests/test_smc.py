@@ -18,6 +18,7 @@ from oracles import (
     naive_group_loglik,
     total_variation,
 )
+from trcrp.model import GroupModel
 from trcrp.smc import (
     NumericalError,
     ParticleSet,
@@ -27,8 +28,8 @@ from trcrp.smc import (
 )
 
 
-def hyper_map(hypers):
-    return {n: h for n, h in enumerate(hypers)}
+def empty_group(panel, hypers, members=(0,), alpha=1.0):
+    return GroupModel(members, alpha, panel.num_steps, panel.window, hypers)
 
 
 def enumerate_log_marginal(panel, hypers, alpha):
@@ -45,15 +46,13 @@ def enumerate_log_marginal(panel, hypers, alpha):
 def test_fully_missing_row_leaves_weight_unchanged(rng):
     panel = make_panel([[0.0, 1.0, None, 2.0]], window=1)
     hypers = uniform_hypers(1, 1)
-    ps = ParticleSet([0], 1.0, hyper_map(hypers), panel.values, panel.observed, 3, 1, 4)
+    ps = ParticleSet(empty_group(panel, hypers), panel.values, panel.observed, 4)
     smc_step(ps, 1, rng)
-    before = ps.log_weights()
+    before = list(ps.log_weights)
     smc_step(ps, 2, rng)  # row at t=2 is missing
-    after = ps.log_weights()
-    assert after == before
-    for particle in ps.particles:
-        assert (0, 2) in particle.imputed
-        assert particle.filled[0, 2]
+    assert ps.log_weights == before
+    for values in ps.values:
+        assert np.isfinite(values[0, 2])
 
 
 def test_single_particle_weight_is_log_ml_estimate(rng):
@@ -61,12 +60,12 @@ def test_single_particle_weight_is_log_ml_estimate(rng):
     # product of one-step predictives.
     panel = make_panel([list(rng.normal(size=5))], window=1)
     hypers = uniform_hypers(1, 1)
-    ps = ParticleSet([0], 1.0, hyper_map(hypers), panel.values, panel.observed, 4, 1, 1)
+    ps = ParticleSet(empty_group(panel, hypers), panel.values, panel.observed, 1)
     for t in range(1, 5):
         smc_step(ps, t, rng)
         if t < 4:
-            assert not maybe_resample(ps, rng, threshold=0.5)
-    assert ps.log_marginal_likelihood() == pytest.approx(ps.particles[0].log_weight, abs=1e-12)
+            assert not maybe_resample(ps, rng)
+    assert ps.log_marginal_likelihood() == pytest.approx(ps.log_weights[0], abs=1e-12)
 
 
 def test_mean_weight_matches_enumerated_marginal_likelihood():
@@ -75,43 +74,36 @@ def test_mean_weight_matches_enumerated_marginal_likelihood():
     hypers = uniform_hypers(1, 0)
     exact = enumerate_log_marginal(panel, hypers, 1.0)
     reps = 100_000
-    ps = ParticleSet([0], 1.0, hyper_map(hypers), panel.values, panel.observed, 3, 0, reps)
+    ps = ParticleSet(empty_group(panel, hypers), panel.values, panel.observed, reps)
     for t in (1, 2, 3):
         smc_step(ps, t, rng)  # no resampling: mean of raw weight products
-    log_mean = scipy.special.logsumexp(ps.log_weights()) - math.log(reps)
+    log_mean = scipy.special.logsumexp(ps.log_weights) - math.log(reps)
     assert abs(math.exp(log_mean - exact) - 1.0) < 0.01
 
 
 def test_resample_skipped_on_equal_weights(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet([0], 1.0, hyper_map(uniform_hypers(1, 1)),
-                     panel.values, panel.observed, 2, 1, 8)
-    assert not maybe_resample(ps, rng, threshold=0.5)
+    ps = ParticleSet(empty_group(panel, uniform_hypers(1, 1)), panel.values, panel.observed, 8)
+    assert not maybe_resample(ps, rng)
     assert np.allclose(ps.normalized_weights().sum(), 1.0, atol=1e-12)
 
 
 def test_resample_collapses_to_dominant_particle(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet([0], 1.0, hyper_map(uniform_hypers(1, 1)),
-                     panel.values, panel.observed, 2, 1, 6)
+    ps = ParticleSet(empty_group(panel, uniform_hypers(1, 1)), panel.values, panel.observed, 6)
     smc_step(ps, 1, rng)
-    marker = ps.particles[2]
-    marker.log_weight = 0.0
-    for j, particle in enumerate(ps.particles):
-        if j != 2:
-            particle.log_weight = -1e9
-    assert maybe_resample(ps, rng, threshold=0.5)
-    for particle in ps.particles:
-        assert particle.group.regimes.z == marker.group.regimes.z
-        assert particle.log_weight == 0.0
+    marker = ps.groups[2]
+    ps.log_weights = [0.0 if j == 2 else -1e9 for j in range(6)]
+    assert maybe_resample(ps, rng)
+    for group in ps.groups:
+        assert group.regimes.z == marker.regimes.z
+    assert ps.log_weights == [0.0] * 6
 
 
 def test_resample_all_zero_weights_raises(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet([0], 1.0, hyper_map(uniform_hypers(1, 1)),
-                     panel.values, panel.observed, 2, 1, 3)
-    for particle in ps.particles:
-        particle.log_weight = float("-inf")
+    ps = ParticleSet(empty_group(panel, uniform_hypers(1, 1)), panel.values, panel.observed, 3)
+    ps.log_weights = [float("-inf")] * 3
     with pytest.raises(NumericalError):
         maybe_resample(ps, rng)
 
@@ -138,13 +130,11 @@ def test_block_sample_deterministic():
     panel = make_panel([[0.0, 0.5, 1.2, -0.3, 0.8]], window=1)
     hypers = uniform_hypers(1, 1)
     runs = [
-        smc_block_sample([0], 1.0, hyper_map(hypers), panel.values, panel.observed,
-                         4, 1, 16, np.random.default_rng(123))
+        smc_block_sample(empty_group(panel, hypers), panel.values, panel.observed,
+                         16, np.random.default_rng(123))
         for _ in range(2)
     ]
-    assert runs[0].z == runs[1].z
-    assert runs[0].log_ml == runs[1].log_ml
-    assert runs[0].imputed == runs[1].imputed
+    assert runs[0] == runs[1]
 
 
 def test_returned_partition_distribution_matches_posterior():
@@ -161,22 +151,31 @@ def test_returned_partition_distribution_matches_posterior():
 
     reps = 100_000
     counts = {z: 0 for z in seqs}
+    group = empty_group(panel, hypers)
     for _ in range(reps):
-        res = smc_block_sample([0], 1.0, hyper_map(hypers), panel.values, panel.observed,
-                               4, 0, 16, rng)
-        counts[canonical_partition(res.z)] += 1
+        z, _ = smc_block_sample(group, panel.values, panel.observed, 16, rng)
+        counts[canonical_partition(z)] += 1
     empirical = {z: c / reps for z, c in counts.items()}
     assert total_variation(exact, empirical) < 0.03
 
 
-def test_particle_stats_consistent_at_end(rng):
-    values = [list(rng.normal(size=7)), list(rng.normal(size=7))]
-    values[0][4] = None
-    values[1][2] = None
+def test_read_cells_filled_and_particle_stats_consistent(rng):
+    # the filter reads through one all-True mask: every member cell before t
+    # must hold an observed or drawn value once step t-1 is done
+    values = [list(rng.normal(size=8)) for _ in range(3)]
+    values[0][1] = None  # t=1
+    values[1][4] = None  # mid-series
+    values[0][7] = values[1][7] = None  # t=T
     panel = make_panel(values, window=1)
-    hypers = uniform_hypers(2, 1)
-    res = smc_block_sample([0, 1], 1.0, hyper_map(hypers), panel.values, panel.observed,
-                           6, 1, 12, rng, keep_particles=True)
-    for particle in res.particle_set.particles:
-        assert particle.group.stats_deviation(particle.values, particle.filled) < 1e-8
-        assert particle.filled.all()
+    group = empty_group(panel, uniform_hypers(3, 1), members=(0, 1))
+    ps = ParticleSet(group, panel.values, panel.observed, 12)
+    all_cells = np.ones_like(panel.observed)
+    for t in range(1, panel.num_steps + 1):
+        smc_step(ps, t, rng)
+        for rows in ps.values:
+            assert np.isfinite(rows[[0, 1], : panel.window + t]).all()
+        if t < panel.num_steps:
+            maybe_resample(ps, rng)
+    for particle, rows in zip(ps.groups, ps.values):
+        assert particle.stats_deviation(rows, all_cells) < 1e-8
+    assert group.regimes.num_regimes == 0  # the template group stays empty

@@ -172,10 +172,12 @@ def test_partial_loglik_series_terms_add_across_subsets(rng):
 
     def series_terms(members):
         # cohesion and emission terms at the assigned regimes: weights minus CRP mass
-        scratch = GroupModel(members, 1.0, panel.num_steps, panel.window, state.hyper_map)
+        scratch = GroupModel(members, 1.0, panel.num_steps, panel.window, state.hypers)
         total = 0.0
         for t, slot, _ in scratch.replay(z, panel.values, panel.observed):
-            base, emis = scratch.regime_log_weights_split(t, panel.values, panel.observed)
+            base, emis = scratch.regime_log_weights_split(
+                t, panel.values, panel.observed, panel.observed
+            )
             crp = crp_log_weights(scratch.regimes.counts, scratch.alpha)
             total += base[slot] - crp[slot] + emis[slot]
         return total
