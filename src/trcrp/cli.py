@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
 
 import click
 import numpy as np
@@ -23,7 +22,6 @@ from .conjugate import NigHyper
 from .engine import (
     RunConfig,
     SchemaVersionError,
-    config_hash,
     fit,
     load_sampleset,
     panel_payload,

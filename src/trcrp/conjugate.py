@@ -8,14 +8,18 @@ is a Student-T.  The lag-matching cohesion weight is a product of the same
 Student-T predictives, one per lag offset, restricted to observed lag cells.
 
 All densities are log densities; products elsewhere in the model are sums of
-the values computed here.  The hot path (:func:`predictive_logpdf_raw`) is
-deliberately flat scalar code: the samplers call it millions of times.
+the values computed here.  The per-step hot path (:func:`predictive_logpdf_raw`)
+is deliberately flat scalar code: the samplers call it millions of times.
+Passes over a whole regime sequence use :func:`predictive_logpdf_array`, the
+same formula over arrays of statistics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "NigHyper",
@@ -25,6 +29,7 @@ __all__ = [
     "posterior_predictive",
     "predictive_logpdf",
     "predictive_logpdf_raw",
+    "predictive_logpdf_array",
     "marginal_loglik",
 ]
 
@@ -209,6 +214,47 @@ def predictive_logpdf_raw(
         - 0.5 * math.log(dof * scale_sq)
         - 0.5 * _LOG_PI
         - (a_post + 0.5) * math.log1p(z * z / (dof * scale_sq))
+    )
+
+
+def _lgamma_tables(a0, max_count: int):
+    """(row of each a0, lgamma(a0 + c/2), lgamma(a0 + c/2 + 1/2)) for c in 0..max_count.
+
+    Keys are formed as :func:`predictive_logpdf_raw` forms them, so both read the same cache.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    distinct, row = np.unique(a0.ravel(), return_inverse=True)
+    keys = distinct[:, None] + 0.5 * np.arange(max_count + 1)
+    lg = np.array([_lgamma(k) for k in keys.ravel().tolist()]).reshape(keys.shape)
+    lg_half = np.array([_lgamma(k + 0.5) for k in keys.ravel().tolist()]).reshape(keys.shape)
+    return row.reshape(a0.shape), lg, lg_half
+
+
+def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x):
+    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays."""
+    count = np.asarray(count)
+    empty = count == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_post = np.where(empty, v0, 1.0 / (1.0 / v0 + count))
+        m_post = np.where(empty, m0, v_post * (m0 / v0 + total))
+        mean = total / count
+        centered = total_sq - total * mean
+        centered = np.where(centered < 0.0, 0.0, centered)
+        shift = mean - m0
+        b_post = np.where(
+            empty, b0, b0 + 0.5 * centered + 0.5 * count * shift * shift / (1.0 + count * v0)
+        )
+    a_post = a0 + 0.5 * count
+    row, lg, lg_half = _lgamma_tables(a0, int(count.max(initial=0)))
+    scale_sq = b_post * (1.0 + v_post) / a_post
+    dof_scale = 2.0 * a_post * scale_sq
+    z = x - m_post
+    return (
+        lg_half[row, count]
+        - lg[row, count]
+        - 0.5 * np.log(dof_scale)
+        - 0.5 * _LOG_PI
+        - (a_post + 0.5) * np.log1p(z * z / dof_scale)
     )
 
 

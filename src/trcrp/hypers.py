@@ -7,8 +7,9 @@ on the grid otherwise), and samples from the normalized categorical.
 
 Emission-cell conditionals telescope into per-regime marginal likelihoods, so
 they cost O(K) per grid point.  Concentration and lag-cell conditionals need
-the sequential prefix structure; one replay per group builds a table of
-per-step block weights and stat snapshots that all 30 grid points reuse.
+the sequential prefix structure; one array pass per group
+(:func:`trcrp.model.prefix_stats`) builds a table of per-step block
+statistics and cohesion factors that all 30 grid points reuse.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import NigHyper, NigStats, marginal_loglik, predictive_logpdf_raw
-from .model import ChainState, SeriesHypers
+from .conjugate import NigHyper, marginal_loglik, predictive_logpdf_array
+from .model import ChainState, SeriesHypers, prefix_stats
 from .panel import TimeSeriesPanel
-from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf, logsumexp
+from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
 
 __all__ = [
     "GRID_SIZE",
@@ -159,88 +160,40 @@ def grids_payload(grids: Grids) -> dict:
 class _GroupTable:
     """Prefix-structure cache for one group's concentration and lag conditionals.
 
-    Row t holds the occupied-block counts, the slot of the assigned regime,
-    the lag query values, and per block (plus one fresh block) the total
-    cohesion with per-(series, offset) factors and the stat snapshots they
-    were computed from.  Sufficient statistics do not depend on
-    hyperparameters, so the snapshots serve every grid point.
+    Holds the group's :class:`~trcrp.model.PrefixStats` over its lag cells.
+    Sufficient statistics do not depend on hyperparameters, so they serve
+    every grid point; a lag-cell candidate re-evaluates only that cell.
     """
 
     def __init__(self, group, values, observed):
-        scratch = group.empty_clone()
-        p = scratch.window
-        fresh = NigStats()
-        self.rows = []
-        for t, z_slot, _ in scratch.replay(group.regimes.z, values, observed):
-            col = p + t - 1
-            counts = list(scratch.regimes.counts)
-            num_blocks = len(counts)
-            queries = {}
-            for n in scratch.members:
-                orow = observed[n]
-                vrow = values[n]
-                for i in range(1, p + 1):
-                    queries[(n, i)] = float(vrow[col - i]) if orow[col - i] else None
-            slots = []
-            for slot in range(num_blocks + 1):
-                coh = 0.0
-                factors = {}
-                for (n, i), x in queries.items():
-                    if x is None:
-                        continue
-                    h = scratch.hypers[n].cohesion[i - 1]
-                    s = scratch.cohesion[n][slot][i - 1] if slot < num_blocks else fresh
-                    cnt, sm, ssq = s.count, s.sum, s.sum_sq
-                    f = predictive_logpdf_raw(h.m, h.V, h.a, h.b, cnt, sm, ssq, x)
-                    coh += f
-                    factors[(n, i)] = (f, cnt, sm, ssq)
-                slots.append([coh, factors])
-            self.rows.append((counts, z_slot, queries, slots))
+        self.prefix = prefix_stats(
+            group.regimes.z, group.members, group.hypers, values, observed, group.window
+        )
+        self.index = {cell: c for c, cell in enumerate(self.prefix.cells)}
 
     def alpha_restricted(self, alpha: float) -> float:
         """Sequential assignment loglik of the group's z under concentration alpha."""
-        total = 0.0
-        log_alpha = math.log(alpha)
-        for counts, z_slot, _, slots in self.rows:
-            w = [math.log(c) + slots[j][0] for j, c in enumerate(counts)]
-            w.append(log_alpha + slots[len(counts)][0])
-            total += w[z_slot] - logsumexp(w)
-        return total
+        return self.prefix.loglik(self.prefix.log_weights(alpha))
+
+    def _factors(self, c: int, hyper: NigHyper):
+        s = self.prefix
+        f = predictive_logpdf_array(
+            hyper.m, hyper.V, hyper.a, hyper.b, s.count[c], s.total[c], s.total_sq[c], s.x[c]
+        )
+        return np.where(s.seen[c], f, 0.0)
 
     def cohesion_restricted(self, alpha: float, n: int, offset: int, hyper: NigHyper) -> float:
         """Same quantity with cell (n, offset) re-evaluated under ``hyper``."""
-        total = 0.0
-        log_alpha = math.log(alpha)
-        key = (n, offset)
-        for counts, z_slot, queries, slots in self.rows:
-            x = queries.get(key)
-            num_blocks = len(counts)
-            w = []
-            for j in range(num_blocks + 1):
-                coh, factors = slots[j]
-                base = (math.log(counts[j]) if j < num_blocks else log_alpha) + coh
-                if x is not None:
-                    f_old, cnt, sm, ssq = factors[key]
-                    base += (
-                        predictive_logpdf_raw(hyper.m, hyper.V, hyper.a, hyper.b, cnt, sm, ssq, x)
-                        - f_old
-                    )
-                w.append(base)
-            total += w[z_slot] - logsumexp(w)
-        return total
+        c = self.index[(n, offset)]
+        delta = self._factors(c, hyper) - self.prefix.factors[c]
+        return self.prefix.loglik(self.prefix.log_weights(alpha) + delta)
 
     def update_cohesion(self, n: int, offset: int, hyper: NigHyper) -> None:
         """Refresh the cell's factors after an accepted grid move."""
-        key = (n, offset)
-        for _, _, queries, slots in self.rows:
-            x = queries.get(key)
-            if x is None:
-                continue
-            for slot in slots:
-                f_old, cnt, sm, ssq = slot[1][key]
-                f_new = predictive_logpdf_raw(hyper.m, hyper.V, hyper.a, hyper.b, cnt, sm, ssq, x)
-                slot[1][key] = (f_new, cnt, sm, ssq)
-                slot[0] += f_new - f_old
+        c = self.index[(n, offset)]
+        f_new = self._factors(c, hyper)
+        self.prefix.cohesion += f_new - self.prefix.factors[c]
+        self.prefix.factors[c] = f_new
 
 
 # -- transitions -----------------------------------------------------------------

@@ -6,7 +6,8 @@ steps of coupling-normalizer ratios.  That ratio is exact for this proposal:
 the CRP and predictive factors of the proposal cancel against the time-t
 factors of the joint, leaving only the downstream normalizers, whose data
 differ between the two configurations in at most the two regimes that gain or
-lose time t.
+lose time t.  Both sets of normalizers come from the array prefix statistics
+of :func:`trcrp.model.prefix_stats`.
 
 Always-accept mode skips the normalizer pass entirely; proposals track the
 target closely enough that this is the designated initialization strategy,
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conjugate import NigStats, predictive_logpdf_raw
+from .model import prefix_stats
 from .util import gumbel_argmax, logsumexp
 
 __all__ = ["MhConfig", "NEW_REGIME", "propose_z", "acceptance_log_ratio", "sweep_z"]
@@ -52,70 +53,22 @@ def propose_z(group, t, values, observed, rng):
 def acceptance_log_ratio(group, t, branch_old, branch_new, values, observed) -> float:
     """Sum over later steps of the log normalizer ratio new-over-old.
 
-    Contract as in :func:`propose_z`: time t is unassigned.  One forward pass
-    rebuilds the prefix statistics excluding t; at each later step the two
-    configurations share every regime except the one holding t, so only that
-    regime's weight is recomputed per branch.
+    Contract as in :func:`propose_z`: time t is unassigned.  The group's
+    sequence is completed with t in ``branch_old`` and, separately, in
+    ``branch_new`` (a fresh regime takes the next unused label); the
+    no-emission per-step log normalizers of both sequences come from one
+    prefix-statistics pass each, and the ratio sums their difference over the
+    steps after t, where the two configurations differ.
     """
-    if branch_old == branch_new:
+    if branch_old == branch_new or t >= group.num_steps:
         return 0.0
-    if t >= group.num_steps:
-        return 0.0
-    p = group.window
-    col_t = p + t - 1
-    # time-t lag contributions per member (None where the lag cell is unobserved)
-    t_lags = {}
-    for n in group.members:
-        vrow = values[n]
-        orow = observed[n]
-        t_lags[n] = [
-            float(vrow[col_t - i]) if orow[col_t - i] else None for i in range(1, p + 1)
-        ]
-
-    scratch = group.empty_clone()
-    delta = 0.0
-    for t2, _, label_map in scratch.replay(group.regimes.z, values, observed, skip=t):
-        if t2 > t:
-            base = scratch.reweighted_log_weights(t2, values, observed)
-            lse_old = _branch_lse(scratch, base, branch_old, label_map, t2, t_lags, values, observed)
-            lse_new = _branch_lse(scratch, base, branch_new, label_map, t2, t_lags, values, observed)
-            delta += lse_old - lse_new
-    return delta
-
-
-def _branch_lse(scratch, base, branch, label_map, t2, t_lags, values, observed):
-    """Log-normalizer at t2 with time t's block folded into ``branch``."""
-    p = scratch.window
-    col2 = p + t2 - 1
-    k = label_map.get(branch) if branch != NEW_REGIME else None
-    aug = math.log((scratch.regimes.counts[k - 1] if k is not None else 0) + 1)
-    empty_row = [NigStats()] * p
-    for n in scratch.members:
-        orow = observed[n]
-        vrow = values[n]
-        hypers = scratch.hypers[n].cohesion
-        contrib = t_lags[n]
-        stats_row = scratch.cohesion[n][k - 1] if k is not None else empty_row
-        for i in range(1, p + 1):
-            if not orow[col2 - i]:
-                continue
-            h = hypers[i - 1]
-            s = stats_row[i - 1]
-            cnt, sm, ssq = s.count, s.sum, s.sum_sq
-            v = contrib[i - 1]
-            if v is not None:
-                cnt += 1
-                sm += v
-                ssq += v * v
-            aug += predictive_logpdf_raw(
-                h.m, h.V, h.a, h.b, cnt, sm, ssq, float(vrow[col2 - i])
-            )
-    if k is None:
-        entries = base + [aug]
-    else:
-        entries = list(base)
-        entries[k - 1] = aug
-    return logsumexp(entries)
+    normalizers = []
+    for branch in (branch_old, branch_new):
+        z = list(group.regimes.z)
+        z[t - 1] = branch if branch != NEW_REGIME else group.regimes.num_regimes + 1
+        prefix = prefix_stats(z, group.members, group.hypers, values, observed, group.window)
+        normalizers.append(prefix.log_normalizers(prefix.log_weights(group.alpha))[t:])
+    return float((normalizers[0] - normalizers[1]).sum())
 
 
 def transition_site(group, t, values, observed, rng, full_mh: bool):

@@ -9,14 +9,15 @@ throughout; all per-cell densities are Student-T posterior predictives.
 
 Two stat disciplines coexist.  Persistent groups inside a chain hold *full*
 statistics (all assigned times), which is what the single-site sampler's full
-conditionals need.  Every sequential quantity (the log joint, the full-MH
-normalizer ratios, the griddy-Gibbs tables) comes from one pass,
-:meth:`GroupModel.replay`, which assigns a regime sequence to an empty group
-step by step so that the term at time t sees only data before t; forward
-sampling (:meth:`GroupModel.draw`) is the same pass with z_t drawn instead of
-given.  Sequential sums are computed over the blocks occupied so far plus one
-fresh block with empty statistics, which makes every quantity invariant to
-regime relabeling.
+conditionals need.  Every sequential quantity over a known regime sequence
+(the log joint, the full-MH normalizer ratios, the griddy-Gibbs tables) is a
+sum over t of terms that see only the data before t; :func:`prefix_stats`
+computes the statistics and predictive factors behind all of those terms in
+one array pass.  Forward sampling (:meth:`GroupModel.draw`) assigns z_t as it
+is drawn and scores each step from the group's incremental statistics.
+Sequential sums are computed over the blocks occupied so far plus one fresh
+block with empty statistics, which makes every quantity invariant to regime
+relabeling.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .conjugate import (
     NigHyper,
     NigStats,
     posterior_predictive,
+    predictive_logpdf_array,
     predictive_logpdf_raw,
 )
 from .panel import TimeSeriesPanel
@@ -42,8 +44,9 @@ __all__ = [
     "ChainState",
     "crp_log_weights",
     "crp_draw",
+    "PrefixStats",
+    "prefix_stats",
     "sequence_loglik",
-    "group_sequence_loglik",
     "forward_sample_sequence",
     "log_joint",
     "simulate",
@@ -177,7 +180,7 @@ class GroupModel:
         self._fold(self.members, range(1, self.num_steps + 1), values, observed)
 
     def add_member(self, n: int, values, observed) -> None:
-        """Bring series n into the group, replaying its data against current z."""
+        """Bring series n into the group, folding its data in against the current z."""
         self.members.append(n)
         self.emission[n] = [NigStats() for _ in range(self.regimes.num_regimes)]
         self.cohesion[n] = [
@@ -245,30 +248,6 @@ class GroupModel:
         return k, removed
 
     # -- sequential passes ----------------------------------------------------
-
-    def replay(self, z, values, observed, skip: int = 0):
-        """Assign the regime sequence ``z`` to this empty group, one step at a time.
-
-        Yields ``(t, slot, label_map)`` before step t is assigned, so the
-        statistics then summarize exactly the steps before t.  ``slot`` is the
-        weight index of z_t (0-based block, or ``num_regimes`` for the fresh
-        block) and ``label_map`` maps labels of ``z`` to labels of this group,
-        which numbers blocks in order of first appearance.  Step ``skip`` is
-        left out.
-        """
-        label_map: dict[int, int] = {}
-        for t in range(1, self.num_steps + 1):
-            if t == skip:
-                continue
-            zt = z[t - 1]
-            if zt == 0:
-                raise ValueError(f"sequence has unassigned step {t}")
-            k = label_map.get(zt)
-            yield t, (k - 1 if k is not None else self.regimes.num_regimes), label_map
-            if k is None:
-                k = self.add_regime()
-                label_map[zt] = k
-            self.assign(t, k, values, observed)
 
     def draw(self, t: int, log_weights, values, observed, rng, fill=()) -> tuple[int, int]:
         """Forward-sample step t: draw a weight index (fresh block last), then assign.
@@ -410,48 +389,116 @@ class GroupModel:
 # -- sequential evaluation ----------------------------------------------------
 
 
+@dataclass
+class PrefixStats:
+    """Prefix statistics of a regime sequence z over T steps (see :func:`prefix_stats`).
+
+    Blocks are numbered 0..K-1 by first appearance in z; column K is the fresh
+    block, whose statistics are always empty.  Per cell ``(series, offset)``
+    (offset 0 is the emission cell), ``count``/``total``/``total_sq`` at
+    [cell, t-1, j] summarize the cell's observed values at the steps before t
+    assigned to block j; ``x`` and ``seen`` hold the cell's value at t and
+    whether it is observed; ``factors`` holds the predictive log density of x
+    under each block (0 where unobserved).  ``cohesion`` and ``emission`` sum
+    the lag and the emission factors, ``log_counts`` holds the log block
+    sizes (-inf for empty blocks) and ``slot`` the column of z_t.
+    """
+
+    cells: list
+    count: np.ndarray
+    total: np.ndarray
+    total_sq: np.ndarray
+    x: np.ndarray
+    seen: np.ndarray
+    factors: np.ndarray
+    cohesion: np.ndarray
+    emission: np.ndarray
+    log_counts: np.ndarray
+    slot: np.ndarray
+
+    def log_weights(self, alpha: float) -> np.ndarray:
+        """(T, K+1) CRP-times-cohesion log weights under concentration ``alpha``."""
+        w = self.log_counts.copy()
+        w[:, -1] = math.log(alpha)
+        return w + self.cohesion
+
+    @staticmethod
+    def log_normalizers(base: np.ndarray) -> np.ndarray:
+        """Per-step log-sum-exp of (T, K+1) log weights."""
+        hi = base.max(axis=1)
+        return hi + np.log(np.exp(base - hi[:, None]).sum(axis=1))
+
+    def loglik(self, base: np.ndarray) -> float:
+        """Sum over t of the normalized log weight and the emission factor of z_t."""
+        at = (np.arange(len(self.slot)), self.slot)
+        return float((base[at] - self.log_normalizers(base) + self.emission[at]).sum())
+
+
+def _before(a: np.ndarray) -> np.ndarray:
+    """Exclusive cumulative sum over axis 1: entry t sums the entries before t."""
+    out = np.zeros(a.shape, dtype=a.dtype)
+    np.cumsum(a[:, :-1], axis=1, out=out[:, 1:])
+    return out
+
+
+def prefix_stats(z, members, hypers, values, observed, window: int, emission=False):
+    """:class:`PrefixStats` of the regime sequence ``z`` for the cells of ``members``.
+
+    The cells are every member's lag offsets 1..window, then (with
+    ``emission``) every member's emission cell.  Labels of ``z`` are arbitrary
+    nonzero integers; a 0 (unassigned) label raises ``ValueError``.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    if (z == 0).any():
+        raise ValueError(f"sequence has unassigned step {int(np.argmax(z == 0)) + 1}")
+    labels, first, inverse = np.unique(z, return_index=True, return_inverse=True)
+    num_blocks = len(labels)
+    rank = np.empty(num_blocks, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(num_blocks)
+    block = rank[inverse.reshape(-1)]
+    onehot = block[:, None] == np.arange(num_blocks + 1)  # (T, K+1)
+    slot = block.copy()
+    slot[first] = num_blocks
+    with np.errstate(divide="ignore"):
+        log_counts = np.log(_before(onehot[None].astype(np.int64))[0])
+
+    p = window
+    cells = [(n, i) for n in members for i in range(1, p + 1)]
+    if emission:
+        cells += [(n, 0) for n in members]
+    rows = np.array([n for n, _ in cells], dtype=np.int64).reshape(-1, 1)
+    cols = np.array([p - i for _, i in cells], dtype=np.int64).reshape(-1, 1) + np.arange(len(z))
+    seen = np.asarray(observed, dtype=bool)[rows, cols][:, :, None]
+    x = np.where(seen, np.asarray(values, dtype=float)[rows, cols][:, :, None], 0.0)
+    mask = onehot & seen  # (cells, T, K+1)
+    count = _before(mask.astype(np.int64))
+    total = _before(np.where(mask, x, 0.0))
+    total_sq = _before(np.where(mask, x * x, 0.0))
+    cell_hypers = [hypers[n].cohesion[i - 1] if i else hypers[n].emission for n, i in cells]
+    table = np.array([(h.m, h.V, h.a, h.b) for h in cell_hypers]).reshape(-1, 4, 1, 1)
+    m0, v0, a0, b0 = (table[:, k] for k in range(4))
+    f = predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x)
+    factors = np.where(seen, f, 0.0)
+    num_lag = len(members) * p
+    return PrefixStats(
+        cells, count, total, total_sq, x, seen, factors,
+        factors[:num_lag].sum(axis=0), factors[num_lag:].sum(axis=0), log_counts, slot,
+    )
+
+
 def sequence_loglik(
-    z,
-    members,
-    alpha: float,
-    hypers,
-    values,
-    observed,
-    num_steps: int,
-    window: int,
-    include_emission: bool = True,
+    z, members, alpha: float, hypers, values, observed, window: int, include_emission=True
 ):
     """Log joint contribution of one group for a fixed regime sequence.
 
-    Replays ``z`` forward so the term at time t uses only earlier data:
-    each step adds the normalized reweighted-CRP log probability of z_t plus
-    (optionally) the observed-cell emission predictives.  Without emission
-    terms this is exactly the density of the lag-reweighted sequence prior,
-    which is also the forward-sampling proposal density used by the outer
-    cluster moves.
+    The term at time t uses only earlier data: the normalized reweighted-CRP
+    log probability of z_t plus (optionally) the observed-cell emission
+    predictives.  Without emission terms this is exactly the density of the
+    lag-reweighted sequence prior, which is also the forward-sampling
+    proposal density used by the outer cluster moves.
     """
-    scratch = GroupModel(members, alpha, num_steps, window, hypers)
-    total = 0.0
-    emission_observed = observed if include_emission else None
-    for t, slot, _ in scratch.replay(z, values, observed):
-        base, emis = scratch.regime_log_weights_split(t, values, observed, emission_observed)
-        total += base[slot] - logsumexp(base)
-        total += emis[slot]
-    return total
-
-
-def group_sequence_loglik(group: GroupModel, values, observed, include_emission=True):
-    return sequence_loglik(
-        group.regimes.z,
-        group.members,
-        group.alpha,
-        group.hypers,
-        values,
-        observed,
-        group.num_steps,
-        group.window,
-        include_emission=include_emission,
-    )
+    prefix = prefix_stats(z, members, hypers, values, observed, window, include_emission)
+    return prefix.loglik(prefix.log_weights(alpha))
 
 
 def forward_sample_sequence(members, alpha, hypers, values, observed, num_steps, window, rng):
@@ -491,7 +538,7 @@ class ChainState:
 
     @classmethod
     def create(cls, panel, alpha0, assignments, group_alphas, hypers, rng):
-        """Build a state with the given outer assignment, replaying no regimes yet."""
+        """Build a state with the given outer assignment and empty regime sequences."""
         labels = sorted(set(assignments))
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError(f"assignments must use contiguous labels 1..M: {assignments}")
@@ -552,7 +599,10 @@ def log_joint(state: ChainState) -> float:
     total += crp_partition_log_mass([len(g.members) for g in state.groups], state.alpha0)
     for group in state.groups:
         total += log_gamma11_pdf(group.alpha)
-        total += group_sequence_loglik(group, state.values, state.observed)
+        total += sequence_loglik(
+            group.regimes.z, group.members, group.alpha, group.hypers,
+            state.values, state.observed, group.window,
+        )
     return total
 
 

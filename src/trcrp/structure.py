@@ -19,14 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    ChainState,
-    GroupModel,
-    forward_sample_sequence,
-    group_sequence_loglik,
-    sequence_loglik,
-)
-from .util import gumbel_argmax, logsumexp
+from .model import ChainState, GroupModel, forward_sample_sequence, sequence_loglik
+from .util import gumbel_argmax
 
 __all__ = [
     "partial_loglik",
@@ -54,7 +48,6 @@ def partial_loglik(state: ChainState, z, alpha, series, include_emission=True):
         state.hypers,
         state.values,
         state.observed,
-        state.panel.num_steps,
         state.panel.window,
         include_emission=include_emission,
     )
@@ -64,7 +57,10 @@ def group_loglik_cached(state: ChainState, group: GroupModel) -> float:
     """Full-group sequential loglik, cached until the group or hypers change."""
     value = state.loglik_cache.get(group)
     if value is None:
-        value = group_sequence_loglik(group, state.values, state.observed)
+        value = sequence_loglik(
+            group.regimes.z, group.members, group.alpha, group.hypers,
+            state.values, state.observed, group.window,
+        )
         state.loglik_cache[group] = value
     return value
 

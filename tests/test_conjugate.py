@@ -17,6 +17,7 @@ from trcrp.conjugate import (
     posterior_params,
     posterior_predictive,
     predictive_logpdf,
+    predictive_logpdf_array,
     predictive_logpdf_raw,
 )
 from trcrp.model import GroupModel, SeriesHypers, crp_log_weights
@@ -84,7 +85,20 @@ def test_predictive_symmetric_when_centered():
         )
 
 
-def test_predictive_matches_scipy_on_random_cases(rng):
+def _array_predictive(hyper, stats, x):
+    return float(
+        predictive_logpdf_array(
+            hyper.m, hyper.V, hyper.a, hyper.b, stats.count, stats.sum, stats.sum_sq, x
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "predictive",
+    [predictive_logpdf, _array_predictive],
+    ids=["predictive_logpdf", "predictive_logpdf_array"],
+)
+def test_predictive_matches_scipy_on_random_cases(rng, predictive):
     for _ in range(200):
         hyper = NigHyper(
             rng.normal() * 4,
@@ -94,7 +108,7 @@ def test_predictive_matches_scipy_on_random_cases(rng):
         )
         data = list(rng.normal(1.0, 2.0, size=rng.integers(0, 9)))
         x = float(rng.normal() * 6)
-        got = predictive_logpdf(hyper, stats_of(*data), x)
+        got = predictive(hyper, stats_of(*data), x)
         want = naive_predictive_logpdf(hyper.m, hyper.V, hyper.a, hyper.b, data, x)
         assert got == pytest.approx(want, abs=1e-8)
 

@@ -263,10 +263,16 @@ def test_table_update_matches_rebuild(rng):
     table.update_cohesion(0, 1, new_hyper)
     state.set_series_hyper(0, state.hypers[0].replace_cohesion(1, new_hyper))
     fresh = hypers_mod._GroupTable(group, state.values, state.observed)
-    for (c1, s1, q1, sl1), (c2, s2, q2, sl2) in zip(table.rows, fresh.rows):
-        assert c1 == c2 and s1 == s2
-        for a, b in zip(sl1, sl2):
-            assert a[0] == pytest.approx(b[0], abs=1e-12)
+    for alpha in state.grids.group_alpha.points[::6]:
+        assert table.alpha_restricted(alpha) == pytest.approx(
+            fresh.alpha_restricted(alpha), abs=1e-12
+        )
+        for n in group.members:
+            for offset in range(1, panel.window + 1):
+                for cand in (new_hyper, new_hyper.replace(a=0.7, b=4.0)):
+                    assert table.cohesion_restricted(alpha, n, offset, cand) == pytest.approx(
+                        fresh.cohesion_restricted(alpha, n, offset, cand), abs=1e-12
+                    )
 
 
 def test_hyper_sweep_p0_touches_only_emission_and_alphas(rng):

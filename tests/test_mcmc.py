@@ -142,18 +142,15 @@ def exact_log_ratio(panel, hypers, z, t_site, z_new_label, alpha=1.0):
     return delta_joint + weight_of(z_old[t_site - 1]) - weight_of(z_new_label)
 
 
-def test_acceptance_matches_log_joint_differencing(rng):
-    values = [list(rng.normal(size=4))]
-    panel = make_panel(values, window=1)
-    hypers = uniform_hypers(1, 1, m=0.0, V=1.0, a=1.5, b=0.9)
-    z = [1, 2, 1]
-    for t_site in (1, 2, 3):
+def check_every_site_and_target(panel, hypers, z, alpha):
+    """acceptance_log_ratio equals the differencing oracle at every site and target."""
+    for t_site in range(1, len(z) + 1):
         current = z[t_site - 1]
         others = set(z[: t_site - 1] + z[t_site:])
         for target in sorted(others | {max(z) + 1}):
             if target == current:
                 continue
-            group = build_group(panel, hypers, z, alpha=1.0)
+            group = build_group(panel, hypers, z, alpha=alpha)
             old_label, removed = group.unassign(t_site, panel.values, panel.observed)
             branch_old = NEW_REGIME if removed else old_label
             # translate target into the post-removal labeling
@@ -169,23 +166,25 @@ def test_acceptance_matches_log_joint_differencing(rng):
             got = acceptance_log_ratio(
                 group, t_site, branch_old, branch_new, panel.values, panel.observed
             )
-            want = exact_log_ratio(panel, hypers, z, t_site, target)
+            want = exact_log_ratio(panel, hypers, z, t_site, target, alpha=alpha)
             assert got == pytest.approx(want, abs=1e-8), (t_site, target)
 
 
+def test_acceptance_matches_log_joint_differencing(rng):
+    values = [list(rng.normal(size=4))]
+    panel = make_panel(values, window=1)
+    hypers = uniform_hypers(1, 1, m=0.0, V=1.0, a=1.5, b=0.9)
+    check_every_site_and_target(panel, hypers, [1, 2, 1], alpha=1.0)
+
+
 def test_acceptance_matches_differencing_multiseries_missing(rng):
-    values = [list(rng.normal(size=6)), list(rng.normal(size=6))]
-    values[0][3] = None
-    values[1][5] = None
-    panel = make_panel(values, window=2)
-    hypers = uniform_hypers(2, 2, m=0.4, V=0.7, a=2.2, b=1.1)
-    z = [1, 1, 2, 1]
-    t_site = 2
-    group = build_group(panel, hypers, z, alpha=0.6)
-    group.unassign(t_site, panel.values, panel.observed)
-    got = acceptance_log_ratio(group, t_site, 1, 2, panel.values, panel.observed)
-    want = exact_log_ratio(panel, hypers, z, t_site, 2, alpha=0.6)
-    assert got == pytest.approx(want, abs=1e-8)
+    for window in (2, 0):
+        values = [list(rng.normal(size=4 + window)), list(rng.normal(size=4 + window))]
+        values[0][window + 1] = None
+        values[1][window + 3] = None
+        panel = make_panel(values, window=window)
+        hypers = uniform_hypers(2, window, m=0.4, V=0.7, a=2.2, b=1.1)
+        check_every_site_and_target(panel, hypers, [1, 1, 2, 1], alpha=0.6)
 
 
 def test_sweep_degenerate_single_regime_stays_put():

@@ -19,7 +19,6 @@ from trcrp.model import (
     GroupModel,
     crp_log_weights,
     forward_sample_sequence,
-    group_sequence_loglik,
     log_joint,
     sequence_loglik,
     simulate,
@@ -216,10 +215,15 @@ def test_sequence_loglik_matches_naive_oracle(rng):
     for z in ((1, 1, 2, 1, 2), (1, 2, 3, 1, 2), (1, 1, 1, 1, 1)):
         got = sequence_loglik(
             z, [0, 1], 0.8, {n: hypers[n] for n in (0, 1)},
-            panel.values, panel.observed, panel.num_steps, panel.window,
+            panel.values, panel.observed, panel.window,
         )
         want = naive_group_loglik(z, [0, 1], 0.8, hyper_tuples(hypers), panel)
         assert got == pytest.approx(want, abs=1e-9)
+    with pytest.raises(ValueError, match="unassigned step 3"):
+        sequence_loglik(
+            (1, 1, 0, 1, 2), [0, 1], 0.8, {n: hypers[n] for n in (0, 1)},
+            panel.values, panel.observed, panel.window,
+        )
 
 
 def test_log_joint_smallest_instance():
@@ -319,7 +323,7 @@ def test_forward_sample_density_matches_sequence_loglik(rng):
     )
     want = sequence_loglik(
         z, [0], 1.0, hypers, panel.values, panel.observed,
-        panel.num_steps, panel.window, include_emission=False,
+        panel.window, include_emission=False,
     )
     assert logq == pytest.approx(want, abs=1e-10)
 

@@ -173,13 +173,20 @@ def test_partial_loglik_series_terms_add_across_subsets(rng):
     def series_terms(members):
         # cohesion and emission terms at the assigned regimes: weights minus CRP mass
         scratch = GroupModel(members, 1.0, panel.num_steps, panel.window, state.hypers)
+        label_map = {}
         total = 0.0
-        for t, slot, _ in scratch.replay(z, panel.values, panel.observed):
+        for t, zt in enumerate(z, start=1):
             base, emis = scratch.regime_log_weights_split(
                 t, panel.values, panel.observed, panel.observed
             )
             crp = crp_log_weights(scratch.regimes.counts, scratch.alpha)
+            k = label_map.get(zt)
+            slot = (k - 1) if k is not None else len(base) - 1
             total += base[slot] - crp[slot] + emis[slot]
+            if k is None:
+                k = scratch.add_regime()
+                label_map[zt] = k
+            scratch.assign(t, k, panel.values, panel.observed)
         return total
 
     parts_01, parts_0, parts_1 = series_terms([0, 1]), series_terms([0]), series_terms([1])
