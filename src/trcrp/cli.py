@@ -219,6 +219,14 @@ def cmd_simulate(out, num_series, steps, window, seed, alpha, alpha0, groups, hy
         raise click.UsageError("--series and --steps must be >= 1")
     if window < 0:
         raise click.UsageError("--window must be >= 0")
+    if alpha is not None and not alpha > 0:
+        raise click.UsageError("--alpha must be > 0")
+    if not alpha0 > 0:
+        raise click.UsageError("--alpha0 must be > 0")
+    try:
+        cell = NigHyper(*hyper)
+    except ValueError as exc:
+        raise click.UsageError(f"--hyper {exc}") from None
     assignments = None
     if groups is not None:
         try:
@@ -234,7 +242,6 @@ def cmd_simulate(out, num_series, steps, window, seed, alpha, alpha0, groups, hy
         alpha=alpha, alpha0=alpha0, groups=assignments, hyper=list(hyper),
     )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cell = NigHyper(*hyper)
     series_hypers = [
         SeriesHypers(cell, tuple(cell for _ in range(window))) for _ in range(num_series)
     ]

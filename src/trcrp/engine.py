@@ -47,7 +47,7 @@ __all__ = [
     "SchemaVersionError",
 ]
 
-SAMPLESET_SCHEMA_VERSION = 2
+SAMPLESET_SCHEMA_VERSION = 3
 
 
 class SchemaVersionError(ValueError):
@@ -61,8 +61,8 @@ class RunConfig:
     ``burnin`` sweeps run per chain; the final state is the chain's sample.
     The first ``init_sweeps`` regime sweeps always accept (initialization
     heuristic); hyperparameter sweeps fire every ``hyper_cadence``-th
-    iteration (0 disables them, as do fixed overrides).  Validation messages
-    start with the offending field's name.
+    iteration; 0 disables them, as does ``fixed_hypers``.  Validation
+    messages start with the offending field's name.
     """
 
     window: int = 10
@@ -76,8 +76,6 @@ class RunConfig:
     init_sweeps: int = 10
     hyper_cadence: int = 1
     smc_init: bool = True
-    fixed_alpha: float | None = None
-    fixed_alpha0: float | None = None
     fixed_hypers: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
@@ -119,17 +117,12 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
         ]
     else:
         series_hypers = hypers_mod.initial_hypers(grids, panel.window)
-    alpha0 = config.fixed_alpha0 if config.fixed_alpha0 is not None else 1.0
-    group_alpha = config.fixed_alpha if config.fixed_alpha is not None else 1.0
-
     if config.hierarchical and panel.num_series > 1:
-        assignments = crp_draw(panel.num_series, alpha0, rng)
+        assignments = crp_draw(panel.num_series, 1.0, rng)
     else:
         assignments = [1] * panel.num_series
     num_groups = max(assignments)
-    state = ChainState.create(
-        panel, alpha0, assignments, [group_alpha] * num_groups, series_hypers, rng
-    )
+    state = ChainState.create(panel, 1.0, assignments, [1.0] * num_groups, series_hypers, rng)
     state.grids = grids
 
     for group in state.groups:

@@ -7,6 +7,11 @@ regime sequence plus incremental sufficient statistics for every
 (series, regime, emission-or-lag) cell.  Emission parameters are collapsed
 throughout; all per-cell densities are Student-T posterior predictives.
 
+One missing-data rule holds in every layer: an unobserved cell contributes
+no lag factor, no emission factor and no statistics.  Nothing is imputed to
+condition on; the log joint, the samplers, the particle filter and the
+forecast rollout all read the panel mask as it stands.
+
 Two stat disciplines coexist.  Persistent groups inside a chain hold *full*
 statistics (all assigned times), which is what the single-site sampler's full
 conditionals need.  Every sequential quantity over a known regime sequence
@@ -249,18 +254,19 @@ class GroupModel:
 
     # -- sequential passes ----------------------------------------------------
 
-    def draw(self, t: int, log_weights, values, observed, rng, fill=()) -> tuple[int, int]:
+    def draw(self, t: int, log_weights, values, observed, rng, emit=False) -> tuple[int, int]:
         """Forward-sample step t: draw a weight index (fresh block last), then assign.
 
-        Before assigning, the cells at t of the series in ``fill`` are drawn
-        from the chosen regime's emission predictive and written to
-        ``values``.  Returns ``(weight index, label)``.
+        With ``emit``, every member's cell at t is first drawn from the chosen
+        regime's emission predictive and written to ``values``.  Returns
+        ``(weight index, label)``.
         """
         idx = gumbel_argmax(log_weights, rng)
         k = self.add_regime() if idx == self.regimes.num_regimes else idx + 1
-        col = self.window + t - 1
-        for n in fill:
-            values[n, col] = self.sample_emission(n, k, rng)
+        if emit:
+            col = self.window + t - 1
+            for n in self.members:
+                values[n, col] = self.sample_emission(n, k, rng)
         self.assign(t, k, values, observed)
         return idx, k
 
@@ -269,7 +275,7 @@ class GroupModel:
         labels = []
         for t in steps:
             base = self.reweighted_log_weights(t, values, observed)
-            labels.append(self.draw(t, base, values, observed, rng, fill=self.members)[1])
+            labels.append(self.draw(t, base, values, observed, rng, emit=True)[1])
         return labels
 
     def sample_emission(self, n: int, k: int, rng) -> float:

@@ -5,6 +5,11 @@ ancestral rollouts of the generative step under a uniformly drawn chain;
 imputations sample the collapsed emission predictive of the regime each chain
 assigned to the missing cell; dependence probabilities average same-cluster
 indicators across chains.
+
+The model's missing-data rule holds here too: an unobserved cell contributes
+no lag factor, no emission factor and no statistics.  A rollout reads the
+panel mask as it stands, so an in-sample missing cell in the last lag window
+is a skipped lag, which is the model's exact posterior predictive.
 """
 
 from __future__ import annotations
@@ -99,25 +104,6 @@ class ImputationResult:
         return out
 
 
-def _fill_tail_missing(chain: ChainState, group, ext_values, ext_observed, rng) -> None:
-    """Sample in-sample missing cells inside the final lag window.
-
-    Ancestral rollout needs a complete window; each such cell is drawn from
-    the emission predictive of the regime the chain assigned to it.
-    """
-    panel = chain.panel
-    p = panel.window
-    if p == 0:
-        return
-    steps = panel.num_steps
-    for n in group.members:
-        for t in range(max(1, steps - p + 1), steps + 1):
-            col = p + t - 1
-            if not ext_observed[n][col]:
-                ext_values[n, col] = group.sample_emission(n, group.regimes.z[t - 1], rng)
-                ext_observed[n, col] = True
-
-
 def forecast(samples: SampleSet, horizon: int, draws: int, seed: int, record_regimes=False) -> ForecastResult:
     """Ancestral forecasts over an h-step horizon.
 
@@ -138,21 +124,19 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int, record_reg
     out = np.empty((draws, num, horizon))
     chain_indices = []
     regime_log = [] if record_regimes else None
+    ext_observed = np.ones((num, p + steps + horizon), dtype=bool)
+    ext_observed[:, : p + steps] = panel.observed
     for r in range(draws):
         s_idx = int(rng.integers(samples.num_chains))
         chain_indices.append(s_idx)
         chain = samples.chains[s_idx]
         ext_values = np.zeros((num, p + steps + horizon))
         ext_values[:, : p + steps] = panel.values
-        ext_observed = np.zeros((num, p + steps + horizon), dtype=bool)
-        ext_observed[:, : p + steps] = panel.observed
-        ext_observed[:, p + steps :] = True
         draw_regimes = {} if record_regimes else None
         for g_idx, group in enumerate(chain.groups):
             future = group.clone()
             future.num_steps = steps + horizon
             future.regimes.z = future.regimes.z + [0] * horizon
-            _fill_tail_missing(chain, future, ext_values, ext_observed, rng)
             ks = future.rollout(range(steps + 1, steps + horizon + 1), ext_values, ext_observed, rng)
             if record_regimes:
                 draw_regimes[g_idx] = ks

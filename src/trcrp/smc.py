@@ -1,15 +1,14 @@
 """Particle-learning block sampler for a group's regime sequence.
 
 Particle j is ``groups[j]``, its prefix of assignments with their sufficient
-statistics, and ``values[j]``, its own copy of the value rows in which each
-unobserved cell is simulated from the collapsed emission predictive as the
-filter passes it.  At step t the filter reads and folds only member cells at
-or before t, each observed or drawn by then, so one all-True mask serves every
-particle's lag reads and folds; the panel mask decides which emission cells
-are scored.  The proposal at each step is the conditionally optimal one
-(CRP x cohesion x observed-cell emission), so the weight increment is exactly
-the one-step predictive of the observed data.  Log weights throughout;
-resampling is multinomial on the effective-sample-size trigger.
+statistics, and its log weight; every particle reads the panel's own values
+and mask.  The missing-data rule is the model's: an unobserved cell
+contributes no lag factor, no emission factor and no statistics.  The
+proposal at each step is the conditionally optimal one (CRP x cohesion x
+observed-cell emission), so the weight increment is exactly the one-step
+predictive of the observed data, the filter targets the group term of the
+log joint and ``log_ml`` estimates its marginal likelihood.  Log weights
+throughout; resampling is multinomial on the effective-sample-size trigger.
 """
 
 from __future__ import annotations
@@ -43,12 +42,11 @@ class ParticleSet:
     def __init__(self, group, values, observed, num_particles):
         if num_particles < 1:
             raise ValueError("need at least one particle")
+        self.values = values
         self.observed = observed
-        self.filled = np.ones_like(observed, dtype=bool)
         self.cursor = 0
         self.log_ml_acc = 0.0
         self.groups = [group.empty_clone() for _ in range(num_particles)]
-        self.values = [np.array(values, dtype=float) for _ in range(num_particles)]
         self.log_weights = [0.0] * num_particles
 
     def __len__(self):
@@ -73,19 +71,16 @@ def smc_step(ps: ParticleSet, t: int, rng) -> None:
     """Advance every particle from t-1 to t.
 
     Per particle: sample the regime from the optimal proposal, multiply the
-    weight by the one-step predictive of the observed cells, then fill each
-    unobserved cell from the collapsed emission predictive and fold the full
-    row into the particle's statistics.
+    weight by the one-step predictive of the observed cells, then fold the
+    observed cells at t into the particle's statistics.
     """
     if t != ps.cursor + 1:
         raise ValueError(f"cursor at {ps.cursor}, cannot step to {t}")
-    col = ps.groups[0].window + t - 1
-    missing = [n for n in ps.groups[0].members if not ps.observed[n][col]]
-    for j, (group, values) in enumerate(zip(ps.groups, ps.values)):
-        base, emis = group.regime_log_weights_split(t, values, ps.filled, ps.observed)
+    for j, group in enumerate(ps.groups):
+        base, emis = group.regime_log_weights_split(t, ps.values, ps.observed, ps.observed)
         full = [b + e for b, e in zip(base, emis)]
         ps.log_weights[j] += logsumexp(full) - logsumexp(base)
-        group.draw(t, full, values, ps.filled, rng, fill=missing)
+        group.draw(t, full, ps.values, ps.observed, rng)
     ps.cursor = t
 
 
@@ -103,7 +98,6 @@ def maybe_resample(ps: ParticleSet, rng) -> bool:
     counts = rng.multinomial(num, probs / probs.sum())
     picks = [j for j, c in enumerate(counts) for _ in range(c)]
     ps.groups = [ps.groups[j].clone() for j in picks]
-    ps.values = [ps.values[j].copy() for j in picks]
     ps.log_ml_acc += lse - math.log(num)
     ps.log_weights = [0.0] * num
     return True

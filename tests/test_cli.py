@@ -47,7 +47,7 @@ def run_fit(runner, tmp_path, rng, missing=(), extra=()):
 def test_fit_writes_sampleset_and_provenance(runner, tmp_path, rng):
     _, out = run_fit(runner, tmp_path, rng, missing=[(0, 9)])
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert len(doc["chains"]) == 2
     assert "config_hash" in doc
     sidecar = json.loads((tmp_path / "samples.json.provenance.json").read_text())
@@ -262,6 +262,18 @@ def test_simulate_bad_groups_rejected(runner, tmp_path):
         "simulate", "--out", str(tmp_path / "s.csv"), "--series", "3", "--groups", "1,3,1",
     ])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--alpha", "0"), ("--alpha", "-1"), ("--alpha0", "0"), ("--hyper", "0 0 1 1")],
+)
+def test_simulate_out_of_range_option_exit_2(runner, tmp_path, flag, value):
+    out = tmp_path / "s.csv"
+    result = runner.invoke(main, ["simulate", "--out", str(out), flag, *value.split()])
+    assert result.exit_code == 2, result.output
+    assert f"{flag} " in result.output
+    assert not out.exists()
 
 
 def test_inspect_grids(runner, tmp_path, rng):

@@ -73,14 +73,10 @@ def test_fit_flat_mode_forces_single_group(rng):
 
 def test_fit_fixed_hypers_and_alpha(rng):
     panel = small_panel(rng)
-    config = quick_config(
-        fixed_hypers=(0.0, 1.0, 2.0, 1.0), fixed_alpha=0.5, fixed_alpha0=2.0, burnin=4
-    )
+    config = quick_config(fixed_hypers=(0.0, 1.0, 2.0, 1.0), burnin=4)
     samples = fit(panel, config)
     for chain in samples.chains:
-        assert chain.alpha0 == 2.0
-        for group in chain.groups:
-            assert group.alpha == 0.5
+        assert chain.alpha0 == 1.0  # no hyper sweep runs
         assert chain.hypers[0].emission.m == 0.0
         assert chain.hypers[0].emission.a == 2.0
 
@@ -148,7 +144,7 @@ def test_sampleset_schema_mismatch(rng, tmp_path):
     path = tmp_path / "samples.json"
     save_sampleset(fit(panel, config), config, path)
     doc = json.loads(path.read_text())
-    for version in (1, 999):  # 1 had other RunConfig fields
+    for version in (1, 2, 999):  # 1 and 2 had other RunConfig fields
         doc["schema_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionError):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from conftest import make_panel, uniform_hypers
+from oracles import naive_posterior
 from test_model import build_state
 from trcrp.conjugate import posterior_predictive
 from trcrp.predict import (
@@ -69,11 +71,29 @@ def test_forecast_groups_share_one_regime_per_step(rng):
         assert all(len(ks) == 5 for ks in draw.values())
 
 
-def test_forecast_fills_missing_tail_cells(rng):
-    values = [[0.0, 1.0, 2.0, None, None]]
-    samples, _ = single_chain_samples(rng, values, [1, 1, 1, 1], window=1)
-    result = forecast(samples, horizon=2, draws=8, seed=5)
-    assert np.isfinite(result.draws).all()
+def test_forecast_skips_missing_final_lag_cell(rng):
+    # the lag cell of step T+1 is missing, so it contributes no cohesion
+    # factor: the horizon-1 forecast is the CRP-weighted (4 : 5 : alpha)
+    # mixture of the emission predictives of regime 1, regime 2 and a fresh one
+    low = [0.1, -0.2, 0.15, -0.05]
+    high = [10.1, 9.9, 10.2, 9.8]
+    values = [[0.0] + low + high + [None]]
+    hypers = uniform_hypers(1, 1, m=5.0, V=100.0)
+    samples, _ = single_chain_samples(rng, values, [1] * 4 + [2] * 5, hypers=hypers)
+    draws = forecast(samples, horizon=1, draws=4000, seed=6).draws[:, 0, 0]
+
+    h = hypers[0].emission
+    components = []
+    for weight, data in ((4.0, low), (5.0, high), (1.0, [])):
+        m, v, a, b = naive_posterior(h.m, h.V, h.a, h.b, data)
+        scale = math.sqrt(b * (1 + v) / a)
+        components.append((weight / 10.0, scipy.stats.t(df=2 * a, loc=m, scale=scale)))
+
+    def mixture_cdf(x):
+        return sum(w * dist.cdf(x) for w, dist in components)
+
+    assert scipy.stats.kstest(draws, mixture_cdf).pvalue > 0.01
+    assert abs((draws > 5.0).mean() - (1.0 - mixture_cdf(5.0))) < 0.03
 
 
 def test_forecast_summary_shape(rng):

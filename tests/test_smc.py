@@ -51,8 +51,7 @@ def test_fully_missing_row_leaves_weight_unchanged(rng):
     before = list(ps.log_weights)
     smc_step(ps, 2, rng)  # row at t=2 is missing
     assert ps.log_weights == before
-    for values in ps.values:
-        assert np.isfinite(values[0, 2])
+    assert np.isnan(panel.values[0, 2])  # nothing is imputed
 
 
 def test_single_particle_weight_is_log_ml_estimate(rng):
@@ -68,14 +67,19 @@ def test_single_particle_weight_is_log_ml_estimate(rng):
     assert ps.log_marginal_likelihood() == pytest.approx(ps.log_weights[0], abs=1e-12)
 
 
-def test_mean_weight_matches_enumerated_marginal_likelihood():
+@pytest.mark.parametrize(
+    "values, window",
+    [([[0.4, -0.3, 0.9]], 0), ([[0.0, 2.5, None, -2.0, 2.4]], 1)],
+    ids=["observed", "missing-cell"],
+)
+def test_mean_weight_matches_enumerated_marginal_likelihood(values, window):
     rng = np.random.default_rng(11)
-    panel = make_panel([[0.4, -0.3, 0.9]], window=0)
-    hypers = uniform_hypers(1, 0)
+    panel = make_panel(values, window=window)
+    hypers = uniform_hypers(1, window)
     exact = enumerate_log_marginal(panel, hypers, 1.0)
     reps = 100_000
     ps = ParticleSet(empty_group(panel, hypers), panel.values, panel.observed, reps)
-    for t in (1, 2, 3):
+    for t in range(1, panel.num_steps + 1):
         smc_step(ps, t, rng)  # no resampling: mean of raw weight products
     log_mean = scipy.special.logsumexp(ps.log_weights) - math.log(reps)
     assert abs(math.exp(log_mean - exact) - 1.0) < 0.01
@@ -159,9 +163,9 @@ def test_returned_partition_distribution_matches_posterior():
     assert total_variation(exact, empirical) < 0.03
 
 
-def test_read_cells_filled_and_particle_stats_consistent(rng):
-    # the filter reads through one all-True mask: every member cell before t
-    # must hold an observed or drawn value once step t-1 is done
+def test_particle_stats_match_panel_mask(rng):
+    # every particle folds exactly the observed cells of the steps it has
+    # assigned, before and after resampling
     values = [list(rng.normal(size=8)) for _ in range(3)]
     values[0][1] = None  # t=1
     values[1][4] = None  # mid-series
@@ -169,13 +173,10 @@ def test_read_cells_filled_and_particle_stats_consistent(rng):
     panel = make_panel(values, window=1)
     group = empty_group(panel, uniform_hypers(3, 1), members=(0, 1))
     ps = ParticleSet(group, panel.values, panel.observed, 12)
-    all_cells = np.ones_like(panel.observed)
     for t in range(1, panel.num_steps + 1):
         smc_step(ps, t, rng)
-        for rows in ps.values:
-            assert np.isfinite(rows[[0, 1], : panel.window + t]).all()
         if t < panel.num_steps:
             maybe_resample(ps, rng)
-    for particle, rows in zip(ps.groups, ps.values):
-        assert particle.stats_deviation(rows, all_cells) < 1e-8
+        for particle in ps.groups:
+            assert particle.stats_deviation(panel.values, panel.observed) < 1e-8
     assert group.regimes.num_regimes == 0  # the template group stays empty
