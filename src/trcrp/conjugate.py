@@ -35,22 +35,6 @@ __all__ = [
 
 _LOG_PI = math.log(math.pi)
 
-# lgamma is the dominant cost of a predictive evaluation; shape parameters
-# repeat heavily (a0 + count/2 for small integer counts), so memoize.  The
-# hot path looks the cache up inline and calls _lgamma only on a miss.
-_LGAMMA_CACHE: dict[float, float] = {}
-_LGAMMA_CACHE_MAX = 1_000_000
-
-
-def _lgamma(x: float) -> float:
-    y = _LGAMMA_CACHE.get(x)
-    if y is None:
-        y = math.lgamma(x)
-        if len(_LGAMMA_CACHE) < _LGAMMA_CACHE_MAX:
-            _LGAMMA_CACHE[x] = y
-    return y
-
-
 @dataclass(frozen=True)
 class NigHyper:
     """Normal-InverseGamma hyperparameters (location, scale multiplier, shape, rate)."""
@@ -75,24 +59,21 @@ class NigHyper:
 class NigStats:
     """Incrementally maintained sufficient statistics for one cell.
 
-    ``ops`` counts incorporate/unincorporate calls since the last rebuild; the
-    owning bookkeeping layer recomputes the cell from raw data once it exceeds
-    a threshold, bounding floating-point drift from exact subtraction.
+    Subtraction does not exactly undo addition in floating point; the owning
+    group recomputes its cells from the data after every pass that subtracts.
     """
 
-    __slots__ = ("count", "sum", "sum_sq", "ops")
+    __slots__ = ("count", "sum", "sum_sq")
 
     def __init__(self, count: int = 0, sum: float = 0.0, sum_sq: float = 0.0):
         self.count = count
         self.sum = sum
         self.sum_sq = sum_sq
-        self.ops = 0
 
     def incorporate(self, x: float) -> None:
         self.count += 1
         self.sum += x
         self.sum_sq += x * x
-        self.ops += 1
 
     def unincorporate(self, x: float) -> None:
         if self.count < 1:
@@ -104,27 +85,12 @@ class NigStats:
         else:
             self.sum -= x
             self.sum_sq -= x * x
-        self.ops += 1
 
     def copy(self) -> "NigStats":
         return NigStats(self.count, self.sum, self.sum_sq)
 
-    def reset(self) -> None:
-        self.count = 0
-        self.sum = 0.0
-        self.sum_sq = 0.0
-        self.ops = 0
-
     def __repr__(self):
         return f"NigStats(count={self.count}, sum={self.sum!r}, sum_sq={self.sum_sq!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NigStats)
-            and self.count == other.count
-            and self.sum == other.sum
-            and self.sum_sq == other.sum_sq
-        )
 
 
 @dataclass(frozen=True)
@@ -202,15 +168,9 @@ def predictive_logpdf_raw(
     scale_sq = b_post * (1.0 + v_post) / a_post
     dof = 2.0 * a_post
     z = x - m_post
-    lg = _LGAMMA_CACHE.get(a_post)
-    if lg is None:
-        lg = _lgamma(a_post)
-    lg_half = _LGAMMA_CACHE.get(a_post + 0.5)
-    if lg_half is None:
-        lg_half = _lgamma(a_post + 0.5)
     return (
-        lg_half
-        - lg
+        math.lgamma(a_post + 0.5)
+        - math.lgamma(a_post)
         - 0.5 * math.log(dof * scale_sq)
         - 0.5 * _LOG_PI
         - (a_post + 0.5) * math.log1p(z * z / (dof * scale_sq))
@@ -220,13 +180,14 @@ def predictive_logpdf_raw(
 def _lgamma_tables(a0, max_count: int):
     """(row of each a0, lgamma(a0 + c/2), lgamma(a0 + c/2 + 1/2)) for c in 0..max_count.
 
-    Keys are formed as :func:`predictive_logpdf_raw` forms them, so both read the same cache.
+    lgamma runs once per distinct argument; arguments are formed as
+    :func:`predictive_logpdf_raw` forms them, so both give the same bits.
     """
     a0 = np.asarray(a0, dtype=float)
     distinct, row = np.unique(a0.ravel(), return_inverse=True)
     keys = distinct[:, None] + 0.5 * np.arange(max_count + 1)
-    lg = np.array([_lgamma(k) for k in keys.ravel().tolist()]).reshape(keys.shape)
-    lg_half = np.array([_lgamma(k + 0.5) for k in keys.ravel().tolist()]).reshape(keys.shape)
+    lg = np.array([math.lgamma(k) for k in keys.ravel().tolist()]).reshape(keys.shape)
+    lg_half = np.array([math.lgamma(k + 0.5) for k in keys.ravel().tolist()]).reshape(keys.shape)
     return row.reshape(a0.shape), lg, lg_half
 
 
@@ -271,8 +232,8 @@ def marginal_loglik(hyper: NigHyper, stats: NigStats) -> float:
     return (
         -0.5 * n * math.log(2.0 * math.pi)
         + 0.5 * (math.log(post.V) - math.log(hyper.V))
-        + _lgamma(post.a)
-        - _lgamma(hyper.a)
+        + math.lgamma(post.a)
+        - math.lgamma(hyper.a)
         + hyper.a * math.log(hyper.b)
         - post.a * math.log(post.b)
     )

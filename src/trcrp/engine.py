@@ -61,8 +61,9 @@ class RunConfig:
     ``burnin`` sweeps run per chain; the final state is the chain's sample.
     The first ``init_sweeps`` regime sweeps always accept (initialization
     heuristic); hyperparameter sweeps fire every ``hyper_cadence``-th
-    iteration; 0 disables them, as does ``fixed_hypers``.  Validation
-    messages start with the offending field's name.
+    iteration, and 0 disables them.  ``fixed_hypers`` pins every NIG cell to
+    one (m, V, a, b); the concentrations still move on the cadence.
+    Validation messages start with the offending field's name.
     """
 
     window: int = 10
@@ -87,10 +88,6 @@ class RunConfig:
         for name in ("burnin", "init_sweeps", "hyper_cadence"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def hypers_enabled(self) -> bool:
-        return self.hyper_cadence > 0 and self.fixed_hypers is None
 
 
 def config_hash(config: RunConfig, extra: dict | None = None) -> str:
@@ -139,15 +136,14 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
         cfg = mcmc.MhConfig(full_mh=full)
         for group in list(state.groups):
             stats = mcmc.sweep_z(group, state.values, state.observed, rng, cfg)
-            state.loglik_cache.pop(group, None)
             for key in accept_z:
                 accept_z[key] += stats[key]
         if config.hierarchical and panel.num_series > 1:
             stats = structure.sweep_c(state, rng, heuristic=not full)
             for key in accept_c:
                 accept_c[key] += stats[key]
-        if config.hypers_enabled and (sweep_idx + 1) % config.hyper_cadence == 0:
-            hypers_mod.hyper_sweep(state, rng)
+        if config.hyper_cadence and (sweep_idx + 1) % config.hyper_cadence == 0:
+            hypers_mod.hyper_sweep(state, rng, nig_cells=config.fixed_hypers is None)
 
     joint = log_joint(state)
     if not math.isfinite(joint):

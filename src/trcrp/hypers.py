@@ -216,21 +216,20 @@ def _gibbs_group_alpha(state: ChainState, group, table: _GroupTable, rng) -> Non
     grid = _require_grids(state).group_alpha.points
     logits = [table.alpha_restricted(a) + log_gamma11_pdf(a) for a in grid]
     group.alpha = grid[gumbel_argmax(logits, rng)]
-    state.loglik_cache.pop(group, None)
 
 
 def _gibbs_emission_field(state: ChainState, n: int, field: str, rng) -> None:
     grid = _require_grids(state).series[n].field(field).points
     group = state.group_of(n)
     current = state.hypers[n].emission
-    cells = group.emission[n]
+    cells = [row[0] for row in group.cells[n]]
     logits = []
     for value in grid:
         cand = current.replace(**{field: value})
         logits.append(sum(marginal_loglik(cand, s) for s in cells))
     new = current.replace(**{field: grid[gumbel_argmax(logits, rng)]})
     if new != current:
-        state.set_series_hyper(n, state.hypers[n].replace_emission(new))
+        state.hypers[n] = state.hypers[n].replace_emission(new)
 
 
 def _gibbs_cohesion_field(
@@ -246,7 +245,7 @@ def _gibbs_cohesion_field(
     new = current.replace(**{field: grid[gumbel_argmax(logits, rng)]})
     if new != current:
         table.update_cohesion(n, offset, new)
-        state.set_series_hyper(n, state.hypers[n].replace_cohesion(offset, new))
+        state.hypers[n] = state.hypers[n].replace_cohesion(offset, new)
 
 
 def gibbs_hyper(state: ChainState, param, rng, table: _GroupTable | None = None) -> None:
@@ -274,15 +273,20 @@ def gibbs_hyper(state: ChainState, param, rng, table: _GroupTable | None = None)
         raise ValueError(f"unknown hyperparameter spec {param!r}")
 
 
-def hyper_sweep(state: ChainState, rng) -> None:
+def hyper_sweep(state: ChainState, rng, nig_cells: bool = True) -> None:
     """One pass over every hyperparameter: alpha0, each group's alpha, then per
-    series the four emission fields and the 4p lag fields."""
+    series the four emission fields and the 4p lag fields.
+
+    Without ``nig_cells`` only the concentrations move; the NIG cells stay fixed.
+    """
     _require_grids(state)
     _gibbs_alpha0(state, rng)
     tables = {}
     for group in state.groups:
         tables[group] = _GroupTable(group, state.values, state.observed)
         _gibbs_group_alpha(state, group, tables[group], rng)
+    if not nig_cells:
+        return
     window = state.panel.window
     for n in range(state.num_series):
         for field in NIG_FIELDS:
@@ -291,4 +295,3 @@ def hyper_sweep(state: ChainState, rng) -> None:
         for offset in range(1, window + 1):
             for field in NIG_FIELDS:
                 _gibbs_cohesion_field(state, n, offset, field, tables[group], rng)
-    state.loglik_cache.clear()

@@ -42,7 +42,7 @@ def propose_z(group, t, values, observed, rng):
     ``(branch, proposal_logprob, log_weights)`` where ``branch`` is an
     existing label or ``NEW_REGIME``.
     """
-    base, emis = group.regime_log_weights_split(t, values, observed, observed)
+    base, emis = group.regime_log_weights_split(t, values, observed, True)
     weights = [b + e for b, e in zip(base, emis)]
     idx = gumbel_argmax(weights, rng)
     logprob = weights[idx] - logsumexp(weights)
@@ -102,5 +102,5 @@ def sweep_z(group, values, observed, rng, config: MhConfig) -> dict:
         stats["sites"] += 1
         stats["accepted"] += accepted
         stats["moved"] += moved
-    group.maintain(values, observed)
+    group.rebuild_stats(values, observed)
     return stats

@@ -3,7 +3,7 @@ full-model log joint, and forward simulation.
 
 A chain's latent configuration is a :class:`ChainState`: an outer partition of
 the series into groups, and per group a :class:`GroupModel` holding the shared
-regime sequence plus incremental sufficient statistics for every
+regime sequence plus sufficient statistics for every
 (series, regime, emission-or-lag) cell.  Emission parameters are collapsed
 throughout; all per-cell densities are Student-T posterior predictives.
 
@@ -12,17 +12,21 @@ no lag factor, no emission factor and no statistics.  Nothing is imputed to
 condition on; the log joint, the samplers, the particle filter and the
 forecast rollout all read the panel mask as it stands.
 
-Two stat disciplines coexist.  Persistent groups inside a chain hold *full*
-statistics (all assigned times), which is what the single-site sampler's full
-conditionals need.  Every sequential quantity over a known regime sequence
-(the log joint, the full-MH normalizer ratios, the griddy-Gibbs tables) is a
-sum over t of terms that see only the data before t; :func:`prefix_stats`
-computes the statistics and predictive factors behind all of those terms in
-one array pass.  Forward sampling (:meth:`GroupModel.draw`) assigns z_t as it
-is drawn and scores each step from the group's incremental statistics.
-Sequential sums are computed over the blocks occupied so far plus one fresh
-block with empty statistics, which makes every quantity invariant to regime
-relabeling.
+A group keeps one statistics table, ``cells[n][k-1][i]``: per member n,
+regime k and offset i = 0..p, with offset 0 the emission cell and offset i the
+lag-i cell, the cells :func:`prefix_stats` lists.  Persistent groups inside a
+chain hold *full* statistics (all assigned times), which is what the
+single-site sampler's full conditionals need.  The sampler subtracts and adds
+one step at a time, then rebuilds the table from the data in time order at
+the end of every sweep, so between sweeps every cell holds canonical sums.
+Every sequential quantity over a known regime sequence (the log joint, the
+full-MH normalizer ratios, the griddy-Gibbs tables) is a sum over t of terms
+that see only the data before t; :func:`prefix_stats` computes the statistics
+and predictive factors behind all of those terms in one array pass.  Forward
+sampling (:meth:`GroupModel.draw`) assigns z_t as it is drawn and scores each
+step from the group's incremental statistics.  Sequential sums are computed
+over the blocks occupied so far plus one fresh block with empty statistics,
+which makes every quantity invariant to regime relabeling.
 """
 
 from __future__ import annotations
@@ -60,15 +64,16 @@ __all__ = [
     "state_from_payload",
 ]
 
-REBUILD_OPS_THRESHOLD = 10_000
-
-
 @dataclass(frozen=True)
 class SeriesHypers:
     """Per-series hyperparameters: one emission cell, one cell per lag offset."""
 
     emission: NigHyper
     cohesion: tuple[NigHyper, ...]
+
+    def cell(self, offset: int) -> NigHyper:
+        """The hyper of cell ``offset``: 0 is the emission cell, i >= 1 the lag-i cell."""
+        return self.cohesion[offset - 1] if offset else self.emission
 
     def replace_emission(self, hyper: NigHyper) -> "SeriesHypers":
         return SeriesHypers(hyper, self.cohesion)
@@ -130,21 +135,13 @@ def crp_draw(num: int, alpha: float, rng) -> list[int]:
 class GroupModel:
     """One group: member series, CRP concentration, regime sequence, all stat cells.
 
-    ``emission[n][k-1]`` summarizes series n's observed values in regime k;
-    ``cohesion[n][k-1][i-1]`` summarizes the lag-i values (the value i steps
-    before each time assigned to k), restricted to observed lag cells.
+    ``cells[n][k-1][i]`` summarizes series n's observed values i steps before
+    each step assigned to regime k: offset 0 is the emission cell (the value
+    at the step itself), offset i >= 1 the lag-i cell, as in
+    :func:`prefix_stats`.
     """
 
-    __slots__ = (
-        "members",
-        "alpha",
-        "num_steps",
-        "window",
-        "hypers",
-        "regimes",
-        "emission",
-        "cohesion",
-    )
+    __slots__ = ("members", "alpha", "num_steps", "window", "hypers", "regimes", "cells")
 
     def __init__(self, members, alpha: float, num_steps: int, window: int, hypers):
         self.members = list(members)
@@ -153,23 +150,23 @@ class GroupModel:
         self.window = window
         self.hypers = hypers  # SeriesHypers indexed by series (list or mapping)
         self.regimes = RegimeSeq(num_steps)
-        self.emission = {n: [] for n in self.members}
-        self.cohesion = {n: [] for n in self.members}
+        self.cells = {n: [] for n in self.members}
+
+    def _empty_row(self) -> list[NigStats]:
+        return [NigStats() for _ in range(self.window + 1)]
 
     # -- structural edits ---------------------------------------------------
 
     def add_regime(self) -> int:
         self.regimes.counts.append(0)
         for n in self.members:
-            self.emission[n].append(NigStats())
-            self.cohesion[n].append([NigStats() for _ in range(self.window)])
+            self.cells[n].append(self._empty_row())
         return self.regimes.num_regimes
 
     def _drop_regime(self, k: int) -> None:
         del self.regimes.counts[k - 1]
         for n in self.members:
-            del self.emission[n][k - 1]
-            del self.cohesion[n][k - 1]
+            del self.cells[n][k - 1]
         z = self.regimes.z
         for t in range(self.num_steps):
             if z[t] > k:
@@ -187,16 +184,12 @@ class GroupModel:
     def add_member(self, n: int, values, observed) -> None:
         """Bring series n into the group, folding its data in against the current z."""
         self.members.append(n)
-        self.emission[n] = [NigStats() for _ in range(self.regimes.num_regimes)]
-        self.cohesion[n] = [
-            [NigStats() for _ in range(self.window)] for _ in range(self.regimes.num_regimes)
-        ]
+        self.cells[n] = [self._empty_row() for _ in range(self.regimes.num_regimes)]
         self._fold((n,), range(1, self.num_steps + 1), values, observed)
 
     def drop_member(self, n: int) -> None:
         self.members.remove(n)
-        del self.emission[n]
-        del self.cohesion[n]
+        del self.cells[n]
 
     # -- incremental assignment ---------------------------------------------
 
@@ -216,12 +209,10 @@ class GroupModel:
             for n in members:
                 vrow = values[n]
                 orow = observed[n]
-                if orow[col]:
-                    self.emission[n][k - 1].incorporate(float(vrow[col]))
-                coh = self.cohesion[n][k - 1]
-                for i in range(1, p + 1):
+                row = self.cells[n][k - 1]
+                for i in range(p + 1):
                     if orow[col - i]:
-                        coh[i - 1].incorporate(float(vrow[col - i]))
+                        row[i].incorporate(float(vrow[col - i]))
 
     def assign(self, t: int, k: int, values, observed) -> None:
         """Assign time t to regime k (1..K) and fold its data into the stats."""
@@ -241,12 +232,10 @@ class GroupModel:
         for n in self.members:
             vrow = values[n]
             orow = observed[n]
-            if orow[col]:
-                self.emission[n][k - 1].unincorporate(float(vrow[col]))
-            coh = self.cohesion[n][k - 1]
-            for i in range(1, p + 1):
+            row = self.cells[n][k - 1]
+            for i in range(p + 1):
                 if orow[col - i]:
-                    coh[i - 1].unincorporate(float(vrow[col - i]))
+                    row[i].unincorporate(float(vrow[col - i]))
         removed = self.regimes.counts[k - 1] == 0
         if removed:
             self._drop_regime(k)
@@ -280,63 +269,55 @@ class GroupModel:
 
     def sample_emission(self, n: int, k: int, rng) -> float:
         """One draw from series n's emission predictive in regime k."""
-        return posterior_predictive(self.hypers[n].emission, self.emission[n][k - 1]).sample(rng)
+        return posterior_predictive(self.hypers[n].emission, self.cells[n][k - 1][0]).sample(rng)
 
     # -- weights ------------------------------------------------------------
 
-    def regime_log_weights_split(self, t: int, values, observed, emission_observed):
+    def regime_log_weights_split(self, t: int, values, observed, emission: bool):
         """Per-regime (base, emission) log-weight pairs at time t, fresh block last.
 
-        ``base`` is CRP count/concentration plus cohesion over the lag cells
-        marked in ``observed``; ``emission`` holds the emission predictives of
-        the cells at t marked in ``emission_observed`` (zero elsewhere, and
-        everywhere when it is None, in which case no emission term is
-        evaluated).  The fresh block is scored against empty statistics.
+        ``base`` is CRP count/concentration plus cohesion over the observed lag
+        cells.  With ``emission`` the second list holds the emission
+        predictives of the observed cells at t; without it, zeros, and no
+        emission term is evaluated.  The fresh block is scored against empty
+        statistics.
         """
         p = self.window
         col = p + t - 1
-        fresh = NigStats()
-        fresh_row = [fresh] * p
-        # per member, hoisted out of the regime loop: emission hyper, x_t or None,
-        # observed lags [(offset idx, lag hyper, value)], lag and emission stats per block
+        fresh_row = [NigStats()] * (p + 1)
+        # per member, hoisted out of the regime loop: the observed cells
+        # [(offset, hyper, value)] and the member's stat rows plus the fresh one
         queries = []
         for n in self.members:
             vrow = values[n]
             orow = observed[n]
             sh = self.hypers[n]
-            x_t = None
-            if emission_observed is not None and emission_observed[n][col]:
-                x_t = float(vrow[col])
-            lags = []
-            for i in range(1, p + 1):
-                if orow[col - i]:
-                    lags.append((i - 1, sh.cohesion[i - 1], float(vrow[col - i])))
-            queries.append(
-                (sh.emission, x_t, lags, self.cohesion[n] + [fresh_row], self.emission[n] + [fresh])
-            )
+            seen = [
+                (i, sh.cell(i), float(vrow[col - i]))
+                for i in range(0 if emission else 1, p + 1)
+                if orow[col - i]
+            ]
+            queries.append((seen, self.cells[n] + [fresh_row]))
         base = []
         emis = []
         for k, w in enumerate(crp_log_weights(self.regimes.counts, self.alpha)):
             e = 0.0
-            for eh, x_t, lags, coh_rows, emis_cells in queries:
-                coh_row = coh_rows[k]
-                for idx, h, v in lags:
-                    s = coh_row[idx]
-                    w += predictive_logpdf_raw(
-                        h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, v
-                    )
-                if x_t is not None:
-                    s = emis_cells[k]
-                    e += predictive_logpdf_raw(
-                        eh.m, eh.V, eh.a, eh.b, s.count, s.sum, s.sum_sq, x_t
-                    )
+            for seen, rows in queries:
+                row = rows[k]
+                for i, h, v in seen:
+                    s = row[i]
+                    f = predictive_logpdf_raw(h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, v)
+                    if i:
+                        w += f
+                    else:
+                        e += f
             base.append(w)
             emis.append(e)
         return base, emis
 
     def reweighted_log_weights(self, t: int, values, observed):
         """CRP-times-cohesion log weights at time t, fresh block last."""
-        return self.regime_log_weights_split(t, values, observed, None)[0]
+        return self.regime_log_weights_split(t, values, observed, False)[0]
 
     # -- maintenance ----------------------------------------------------------
 
@@ -348,31 +329,14 @@ class GroupModel:
         other.regimes.z = list(self.regimes.z)
         other.regimes.counts = list(self.regimes.counts)
         for n in self.members:
-            other.emission[n] = [s.copy() for s in self.emission[n]]
-            other.cohesion[n] = [[s.copy() for s in row] for row in self.cohesion[n]]
+            other.cells[n] = [[s.copy() for s in row] for row in self.cells[n]]
         return other
 
     def rebuild_stats(self, values, observed) -> None:
         """Recompute every cell from raw data in time order (canonical bits)."""
         for n in self.members:
-            for s in self.emission[n]:
-                s.reset()
-            for row in self.cohesion[n]:
-                for s in row:
-                    s.reset()
+            self.cells[n] = [self._empty_row() for _ in range(self.regimes.num_regimes)]
         self._fold(self.members, range(1, self.num_steps + 1), values, observed)
-
-    def maintain(self, values, observed) -> None:
-        """Rebuild drifted cells (exact-subtraction safeguard)."""
-        worst = 0
-        for n in self.members:
-            for s in self.emission[n]:
-                worst = max(worst, s.ops)
-            for row in self.cohesion[n]:
-                for s in row:
-                    worst = max(worst, s.ops)
-        if worst > REBUILD_OPS_THRESHOLD:
-            self.rebuild_stats(values, observed)
 
     def stats_deviation(self, values, observed) -> float:
         """Max |incremental - recomputed| over all cells; raises on count mismatch."""
@@ -380,15 +344,13 @@ class GroupModel:
         fresh.rebuild_stats(values, observed)
         worst = 0.0
         for n in self.members:
-            pairs = list(zip(self.emission[n], fresh.emission[n]))
-            for row_a, row_b in zip(self.cohesion[n], fresh.cohesion[n]):
-                pairs.extend(zip(row_a, row_b))
-            for a, b in pairs:
-                if a.count != b.count:
-                    raise AssertionError(
-                        f"stats count drift on series {n}: {a.count} != {b.count}"
-                    )
-                worst = max(worst, abs(a.sum - b.sum), abs(a.sum_sq - b.sum_sq))
+            for row_a, row_b in zip(self.cells[n], fresh.cells[n]):
+                for a, b in zip(row_a, row_b):
+                    if a.count != b.count:
+                        raise AssertionError(
+                            f"stats count drift on series {n}: {a.count} != {b.count}"
+                        )
+                    worst = max(worst, abs(a.sum - b.sum), abs(a.sum_sq - b.sum_sq))
         return worst
 
 
@@ -480,7 +442,7 @@ def prefix_stats(z, members, hypers, values, observed, window: int, emission=Fal
     count = _before(mask.astype(np.int64))
     total = _before(np.where(mask, x, 0.0))
     total_sq = _before(np.where(mask, x * x, 0.0))
-    cell_hypers = [hypers[n].cohesion[i - 1] if i else hypers[n].emission for n, i in cells]
+    cell_hypers = [hypers[n].cell(i) for n, i in cells]
     table = np.array([(h.m, h.V, h.a, h.b) for h in cell_hypers]).reshape(-1, 4, 1, 1)
     m0, v0, a0, b0 = (table[:, k] for k in range(4))
     f = predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x)
@@ -540,7 +502,7 @@ class ChainState:
             group.hypers = self.hypers
         self.rng = rng
         self.grids = None
-        self.loglik_cache: dict[GroupModel, float] = {}
+        self.loglik_cache: dict[tuple, float] = {}  # owned by structure.group_loglik_cached
 
     @classmethod
     def create(cls, panel, alpha0, assignments, group_alphas, hypers, rng):
@@ -562,10 +524,6 @@ class ChainState:
 
     def group_of(self, n: int) -> GroupModel:
         return self.groups[self.assignments[n] - 1]
-
-    def set_series_hyper(self, n: int, hyper: SeriesHypers) -> None:
-        self.hypers[n] = hyper
-        self.loglik_cache.clear()
 
     def check_outer(self) -> None:
         labels = set(self.assignments)

@@ -61,7 +61,6 @@ class ForecastResult:
     horizon: int
     draws: np.ndarray  # (R, N, horizon)
     chain_indices: list[int]
-    future_regimes: list[dict] | None = None
 
     def summary(self) -> dict:
         """Per-series per-step mean and equal-tailed central intervals."""
@@ -104,7 +103,7 @@ class ImputationResult:
         return out
 
 
-def forecast(samples: SampleSet, horizon: int, draws: int, seed: int, record_regimes=False) -> ForecastResult:
+def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> ForecastResult:
     """Ancestral forecasts over an h-step horizon.
 
     Each draw picks a chain uniformly, then simulates the generative step
@@ -123,7 +122,6 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int, record_reg
     p = panel.window
     out = np.empty((draws, num, horizon))
     chain_indices = []
-    regime_log = [] if record_regimes else None
     ext_observed = np.ones((num, p + steps + horizon), dtype=bool)
     ext_observed[:, : p + steps] = panel.observed
     for r in range(draws):
@@ -132,23 +130,17 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int, record_reg
         chain = samples.chains[s_idx]
         ext_values = np.zeros((num, p + steps + horizon))
         ext_values[:, : p + steps] = panel.values
-        draw_regimes = {} if record_regimes else None
-        for g_idx, group in enumerate(chain.groups):
+        for group in chain.groups:
             future = group.clone()
             future.num_steps = steps + horizon
             future.regimes.z = future.regimes.z + [0] * horizon
-            ks = future.rollout(range(steps + 1, steps + horizon + 1), ext_values, ext_observed, rng)
-            if record_regimes:
-                draw_regimes[g_idx] = ks
+            future.rollout(range(steps + 1, steps + horizon + 1), ext_values, ext_observed, rng)
         out[r] = ext_values[:, p + steps :]
-        if record_regimes:
-            regime_log.append(draw_regimes)
     return ForecastResult(
         series_names=panel.series_names,
         horizon=horizon,
         draws=out,
         chain_indices=chain_indices,
-        future_regimes=regime_log,
     )
 
 

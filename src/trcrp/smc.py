@@ -77,7 +77,7 @@ def smc_step(ps: ParticleSet, t: int, rng) -> None:
     if t != ps.cursor + 1:
         raise ValueError(f"cursor at {ps.cursor}, cannot step to {t}")
     for j, group in enumerate(ps.groups):
-        base, emis = group.regime_log_weights_split(t, ps.values, ps.observed, ps.observed)
+        base, emis = group.regime_log_weights_split(t, ps.values, ps.observed, True)
         full = [b + e for b, e in zip(base, emis)]
         ps.log_weights[j] += logsumexp(full) - logsumexp(base)
         group.draw(t, full, ps.values, ps.observed, rng)

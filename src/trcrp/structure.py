@@ -54,14 +54,20 @@ def partial_loglik(state: ChainState, z, alpha, series, include_emission=True):
 
 
 def group_loglik_cached(state: ChainState, group: GroupModel) -> float:
-    """Full-group sequential loglik, cached until the group or hypers change."""
-    value = state.loglik_cache.get(group)
+    """Full-group sequential loglik, memoized by everything the value depends on."""
+    key = (
+        tuple(group.regimes.z),
+        tuple(group.members),
+        group.alpha,
+        tuple(state.hypers[n] for n in group.members),
+    )
+    value = state.loglik_cache.get(key)
     if value is None:
         value = sequence_loglik(
             group.regimes.z, group.members, group.alpha, group.hypers,
             state.values, state.observed, group.window,
         )
-        state.loglik_cache[group] = value
+        state.loglik_cache[key] = value
     return value
 
 
@@ -198,8 +204,6 @@ def _apply_move(state: ChainState, proposal: ClusterProposal) -> None:
     current = proposal.current
     target = proposal.target
     cur_group = state.groups[current - 1]
-    state.loglik_cache.pop(cur_group, None)
-
     removed = len(cur_group.members) == 1
     if removed:
         state.groups.pop(current - 1)
@@ -220,13 +224,13 @@ def _apply_move(state: ChainState, proposal: ClusterProposal) -> None:
         state.assignments[n] = len(state.groups)
     else:
         tgt_group = state.groups[target - 1]
-        state.loglik_cache.pop(tgt_group, None)
         tgt_group.add_member(n, state.values, state.observed)
         state.assignments[n] = target
 
 
 def sweep_c(state: ChainState, rng, heuristic=False) -> dict:
     """One reassignment pass over every series."""
+    state.loglik_cache.clear()  # keys never go stale; clearing bounds the memo to one pass
     stats = {"series": 0, "accepted": 0, "moved": 0}
     for n in range(state.num_series):
         proposal = propose_c(state, n, rng)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_posterior, naive_predictive_logpdf
-from trcrp import conjugate
 from conftest import make_panel
 from trcrp.conjugate import (
     NigHyper,
@@ -259,9 +258,9 @@ def test_cohesion_factorizes():
     for t in (1, 4):
         weights = group.reweighted_log_weights(t, panel.values, panel.observed)
         for k in (1, 2):
-            stats = group.cohesion[0][k - 1]
+            stats = group.cells[0][k - 1]
             want = math.log(group.regimes.counts[k - 1]) + sum(
-                predictive_logpdf(hypers[i - 1], stats[i - 1], panel.value(0, t - i))
+                predictive_logpdf(hypers[i - 1], stats[i], panel.value(0, t - i))
                 for i in (1, 2)
             )
             assert weights[k - 1] == pytest.approx(want, abs=1e-12)
@@ -275,13 +274,9 @@ def test_predictive_draw_moments(rng):
     assert draws.mean() == pytest.approx(pred.loc, abs=0.1)
 
 
-def test_lgamma_cache_full_still_evaluates_without_growing(monkeypatch):
-    predictive_logpdf_raw(0.0, 1.0, 1.0, 1.0, 0, 0.0, 0.0, 0.0)
-    size = len(conjugate._LGAMMA_CACHE)
-    monkeypatch.setattr(conjugate, "_LGAMMA_CACHE_MAX", size)
-    a = 1234.5678  # a shape no other test evaluates
+def test_large_shape_matches_naive_oracle_and_telescopes():
+    a = 1234.5678
     stats = stats_of(0.2, 0.8)
-    assert a + 1.0 not in conjugate._LGAMMA_CACHE
     got = predictive_logpdf_raw(0.3, 1.5, a, 2.0, stats.count, stats.sum, stats.sum_sq, 0.7)
     want = naive_predictive_logpdf(0.3, 1.5, a, 2.0, [0.2, 0.8], 0.7)
     assert got == pytest.approx(want, abs=1e-9)
@@ -290,4 +285,3 @@ def test_lgamma_cache_full_still_evaluates_without_growing(monkeypatch):
         predictive_logpdf(hyper, NigStats(), 0.2) + predictive_logpdf(hyper, stats_of(0.2), 0.8),
         abs=1e-9,
     )
-    assert len(conjugate._LGAMMA_CACHE) == size

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import make_panel, uniform_hypers
 from trcrp import engine
+from trcrp.conjugate import NigHyper
 from trcrp.engine import (
     RunConfig,
     SchemaVersionError,
@@ -75,10 +76,14 @@ def test_fit_fixed_hypers_and_alpha(rng):
     panel = small_panel(rng)
     config = quick_config(fixed_hypers=(0.0, 1.0, 2.0, 1.0), burnin=4)
     samples = fit(panel, config)
+    cell = NigHyper(0.0, 1.0, 2.0, 1.0)
     for chain in samples.chains:
-        assert chain.alpha0 == 1.0  # no hyper sweep runs
-        assert chain.hypers[0].emission.m == 0.0
-        assert chain.hypers[0].emission.a == 2.0
+        # the concentrations still move, onto their grids, which miss 1.0
+        assert chain.alpha0 != 1.0
+        assert all(group.alpha != 1.0 for group in chain.groups)
+        for sh in chain.hypers:
+            assert sh.emission == cell
+            assert sh.cohesion == (cell,)
 
 
 def test_seed_changes_output(rng):

@@ -200,7 +200,6 @@ def test_group_alpha_restricted_matches_log_joint(rng):
     joints = []
     for a in points:
         group.alpha = a
-        state.loglik_cache.clear()
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -220,8 +219,8 @@ def test_emission_restricted_matches_log_joint(rng):
     joints = []
     for value in points:
         cand = current.replace(b=value)
-        restricted.append(sum(marginal_loglik(cand, s) for s in group.emission[n]))
-        state.set_series_hyper(n, state.hypers[n].replace_emission(cand))
+        restricted.append(sum(marginal_loglik(cand, row[0]) for row in group.cells[n]))
+        state.hypers[n] = state.hypers[n].replace_emission(cand)
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -247,7 +246,7 @@ def test_cohesion_restricted_matches_log_joint(rng):
     for value in points:
         cand = current.replace(V=value)
         restricted.append(table.cohesion_restricted(group.alpha, n, offset, cand))
-        state.set_series_hyper(n, state.hypers[n].replace_cohesion(offset, cand))
+        state.hypers[n] = state.hypers[n].replace_cohesion(offset, cand)
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -261,7 +260,7 @@ def test_table_update_matches_rebuild(rng):
     table = hypers_mod._GroupTable(group, state.values, state.observed)
     new_hyper = state.hypers[0].cohesion[0].replace(m=2.5, V=3.0)
     table.update_cohesion(0, 1, new_hyper)
-    state.set_series_hyper(0, state.hypers[0].replace_cohesion(1, new_hyper))
+    state.hypers[0] = state.hypers[0].replace_cohesion(1, new_hyper)
     fresh = hypers_mod._GroupTable(group, state.values, state.observed)
     for alpha in state.grids.group_alpha.points[::6]:
         assert table.alpha_restricted(alpha) == pytest.approx(
@@ -304,8 +303,8 @@ def test_emission_move_touches_only_its_series(rng, monkeypatch):
 
     monkeypatch.setattr(hypers_mod, "marginal_loglik", spy)
     gibbs_hyper(state, ("emission", 0, "a"), np.random.default_rng(1))
-    own = {id(s) for s in state.group_of(0).emission[0]}
-    other = {id(s) for s in state.group_of(1).emission[1]}
+    own = {id(row[0]) for row in state.group_of(0).cells[0]}
+    other = {id(row[0]) for row in state.group_of(1).cells[1]}
     assert touched <= own
     assert not (touched & other)
 

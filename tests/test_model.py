@@ -153,7 +153,7 @@ def test_normalizer_single_regime_tiny_alpha_inverts_cohesion():
         if t > 1:
             log_b = -logsumexp(scratch.reweighted_log_weights(t, panel.values, panel.observed))
             coh = predictive_logpdf(
-                hypers[0].cohesion[0], scratch.cohesion[0][0][0], panel.value(0, t - 1)
+                hypers[0].cohesion[0], scratch.cells[0][0][1], panel.value(0, t - 1)
             )
             count_term = math.log(scratch.regimes.counts[0])
             assert log_b == pytest.approx(-(coh + count_term), abs=1e-10)
@@ -167,7 +167,7 @@ def test_normalizer_single_regime_tiny_alpha_inverts_cohesion():
 
 def step_predictive(group, t, panel):
     """Log one-step predictive of the observed cells at t, regime summed out."""
-    base, emis = group.regime_log_weights_split(t, panel.values, panel.observed, panel.observed)
+    base, emis = group.regime_log_weights_split(t, panel.values, panel.observed, True)
     return logsumexp([b + e for b, e in zip(base, emis)]) - logsumexp(base)
 
 
@@ -189,7 +189,7 @@ def test_predictive_collapses_to_emission_with_one_regime():
     scratch.assign(1, 1, panel.values, panel.observed)
     scratch.assign(2, 1, panel.values, panel.observed)
     got = step_predictive(scratch, 3, panel)
-    s = scratch.emission[0][0]
+    s = scratch.cells[0][0][0]
     want = predictive_logpdf(hypers[0].emission, s, panel.value(0, 3))
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -285,9 +285,7 @@ def test_log_joint_sequential_decomposition(rng):
         math.lgamma(state.alpha0 + 2) - math.lgamma(state.alpha0)
     )
     for t, zt in enumerate(z, start=1):
-        base, emis = scratch.regime_log_weights_split(
-            t, panel.values, panel.observed, panel.observed
-        )
+        base, emis = scratch.regime_log_weights_split(t, panel.values, panel.observed, True)
         full = [b + e for b, e in zip(base, emis)]
         q_t = logsumexp(full) - logsumexp(base)
         k = label_map.get(zt)

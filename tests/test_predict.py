@@ -39,7 +39,7 @@ def test_forecast_tracks_sticky_regime_mean():
     samples, state = single_chain_samples(rng, values, [1] * 30, hypers=hypers)
     state.groups[0].alpha = 1e-12
     result = forecast(samples, horizon=1, draws=400, seed=1)
-    pred = posterior_predictive(hypers[0].emission, state.groups[0].emission[0][0])
+    pred = posterior_predictive(hypers[0].emission, state.groups[0].cells[0][0][0])
     sd = math.sqrt(pred.scale_sq * pred.dof / (pred.dof - 2))
     assert abs(result.draws[:, 0, 0].mean() - 4.0) < 3 * sd
 
@@ -58,17 +58,6 @@ def test_forecast_rejects_bad_horizon(rng):
     samples, _ = single_chain_samples(rng, values, [1] * 5)
     with pytest.raises(ValueError):
         forecast(samples, horizon=0, draws=5, seed=0)
-
-
-def test_forecast_groups_share_one_regime_per_step(rng):
-    values = [list(rng.normal(size=10)) for _ in range(3)]
-    samples, _ = single_chain_samples(
-        rng, values, [[1, 2] * 4 + [1], [1] * 9], assignments=[1, 1, 2], num_series=3
-    )
-    result = forecast(samples, horizon=5, draws=10, seed=3, record_regimes=True)
-    for draw in result.future_regimes:
-        assert set(draw.keys()) == {0, 1}
-        assert all(len(ks) == 5 for ks in draw.values())
 
 
 def test_forecast_skips_missing_final_lag_cell(rng):
@@ -149,7 +138,7 @@ def test_impute_mean_converges_to_mixture_mean(rng):
     var = 0.0
     for chain in chains:
         k = chain.groups[0].regimes.z[3]
-        pred = posterior_predictive(hypers[0].emission, chain.groups[0].emission[0][k - 1])
+        pred = posterior_predictive(hypers[0].emission, chain.groups[0].cells[0][k - 1][0])
         locs.append(pred.loc)
         var += pred.scale_sq * pred.dof / (pred.dof - 2.0)
     target = float(np.mean(locs))

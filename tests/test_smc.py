@@ -1,7 +1,8 @@
 """Particle-learning block sampler: weights, resampling, marginal likelihood.
 
-The T=4 posterior-targeting run at the spec's J lives in the acceptance
-suite; here the mechanics are pinned on small instances against enumeration.
+Weights, resampling and the marginal-likelihood estimate are pinned on small
+instances against enumeration, and the distribution of the returned
+sequence against the enumerated posterior.
 """
 
 import math

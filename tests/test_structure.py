@@ -15,7 +15,8 @@ import pytest
 from conftest import hyper_tuples, make_panel, uniform_hypers
 from oracles import canonical_sequences, naive_group_loglik
 from test_model import build_state
-from trcrp.model import GroupModel, crp_log_weights, log_joint
+from trcrp.conjugate import NigHyper
+from trcrp.model import GroupModel, crp_log_weights, log_joint, sequence_loglik
 from trcrp.structure import (
     FRESH,
     ClusterProposal,
@@ -176,9 +177,7 @@ def test_partial_loglik_series_terms_add_across_subsets(rng):
         label_map = {}
         total = 0.0
         for t, zt in enumerate(z, start=1):
-            base, emis = scratch.regime_log_weights_split(
-                t, panel.values, panel.observed, panel.observed
-            )
+            base, emis = scratch.regime_log_weights_split(t, panel.values, panel.observed, True)
             crp = crp_log_weights(scratch.regimes.counts, scratch.alpha)
             k = label_map.get(zt)
             slot = (k - 1) if k is not None else len(base) - 1
@@ -344,9 +343,35 @@ def test_loglik_cache_is_bit_identical(rng):
     panel, hypers, state = make_two_series_state(rng, merged=True)
     group = state.groups[0]
     first = group_loglik_cached(state, group)
-    assert state.loglik_cache[group] == first
+    assert list(state.loglik_cache.values()) == [first]
+    assert group_loglik_cached(state, group) == first
     state.loglik_cache.clear()
     assert group_loglik_cached(state, group) == first
+
+
+def test_loglik_cache_follows_z_alpha_and_hypers(rng):
+    # no manual invalidation: the memo is keyed by what the value depends on
+    panel, hypers, state = make_two_series_state(rng, merged=True)
+    group = state.groups[0]
+    seen = []
+
+    def check():
+        want = sequence_loglik(
+            group.regimes.z, group.members, group.alpha, state.hypers,
+            state.values, state.observed, group.window,
+        )
+        assert group_loglik_cached(state, group) == want
+        seen.append(want)
+
+    check()
+    group.unassign(2, panel.values, panel.observed)
+    group.assign(2, 1, panel.values, panel.observed)
+    check()
+    group.alpha = 2.5
+    check()
+    state.hypers[1] = state.hypers[1].replace_emission(NigHyper(1.0, 0.5, 3.0, 2.0))
+    check()
+    assert len(set(seen)) == len(seen)
 
 
 def test_sweep_single_group_stays_merged_with_tiny_alpha0():
