@@ -5,11 +5,15 @@ evaluates the conditional log likelihood restricted to the terms the
 parameter touches, adds the log prior (Gamma(1,1) for concentrations, uniform
 on the grid otherwise), and samples from the normalized categorical.
 
-Emission-cell conditionals telescope into per-regime marginal likelihoods, so
-they cost O(K) per grid point.  Concentration and lag-cell conditionals need
-the sequential prefix structure; one array pass per group
-(:func:`trcrp.model.prefix_stats`) builds a table of per-step block
-statistics and cohesion factors that all 30 grid points reuse.
+The 30 candidates of a parameter sit on a leading array axis, so each
+transition scores its whole grid in one array call.  Emission-cell
+conditionals telescope into per-regime marginal likelihoods: one (30, K)
+:func:`~trcrp.conjugate.marginal_loglik_array` call.  Concentration and
+lag-cell conditionals need the sequential prefix structure; one array pass
+per group (:func:`trcrp.model.prefix_stats`) builds a table of per-step block
+statistics and cohesion factors, and a grid is scored against it as
+(30, T, K+1) log weights: 30 concentrations, or the moved lag cell's factors
+under its 30 candidates.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import NigHyper, marginal_loglik, predictive_logpdf_array
+from .conjugate import NigHyper, marginal_loglik_array, predictive_logpdf_array
 from .model import ChainState, SeriesHypers, prefix_stats
 from .panel import TimeSeriesPanel
 from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
@@ -157,12 +161,26 @@ def grids_payload(grids: Grids) -> dict:
 # -- sequential tables ---------------------------------------------------------
 
 
+def _candidates(current: NigHyper, field: str, points, ndim: int) -> tuple:
+    """(m, V, a, b) of ``current`` with ``field`` on every grid point.
+
+    The grid is a leading axis of shape (G, 1, ..., 1) with ``ndim`` trailing
+    unit axes, so it broadcasts against ``ndim``-dimensional statistics.
+    """
+    values = vars(current) | {field: np.reshape(points, (-1,) + (1,) * ndim)}
+    return tuple(values[name] for name in NIG_FIELDS)
+
+
 class _GroupTable:
     """Prefix-structure cache for one group's concentration and lag conditionals.
 
     Holds the group's :class:`~trcrp.model.PrefixStats` over its lag cells.
     Sufficient statistics do not depend on hyperparameters, so they serve
-    every grid point; a lag-cell candidate re-evaluates only that cell.
+    every grid point.  A grid of G candidates is scored in one array pass:
+    G concentrations give (G, T, K+1) log weights; G candidate cells of one
+    lag offset give that cell's (G, T, K+1) factors, which replace its
+    current factors in the cohesion sum.  Either way the batched
+    :meth:`~trcrp.model.PrefixStats.loglik` returns the G conditionals.
     """
 
     def __init__(self, group, values, observed):
@@ -171,29 +189,28 @@ class _GroupTable:
         )
         self.index = {cell: c for c, cell in enumerate(self.prefix.cells)}
 
-    def alpha_restricted(self, alpha: float) -> float:
-        """Sequential assignment loglik of the group's z under concentration alpha."""
-        return self.prefix.loglik(self.prefix.log_weights(alpha))
+    def alpha_logliks(self, alphas) -> np.ndarray:
+        """Sequential assignment loglik of the group's z under each concentration."""
+        return self.prefix.loglik(self.prefix.log_weights(alphas))
 
-    def _factors(self, c: int, hyper: NigHyper):
+    def lag_logliks(self, alpha: float, n: int, offset: int, cand) -> tuple:
+        """Loglik under each candidate cell (n, offset), and the candidates' factors.
+
+        ``cand`` is (m, V, a, b), each a scalar or a (G, 1, 1) array; returns
+        the (G,) logliks and the (G, T, K+1) factors.
+        """
         s = self.prefix
-        f = predictive_logpdf_array(
-            hyper.m, hyper.V, hyper.a, hyper.b, s.count[c], s.total[c], s.total_sq[c], s.x[c]
-        )
-        return np.where(s.seen[c], f, 0.0)
-
-    def cohesion_restricted(self, alpha: float, n: int, offset: int, hyper: NigHyper) -> float:
-        """Same quantity with cell (n, offset) re-evaluated under ``hyper``."""
         c = self.index[(n, offset)]
-        delta = self._factors(c, hyper) - self.prefix.factors[c]
-        return self.prefix.loglik(self.prefix.log_weights(alpha) + delta)
+        f = predictive_logpdf_array(*cand, s.count[c], s.total[c], s.total_sq[c], s.x[c])
+        factors = np.where(s.seen[c], f, 0.0)
+        delta = factors - s.factors[c]
+        return s.loglik(s.log_weights(alpha) + delta), factors
 
-    def update_cohesion(self, n: int, offset: int, hyper: NigHyper) -> None:
-        """Refresh the cell's factors after an accepted grid move."""
+    def update_cohesion(self, n: int, offset: int, factors: np.ndarray) -> None:
+        """Install the accepted candidate's (T, K+1) factors for cell (n, offset)."""
         c = self.index[(n, offset)]
-        f_new = self._factors(c, hyper)
-        self.prefix.cohesion += f_new - self.prefix.factors[c]
-        self.prefix.factors[c] = f_new
+        self.prefix.cohesion += factors - self.prefix.factors[c]
+        self.prefix.factors[c] = factors
 
 
 # -- transitions -----------------------------------------------------------------
@@ -212,39 +229,63 @@ def _gibbs_alpha0(state: ChainState, rng) -> None:
     state.alpha0 = grid[gumbel_argmax(logits, rng)]
 
 
+def _alpha_logits(state: ChainState, table: _GroupTable) -> np.ndarray:
+    """Unnormalised log conditional of a group's alpha at each grid point."""
+    grid = _require_grids(state).group_alpha.points
+    return table.alpha_logliks(grid) + np.array([log_gamma11_pdf(a) for a in grid])
+
+
 def _gibbs_group_alpha(state: ChainState, group, table: _GroupTable, rng) -> None:
     grid = _require_grids(state).group_alpha.points
-    logits = [table.alpha_restricted(a) + log_gamma11_pdf(a) for a in grid]
-    group.alpha = grid[gumbel_argmax(logits, rng)]
+    group.alpha = grid[gumbel_argmax(_alpha_logits(state, table), rng)]
+
+
+def _emission_logits(state: ChainState, n: int, field: str) -> np.ndarray:
+    """Log marginal likelihood of series n's emission cells at each grid point.
+
+    The (G, K) cell terms come from one array call; their sum over the K
+    regimes is the log conditional up to the uniform grid prior.
+    """
+    grid = _require_grids(state).series[n].field(field).points
+    cells = [row[0] for row in state.group_of(n).cells[n]]
+    count = np.array([s.count for s in cells])
+    total = np.array([s.sum for s in cells])
+    total_sq = np.array([s.sum_sq for s in cells])
+    cand = _candidates(state.hypers[n].emission, field, grid, 1)
+    terms = marginal_loglik_array(*cand, count, total, total_sq)
+    # added regime by regime like a scalar sum; numpy's pairwise sum would
+    # change the last bits once K > 8
+    return sum(terms.T)
 
 
 def _gibbs_emission_field(state: ChainState, n: int, field: str, rng) -> None:
     grid = _require_grids(state).series[n].field(field).points
-    group = state.group_of(n)
     current = state.hypers[n].emission
-    cells = [row[0] for row in group.cells[n]]
-    logits = []
-    for value in grid:
-        cand = current.replace(**{field: value})
-        logits.append(sum(marginal_loglik(cand, s) for s in cells))
-    new = current.replace(**{field: grid[gumbel_argmax(logits, rng)]})
+    new = current.replace(**{field: grid[gumbel_argmax(_emission_logits(state, n, field), rng)]})
     if new != current:
         state.hypers[n] = state.hypers[n].replace_emission(new)
+
+
+def _lag_logits(state: ChainState, n: int, offset: int, field: str, table: _GroupTable):
+    """Log conditional of lag cell (n, offset)'s ``field`` at each grid point.
+
+    Returns the (G,) logits and the candidates' (G, T, K+1) factors.
+    """
+    grid = _require_grids(state).series[n].field(field).points
+    cand = _candidates(state.hypers[n].cohesion[offset - 1], field, grid, 2)
+    return table.lag_logliks(state.group_of(n).alpha, n, offset, cand)
 
 
 def _gibbs_cohesion_field(
     state: ChainState, n: int, offset: int, field: str, table: _GroupTable, rng
 ) -> None:
     grid = _require_grids(state).series[n].field(field).points
-    group = state.group_of(n)
     current = state.hypers[n].cohesion[offset - 1]
-    logits = [
-        table.cohesion_restricted(group.alpha, n, offset, current.replace(**{field: value}))
-        for value in grid
-    ]
-    new = current.replace(**{field: grid[gumbel_argmax(logits, rng)]})
+    logits, factors = _lag_logits(state, n, offset, field, table)
+    j = gumbel_argmax(logits, rng)
+    new = current.replace(**{field: grid[j]})
     if new != current:
-        table.update_cohesion(n, offset, new)
+        table.update_cohesion(n, offset, factors[j])
         state.hypers[n] = state.hypers[n].replace_cohesion(offset, new)
 
 

@@ -384,22 +384,32 @@ class PrefixStats:
     log_counts: np.ndarray
     slot: np.ndarray
 
-    def log_weights(self, alpha: float) -> np.ndarray:
-        """(T, K+1) CRP-times-cohesion log weights under concentration ``alpha``."""
-        w = self.log_counts.copy()
-        w[:, -1] = math.log(alpha)
+    def log_weights(self, alpha) -> np.ndarray:
+        """(T, K+1) CRP-times-cohesion log weights under concentration ``alpha``.
+
+        A sequence of G concentrations gives (G, T, K+1), one slice each.
+        """
+        shape = np.shape(alpha)
+        w = np.tile(self.log_counts, shape + (1, 1))
+        # math.log, so a grid slice has the bits of a single-concentration call
+        w[..., -1] = np.reshape([math.log(a) for a in np.ravel(alpha)], shape + (1,))
         return w + self.cohesion
 
     @staticmethod
     def log_normalizers(base: np.ndarray) -> np.ndarray:
-        """Per-step log-sum-exp of (T, K+1) log weights."""
-        hi = base.max(axis=1)
-        return hi + np.log(np.exp(base - hi[:, None]).sum(axis=1))
+        """Per-step log-sum-exp over the last axis of (..., T, K+1) log weights."""
+        hi = base.max(axis=-1)
+        return hi + np.log(np.exp(base - hi[..., None]).sum(axis=-1))
 
-    def loglik(self, base: np.ndarray) -> float:
-        """Sum over t of the normalized log weight and the emission factor of z_t."""
-        at = (np.arange(len(self.slot)), self.slot)
-        return float((base[at] - self.log_normalizers(base) + self.emission[at]).sum())
+    def loglik(self, base: np.ndarray):
+        """Sum over t of the normalized log weight and the emission factor of z_t.
+
+        ``base`` is (T, K+1), or (G, T, K+1) for G candidates scored at once,
+        which gives G sums.
+        """
+        steps = np.arange(len(self.slot))
+        terms = base[..., steps, self.slot] - self.log_normalizers(base)
+        return (terms + self.emission[steps, self.slot]).sum(axis=-1)
 
 
 def _before(a: np.ndarray) -> np.ndarray:
@@ -466,7 +476,7 @@ def sequence_loglik(
     proposal density used by the outer cluster moves.
     """
     prefix = prefix_stats(z, members, hypers, values, observed, window, include_emission)
-    return prefix.loglik(prefix.log_weights(alpha))
+    return float(prefix.loglik(prefix.log_weights(alpha)))
 
 
 def forward_sample_sequence(members, alpha, hypers, values, observed, num_steps, window, rng):

@@ -13,6 +13,7 @@ from trcrp.conjugate import (
     NigHyper,
     NigStats,
     marginal_loglik,
+    marginal_loglik_array,
     posterior_params,
     posterior_predictive,
     predictive_logpdf,
@@ -226,6 +227,29 @@ def test_marginal_loglik_telescopes(rng):
         s.incorporate(x)
     assert marginal_loglik(hyper, s) == pytest.approx(total, abs=1e-10)
 
+
+
+def test_marginal_loglik_array_matches_scalar(rng):
+    # cells: one empty, one constant (its centred square sum rounds below zero
+    # and is clamped), and random cells of 1..12 values
+    constant = stats_of(*[0.7] * 7)
+    assert constant.sum_sq - constant.sum * (constant.sum / constant.count) < 0.0
+    cells = [NigStats(), constant]
+    cells += [stats_of(*rng.normal(rng.normal(0, 3), 2.0, size=c)) for c in range(1, 13)]
+    hypers = [
+        NigHyper(rng.normal(0, 3), *np.exp(rng.normal(0, 1.5, size=3))) for _ in range(40)
+    ]
+    fields = {f: np.array([getattr(h, f) for h in hypers])[:, None] for f in "mVab"}
+    got = marginal_loglik_array(
+        fields["m"], fields["V"], fields["a"], fields["b"],
+        np.array([s.count for s in cells]),
+        np.array([s.sum for s in cells]),
+        np.array([s.sum_sq for s in cells]),
+    )
+    want = np.array([[marginal_loglik(h, s) for s in cells] for h in hypers])
+    assert got.shape == (40, len(cells))
+    assert (got[:, 0] == 0.0).all()
+    assert np.abs(got - want).max() <= 1e-12
 
 def lag_group(panel, cohesion, z):
     """One-series group over ``panel`` with lag cells ``cohesion`` and sequence ``z``."""

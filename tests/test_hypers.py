@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import trcrp.hypers as hypers_mod
-from conftest import make_panel, uniform_hypers
+from conftest import hyper_tuples, make_panel
+from oracles import naive_log_joint
 from test_model import build_state
 from trcrp.hypers import (
     GRID_SIZE,
@@ -194,9 +195,7 @@ def test_group_alpha_restricted_matches_log_joint(rng):
     group = state.groups[0]
     table = hypers_mod._GroupTable(group, state.values, state.observed)
     points = state.grids.group_alpha.points[:6]
-    from trcrp.util import log_gamma11_pdf
-
-    restricted = [table.alpha_restricted(a) + log_gamma11_pdf(a) for a in points]
+    restricted = hypers_mod._alpha_logits(state, table)[:6]
     joints = []
     for a in points:
         group.alpha = a
@@ -209,18 +208,13 @@ def test_group_alpha_restricted_matches_log_joint(rng):
 
 def test_emission_restricted_matches_log_joint(rng):
     panel, state = state_for_gibbs(rng)
-    from trcrp.conjugate import marginal_loglik
-
     n = 0
     current = state.hypers[n].emission
     points = state.grids.series[n].b.points[:6]
-    group = state.group_of(n)
-    restricted = []
+    restricted = hypers_mod._emission_logits(state, n, "b")[:6]
     joints = []
     for value in points:
-        cand = current.replace(b=value)
-        restricted.append(sum(marginal_loglik(cand, row[0]) for row in group.cells[n]))
-        state.hypers[n] = state.hypers[n].replace_emission(cand)
+        state.hypers[n] = state.hypers[n].replace_emission(current.replace(b=value))
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -241,12 +235,10 @@ def test_cohesion_restricted_matches_log_joint(rng):
     table = hypers_mod._GroupTable(group, state.values, state.observed)
     current = state.hypers[n].cohesion[offset - 1]
     points = grids.series[n].V.points[:6]
-    restricted = []
+    restricted = hypers_mod._lag_logits(state, n, offset, "V", table)[0][:6]
     joints = []
     for value in points:
-        cand = current.replace(V=value)
-        restricted.append(table.cohesion_restricted(group.alpha, n, offset, cand))
-        state.hypers[n] = state.hypers[n].replace_cohesion(offset, cand)
+        state.hypers[n] = state.hypers[n].replace_cohesion(offset, current.replace(V=value))
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -254,24 +246,144 @@ def test_cohesion_restricted_matches_log_joint(rng):
         )
 
 
+def stacked(*cells):
+    """(m, V, a, b) of the given NIG cells, each field a (G, 1, 1) candidate axis."""
+    return tuple(np.reshape([getattr(c, f) for c in cells], (-1, 1, 1)) for f in "mVab")
+
+
 def test_table_update_matches_rebuild(rng):
     panel, state = state_for_gibbs(rng, num_series=2)
     group = state.groups[0]
     table = hypers_mod._GroupTable(group, state.values, state.observed)
     new_hyper = state.hypers[0].cohesion[0].replace(m=2.5, V=3.0)
-    table.update_cohesion(0, 1, new_hyper)
+    _, factors = table.lag_logliks(group.alpha, 0, 1, stacked(new_hyper))
+    table.update_cohesion(0, 1, factors[0])
     state.hypers[0] = state.hypers[0].replace_cohesion(1, new_hyper)
     fresh = hypers_mod._GroupTable(group, state.values, state.observed)
-    for alpha in state.grids.group_alpha.points[::6]:
-        assert table.alpha_restricted(alpha) == pytest.approx(
-            fresh.alpha_restricted(alpha), abs=1e-12
-        )
+    alphas = state.grids.group_alpha.points[::6]
+    np.testing.assert_allclose(
+        table.alpha_logliks(alphas), fresh.alpha_logliks(alphas), rtol=0, atol=1e-12
+    )
+    cands = stacked(new_hyper, new_hyper.replace(a=0.7, b=4.0))
+    for alpha in alphas:
         for n in group.members:
             for offset in range(1, panel.window + 1):
-                for cand in (new_hyper, new_hyper.replace(a=0.7, b=4.0)):
-                    assert table.cohesion_restricted(alpha, n, offset, cand) == pytest.approx(
-                        fresh.cohesion_restricted(alpha, n, offset, cand), abs=1e-12
-                    )
+                np.testing.assert_allclose(
+                    table.lag_logliks(alpha, n, offset, cands)[0],
+                    fresh.lag_logliks(alpha, n, offset, cands)[0],
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+
+# -- exact conditionals against the brute-force log joint ----------------------
+
+FIELD_INDEX = {name: i for i, name in enumerate(("m", "V", "a", "b"))}
+
+
+def tiny_state():
+    """2 series in one group, T=6, window 2, series 0's value at t=2 missing."""
+    rng = np.random.default_rng(11)
+    values = [list(rng.normal(size=8)) for _ in range(2)]
+    values[0][3] = None
+    panel = make_panel(values, window=2)
+    grids = build_grids(panel)
+    state = build_state(
+        panel, initial_hypers(grids, 2), [[1, 2, 1, 1, 2, 2]], [1, 1], alpha0=1.3, alphas=[0.7]
+    )
+    state.grids = grids
+    return panel, state
+
+
+def grid_of(state, spec):
+    if spec[0] == "alpha":
+        return state.grids.group_alpha.points
+    return state.grids.series[0].field(spec[-1]).points
+
+
+def brute_force_conditional(state, panel, spec):
+    """Softmax over the grid of ``naive_log_joint`` with ``spec`` set to each point.
+
+    ``spec`` is ``("alpha",)``, ``("emission", field)`` or ``("cohesion", offset,
+    field)``; the NIG fields belong to series 0.
+    """
+    group = state.groups[0]
+    joints = []
+    for value in grid_of(state, spec):
+        alpha = value if spec[0] == "alpha" else group.alpha
+        tuples = hyper_tuples(state.hypers)
+        emission, lags = tuples[0]
+        if spec[0] == "emission":
+            emission = list(emission)
+            emission[FIELD_INDEX[spec[1]]] = value
+        elif spec[0] == "cohesion":
+            lag = list(lags[spec[1] - 1])
+            lag[FIELD_INDEX[spec[2]]] = value
+            lags[spec[1] - 1] = lag
+        tuples[0] = (emission, lags)
+        desc = (state.alpha0, state.assignments, [(alpha, group.regimes.z)])
+        joints.append(naive_log_joint(desc, panel, tuples))
+    return softmax(joints)
+
+
+def softmax(logits):
+    logits = np.asarray(logits, dtype=float)
+    w = np.exp(logits - logits.max())
+    return w / w.sum()
+
+
+def grid_conditional(state, spec):
+    table = hypers_mod._GroupTable(state.groups[0], state.values, state.observed)
+    if spec[0] == "alpha":
+        return softmax(hypers_mod._alpha_logits(state, table))
+    if spec[0] == "emission":
+        return softmax(hypers_mod._emission_logits(state, 0, spec[1]))
+    return softmax(hypers_mod._lag_logits(state, 0, spec[1], spec[2], table)[0])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("alpha",)]
+    + [("emission", f) for f in ("m", "V", "a", "b")]
+    + [("cohesion", 2, f) for f in ("m", "V", "a", "b")],
+    ids=lambda spec: "-".join(map(str, spec)),
+)
+def test_grid_conditional_matches_brute_force(spec):
+    panel, state = tiny_state()
+    want = brute_force_conditional(state, panel, spec)
+    got = grid_conditional(state, spec)
+    assert np.abs(got - want).max() <= 1e-8
+
+
+def test_lag_sampler_matches_brute_force_conditional():
+    # The V conditional of a lag cell does not depend on the cell's current V,
+    # so the draws of a chain of these moves are independent draws from it,
+    # provided each accepted move refreshes the table (update_cohesion).
+    # For N multinomial draws over k = 30 cells, E|p_hat_i - p_i| <=
+    # sqrt(2 p_i (1 - p_i) / (pi N)) (half-normal mean), so E[TV] <=
+    # 1/2 sum_i sqrt(2 p_i / (pi N)) <= 1/2 sqrt(2 k / (pi N)) by Cauchy-Schwarz;
+    # the test allows three times that, 0.046 at N = 20,000.
+    panel, state = tiny_state()
+    # a location far from the data and a tight prior variance make the V
+    # conditional far from uniform (total variation 0.19), so a sampler that
+    # maps draws to the wrong grid point shows
+    sg = state.grids.series[0]
+    lag = state.hypers[0].cohesion[1].replace(
+        m=sg.m.points[0], a=sg.a.points[-1], b=sg.b.points[0]
+    )
+    state.hypers[0] = state.hypers[0].replace_cohesion(2, lag)
+    want = brute_force_conditional(state, panel, ("cohesion", 2, "V"))
+    assert 0.5 * np.abs(want - 1.0 / GRID_SIZE).sum() > 0.15
+    table = hypers_mod._GroupTable(state.groups[0], state.values, state.observed)
+    index = {v: i for i, v in enumerate(grid_of(state, ("cohesion", 2, "V")))}
+    rng = np.random.default_rng(3)
+    num = 20_000
+    counts = np.zeros(GRID_SIZE)
+    for _ in range(num):
+        gibbs_hyper(state, ("cohesion", 0, 2, "V"), rng, table=table)
+        counts[index[state.hypers[0].cohesion[1].V]] += 1
+    bound = 3 * 0.5 * math.sqrt(2 * GRID_SIZE / (math.pi * num))
+    assert 0.5 * np.abs(counts / num - want).sum() <= bound
 
 
 def test_hyper_sweep_p0_touches_only_emission_and_alphas(rng):
@@ -292,21 +404,21 @@ def test_hyper_sweep_keeps_stats_consistent(rng):
     state.check_consistency()
 
 
-def test_emission_move_touches_only_its_series(rng, monkeypatch):
+def test_emission_move_touches_only_its_series(rng):
     panel, state = state_for_gibbs(rng, num_series=2)
-    touched = set()
-    real = hypers_mod.marginal_loglik
-
-    def spy(hyper, stats):
-        touched.add(id(stats))
-        return real(hyper, stats)
-
-    monkeypatch.setattr(hypers_mod, "marginal_loglik", spy)
+    before = state.hypers[0]
+    logits = hypers_mod._emission_logits(state, 0, "a")
     gibbs_hyper(state, ("emission", 0, "a"), np.random.default_rng(1))
-    own = {id(row[0]) for row in state.group_of(0).cells[0]}
-    other = {id(row[0]) for row in state.group_of(1).cells[1]}
-    assert touched <= own
-    assert not (touched & other)
+    drawn = state.hypers[0].emission
+    state.hypers[0] = before
+    for row in state.group_of(1).cells[1]:
+        for stats in row:
+            stats.sum = stats.sum_sq = math.nan
+    after = hypers_mod._emission_logits(state, 0, "a")
+    assert np.isfinite(after).all()
+    assert np.array_equal(after, logits)
+    gibbs_hyper(state, ("emission", 0, "a"), np.random.default_rng(1))
+    assert state.hypers[0].emission == drawn
 
 
 def test_grids_payload_shape(rng):
