@@ -11,10 +11,8 @@ All densities are log densities; products elsewhere in the model are sums of
 the values computed here.  The per-step hot path (:func:`predictive_logpdf_raw`)
 is deliberately flat scalar code: the samplers call it millions of times.
 Passes over a whole regime sequence use :func:`predictive_logpdf_array`, the
-same formula over arrays of statistics, and the hyperparameter grids use
-:func:`marginal_loglik_array`, the array form of :func:`marginal_loglik`.
-Both array forms broadcast their hyperparameters, so a grid of candidate
-values on a leading axis is scored in one call.
+same formula over arrays of statistics.  It broadcasts its hyperparameters,
+so a grid of candidate values on a leading axis is scored in one call.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "predictive_logpdf_raw",
     "predictive_logpdf_array",
     "marginal_loglik",
-    "marginal_loglik_array",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -185,8 +182,8 @@ def _lgamma_tables(a0, max_count: int):
     """(row of each a0, lgamma(a0 + c/2), lgamma(a0 + c/2 + 1/2)) for c in 0..max_count.
 
     lgamma runs once per distinct argument; arguments are formed as
-    :func:`predictive_logpdf_raw` and :func:`marginal_loglik` form them, so
-    the array and scalar forms give the same lgamma bits.
+    :func:`predictive_logpdf_raw` forms them, so the array and scalar forms
+    give the same lgamma bits.
     """
     a0 = np.asarray(a0, dtype=float)
     distinct, row = np.unique(a0.ravel(), return_inverse=True)
@@ -196,8 +193,9 @@ def _lgamma_tables(a0, max_count: int):
     return row.reshape(a0.shape), lg, lg_half
 
 
-def _posterior_arrays(m0, v0, a0, b0, count, total, total_sq):
-    """:func:`posterior_params` elementwise: (m', V', a', b') over broadcast arrays."""
+def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x):
+    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays."""
+    count = np.asarray(count)
     empty = count == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         v_post = np.where(empty, v0, 1.0 / (1.0 / v0 + count))
@@ -209,13 +207,7 @@ def _posterior_arrays(m0, v0, a0, b0, count, total, total_sq):
         b_post = np.where(
             empty, b0, b0 + 0.5 * centered + 0.5 * count * shift * shift / (1.0 + count * v0)
         )
-    return m_post, v_post, a0 + 0.5 * count, b_post
-
-
-def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x):
-    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays."""
-    count = np.asarray(count)
-    m_post, v_post, a_post, b_post = _posterior_arrays(m0, v0, a0, b0, count, total, total_sq)
+    a_post = a0 + 0.5 * count
     row, lg, lg_half = _lgamma_tables(a0, int(count.max(initial=0)))
     scale_sq = b_post * (1.0 + v_post) / a_post
     dof_scale = 2.0 * a_post * scale_sq
@@ -247,19 +239,3 @@ def marginal_loglik(hyper: NigHyper, stats: NigStats) -> float:
         + hyper.a * math.log(hyper.b)
         - post.a * math.log(post.b)
     )
-
-
-def marginal_loglik_array(m0, v0, a0, b0, count, total, total_sq):
-    """:func:`marginal_loglik` elementwise over broadcast numpy arrays."""
-    count = np.asarray(count)
-    _, v_post, a_post, b_post = _posterior_arrays(m0, v0, a0, b0, count, total, total_sq)
-    row, lg, _ = _lgamma_tables(a0, int(count.max(initial=0)))
-    value = (
-        -0.5 * count * math.log(2.0 * math.pi)
-        + 0.5 * (np.log(v_post) - np.log(v0))
-        + lg[row, count]
-        - lg[row, 0]
-        + a0 * np.log(b0)
-        - a_post * np.log(b_post)
-    )
-    return np.where(count == 0, 0.0, value)

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -240,6 +240,9 @@ def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
         )
     panel = panel_from_payload(doc["panel"])
     chains = [state_from_payload(entry, panel) for entry in doc["chains"]]
+    known = {f.name for f in fields(RunConfig)}
+    if not isinstance(doc["config"], dict) or not set(doc["config"]) <= known:
+        raise ValueError(f"config must be an object with keys among {sorted(known)}")
     config = RunConfig(**{
         key: tuple(value) if key == "fixed_hypers" and value is not None else value
         for key, value in doc["config"].items()

@@ -5,15 +5,14 @@ evaluates the conditional log likelihood restricted to the terms the
 parameter touches, adds the log prior (Gamma(1,1) for concentrations, uniform
 on the grid otherwise), and samples from the normalized categorical.
 
-The 30 candidates of a parameter sit on a leading array axis, so each
-transition scores its whole grid in one array call.  Emission-cell
-conditionals telescope into per-regime marginal likelihoods: one (30, K)
-:func:`~trcrp.conjugate.marginal_loglik_array` call.  Concentration and
-lag-cell conditionals need the sequential prefix structure; one array pass
-per group (:func:`trcrp.model.prefix_stats`) builds a table of per-step block
-statistics and cohesion factors, and a grid is scored against it as
-(30, T, K+1) log weights: 30 concentrations, or the moved lag cell's factors
-under its 30 candidates.
+A sweep builds one table per group, the group's
+:class:`~trcrp.model.PrefixStats` over its members' lag and emission cells,
+and scores every grid against it in one array call with the 30 candidates on
+a leading axis.  A concentration grid gives (30, T, K+1) log weights.  A
+cell's grid gives the cell's (30, T, K+1) factors: a lag cell's replace its
+factors in the cohesion sum, so every step's normalizer moves; an emission
+cell's change only the emission term of z_t, so they need no normalizer.  An
+accepted cell move installs the chosen candidate's factors in the table.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import NigHyper, marginal_loglik_array, predictive_logpdf_array
-from .model import ChainState, SeriesHypers, prefix_stats
+from .conjugate import NigHyper
+from .model import ChainState, PrefixStats, SeriesHypers, prefix_stats
 from .panel import TimeSeriesPanel
 from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
 
@@ -158,62 +157,25 @@ def grids_payload(grids: Grids) -> dict:
     }
 
 
-# -- sequential tables ---------------------------------------------------------
+# -- transitions -----------------------------------------------------------------
 
 
-def _candidates(current: NigHyper, field: str, points, ndim: int) -> tuple:
+def _candidates(current: NigHyper, field: str, points) -> tuple:
     """(m, V, a, b) of ``current`` with ``field`` on every grid point.
 
-    The grid is a leading axis of shape (G, 1, ..., 1) with ``ndim`` trailing
-    unit axes, so it broadcasts against ``ndim``-dimensional statistics.
+    The grid is a leading (G, 1, 1) axis, so it broadcasts against a cell's
+    (T, K+1) prefix statistics.
     """
-    values = vars(current) | {field: np.reshape(points, (-1,) + (1,) * ndim)}
+    values = vars(current) | {field: np.reshape(points, (-1, 1, 1))}
     return tuple(values[name] for name in NIG_FIELDS)
 
 
-class _GroupTable:
-    """Prefix-structure cache for one group's concentration and lag conditionals.
-
-    Holds the group's :class:`~trcrp.model.PrefixStats` over its lag cells.
-    Sufficient statistics do not depend on hyperparameters, so they serve
-    every grid point.  A grid of G candidates is scored in one array pass:
-    G concentrations give (G, T, K+1) log weights; G candidate cells of one
-    lag offset give that cell's (G, T, K+1) factors, which replace its
-    current factors in the cohesion sum.  Either way the batched
-    :meth:`~trcrp.model.PrefixStats.loglik` returns the G conditionals.
-    """
-
-    def __init__(self, group, values, observed):
-        self.prefix = prefix_stats(
-            group.regimes.z, group.members, group.hypers, values, observed, group.window
-        )
-        self.index = {cell: c for c, cell in enumerate(self.prefix.cells)}
-
-    def alpha_logliks(self, alphas) -> np.ndarray:
-        """Sequential assignment loglik of the group's z under each concentration."""
-        return self.prefix.loglik(self.prefix.log_weights(alphas))
-
-    def lag_logliks(self, alpha: float, n: int, offset: int, cand) -> tuple:
-        """Loglik under each candidate cell (n, offset), and the candidates' factors.
-
-        ``cand`` is (m, V, a, b), each a scalar or a (G, 1, 1) array; returns
-        the (G,) logliks and the (G, T, K+1) factors.
-        """
-        s = self.prefix
-        c = self.index[(n, offset)]
-        f = predictive_logpdf_array(*cand, s.count[c], s.total[c], s.total_sq[c], s.x[c])
-        factors = np.where(s.seen[c], f, 0.0)
-        delta = factors - s.factors[c]
-        return s.loglik(s.log_weights(alpha) + delta), factors
-
-    def update_cohesion(self, n: int, offset: int, factors: np.ndarray) -> None:
-        """Install the accepted candidate's (T, K+1) factors for cell (n, offset)."""
-        c = self.index[(n, offset)]
-        self.prefix.cohesion += factors - self.prefix.factors[c]
-        self.prefix.factors[c] = factors
-
-
-# -- transitions -----------------------------------------------------------------
+def _group_table(state: ChainState, group) -> PrefixStats:
+    """The prefix table of ``group``'s sequence over its members' lag and emission cells."""
+    return prefix_stats(
+        group.regimes.z, group.members, state.hypers, state.values, state.observed,
+        group.window, emission=True,
+    )
 
 
 def _require_grids(state: ChainState) -> Grids:
@@ -229,87 +191,59 @@ def _gibbs_alpha0(state: ChainState, rng) -> None:
     state.alpha0 = grid[gumbel_argmax(logits, rng)]
 
 
-def _alpha_logits(state: ChainState, table: _GroupTable) -> np.ndarray:
+def _alpha_logits(state: ChainState, table: PrefixStats) -> np.ndarray:
     """Unnormalised log conditional of a group's alpha at each grid point."""
     grid = _require_grids(state).group_alpha.points
-    return table.alpha_logliks(grid) + np.array([log_gamma11_pdf(a) for a in grid])
+    return table.loglik(table.log_weights(grid)) + np.array([log_gamma11_pdf(a) for a in grid])
 
 
-def _gibbs_group_alpha(state: ChainState, group, table: _GroupTable, rng) -> None:
+def _gibbs_group_alpha(state: ChainState, group, table: PrefixStats, rng) -> None:
     grid = _require_grids(state).group_alpha.points
     group.alpha = grid[gumbel_argmax(_alpha_logits(state, table), rng)]
 
 
-def _emission_logits(state: ChainState, n: int, field: str) -> np.ndarray:
-    """Log marginal likelihood of series n's emission cells at each grid point.
+def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: PrefixStats):
+    """Log conditional of cell (n, offset)'s ``field`` at each grid point, up to a constant.
 
-    The (G, K) cell terms come from one array call; their sum over the K
-    regimes is the log conditional up to the uniform grid prior.
+    Offset 0 is the emission cell.  Returns the (G,) logits and the
+    candidates' (G, T, K+1) factors.
     """
     grid = _require_grids(state).series[n].field(field).points
-    cells = [row[0] for row in state.group_of(n).cells[n]]
-    count = np.array([s.count for s in cells])
-    total = np.array([s.sum for s in cells])
-    total_sq = np.array([s.sum_sq for s in cells])
-    cand = _candidates(state.hypers[n].emission, field, grid, 1)
-    terms = marginal_loglik_array(*cand, count, total, total_sq)
-    # added regime by regime like a scalar sum; numpy's pairwise sum would
-    # change the last bits once K > 8
-    return sum(terms.T)
+    cand = _candidates(state.hypers[n].cell(offset), field, grid)
+    return table.cell_logliks(n, offset, cand, state.group_of(n).alpha)
 
 
-def _gibbs_emission_field(state: ChainState, n: int, field: str, rng) -> None:
-    grid = _require_grids(state).series[n].field(field).points
-    current = state.hypers[n].emission
-    new = current.replace(**{field: grid[gumbel_argmax(_emission_logits(state, n, field), rng)]})
-    if new != current:
-        state.hypers[n] = state.hypers[n].replace_emission(new)
-
-
-def _lag_logits(state: ChainState, n: int, offset: int, field: str, table: _GroupTable):
-    """Log conditional of lag cell (n, offset)'s ``field`` at each grid point.
-
-    Returns the (G,) logits and the candidates' (G, T, K+1) factors.
-    """
-    grid = _require_grids(state).series[n].field(field).points
-    cand = _candidates(state.hypers[n].cohesion[offset - 1], field, grid, 2)
-    return table.lag_logliks(state.group_of(n).alpha, n, offset, cand)
-
-
-def _gibbs_cohesion_field(
-    state: ChainState, n: int, offset: int, field: str, table: _GroupTable, rng
+def _gibbs_cell(
+    state: ChainState, n: int, offset: int, field: str, table: PrefixStats, rng
 ) -> None:
     grid = _require_grids(state).series[n].field(field).points
-    current = state.hypers[n].cohesion[offset - 1]
-    logits, factors = _lag_logits(state, n, offset, field, table)
+    current = state.hypers[n].cell(offset)
+    logits, factors = _cell_logits(state, n, offset, field, table)
     j = gumbel_argmax(logits, rng)
     new = current.replace(**{field: grid[j]})
     if new != current:
-        table.update_cohesion(n, offset, factors[j])
-        state.hypers[n] = state.hypers[n].replace_cohesion(offset, new)
+        table.install(n, offset, factors[j])
+        state.hypers[n] = state.hypers[n].replace_cell(offset, new)
 
 
-def gibbs_hyper(state: ChainState, param, rng, table: _GroupTable | None = None) -> None:
+def gibbs_hyper(state: ChainState, param, rng, table: PrefixStats | None = None) -> None:
     """One griddy-Gibbs transition for the named parameter.
 
-    ``param`` is ``("alpha0",)``, ``("alpha", m)``, ``("emission", n, field)``,
-    or ``("cohesion", n, offset, field)`` with field in m/V/a/b.
+    ``param`` is ``("alpha0",)``, ``("alpha", m)`` or ``("cell", n, offset,
+    field)`` with offset 0 the emission cell, i >= 1 the lag-i cell, and field
+    in m/V/a/b.  ``table`` is the group's table from an earlier move; it is
+    built when omitted.
     """
     kind = param[0]
     if kind == "alpha0":
         _gibbs_alpha0(state, rng)
     elif kind == "alpha":
         group = state.groups[param[1] - 1]
-        if table is None:
-            table = _GroupTable(group, state.values, state.observed)
-        _gibbs_group_alpha(state, group, table, rng)
-    elif kind == "emission":
-        _gibbs_emission_field(state, param[1], param[2], rng)
-    elif kind == "cohesion":
-        n, offset, field = param[1], param[2], param[3]
-        if table is None:
-            table = _GroupTable(state.group_of(n), state.values, state.observed)
-        _gibbs_cohesion_field(state, n, offset, field, table, rng)
+        _gibbs_group_alpha(state, group, table or _group_table(state, group), rng)
+    elif kind == "cell":
+        n, offset, field = param[1:]
+        table = table or _group_table(state, state.group_of(n))
+        _gibbs_cell(state, n, offset, field, table, rng)
     else:
         raise ValueError(f"unknown hyperparameter spec {param!r}")
 
@@ -324,15 +258,12 @@ def hyper_sweep(state: ChainState, rng, nig_cells: bool = True) -> None:
     _gibbs_alpha0(state, rng)
     tables = {}
     for group in state.groups:
-        tables[group] = _GroupTable(group, state.values, state.observed)
+        tables[group] = _group_table(state, group)
         _gibbs_group_alpha(state, group, tables[group], rng)
     if not nig_cells:
         return
-    window = state.panel.window
     for n in range(state.num_series):
-        for field in NIG_FIELDS:
-            _gibbs_emission_field(state, n, field, rng)
-        group = state.group_of(n)
-        for offset in range(1, window + 1):
+        table = tables[state.group_of(n)]
+        for offset in range(state.panel.window + 1):
             for field in NIG_FIELDS:
-                _gibbs_cohesion_field(state, n, offset, field, tables[group], rng)
+                _gibbs_cell(state, n, offset, field, table, rng)

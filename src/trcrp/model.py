@@ -19,12 +19,17 @@ chain hold *full* statistics (all assigned times), which is what the
 single-site sampler's full conditionals need.  The sampler subtracts and adds
 one step at a time, then rebuilds the table from the data in time order at
 the end of every sweep, so between sweeps every cell holds canonical sums.
-Every sequential quantity over a known regime sequence (the log joint, the
-full-MH normalizer ratios, the griddy-Gibbs tables) is a sum over t of terms
-that see only the data before t; :func:`prefix_stats` computes the statistics
-and predictive factors behind all of those terms in one array pass.  Forward
-sampling (:meth:`GroupModel.draw`) assigns z_t as it is drawn and scores each
-step from the group's incremental statistics.  Sequential sums are computed
+Every sequential quantity over a known regime sequence is a sum over t of
+terms that see only the data before t; :func:`prefix_stats` computes the
+statistics and predictive factors behind all of those terms in one array
+pass, and its :class:`PrefixStats` serves every consumer outside the
+single-site proposal: the log joint (:func:`sequence_loglik`), the full-MH
+normalizer ratios (:mod:`trcrp.mcmc`), the outer moves' logliks over subsets
+of series (:mod:`trcrp.structure`, one table per group per pass) and every
+griddy-Gibbs conditional, of a concentration, a lag cell or an emission cell
+(:mod:`trcrp.hypers`, one table per group per sweep).  Forward sampling
+(:meth:`GroupModel.draw`) assigns z_t as it is drawn and scores each step
+from the group's incremental statistics.  Sequential sums are computed
 over the blocks occupied so far plus one fresh block with empty statistics,
 which makes every quantity invariant to regime relabeling.
 """
@@ -75,10 +80,10 @@ class SeriesHypers:
         """The hyper of cell ``offset``: 0 is the emission cell, i >= 1 the lag-i cell."""
         return self.cohesion[offset - 1] if offset else self.emission
 
-    def replace_emission(self, hyper: NigHyper) -> "SeriesHypers":
-        return SeriesHypers(hyper, self.cohesion)
-
-    def replace_cohesion(self, offset: int, hyper: NigHyper) -> "SeriesHypers":
+    def replace_cell(self, offset: int, hyper: NigHyper) -> "SeriesHypers":
+        """A copy with cell ``offset`` (numbered as in :meth:`cell`) set to ``hyper``."""
+        if not offset:
+            return SeriesHypers(hyper, self.cohesion)
         lags = list(self.cohesion)
         lags[offset - 1] = hyper
         return SeriesHypers(self.emission, tuple(lags))
@@ -363,16 +368,22 @@ class PrefixStats:
 
     Blocks are numbered 0..K-1 by first appearance in z; column K is the fresh
     block, whose statistics are always empty.  Per cell ``(series, offset)``
-    (offset 0 is the emission cell), ``count``/``total``/``total_sq`` at
-    [cell, t-1, j] summarize the cell's observed values at the steps before t
-    assigned to block j; ``x`` and ``seen`` hold the cell's value at t and
-    whether it is observed; ``factors`` holds the predictive log density of x
-    under each block (0 where unobserved).  ``cohesion`` and ``emission`` sum
-    the lag and the emission factors, ``log_counts`` holds the log block
-    sizes (-inf for empty blocks) and ``slot`` the column of z_t.
+    (offset 0 is the emission cell; ``index`` maps a cell to its row),
+    ``count``/``total``/``total_sq`` at [row, t-1, j] summarize the cell's
+    observed values at the steps before t assigned to block j; ``x`` and
+    ``seen`` hold the cell's value at t and whether it is observed;
+    ``factors`` holds the predictive log density of x under each block (0
+    where unobserved).  ``cohesion`` sums the lag factors of every row and
+    follows :meth:`install`; ``log_counts`` holds the log block sizes (-inf
+    for empty blocks) and ``slot`` the column of z_t.
+
+    Sufficient statistics depend on z alone, so one table serves every subset
+    of its series (:meth:`subset_loglik`) and every candidate hyper of its
+    cells (:meth:`cell_logliks`).
     """
 
-    cells: list
+    index: dict
+    window: int
     count: np.ndarray
     total: np.ndarray
     total_sq: np.ndarray
@@ -380,20 +391,20 @@ class PrefixStats:
     seen: np.ndarray
     factors: np.ndarray
     cohesion: np.ndarray
-    emission: np.ndarray
     log_counts: np.ndarray
     slot: np.ndarray
 
-    def log_weights(self, alpha) -> np.ndarray:
+    def log_weights(self, alpha, cohesion=None) -> np.ndarray:
         """(T, K+1) CRP-times-cohesion log weights under concentration ``alpha``.
 
-        A sequence of G concentrations gives (G, T, K+1), one slice each.
+        ``cohesion`` defaults to the table's own.  A sequence of G
+        concentrations gives (G, T, K+1), one slice each.
         """
         shape = np.shape(alpha)
         w = np.tile(self.log_counts, shape + (1, 1))
         # math.log, so a grid slice has the bits of a single-concentration call
         w[..., -1] = np.reshape([math.log(a) for a in np.ravel(alpha)], shape + (1,))
-        return w + self.cohesion
+        return w + (self.cohesion if cohesion is None else cohesion)
 
     @staticmethod
     def log_normalizers(base: np.ndarray) -> np.ndarray:
@@ -401,15 +412,57 @@ class PrefixStats:
         hi = base.max(axis=-1)
         return hi + np.log(np.exp(base - hi[..., None]).sum(axis=-1))
 
-    def loglik(self, base: np.ndarray):
-        """Sum over t of the normalized log weight and the emission factor of z_t.
+    def loglik(self, base: np.ndarray, emission=None):
+        """Sum over t of the normalized log weight of z_t, plus ``emission`` at z_t if given.
 
         ``base`` is (T, K+1), or (G, T, K+1) for G candidates scored at once,
-        which gives G sums.
+        which gives G sums; ``emission`` is a (T, K+1) factor sum.
         """
         steps = np.arange(len(self.slot))
         terms = base[..., steps, self.slot] - self.log_normalizers(base)
-        return (terms + self.emission[steps, self.slot]).sum(axis=-1)
+        if emission is not None:
+            terms = terms + emission[steps, self.slot]
+        return terms.sum(axis=-1)
+
+    def subset_loglik(self, series, alpha: float, emission=True) -> float:
+        """Group term of the log joint for z scored against the ordered ``series`` only.
+
+        The subset's own factors are summed in order, so the value has the
+        bits of a table built over ``series`` alone.  With no series it is the
+        CRP log mass of z.
+        """
+        lags = [self.index[n, i] for n in series for i in range(1, self.window + 1)]
+        base = self.log_weights(alpha, self.factors[lags].sum(axis=0))
+        if not emission:
+            return float(self.loglik(base))
+        emis = self.factors[[self.index[n, 0] for n in series]].sum(axis=0)
+        return float(self.loglik(base, emis))
+
+    def cell_logliks(self, n: int, offset: int, cand, alpha: float):
+        """Scores of G candidate hypers for cell (n, offset), and their factors.
+
+        ``cand`` is (m, V, a, b), each a scalar or a (G, 1, 1) array.  A lag
+        candidate's factors replace the cell's in the cohesion sum, so every
+        step's normalizer moves: the score is the no-emission loglik under
+        concentration ``alpha``.  An emission candidate changes only the
+        emission term of z_t, so the score sums those terms and needs no
+        normalizer.  Either way scores differ from the conditional log
+        likelihood by a constant shared by the candidates.  Returns the (G,)
+        scores and the (G, T, K+1) factors.
+        """
+        c = self.index[n, offset]
+        stats = self.count[c], self.total[c], self.total_sq[c], self.x[c]
+        factors = np.where(self.seen[c], predictive_logpdf_array(*cand, *stats), 0.0)
+        if offset:
+            return self.loglik(self.log_weights(alpha) + (factors - self.factors[c])), factors
+        return factors[..., np.arange(len(self.slot)), self.slot].sum(axis=-1), factors
+
+    def install(self, n: int, offset: int, factors: np.ndarray) -> None:
+        """Make ``factors``, one candidate's (T, K+1) slice, cell (n, offset)'s own."""
+        c = self.index[n, offset]
+        if offset:
+            self.cohesion += factors - self.factors[c]
+        self.factors[c] = factors
 
 
 def _before(a: np.ndarray) -> np.ndarray:
@@ -457,10 +510,10 @@ def prefix_stats(z, members, hypers, values, observed, window: int, emission=Fal
     m0, v0, a0, b0 = (table[:, k] for k in range(4))
     f = predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x)
     factors = np.where(seen, f, 0.0)
-    num_lag = len(members) * p
+    index = {cell: c for c, cell in enumerate(cells)}
+    cohesion = factors[: len(members) * p].sum(axis=0)
     return PrefixStats(
-        cells, count, total, total_sq, x, seen, factors,
-        factors[:num_lag].sum(axis=0), factors[num_lag:].sum(axis=0), log_counts, slot,
+        index, p, count, total, total_sq, x, seen, factors, cohesion, log_counts, slot
     )
 
 
@@ -476,7 +529,7 @@ def sequence_loglik(
     proposal density used by the outer cluster moves.
     """
     prefix = prefix_stats(z, members, hypers, values, observed, window, include_emission)
-    return float(prefix.loglik(prefix.log_weights(alpha)))
+    return prefix.subset_loglik(members, alpha, include_emission)
 
 
 def forward_sample_sequence(members, alpha, hypers, values, observed, num_steps, window, rng):
@@ -512,7 +565,6 @@ class ChainState:
             group.hypers = self.hypers
         self.rng = rng
         self.grids = None
-        self.loglik_cache: dict[tuple, float] = {}  # owned by structure.group_loglik_cached
 
     @classmethod
     def create(cls, panel, alpha0, assignments, group_alphas, hypers, rng):
@@ -681,11 +733,35 @@ def state_payload(state: ChainState) -> dict:
     }
 
 
+def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
+    """Raise ``ValueError`` unless the groups partition the panel's series, every
+    regime sequence labels all T steps with contiguous labels 1..K, every series
+    has one lag cell per offset and every concentration is positive."""
+    assignments = payload["assignments"]
+    groups = payload["groups"]
+    num_series = panel.num_series
+    if len(assignments) != num_series or len(payload["hypers"]) != num_series:
+        raise ValueError(f"chain state does not cover the panel's {num_series} series")
+    if any(len(entry["cohesion"]) != panel.window for entry in payload["hypers"]):
+        raise ValueError(f"every series needs {panel.window} lag cells")
+    if not all(a > 0 for a in [payload["alpha0"]] + [g["alpha"] for g in groups]):
+        raise ValueError("concentrations must be positive")
+    if sorted(set(assignments)) != list(range(1, len(groups) + 1)):
+        raise ValueError(f"assignments {assignments} do not label {len(groups)} groups 1..M")
+    for m, entry in enumerate(groups, start=1):
+        if sorted(entry["members"]) != [n for n, c in enumerate(assignments) if c == m]:
+            raise ValueError(f"group {m} members {entry['members']} disagree with assignments")
+        z = entry["z"]
+        if len(z) != panel.num_steps or sorted(set(z)) != list(range(1, max(z, default=0) + 1)):
+            raise ValueError(f"group {m} sequence must label all {panel.num_steps} steps 1..K")
+
+
 def state_from_payload(payload: dict, panel: TimeSeriesPanel) -> ChainState:
     if payload.get("schema_version") != STATE_SCHEMA_VERSION:
         raise ValueError(
             f"chain state schema {payload.get('schema_version')} != {STATE_SCHEMA_VERSION}"
         )
+    _check_payload(payload, panel)
     hypers = [
         SeriesHypers(
             emission=NigHyper(*entry["emission"]),

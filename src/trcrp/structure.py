@@ -9,9 +9,15 @@ from a tractable prior is what keeps the dimension-changing cases free of
 reversible-jump machinery.
 
 The empty-member loglik terms of the ratio are the *density the fresh or
-reused sequence was proposed from* (the no-emission partial loglik), which
-makes the ratio exact for this proposal; this is validated against log-joint
-differencing in the tests.
+reused sequence was proposed from* (the no-emission loglik of the moved series
+alone), which makes the ratio exact for this proposal; this is validated
+against log-joint differencing in the tests.
+
+Every other term is a group's loglik over some ordered subset of series.  A
+pass builds one :class:`~trcrp.model.PrefixStats` table per group the first
+time it needs one, over every series' lag and emission cells, and reads each
+subset's terms from it; only a freshly forward-sampled sequence is scored
+without a table.  There is no memo across passes.
 """
 
 from __future__ import annotations
@@ -19,12 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ChainState, GroupModel, forward_sample_sequence, sequence_loglik
+from .model import (
+    ChainState,
+    GroupModel,
+    PrefixStats,
+    forward_sample_sequence,
+    prefix_stats,
+    sequence_loglik,
+)
 from .util import gumbel_argmax
 
 __all__ = [
-    "partial_loglik",
-    "group_loglik_cached",
     "ClusterProposal",
     "propose_c",
     "accept_c",
@@ -34,41 +45,15 @@ __all__ = [
 FRESH = 0  # proposal target meaning "new singleton group"
 
 
-def partial_loglik(state: ChainState, z, alpha, series, include_emission=True):
-    """Group term of the log joint for sequence ``z`` scored against ``series``.
-
-    With an empty subset this is the CRP log mass of the sequence itself (the
-    cohesion product is empty, so the reweighted prior self-normalizes to the
-    plain CRP).
-    """
-    return sequence_loglik(
-        z,
-        list(series),
-        alpha,
-        state.hypers,
-        state.values,
-        state.observed,
-        state.panel.window,
-        include_emission=include_emission,
-    )
-
-
-def group_loglik_cached(state: ChainState, group: GroupModel) -> float:
-    """Full-group sequential loglik, memoized by everything the value depends on."""
-    key = (
-        tuple(group.regimes.z),
-        tuple(group.members),
-        group.alpha,
-        tuple(state.hypers[n] for n in group.members),
-    )
-    value = state.loglik_cache.get(key)
-    if value is None:
-        value = sequence_loglik(
-            group.regimes.z, group.members, group.alpha, group.hypers,
-            state.values, state.observed, group.window,
+def _table(state: ChainState, tables: dict, group: GroupModel) -> PrefixStats:
+    """``group``'s prefix table over every series' lag and emission cells, built once."""
+    table = tables.get(group)
+    if table is None:
+        table = tables[group] = prefix_stats(
+            group.regimes.z, range(state.num_series), state.hypers,
+            state.values, state.observed, state.panel.window, emission=True,
         )
-        state.loglik_cache[key] = value
-    return value
+    return table
 
 
 @dataclass
@@ -86,14 +71,15 @@ class ClusterProposal:
     targets: list[int]
 
 
-def propose_c(state: ChainState, n: int, rng) -> ClusterProposal:
+def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
     """Score every destination for series n and draw one.
 
     Existing groups weigh as (member count without n) times the fit of n's
     data to their sequence; the singleton slot weighs as alpha0 times the fit
     to a fresh sequence, forward-sampled from the lag-reweighted prior with a
     Gamma(1,1) concentration (or the series' own sequence when it already
-    sits alone, in which case choosing the slot is a no-op).
+    sits alone, in which case choosing the slot is a no-op).  ``tables``
+    holds the pass's group tables (see :func:`sweep_c`).
     """
     current = state.assignments[n]
     cur_group = state.group_of(n)
@@ -106,7 +92,7 @@ def propose_c(state: ChainState, n: int, rng) -> ClusterProposal:
         others = len(group.members) - (1 if m == current else 0)
         if others == 0:
             continue
-        fit = partial_loglik(state, group.regimes.z, group.alpha, [n])
+        fit = _table(state, tables, group).subset_loglik([n], group.alpha)
         member_logliks[m] = fit
         targets.append(m)
         weights.append(math.log(others) + fit)
@@ -114,8 +100,9 @@ def propose_c(state: ChainState, n: int, rng) -> ClusterProposal:
     if is_singleton:
         slot_z = list(cur_group.regimes.z)
         slot_alpha = cur_group.alpha
-        slot_log_density = partial_loglik(state, slot_z, slot_alpha, [n], include_emission=False)
-        slot_loglik = group_loglik_cached(state, cur_group)
+        table = _table(state, tables, cur_group)
+        slot_log_density = table.subset_loglik([n], slot_alpha, emission=False)
+        slot_loglik = table.subset_loglik([n], slot_alpha)
     else:
         slot_alpha = float(rng.gamma(1.0, 1.0))
         slot_z, slot_log_density = forward_sample_sequence(
@@ -128,7 +115,10 @@ def propose_c(state: ChainState, n: int, rng) -> ClusterProposal:
             state.panel.window,
             rng,
         )
-        slot_loglik = partial_loglik(state, slot_z, slot_alpha, [n])
+        slot_loglik = sequence_loglik(
+            slot_z, [n], slot_alpha, state.hypers, state.values, state.observed,
+            state.panel.window,
+        )
     targets.append(FRESH)
     weights.append(math.log(state.alpha0) + slot_loglik)
 
@@ -147,7 +137,7 @@ def propose_c(state: ChainState, n: int, rng) -> ClusterProposal:
     )
 
 
-def cluster_log_ratio(state: ChainState, proposal: ClusterProposal) -> float:
+def cluster_log_ratio(state: ChainState, proposal: ClusterProposal, tables: dict) -> float:
     """Exact MH log ratio for the proposed move (0 for no-ops)."""
     n = proposal.series
     current = proposal.current
@@ -163,25 +153,25 @@ def cluster_log_ratio(state: ChainState, proposal: ClusterProposal) -> float:
         tgt_fit = proposal.slot_loglik
     else:
         tgt_group = state.groups[target - 1]
-        tgt_without = group_loglik_cached(state, tgt_group)
-        tgt_with = partial_loglik(
-            state, tgt_group.regimes.z, tgt_group.alpha, tgt_group.members + [n]
-        )
+        table = _table(state, tables, tgt_group)
+        tgt_without = table.subset_loglik(tgt_group.members, tgt_group.alpha)
+        tgt_with = table.subset_loglik(tgt_group.members + [n], tgt_group.alpha)
         tgt_fit = proposal.member_logliks[target]
 
-    cur_with = group_loglik_cached(state, cur_group)
+    table = _table(state, tables, cur_group)
+    cur_with = table.subset_loglik(cur_group.members, cur_group.alpha)
     if is_singleton:
         cur_without = proposal.slot_log_density
         cur_fit = cur_with
     else:
         remaining = [m for m in cur_group.members if m != n]
-        cur_without = partial_loglik(state, cur_group.regimes.z, cur_group.alpha, remaining)
+        cur_without = table.subset_loglik(remaining, cur_group.alpha)
         cur_fit = proposal.member_logliks[current]
 
     return (tgt_with + cur_without) - (tgt_without + cur_with) + (cur_fit - tgt_fit)
 
 
-def accept_c(state: ChainState, proposal: ClusterProposal, rng, heuristic=False):
+def accept_c(state: ChainState, proposal: ClusterProposal, rng, tables: dict, heuristic=False):
     """Accept/reject the proposal and apply it; returns (accepted, moved, log_r)."""
     n = proposal.series
     current = proposal.current
@@ -192,7 +182,7 @@ def accept_c(state: ChainState, proposal: ClusterProposal, rng, heuristic=False)
         return True, False, 0.0
     log_r = 0.0
     if not heuristic:
-        log_r = cluster_log_ratio(state, proposal)
+        log_r = cluster_log_ratio(state, proposal, tables)
         if log_r < 0 and math.log(rng.random()) >= log_r:
             return False, False, log_r
     _apply_move(state, proposal)
@@ -229,12 +219,17 @@ def _apply_move(state: ChainState, proposal: ClusterProposal) -> None:
 
 
 def sweep_c(state: ChainState, rng, heuristic=False) -> dict:
-    """One reassignment pass over every series."""
-    state.loglik_cache.clear()  # keys never go stale; clearing bounds the memo to one pass
+    """One reassignment pass over every series.
+
+    The pass keeps one prefix table per group, keyed by the group object:
+    moves change memberships but never a group's sequence, its concentration
+    or the hypers, so a table stays valid for the whole pass.
+    """
+    tables: dict = {}
     stats = {"series": 0, "accepted": 0, "moved": 0}
     for n in range(state.num_series):
-        proposal = propose_c(state, n, rng)
-        accepted, moved, _ = accept_c(state, proposal, rng, heuristic=heuristic)
+        proposal = propose_c(state, n, rng, tables)
+        accepted, moved, _ = accept_c(state, proposal, rng, tables, heuristic=heuristic)
         stats["series"] += 1
         stats["accepted"] += accepted
         stats["moved"] += moved

@@ -224,6 +224,66 @@ def test_depprob_schema_mismatch_exit_3(runner, tmp_path, rng):
     assert result.exit_code == 3
 
 
+def _unknown_config_key(doc):
+    doc["config"]["colour"] = "blue"
+
+
+def _null_config(doc):
+    doc["config"] = None
+
+
+def _short_sequence(doc):
+    doc["chains"][0]["groups"][0]["z"].pop()
+
+
+def _member_out_of_range(doc):
+    doc["chains"][0]["groups"][0]["members"][0] = len(doc["panel"]["series_names"])
+
+
+def _empty_regimes(doc):
+    group = doc["chains"][0]["groups"][0]
+    group["z"] = [5] * len(group["z"])
+
+
+def _negative_scale(doc):
+    doc["chains"][0]["hypers"][0]["emission"][1] = -1.0
+
+
+def _missing_lag_cell(doc):
+    doc["chains"][0]["hypers"][0]["cohesion"].pop()
+
+
+def _zero_concentration(doc):
+    doc["chains"][0]["groups"][0]["alpha"] = 0.0
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _unknown_config_key,
+        _null_config,
+        _short_sequence,
+        _member_out_of_range,
+        _empty_regimes,
+        _negative_scale,
+        _missing_lag_cell,
+        _zero_concentration,
+    ],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_malformed_sampleset_exit_3(runner, tmp_path, rng, corrupt):
+    _, samples = run_fit(runner, tmp_path, rng)
+    doc = json.loads(samples.read_text())
+    corrupt(doc)
+    samples.write_text(json.dumps(doc))
+    result = runner.invoke(main, [
+        "forecast", str(samples), "--horizon", "3", "--draws", "10",
+        "--out", str(tmp_path / "fc.csv"),
+    ])
+    assert result.exit_code == 3, result.output
+    assert "cannot read sample set" in result.output
+
+
 def test_simulate_round_trips_through_fit(runner, tmp_path):
     out = tmp_path / "sim.csv"
     result = runner.invoke(main, [

@@ -110,7 +110,7 @@ def test_equal_conditionals_sample_uniformly():
     rng = np.random.default_rng(0)
     draws = []
     for _ in range(3000):
-        gibbs_hyper(state, ("emission", 0, "V"), rng)
+        gibbs_hyper(state, ("cell", 0, 0, "V"), rng)
         draws.append(state.hypers[0].emission.V)
     freqs = np.array([draws.count(p) for p in grids.series[0].V.points]) / len(draws)
     assert abs(freqs - 1.0 / GRID_SIZE).max() < 0.02
@@ -118,7 +118,7 @@ def test_equal_conditionals_sample_uniformly():
 
 def test_sampled_values_are_grid_members(rng):
     panel, state = state_for_gibbs(rng)
-    for spec in (("alpha0",), ("alpha", 1), ("emission", 0, "b"), ("cohesion", 1, 1, "m")):
+    for spec in (("alpha0",), ("alpha", 1), ("cell", 0, 0, "b"), ("cell", 1, 1, "m")):
         gibbs_hyper(state, spec, rng)
     assert state.alpha0 in state.grids.alpha0.points
     assert state.groups[0].alpha in state.grids.group_alpha.points
@@ -149,24 +149,6 @@ def test_alpha_tracks_regime_count():
     assert many > few * 2
 
 
-def restricted_matches_joint(state, spec, apply_point):
-    """Gibbs-restricted differences must equal full log-joint differences."""
-    grids = state.grids
-    if spec[0] == "alpha0":
-        points = grids.alpha0.points
-    elif spec[0] == "alpha":
-        points = grids.group_alpha.points
-    elif spec[0] == "emission":
-        points = grids.series[spec[1]].field(spec[2]).points
-    else:
-        points = grids.series[spec[1]].field(spec[3]).points
-    joints = []
-    for value in points[:6]:
-        apply_point(value)
-        joints.append(log_joint(state))
-    return points[:6], joints
-
-
 def test_alpha0_restricted_matches_log_joint(rng):
     values = [list(rng.normal(size=7)) for _ in range(3)]
     panel = make_panel(values, window=1)
@@ -193,7 +175,7 @@ def test_alpha0_restricted_matches_log_joint(rng):
 def test_group_alpha_restricted_matches_log_joint(rng):
     panel, state = state_for_gibbs(rng, num_series=2, steps=8, window=1)
     group = state.groups[0]
-    table = hypers_mod._GroupTable(group, state.values, state.observed)
+    table = hypers_mod._group_table(state, group)
     points = state.grids.group_alpha.points[:6]
     restricted = hypers_mod._alpha_logits(state, table)[:6]
     joints = []
@@ -209,12 +191,13 @@ def test_group_alpha_restricted_matches_log_joint(rng):
 def test_emission_restricted_matches_log_joint(rng):
     panel, state = state_for_gibbs(rng)
     n = 0
+    table = hypers_mod._group_table(state, state.groups[0])
     current = state.hypers[n].emission
     points = state.grids.series[n].b.points[:6]
-    restricted = hypers_mod._emission_logits(state, n, "b")[:6]
+    restricted = hypers_mod._cell_logits(state, n, 0, "b", table)[0][:6]
     joints = []
     for value in points:
-        state.hypers[n] = state.hypers[n].replace_emission(current.replace(b=value))
+        state.hypers[n] = state.hypers[n].replace_cell(0, current.replace(b=value))
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -232,13 +215,13 @@ def test_cohesion_restricted_matches_log_joint(rng):
     state.grids = grids
     group = state.groups[0]
     n, offset = 0, 2
-    table = hypers_mod._GroupTable(group, state.values, state.observed)
+    table = hypers_mod._group_table(state, group)
     current = state.hypers[n].cohesion[offset - 1]
     points = grids.series[n].V.points[:6]
-    restricted = hypers_mod._lag_logits(state, n, offset, "V", table)[0][:6]
+    restricted = hypers_mod._cell_logits(state, n, offset, "V", table)[0][:6]
     joints = []
     for value in points:
-        state.hypers[n] = state.hypers[n].replace_cohesion(offset, current.replace(V=value))
+        state.hypers[n] = state.hypers[n].replace_cell(offset, current.replace(V=value))
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -254,26 +237,32 @@ def stacked(*cells):
 def test_table_update_matches_rebuild(rng):
     panel, state = state_for_gibbs(rng, num_series=2)
     group = state.groups[0]
-    table = hypers_mod._GroupTable(group, state.values, state.observed)
-    new_hyper = state.hypers[0].cohesion[0].replace(m=2.5, V=3.0)
-    _, factors = table.lag_logliks(group.alpha, 0, 1, stacked(new_hyper))
-    table.update_cohesion(0, 1, factors[0])
-    state.hypers[0] = state.hypers[0].replace_cohesion(1, new_hyper)
-    fresh = hypers_mod._GroupTable(group, state.values, state.observed)
     alphas = state.grids.group_alpha.points[::6]
-    np.testing.assert_allclose(
-        table.alpha_logliks(alphas), fresh.alpha_logliks(alphas), rtol=0, atol=1e-12
-    )
-    cands = stacked(new_hyper, new_hyper.replace(a=0.7, b=4.0))
-    for alpha in alphas:
-        for n in group.members:
-            for offset in range(1, panel.window + 1):
-                np.testing.assert_allclose(
-                    table.lag_logliks(alpha, n, offset, cands)[0],
-                    fresh.lag_logliks(alpha, n, offset, cands)[0],
-                    rtol=0,
-                    atol=1e-12,
-                )
+    # the lag cell first, then the emission cell on top of it
+    for offset in (1, 0):
+        table = hypers_mod._group_table(state, group)
+        new_hyper = state.hypers[0].cell(offset).replace(m=2.5, V=3.0)
+        _, factors = table.cell_logliks(0, offset, stacked(new_hyper), group.alpha)
+        table.install(0, offset, factors[0])
+        state.hypers[0] = state.hypers[0].replace_cell(offset, new_hyper)
+        fresh = hypers_mod._group_table(state, group)
+        np.testing.assert_array_equal(table.factors, fresh.factors)
+        np.testing.assert_allclose(
+            table.loglik(table.log_weights(alphas)),
+            fresh.loglik(fresh.log_weights(alphas)),
+            rtol=0,
+            atol=1e-12,
+        )
+        cands = stacked(new_hyper, new_hyper.replace(a=0.7, b=4.0))
+        for alpha in alphas:
+            for n in group.members:
+                for cell in range(panel.window + 1):
+                    np.testing.assert_allclose(
+                        table.cell_logliks(n, cell, cands, alpha)[0],
+                        fresh.cell_logliks(n, cell, cands, alpha)[0],
+                        rtol=0,
+                        atol=1e-12,
+                    )
 
 
 # -- exact conditionals against the brute-force log joint ----------------------
@@ -333,12 +322,11 @@ def softmax(logits):
 
 
 def grid_conditional(state, spec):
-    table = hypers_mod._GroupTable(state.groups[0], state.values, state.observed)
+    table = hypers_mod._group_table(state, state.groups[0])
     if spec[0] == "alpha":
         return softmax(hypers_mod._alpha_logits(state, table))
-    if spec[0] == "emission":
-        return softmax(hypers_mod._emission_logits(state, 0, spec[1]))
-    return softmax(hypers_mod._lag_logits(state, 0, spec[1], spec[2], table)[0])
+    offset = 0 if spec[0] == "emission" else spec[1]
+    return softmax(hypers_mod._cell_logits(state, 0, offset, spec[-1], table)[0])
 
 
 @pytest.mark.parametrize(
@@ -358,7 +346,7 @@ def test_grid_conditional_matches_brute_force(spec):
 def test_lag_sampler_matches_brute_force_conditional():
     # The V conditional of a lag cell does not depend on the cell's current V,
     # so the draws of a chain of these moves are independent draws from it,
-    # provided each accepted move refreshes the table (update_cohesion).
+    # provided each accepted move refreshes the table (install).
     # For N multinomial draws over k = 30 cells, E|p_hat_i - p_i| <=
     # sqrt(2 p_i (1 - p_i) / (pi N)) (half-normal mean), so E[TV] <=
     # 1/2 sum_i sqrt(2 p_i / (pi N)) <= 1/2 sqrt(2 k / (pi N)) by Cauchy-Schwarz;
@@ -371,16 +359,16 @@ def test_lag_sampler_matches_brute_force_conditional():
     lag = state.hypers[0].cohesion[1].replace(
         m=sg.m.points[0], a=sg.a.points[-1], b=sg.b.points[0]
     )
-    state.hypers[0] = state.hypers[0].replace_cohesion(2, lag)
+    state.hypers[0] = state.hypers[0].replace_cell(2, lag)
     want = brute_force_conditional(state, panel, ("cohesion", 2, "V"))
     assert 0.5 * np.abs(want - 1.0 / GRID_SIZE).sum() > 0.15
-    table = hypers_mod._GroupTable(state.groups[0], state.values, state.observed)
+    table = hypers_mod._group_table(state, state.groups[0])
     index = {v: i for i, v in enumerate(grid_of(state, ("cohesion", 2, "V")))}
     rng = np.random.default_rng(3)
     num = 20_000
     counts = np.zeros(GRID_SIZE)
     for _ in range(num):
-        gibbs_hyper(state, ("cohesion", 0, 2, "V"), rng, table=table)
+        gibbs_hyper(state, ("cell", 0, 2, "V"), rng, table=table)
         counts[index[state.hypers[0].cohesion[1].V]] += 1
     bound = 3 * 0.5 * math.sqrt(2 * GRID_SIZE / (math.pi * num))
     assert 0.5 * np.abs(counts / num - want).sum() <= bound
@@ -406,18 +394,21 @@ def test_hyper_sweep_keeps_stats_consistent(rng):
 
 def test_emission_move_touches_only_its_series(rng):
     panel, state = state_for_gibbs(rng, num_series=2)
+    group = state.groups[0]
     before = state.hypers[0]
-    logits = hypers_mod._emission_logits(state, 0, "a")
-    gibbs_hyper(state, ("emission", 0, "a"), np.random.default_rng(1))
+    logits = hypers_mod._cell_logits(state, 0, 0, "a", hypers_mod._group_table(state, group))[0]
+    gibbs_hyper(state, ("cell", 0, 0, "a"), np.random.default_rng(1))
     drawn = state.hypers[0].emission
     state.hypers[0] = before
-    for row in state.group_of(1).cells[1]:
-        for stats in row:
-            stats.sum = stats.sum_sq = math.nan
-    after = hypers_mod._emission_logits(state, 0, "a")
+    table = hypers_mod._group_table(state, group)
+    for offset in range(panel.window + 1):
+        row = table.index[1, offset]
+        for name in ("total", "total_sq", "x", "factors"):
+            getattr(table, name)[row] = math.nan
+    after = hypers_mod._cell_logits(state, 0, 0, "a", table)[0]
     assert np.isfinite(after).all()
     assert np.array_equal(after, logits)
-    gibbs_hyper(state, ("emission", 0, "a"), np.random.default_rng(1))
+    gibbs_hyper(state, ("cell", 0, 0, "a"), np.random.default_rng(1), table=table)
     assert state.hypers[0].emission == drawn
 
 

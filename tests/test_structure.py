@@ -8,26 +8,30 @@ dimension-changing ones.
 """
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+import trcrp.structure as structure
 from conftest import hyper_tuples, make_panel, uniform_hypers
 from oracles import canonical_sequences, naive_group_loglik
 from test_model import build_state
-from trcrp.conjugate import NigHyper
-from trcrp.model import GroupModel, crp_log_weights, log_joint, sequence_loglik
+from trcrp.model import GroupModel, crp_log_weights, log_joint, prefix_stats, sequence_loglik
 from trcrp.structure import (
     FRESH,
     ClusterProposal,
     accept_c,
     cluster_log_ratio,
-    group_loglik_cached,
-    partial_loglik,
     propose_c,
     sweep_c,
 )
 from trcrp.util import log_gamma11_pdf, logsumexp
+
+
+def data_of(state):
+    """The hypers, data and window arguments of ``sequence_loglik`` for ``state``."""
+    return state.hypers, state.values, state.observed, state.panel.window
 
 
 def state_description(state):
@@ -78,7 +82,7 @@ def direct_weight_vector(state, n, slot_loglik):
         others = len(group.members) - (1 if m == current else 0)
         if others == 0:
             continue
-        fit = partial_loglik(state, group.regimes.z, group.alpha, [n])
+        fit = sequence_loglik(group.regimes.z, [n], group.alpha, *data_of(state))
         targets.append(m)
         weights.append(math.log(others) + fit)
     targets.append(FRESH)
@@ -110,7 +114,9 @@ def exact_log_ratio(panel, hypers, state, proposal):
     # reverse proposal: move n back to its old group from the post state
     if target == FRESH:
         # n now sits alone; the reverse reuses its own sequence, no draw
-        rev_slot_loglik = partial_loglik(post_state, proposal.slot_z, proposal.slot_alpha, [n])
+        rev_slot_loglik = sequence_loglik(
+            proposal.slot_z, [n], proposal.slot_alpha, *data_of(post_state)
+        )
         back = current if current <= len(post_state.groups) else FRESH
         rev_targets, rev_weights = direct_weight_vector(post_state, n, rev_slot_loglik)
         log_g_rev = rev_weights[rev_targets.index(current)] - logsumexp(rev_weights)
@@ -118,16 +124,18 @@ def exact_log_ratio(panel, hypers, state, proposal):
         # old group vanished: the reverse move must redraw exactly (alpha_cur, z_cur)
         # and pick the fresh slot
         old_alpha, old_z = desc[2][current - 1]
-        rev_slot_loglik = partial_loglik(post_state, old_z, old_alpha, [n])
-        rev_density = log_gamma11_pdf(old_alpha) + partial_loglik(
-            post_state, old_z, old_alpha, [n], include_emission=False
+        rev_slot_loglik = sequence_loglik(old_z, [n], old_alpha, *data_of(post_state))
+        rev_density = log_gamma11_pdf(old_alpha) + sequence_loglik(
+            old_z, [n], old_alpha, *data_of(post_state), include_emission=False
         )
         rev_targets, rev_weights = direct_weight_vector(post_state, n, rev_slot_loglik)
         log_g_rev = rev_density + rev_weights[rev_targets.index(FRESH)] - logsumexp(rev_weights)
     else:
         # both directions draw an aux slot; pin the reverse one to the forward
         # draw so the aux densities cancel
-        rev_slot_loglik = partial_loglik(post_state, proposal.slot_z, proposal.slot_alpha, [n])
+        rev_slot_loglik = sequence_loglik(
+            proposal.slot_z, [n], proposal.slot_alpha, *data_of(post_state)
+        )
         rev_targets, rev_weights = direct_weight_vector(post_state, n, rev_slot_loglik)
         log_g_rev = (
             log_gamma11_pdf(proposal.slot_alpha)
@@ -159,7 +167,8 @@ def test_partial_loglik_empty_subset_self_normalizes(rng):
     hypers = uniform_hypers(1, 1)
     state = build_state(panel, hypers, [[1, 1, 2, 1]], [1], alphas=[0.8])
     values = [
-        partial_loglik(state, z, 0.8, []) for z in canonical_sequences(panel.num_steps)
+        sequence_loglik(z, [], 0.8, *data_of(state))
+        for z in canonical_sequences(panel.num_steps)
     ]
     assert logsumexp(values) == pytest.approx(0.0, abs=1e-10)
 
@@ -195,7 +204,7 @@ def test_partial_loglik_series_terms_add_across_subsets(rng):
 def test_partial_loglik_matches_log_joint_restriction(rng):
     panel, hypers, state = make_two_series_state(rng, merged=True)
     group = state.groups[0]
-    got = partial_loglik(state, group.regimes.z, group.alpha, group.members)
+    got = sequence_loglik(group.regimes.z, group.members, group.alpha, *data_of(state))
     # log_joint minus its prior and partition-mass terms
     want = log_joint(state) - (
         -state.alpha0
@@ -211,7 +220,7 @@ def test_single_series_state_outer_mass_is_constant(rng):
     panel = make_panel([list(rng.normal(size=5))], window=1)
     hypers = uniform_hypers(1, 1)
     state = build_state(panel, hypers, [[1, 2, 1, 1]], [1], alpha0=2.3, alphas=[0.8])
-    group_term = partial_loglik(state, state.groups[0].regimes.z, 0.8, [0])
+    group_term = sequence_loglik(state.groups[0].regimes.z, [0], 0.8, *data_of(state))
     assert log_joint(state) == pytest.approx(
         -2.3 - 0.8 + group_term, abs=1e-10
     )
@@ -224,9 +233,9 @@ def test_propose_single_series_is_noop(rng):
     panel = make_panel([list(rng.normal(size=5))], window=1)
     hypers = uniform_hypers(1, 1)
     state = build_state(panel, hypers, [[1, 1, 2, 1]], [1])
-    proposal = propose_c(state, 0, rng)
+    proposal = propose_c(state, 0, rng, {})
     assert proposal.target == FRESH
-    accepted, moved, log_r = accept_c(state, proposal, rng)
+    accepted, moved, log_r = accept_c(state, proposal, rng, {})
     assert accepted and not moved and log_r == 0.0
     assert state.assignments == [1]
 
@@ -238,7 +247,7 @@ def test_propose_weights_match_direct_evaluation(rng):
     state = build_state(
         panel, hypers, [[1, 2, 1, 1, 2, 1], [1, 1, 2, 1, 2, 2]], [1, 1, 2], alphas=[0.9, 1.1]
     )
-    proposal = propose_c(state, 0, rng)
+    proposal = propose_c(state, 0, rng, {})
     targets, weights = direct_weight_vector(state, 0, proposal.slot_loglik)
     assert targets == proposal.targets
     impl = np.exp(np.array(proposal.log_weights) - logsumexp(proposal.log_weights))
@@ -251,8 +260,8 @@ def test_symmetric_series_weigh_symmetrically(rng):
     panel = make_panel([row, list(row)], window=1)
     hypers = uniform_hypers(2, 1)
     state = build_state(panel, hypers, [[1, 2, 1, 1, 2]], [1, 1])
-    p0 = propose_c(state, 0, np.random.default_rng(1))
-    p1 = propose_c(state, 1, np.random.default_rng(1))
+    p0 = propose_c(state, 0, np.random.default_rng(1), {})
+    p1 = propose_c(state, 1, np.random.default_rng(1), {})
     # identical data: the existing-group weight must agree under the swap
     assert p0.member_logliks[1] == pytest.approx(p1.member_logliks[1], abs=1e-12)
 
@@ -263,7 +272,7 @@ def test_symmetric_series_weigh_symmetrically(rng):
 def force_proposal(state, n, target, rng):
     """Draw proposals until the sampler picks the requested target."""
     for _ in range(500):
-        proposal = propose_c(state, n, rng)
+        proposal = propose_c(state, n, rng, {})
         if proposal.target == target:
             return proposal
     raise AssertionError(f"never proposed target {target}")
@@ -273,7 +282,7 @@ def test_ratio_merged_to_fresh_matches_differencing(rng):
     panel, hypers, state = make_two_series_state(rng, merged=True)
     for n in (0, 1):
         proposal = force_proposal(state, n, FRESH, rng)
-        got = cluster_log_ratio(state, proposal)
+        got = cluster_log_ratio(state, proposal, {})
         want = exact_log_ratio(panel, hypers, state, proposal)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -283,7 +292,7 @@ def test_ratio_singleton_to_existing_matches_differencing(rng):
     for n in (0, 1):
         other = 2 if n == 0 else 1
         proposal = force_proposal(state, n, other, rng)
-        got = cluster_log_ratio(state, proposal)
+        got = cluster_log_ratio(state, proposal, {})
         want = exact_log_ratio(panel, hypers, state, proposal)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -296,7 +305,7 @@ def test_ratio_existing_to_existing_matches_differencing(rng):
         panel, hypers, [[1, 2, 1, 1], [1, 1, 2, 1]], [1, 1, 2], alpha0=1.4, alphas=[0.8, 1.0]
     )
     proposal = force_proposal(state, 0, 2, rng)
-    got = cluster_log_ratio(state, proposal)
+    got = cluster_log_ratio(state, proposal, {})
     want = exact_log_ratio(panel, hypers, state, proposal)
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -309,7 +318,7 @@ def test_ratio_nonsingleton_to_fresh_matches_differencing(rng):
         panel, hypers, [[1, 2, 1, 1], [1, 1, 2, 1]], [1, 1, 2], alpha0=1.4, alphas=[0.8, 1.0]
     )
     proposal = force_proposal(state, 1, FRESH, rng)
-    got = cluster_log_ratio(state, proposal)
+    got = cluster_log_ratio(state, proposal, {})
     want = exact_log_ratio(panel, hypers, state, proposal)
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -318,7 +327,7 @@ def test_self_move_is_accepted_noop(rng):
     panel, hypers, state = make_two_series_state(rng, merged=True)
     proposal = force_proposal(state, 0, 1, rng)
     before = state_description(state)
-    accepted, moved, log_r = accept_c(state, proposal, rng)
+    accepted, moved, log_r = accept_c(state, proposal, rng, {})
     assert accepted and not moved and log_r == 0.0
     assert state_description(state) == before
 
@@ -334,44 +343,69 @@ def test_accepted_moves_keep_state_consistent(rng):
     rng2 = np.random.default_rng(99)
     for _ in range(30):
         n = int(rng2.integers(4))
-        proposal = propose_c(state, n, rng2)
-        accept_c(state, proposal, rng2)
+        proposal = propose_c(state, n, rng2, {})
+        accept_c(state, proposal, rng2, {})
         state.check_consistency()
 
 
-def test_loglik_cache_is_bit_identical(rng):
-    panel, hypers, state = make_two_series_state(rng, merged=True)
-    group = state.groups[0]
-    first = group_loglik_cached(state, group)
-    assert list(state.loglik_cache.values()) == [first]
-    assert group_loglik_cached(state, group) == first
-    state.loglik_cache.clear()
-    assert group_loglik_cached(state, group) == first
+# -- group tables -------------------------------------------------------------------
 
 
-def test_loglik_cache_follows_z_alpha_and_hypers(rng):
-    # no manual invalidation: the memo is keyed by what the value depends on
-    panel, hypers, state = make_two_series_state(rng, merged=True)
-    group = state.groups[0]
-    seen = []
+@pytest.mark.parametrize("window", [0, 2])
+def test_table_subset_loglik_is_bit_equal_to_sequence_loglik(window):
+    rng = np.random.default_rng(21)
+    values = [list(rng.normal(size=7 + window)) for _ in range(3)]
+    values[1][window + 3] = None
+    panel = make_panel(values, window=window)
+    hypers = [
+        uniform_hypers(1, window, m=0.1 * n, V=0.8 + n, a=1.5 + 0.3 * n, b=0.7 + n)[0]
+        for n in range(3)
+    ]
+    state = build_state(panel, hypers, [[1, 2, 1, 3, 2, 1, 1]], [1, 1, 1], alphas=[0.9])
+    z = state.groups[0].regimes.z
+    table = prefix_stats(z, range(3), *data_of(state), emission=True)
+    subsets = [list(p) for r in range(4) for p in permutations(range(3), r)]
+    assert len(subsets) == 16
+    for series in subsets:
+        for emission in (False, True):
+            want = sequence_loglik(z, series, 0.9, *data_of(state), include_emission=emission)
+            assert table.subset_loglik(series, 0.9, emission=emission) == want
 
-    def check():
-        want = sequence_loglik(
-            group.regimes.z, group.members, group.alpha, state.hypers,
-            state.values, state.observed, group.window,
-        )
-        assert group_loglik_cached(state, group) == want
-        seen.append(want)
 
-    check()
-    group.unassign(2, panel.values, panel.observed)
-    group.assign(2, 1, panel.values, panel.observed)
-    check()
-    group.alpha = 2.5
-    check()
-    state.hypers[1] = state.hypers[1].replace_emission(NigHyper(1.0, 0.5, 3.0, 2.0))
-    check()
-    assert len(set(seen)) == len(seen)
+def test_sweep_tables_follow_groups_through_renumbering(monkeypatch):
+    # Series 0 sits alone with data that fit group 2; when it leaves, group 2 is
+    # renumbered to 1, so a table keyed by label would score the wrong sequence.
+    rng = np.random.default_rng(5)
+    base = np.sin(np.arange(10) / 1.5)
+    values = [list(base + rng.normal(scale=0.05, size=10)) for _ in range(3)]
+    values[2][6] = None
+    panel = make_panel(values, window=1)
+    hypers = uniform_hypers(3, 1)
+    state = build_state(
+        panel, hypers, [[1, 2, 1, 2, 1, 1, 2, 1, 2], [1, 2, 1, 1, 2, 2, 1, 2, 1]], [1, 2, 2],
+        alpha0=0.5, alphas=[1.0, 0.7],
+    )
+    checked = []
+
+    def checking_accept(state, proposal, rng, tables, heuristic=False):
+        left_alone = len(state.groups[proposal.current - 1].members) == 1
+        result = real_accept(state, proposal, rng, tables, heuristic=heuristic)
+        if result[1]:
+            checked.append(left_alone)
+            for group in state.groups:
+                table = structure._table(state, tables, group)
+                want = sequence_loglik(
+                    group.regimes.z, group.members, group.alpha, *data_of(state)
+                )
+                assert table.subset_loglik(group.members, group.alpha) == want
+        return result
+
+    real_accept = structure.accept_c
+    monkeypatch.setattr(structure, "accept_c", checking_accept)
+    sweep_rng = np.random.default_rng(0)
+    for _ in range(10):
+        sweep_c(state, sweep_rng)
+    assert any(checked), "no singleton left its group"
 
 
 def test_sweep_single_group_stays_merged_with_tiny_alpha0():
@@ -403,6 +437,6 @@ def test_sweep_acceptance_decisions_invariant_to_relabeling(rng):
         member_logliks=dict(pa.member_logliks), log_weights=list(pa.log_weights),
         targets=list(pa.targets),
     )
-    assert cluster_log_ratio(state_a, pa) == pytest.approx(
-        cluster_log_ratio(state_b, pb), abs=1e-10
+    assert cluster_log_ratio(state_a, pa, {}) == pytest.approx(
+        cluster_log_ratio(state_b, pb, {}), abs=1e-10
     )
