@@ -8,11 +8,12 @@ is a Student-T.  The lag-matching cohesion weight is a product of the same
 Student-T predictives, one per lag offset, restricted to observed lag cells.
 
 All densities are log densities; products elsewhere in the model are sums of
-the values computed here.  The per-step hot path (:func:`predictive_logpdf_raw`)
-is deliberately flat scalar code: the samplers call it millions of times.
-Passes over a whole regime sequence use :func:`predictive_logpdf_array`, the
-same formula over arrays of statistics.  It broadcasts its hyperparameters,
-so a grid of candidate values on a leading axis is scored in one call.
+the values computed here.  The single-site proposal and forward sampling
+score one step of one group with :func:`predictive_logpdf_raw`, flat scalar
+code.  Passes over a whole regime sequence, and each particle-filter step over
+all particles, use :func:`predictive_logpdf_array`, the same formula over
+arrays of statistics.  It broadcasts its hyperparameters, so a grid of
+candidate values on a leading axis is scored in one call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "predictive_logpdf",
     "predictive_logpdf_raw",
     "predictive_logpdf_array",
+    "lgamma_rows",
     "marginal_loglik",
 ]
 
@@ -178,23 +180,30 @@ def predictive_logpdf_raw(
     )
 
 
-def _lgamma_tables(a0, max_count: int):
-    """(row of each a0, lgamma(a0 + c/2), lgamma(a0 + c/2 + 1/2)) for c in 0..max_count.
+def lgamma_rows(a0, max_count: int):
+    """Row of each ``a0`` in a table of lgamma(a0 + c/2 + 1/2) - lgamma(a0 + c/2).
 
-    lgamma runs once per distinct argument; arguments are formed as
-    :func:`predictive_logpdf_raw` forms them, so the array and scalar forms
-    give the same lgamma bits.
+    The table has one row per distinct ``a0`` and one column per count c in
+    0..max_count; returns ``(row, table)``.  lgamma runs once per distinct
+    argument; arguments are formed as :func:`predictive_logpdf_raw` forms
+    them, so the array and scalar forms give the same lgamma bits.
     """
     a0 = np.asarray(a0, dtype=float)
     distinct, row = np.unique(a0.ravel(), return_inverse=True)
     keys = distinct[:, None] + 0.5 * np.arange(max_count + 1)
     lg = np.array([math.lgamma(k) for k in keys.ravel().tolist()]).reshape(keys.shape)
     lg_half = np.array([math.lgamma(k + 0.5) for k in keys.ravel().tolist()]).reshape(keys.shape)
-    return row.reshape(a0.shape), lg, lg_half
+    return row.reshape(a0.shape), lg_half - lg
 
 
-def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x):
-    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays."""
+def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma=None):
+    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays.
+
+    ``lgamma`` is ``(row, table)`` from :func:`lgamma_rows` over cells that
+    broadcast like ``a0``, with columns up to at least the largest count; a
+    caller that scores many steps of the same cells builds it once.  Without
+    it the rows are built here.
+    """
     count = np.asarray(count)
     empty = count == 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -208,13 +217,12 @@ def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x):
             empty, b0, b0 + 0.5 * centered + 0.5 * count * shift * shift / (1.0 + count * v0)
         )
     a_post = a0 + 0.5 * count
-    row, lg, lg_half = _lgamma_tables(a0, int(count.max(initial=0)))
+    row, ratio = lgamma_rows(a0, int(count.max(initial=0))) if lgamma is None else lgamma
     scale_sq = b_post * (1.0 + v_post) / a_post
     dof_scale = 2.0 * a_post * scale_sq
     z = x - m_post
     return (
-        lg_half[row, count]
-        - lg[row, count]
+        ratio[row, count]
         - 0.5 * np.log(dof_scale)
         - 0.5 * _LOG_PI
         - (a_post + 0.5) * np.log1p(z * z / dof_scale)

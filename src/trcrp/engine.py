@@ -122,9 +122,11 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
     state = ChainState.create(panel, 1.0, assignments, [1.0] * num_groups, series_hypers, rng)
     state.grids = grids
 
+    smc_log_ml = []
     for group in state.groups:
         if config.smc_init:
-            z, _ = smc_block_sample(group, panel.values, panel.observed, config.particles, rng)
+            z, log_ml = smc_block_sample(group, panel.values, panel.observed, config.particles, rng)
+            smc_log_ml.append(float(log_ml))
         else:
             z = [1] * panel.num_steps
         group.load_sequence(z, panel.values, panel.observed)
@@ -153,6 +155,7 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
         "num_groups": len(state.groups),
         "accept_z": accept_z,
         "accept_c": accept_c,
+        "smc_log_ml": smc_log_ml,
     }
     return state_payload(state), stats
 

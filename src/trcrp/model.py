@@ -28,8 +28,10 @@ normalizer ratios (:mod:`trcrp.mcmc`), the outer moves' logliks over subsets
 of series (:mod:`trcrp.structure`, one table per group per pass) and every
 griddy-Gibbs conditional, of a concentration, a lag cell or an emission cell
 (:mod:`trcrp.hypers`, one table per group per sweep).  Forward sampling
-(:meth:`GroupModel.draw`) assigns z_t as it is drawn and scores each step
-from the group's incremental statistics.  Sequential sums are computed
+(:meth:`GroupModel.draw`: simulation, forecasts and the outer moves'
+proposals) assigns z_t as it is drawn and scores each step from the group's
+incremental statistics; the particle filter (:mod:`trcrp.smc`) keeps its
+particles' statistics in arrays of its own.  Sequential sums are computed
 over the blocks occupied so far plus one fresh block with empty statistics,
 which makes every quantity invariant to regime relabeling.
 """
@@ -379,7 +381,9 @@ class PrefixStats:
 
     Sufficient statistics depend on z alone, so one table serves every subset
     of its series (:meth:`subset_loglik`) and every candidate hyper of its
-    cells (:meth:`cell_logliks`).
+    cells (:meth:`cell_logliks`).  Only :meth:`cell_logliks` reads ``count``
+    to ``seen``; a table kept for :meth:`subset_loglik` alone may set them to
+    None.
     """
 
     index: dict

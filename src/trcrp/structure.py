@@ -23,7 +23,7 @@ without a table.  There is no memo across passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     ChainState,
@@ -46,12 +46,20 @@ FRESH = 0  # proposal target meaning "new singleton group"
 
 
 def _table(state: ChainState, tables: dict, group: GroupModel) -> PrefixStats:
-    """``group``'s prefix table over every series' lag and emission cells, built once."""
+    """``group``'s prefix table over every series' lag and emission cells, built once.
+
+    The pass reads only the factors, block counts and slots (through
+    :meth:`~trcrp.model.PrefixStats.subset_loglik`), so the table keeps no
+    sufficient statistics.
+    """
     table = tables.get(group)
     if table is None:
-        table = tables[group] = prefix_stats(
+        table = prefix_stats(
             group.regimes.z, range(state.num_series), state.hypers,
             state.values, state.observed, state.panel.window, emission=True,
+        )
+        table = tables[group] = replace(
+            table, count=None, total=None, total_sq=None, x=None, seen=None
         )
     return table
 

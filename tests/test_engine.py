@@ -160,6 +160,21 @@ def test_no_smc_init_path(rng):
     panel = small_panel(rng)
     samples = fit(panel, quick_config(smc_init=False, chains=1, burnin=4))
     samples.chains[0].check_consistency()
+    assert samples.provenance["chain_stats"][0]["smc_log_ml"] == []
+
+
+def test_chain_stats_record_one_smc_estimate_per_initial_group(rng):
+    # with no sweeps the final groups are the initial ones
+    panel = small_panel(rng, num_series=4, steps=12, missing=[(1, 4)])
+    config = quick_config(burnin=0)
+    sizes = set()
+    for k in range(4):
+        _, stats = run_chain(panel, config, np.random.SeedSequence(k))
+        estimates = stats["smc_log_ml"]
+        assert len(estimates) == stats["num_groups"]
+        assert all(isinstance(v, float) and math.isfinite(v) for v in estimates)
+        sizes.add(len(estimates))
+    assert len(sizes) > 1  # the seeds cover more than one group count
 
 
 def test_fit_parallel_matches_sequential(rng):
@@ -170,6 +185,9 @@ def test_fit_parallel_matches_sequential(rng):
     stats = [json.dumps(run.provenance["chain_stats"]) for run in runs]
     assert payloads[0] == payloads[1]
     assert stats[0] == stats[1]
+    for chain_stats in runs[0].provenance["chain_stats"]:
+        assert chain_stats["smc_log_ml"]
+        assert all(math.isfinite(v) for v in chain_stats["smc_log_ml"])
 
 
 def test_non_finite_joint_raises_with_state_payload(rng, monkeypatch):
