@@ -148,7 +148,10 @@ def cmd_forecast(sampleset, horizon, draws, seed, out):
     digest = _command_hash(
         command="forecast", fit=fit_hash, horizon=horizon, draws=draws, seed=seed
     )
-    result = predict.forecast(samples, horizon, draws, seed)
+    try:
+        result = predict.forecast(samples, horizon, draws, seed)
+    except NumericalError as exc:
+        _fail(EXIT_NUMERICAL, f"forecast failed: {exc}")
     rows = []
     for r in range(draws):
         for n, name in enumerate(result.series_names):
@@ -171,7 +174,10 @@ def cmd_impute(sampleset, draws, seed, out):
         raise click.UsageError("--draws must be >= 1")
     samples, _, fit_hash = _load_samples(sampleset)
     digest = _command_hash(command="impute", fit=fit_hash, draws=draws, seed=seed)
-    result = predict.impute(samples, draws, seed)
+    try:
+        result = predict.impute(samples, draws, seed)
+    except NumericalError as exc:
+        _fail(EXIT_NUMERICAL, f"imputation failed: {exc}")
     rows = []
     for ci, (n, t) in enumerate(result.cells):
         name = result.series_names[n]

@@ -10,9 +10,10 @@ Student-T predictives, one per lag offset, restricted to observed lag cells.
 All densities are log densities; products elsewhere in the model are sums of
 the values computed here.  The single-site proposal and forward sampling
 score one step of one group with :func:`predictive_logpdf_raw`, flat scalar
-code.  Passes over a whole regime sequence, and each particle-filter step over
-all particles, use :func:`predictive_logpdf_array`, the same formula over
-arrays of statistics.  It broadcasts its hyperparameters, so a grid of
+code: below about 60 (cell, block) entries it costs less than one array
+call.  Passes over a whole regime sequence, and each particle-filter step
+over all particles, use :func:`predictive_logpdf_array`, the same formula
+over arrays of statistics.  It broadcasts its hyperparameters, so a grid of
 candidate values on a leading axis is scored in one call.
 """
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugate import NigHyper
-from .model import ChainState, PrefixStats, SeriesHypers, prefix_stats
+from .model import ChainState, PrefixStats, SeriesHypers, cell_layout, prefix_stats
 from .panel import TimeSeriesPanel
 from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
 
@@ -172,10 +172,8 @@ def _candidates(current: NigHyper, field: str, points) -> tuple:
 
 def _group_table(state: ChainState, group) -> PrefixStats:
     """The prefix table of ``group``'s sequence over its members' lag and emission cells."""
-    return prefix_stats(
-        group.regimes.z, group.members, state.hypers, state.values, state.observed,
-        group.window, emission=True,
-    )
+    cells = cell_layout(group.members, state.hypers, state.values, state.observed, group.window)
+    return prefix_stats(group.regimes.z, cells)
 
 
 def _require_grids(state: ChainState) -> Grids:

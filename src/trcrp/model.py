@@ -14,26 +14,25 @@ forecast rollout all read the panel mask as it stands.
 
 A group keeps one statistics table, ``cells[n][k-1][i]``: per member n,
 regime k and offset i = 0..p, with offset 0 the emission cell and offset i the
-lag-i cell, the cells :func:`prefix_stats` lists.  Persistent groups inside a
-chain hold *full* statistics (all assigned times), which is what the
-single-site sampler's full conditionals need.  The sampler subtracts and adds
-one step at a time, then rebuilds the table from the data in time order at
-the end of every sweep, so between sweeps every cell holds canonical sums.
+lag-i cell.  Persistent groups inside a chain hold *full* statistics (all
+assigned times), which is what the single-site sampler's full conditionals
+need.  The sampler subtracts and adds one step at a time, then rebuilds the
+table from the data in time order at the end of every sweep, so between
+sweeps every cell holds canonical sums.
+
 Every sequential quantity over a known regime sequence is a sum over t of
-terms that see only the data before t; :func:`prefix_stats` computes the
-statistics and predictive factors behind all of those terms in one array
-pass, and its :class:`PrefixStats` serves every consumer outside the
-single-site proposal: the log joint (:func:`sequence_loglik`), the full-MH
-normalizer ratios (:mod:`trcrp.mcmc`), the outer moves' logliks over subsets
-of series (:mod:`trcrp.structure`, one table per group per pass) and every
-griddy-Gibbs conditional, of a concentration, a lag cell or an emission cell
-(:mod:`trcrp.hypers`, one table per group per sweep).  Forward sampling
-(:meth:`GroupModel.draw`: simulation, forecasts and the outer moves'
-proposals) assigns z_t as it is drawn and scores each step from the group's
-incremental statistics; the particle filter (:mod:`trcrp.smc`) keeps its
-particles' statistics in arrays of its own.  Sequential sums are computed
-over the blocks occupied so far plus one fresh block with empty statistics,
-which makes every quantity invariant to regime relabeling.
+terms that see only the data before t.  :func:`prefix_stats` is the one code
+that scores such a sequence, in one array pass over the cells of a
+:class:`CellLayout`, which only :func:`cell_layout` builds.  Its
+:class:`PrefixStats` serves the log joint (:func:`sequence_loglik`), the
+full-MH ratios (:mod:`trcrp.mcmc`), the outer moves (:mod:`trcrp.structure`)
+and every griddy-Gibbs conditional (:mod:`trcrp.hypers`); the particle filter
+(:mod:`trcrp.smc`) reads the same layout.  Forward sampling
+(:meth:`GroupModel.rollout`: simulation, forecasts and the outer moves' fresh
+slot) only samples, weighing each step from the group's incremental
+statistics.  Sequential sums run over the blocks occupied so far plus one
+fresh block with empty statistics, which makes every quantity invariant to
+regime relabeling.
 """
 
 from __future__ import annotations
@@ -46,12 +45,13 @@ import numpy as np
 from .conjugate import (
     NigHyper,
     NigStats,
+    lgamma_rows,
     posterior_predictive,
     predictive_logpdf_array,
     predictive_logpdf_raw,
 )
 from .panel import TimeSeriesPanel
-from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf, logsumexp
+from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
 
 __all__ = [
     "SeriesHypers",
@@ -60,10 +60,11 @@ __all__ = [
     "ChainState",
     "crp_log_weights",
     "crp_draw",
+    "CellLayout",
+    "cell_layout",
     "PrefixStats",
     "prefix_stats",
     "sequence_loglik",
-    "forward_sample_sequence",
     "log_joint",
     "simulate",
     "SimulationResult",
@@ -145,7 +146,7 @@ class GroupModel:
     ``cells[n][k-1][i]`` summarizes series n's observed values i steps before
     each step assigned to regime k: offset 0 is the emission cell (the value
     at the step itself), offset i >= 1 the lag-i cell, as in
-    :func:`prefix_stats`.
+    :class:`CellLayout`.
     """
 
     __slots__ = ("members", "alpha", "num_steps", "window", "hypers", "regimes", "cells")
@@ -250,28 +251,22 @@ class GroupModel:
 
     # -- sequential passes ----------------------------------------------------
 
-    def draw(self, t: int, log_weights, values, observed, rng, emit=False) -> tuple[int, int]:
-        """Forward-sample step t: draw a weight index (fresh block last), then assign.
+    def rollout(self, steps, values, observed, rng, emit: bool) -> list[int]:
+        """Forward-sample ``steps`` from the lag-reweighted prior; returns their labels.
 
-        With ``emit``, every member's cell at t is first drawn from the chosen
-        regime's emission predictive and written to ``values``.  Returns
-        ``(weight index, label)``.
+        With ``emit``, each step's member cells are drawn from the chosen
+        regime's emission predictive into ``values`` before it is folded in.
         """
-        idx = gumbel_argmax(log_weights, rng)
-        k = self.add_regime() if idx == self.regimes.num_regimes else idx + 1
-        if emit:
-            col = self.window + t - 1
-            for n in self.members:
-                values[n, col] = self.sample_emission(n, k, rng)
-        self.assign(t, k, values, observed)
-        return idx, k
-
-    def rollout(self, steps, values, observed, rng) -> list[int]:
-        """Simulate every member over ``steps`` from the generative process; returns labels."""
         labels = []
         for t in steps:
-            base = self.reweighted_log_weights(t, values, observed)
-            labels.append(self.draw(t, base, values, observed, rng, emit=True)[1])
+            idx = gumbel_argmax(self.reweighted_log_weights(t, values, observed), rng)
+            k = self.add_regime() if idx == self.regimes.num_regimes else idx + 1
+            if emit:
+                col = self.window + t - 1
+                for n in self.members:
+                    values[n, col] = self.sample_emission(n, k, rng)
+            self.assign(t, k, values, observed)
+            labels.append(k)
         return labels
 
     def sample_emission(self, n: int, k: int, rng) -> float:
@@ -364,35 +359,70 @@ class GroupModel:
 # -- sequential evaluation ----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CellLayout:
+    """The cells of some series that a prefix pass or the particle filter scores.
+
+    ``index`` maps ``(series, offset)`` to a row: every series' lag offsets
+    1..p (the first ``num_lags`` rows), then any emission cells, offset 0.
+    ``x`` and ``seen`` are (cells, T): each cell's value at every step (0 where
+    unobserved) and whether it is observed; ``hyper`` holds m, V, a and b,
+    each (cells, 1), and ``lgamma`` the lgamma rows of a over counts 0..T.
+    """
+
+    index: dict
+    window: int
+    num_lags: int
+    x: np.ndarray
+    seen: np.ndarray
+    hyper: tuple
+    lgamma: tuple
+
+
+def cell_layout(series, hypers, values, observed, window: int, emission=True) -> CellLayout:
+    """The :class:`CellLayout` of ``series`` under ``hypers``, read once here."""
+    p = window
+    cells = [(n, i) for n in series for i in range(1, p + 1)]
+    num_lags = len(cells)
+    if emission:
+        cells += [(n, 0) for n in series]
+    values = np.asarray(values, dtype=float)
+    num_steps = values.shape[1] - p
+    rows = np.array([n for n, _ in cells], dtype=np.int64)[:, None]
+    cols = np.array([p - i for _, i in cells], dtype=np.int64)[:, None] + np.arange(num_steps)
+    seen = np.asarray(observed, dtype=bool)[rows, cols]
+    x = np.where(seen, values[rows, cols], 0.0)
+    table = np.array([_hyper_list(hypers[n].cell(i)) for n, i in cells]).reshape(-1, 4)
+    hyper = tuple(table.T[:, :, None])
+    index = {cell: c for c, cell in enumerate(cells)}
+    # a cell gains at most one value per step, so counts stay within 0..T
+    return CellLayout(index, p, num_lags, x, seen, hyper, lgamma_rows(hyper[2], num_steps))
+
+
 @dataclass
 class PrefixStats:
     """Prefix statistics of a regime sequence z over T steps (see :func:`prefix_stats`).
 
     Blocks are numbered 0..K-1 by first appearance in z; column K is the fresh
-    block, whose statistics are always empty.  Per cell ``(series, offset)``
-    (offset 0 is the emission cell; ``index`` maps a cell to its row),
-    ``count``/``total``/``total_sq`` at [row, t-1, j] summarize the cell's
-    observed values at the steps before t assigned to block j; ``x`` and
-    ``seen`` hold the cell's value at t and whether it is observed;
-    ``factors`` holds the predictive log density of x under each block (0
-    where unobserved).  ``cohesion`` sums the lag factors of every row and
-    follows :meth:`install`; ``log_counts`` holds the log block sizes (-inf
-    for empty blocks) and ``slot`` the column of z_t.
+    block, whose statistics are always empty.  Rows follow the layout
+    ``cells``: ``count``/``total``/``total_sq`` at [row, t-1, j] summarize the
+    cell's observed values at the steps before t assigned to block j, and
+    ``factors`` holds the predictive log density of the cell's value at t
+    under each block (0 where unobserved).  ``cohesion`` sums the lag factors
+    of every row and follows :meth:`install`; ``log_counts`` holds the log
+    block sizes (-inf for empty blocks) and ``slot`` the column of z_t.
 
     Sufficient statistics depend on z alone, so one table serves every subset
     of its series (:meth:`subset_loglik`) and every candidate hyper of its
-    cells (:meth:`cell_logliks`).  Only :meth:`cell_logliks` reads ``count``
-    to ``seen``; a table kept for :meth:`subset_loglik` alone may set them to
-    None.
+    cells (:meth:`cell_logliks`).  Only :meth:`cell_logliks` reads ``count``,
+    ``total`` and ``total_sq``; a table kept for :meth:`subset_loglik` alone
+    may set them to None.
     """
 
-    index: dict
-    window: int
+    cells: CellLayout
     count: np.ndarray
     total: np.ndarray
     total_sq: np.ndarray
-    x: np.ndarray
-    seen: np.ndarray
     factors: np.ndarray
     cohesion: np.ndarray
     log_counts: np.ndarray
@@ -435,11 +465,12 @@ class PrefixStats:
         bits of a table built over ``series`` alone.  With no series it is the
         CRP log mass of z.
         """
-        lags = [self.index[n, i] for n in series for i in range(1, self.window + 1)]
+        index = self.cells.index
+        lags = [index[n, i] for n in series for i in range(1, self.cells.window + 1)]
         base = self.log_weights(alpha, self.factors[lags].sum(axis=0))
         if not emission:
             return float(self.loglik(base))
-        emis = self.factors[[self.index[n, 0] for n in series]].sum(axis=0)
+        emis = self.factors[[index[n, 0] for n in series]].sum(axis=0)
         return float(self.loglik(base, emis))
 
     def cell_logliks(self, n: int, offset: int, cand, alpha: float):
@@ -454,16 +485,17 @@ class PrefixStats:
         likelihood by a constant shared by the candidates.  Returns the (G,)
         scores and the (G, T, K+1) factors.
         """
-        c = self.index[n, offset]
-        stats = self.count[c], self.total[c], self.total_sq[c], self.x[c]
-        factors = np.where(self.seen[c], predictive_logpdf_array(*cand, *stats), 0.0)
+        c = self.cells.index[n, offset]
+        stats = self.count[c], self.total[c], self.total_sq[c], self.cells.x[c, :, None]
+        f = predictive_logpdf_array(*cand, *stats)
+        factors = np.where(self.cells.seen[c, :, None], f, 0.0)
         if offset:
             return self.loglik(self.log_weights(alpha) + (factors - self.factors[c])), factors
         return factors[..., np.arange(len(self.slot)), self.slot].sum(axis=-1), factors
 
     def install(self, n: int, offset: int, factors: np.ndarray) -> None:
         """Make ``factors``, one candidate's (T, K+1) slice, cell (n, offset)'s own."""
-        c = self.index[n, offset]
+        c = self.cells.index[n, offset]
         if offset:
             self.cohesion += factors - self.factors[c]
         self.factors[c] = factors
@@ -476,12 +508,11 @@ def _before(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def prefix_stats(z, members, hypers, values, observed, window: int, emission=False):
-    """:class:`PrefixStats` of the regime sequence ``z`` for the cells of ``members``.
+def prefix_stats(z, cells: CellLayout) -> PrefixStats:
+    """:class:`PrefixStats` of the regime sequence ``z`` for the layout ``cells``.
 
-    The cells are every member's lag offsets 1..window, then (with
-    ``emission``) every member's emission cell.  Labels of ``z`` are arbitrary
-    nonzero integers; a 0 (unassigned) label raises ``ValueError``.
+    Labels of ``z`` are arbitrary nonzero integers; a 0 (unassigned) label
+    raises ``ValueError``.
     """
     z = np.asarray(z, dtype=np.int64)
     if (z == 0).any():
@@ -497,28 +528,18 @@ def prefix_stats(z, members, hypers, values, observed, window: int, emission=Fal
     with np.errstate(divide="ignore"):
         log_counts = np.log(_before(onehot[None].astype(np.int64))[0])
 
-    p = window
-    cells = [(n, i) for n in members for i in range(1, p + 1)]
-    if emission:
-        cells += [(n, 0) for n in members]
-    rows = np.array([n for n, _ in cells], dtype=np.int64).reshape(-1, 1)
-    cols = np.array([p - i for _, i in cells], dtype=np.int64).reshape(-1, 1) + np.arange(len(z))
-    seen = np.asarray(observed, dtype=bool)[rows, cols][:, :, None]
-    x = np.where(seen, np.asarray(values, dtype=float)[rows, cols][:, :, None], 0.0)
+    seen = cells.seen[:, :, None]
+    x = cells.x[:, :, None]
     mask = onehot & seen  # (cells, T, K+1)
     count = _before(mask.astype(np.int64))
     total = _before(np.where(mask, x, 0.0))
     total_sq = _before(np.where(mask, x * x, 0.0))
-    cell_hypers = [hypers[n].cell(i) for n, i in cells]
-    table = np.array([(h.m, h.V, h.a, h.b) for h in cell_hypers]).reshape(-1, 4, 1, 1)
-    m0, v0, a0, b0 = (table[:, k] for k in range(4))
-    f = predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x)
+    hyper = (h[..., None] for h in cells.hyper)
+    row, ratio = cells.lgamma
+    f = predictive_logpdf_array(*hyper, count, total, total_sq, x, lgamma=(row[..., None], ratio))
     factors = np.where(seen, f, 0.0)
-    index = {cell: c for c, cell in enumerate(cells)}
-    cohesion = factors[: len(members) * p].sum(axis=0)
-    return PrefixStats(
-        index, p, count, total, total_sq, x, seen, factors, cohesion, log_counts, slot
-    )
+    cohesion = factors[: cells.num_lags].sum(axis=0)
+    return PrefixStats(cells, count, total, total_sq, factors, cohesion, log_counts, slot)
 
 
 def sequence_loglik(
@@ -532,23 +553,8 @@ def sequence_loglik(
     lag-reweighted sequence prior, which is also the forward-sampling
     proposal density used by the outer cluster moves.
     """
-    prefix = prefix_stats(z, members, hypers, values, observed, window, include_emission)
-    return prefix.subset_loglik(members, alpha, include_emission)
-
-
-def forward_sample_sequence(members, alpha, hypers, values, observed, num_steps, window, rng):
-    """Sample a regime sequence from the lag-reweighted prior (no emission terms).
-
-    Returns ``(z, log_density)``; the density is the product of normalized
-    step probabilities, so it is exactly what an MH correction needs.
-    """
-    scratch = GroupModel(members, alpha, num_steps, window, hypers)
-    total = 0.0
-    for t in range(1, num_steps + 1):
-        base = scratch.reweighted_log_weights(t, values, observed)
-        idx, _ = scratch.draw(t, base, values, observed, rng)
-        total += base[idx] - logsumexp(base)
-    return list(scratch.regimes.z), total
+    cells = cell_layout(members, hypers, values, observed, window, include_emission)
+    return prefix_stats(z, cells).subset_loglik(members, alpha, include_emission)
 
 
 # -- chain state ---------------------------------------------------------------
@@ -685,7 +691,7 @@ def simulate(
         a = float(alpha) if alpha is not None else float(rng.gamma(1.0, 1.0))
         group_alphas.append(a)
         group = GroupModel(members, a, num_steps, window, hypers)
-        group_z.append(group.rollout(range(1, num_steps + 1), values, observed, rng))
+        group_z.append(group.rollout(range(1, num_steps + 1), values, observed, rng, emit=True))
 
     if series_names is None:
         series_names = tuple(f"s{n + 1}" for n in range(num_series))
@@ -739,8 +745,10 @@ def state_payload(state: ChainState) -> dict:
 
 def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
     """Raise ``ValueError`` unless the groups partition the panel's series, every
-    regime sequence labels all T steps with contiguous labels 1..K, every series
-    has one lag cell per offset and every concentration is positive."""
+    regime sequence is a list of contiguous integer labels 1..K for all T
+    steps, every series has one lag cell per offset, every NIG cell is four
+    numbers, every concentration is a positive number and the RNG kind names a
+    numpy bit generator."""
     assignments = payload["assignments"]
     groups = payload["groups"]
     num_series = panel.num_series
@@ -748,14 +756,26 @@ def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
         raise ValueError(f"chain state does not cover the panel's {num_series} series")
     if any(len(entry["cohesion"]) != panel.window for entry in payload["hypers"]):
         raise ValueError(f"every series needs {panel.window} lag cells")
-    if not all(a > 0 for a in [payload["alpha0"]] + [g["alpha"] for g in groups]):
-        raise ValueError("concentrations must be positive")
+    cells = [h for entry in payload["hypers"] for h in (entry["emission"], *entry["cohesion"])]
+    if not all(isinstance(h, list) and len(h) == 4 for h in cells) or not all(
+        type(v) in (int, float) for h in cells for v in h  # JSON numbers, not bools
+    ):
+        raise ValueError("every NIG cell must be four numbers (m, V, a, b)")
+    concentrations = [payload["alpha0"]] + [g["alpha"] for g in groups]
+    if not all(type(a) in (int, float) and a > 0 for a in concentrations):
+        raise ValueError("concentrations must be positive numbers")
+    kind = payload["rng"]["kind"]
+    generator = getattr(np.random, kind, None) if isinstance(kind, str) else None
+    if not (isinstance(generator, type) and issubclass(generator, np.random.BitGenerator)):
+        raise ValueError(f"unknown RNG kind {kind!r}")
     if sorted(set(assignments)) != list(range(1, len(groups) + 1)):
         raise ValueError(f"assignments {assignments} do not label {len(groups)} groups 1..M")
     for m, entry in enumerate(groups, start=1):
         if sorted(entry["members"]) != [n for n, c in enumerate(assignments) if c == m]:
             raise ValueError(f"group {m} members {entry['members']} disagree with assignments")
         z = entry["z"]
+        if not isinstance(z, list) or not all(type(k) is int for k in z):
+            raise ValueError(f"group {m} sequence must be a list of integer labels")
         if len(z) != panel.num_steps or sorted(set(z)) != list(range(1, max(z, default=0) + 1)):
             raise ValueError(f"group {m} sequence must label all {panel.num_steps} steps 1..K")
 
@@ -774,8 +794,7 @@ def state_from_payload(payload: dict, panel: TimeSeriesPanel) -> ChainState:
         for entry in payload["hypers"]
     ]
     rng_info = payload["rng"]
-    bit_gen_cls = getattr(np.random, rng_info["kind"])
-    bit_gen = bit_gen_cls()
+    bit_gen = getattr(np.random, rng_info["kind"])()
     bit_gen.state = rng_info["state"]
     rng = np.random.Generator(bit_gen)
 

@@ -9,7 +9,9 @@ indicators across chains.
 The model's missing-data rule holds here too: an unobserved cell contributes
 no lag factor, no emission factor and no statistics.  A rollout reads the
 panel mask as it stands, so an in-sample missing cell in the last lag window
-is a skipped lag, which is the model's exact posterior predictive.
+is a skipped lag, which is the model's exact posterior predictive.  A
+forecast or imputation with a non-finite draw raises
+:class:`~trcrp.smc.NumericalError` instead of returning it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .model import ChainState
 from .panel import TimeSeriesPanel
+from .smc import NumericalError
 
 __all__ = [
     "SampleSet",
@@ -103,6 +106,12 @@ class ImputationResult:
         return out
 
 
+def _require_finite(draws: np.ndarray, what: str) -> None:
+    bad = int(draws.size - np.isfinite(draws).sum())
+    if bad:
+        raise NumericalError(f"{bad} of {draws.size} {what} draws are not finite")
+
+
 def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> ForecastResult:
     """Ancestral forecasts over an h-step horizon.
 
@@ -124,18 +133,23 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     chain_indices = []
     ext_observed = np.ones((num, p + steps + horizon), dtype=bool)
     ext_observed[:, : p + steps] = panel.observed
+    future_steps = range(steps + 1, steps + horizon + 1)
     for r in range(draws):
         s_idx = int(rng.integers(samples.num_chains))
         chain_indices.append(s_idx)
         chain = samples.chains[s_idx]
         ext_values = np.zeros((num, p + steps + horizon))
         ext_values[:, : p + steps] = panel.values
-        for group in chain.groups:
-            future = group.clone()
-            future.num_steps = steps + horizon
-            future.regimes.z = future.regimes.z + [0] * horizon
-            future.rollout(range(steps + 1, steps + horizon + 1), ext_values, ext_observed, rng)
+        try:
+            for group in chain.groups:
+                future = group.clone()
+                future.num_steps = steps + horizon
+                future.regimes.z = future.regimes.z + [0] * horizon
+                future.rollout(future_steps, ext_values, ext_observed, rng, emit=True)
+        except ValueError as exc:  # an extreme draw gave a posterior a non-finite parameter
+            raise NumericalError(f"forecast draw {r}: {exc}") from None
         out[r] = ext_values[:, p + steps :]
+    _require_finite(out, "forecast")
     return ForecastResult(
         series_names=panel.series_names,
         horizon=horizon,
@@ -164,6 +178,7 @@ def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
         for ci, (n, t) in enumerate(cells):
             group = chain.group_of(n)
             out[ci, r] = group.sample_emission(n, group.regimes.z[t - 1], rng)
+    _require_finite(out, "imputation")
     return ImputationResult(
         cells=cells,
         draws=out,

@@ -3,16 +3,16 @@
 The J particles live in stacked arrays.  Per particle j: the regime labels
 ``z[j]`` of the steps filtered so far, its block count ``num_blocks[j]`` and
 block sizes, its log weight, and the count, sum and sum of squares of every
-cell's observed values per block, ``count[j, c, k]``.  The cells are every
-member's lag offsets 1..p, then every member's emission cell, as
-:func:`~trcrp.model.prefix_stats` lists them; block k is label k+1, and
+cell's observed values per block, ``count[j, c, k]``.  The cells are the rows
+of the group's :class:`~trcrp.model.CellLayout`, the one prefix passes read,
+which also holds the panel's values and mask.  Block k is label k+1, and
 column ``num_blocks[j]`` is the particle's fresh block, whose statistics are
-empty.  Every particle reads the panel's own values and mask.
+empty.
 
 A step scores all particles, cells and blocks with one
-:func:`~trcrp.conjugate.predictive_logpdf_array` call, its lgamma rows built
-once per filter, draws every particle's regime with one Gumbel argmax and
-folds the step's observed values into the drawn column of every particle.
+:func:`~trcrp.conjugate.predictive_logpdf_array` call, with the layout's
+lgamma rows, draws every particle's regime with one Gumbel argmax and folds
+the step's observed values into the drawn column of every particle.
 Resampling is an index gather on the arrays.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .conjugate import lgamma_rows, predictive_logpdf_array
-from .model import PrefixStats
+from .conjugate import predictive_logpdf_array
+from .model import PrefixStats, cell_layout
 from .util import NEG_INF, gumbel_argmax
 
 __all__ = ["NumericalError", "ParticleSet", "smc_step", "maybe_resample", "smc_block_sample"]
@@ -56,35 +56,20 @@ class ParticleSet:
 
     ``count``, ``total`` and ``total_sq`` are (J, cells, capacity) and
     ``sizes`` is (J, capacity); the capacity doubles whenever a particle's
-    fresh block would fall outside it.  ``x`` and ``seen`` are (cells, T):
-    each cell's value at every step and whether it is observed.
+    fresh block would fall outside it.  ``cells`` is the group's
+    :class:`~trcrp.model.CellLayout`.
     """
 
     def __init__(self, group, values, observed, num_particles):
         if num_particles < 1:
             raise ValueError("need at least one particle")
-        p = group.window
-        num_steps = group.num_steps
-        self.cells = [(n, i) for n in group.members for i in range(1, p + 1)]
-        self.cells += [(n, 0) for n in group.members]
-        self.num_lags = len(group.members) * p
+        self.cells = cell_layout(group.members, group.hypers, values, observed, group.window)
         self.log_alpha = math.log(group.alpha)
-        rows = np.array([n for n, _ in self.cells], dtype=np.int64).reshape(-1, 1)
-        cols = np.array([p - i for _, i in self.cells], dtype=np.int64).reshape(-1, 1)
-        cols = cols + np.arange(num_steps)
-        self.seen = np.asarray(observed, dtype=bool)[rows, cols]
-        self.x = np.where(self.seen, np.asarray(values, dtype=float)[rows, cols], 0.0)
-        cell_hypers = [group.hypers[n].cell(i) for n, i in self.cells]
-        table = np.array([(h.m, h.V, h.a, h.b) for h in cell_hypers]).reshape(-1, 4, 1)
-        self.hyper = [table[:, k] for k in range(4)]  # m, V, a, b, each (cells, 1)
-        # a cell gains at most one value per step, so counts stay within 0..T
-        self.lgamma_row, self.lgamma = lgamma_rows(self.hyper[2], num_steps)
-
         capacity = 4
-        self.z = np.zeros((num_particles, num_steps), dtype=np.int64)
+        self.z = np.zeros((num_particles, group.num_steps), dtype=np.int64)
         self.num_blocks = np.zeros(num_particles, dtype=np.int64)
         self.sizes = np.zeros((num_particles, capacity), dtype=np.int64)
-        shape = (num_particles, len(self.cells), capacity)
+        shape = (num_particles, len(self.cells.index), capacity)
         self.count = np.zeros(shape, dtype=np.int64)
         self.total = np.zeros(shape)
         self.total_sq = np.zeros(shape)
@@ -122,14 +107,14 @@ class ParticleSet:
         """
         width = int(self.num_blocks.max()) + 1
         stats = (s[..., :width] for s in (self.count, self.total, self.total_sq))
-        f = predictive_logpdf_array(
-            *self.hyper, *stats, self.x[:, t - 1, None], lgamma=(self.lgamma_row, self.lgamma)
-        )
-        factors = np.where(self.seen[:, t - 1, None], f, 0.0)
+        cells = self.cells
+        x = cells.x[:, t - 1, None]
+        f = predictive_logpdf_array(*cells.hyper, *stats, x, lgamma=cells.lgamma)
+        factors = np.where(cells.seen[:, t - 1, None], f, 0.0)
         with np.errstate(divide="ignore"):
             crp = np.log(self.sizes[:, :width])
         crp[np.arange(len(crp)), self.num_blocks] = self.log_alpha
-        lags = self.num_lags
+        lags = cells.num_lags
         return crp + factors[:, :lags].sum(axis=1), factors[:, lags:].sum(axis=1)
 
     def assign(self, t: int, pick: np.ndarray) -> None:
@@ -143,8 +128,8 @@ class ParticleSet:
         self.z[:, t - 1] = pick + 1
         self.sizes[particles, pick] += 1
         self.num_blocks += pick == self.num_blocks
-        x = self.x[:, t - 1]
-        self.count[particles, :, pick] += self.seen[:, t - 1]
+        x = self.cells.x[:, t - 1]
+        self.count[particles, :, pick] += self.cells.seen[:, t - 1]
         self.total[particles, :, pick] += x
         self.total_sq[particles, :, pick] += x * x
         capacity = self.sizes.shape[1]

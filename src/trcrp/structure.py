@@ -13,11 +13,12 @@ reused sequence was proposed from* (the no-emission loglik of the moved series
 alone), which makes the ratio exact for this proposal; this is validated
 against log-joint differencing in the tests.
 
-Every other term is a group's loglik over some ordered subset of series.  A
-pass builds one :class:`~trcrp.model.PrefixStats` table per group the first
-time it needs one, over every series' lag and emission cells, and reads each
-subset's terms from it; only a freshly forward-sampled sequence is scored
-without a table.  There is no memo across passes.
+Every term is a group's loglik over some ordered subset of series.  A pass
+builds one :class:`~trcrp.model.PrefixStats` table per group the first time it
+needs one, over every series' lag and emission cells, and reads each subset's
+terms from it.  A fresh slot is a one-member group sampled by
+:meth:`~trcrp.model.GroupModel.rollout`; a one-series table gives its proposal
+density and its loglik, and an accepted fresh move appends that group.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import (
-    ChainState,
-    GroupModel,
-    PrefixStats,
-    forward_sample_sequence,
-    prefix_stats,
-    sequence_loglik,
-)
+from .model import ChainState, GroupModel, PrefixStats, cell_layout, prefix_stats
 from .util import gumbel_argmax
 
 __all__ = [
@@ -54,13 +48,11 @@ def _table(state: ChainState, tables: dict, group: GroupModel) -> PrefixStats:
     """
     table = tables.get(group)
     if table is None:
-        table = prefix_stats(
-            group.regimes.z, range(state.num_series), state.hypers,
-            state.values, state.observed, state.panel.window, emission=True,
+        cells = cell_layout(
+            range(state.num_series), state.hypers, state.values, state.observed, state.panel.window
         )
-        table = tables[group] = replace(
-            table, count=None, total=None, total_sq=None, x=None, seen=None
-        )
+        table = prefix_stats(group.regimes.z, cells)
+        table = tables[group] = replace(table, count=None, total=None, total_sq=None)
     return table
 
 
@@ -69,9 +61,8 @@ class ClusterProposal:
     series: int
     current: int
     target: int  # group label or FRESH
-    # singleton slot: sequence, concentration, and its proposal log density
-    slot_z: list[int]
-    slot_alpha: float
+    # singleton slot: its one-member group and the proposal log density of its sequence
+    slot: GroupModel
     slot_log_density: float
     slot_loglik: float  # loglik of the moved series against the slot sequence
     member_logliks: dict[int, float]  # label -> loglik of series against that group
@@ -84,14 +75,13 @@ def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
 
     Existing groups weigh as (member count without n) times the fit of n's
     data to their sequence; the singleton slot weighs as alpha0 times the fit
-    to a fresh sequence, forward-sampled from the lag-reweighted prior with a
-    Gamma(1,1) concentration (or the series' own sequence when it already
+    to a fresh one-member group, forward-sampled from the lag-reweighted prior
+    with a Gamma(1,1) concentration (or the series' own group when it already
     sits alone, in which case choosing the slot is a no-op).  ``tables``
     holds the pass's group tables (see :func:`sweep_c`).
     """
     current = state.assignments[n]
     cur_group = state.group_of(n)
-    is_singleton = len(cur_group.members) == 1
 
     targets = []
     weights = []
@@ -105,28 +95,18 @@ def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
         targets.append(m)
         weights.append(math.log(others) + fit)
 
-    if is_singleton:
-        slot_z = list(cur_group.regimes.z)
-        slot_alpha = cur_group.alpha
+    if len(cur_group.members) == 1:
+        slot = cur_group
         table = _table(state, tables, cur_group)
-        slot_log_density = table.subset_loglik([n], slot_alpha, emission=False)
-        slot_loglik = table.subset_loglik([n], slot_alpha)
     else:
-        slot_alpha = float(rng.gamma(1.0, 1.0))
-        slot_z, slot_log_density = forward_sample_sequence(
-            [n],
-            slot_alpha,
-            state.hypers,
-            state.values,
-            state.observed,
-            state.panel.num_steps,
-            state.panel.window,
-            rng,
-        )
-        slot_loglik = sequence_loglik(
-            slot_z, [n], slot_alpha, state.hypers, state.values, state.observed,
-            state.panel.window,
-        )
+        panel = state.panel
+        alpha = float(rng.gamma(1.0, 1.0))
+        slot = GroupModel([n], alpha, panel.num_steps, panel.window, state.hypers)
+        slot.rollout(range(1, panel.num_steps + 1), state.values, state.observed, rng, emit=False)
+        cells = cell_layout([n], state.hypers, state.values, state.observed, panel.window)
+        table = prefix_stats(slot.regimes.z, cells)
+    slot_log_density = table.subset_loglik([n], slot.alpha, emission=False)
+    slot_loglik = table.subset_loglik([n], slot.alpha)
     targets.append(FRESH)
     weights.append(math.log(state.alpha0) + slot_loglik)
 
@@ -135,8 +115,7 @@ def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
         series=n,
         current=current,
         target=targets[choice],
-        slot_z=slot_z,
-        slot_alpha=slot_alpha,
+        slot=slot,
         slot_log_density=slot_log_density,
         slot_loglik=slot_loglik,
         member_logliks=member_logliks,
@@ -193,17 +172,7 @@ def accept_c(state: ChainState, proposal: ClusterProposal, rng, tables: dict, he
         log_r = cluster_log_ratio(state, proposal, tables)
         if log_r < 0 and math.log(rng.random()) >= log_r:
             return False, False, log_r
-    _apply_move(state, proposal)
-    return True, True, log_r
-
-
-def _apply_move(state: ChainState, proposal: ClusterProposal) -> None:
-    n = proposal.series
-    current = proposal.current
-    target = proposal.target
-    cur_group = state.groups[current - 1]
-    removed = len(cur_group.members) == 1
-    if removed:
+    if is_singleton:
         state.groups.pop(current - 1)
         for j, label in enumerate(state.assignments):
             if label > current:
@@ -212,18 +181,13 @@ def _apply_move(state: ChainState, proposal: ClusterProposal) -> None:
             target -= 1
     else:
         cur_group.drop_member(n)
-
     if target == FRESH:
-        fresh = GroupModel(
-            [n], proposal.slot_alpha, state.panel.num_steps, state.panel.window, state.hypers
-        )
-        fresh.load_sequence(proposal.slot_z, state.values, state.observed)
-        state.groups.append(fresh)
-        state.assignments[n] = len(state.groups)
+        state.groups.append(proposal.slot)
+        target = len(state.groups)
     else:
-        tgt_group = state.groups[target - 1]
-        tgt_group.add_member(n, state.values, state.observed)
-        state.assignments[n] = target
+        state.groups[target - 1].add_member(n, state.values, state.observed)
+    state.assignments[n] = target
+    return True, True, log_r
 
 
 def sweep_c(state: ChainState, rng, heuristic=False) -> dict:

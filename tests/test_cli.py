@@ -121,6 +121,27 @@ def test_fit_non_finite_log_joint_dumps_state_exit_4(runner, tmp_path, rng, monk
     state_from_payload(payload, load_csv(data, 1)).check_consistency()
 
 
+def test_non_finite_predictive_draws_exit_4(runner, tmp_path):
+    # A constant series and one missing after the prefix both get an NIG
+    # shape grid on [1e-6, 1e-4] (see build_grids), so their emission
+    # predictives have about 1e-5 degrees of freedom and draw inf.
+    data = tmp_path / "data.csv"
+    rows = ["time,flat,gone"] + [f"r{r:02d},1.0,{'0.5' if r == 0 else ''}" for r in range(12)]
+    data.write_text("\n".join(rows) + "\n")
+    samples = tmp_path / "samples.json"
+    result = runner.invoke(main, [
+        "fit", "--data", str(data), "--out", str(samples), "--window", "1",
+        "--chains", "2", "--burnin", "3", "--particles", "4",
+    ])
+    assert result.exit_code == 0, result.output
+    for command, what in (("forecast", "forecast"), ("impute", "imputation")):
+        out = tmp_path / f"{command}.csv"
+        result = runner.invoke(main, [command, str(samples), "--draws", "10", "--out", str(out)])
+        assert result.exit_code == 4, result.output
+        assert f"{what} failed" in result.output
+        assert not out.exists()
+
+
 def test_forecast_outputs(runner, tmp_path, rng):
     _, samples = run_fit(runner, tmp_path, rng)
     out = tmp_path / "fc.csv"
@@ -257,6 +278,26 @@ def _zero_concentration(doc):
     doc["chains"][0]["groups"][0]["alpha"] = 0.0
 
 
+def _three_number_emission_cell(doc):
+    doc["chains"][0]["hypers"][0]["emission"].pop()
+
+
+def _unknown_rng_kind(doc):
+    doc["chains"][0]["rng"]["kind"] = "NoSuchBitGenerator"
+
+
+def _integer_sequence(doc):
+    doc["chains"][0]["groups"][0]["z"] = 1
+
+
+def _string_hyper_value(doc):
+    doc["chains"][0]["hypers"][0]["cohesion"][0][2] = "2.0"
+
+
+def _null_alpha0(doc):
+    doc["chains"][0]["alpha0"] = None
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -268,6 +309,11 @@ def _zero_concentration(doc):
         _negative_scale,
         _missing_lag_cell,
         _zero_concentration,
+        _three_number_emission_cell,
+        _unknown_rng_kind,
+        _integer_sequence,
+        _string_hyper_value,
+        _null_alpha0,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

@@ -402,9 +402,9 @@ def test_emission_move_touches_only_its_series(rng):
     state.hypers[0] = before
     table = hypers_mod._group_table(state, group)
     for offset in range(panel.window + 1):
-        row = table.index[1, offset]
-        for name in ("total", "total_sq", "x", "factors"):
-            getattr(table, name)[row] = math.nan
+        row = table.cells.index[1, offset]
+        for stats in (table.total, table.total_sq, table.cells.x, table.factors):
+            stats[row] = math.nan
     after = hypers_mod._cell_logits(state, 0, 0, "a", table)[0]
     assert np.isfinite(after).all()
     assert np.array_equal(after, logits)

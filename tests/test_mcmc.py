@@ -1,18 +1,19 @@
 """Single-site MH: proposal distribution, exact acceptance ratio, sweeps.
 
-No test yet runs the chain against an enumerated posterior; here the ratio
-itself is pinned against log-joint differencing plus the proposal
-correction, which is the identity that makes the chain exact.
+The ratio itself is pinned against log-joint differencing plus the proposal
+correction, which is the identity that makes the chain exact, and one whole
+full-MH sweep is checked to leave an enumerated posterior invariant.
 """
 
 import copy
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import hyper_tuples, make_panel, uniform_hypers
-from oracles import naive_group_loglik
+from oracles import canonical_partition, enumerate_posterior, naive_group_loglik, total_variation
 from trcrp.mcmc import (
     NEW_REGIME,
     MhConfig,
@@ -21,9 +22,17 @@ from trcrp.mcmc import (
     sweep_z,
     transition_site,
 )
-from trcrp.model import GroupModel, log_joint
+from trcrp.conjugate import NigHyper
+from trcrp.model import GroupModel, SeriesHypers, cell_layout, log_joint
 from trcrp.util import logsumexp
 from test_model import build_group, build_state
+
+
+def lag_cells(group, panel):
+    """The emission-free layout a full-MH sweep builds for ``group``."""
+    return cell_layout(
+        group.members, group.hypers, panel.values, panel.observed, group.window, emission=False
+    )
 
 
 def group_loglik_for(panel, hypers, z, alpha=1.0, members=None):
@@ -101,14 +110,14 @@ def test_acceptance_identity_proposal_is_zero(rng):
     panel = make_panel([list(rng.normal(size=6))], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1, 2, 1, 2, 1])
     group.unassign(3, panel.values, panel.observed)
-    assert acceptance_log_ratio(group, 3, 1, 1, panel.values, panel.observed) == 0.0
+    assert acceptance_log_ratio(group, 3, 1, 1, lag_cells(group, panel)) == 0.0
 
 
 def test_acceptance_last_step_is_zero(rng):
     panel = make_panel([list(rng.normal(size=6))], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1, 2, 1, 2, 1])
     group.unassign(5, panel.values, panel.observed)
-    assert acceptance_log_ratio(group, 5, 1, 2, panel.values, panel.observed) == 0.0
+    assert acceptance_log_ratio(group, 5, 1, 2, lag_cells(group, panel)) == 0.0
 
 
 def exact_log_ratio(panel, hypers, z, t_site, z_new_label, alpha=1.0):
@@ -161,7 +170,7 @@ def check_every_site_and_target(panel, hypers, z, alpha):
             else:
                 branch_new = NEW_REGIME
             got = acceptance_log_ratio(
-                group, t_site, branch_old, branch_new, panel.values, panel.observed
+                group, t_site, branch_old, branch_new, lag_cells(group, panel)
             )
             want = exact_log_ratio(panel, hypers, z, t_site, target, alpha=alpha)
             assert got == pytest.approx(want, abs=1e-8), (t_site, target)
@@ -230,3 +239,36 @@ def test_full_mode_cost_grows_quadratically():
     group = build_group(panel, uniform_hypers(1, 1), [1] * 100)
     sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=True))
     assert group.stats_deviation(panel.values, panel.observed) < 1e-8
+
+
+@pytest.mark.parametrize("window", [0, 1])
+def test_full_sweep_leaves_enumerated_posterior_invariant(window):
+    # Start N chains from independent draws of the exact posterior over the 52
+    # partitions of T=5 steps and apply one full-MH sweep to each: if the
+    # sweep leaves the posterior invariant, the N end states are iid draws
+    # from it.  Then E[TV] <= sum_k sqrt(p_k (1 - p_k) / N) / 2, and since one
+    # draw moves TV by at most 1/N, McDiarmid gives
+    # P(TV > E[TV] + eps) <= exp(-2 N eps^2); eps is set for 1e-6.  Window 1
+    # makes the normalizer ratios matter: always-accept sweeps on this panel
+    # exceed the bound about 4x; window 0 has no cohesion and checks the
+    # proposal with its missing cell.
+    num_draws = 4000
+    rows = [[0.0, 2.5, 0.2, 2.7, 2.4, 0.1], [1.0, -1.2, 0.9, -0.8, -1.1, 1.2]]
+    values = [row[1 - window :] for row in rows]
+    values[1][window + 2] = None
+    panel = make_panel(values, window=window)
+    cell = SeriesHypers(NigHyper(0.0, 4.0, 2.0, 0.2), (NigHyper(0.0, 4.0, 3.0, 0.05),) * window)
+    hypers = [cell, cell]
+    alpha = 2.0
+    posterior, _ = enumerate_posterior(panel, [0, 1], alpha, hyper_tuples(hypers))
+    sequences = list(posterior)
+    probs = np.array([posterior[z] for z in sequences])
+    rng = np.random.default_rng(window)
+    ends = Counter()
+    for i in rng.choice(len(sequences), size=num_draws, p=probs / probs.sum()):
+        group = build_group(panel, hypers, list(sequences[i]), alpha=alpha)
+        sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=True))
+        ends[canonical_partition(group.regimes.z)] += 1
+    tv = total_variation({z: c / num_draws for z, c in ends.items()}, posterior)
+    mean_tv = 0.5 * np.sqrt(probs * (1 - probs) / num_draws).sum()
+    assert tv <= mean_tv + math.sqrt(math.log(1e6) / (2 * num_draws))

@@ -18,7 +18,6 @@ from trcrp.model import (
     ChainState,
     GroupModel,
     crp_log_weights,
-    forward_sample_sequence,
     log_joint,
     sequence_loglik,
     simulate,
@@ -308,22 +307,6 @@ def test_log_joint_finite_on_random_states(rng):
         z = list(canonical_partition(z))
         state = build_state(panel, hypers, [z], [1, 1])
         assert math.isfinite(log_joint(state))
-
-
-# -- forward sampling --------------------------------------------------------------
-
-
-def test_forward_sample_density_matches_sequence_loglik(rng):
-    panel = make_panel([list(rng.normal(size=8))], window=1)
-    hypers = {0: uniform_hypers(1, 1)[0]}
-    z, logq = forward_sample_sequence(
-        [0], 1.0, hypers, panel.values, panel.observed, panel.num_steps, panel.window, rng
-    )
-    want = sequence_loglik(
-        z, [0], 1.0, hypers, panel.values, panel.observed,
-        panel.window, include_emission=False,
-    )
-    assert logq == pytest.approx(want, abs=1e-10)
 
 
 # -- simulate -------------------------------------------------------------------

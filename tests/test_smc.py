@@ -259,7 +259,7 @@ def check_particle_stats(rng, window):
         for j in range(len(ps)):
             group = rebuilt_group(ps, j, template, t - 1, panel)
             k = group.regimes.num_regimes
-            for c, (n, i) in enumerate(ps.cells):
+            for c, (n, i) in enumerate(ps.cells.index):
                 for block in range(k):
                     cell = group.cells[n][block][i]
                     assert ps.count[j, c, block] == cell.count

@@ -17,7 +17,14 @@ import trcrp.structure as structure
 from conftest import hyper_tuples, make_panel, uniform_hypers
 from oracles import canonical_sequences, naive_group_loglik
 from test_model import build_state
-from trcrp.model import GroupModel, crp_log_weights, log_joint, prefix_stats, sequence_loglik
+from trcrp.model import (
+    GroupModel,
+    cell_layout,
+    crp_log_weights,
+    log_joint,
+    prefix_stats,
+    sequence_loglik,
+)
 from trcrp.structure import (
     FRESH,
     ClusterProposal,
@@ -99,7 +106,8 @@ def exact_log_ratio(panel, hypers, state, proposal):
     if target == current or (target == FRESH and cur_singleton):
         return 0.0
     desc = state_description(state)
-    post_desc = apply_move_description(desc, n, target, proposal.slot_z, proposal.slot_alpha)
+    slot = proposal.slot
+    post_desc = apply_move_description(desc, n, target, slot.regimes.z, slot.alpha)
     before = log_joint(state)
     post_state = build_from_description(panel, hypers, post_desc)
     after = log_joint(post_state)
@@ -109,13 +117,13 @@ def exact_log_ratio(panel, hypers, state, proposal):
         proposal.log_weights
     )
     if not cur_singleton:
-        log_g_fwd += log_gamma11_pdf(proposal.slot_alpha) + proposal.slot_log_density
+        log_g_fwd += log_gamma11_pdf(proposal.slot.alpha) + proposal.slot_log_density
 
     # reverse proposal: move n back to its old group from the post state
     if target == FRESH:
         # n now sits alone; the reverse reuses its own sequence, no draw
         rev_slot_loglik = sequence_loglik(
-            proposal.slot_z, [n], proposal.slot_alpha, *data_of(post_state)
+            proposal.slot.regimes.z, [n], proposal.slot.alpha, *data_of(post_state)
         )
         back = current if current <= len(post_state.groups) else FRESH
         rev_targets, rev_weights = direct_weight_vector(post_state, n, rev_slot_loglik)
@@ -134,11 +142,11 @@ def exact_log_ratio(panel, hypers, state, proposal):
         # both directions draw an aux slot; pin the reverse one to the forward
         # draw so the aux densities cancel
         rev_slot_loglik = sequence_loglik(
-            proposal.slot_z, [n], proposal.slot_alpha, *data_of(post_state)
+            proposal.slot.regimes.z, [n], proposal.slot.alpha, *data_of(post_state)
         )
         rev_targets, rev_weights = direct_weight_vector(post_state, n, rev_slot_loglik)
         log_g_rev = (
-            log_gamma11_pdf(proposal.slot_alpha)
+            log_gamma11_pdf(proposal.slot.alpha)
             + proposal.slot_log_density
             + rev_weights[rev_targets.index(current)]
             - logsumexp(rev_weights)
@@ -266,6 +274,49 @@ def test_symmetric_series_weigh_symmetrically(rng):
     assert p0.member_logliks[1] == pytest.approx(p1.member_logliks[1], abs=1e-12)
 
 
+def gappy_state(window):
+    """Three series in two groups, one cell missing, distinct hypers per series."""
+    rng = np.random.default_rng(8)
+    values = [list(rng.normal(size=7 + window)) for _ in range(3)]
+    values[0][window + 2] = None
+    panel = make_panel(values, window=window)
+    hypers = [
+        uniform_hypers(1, window, m=0.2 * n, V=0.6 + n, a=1.4 + 0.5 * n, b=0.8 + 0.3 * n)[0]
+        for n in range(3)
+    ]
+    state = build_state(
+        panel, hypers, [[1, 2, 1, 1, 3, 2, 1], [1, 1, 2, 2, 1, 1, 2]], [1, 1, 2],
+        alpha0=1.3, alphas=[0.8, 1.1],
+    )
+    return panel, state
+
+
+@pytest.mark.parametrize("window", [0, 2])
+def test_slot_density_is_bit_equal_to_sequence_loglik(window):
+    # a fresh slot (series 0 and 1 share a group) and a reused one (series 2 sits alone)
+    panel, state = gappy_state(window)
+    for n in range(3):
+        proposal = propose_c(state, n, np.random.default_rng(n), {})
+        slot = proposal.slot
+        assert slot.members == [n]
+        assert (slot is state.group_of(n)) == (n == 2)
+        assert len(slot.regimes.z) == panel.num_steps and min(slot.regimes.z) == 1
+        args = (slot.regimes.z, [n], slot.alpha, *data_of(state))
+        assert proposal.slot_log_density == sequence_loglik(*args, include_emission=False)
+        assert proposal.slot_loglik == sequence_loglik(*args)
+
+
+def test_accepted_fresh_move_appends_the_sampled_group():
+    panel, state = gappy_state(2)
+    proposal = force_proposal(state, 0, FRESH, np.random.default_rng(4))
+    accepted, moved, _ = accept_c(state, proposal, np.random.default_rng(5), {}, heuristic=True)
+    assert accepted and moved
+    assert state.groups[-1] is proposal.slot
+    assert state.assignments == [3, 1, 2]
+    assert proposal.slot.stats_deviation(panel.values, panel.observed) == 0.0
+    state.check_consistency()
+
+
 # -- acceptance ratio ---------------------------------------------------------------
 
 
@@ -363,7 +414,7 @@ def test_table_subset_loglik_is_bit_equal_to_sequence_loglik(window):
     ]
     state = build_state(panel, hypers, [[1, 2, 1, 3, 2, 1, 1]], [1, 1, 1], alphas=[0.9])
     z = state.groups[0].regimes.z
-    table = prefix_stats(z, range(3), *data_of(state), emission=True)
+    table = prefix_stats(z, cell_layout(range(3), *data_of(state)))
     subsets = [list(p) for r in range(4) for p in permutations(range(3), r)]
     assert len(subsets) == 16
     for series in subsets:
@@ -432,8 +483,7 @@ def test_sweep_acceptance_decisions_invariant_to_relabeling(rng):
     pa = force_proposal(state_a, 0, FRESH, np.random.default_rng(12))
     pb = ClusterProposal(
         series=0, current=1, target=FRESH,
-        slot_z=pa.slot_z, slot_alpha=pa.slot_alpha,
-        slot_log_density=pa.slot_log_density, slot_loglik=pa.slot_loglik,
+        slot=pa.slot, slot_log_density=pa.slot_log_density, slot_loglik=pa.slot_loglik,
         member_logliks=dict(pa.member_logliks), log_weights=list(pa.log_weights),
         targets=list(pa.targets),
     )
