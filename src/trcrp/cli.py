@@ -1,15 +1,17 @@
 """Command-line surface: fit, forecast, impute, depprob, simulate, inspect-grids.
 
-Exit codes: 0 ok, 2 usage, 3 data error, 4 numerical failure.  Every output
-file embeds the config hash (a JSON field, or a leading ``#`` comment line in
-CSVs); re-running a command with the same inputs and seed reproduces outputs
-byte-exactly, whatever the number of fit threads.
+Exit codes: 0 ok, 2 usage, 3 data error (including any malformed sample
+set), 4 numerical failure.  ``fit`` runs its first ``--init-sweeps`` sweeps
+always-accept and every later one as full MH, so ``--init-sweeps`` at or above
+``--burnin`` gives a heuristic-only fit.  Every output file embeds a hash of
+the command's inputs (:func:`trcrp.engine.config_hash`; a JSON field, or a
+leading ``#`` comment line in CSVs); re-running a command with the same inputs
+and seed reproduces outputs byte-exactly, whatever the number of fit threads.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import sys
 import time
@@ -22,6 +24,7 @@ from .conjugate import NigHyper
 from .engine import (
     RunConfig,
     SchemaVersionError,
+    config_hash,
     fit,
     load_sampleset,
     panel_payload,
@@ -34,11 +37,6 @@ from .smc import NumericalError
 
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-
-def _command_hash(**parts) -> str:
-    blob = json.dumps(parts, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _fail(code: int, message: str) -> None:
@@ -73,9 +71,8 @@ def main():
 @click.option("--init-sweeps", default=10, show_default=True, type=int)
 @click.option("--hyper-cadence", default=1, show_default=True, type=int)
 @click.option("--smc-init/--no-smc-init", default=True, show_default=True)
-@click.option("--full-mh/--heuristic-only", default=True, show_default=True)
 def cmd_fit(data, out, window, chains, burnin, particles, seed, threads,
-            hierarchical, init_sweeps, hyper_cadence, smc_init, full_mh):
+            hierarchical, init_sweeps, hyper_cadence, smc_init):
     """Run S chains of posterior inference and write the sample set."""
     try:
         config = RunConfig(
@@ -89,7 +86,6 @@ def cmd_fit(data, out, window, chains, burnin, particles, seed, threads,
             init_sweeps=init_sweeps,
             hyper_cadence=hyper_cadence,
             smc_init=smc_init,
-            full_mh=full_mh,
         )
     except ValueError as exc:  # the message starts with the field name
         field, _, rule = str(exc).partition(" ")
@@ -145,7 +141,7 @@ def cmd_forecast(sampleset, horizon, draws, seed, out):
     if draws < 1:
         raise click.UsageError("--draws must be >= 1")
     samples, _, fit_hash = _load_samples(sampleset)
-    digest = _command_hash(
+    digest = config_hash(
         command="forecast", fit=fit_hash, horizon=horizon, draws=draws, seed=seed
     )
     try:
@@ -173,7 +169,7 @@ def cmd_impute(sampleset, draws, seed, out):
     if draws < 1:
         raise click.UsageError("--draws must be >= 1")
     samples, _, fit_hash = _load_samples(sampleset)
-    digest = _command_hash(command="impute", fit=fit_hash, draws=draws, seed=seed)
+    digest = config_hash(command="impute", fit=fit_hash, draws=draws, seed=seed)
     try:
         result = predict.impute(samples, draws, seed)
     except NumericalError as exc:
@@ -196,7 +192,7 @@ def cmd_impute(sampleset, draws, seed, out):
 def cmd_depprob(sampleset, out):
     """Pairwise dependence-probability matrix as CSV (for heatmap rendering)."""
     samples, _, fit_hash = _load_samples(sampleset)
-    digest = _command_hash(command="depprob", fit=fit_hash)
+    digest = config_hash(command="depprob", fit=fit_hash)
     matrix = predict.dependence_matrix(samples)
     names = samples.panel.series_names
     with open(out, "w", newline="") as fh:
@@ -243,7 +239,7 @@ def cmd_simulate(out, num_series, steps, window, seed, alpha, alpha0, groups, hy
             raise click.UsageError("--groups length must equal --series")
         if sorted(set(assignments)) != list(range(1, max(assignments) + 1)):
             raise click.UsageError("--groups labels must be contiguous from 1")
-    digest = _command_hash(
+    digest = config_hash(
         command="simulate", series=num_series, steps=steps, window=window, seed=seed,
         alpha=alpha, alpha0=alpha0, groups=assignments, hyper=list(hyper),
     )
@@ -287,7 +283,7 @@ def cmd_inspect_grids(data, window, out):
         panel = load_csv(data, window)
     except PanelError as exc:
         _fail(EXIT_DATA, str(exc))
-    digest = _command_hash(command="inspect-grids", data_panel=panel_payload(panel), window=window)
+    digest = config_hash(command="inspect-grids", data_panel=panel_payload(panel), window=window)
     doc = {"config_hash": digest, "grids": grids_payload(build_grids(panel))}
     text = json.dumps(doc, indent=2)
     if out is None:

@@ -30,7 +30,6 @@ __all__ = [
     "StudentT",
     "posterior_params",
     "posterior_predictive",
-    "predictive_logpdf",
     "predictive_logpdf_raw",
     "predictive_logpdf_array",
     "lgamma_rows",
@@ -137,13 +136,6 @@ def posterior_predictive(hyper: NigHyper, stats: NigStats) -> StudentT:
     """Student-T posterior predictive of the next observation for this cell."""
     post = posterior_params(hyper, stats)
     return StudentT(2.0 * post.a, post.m, post.b * (1.0 + post.V) / post.a)
-
-
-def predictive_logpdf(hyper: NigHyper, stats: NigStats, x: float) -> float:
-    """Log posterior-predictive density at ``x`` for the given cell."""
-    return predictive_logpdf_raw(
-        hyper.m, hyper.V, hyper.a, hyper.b, stats.count, stats.sum, stats.sum_sq, x
-    )
 
 
 def predictive_logpdf_raw(

@@ -2,9 +2,10 @@
 
 A fit runs S independent chains.  Each chain initializes the outer partition
 from its prior, block-samples every group's regime sequence with the particle
-filter, runs always-accept sweeps for a few iterations, then full MH sweeps
-interleaved with outer-cluster and griddy-Gibbs hyperparameter moves.  The
-final state of each chain is one posterior sample.
+filter, runs ``init_sweeps`` always-accept sweeps, then full MH sweeps, each
+followed by outer-cluster and griddy-Gibbs hyperparameter moves.  The final
+state of each chain is one posterior sample; a SampleSet file holds them with
+the panel, the :class:`RunConfig` and each chain's statistics.
 
 All randomness derives from the single run seed: chain i uses the i-th spawn
 of ``SeedSequence(seed)``, so results are identical, byte for byte, whether
@@ -47,7 +48,7 @@ __all__ = [
     "SchemaVersionError",
 ]
 
-SAMPLESET_SCHEMA_VERSION = 3
+SAMPLESET_SCHEMA_VERSION = 4
 
 
 class SchemaVersionError(ValueError):
@@ -59,11 +60,13 @@ class RunConfig:
     """Sampler schedule and sizes.
 
     ``burnin`` sweeps run per chain; the final state is the chain's sample.
-    The first ``init_sweeps`` regime sweeps always accept (initialization
-    heuristic); hyperparameter sweeps fire every ``hyper_cadence``-th
-    iteration, and 0 disables them.  ``fixed_hypers`` pins every NIG cell to
-    one (m, V, a, b); the concentrations still move on the cadence.
-    Validation messages start with the offending field's name.
+    The first ``init_sweeps`` sweeps always accept their regime and outer
+    moves (initialization heuristic), and every later sweep is full MH, so
+    ``init_sweeps >= burnin`` gives a heuristic-only fit.  Hyperparameter
+    sweeps fire every ``hyper_cadence``-th iteration, and 0 disables them.
+    ``fixed_hypers`` pins every NIG cell to one (m, V, a, b); the
+    concentrations still move on the cadence.  Validation messages start with
+    the offending field's name.
     """
 
     window: int = 10
@@ -73,7 +76,6 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
     hierarchical: bool = True
-    full_mh: bool = True
     init_sweeps: int = 10
     hyper_cadence: int = 1
     smc_init: bool = True
@@ -90,11 +92,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def config_hash(config: RunConfig, extra: dict | None = None) -> str:
-    payload = {"config": asdict(config)}
-    if extra:
-        payload["extra"] = extra
-    blob = json.dumps(payload, sort_keys=True).encode()
+def config_hash(**parts) -> str:
+    """First 16 hex digits of the sha256 of ``parts`` as sorted-key JSON."""
+    blob = json.dumps(parts, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -134,7 +134,7 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
     accept_z = {"sites": 0, "accepted": 0, "moved": 0}
     accept_c = {"series": 0, "accepted": 0, "moved": 0}
     for sweep_idx in range(config.burnin):
-        full = config.full_mh and sweep_idx >= config.init_sweeps
+        full = sweep_idx >= config.init_sweeps
         cfg = mcmc.MhConfig(full_mh=full)
         for group in list(state.groups):
             stats = mcmc.sweep_z(group, state.values, state.observed, rng, cfg)
@@ -169,18 +169,7 @@ def fit(panel: TimeSeriesPanel, config: RunConfig) -> SampleSet:
     else:
         results = [run_chain(panel, config, seq) for seq in seed_seqs]
     chains = [state_from_payload(payload, panel) for payload, _ in results]
-    provenance = {
-        "seed": config.seed,
-        "burnin": config.burnin,
-        "schedule": {
-            "smc_init": config.smc_init,
-            "init_sweeps": config.init_sweeps,
-            "full_mh": config.full_mh,
-            "hyper_cadence": config.hyper_cadence,
-            "hierarchical": config.hierarchical,
-        },
-        "chain_stats": [stats for _, stats in results],
-    }
+    provenance = {"chain_stats": [stats for _, stats in results]}
     return SampleSet(panel=panel, chains=chains, provenance=provenance)
 
 
@@ -218,7 +207,7 @@ def panel_from_payload(payload: dict) -> TimeSeriesPanel:
 
 def save_sampleset(samples: SampleSet, config: RunConfig, path) -> str:
     """Write the versioned SampleSet JSON; returns the config hash."""
-    digest = config_hash(config)
+    digest = config_hash(config=asdict(config))
     doc = {
         "schema_version": SAMPLESET_SCHEMA_VERSION,
         "config_hash": digest,
@@ -234,21 +223,31 @@ def save_sampleset(samples: SampleSet, config: RunConfig, path) -> str:
 
 
 def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
+    """Read a SampleSet file; returns the samples, their config and its hash.
+
+    Malformed content raises ``ValueError`` (a :class:`SchemaVersionError`
+    for another schema) or ``KeyError``.  A field of the wrong JSON type fails
+    inside the decoding with a ``TypeError`` or ``AttributeError``, which is
+    raised again as ``ValueError``.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    version = doc.get("schema_version")
-    if version != SAMPLESET_SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"sample set schema {version!r} unsupported (expected {SAMPLESET_SCHEMA_VERSION})"
-        )
-    panel = panel_from_payload(doc["panel"])
-    chains = [state_from_payload(entry, panel) for entry in doc["chains"]]
-    known = {f.name for f in fields(RunConfig)}
-    if not isinstance(doc["config"], dict) or not set(doc["config"]) <= known:
-        raise ValueError(f"config must be an object with keys among {sorted(known)}")
-    config = RunConfig(**{
-        key: tuple(value) if key == "fixed_hypers" and value is not None else value
-        for key, value in doc["config"].items()
-    })
-    samples = SampleSet(panel=panel, chains=chains, provenance=doc.get("provenance", {}))
-    return samples, config, doc["config_hash"]
+    try:
+        version = doc.get("schema_version")
+        if version != SAMPLESET_SCHEMA_VERSION:
+            raise SchemaVersionError(
+                f"sample set schema {version!r} unsupported (expected {SAMPLESET_SCHEMA_VERSION})"
+            )
+        panel = panel_from_payload(doc["panel"])
+        chains = [state_from_payload(entry, panel) for entry in doc["chains"]]
+        known = {f.name for f in fields(RunConfig)}
+        if not isinstance(doc["config"], dict) or not set(doc["config"]) <= known:
+            raise ValueError(f"config must be an object with keys among {sorted(known)}")
+        config = RunConfig(**{
+            key: tuple(value) if key == "fixed_hypers" and value is not None else value
+            for key, value in doc["config"].items()
+        })
+        samples = SampleSet(panel=panel, chains=chains, provenance=doc.get("provenance", {}))
+        return samples, config, doc["config_hash"]
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed sample set: {exc}") from None

@@ -34,7 +34,6 @@ __all__ = [
     "Grids",
     "build_grids",
     "initial_hypers",
-    "gibbs_hyper",
     "hyper_sweep",
     "grids_payload",
 ]
@@ -176,14 +175,8 @@ def _group_table(state: ChainState, group) -> PrefixStats:
     return prefix_stats(group.regimes.z, cells)
 
 
-def _require_grids(state: ChainState) -> Grids:
-    if state.grids is None:
-        state.grids = build_grids(state.panel)
-    return state.grids
-
-
 def _gibbs_alpha0(state: ChainState, rng) -> None:
-    grid = _require_grids(state).alpha0.points
+    grid = state.grids.alpha0.points
     sizes = [len(g.members) for g in state.groups]
     logits = [crp_partition_log_mass(sizes, a) + log_gamma11_pdf(a) for a in grid]
     state.alpha0 = grid[gumbel_argmax(logits, rng)]
@@ -191,12 +184,12 @@ def _gibbs_alpha0(state: ChainState, rng) -> None:
 
 def _alpha_logits(state: ChainState, table: PrefixStats) -> np.ndarray:
     """Unnormalised log conditional of a group's alpha at each grid point."""
-    grid = _require_grids(state).group_alpha.points
+    grid = state.grids.group_alpha.points
     return table.loglik(table.log_weights(grid)) + np.array([log_gamma11_pdf(a) for a in grid])
 
 
 def _gibbs_group_alpha(state: ChainState, group, table: PrefixStats, rng) -> None:
-    grid = _require_grids(state).group_alpha.points
+    grid = state.grids.group_alpha.points
     group.alpha = grid[gumbel_argmax(_alpha_logits(state, table), rng)]
 
 
@@ -206,7 +199,7 @@ def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: Pref
     Offset 0 is the emission cell.  Returns the (G,) logits and the
     candidates' (G, T, K+1) factors.
     """
-    grid = _require_grids(state).series[n].field(field).points
+    grid = state.grids.series[n].field(field).points
     cand = _candidates(state.hypers[n].cell(offset), field, grid)
     return table.cell_logliks(n, offset, cand, state.group_of(n).alpha)
 
@@ -214,7 +207,7 @@ def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: Pref
 def _gibbs_cell(
     state: ChainState, n: int, offset: int, field: str, table: PrefixStats, rng
 ) -> None:
-    grid = _require_grids(state).series[n].field(field).points
+    grid = state.grids.series[n].field(field).points
     current = state.hypers[n].cell(offset)
     logits, factors = _cell_logits(state, n, offset, field, table)
     j = gumbel_argmax(logits, rng)
@@ -224,35 +217,13 @@ def _gibbs_cell(
         state.hypers[n] = state.hypers[n].replace_cell(offset, new)
 
 
-def gibbs_hyper(state: ChainState, param, rng, table: PrefixStats | None = None) -> None:
-    """One griddy-Gibbs transition for the named parameter.
-
-    ``param`` is ``("alpha0",)``, ``("alpha", m)`` or ``("cell", n, offset,
-    field)`` with offset 0 the emission cell, i >= 1 the lag-i cell, and field
-    in m/V/a/b.  ``table`` is the group's table from an earlier move; it is
-    built when omitted.
-    """
-    kind = param[0]
-    if kind == "alpha0":
-        _gibbs_alpha0(state, rng)
-    elif kind == "alpha":
-        group = state.groups[param[1] - 1]
-        _gibbs_group_alpha(state, group, table or _group_table(state, group), rng)
-    elif kind == "cell":
-        n, offset, field = param[1:]
-        table = table or _group_table(state, state.group_of(n))
-        _gibbs_cell(state, n, offset, field, table, rng)
-    else:
-        raise ValueError(f"unknown hyperparameter spec {param!r}")
-
-
 def hyper_sweep(state: ChainState, rng, nig_cells: bool = True) -> None:
     """One pass over every hyperparameter: alpha0, each group's alpha, then per
     series the four emission fields and the 4p lag fields.
 
     Without ``nig_cells`` only the concentrations move; the NIG cells stay fixed.
+    The moves read their grids from ``state.grids``, which the caller sets.
     """
-    _require_grids(state)
     _gibbs_alpha0(state, rng)
     tables = {}
     for group in state.groups:

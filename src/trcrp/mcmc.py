@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .model import cell_layout, prefix_stats
-from .util import gumbel_argmax, logsumexp
+from .util import gumbel_argmax
 
 __all__ = ["MhConfig", "NEW_REGIME", "propose_z", "acceptance_log_ratio", "sweep_z"]
 
@@ -39,16 +39,12 @@ def propose_z(group, t, values, observed, rng):
 
     Contract: time t's contributions are already removed from the group's
     statistics.  Missing cells at t contribute no emission factor and the
-    cohesion skips unobserved lag cells.  Returns
-    ``(branch, proposal_logprob, log_weights)`` where ``branch`` is an
-    existing label or ``NEW_REGIME``.
+    cohesion skips unobserved lag cells.  Returns an existing label or
+    ``NEW_REGIME``.
     """
-    base, emis = group.regime_log_weights_split(t, values, observed, True)
-    weights = [b + e for b, e in zip(base, emis)]
+    weights = group.regime_log_weights(t, values, observed, True)
     idx = gumbel_argmax(weights, rng)
-    logprob = weights[idx] - logsumexp(weights)
-    branch = NEW_REGIME if idx == len(weights) - 1 else idx + 1
-    return branch, logprob, weights
+    return NEW_REGIME if idx == len(weights) - 1 else idx + 1
 
 
 def acceptance_log_ratio(group, t, branch_old, branch_new, cells) -> float:
@@ -81,7 +77,7 @@ def transition_site(group, t, values, observed, rng, cells):
     """
     k_old, removed = group.unassign(t, values, observed)
     branch_old = NEW_REGIME if removed else k_old
-    branch, _, _ = propose_z(group, t, values, observed, rng)
+    branch = propose_z(group, t, values, observed, rng)
     accepted = True
     if cells is not None and branch != branch_old:
         log_r = acceptance_log_ratio(group, t, branch_old, branch, cells)

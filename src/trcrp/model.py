@@ -259,7 +259,7 @@ class GroupModel:
         """
         labels = []
         for t in steps:
-            idx = gumbel_argmax(self.reweighted_log_weights(t, values, observed), rng)
+            idx = gumbel_argmax(self.regime_log_weights(t, values, observed, False), rng)
             k = self.add_regime() if idx == self.regimes.num_regimes else idx + 1
             if emit:
                 col = self.window + t - 1
@@ -275,14 +275,13 @@ class GroupModel:
 
     # -- weights ------------------------------------------------------------
 
-    def regime_log_weights_split(self, t: int, values, observed, emission: bool):
-        """Per-regime (base, emission) log-weight pairs at time t, fresh block last.
+    def regime_log_weights(self, t: int, values, observed, emission: bool) -> list:
+        """Per-regime log weights of time t, fresh block last.
 
-        ``base`` is CRP count/concentration plus cohesion over the observed lag
-        cells.  With ``emission`` the second list holds the emission
-        predictives of the observed cells at t; without it, zeros, and no
-        emission term is evaluated.  The fresh block is scored against empty
-        statistics.
+        Each is the CRP count or concentration plus the cohesion over the
+        observed lag cells; with ``emission`` the emission predictives of the
+        observed cells at t are summed apart and added last, otherwise none is
+        evaluated.  The fresh block is scored against empty statistics.
         """
         p = self.window
         col = p + t - 1
@@ -300,8 +299,7 @@ class GroupModel:
                 if orow[col - i]
             ]
             queries.append((seen, self.cells[n] + [fresh_row]))
-        base = []
-        emis = []
+        weights = []
         for k, w in enumerate(crp_log_weights(self.regimes.counts, self.alpha)):
             e = 0.0
             for seen, rows in queries:
@@ -313,13 +311,8 @@ class GroupModel:
                         w += f
                     else:
                         e += f
-            base.append(w)
-            emis.append(e)
-        return base, emis
-
-    def reweighted_log_weights(self, t: int, values, observed):
-        """CRP-times-cohesion log weights at time t, fresh block last."""
-        return self.regime_log_weights_split(t, values, observed, False)[0]
+            weights.append(w + e)
+        return weights
 
     # -- maintenance ----------------------------------------------------------
 
@@ -542,19 +535,15 @@ def prefix_stats(z, cells: CellLayout) -> PrefixStats:
     return PrefixStats(cells, count, total, total_sq, factors, cohesion, log_counts, slot)
 
 
-def sequence_loglik(
-    z, members, alpha: float, hypers, values, observed, window: int, include_emission=True
-):
+def sequence_loglik(z, members, alpha: float, hypers, values, observed, window: int):
     """Log joint contribution of one group for a fixed regime sequence.
 
     The term at time t uses only earlier data: the normalized reweighted-CRP
-    log probability of z_t plus (optionally) the observed-cell emission
-    predictives.  Without emission terms this is exactly the density of the
-    lag-reweighted sequence prior, which is also the forward-sampling
-    proposal density used by the outer cluster moves.
+    log probability of z_t plus the emission predictives of the observed
+    cells at t.
     """
-    cells = cell_layout(members, hypers, values, observed, window, include_emission)
-    return prefix_stats(z, cells).subset_loglik(members, alpha, include_emission)
+    cells = cell_layout(members, hypers, values, observed, window)
+    return prefix_stats(z, cells).subset_loglik(members, alpha)
 
 
 # -- chain state ---------------------------------------------------------------

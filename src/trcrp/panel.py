@@ -86,12 +86,6 @@ class TimeSeriesPanel:
         """Array column of time t (t in -window+1 .. num_steps)."""
         return self.window + t - 1
 
-    def value(self, n: int, t: int) -> float:
-        return float(self.values[n, self.column(t)])
-
-    def is_observed(self, n: int, t: int) -> bool:
-        return bool(self.observed[n, self.column(t)])
-
     def missing_cells(self) -> list[tuple[int, int]]:
         """(series, time) pairs of unobserved modeled cells, row-major order."""
         out = []

@@ -4,23 +4,9 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["logsumexp", "gumbel_argmax", "log_gamma11_pdf", "crp_partition_log_mass"]
+__all__ = ["gumbel_argmax", "log_gamma11_pdf", "crp_partition_log_mass"]
 
 NEG_INF = float("-inf")
-
-
-def logsumexp(values) -> float:
-    """Stable log-sum-exp of a sequence of floats (may contain -inf)."""
-    hi = NEG_INF
-    for v in values:
-        if v > hi:
-            hi = v
-    if hi == NEG_INF:
-        return NEG_INF
-    acc = 0.0
-    for v in values:
-        acc += math.exp(v - hi)
-    return hi + math.log(acc)
 
 
 def gumbel_argmax(log_weights, rng) -> int:

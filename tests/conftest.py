@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from trcrp.conjugate import NigHyper
+from trcrp.conjugate import NigHyper, predictive_logpdf_raw
 from trcrp.model import SeriesHypers
 from trcrp.panel import TimeSeriesPanel
 
@@ -32,6 +32,13 @@ def make_panel(values, window, observed=None, names=None):
 def uniform_hypers(num_series, window, m=0.0, V=1.0, a=2.0, b=1.0):
     cell = NigHyper(m, V, a, b)
     return [SeriesHypers(cell, tuple(cell for _ in range(window))) for _ in range(num_series)]
+
+
+def cell_logpdf(hyper, stats, x):
+    """Predictive log density of ``x`` in a cell with NIG ``hyper`` and statistics ``stats``."""
+    return predictive_logpdf_raw(
+        hyper.m, hyper.V, hyper.a, hyper.b, stats.count, stats.sum, stats.sum_sq, x
+    )
 
 
 def hyper_tuples(hypers):

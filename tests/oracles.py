@@ -16,6 +16,21 @@ import numpy as np
 import scipy.stats
 
 
+def value(panel, n, t):
+    """Series n's value at time t (t in -window+1 .. T); NaN where missing."""
+    return float(panel.values[n, panel.window + t - 1])
+
+
+def seen(panel, n, t):
+    """Whether series n is observed at time t."""
+    return bool(panel.observed[n, panel.window + t - 1])
+
+
+def logsumexp(values):
+    """Log-sum-exp of a sequence of floats, as a float."""
+    return float(scipy.special.logsumexp(values))
+
+
 def naive_posterior(m, V, a, b, data):
     """Textbook NIG update, literal uncentered form."""
     n = len(data)
@@ -89,32 +104,32 @@ def naive_group_loglik(z, series, alpha, hypers, panel, include_emission=True):
             for n in series:
                 em, lags = hypers[n]
                 for i in range(1, p + 1):
-                    if panel.is_observed(n, t - i):
+                    if seen(panel, n, t - i):
                         key = (n, opt, i)
                         data = lag_data.get(key, []) if opt != "new" else []
-                        w += naive_predictive_logpdf(*lags[i - 1], data, panel.value(n, t - i))
+                        w += naive_predictive_logpdf(*lags[i - 1], data, value(panel, n, t - i))
             weights.append(w)
         zt = z[t - 1]
         idx = blocks.index(zt) if zt in blocks else len(blocks)
-        lse = float(scipy.special.logsumexp(weights))
+        lse = logsumexp(weights)
         total += weights[idx] - lse
         if include_emission:
             for n in series:
                 em, lags = hypers[n]
-                if panel.is_observed(n, t):
+                if seen(panel, n, t):
                     data = emission_data.get((n, zt), [])
-                    total += naive_predictive_logpdf(*em, data, panel.value(n, t))
+                    total += naive_predictive_logpdf(*em, data, value(panel, n, t))
         # fold time t into its block
         if zt not in blocks:
             blocks.append(zt)
             counts[zt] = 0
         counts[zt] += 1
         for n in series:
-            if panel.is_observed(n, t):
-                emission_data.setdefault((n, zt), []).append(panel.value(n, t))
+            if seen(panel, n, t):
+                emission_data.setdefault((n, zt), []).append(value(panel, n, t))
             for i in range(1, p + 1):
-                if panel.is_observed(n, t - i):
-                    lag_data.setdefault((n, zt, i), []).append(panel.value(n, t - i))
+                if seen(panel, n, t - i):
+                    lag_data.setdefault((n, zt, i), []).append(value(panel, n, t - i))
     return total
 
 

@@ -47,7 +47,7 @@ def run_fit(runner, tmp_path, rng, missing=(), extra=()):
 def test_fit_writes_sampleset_and_provenance(runner, tmp_path, rng):
     _, out = run_fit(runner, tmp_path, rng, missing=[(0, 9)])
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert len(doc["chains"]) == 2
     assert "config_hash" in doc
     sidecar = json.loads((tmp_path / "samples.json.provenance.json").read_text())
@@ -82,6 +82,20 @@ def test_fit_usage_error_exit_2(runner, tmp_path, rng):
         "fit", "--data", str(data), "--out", str(tmp_path / "o.json"), "--chains", "0",
     ])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("flag", ["--heuristic-only", "--full-mh"])
+def test_fit_schedule_flags_removed_exit_2(runner, tmp_path, rng, flag):
+    # --init-sweeps at or above --burnin gives the heuristic-only schedule
+    data = write_panel_csv(tmp_path / "data.csv", rng)
+    out = tmp_path / "o.json"
+    result = runner.invoke(main, [
+        "fit", "--data", str(data), "--out", str(out), "--window", "1", "--chains", "1",
+        "--burnin", "0", "--particles", "2", flag,
+    ])
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output and flag in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -298,6 +312,74 @@ def _null_alpha0(doc):
     doc["chains"][0]["alpha0"] = None
 
 
+def _number_members(doc):
+    doc["chains"][0]["groups"][0]["members"] = 0
+
+
+def _number_hypers_entry(doc):
+    doc["chains"][0]["hypers"][0] = 5
+
+
+def _null_assignments(doc):
+    doc["chains"][0]["assignments"] = None
+
+
+def _string_rng_state(doc):
+    doc["chains"][0]["rng"]["state"]["state"] = "state"
+
+
+def _number_rng_state(doc):
+    doc["chains"][0]["rng"]["state"] = 5
+
+
+def _number_groups(doc):
+    doc["chains"][0]["groups"] = 5
+
+
+def _number_group_entry(doc):
+    doc["chains"][0]["groups"][0] = 5
+
+
+def _number_cohesion(doc):
+    doc["chains"][0]["hypers"][0]["cohesion"] = 5
+
+
+def _number_chain(doc):
+    doc["chains"][0] = 5
+
+
+def _number_chains(doc):
+    doc["chains"] = 5
+
+
+def _number_panel_values(doc):
+    doc["panel"]["values"] = 5
+
+
+def _number_panel_row(doc):
+    doc["panel"]["values"][0] = 5
+
+
+def _string_panel_window(doc):
+    doc["panel"]["window"] = "1"
+
+
+def _number_series_names(doc):
+    doc["panel"]["series_names"] = 5
+
+
+def _string_config_window(doc):
+    doc["config"]["window"] = "1"
+
+
+def _number_fixed_hypers(doc):
+    doc["config"]["fixed_hypers"] = 3
+
+
+def _number_document(doc):
+    return 5
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -314,14 +396,32 @@ def _null_alpha0(doc):
         _integer_sequence,
         _string_hyper_value,
         _null_alpha0,
+        _number_members,
+        _number_hypers_entry,
+        _null_assignments,
+        _string_rng_state,
+        _number_rng_state,
+        _number_groups,
+        _number_group_entry,
+        _number_cohesion,
+        _number_chain,
+        _number_chains,
+        _number_panel_values,
+        _number_panel_row,
+        _string_panel_window,
+        _number_series_names,
+        _string_config_window,
+        _number_fixed_hypers,
+        _number_document,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_malformed_sampleset_exit_3(runner, tmp_path, rng, corrupt):
+    # a corruption edits the document in place, or returns its replacement
     _, samples = run_fit(runner, tmp_path, rng)
     doc = json.loads(samples.read_text())
-    corrupt(doc)
-    samples.write_text(json.dumps(doc))
+    replaced = corrupt(doc)
+    samples.write_text(json.dumps(doc if replaced is None else replaced))
     result = runner.invoke(main, [
         "forecast", str(samples), "--horizon", "3", "--draws", "10",
         "--out", str(tmp_path / "fc.csv"),

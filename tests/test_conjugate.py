@@ -7,15 +7,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_posterior, naive_predictive_logpdf
-from conftest import make_panel
+from oracles import naive_posterior, naive_predictive_logpdf, value
+from conftest import cell_logpdf, make_panel
 from trcrp.conjugate import (
     NigHyper,
     NigStats,
     marginal_loglik,
     posterior_params,
     posterior_predictive,
-    predictive_logpdf,
     predictive_logpdf_array,
     predictive_logpdf_raw,
 )
@@ -71,7 +70,7 @@ def test_posterior_matches_naive_on_random_cases(rng):
 
 
 def test_predictive_prior_is_student_t2_at_zero():
-    got = predictive_logpdf(UNIT, NigStats(), 0.0)
+    got = cell_logpdf(UNIT, NigStats(), 0.0)
     want = scipy.stats.t.logpdf(0.0, df=2.0, loc=0.0, scale=math.sqrt(2.0))
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -79,8 +78,8 @@ def test_predictive_prior_is_student_t2_at_zero():
 def test_predictive_symmetric_when_centered():
     s = stats_of(1.5, -1.5)
     for c in (0.3, 1.0, 4.2):
-        assert predictive_logpdf(UNIT, s, c) == pytest.approx(
-            predictive_logpdf(UNIT, s, -c), abs=1e-12
+        assert cell_logpdf(UNIT, s, c) == pytest.approx(
+            cell_logpdf(UNIT, s, -c), abs=1e-12
         )
 
 
@@ -94,8 +93,8 @@ def _array_predictive(hyper, stats, x):
 
 @pytest.mark.parametrize(
     "predictive",
-    [predictive_logpdf, _array_predictive],
-    ids=["predictive_logpdf", "predictive_logpdf_array"],
+    [cell_logpdf, _array_predictive],
+    ids=["predictive_logpdf_raw", "predictive_logpdf_array"],
 )
 def test_predictive_matches_scipy_on_random_cases(rng, predictive):
     for _ in range(200):
@@ -124,7 +123,7 @@ def test_predictive_integrates_to_one(rng):
         s = stats_of(*data)
         pred = posterior_predictive(hyper, s)
         total, err = scipy.integrate.quad(
-            lambda x: math.exp(predictive_logpdf(hyper, s, x)),
+            lambda x: math.exp(cell_logpdf(hyper, s, x)),
             pred.loc - 400 * math.sqrt(pred.scale_sq),
             pred.loc + 400 * math.sqrt(pred.scale_sq),
             limit=300,
@@ -182,7 +181,7 @@ def test_chain_rule_is_permutation_invariant(data, seed):
         s = NigStats()
         total = 0.0
         for idx in order:
-            total += predictive_logpdf(UNIT, s, data[idx])
+            total += cell_logpdf(UNIT, s, data[idx])
             s.incorporate(data[idx])
         return total
 
@@ -213,7 +212,7 @@ def test_predictive_scale_always_positive(m, V, a, b, data):
     hyper = NigHyper(m, V, a, b)
     stats = stats_of(*data)
     assert posterior_predictive(hyper, stats).scale_sq > 0
-    assert math.isfinite(predictive_logpdf(hyper, stats, 0.0))
+    assert math.isfinite(cell_logpdf(hyper, stats, 0.0))
 
 
 def test_marginal_loglik_telescopes(rng):
@@ -222,7 +221,7 @@ def test_marginal_loglik_telescopes(rng):
     s = NigStats()
     total = 0.0
     for x in data:
-        total += predictive_logpdf(hyper, s, x)
+        total += cell_logpdf(hyper, s, x)
         s.incorporate(x)
     assert marginal_loglik(hyper, s) == pytest.approx(total, abs=1e-10)
 
@@ -238,7 +237,7 @@ def lag_group(panel, cohesion, z):
 def test_cohesion_empty_window_is_zero():
     panel = make_panel([[0.3, -1.2, 0.8, 2.0]], window=0)
     group = lag_group(panel, (), [1, 2, 1, 1])
-    got = group.reweighted_log_weights(3, panel.values, panel.observed)
+    got = group.regime_log_weights(3, panel.values, panel.observed, False)
     assert got == crp_log_weights(group.regimes.counts, group.alpha)
 
 
@@ -246,7 +245,7 @@ def test_cohesion_unobserved_lags_contribute_nothing():
     # both lag cells of the last step are missing: its weights are the CRP's
     panel = make_panel([[0.5, 1.5, 1.0, 2.0, None, None, 7.0]], window=2)
     group = lag_group(panel, (UNIT, UNIT), [1, 2, 1, 2, 1])
-    got = group.reweighted_log_weights(5, panel.values, panel.observed)
+    got = group.regime_log_weights(5, panel.values, panel.observed, False)
     assert got == crp_log_weights(group.regimes.counts, group.alpha)
 
 
@@ -256,11 +255,11 @@ def test_cohesion_factorizes():
     group = lag_group(panel, hypers, [1, 1, 2, 2])
     # at t = 1 both lags lie in the prefix; at t = 4 they are times 3 and 2
     for t in (1, 4):
-        weights = group.reweighted_log_weights(t, panel.values, panel.observed)
+        weights = group.regime_log_weights(t, panel.values, panel.observed, False)
         for k in (1, 2):
             stats = group.cells[0][k - 1]
             want = math.log(group.regimes.counts[k - 1]) + sum(
-                predictive_logpdf(hypers[i - 1], stats[i], panel.value(0, t - i))
+                cell_logpdf(hypers[i - 1], stats[i], value(panel, 0, t - i))
                 for i in (1, 2)
             )
             assert weights[k - 1] == pytest.approx(want, abs=1e-12)
@@ -282,6 +281,6 @@ def test_large_shape_matches_naive_oracle_and_telescopes():
     assert got == pytest.approx(want, abs=1e-9)
     hyper = NigHyper(0.3, 1.5, a + 3.0, 2.0)
     assert marginal_loglik(hyper, stats) == pytest.approx(
-        predictive_logpdf(hyper, NigStats(), 0.2) + predictive_logpdf(hyper, stats_of(0.2), 0.8),
+        cell_logpdf(hyper, NigStats(), 0.2) + cell_logpdf(hyper, stats_of(0.2), 0.8),
         abs=1e-9,
     )

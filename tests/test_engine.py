@@ -86,6 +86,18 @@ def test_fit_fixed_hypers_and_alpha(rng):
             assert sh.cohesion == (cell,)
 
 
+def test_init_sweeps_at_burnin_accept_every_move(rng):
+    # with init_sweeps >= burnin no sweep is full MH: every regime and outer move applies
+    panel = small_panel(rng, num_series=3, missing=[(1, 6)])
+    config = quick_config(burnin=3, init_sweeps=3)
+    for stats in fit(panel, config).provenance["chain_stats"]:
+        accept_z, accept_c = stats["accept_z"], stats["accept_c"]
+        assert accept_z["sites"] >= config.burnin * panel.num_steps
+        assert accept_z["accepted"] == accept_z["sites"]
+        assert accept_c["series"] == config.burnin * panel.num_series
+        assert accept_c["accepted"] == accept_c["series"]
+
+
 def test_seed_changes_output(rng):
     panel = small_panel(rng)
     a = fit(panel, quick_config(seed=1, chains=1))
@@ -101,8 +113,8 @@ def test_config_hash_stable_and_sensitive():
     a = quick_config()
     b = quick_config()
     c = quick_config(seed=99)
-    assert config_hash(a) == config_hash(b)
-    assert config_hash(a) != config_hash(c)
+    assert config_hash(config=dataclasses.asdict(a)) == config_hash(config=dataclasses.asdict(b))
+    assert config_hash(config=dataclasses.asdict(a)) != config_hash(config=dataclasses.asdict(c))
 
 
 def test_panel_payload_round_trip(rng):
@@ -138,7 +150,7 @@ def test_sampleset_save_load_round_trip(rng, tmp_path):
     save_sampleset(samples, config, path)
     loaded, loaded_config, digest = load_sampleset(path)
     assert loaded_config == config
-    assert digest == config_hash(config)
+    assert digest == config_hash(config=dataclasses.asdict(config))
     assert loaded.num_chains == 2
     assert np.allclose(dependence_matrix(loaded), dependence_matrix(samples))
 
@@ -149,7 +161,9 @@ def test_sampleset_schema_mismatch(rng, tmp_path):
     path = tmp_path / "samples.json"
     save_sampleset(fit(panel, config), config, path)
     doc = json.loads(path.read_text())
-    for version in (1, 2, 999):  # 1 and 2 had other RunConfig fields
+    assert doc["schema_version"] == 4
+    doc["config"]["full_mh"] = True  # a RunConfig field up to schema 3
+    for version in (1, 2, 3, 999):
         doc["schema_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionError):

@@ -12,7 +12,6 @@ from test_model import build_state
 from trcrp.hypers import (
     GRID_SIZE,
     build_grids,
-    gibbs_hyper,
     grids_payload,
     hyper_sweep,
     initial_hypers,
@@ -110,7 +109,8 @@ def test_equal_conditionals_sample_uniformly():
     rng = np.random.default_rng(0)
     draws = []
     for _ in range(3000):
-        gibbs_hyper(state, ("cell", 0, 0, "V"), rng)
+        table = hypers_mod._group_table(state, state.groups[0])
+        hypers_mod._gibbs_cell(state, 0, 0, "V", table, rng)
         draws.append(state.hypers[0].emission.V)
     freqs = np.array([draws.count(p) for p in grids.series[0].V.points]) / len(draws)
     assert abs(freqs - 1.0 / GRID_SIZE).max() < 0.02
@@ -118,8 +118,11 @@ def test_equal_conditionals_sample_uniformly():
 
 def test_sampled_values_are_grid_members(rng):
     panel, state = state_for_gibbs(rng)
-    for spec in (("alpha0",), ("alpha", 1), ("cell", 0, 0, "b"), ("cell", 1, 1, "m")):
-        gibbs_hyper(state, spec, rng)
+    group = state.groups[0]
+    hypers_mod._gibbs_alpha0(state, rng)
+    hypers_mod._gibbs_group_alpha(state, group, hypers_mod._group_table(state, group), rng)
+    hypers_mod._gibbs_cell(state, 0, 0, "b", hypers_mod._group_table(state, group), rng)
+    hypers_mod._gibbs_cell(state, 1, 1, "m", hypers_mod._group_table(state, group), rng)
     assert state.alpha0 in state.grids.alpha0.points
     assert state.groups[0].alpha in state.grids.group_alpha.points
     assert state.hypers[0].emission.b in state.grids.series[0].b.points
@@ -140,7 +143,8 @@ def test_alpha_tracks_regime_count():
         draws = []
         local = np.random.default_rng(5)
         for _ in range(400):
-            gibbs_hyper(state, ("alpha", 1), local)
+            table = hypers_mod._group_table(state, state.groups[0])
+            hypers_mod._gibbs_group_alpha(state, state.groups[0], table, local)
             draws.append(state.groups[0].alpha)
         return float(np.mean(draws))
 
@@ -368,7 +372,7 @@ def test_lag_sampler_matches_brute_force_conditional():
     num = 20_000
     counts = np.zeros(GRID_SIZE)
     for _ in range(num):
-        gibbs_hyper(state, ("cell", 0, 2, "V"), rng, table=table)
+        hypers_mod._gibbs_cell(state, 0, 2, "V", table, rng)
         counts[index[state.hypers[0].cohesion[1].V]] += 1
     bound = 3 * 0.5 * math.sqrt(2 * GRID_SIZE / (math.pi * num))
     assert 0.5 * np.abs(counts / num - want).sum() <= bound
@@ -397,7 +401,9 @@ def test_emission_move_touches_only_its_series(rng):
     group = state.groups[0]
     before = state.hypers[0]
     logits = hypers_mod._cell_logits(state, 0, 0, "a", hypers_mod._group_table(state, group))[0]
-    gibbs_hyper(state, ("cell", 0, 0, "a"), np.random.default_rng(1))
+    hypers_mod._gibbs_cell(
+        state, 0, 0, "a", hypers_mod._group_table(state, group), np.random.default_rng(1)
+    )
     drawn = state.hypers[0].emission
     state.hypers[0] = before
     table = hypers_mod._group_table(state, group)
@@ -408,7 +414,7 @@ def test_emission_move_touches_only_its_series(rng):
     after = hypers_mod._cell_logits(state, 0, 0, "a", table)[0]
     assert np.isfinite(after).all()
     assert np.array_equal(after, logits)
-    gibbs_hyper(state, ("cell", 0, 0, "a"), np.random.default_rng(1), table=table)
+    hypers_mod._gibbs_cell(state, 0, 0, "a", table, np.random.default_rng(1))
     assert state.hypers[0].emission == drawn
 
 

@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 from conftest import hyper_tuples, make_panel, uniform_hypers
-from oracles import canonical_partition, enumerate_posterior, naive_group_loglik, total_variation
+from oracles import (
+    canonical_partition,
+    enumerate_posterior,
+    logsumexp,
+    naive_group_loglik,
+    naive_predictive_logpdf,
+    seen,
+    total_variation,
+    value,
+)
 from trcrp.mcmc import (
     NEW_REGIME,
     MhConfig,
@@ -24,7 +33,6 @@ from trcrp.mcmc import (
 )
 from trcrp.conjugate import NigHyper
 from trcrp.model import GroupModel, SeriesHypers, cell_layout, log_joint
-from trcrp.util import logsumexp
 from test_model import build_group, build_state
 
 
@@ -44,9 +52,10 @@ def test_propose_single_step_returns_new_regime(rng):
     panel = make_panel([[0.0, 1.0]], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1])
     group.unassign(1, panel.values, panel.observed)
-    branch, logprob, weights = propose_z(group, 1, panel.values, panel.observed, rng)
+    branch = propose_z(group, 1, panel.values, panel.observed, rng)
+    weights = group.regime_log_weights(1, panel.values, panel.observed, True)
     assert branch == NEW_REGIME
-    assert logprob == pytest.approx(0.0, abs=1e-12)
+    assert weights[-1] - logsumexp(weights) == pytest.approx(0.0, abs=1e-12)
     assert len(weights) == 1
 
 
@@ -54,7 +63,7 @@ def test_propose_symmetric_regimes_weigh_equally(rng):
     # constant history: both regimes end up with identical stats and counts
     panel = make_panel([[1.0, 1.0, 1.0, 1.0, 1.0, 2.0]], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1, 2, 1, 2])
-    _, _, weights = propose_z(group, 5, panel.values, panel.observed, rng)
+    weights = group.regime_log_weights(5, panel.values, panel.observed, True)
     assert weights[0] == pytest.approx(weights[1], abs=1e-10)
 
 
@@ -68,12 +77,10 @@ def test_proposal_distribution_matches_direct_evaluation(rng):
     t_site = 4
     group = build_group(panel, hypers, z, alpha=0.9)
     group.unassign(t_site, panel.values, panel.observed)
-    _, _, weights = propose_z(group, t_site, panel.values, panel.observed, rng)
+    weights = group.regime_log_weights(t_site, panel.values, panel.observed, True)
     impl = np.exp(np.array(weights) - logsumexp(weights))
 
     # direct: evaluate CRP(k | z minus t) * cohesion * observed emission from raw data
-    from oracles import naive_predictive_logpdf
-
     others = [zz for i, zz in enumerate(z, start=1) if i != t_site]
     labels = sorted(set(others), key=lambda lab: [i for i, zz in enumerate(z, 1) if zz == lab][0])
     direct = []
@@ -86,20 +93,20 @@ def test_proposal_distribution_matches_direct_evaluation(rng):
         for n in (0, 1):
             em, lags = tuples[n]
             for i in range(1, p + 1):
-                if panel.is_observed(n, t_site - i):
+                if seen(panel, n, t_site - i):
                     data = [
-                        panel.value(n, tt - i)
+                        value(panel, n, tt - i)
                         for tt in range(1, panel.num_steps + 1)
-                        if tt != t_site and z[tt - 1] == opt and panel.is_observed(n, tt - i)
+                        if tt != t_site and z[tt - 1] == opt and seen(panel, n, tt - i)
                     ] if opt != "new" else []
-                    w += naive_predictive_logpdf(*lags[i - 1], data, panel.value(n, t_site - i))
-            if panel.is_observed(n, t_site):
+                    w += naive_predictive_logpdf(*lags[i - 1], data, value(panel, n, t_site - i))
+            if seen(panel, n, t_site):
                 data = [
-                    panel.value(n, tt)
+                    value(panel, n, tt)
                     for tt in range(1, panel.num_steps + 1)
-                    if tt != t_site and z[tt - 1] == opt and panel.is_observed(n, tt)
+                    if tt != t_site and z[tt - 1] == opt and seen(panel, n, tt)
                 ] if opt != "new" else []
-                w += naive_predictive_logpdf(*em, data, panel.value(n, t_site))
+                w += naive_predictive_logpdf(*em, data, value(panel, n, t_site))
         direct.append(w)
     direct = np.exp(np.array(direct) - logsumexp(list(direct)))
     # the scratch labels follow first appearance, same ordering as `labels`
@@ -131,8 +138,7 @@ def exact_log_ratio(panel, hypers, z, t_site, z_new_label, alpha=1.0):
     # proposal weights over the shared conditional (independence proposal)
     group = build_group(panel, hypers, z_old, alpha=alpha)
     group.unassign(t_site, panel.values, panel.observed)
-    base, emis = group.regime_log_weights_split(t_site, panel.values, panel.observed, True)
-    weights = [b + e for b, e in zip(base, emis)]
+    weights = group.regime_log_weights(t_site, panel.values, panel.observed, True)
     # map original labels to the group's post-removal labels
     def weight_of(label):
         remaining = [zz for i, zz in enumerate(z_old, 1) if i != t_site]

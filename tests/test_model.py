@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hyper_tuples, make_panel, uniform_hypers
+from conftest import cell_logpdf, hyper_tuples, make_panel, uniform_hypers
 from oracles import (
     canonical_partition,
     canonical_sequences,
     exact_crp_log_mass,
+    logsumexp,
     naive_group_loglik,
     naive_log_joint,
     total_variation,
+    value,
 )
 import trcrp.model as model_mod
-from trcrp.conjugate import NigHyper, predictive_logpdf, NigStats
+from trcrp.conjugate import NigHyper, NigStats
 from trcrp.model import (
     ChainState,
     GroupModel,
@@ -22,7 +24,6 @@ from trcrp.model import (
     sequence_loglik,
     simulate,
 )
-from trcrp.util import logsumexp
 
 
 def build_group(panel, hypers, z, members=None, alpha=1.0):
@@ -75,7 +76,7 @@ def test_reweighted_equals_crp_at_p0(rng):
     scratch = group.empty_clone()
     for t in range(1, 6):
         want = crp_log_weights(scratch.regimes.counts, 0.7)
-        got = scratch.reweighted_log_weights(t, panel.values, panel.observed)
+        got = scratch.regime_log_weights(t, panel.values, panel.observed, False)
         assert got == want
         k = group.regimes.z[t - 1]
         while scratch.regimes.num_regimes < k:
@@ -92,7 +93,7 @@ def test_reweighted_symmetric_regimes_get_equal_weight():
     # build instead with identical histories:
     panel2 = make_panel([[1.0, 1.0, 1.0, 1.0, 1.0, 2.0]], window=1)
     group2 = build_group(panel2, uniform_hypers(1, 1), [1, 2, 1, 2], alpha=1.0)
-    w = group2.reweighted_log_weights(5, panel2.values, panel2.observed)
+    w = group2.regime_log_weights(5, panel2.values, panel2.observed, False)
     assert w[0] == pytest.approx(w[1], abs=1e-12)
 
 
@@ -102,7 +103,7 @@ def test_reweighted_weights_normalize(rng):
     group = build_group(panel, hypers, [1, 1, 2, 1, 2, 3, 1, 1], alpha=1.3)
     scratch = group.empty_clone()
     for t, k in enumerate(group.regimes.z, start=1):
-        w = scratch.reweighted_log_weights(t, panel.values, panel.observed)
+        w = scratch.regime_log_weights(t, panel.values, panel.observed, False)
         log_b = -logsumexp(w)
         assert sum(math.exp(x + log_b) for x in w) == pytest.approx(1.0, abs=1e-12)
         while scratch.regimes.num_regimes < k:
@@ -123,7 +124,7 @@ def test_reweighted_weights_evaluate_no_emission_terms(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(model_mod, "predictive_logpdf_raw", counting)
-    group.reweighted_log_weights(3, panel.values, panel.observed)
+    group.regime_log_weights(3, panel.values, panel.observed, False)
     num_blocks = group.regimes.num_regimes + 1
     assert len(calls) == num_blocks * 3
 
@@ -136,7 +137,7 @@ def test_normalizer_p0_is_crp_normalizer(rng):
     group = build_group(panel, uniform_hypers(1, 0), [1, 1, 2, 1, 2, 1], alpha=0.9)
     scratch = group.empty_clone()
     for t, k in enumerate(group.regimes.z, start=1):
-        log_b = -logsumexp(scratch.reweighted_log_weights(t, panel.values, panel.observed))
+        log_b = -logsumexp(scratch.regime_log_weights(t, panel.values, panel.observed, False))
         assert log_b == pytest.approx(-math.log(t - 1 + 0.9), abs=1e-12)
         while scratch.regimes.num_regimes < k:
             scratch.add_regime()
@@ -150,9 +151,9 @@ def test_normalizer_single_regime_tiny_alpha_inverts_cohesion():
     scratch = group.empty_clone()
     for t in (1, 2, 3):
         if t > 1:
-            log_b = -logsumexp(scratch.reweighted_log_weights(t, panel.values, panel.observed))
-            coh = predictive_logpdf(
-                hypers[0].cohesion[0], scratch.cells[0][0][1], panel.value(0, t - 1)
+            log_b = -logsumexp(scratch.regime_log_weights(t, panel.values, panel.observed, False))
+            coh = cell_logpdf(
+                hypers[0].cohesion[0], scratch.cells[0][0][1], value(panel, 0, t - 1)
             )
             count_term = math.log(scratch.regimes.counts[0])
             assert log_b == pytest.approx(-(coh + count_term), abs=1e-10)
@@ -166,8 +167,9 @@ def test_normalizer_single_regime_tiny_alpha_inverts_cohesion():
 
 def step_predictive(group, t, panel):
     """Log one-step predictive of the observed cells at t, regime summed out."""
-    base, emis = group.regime_log_weights_split(t, panel.values, panel.observed, True)
-    return logsumexp([b + e for b, e in zip(base, emis)]) - logsumexp(base)
+    full = group.regime_log_weights(t, panel.values, panel.observed, True)
+    base = group.regime_log_weights(t, panel.values, panel.observed, False)
+    return logsumexp(full) - logsumexp(base)
 
 
 def test_predictive_vacuous_when_nothing_observed():
@@ -189,7 +191,7 @@ def test_predictive_collapses_to_emission_with_one_regime():
     scratch.assign(2, 1, panel.values, panel.observed)
     got = step_predictive(scratch, 3, panel)
     s = scratch.cells[0][0][0]
-    want = predictive_logpdf(hypers[0].emission, s, panel.value(0, 3))
+    want = cell_logpdf(hypers[0].emission, s, value(panel, 0, 3))
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -198,7 +200,7 @@ def test_predictive_first_step_is_prior_student_t():
     hypers = uniform_hypers(1, 0, m=0.0, V=1.0, a=1.0, b=1.0)
     group = GroupModel([0], 1.0, 1, 0, {0: hypers[0]})
     got = step_predictive(group, 1, panel)
-    want = predictive_logpdf(hypers[0].emission, NigStats(), 1.7)
+    want = cell_logpdf(hypers[0].emission, NigStats(), 1.7)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -232,7 +234,7 @@ def test_log_joint_smallest_instance():
     got = log_joint(state)
     # Gamma(1,1) priors on both concentrations, trivial partition mass (0),
     # trivial assignment mass (0), prior emission predictive at x_1.
-    want = -1.0 - 1.0 + predictive_logpdf(hypers[0].emission, NigStats(), 2.5)
+    want = -1.0 - 1.0 + cell_logpdf(hypers[0].emission, NigStats(), 2.5)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -284,8 +286,8 @@ def test_log_joint_sequential_decomposition(rng):
         math.lgamma(state.alpha0 + 2) - math.lgamma(state.alpha0)
     )
     for t, zt in enumerate(z, start=1):
-        base, emis = scratch.regime_log_weights_split(t, panel.values, panel.observed, True)
-        full = [b + e for b, e in zip(base, emis)]
+        base = scratch.regime_log_weights(t, panel.values, panel.observed, False)
+        full = scratch.regime_log_weights(t, panel.values, panel.observed, True)
         q_t = logsumexp(full) - logsumexp(base)
         k = label_map.get(zt)
         idx = (k - 1) if k is not None else len(base) - 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
+from oracles import seen, value
 from trcrp.panel import PanelError, load_csv, write_csv
 
 
@@ -30,9 +31,9 @@ def test_load_csv_blank_cell_becomes_missing(tmp_path):
     rows = [f"r{i},{i},{i * 2}" for i in range(12)]
     rows[4] = "r4,4,"  # 5th data row, 2nd series
     panel = load_csv(write_lines(tmp_path / "p.csv", ["time,a,b"] + rows), window=2)
-    assert not panel.is_observed(1, 3)
-    assert panel.is_observed(0, 3)
-    assert np.isnan(panel.value(1, 3))
+    assert not seen(panel, 1, 3)
+    assert seen(panel, 0, 3)
+    assert np.isnan(value(panel, 1, 3))
 
 
 def test_load_csv_rejects_non_numeric(tmp_path):

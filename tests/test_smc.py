@@ -219,8 +219,9 @@ def filter_with_forced_resample(ps, rng, num_steps, check):
 
 @pytest.mark.parametrize("window", [0, 2])
 def test_batched_weights_match_group_weights(rng, window):
-    # every particle's (base, emission) row at every step equals the scalar
-    # weights of a group loaded from the particle's sequence so far
+    # every particle's base row, and its base-plus-emission row, at every step
+    # equal the scalar weights without and with emission of a group loaded
+    # from the particle's sequence so far
     panel = gappy_panel(rng, window)
     template = GroupModel(MEMBERS, 0.7, panel.num_steps, window, mixed_hypers(4, window))
     ps = ParticleSet(template, panel.values, panel.observed, 9)
@@ -231,13 +232,12 @@ def test_batched_weights_match_group_weights(rng, window):
         base, emis = ps.log_weights_split(t)
         for j in range(len(ps)):
             group = rebuilt_group(ps, j, template, t - 1, panel)
-            want_base, want_emis = group.regime_log_weights_split(
-                t, panel.values, panel.observed, True
-            )
+            want_base = group.regime_log_weights(t, panel.values, panel.observed, False)
+            want_full = group.regime_log_weights(t, panel.values, panel.observed, True)
             k = group.regimes.num_regimes
             assert ps.num_blocks[j] == k
             assert np.abs(base[j, : k + 1] - want_base).max() <= 1e-12
-            assert np.abs(emis[j, : k + 1] - want_emis).max() <= 1e-12
+            assert np.abs((base + emis)[j, : k + 1] - want_full).max() <= 1e-12
             assert np.all(base[j, k + 1 :] == -np.inf)
 
     filter_with_forced_resample(ps, rng, panel.num_steps, check)

@@ -15,7 +15,7 @@ import pytest
 
 import trcrp.structure as structure
 from conftest import hyper_tuples, make_panel, uniform_hypers
-from oracles import canonical_sequences, naive_group_loglik
+from oracles import canonical_sequences, logsumexp, naive_group_loglik
 from test_model import build_state
 from trcrp.model import (
     GroupModel,
@@ -33,12 +33,19 @@ from trcrp.structure import (
     propose_c,
     sweep_c,
 )
-from trcrp.util import log_gamma11_pdf, logsumexp
+from trcrp.util import log_gamma11_pdf
 
 
 def data_of(state):
     """The hypers, data and window arguments of ``sequence_loglik`` for ``state``."""
     return state.hypers, state.values, state.observed, state.panel.window
+
+
+def lag_loglik(z, members, alpha, hypers, values, observed, window):
+    """``sequence_loglik`` without emission terms: the density of the lag-reweighted
+    sequence prior that a fresh slot is drawn from."""
+    cells = cell_layout(members, hypers, values, observed, window, emission=False)
+    return prefix_stats(z, cells).subset_loglik(members, alpha, emission=False)
 
 
 def state_description(state):
@@ -133,8 +140,8 @@ def exact_log_ratio(panel, hypers, state, proposal):
         # and pick the fresh slot
         old_alpha, old_z = desc[2][current - 1]
         rev_slot_loglik = sequence_loglik(old_z, [n], old_alpha, *data_of(post_state))
-        rev_density = log_gamma11_pdf(old_alpha) + sequence_loglik(
-            old_z, [n], old_alpha, *data_of(post_state), include_emission=False
+        rev_density = log_gamma11_pdf(old_alpha) + lag_loglik(
+            old_z, [n], old_alpha, *data_of(post_state)
         )
         rev_targets, rev_weights = direct_weight_vector(post_state, n, rev_slot_loglik)
         log_g_rev = rev_density + rev_weights[rev_targets.index(FRESH)] - logsumexp(rev_weights)
@@ -194,11 +201,11 @@ def test_partial_loglik_series_terms_add_across_subsets(rng):
         label_map = {}
         total = 0.0
         for t, zt in enumerate(z, start=1):
-            base, emis = scratch.regime_log_weights_split(t, panel.values, panel.observed, True)
+            full = scratch.regime_log_weights(t, panel.values, panel.observed, True)
             crp = crp_log_weights(scratch.regimes.counts, scratch.alpha)
             k = label_map.get(zt)
-            slot = (k - 1) if k is not None else len(base) - 1
-            total += base[slot] - crp[slot] + emis[slot]
+            slot = (k - 1) if k is not None else len(full) - 1
+            total += full[slot] - crp[slot]
             if k is None:
                 k = scratch.add_regime()
                 label_map[zt] = k
@@ -302,7 +309,7 @@ def test_slot_density_is_bit_equal_to_sequence_loglik(window):
         assert (slot is state.group_of(n)) == (n == 2)
         assert len(slot.regimes.z) == panel.num_steps and min(slot.regimes.z) == 1
         args = (slot.regimes.z, [n], slot.alpha, *data_of(state))
-        assert proposal.slot_log_density == sequence_loglik(*args, include_emission=False)
+        assert proposal.slot_log_density == lag_loglik(*args)
         assert proposal.slot_loglik == sequence_loglik(*args)
 
 
@@ -419,7 +426,7 @@ def test_table_subset_loglik_is_bit_equal_to_sequence_loglik(window):
     assert len(subsets) == 16
     for series in subsets:
         for emission in (False, True):
-            want = sequence_loglik(z, series, 0.9, *data_of(state), include_emission=emission)
+            want = (sequence_loglik if emission else lag_loglik)(z, series, 0.9, *data_of(state))
             assert table.subset_loglik(series, 0.9, emission=emission) == want
 
 
