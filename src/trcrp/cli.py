@@ -7,6 +7,8 @@ always-accept and every later one as full MH, so ``--init-sweeps`` at or above
 the command's inputs (:func:`trcrp.engine.config_hash`; a JSON field, or a
 leading ``#`` comment line in CSVs); re-running a command with the same inputs
 and seed reproduces outputs byte-exactly, whatever the number of fit threads.
+A sample set's hash, which ``fit`` prints and the queries build on, is that of
+its fit config, recomputed from the file on every load.
 """
 
 from __future__ import annotations

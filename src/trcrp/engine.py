@@ -5,7 +5,9 @@ from its prior, block-samples every group's regime sequence with the particle
 filter, runs ``init_sweeps`` always-accept sweeps, then full MH sweeps, each
 followed by outer-cluster and griddy-Gibbs hyperparameter moves.  The final
 state of each chain is one posterior sample; a SampleSet file holds them with
-the panel, the :class:`RunConfig` and each chain's statistics.
+the panel, the :class:`RunConfig` and each chain's statistics.  The file
+stores each fact once: the config's ``window`` and ``chains`` are the panel's
+window and the chain count, and its hash is recomputed on load.
 
 All randomness derives from the single run seed: chain i uses the i-th spawn
 of ``SeedSequence(seed)``, so results are identical, byte for byte, whether
@@ -48,7 +50,7 @@ __all__ = [
     "SchemaVersionError",
 ]
 
-SAMPLESET_SCHEMA_VERSION = 4
+SAMPLESET_SCHEMA_VERSION = 5
 
 
 class SchemaVersionError(ValueError):
@@ -65,8 +67,9 @@ class RunConfig:
     ``init_sweeps >= burnin`` gives a heuristic-only fit.  Hyperparameter
     sweeps fire every ``hyper_cadence``-th iteration, and 0 disables them.
     ``fixed_hypers`` pins every NIG cell to one (m, V, a, b); the
-    concentrations still move on the cadence.  Validation messages start with
-    the offending field's name.
+    concentrations still move on the cadence.  ``window`` must equal the
+    fitted panel's.  Validation messages start with the offending field's
+    name.
     """
 
     window: int = 10
@@ -119,7 +122,7 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
     else:
         assignments = [1] * panel.num_series
     num_groups = max(assignments)
-    state = ChainState.create(panel, 1.0, assignments, [1.0] * num_groups, series_hypers, rng)
+    state = ChainState.create(panel, 1.0, assignments, [1.0] * num_groups, series_hypers)
     state.grids = grids
 
     smc_log_ml = []
@@ -152,7 +155,6 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
         raise NumericalError(f"non-finite log joint after fit: {joint}", state_payload(state))
     stats = {
         "log_joint": joint,
-        "num_groups": len(state.groups),
         "accept_z": accept_z,
         "accept_c": accept_c,
         "smc_log_ml": smc_log_ml,
@@ -162,6 +164,8 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
 
 def fit(panel: TimeSeriesPanel, config: RunConfig) -> SampleSet:
     """Run all chains and assemble the sample set."""
+    if config.window != panel.window:
+        raise ValueError(f"config window {config.window} != panel window {panel.window}")
     seed_seqs = np.random.SeedSequence(config.seed).spawn(config.chains)
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -206,12 +210,16 @@ def panel_from_payload(payload: dict) -> TimeSeriesPanel:
 
 
 def save_sampleset(samples: SampleSet, config: RunConfig, path) -> str:
-    """Write the versioned SampleSet JSON; returns the config hash."""
-    digest = config_hash(config=asdict(config))
+    """Write the versioned SampleSet JSON; returns the config hash.
+
+    ``config`` is the one the samples were fitted with.  It is stored without
+    ``window`` and ``chains``, which the panel and the chain list give.
+    """
+    stored = asdict(config)
+    del stored["window"], stored["chains"]
     doc = {
         "schema_version": SAMPLESET_SCHEMA_VERSION,
-        "config_hash": digest,
-        "config": asdict(config),
+        "config": stored,
         "panel": panel_payload(samples.panel),
         "chains": [state_payload(chain) for chain in samples.chains],
         "provenance": samples.provenance,
@@ -219,16 +227,18 @@ def save_sampleset(samples: SampleSet, config: RunConfig, path) -> str:
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    return digest
+    return config_hash(config=asdict(config))
 
 
 def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
     """Read a SampleSet file; returns the samples, their config and its hash.
 
-    Malformed content raises ``ValueError`` (a :class:`SchemaVersionError`
-    for another schema) or ``KeyError``.  A field of the wrong JSON type fails
-    inside the decoding with a ``TypeError`` or ``AttributeError``, which is
-    raised again as ``ValueError``.
+    The config is rebuilt with the panel's window and the chain count, and its
+    hash is computed as :func:`save_sampleset` computes it.  Malformed content
+    raises ``ValueError`` (a :class:`SchemaVersionError` for another schema)
+    or ``KeyError``.  A field of the wrong JSON type fails inside the decoding
+    with a ``TypeError`` or ``AttributeError``, which is raised again as
+    ``ValueError``.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -240,14 +250,14 @@ def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
             )
         panel = panel_from_payload(doc["panel"])
         chains = [state_from_payload(entry, panel) for entry in doc["chains"]]
-        known = {f.name for f in fields(RunConfig)}
+        known = {f.name for f in fields(RunConfig)} - {"window", "chains"}
         if not isinstance(doc["config"], dict) or not set(doc["config"]) <= known:
             raise ValueError(f"config must be an object with keys among {sorted(known)}")
-        config = RunConfig(**{
+        config = RunConfig(window=panel.window, chains=len(chains), **{
             key: tuple(value) if key == "fixed_hypers" and value is not None else value
             for key, value in doc["config"].items()
         })
         samples = SampleSet(panel=panel, chains=chains, provenance=doc.get("provenance", {}))
-        return samples, config, doc["config_hash"]
+        return samples, config, config_hash(config=asdict(config))
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed sample set: {exc}") from None

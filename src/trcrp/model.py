@@ -550,23 +550,27 @@ def sequence_loglik(z, members, alpha: float, hypers, values, observed, window: 
 
 
 class ChainState:
-    """One full latent configuration: outer partition, groups, hypers, RNG."""
+    """One full latent configuration: groups and hypers.  The groups' member
+    lists are the outer partition; ``assignments[n]`` (series n's 1-based group
+    index) is derived from them and kept in step by the outer moves."""
 
-    def __init__(self, panel: TimeSeriesPanel, alpha0, assignments, groups, hypers, rng):
+    def __init__(self, panel: TimeSeriesPanel, alpha0, groups, hypers):
         self.panel = panel
         self.values = panel.values
         self.observed = panel.observed
         self.alpha0 = float(alpha0)
-        self.assignments = list(assignments)
         self.groups = groups
+        self.assignments = [0] * panel.num_series
+        for m, group in enumerate(groups, start=1):
+            for n in group.members:
+                self.assignments[n] = m
         self.hypers = list(hypers)  # list[SeriesHypers] indexed by series, shared by the groups
         for group in self.groups:
             group.hypers = self.hypers
-        self.rng = rng
         self.grids = None
 
     @classmethod
-    def create(cls, panel, alpha0, assignments, group_alphas, hypers, rng):
+    def create(cls, panel, alpha0, assignments, group_alphas, hypers):
         """Build a state with the given outer assignment and empty regime sequences."""
         labels = sorted(set(assignments))
         if labels != list(range(1, len(labels) + 1)):
@@ -577,7 +581,7 @@ class ChainState:
             groups.append(
                 GroupModel(members, group_alphas[m - 1], panel.num_steps, panel.window, hypers)
             )
-        return cls(panel, alpha0, assignments, groups, hypers, rng)
+        return cls(panel, alpha0, groups, hypers)
 
     @property
     def num_series(self) -> int:
@@ -652,7 +656,6 @@ def simulate(
     alpha: float | None = None,
     assignments=None,
     alpha0: float = 1.0,
-    series_names=None,
 ) -> SimulationResult:
     """Forward-sample a panel from the generative process.
 
@@ -682,14 +685,12 @@ def simulate(
         group = GroupModel(members, a, num_steps, window, hypers)
         group_z.append(group.rollout(range(1, num_steps + 1), values, observed, rng, emit=True))
 
-    if series_names is None:
-        series_names = tuple(f"s{n + 1}" for n in range(num_series))
     labels = tuple(f"{r:05d}" for r in range(window + num_steps))
     panel = TimeSeriesPanel(
         values=values,
         observed=observed,
         window=window,
-        series_names=tuple(series_names),
+        series_names=tuple(f"s{n + 1}" for n in range(num_series)),
         raw_labels=labels,
     )
     return SimulationResult(panel, assignments, alpha0, group_alphas, group_z)
@@ -697,19 +698,17 @@ def simulate(
 
 # -- serialization ---------------------------------------------------------------
 
-STATE_SCHEMA_VERSION = 1
-
 
 def _hyper_list(h: NigHyper) -> list[float]:
     return [h.m, h.V, h.a, h.b]
 
 
 def state_payload(state: ChainState) -> dict:
-    """JSON-serializable snapshot; stats are derived and rebuilt on load."""
+    """JSON-serializable snapshot: ``alpha0``, ``groups`` (each its ``alpha``,
+    ordered ``members`` and ``z``) and per-series ``hypers``.  The outer
+    assignment and the statistics are derived and rebuilt on load."""
     return {
-        "schema_version": STATE_SCHEMA_VERSION,
         "alpha0": state.alpha0,
-        "assignments": list(state.assignments),
         "groups": [
             {
                 "alpha": g.alpha,
@@ -725,23 +724,18 @@ def state_payload(state: ChainState) -> dict:
             }
             for sh in state.hypers
         ],
-        "rng": {
-            "kind": type(state.rng.bit_generator).__name__,
-            "state": state.rng.bit_generator.state,
-        },
     }
 
 
 def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
-    """Raise ``ValueError`` unless the groups partition the panel's series, every
-    regime sequence is a list of contiguous integer labels 1..K for all T
-    steps, every series has one lag cell per offset, every NIG cell is four
-    numbers, every concentration is a positive number and the RNG kind names a
-    numpy bit generator."""
-    assignments = payload["assignments"]
+    """Raise ``ValueError`` unless the groups' member lists are non-empty lists of
+    integers that partition the panel's series, every regime sequence is a
+    list of contiguous integer labels 1..K for all T steps, every series has
+    one lag cell per offset, every NIG cell is four numbers and every
+    concentration is a positive number."""
     groups = payload["groups"]
     num_series = panel.num_series
-    if len(assignments) != num_series or len(payload["hypers"]) != num_series:
+    if len(payload["hypers"]) != num_series:
         raise ValueError(f"chain state does not cover the panel's {num_series} series")
     if any(len(entry["cohesion"]) != panel.window for entry in payload["hypers"]):
         raise ValueError(f"every series needs {panel.window} lag cells")
@@ -753,15 +747,12 @@ def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
     concentrations = [payload["alpha0"]] + [g["alpha"] for g in groups]
     if not all(type(a) in (int, float) and a > 0 for a in concentrations):
         raise ValueError("concentrations must be positive numbers")
-    kind = payload["rng"]["kind"]
-    generator = getattr(np.random, kind, None) if isinstance(kind, str) else None
-    if not (isinstance(generator, type) and issubclass(generator, np.random.BitGenerator)):
-        raise ValueError(f"unknown RNG kind {kind!r}")
-    if sorted(set(assignments)) != list(range(1, len(groups) + 1)):
-        raise ValueError(f"assignments {assignments} do not label {len(groups)} groups 1..M")
+    members = [entry["members"] for entry in groups]
+    if not all(isinstance(ns, list) and ns and all(type(n) is int for n in ns) for ns in members):
+        raise ValueError("every group's members must be a non-empty list of series indices")
+    if sorted(n for ns in members for n in ns) != list(range(num_series)):
+        raise ValueError(f"group members {members} do not partition {num_series} series")
     for m, entry in enumerate(groups, start=1):
-        if sorted(entry["members"]) != [n for n, c in enumerate(assignments) if c == m]:
-            raise ValueError(f"group {m} members {entry['members']} disagree with assignments")
         z = entry["z"]
         if not isinstance(z, list) or not all(type(k) is int for k in z):
             raise ValueError(f"group {m} sequence must be a list of integer labels")
@@ -770,10 +761,6 @@ def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
 
 
 def state_from_payload(payload: dict, panel: TimeSeriesPanel) -> ChainState:
-    if payload.get("schema_version") != STATE_SCHEMA_VERSION:
-        raise ValueError(
-            f"chain state schema {payload.get('schema_version')} != {STATE_SCHEMA_VERSION}"
-        )
     _check_payload(payload, panel)
     hypers = [
         SeriesHypers(
@@ -782,14 +769,9 @@ def state_from_payload(payload: dict, panel: TimeSeriesPanel) -> ChainState:
         )
         for entry in payload["hypers"]
     ]
-    rng_info = payload["rng"]
-    bit_gen = getattr(np.random, rng_info["kind"])()
-    bit_gen.state = rng_info["state"]
-    rng = np.random.Generator(bit_gen)
-
     groups = []
     for entry in payload["groups"]:
         group = GroupModel(entry["members"], entry["alpha"], panel.num_steps, panel.window, hypers)
         group.load_sequence(entry["z"], panel.values, panel.observed)
         groups.append(group)
-    return ChainState(panel, payload["alpha0"], payload["assignments"], groups, hypers, rng)
+    return ChainState(panel, payload["alpha0"], groups, hypers)

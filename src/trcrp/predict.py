@@ -49,9 +49,6 @@ class SampleSet:
     def __post_init__(self):
         if not self.chains:
             raise ValueError("need at least one chain")
-        for chain in self.chains:
-            if chain.panel.window != self.panel.window:
-                raise ValueError("chains disagree with panel window")
 
     @property
     def num_chains(self) -> int:
@@ -63,7 +60,6 @@ class ForecastResult:
     series_names: tuple[str, ...]
     horizon: int
     draws: np.ndarray  # (R, N, horizon)
-    chain_indices: list[int]
 
     def summary(self) -> dict:
         """Per-series per-step mean and equal-tailed central intervals."""
@@ -130,13 +126,11 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     steps = panel.num_steps
     p = panel.window
     out = np.empty((draws, num, horizon))
-    chain_indices = []
     ext_observed = np.ones((num, p + steps + horizon), dtype=bool)
     ext_observed[:, : p + steps] = panel.observed
     future_steps = range(steps + 1, steps + horizon + 1)
     for r in range(draws):
         s_idx = int(rng.integers(samples.num_chains))
-        chain_indices.append(s_idx)
         chain = samples.chains[s_idx]
         ext_values = np.zeros((num, p + steps + horizon))
         ext_values[:, : p + steps] = panel.values
@@ -154,7 +148,6 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
         series_names=panel.series_names,
         horizon=horizon,
         draws=out,
-        chain_indices=chain_indices,
     )
 
 

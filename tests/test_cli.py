@@ -47,12 +47,46 @@ def run_fit(runner, tmp_path, rng, missing=(), extra=()):
 def test_fit_writes_sampleset_and_provenance(runner, tmp_path, rng):
     _, out = run_fit(runner, tmp_path, rng, missing=[(0, 9)])
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
+    # each fact once: no stored hash, window, chain count, assignment, RNG or group count
+    assert set(doc) == {"schema_version", "config", "panel", "chains", "provenance"}
     assert len(doc["chains"]) == 2
-    assert "config_hash" in doc
+    assert all(set(chain) == {"alpha0", "groups", "hypers"} for chain in doc["chains"])
+    assert not {"window", "chains"} & set(doc["config"])
+    assert all("num_groups" not in stats for stats in doc["provenance"]["chain_stats"])
     sidecar = json.loads((tmp_path / "samples.json.provenance.json").read_text())
-    assert sidecar["config_hash"] == doc["config_hash"]
+    assert sidecar["config_hash"] == engine.load_sampleset(out)[2]
     assert sidecar["wall_time_s"] > 0
+
+
+def test_query_digest_follows_the_stored_config(runner, tmp_path, rng):
+    data = write_panel_csv(tmp_path / "data.csv", rng)
+    out = tmp_path / "samples.json"
+    result = runner.invoke(main, [
+        "fit", "--data", str(data), "--out", str(out), "--window", "1",
+        "--chains", "1", "--burnin", "2", "--particles", "4",
+    ], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    printed = result.output.split("(config ")[1].split(",")[0]
+
+    def forecast_digest():
+        csv_out = tmp_path / "fc.csv"
+        result = runner.invoke(main, [
+            "forecast", str(out), "--horizon", "2", "--draws", "3", "--out", str(csv_out),
+        ], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        return csv_out.read_text().splitlines()[0].removeprefix("# config_hash: ")
+
+    def expected(fit_hash):
+        return engine.config_hash(command="forecast", fit=fit_hash, horizon=2, draws=3, seed=0)
+
+    assert forecast_digest() == expected(printed)
+    doc = json.loads(out.read_text())
+    doc["config"]["seed"] += 1
+    out.write_text(json.dumps(doc))
+    edited = forecast_digest()
+    assert edited != expected(printed)
+    assert edited == expected(engine.load_sampleset(out)[2])
 
 
 def test_fit_byte_reproducible(runner, tmp_path, rng):
@@ -296,10 +330,6 @@ def _three_number_emission_cell(doc):
     doc["chains"][0]["hypers"][0]["emission"].pop()
 
 
-def _unknown_rng_kind(doc):
-    doc["chains"][0]["rng"]["kind"] = "NoSuchBitGenerator"
-
-
 def _integer_sequence(doc):
     doc["chains"][0]["groups"][0]["z"] = 1
 
@@ -318,18 +348,6 @@ def _number_members(doc):
 
 def _number_hypers_entry(doc):
     doc["chains"][0]["hypers"][0] = 5
-
-
-def _null_assignments(doc):
-    doc["chains"][0]["assignments"] = None
-
-
-def _string_rng_state(doc):
-    doc["chains"][0]["rng"]["state"]["state"] = "state"
-
-
-def _number_rng_state(doc):
-    doc["chains"][0]["rng"]["state"] = 5
 
 
 def _number_groups(doc):
@@ -380,6 +398,37 @@ def _number_document(doc):
     return 5
 
 
+def _replace_member_one(doc, value):
+    for group in doc["chains"][0]["groups"]:
+        group["members"] = [value if n == 1 else n for n in group["members"]]
+
+
+def _bool_member(doc):
+    _replace_member_one(doc, True)
+
+
+def _float_member(doc):
+    _replace_member_one(doc, 1.0)
+
+
+def _duplicate_member(doc):
+    members = doc["chains"][0]["groups"][0]["members"]
+    members.append(members[0])
+
+
+def _empty_group(doc):
+    groups = doc["chains"][0]["groups"]
+    groups.append(dict(groups[0], members=[]))
+
+
+def _stored_config_window(doc):
+    doc["config"]["window"] = 3
+
+
+def _stored_config_chains(doc):
+    doc["config"]["chains"] = 7
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -392,15 +441,11 @@ def _number_document(doc):
         _missing_lag_cell,
         _zero_concentration,
         _three_number_emission_cell,
-        _unknown_rng_kind,
         _integer_sequence,
         _string_hyper_value,
         _null_alpha0,
         _number_members,
         _number_hypers_entry,
-        _null_assignments,
-        _string_rng_state,
-        _number_rng_state,
         _number_groups,
         _number_group_entry,
         _number_cohesion,
@@ -413,6 +458,12 @@ def _number_document(doc):
         _string_config_window,
         _number_fixed_hypers,
         _number_document,
+        _bool_member,
+        _float_member,
+        _duplicate_member,
+        _empty_group,
+        _stored_config_window,
+        _stored_config_chains,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

@@ -37,10 +37,9 @@ def build_group(panel, hypers, z, members=None, alpha=1.0):
     return group
 
 
-def build_state(panel, hypers, z_by_group, assignments, alpha0=1.0, alphas=None, rng=None):
-    rng = rng if rng is not None else np.random.default_rng(0)
+def build_state(panel, hypers, z_by_group, assignments, alpha0=1.0, alphas=None):
     alphas = alphas if alphas is not None else [1.0] * len(z_by_group)
-    state = ChainState.create(panel, alpha0, assignments, alphas, hypers, rng)
+    state = ChainState.create(panel, alpha0, assignments, alphas, hypers)
     for group, z in zip(state.groups, z_by_group):
         for _ in range(max(z)):
             group.add_regime()

@@ -50,7 +50,6 @@ def test_forecast_deterministic_given_seed(rng):
     a = forecast(samples, horizon=4, draws=20, seed=77)
     b = forecast(samples, horizon=4, draws=20, seed=77)
     assert np.array_equal(a.draws, b.draws)
-    assert a.chain_indices == b.chain_indices
 
 
 def test_forecast_rejects_bad_horizon(rng):

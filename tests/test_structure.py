@@ -74,7 +74,7 @@ def apply_move_description(desc, n, target, slot_z, slot_alpha):
     return (alpha0, assignments, [tuple(g) for g in groups])
 
 
-def build_from_description(panel, hypers, desc, rng=None):
+def build_from_description(panel, hypers, desc):
     alpha0, assignments, groups = desc
     return build_state(
         panel,
@@ -83,7 +83,6 @@ def build_from_description(panel, hypers, desc, rng=None):
         list(assignments),
         alpha0=alpha0,
         alphas=[a for a, _ in groups],
-        rng=rng,
     )
 
 
