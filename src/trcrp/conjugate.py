@@ -8,13 +8,16 @@ is a Student-T.  The lag-matching cohesion weight is a product of the same
 Student-T predictives, one per lag offset, restricted to observed lag cells.
 
 All densities are log densities; products elsewhere in the model are sums of
-the values computed here.  The single-site proposal and forward sampling
-score one step of one group with :func:`predictive_logpdf_raw`, flat scalar
-code: below about 60 (cell, block) entries it costs less than one array
-call.  Passes over a whole regime sequence, and each particle-filter step
-over all particles, use :func:`predictive_logpdf_array`, the same formula
-over arrays of statistics.  It broadcasts its hyperparameters, so a grid of
-candidate values on a leading axis is scored in one call.
+the values computed here.  The single-site proposal and the forward sampling
+of one sequence score one step of one group with
+:func:`predictive_logpdf_raw`, flat scalar code: below about 60 (cell, block)
+entries it costs less than one array call.  Passes over a whole regime
+sequence, each particle-filter step over all particles and each forecast step
+over all of a chain's draws use :func:`predictive_logpdf_array`, the same
+formula over arrays of statistics.  It broadcasts its hyperparameters, so a
+grid of candidate values on a leading axis is scored in one call.
+Forecasts and imputations draw their emissions with
+:func:`predictive_sample_array`, which shares its posterior update.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "posterior_predictive",
     "predictive_logpdf_raw",
     "predictive_logpdf_array",
+    "predictive_sample_array",
     "lgamma_rows",
     "marginal_loglik",
 ]
@@ -189,15 +193,8 @@ def lgamma_rows(a0, max_count: int):
     return row.reshape(a0.shape), lg_half - lg
 
 
-def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma=None):
-    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays.
-
-    ``lgamma`` is ``(row, table)`` from :func:`lgamma_rows` over cells that
-    broadcast like ``a0``, with columns up to at least the largest count; a
-    caller that scores many steps of the same cells builds it once.  Without
-    it the rows are built here.
-    """
-    count = np.asarray(count)
+def _posterior_array(m0, v0, a0, b0, count, total, total_sq):
+    """:func:`posterior_params` elementwise over broadcast arrays; ``(m, V, a, b)``."""
     empty = count == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         v_post = np.where(empty, v0, 1.0 / (1.0 / v0 + count))
@@ -209,7 +206,19 @@ def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma=No
         b_post = np.where(
             empty, b0, b0 + 0.5 * centered + 0.5 * count * shift * shift / (1.0 + count * v0)
         )
-    a_post = a0 + 0.5 * count
+    return m_post, v_post, a0 + 0.5 * count, b_post
+
+
+def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma=None):
+    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays.
+
+    ``lgamma`` is ``(row, table)`` from :func:`lgamma_rows` over cells that
+    broadcast like ``a0``, with columns up to at least the largest count; a
+    caller that scores many steps of the same cells builds it once.  Without
+    it the rows are built here.
+    """
+    count = np.asarray(count)
+    m_post, v_post, a_post, b_post = _posterior_array(m0, v0, a0, b0, count, total, total_sq)
     row, ratio = lgamma_rows(a0, int(count.max(initial=0))) if lgamma is None else lgamma
     scale_sq = b_post * (1.0 + v_post) / a_post
     dof_scale = 2.0 * a_post * scale_sq
@@ -220,6 +229,20 @@ def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma=No
         - 0.5 * _LOG_PI
         - (a_post + 0.5) * np.log1p(z * z / dof_scale)
     )
+
+
+def predictive_sample_array(m0, v0, a0, b0, count, total, total_sq, rng, size=None):
+    """Draws from the Student-T posterior predictives of broadcast arrays of cells.
+
+    :func:`posterior_predictive` and :meth:`StudentT.sample` elementwise, with
+    one ``standard_t`` call; ``size`` is numpy's, so a (cells, 1) set of
+    statistics with ``size=(cells, R)`` gives R draws per cell.  Overflow is
+    not warned about: extreme statistics give non-finite draws, which callers
+    reject.
+    """
+    m, v, a, b = _posterior_array(m0, v0, a0, b0, count, total, total_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return m + np.sqrt(b * (1.0 + v) / a) * rng.standard_t(2.0 * a, size=size)
 
 
 def marginal_loglik(hyper: NigHyper, stats: NigStats) -> float:

@@ -230,14 +230,42 @@ def save_sampleset(samples: SampleSet, config: RunConfig, path) -> str:
     return config_hash(config=asdict(config))
 
 
+def _stored_config(stored) -> dict:
+    """The stored config's fields as :class:`RunConfig` takes them.
+
+    Every key must be a field other than ``window`` and ``chains``, and every
+    value must have its field's JSON type: an integer (not a bool) for the
+    sizes and the seed, a bool for the switches, and null or four numbers for
+    ``fixed_hypers``.
+    """
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    del defaults["window"], defaults["chains"]
+    if not isinstance(stored, dict) or not set(stored) <= set(defaults):
+        raise ValueError(f"config must be an object with keys among {sorted(defaults)}")
+    for key, value in stored.items():
+        if key == "fixed_hypers":
+            ok = value is None or (
+                isinstance(value, list) and len(value) == 4
+                and all(type(v) in (int, float) for v in value)  # JSON numbers, not bools
+            )
+        else:
+            ok = type(value) is type(defaults[key])
+        if not ok:
+            raise ValueError(f"malformed sample set: config {key} has the wrong type: {value!r}")
+    if stored.get("fixed_hypers") is not None:
+        return dict(stored, fixed_hypers=tuple(stored["fixed_hypers"]))
+    return stored
+
+
 def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
     """Read a SampleSet file; returns the samples, their config and its hash.
 
     The config is rebuilt with the panel's window and the chain count, and its
     hash is computed as :func:`save_sampleset` computes it.  Malformed content
     raises ``ValueError`` (a :class:`SchemaVersionError` for another schema)
-    or ``KeyError``.  A field of the wrong JSON type fails inside the decoding
-    with a ``TypeError`` or ``AttributeError``, which is raised again as
+    or ``KeyError``; a config value of the wrong type is a ``ValueError``.  A
+    field of the wrong JSON type elsewhere fails inside the decoding with a
+    ``TypeError`` or ``AttributeError``, which is raised again as
     ``ValueError``.
     """
     with open(path) as fh:
@@ -250,13 +278,7 @@ def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
             )
         panel = panel_from_payload(doc["panel"])
         chains = [state_from_payload(entry, panel) for entry in doc["chains"]]
-        known = {f.name for f in fields(RunConfig)} - {"window", "chains"}
-        if not isinstance(doc["config"], dict) or not set(doc["config"]) <= known:
-            raise ValueError(f"config must be an object with keys among {sorted(known)}")
-        config = RunConfig(window=panel.window, chains=len(chains), **{
-            key: tuple(value) if key == "fixed_hypers" and value is not None else value
-            for key, value in doc["config"].items()
-        })
+        config = RunConfig(window=panel.window, chains=len(chains), **_stored_config(doc["config"]))
         samples = SampleSet(panel=panel, chains=chains, provenance=doc.get("provenance", {}))
         return samples, config, config_hash(config=asdict(config))
     except (TypeError, AttributeError) as exc:

@@ -27,8 +27,9 @@ that scores such a sequence, in one array pass over the cells of a
 :class:`PrefixStats` serves the log joint (:func:`sequence_loglik`), the
 full-MH ratios (:mod:`trcrp.mcmc`), the outer moves (:mod:`trcrp.structure`)
 and every griddy-Gibbs conditional (:mod:`trcrp.hypers`); the particle filter
-(:mod:`trcrp.smc`) reads the same layout.  Forward sampling
-(:meth:`GroupModel.rollout`: simulation, forecasts and the outer moves' fresh
+(:mod:`trcrp.smc`) reads the same layout, and so do forecasts, which step
+many copies of a fitted group as particles.  Forward sampling of one
+sequence (:meth:`GroupModel.rollout`: simulation and the outer moves' fresh
 slot) only samples, weighing each step from the group's incremental
 statistics.  Sequential sums run over the blocks occupied so far plus one
 fresh block with empty statistics, which makes every quantity invariant to
@@ -256,6 +257,9 @@ class GroupModel:
 
         With ``emit``, each step's member cells are drawn from the chosen
         regime's emission predictive into ``values`` before it is folded in.
+        This samples one sequence from scalar weights, which serves
+        :func:`simulate` and the outer moves' fresh slot; forecasts step
+        many copies of a group at once (:mod:`trcrp.predict`).
         """
         labels = []
         for t in steps:

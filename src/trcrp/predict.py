@@ -6,12 +6,22 @@ imputations sample the collapsed emission predictive of the regime each chain
 assigned to the missing cell; dependence probabilities average same-cluster
 indicators across chains.
 
+Both sampled queries draw every draw's chain first, in one call, and then
+serve each chain's R_s draws as arrays over draws.  A forecast stacks R_s
+copies of each fitted group in a :class:`~trcrp.smc.ParticleSet` and steps
+them through the horizon together: per step one kernel call over the lag
+cells, one Gumbel argmax, one Student-T call for the members' emissions and
+one fold.  An imputation computes each (chain, cell) emission predictive once
+and draws the chain's (cells, R_s) block in one Student-T call.  Draw r keeps
+one chain for all of its groups and cells.
+
 The model's missing-data rule holds here too: an unobserved cell contributes
 no lag factor, no emission factor and no statistics.  A rollout reads the
 panel mask as it stands, so an in-sample missing cell in the last lag window
-is a skipped lag, which is the model's exact posterior predictive.  A
-forecast or imputation with a non-finite draw raises
-:class:`~trcrp.smc.NumericalError` instead of returning it.
+is a skipped lag, which is the model's exact posterior predictive; a future
+lag reads the copy's own draw.  A forecast or imputation with a non-finite
+weight or draw raises :class:`~trcrp.smc.NumericalError` instead of
+returning it.
 """
 
 from __future__ import annotations
@@ -21,9 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ChainState
+from .conjugate import predictive_sample_array
+from .model import ChainState, GroupModel
 from .panel import TimeSeriesPanel
-from .smc import NumericalError
+from .smc import NumericalError, ParticleSet
 
 __all__ = [
     "SampleSet",
@@ -108,13 +119,45 @@ def _require_finite(draws: np.ndarray, what: str) -> None:
         raise NumericalError(f"{bad} of {draws.size} {what} draws are not finite")
 
 
+def _forecast_group(group: GroupModel, values, observed, copies: int, rng) -> np.ndarray:
+    """``copies`` independent forecasts of the fitted ``group``'s members: (copies, members, h).
+
+    ``values`` and ``observed`` extend the panel by the h future columns, with
+    0 at every unobserved or future value and the future observed.  Each copy
+    keeps its own row of member values, so a lag into the future reads that
+    copy's draws.
+    """
+    ps = ParticleSet(group, values, observed, copies)
+    cells = ps.cells
+    p, steps = group.window, group.num_steps
+    own = np.repeat(values[None, group.members], copies, axis=0)  # (copies, members, columns)
+    series = np.array([group.members.index(n) for n, _ in cells.index])
+    offset = np.array([i for _, i in cells.index])
+    emission = slice(cells.num_lags, None)  # the members' emission rows, in member order
+    hyper = tuple(h[emission, 0] for h in cells.hyper)
+    every = np.arange(copies)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps + 1, values.shape[1] - p + 1):
+            col = p + t - 1
+            base, _ = ps.log_weights_split(t, own[:, series, col - offset], emission=False)
+            if np.isnan(base).any():
+                raise NumericalError(f"forecast step {t - steps}: regime weights are not finite")
+            pick = np.argmax(base + rng.gumbel(size=base.shape), axis=1)
+            stats = (s[every, emission, pick] for s in (ps.count, ps.total, ps.total_sq))
+            own[:, :, col] = predictive_sample_array(*hyper, *stats, rng)
+            _require_finite(own[:, :, col], f"step {t - steps} forecast")
+            ps.assign(t, pick, own[:, series, col - offset])
+    return own[:, :, p + steps :]
+
+
 def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> ForecastResult:
     """Ancestral forecasts over an h-step horizon.
 
     Each draw picks a chain uniformly, then simulates the generative step
     forward within every group: one shared regime per group per future step,
     emissions from the collapsed predictives, statistics updated with each
-    simulated value.  Draws are independent given the seed.
+    simulated value.  Draws are independent given the seed; a chain's draws
+    run as one batch per group (see the module notes).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -123,27 +166,19 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     panel = samples.panel
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     num = panel.num_series
-    steps = panel.num_steps
-    p = panel.window
+    known = panel.window + panel.num_steps
+    values = np.zeros((num, known + horizon))
+    values[:, :known] = np.where(panel.observed, panel.values, 0.0)
+    observed = np.ones((num, known + horizon), dtype=bool)
+    observed[:, :known] = panel.observed
+    chain_of = rng.integers(samples.num_chains, size=draws)
     out = np.empty((draws, num, horizon))
-    ext_observed = np.ones((num, p + steps + horizon), dtype=bool)
-    ext_observed[:, : p + steps] = panel.observed
-    future_steps = range(steps + 1, steps + horizon + 1)
-    for r in range(draws):
-        s_idx = int(rng.integers(samples.num_chains))
-        chain = samples.chains[s_idx]
-        ext_values = np.zeros((num, p + steps + horizon))
-        ext_values[:, : p + steps] = panel.values
-        try:
+    for s, chain in enumerate(samples.chains):
+        picked = np.flatnonzero(chain_of == s)
+        if picked.size:
             for group in chain.groups:
-                future = group.clone()
-                future.num_steps = steps + horizon
-                future.regimes.z = future.regimes.z + [0] * horizon
-                future.rollout(future_steps, ext_values, ext_observed, rng, emit=True)
-        except ValueError as exc:  # an extreme draw gave a posterior a non-finite parameter
-            raise NumericalError(f"forecast draw {r}: {exc}") from None
-        out[r] = ext_values[:, p + steps :]
-    _require_finite(out, "forecast")
+                block = _forecast_group(group, values, observed, picked.size, rng)
+                out[np.ix_(picked, group.members)] = block
     return ForecastResult(
         series_names=panel.series_names,
         horizon=horizon,
@@ -156,21 +191,29 @@ def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
 
     Each draw picks a chain, reads the regime that chain assigned to the
     cell's time step within the series' group, and samples the collapsed
-    emission predictive of that (series, regime) cell.  A fully observed
-    panel yields an empty result.
+    emission predictive of that (series, regime) cell.  A chain's draws of
+    all cells come from one Student-T call.  A fully observed panel yields
+    an empty result.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
     panel = samples.panel
     cells = panel.missing_cells()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    chain_of = rng.integers(samples.num_chains, size=draws)
     out = np.empty((len(cells), draws))
-    for r in range(draws):
-        s_idx = int(rng.integers(samples.num_chains))
-        chain = samples.chains[s_idx]
-        for ci, (n, t) in enumerate(cells):
+    for s, chain in enumerate(samples.chains):
+        picked = np.flatnonzero(chain_of == s)
+        if not (picked.size and cells):
+            continue
+        rows = []
+        for n, t in cells:
             group = chain.group_of(n)
-            out[ci, r] = group.sample_emission(n, group.regimes.z[t - 1], rng)
+            h = group.hypers[n].emission
+            stats = group.cells[n][group.regimes.z[t - 1] - 1][0]
+            rows.append((h.m, h.V, h.a, h.b, stats.count, stats.sum, stats.sum_sq))
+        params = np.array(rows).T[:, :, None]  # seven (cells, 1) columns
+        out[:, picked] = predictive_sample_array(*params, rng, size=(len(cells), picked.size))
     _require_finite(out, "imputation")
     return ImputationResult(
         cells=cells,

@@ -13,7 +13,11 @@ A step scores all particles, cells and blocks with one
 :func:`~trcrp.conjugate.predictive_logpdf_array` call, with the layout's
 lgamma rows, draws every particle's regime with one Gumbel argmax and folds
 the step's observed values into the drawn column of every particle.
-Resampling is an index gather on the arrays.
+Resampling is an index gather on the arrays.  Forecasts
+(:func:`trcrp.predict.forecast`) reuse the particles as copies of a fitted
+group: they start from its statistics, score the lag cells only and give each
+particle its own row of cell values, since a future lag reads that copy's own
+draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -56,8 +60,11 @@ class ParticleSet:
 
     ``count``, ``total`` and ``total_sq`` are (J, cells, capacity) and
     ``sizes`` is (J, capacity); the capacity doubles whenever a particle's
-    fresh block would fall outside it.  ``cells`` is the group's
-    :class:`~trcrp.model.CellLayout`.
+    fresh block would fall outside it.  ``cells`` is the
+    :class:`~trcrp.model.CellLayout` of the group's members over the steps of
+    ``values``.  Every particle starts as a copy of ``group``: its regime
+    sequence, blocks and statistics, which are empty for the filter's empty
+    group and those of the fitted group for a forecast.
     """
 
     def __init__(self, group, values, observed, num_particles):
@@ -65,14 +72,23 @@ class ParticleSet:
             raise ValueError("need at least one particle")
         self.cells = cell_layout(group.members, group.hypers, values, observed, group.window)
         self.log_alpha = math.log(group.alpha)
+        counts = group.regimes.counts
         capacity = 4
-        self.z = np.zeros((num_particles, group.num_steps), dtype=np.int64)
-        self.num_blocks = np.zeros(num_particles, dtype=np.int64)
+        while capacity <= len(counts):
+            capacity *= 2
+        self.z = np.zeros((num_particles, self.cells.x.shape[1]), dtype=np.int64)
+        self.z[:, : group.num_steps] = group.regimes.z
+        self.num_blocks = np.full(num_particles, len(counts), dtype=np.int64)
         self.sizes = np.zeros((num_particles, capacity), dtype=np.int64)
-        shape = (num_particles, len(self.cells.index), capacity)
-        self.count = np.zeros(shape, dtype=np.int64)
-        self.total = np.zeros(shape)
-        self.total_sq = np.zeros(shape)
+        self.sizes[:, : len(counts)] = counts
+        shape = (len(self.cells.index), capacity)
+        count, total, total_sq = np.zeros(shape, dtype=np.int64), np.zeros(shape), np.zeros(shape)
+        for (n, i), c in self.cells.index.items():
+            for k, row in enumerate(group.cells[n]):
+                count[c, k], total[c, k], total_sq[c, k] = row[i].count, row[i].sum, row[i].sum_sq
+        self.count, self.total, self.total_sq = (
+            np.repeat(stats[None], num_particles, axis=0) for stats in (count, total, total_sq)
+        )
         self.log_weights = np.zeros(num_particles)
         self.cursor = 0
         self.log_ml_acc = 0.0
@@ -97,29 +113,37 @@ class ParticleSet:
         lse = PrefixStats.log_normalizers(np.asarray(self.log_weights, dtype=float))
         return self.log_ml_acc + float(lse) - math.log(len(self))
 
-    def log_weights_split(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+    def log_weights_split(self, t: int, x=None, emission=True):
         """(base, emission) log weights of every particle at step t, each (J, K+1).
 
         K is the largest block count.  ``base`` is CRP count/concentration
         plus cohesion over the observed lag cells; ``emission`` sums the
-        emission predictives of the observed cells at t.  Particle j's column
-        ``num_blocks[j]`` is its fresh block; its later columns have base -inf.
+        emission predictives of the observed cells at t, and is None when
+        ``emission`` is false, which scores the lag cells only.  ``x`` is each
+        particle's row of cell values at t, (J, cells); by default every
+        particle reads the layout's.  Particle j's column ``num_blocks[j]`` is
+        its fresh block; its later columns have base -inf.
         """
         width = int(self.num_blocks.max()) + 1
-        stats = (s[..., :width] for s in (self.count, self.total, self.total_sq))
         cells = self.cells
-        x = cells.x[:, t - 1, None]
-        f = predictive_logpdf_array(*cells.hyper, *stats, x, lgamma=cells.lgamma)
-        factors = np.where(cells.seen[:, t - 1, None], f, 0.0)
+        rows = slice(None) if emission else slice(cells.num_lags)
+        stats = (s[:, rows, :width] for s in (self.count, self.total, self.total_sq))
+        x = cells.x[:, t - 1] if x is None else x
+        hyper = (h[rows] for h in cells.hyper)
+        row, ratio = cells.lgamma
+        f = predictive_logpdf_array(*hyper, *stats, x[..., rows, None], lgamma=(row[rows], ratio))
+        factors = np.where(cells.seen[rows, t - 1, None], f, 0.0)
         with np.errstate(divide="ignore"):
             crp = np.log(self.sizes[:, :width])
         crp[np.arange(len(crp)), self.num_blocks] = self.log_alpha
         lags = cells.num_lags
-        return crp + factors[:, :lags].sum(axis=1), factors[:, lags:].sum(axis=1)
+        base = crp + factors[:, :lags].sum(axis=1)
+        return base, factors[:, lags:].sum(axis=1) if emission else None
 
-    def assign(self, t: int, pick: np.ndarray) -> None:
+    def assign(self, t: int, pick: np.ndarray, x=None) -> None:
         """Assign step t of particle j to column ``pick[j]`` and fold in its observed values.
 
+        ``x`` is as in :meth:`log_weights_split`, with 0 at unobserved cells.
         Each cell adds its values in time order, so the sums have the bits of
         a group rebuilt from the particle's sequence.  An unobserved cell adds
         a count of 0 and a value of 0.
@@ -128,7 +152,7 @@ class ParticleSet:
         self.z[:, t - 1] = pick + 1
         self.sizes[particles, pick] += 1
         self.num_blocks += pick == self.num_blocks
-        x = self.cells.x[:, t - 1]
+        x = self.cells.x[:, t - 1] if x is None else x
         self.count[particles, :, pick] += self.cells.seen[:, t - 1]
         self.total[particles, :, pick] += x
         self.total_sq[particles, :, pick] += x * x

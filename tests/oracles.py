@@ -178,3 +178,33 @@ def canonical_partition(z):
 def total_variation(dist_a, dist_b):
     keys = set(dist_a) | set(dist_b)
     return 0.5 * sum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
+
+
+def rollout_forecast(samples, horizon, draws, seed):
+    """Scalar reference forecast: one draw at a time, (draws, N, horizon).
+
+    Unlike the rest of this module it runs the package's own model code.
+    Each draw picks a chain uniformly, clones every group of it and rolls
+    the clone forward with ``GroupModel.rollout``, which weighs one step at a
+    time from scalar weights over the clone's incremental statistics and
+    reads the panel mask as it stands.  It shares none of the arrays over
+    draws that the package's forecast steps through.
+    """
+    panel = samples.panel
+    rng = np.random.default_rng(seed)
+    num, steps, p = panel.num_series, panel.num_steps, panel.window
+    out = np.empty((draws, num, horizon))
+    ext_observed = np.ones((num, p + steps + horizon), dtype=bool)
+    ext_observed[:, : p + steps] = panel.observed
+    future_steps = range(steps + 1, steps + horizon + 1)
+    for r in range(draws):
+        chain = samples.chains[int(rng.integers(samples.num_chains))]
+        ext_values = np.zeros((num, p + steps + horizon))
+        ext_values[:, : p + steps] = panel.values
+        for group in chain.groups:
+            future = group.clone()
+            future.num_steps = steps + horizon
+            future.regimes.z = future.regimes.z + [0] * horizon
+            future.rollout(future_steps, ext_values, ext_observed, rng, emit=True)
+        out[r] = ext_values[:, p + steps :]
+    return out

@@ -429,6 +429,26 @@ def _stored_config_chains(doc):
     doc["config"]["chains"] = 7
 
 
+def _string_config_seed(doc):
+    doc["config"]["seed"] = "abc"
+
+
+def _float_config_burnin(doc):
+    doc["config"]["burnin"] = 1.5
+
+
+def _string_config_hierarchical(doc):
+    doc["config"]["hierarchical"] = "no"
+
+
+def _bool_config_particles(doc):
+    doc["config"]["particles"] = True
+
+
+def _short_fixed_hypers(doc):
+    doc["config"]["fixed_hypers"] = [0.0, 1.0, 2.0]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -464,6 +484,11 @@ def _stored_config_chains(doc):
         _empty_group,
         _stored_config_window,
         _stored_config_chains,
+        _string_config_seed,
+        _float_config_burnin,
+        _string_config_hierarchical,
+        _bool_config_particles,
+        _short_fixed_hypers,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

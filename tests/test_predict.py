@@ -1,15 +1,18 @@
 """Forecasting, imputation, and dependence probabilities over sample sets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from conftest import make_panel, uniform_hypers
-from oracles import naive_posterior
+from oracles import naive_posterior, rollout_forecast, seen, value
 from test_model import build_state
-from trcrp.conjugate import posterior_predictive
+from trcrp.conjugate import NigHyper, posterior_predictive
+from trcrp.engine import RunConfig, fit
+from trcrp.model import SeriesHypers
 from trcrp.predict import (
     SampleSet,
     dependence_matrix,
@@ -17,6 +20,7 @@ from trcrp.predict import (
     forecast,
     impute,
 )
+from trcrp.smc import NumericalError
 
 
 def single_chain_samples(rng, values, z, window=1, assignments=None, hypers=None,
@@ -82,6 +86,116 @@ def test_forecast_skips_missing_final_lag_cell(rng):
 
     assert scipy.stats.kstest(draws, mixture_cdf).pvalue > 0.01
     assert abs((draws > 5.0).mean() - (1.0 - mixture_cdf(5.0))) < 0.03
+
+
+def ks_bound(alpha, n, m=None):
+    """Bound that the KS distance of n draws exceeds with probability at most alpha.
+
+    One sample: the Dvoretzky-Kiefer-Wolfowitz inequality (Massart's
+    constant), P(D > eps) <= 2 exp(-2 n eps^2).  Two samples of n and m
+    draws: the same tail with n m / (n + m) in place of n, the Kolmogorov
+    limit of the two-sample statistic.
+    """
+    size = n if m is None else n * m / (n + m)
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * size))
+
+
+def test_horizon_two_forecast_matches_scalar_rollout():
+    # Two groups at window 2 over values that alternate low and high.  Series
+    # 0's value at T is missing, so its lag-1 cell at T+1 and its lag-2 cell
+    # at T+2 are skipped; its lag-1 cells are tight and read each draw's own
+    # step-1 value at T+2.  Every other lag cell is broad, so those regimes
+    # follow the CRP counts the rollout folds in.  Each series' step-2 minus
+    # step-1 difference is compared too, which a draw reading another draw's
+    # lags would change.
+    gen = np.random.default_rng(3)
+    steps = 4
+    alternating = np.where(np.arange(2 + steps) % 2, 4.0, 0.0)
+    values = (alternating + gen.normal(0.0, 0.3, (3, 2 + steps))).tolist()
+    values[0][-1] = None
+    panel = make_panel(values, window=2)
+    tight, broad = NigHyper(2.0, 4.0, 2.0, 0.1), NigHyper(2.0, 4.0, 2.0, 50.0)
+    hypers = [SeriesHypers(tight, (tight, broad))] + [SeriesHypers(tight, (broad, broad))] * 2
+    z = [1, 2] * (steps // 2)
+    chains = [build_state(panel, hypers, [z, z], outer) for outer in ([1, 1, 2], [1, 2, 2])]
+    samples = SampleSet(panel=panel, chains=chains)
+    draws = 4000
+    got = forecast(samples, horizon=2, draws=draws, seed=1).draws
+    want = rollout_forecast(samples, horizon=2, draws=draws, seed=2)
+    got, want = (np.concatenate([d, d[:, :, 1:] - d[:, :, :1]], axis=2) for d in (got, want))
+    # 1e-3 in all, split over the nine (series, column) pairs
+    bound = ks_bound(1e-3 / got[0].size, draws, draws)
+    for n in range(3):
+        for h in range(3):
+            stat = scipy.stats.ks_2samp(got[:, n, h], want[:, n, h]).statistic
+            assert stat < bound, (n, h, stat, bound)
+
+
+def test_imputation_matches_exact_mixture_over_chains():
+    # each missing cell's draws follow the equal-weight mixture over chains of
+    # the emission predictive of the regime the chain gave its step
+    gen = np.random.default_rng(8)
+    values = gen.normal(0.0, 1.0, size=(3, 11)).tolist()
+    values[1][4:8] = [v + 5.0 for v in values[1][4:8]]
+    for n, c in ((0, 3), (1, 5), (2, 10), (2, 6)):
+        values[n][c] = None
+    panel = make_panel(values, window=1)
+    hypers = uniform_hypers(3, 1, m=1.0, V=2.0, a=0.5, b=0.5)
+    plans = [
+        ([[1, 1, 2, 2, 2, 2, 1, 1, 3, 3], [1] * 10], [1, 1, 2]),
+        ([[1, 2] * 5], [1, 1, 1]),
+        ([[1] * 10, [1, 1, 1, 2, 2, 2, 2, 1, 1, 1], [1, 2, 3, 1, 2, 3, 1, 2, 3, 1]], [1, 2, 3]),
+    ]
+    samples = SampleSet(panel=panel, chains=[build_state(panel, hypers, *plan) for plan in plans])
+    draws = 20_000
+    result = impute(samples, draws=draws, seed=5)
+    h = hypers[0].emission
+    bound = ks_bound(1e-3 / len(result.cells), draws)
+    for row, (n, t) in zip(result.draws, result.cells):
+        components = []
+        for zs, assignments in plans:
+            z = zs[assignments[n] - 1]
+            steps = [s for s in range(1, 11) if z[s - 1] == z[t - 1] and seen(panel, n, s)]
+            data = [value(panel, n, s) for s in steps]
+            m, v, a, b = naive_posterior(h.m, h.V, h.a, h.b, data)
+            components.append(scipy.stats.t(df=2 * a, loc=m, scale=math.sqrt(b * (1 + v) / a)))
+
+        def mixture_cdf(x):
+            return sum(dist.cdf(x) for dist in components) / len(components)
+
+        stat = scipy.stats.kstest(row, mixture_cdf).statistic
+        assert stat < bound, ((n, t), stat, bound)
+
+
+def test_forecast_draw_keeps_one_chain_across_groups():
+    # the chains' priors pin every predictive near +10 and -10; the series sit
+    # in different groups, so a draw that mixed chains would mix signs
+    values = [[0.1, -0.2, 0.3, 0.0, 0.2], [-0.1, 0.2, 0.1, -0.3, 0.0]]
+    panel = make_panel(values, window=1)
+    z = [1, 1, 2, 1]
+    chains = [
+        build_state(panel, uniform_hypers(2, 1, m=m, V=1e-6, a=1000.0, b=1.0), [z, z], [1, 2])
+        for m in (10.0, -10.0)
+    ]
+    draws = forecast(SampleSet(panel=panel, chains=chains), horizon=3, draws=200, seed=4).draws
+    signs = np.sign(draws).reshape(200, -1)
+    assert (signs == signs[:, :1]).all()
+    assert set(signs[:, 0]) == {-1.0, 1.0}
+
+
+def test_degenerate_predictives_raise_without_warnings():
+    # the panel of test_cli::test_non_finite_predictive_draws_exit_4, fitted
+    # as that test fits it: its emission predictives have about 1e-5 degrees
+    # of freedom, so both queries must raise, with no numpy warning on the way
+    rows = [[1.0] * 12, [0.5] + [None] * 11]
+    panel = make_panel(rows, window=1)
+    samples = fit(panel, RunConfig(window=1, chains=2, burnin=3, particles=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError):
+            forecast(samples, horizon=10, draws=10, seed=0)
+        with pytest.raises(NumericalError):
+            impute(samples, draws=10, seed=0)
 
 
 def test_forecast_summary_shape(rng):
