@@ -7,14 +7,16 @@ always-accept and every later one as full MH, so ``--init-sweeps`` at or above
 the command's inputs (:func:`trcrp.engine.config_hash`; a JSON field, or a
 leading ``#`` comment line in CSVs); re-running a command with the same inputs
 and seed reproduces outputs byte-exactly, whatever the number of fit threads.
-A sample set's hash, which ``fit`` prints and the queries build on, is that of
-its fit config, recomputed from the file on every load.
+A sample set's hash, which ``fit`` prints and the queries build on, covers its
+panel and its fit config except the thread count
+(:func:`trcrp.engine.sampleset_hash`), recomputed from the file on every load.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 
@@ -223,10 +225,10 @@ def cmd_simulate(out, num_series, steps, window, seed, alpha, alpha0, groups, hy
         raise click.UsageError("--series and --steps must be >= 1")
     if window < 0:
         raise click.UsageError("--window must be >= 0")
-    if alpha is not None and not alpha > 0:
-        raise click.UsageError("--alpha must be > 0")
-    if not alpha0 > 0:
-        raise click.UsageError("--alpha0 must be > 0")
+    if alpha is not None and not 0 < alpha < math.inf:
+        raise click.UsageError("--alpha must be > 0 and finite")
+    if not 0 < alpha0 < math.inf:
+        raise click.UsageError("--alpha0 must be > 0 and finite")
     try:
         cell = NigHyper(*hyper)
     except ValueError as exc:

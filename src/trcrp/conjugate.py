@@ -54,8 +54,8 @@ class NigHyper:
     def __post_init__(self):
         if not (self.V > 0 and self.a > 0 and self.b > 0):
             raise ValueError(f"V, a, b must be positive, got {self}")
-        if not math.isfinite(self.m):
-            raise ValueError(f"location must be finite, got {self.m}")
+        if not all(math.isfinite(x) for x in (self.m, self.V, self.a, self.b)):
+            raise ValueError(f"m, V, a, b must be finite, got {self}")
 
     def replace(self, **kwargs) -> "NigHyper":
         fields = {"m": self.m, "V": self.V, "a": self.a, "b": self.b}

@@ -7,7 +7,8 @@ followed by outer-cluster and griddy-Gibbs hyperparameter moves.  The final
 state of each chain is one posterior sample; a SampleSet file holds them with
 the panel, the :class:`RunConfig` and each chain's statistics.  The file
 stores each fact once: the config's ``window`` and ``chains`` are the panel's
-window and the chain count, and its hash is recomputed on load.
+window and the chain count, and its hash (:func:`sampleset_hash`, over the
+panel and the config) is recomputed on load.
 
 All randomness derives from the single run seed: chain i uses the i-th spawn
 of ``SeedSequence(seed)``, so results are identical, byte for byte, whether
@@ -42,6 +43,7 @@ from .smc import NumericalError, smc_block_sample
 __all__ = [
     "RunConfig",
     "config_hash",
+    "sampleset_hash",
     "fit",
     "run_chain",
     "save_sampleset",
@@ -99,6 +101,20 @@ def config_hash(**parts) -> str:
     """First 16 hex digits of the sha256 of ``parts`` as sorted-key JSON."""
     blob = json.dumps(parts, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def sampleset_hash(panel: TimeSeriesPanel, config: RunConfig) -> str:
+    """The hash of a fit: every config field but ``threads``, and the panel.
+
+    The panel enters as the sha256 of its array bytes (values with 0 at the
+    missing cells, then the mask) and its window, series names and raw labels.
+    """
+    panel_hash = hashlib.sha256(np.where(panel.observed, panel.values, 0.0).tobytes())
+    panel_hash.update(panel.observed.tobytes())
+    panel_hash.update(json.dumps([panel.window, panel.series_names, panel.raw_labels]).encode())
+    stored = asdict(config)
+    del stored["threads"]  # chains are identical whatever the number of workers
+    return config_hash(config=stored, panel=panel_hash.hexdigest())
 
 
 def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict, dict]:
@@ -210,7 +226,7 @@ def panel_from_payload(payload: dict) -> TimeSeriesPanel:
 
 
 def save_sampleset(samples: SampleSet, config: RunConfig, path) -> str:
-    """Write the versioned SampleSet JSON; returns the config hash.
+    """Write the versioned SampleSet JSON; returns its :func:`sampleset_hash`.
 
     ``config`` is the one the samples were fitted with.  It is stored without
     ``window`` and ``chains``, which the panel and the chain list give.
@@ -227,7 +243,7 @@ def save_sampleset(samples: SampleSet, config: RunConfig, path) -> str:
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    return config_hash(config=asdict(config))
+    return sampleset_hash(samples.panel, config)
 
 
 def _stored_config(stored) -> dict:
@@ -260,8 +276,9 @@ def _stored_config(stored) -> dict:
 def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
     """Read a SampleSet file; returns the samples, their config and its hash.
 
-    The config is rebuilt with the panel's window and the chain count, and its
-    hash is computed as :func:`save_sampleset` computes it.  Malformed content
+    The config is rebuilt with the panel's window and the chain count, and the
+    hash is the :func:`sampleset_hash` of the panel and config, as
+    :func:`save_sampleset` returns it.  Malformed content
     raises ``ValueError`` (a :class:`SchemaVersionError` for another schema)
     or ``KeyError``; a config value of the wrong type is a ``ValueError``.  A
     field of the wrong JSON type elsewhere fails inside the decoding with a
@@ -280,6 +297,6 @@ def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
         chains = [state_from_payload(entry, panel) for entry in doc["chains"]]
         config = RunConfig(window=panel.window, chains=len(chains), **_stored_config(doc["config"]))
         samples = SampleSet(panel=panel, chains=chains, provenance=doc.get("provenance", {}))
-        return samples, config, config_hash(config=asdict(config))
+        return samples, config, sampleset_hash(panel, config)
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed sample set: {exc}") from None

@@ -554,9 +554,10 @@ def sequence_loglik(z, members, alpha: float, hypers, values, observed, window: 
 
 
 class ChainState:
-    """One full latent configuration: groups and hypers.  The groups' member
-    lists are the outer partition; ``assignments[n]`` (series n's 1-based group
-    index) is derived from them and kept in step by the outer moves."""
+    """One full latent configuration: groups and hypers.  The groups' ordered
+    member lists are the one record of the outer partition; the outer moves
+    edit them and remove or append groups, and :attr:`assignments` and
+    :meth:`group_of` read them."""
 
     def __init__(self, panel: TimeSeriesPanel, alpha0, groups, hypers):
         self.panel = panel
@@ -564,10 +565,6 @@ class ChainState:
         self.observed = panel.observed
         self.alpha0 = float(alpha0)
         self.groups = groups
-        self.assignments = [0] * panel.num_series
-        for m, group in enumerate(groups, start=1):
-            for n in group.members:
-                self.assignments[n] = m
         self.hypers = list(hypers)  # list[SeriesHypers] indexed by series, shared by the groups
         for group in self.groups:
             group.hypers = self.hypers
@@ -591,23 +588,22 @@ class ChainState:
     def num_series(self) -> int:
         return self.panel.num_series
 
+    @property
+    def assignments(self) -> list[int]:
+        """Series n's 1-based group index, read from the groups' member lists."""
+        labels = {n: m for m, group in enumerate(self.groups, start=1) for n in group.members}
+        return [labels[n] for n in range(self.num_series)]
+
     def group_of(self, n: int) -> GroupModel:
-        return self.groups[self.assignments[n] - 1]
+        return next(group for group in self.groups if n in group.members)
 
     def check_outer(self) -> None:
-        labels = set(self.assignments)
-        if labels != set(range(1, len(self.groups) + 1)):
-            raise AssertionError(f"outer labels not contiguous: {self.assignments}")
-        seen = set()
-        for m, group in enumerate(self.groups, start=1):
-            if not group.members:
-                raise AssertionError(f"group {m} empty")
-            for n in group.members:
-                if self.assignments[n] != m or n in seen:
-                    raise AssertionError("outer membership inconsistent")
-                seen.add(n)
-        if seen != set(range(self.num_series)):
-            raise AssertionError("outer partition does not cover all series")
+        """Raise unless the groups are non-empty and partition the series."""
+        if not all(group.members for group in self.groups):
+            raise AssertionError("empty group")
+        members = sorted(n for group in self.groups for n in group.members)
+        if members != list(range(self.num_series)):
+            raise AssertionError(f"group members {members} do not partition the series")
 
     def stats_deviation(self) -> float:
         return max(g.stats_deviation(self.values, self.observed) for g in self.groups)
@@ -736,7 +732,7 @@ def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
     integers that partition the panel's series, every regime sequence is a
     list of contiguous integer labels 1..K for all T steps, every series has
     one lag cell per offset, every NIG cell is four numbers and every
-    concentration is a positive number."""
+    concentration is a positive finite number."""
     groups = payload["groups"]
     num_series = panel.num_series
     if len(payload["hypers"]) != num_series:
@@ -749,8 +745,8 @@ def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
     ):
         raise ValueError("every NIG cell must be four numbers (m, V, a, b)")
     concentrations = [payload["alpha0"]] + [g["alpha"] for g in groups]
-    if not all(type(a) in (int, float) and a > 0 for a in concentrations):
-        raise ValueError("concentrations must be positive numbers")
+    if not all(type(a) in (int, float) and 0 < a < math.inf for a in concentrations):
+        raise ValueError("concentrations must be positive finite numbers")
     members = [entry["members"] for entry in groups]
     if not all(isinstance(ns, list) and ns and all(type(n) is int for n in ns) for ns in members):
         raise ValueError("every group's members must be a non-empty list of series indices")

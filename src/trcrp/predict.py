@@ -42,7 +42,6 @@ __all__ = [
     "ImputationResult",
     "forecast",
     "impute",
-    "dependence_probability",
     "dependence_matrix",
 ]
 
@@ -207,8 +206,9 @@ def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
         if not (picked.size and cells):
             continue
         rows = []
+        labels = chain.assignments
         for n, t in cells:
-            group = chain.group_of(n)
+            group = chain.groups[labels[n] - 1]
             h = group.hypers[n].emission
             stats = group.cells[n][group.regimes.z[t - 1] - 1][0]
             rows.append((h.m, h.V, h.a, h.b, stats.count, stats.sum, stats.sum_sq))
@@ -223,19 +223,8 @@ def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
     )
 
 
-def dependence_probability(samples: SampleSet, i: int, k: int) -> float:
-    """Fraction of chains placing series i and k in the same group (1 when i == k)."""
-    if i == k:
-        return 1.0
-    hits = sum(1 for chain in samples.chains if chain.assignments[i] == chain.assignments[k])
-    return hits / samples.num_chains
-
-
 def dependence_matrix(samples: SampleSet) -> np.ndarray:
-    """Symmetric matrix of pairwise dependence probabilities with unit diagonal."""
-    num = samples.panel.num_series
-    out = np.eye(num)
-    for i in range(num):
-        for k in range(i + 1, num):
-            out[i, k] = out[k, i] = dependence_probability(samples, i, k)
-    return out
+    """Symmetric matrix of pairwise dependence probabilities: entry (i, k) is the
+    fraction of chains placing series i and k in the same group (1 when i == k)."""
+    labels = np.array([chain.assignments for chain in samples.chains])  # (S, N)
+    return (labels[:, :, None] == labels[:, None, :]).mean(axis=0)

@@ -1,24 +1,27 @@
 """Hierarchical outer partition of the series and its MH moves.
 
 A series is reassigned by scoring how well its data fit each group's current
-regime sequence (as if it were that group's only member), plus a fresh
-singleton option whose sequence is forward-sampled from the lag-reweighted
-prior.  The acceptance ratio combines full-group loglik ratios for the two
-touched groups with the inverse proposal ratio; drawing the fresh sequence
-from a tractable prior is what keeps the dimension-changing cases free of
-reversible-jump machinery.
+regime sequence (as if it were that group's only member), plus a singleton
+slot.  As in Neal's (2000) auxiliary-component scheme every destination is a
+group, and the slot is one more: for a series that shares its group, a fresh
+one-member group whose sequence :meth:`~trcrp.model.GroupModel.rollout`
+forward-samples from the lag-reweighted prior; for a series that sits alone,
+its own group.  So a proposal is a no-op exactly when its target is its
+current group.  Drawing the fresh sequence from a tractable prior keeps the
+dimension-changing moves free of reversible-jump machinery.
 
-The empty-member loglik terms of the ratio are the *density the fresh or
-reused sequence was proposed from* (the no-emission loglik of the moved series
-alone), which makes the ratio exact for this proposal; this is validated
-against log-joint differencing in the tests.
+The acceptance ratio combines full-group loglik ratios for the two touched
+groups with the inverse proposal ratio.  Its empty-member terms are the
+*density the fresh or reused sequence was proposed from* (the no-emission
+loglik of the moved series alone), which makes the ratio exact for this
+proposal; this is validated against log-joint differencing in the tests.
 
 Every term is a group's loglik over some ordered subset of series.  A pass
 builds one :class:`~trcrp.model.PrefixStats` table per group the first time it
 needs one, over every series' lag and emission cells, and reads each subset's
-terms from it.  A fresh slot is a one-member group sampled by
-:meth:`~trcrp.model.GroupModel.rollout`; a one-series table gives its proposal
-density and its loglik, and an accepted fresh move appends that group.
+terms from it; a fresh slot's one-series table gives its proposal density and
+its loglik.  An accepted move takes the series out of its group (removing the
+group it leaves empty) and into the target, appending the slot.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ __all__ = [
     "accept_c",
     "sweep_c",
 ]
-
-FRESH = 0  # proposal target meaning "new singleton group"
 
 
 def _table(state: ChainState, tables: dict, group: GroupModel) -> PrefixStats:
@@ -59,15 +60,15 @@ def _table(state: ChainState, tables: dict, group: GroupModel) -> PrefixStats:
 @dataclass
 class ClusterProposal:
     series: int
-    current: int
-    target: int  # group label or FRESH
+    current: GroupModel
+    target: GroupModel  # an existing group, or ``slot`` for a new one
     # singleton slot: its one-member group and the proposal log density of its sequence
     slot: GroupModel
     slot_log_density: float
     slot_loglik: float  # loglik of the moved series against the slot sequence
-    member_logliks: dict[int, float]  # label -> loglik of series against that group
+    member_logliks: dict[GroupModel, float]  # group -> loglik of series against it
     log_weights: list[float]
-    targets: list[int]
+    targets: list[GroupModel]
 
 
 def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
@@ -80,24 +81,20 @@ def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
     sits alone, in which case choosing the slot is a no-op).  ``tables``
     holds the pass's group tables (see :func:`sweep_c`).
     """
-    current = state.assignments[n]
-    cur_group = state.group_of(n)
-
-    targets = []
-    weights = []
-    member_logliks = {}
-    for m, group in enumerate(state.groups, start=1):
-        others = len(group.members) - (1 if m == current else 0)
+    current = state.group_of(n)
+    targets, weights, member_logliks = [], [], {}
+    for group in state.groups:
+        others = len(group.members) - (group is current)
         if others == 0:
             continue
         fit = _table(state, tables, group).subset_loglik([n], group.alpha)
-        member_logliks[m] = fit
-        targets.append(m)
+        member_logliks[group] = fit
+        targets.append(group)
         weights.append(math.log(others) + fit)
 
-    if len(cur_group.members) == 1:
-        slot = cur_group
-        table = _table(state, tables, cur_group)
+    if len(current.members) == 1:
+        slot = current
+        table = _table(state, tables, current)
     else:
         panel = state.panel
         alpha = float(rng.gamma(1.0, 1.0))
@@ -107,7 +104,7 @@ def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
         table = prefix_stats(slot.regimes.z, cells)
     slot_log_density = table.subset_loglik([n], slot.alpha, emission=False)
     slot_loglik = table.subset_loglik([n], slot.alpha)
-    targets.append(FRESH)
+    targets.append(slot)
     weights.append(math.log(state.alpha0) + slot_loglik)
 
     choice = gumbel_argmax(weights, rng)
@@ -125,68 +122,48 @@ def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
 
 
 def cluster_log_ratio(state: ChainState, proposal: ClusterProposal, tables: dict) -> float:
-    """Exact MH log ratio for the proposed move (0 for no-ops)."""
-    n = proposal.series
-    current = proposal.current
-    target = proposal.target
-    cur_group = state.groups[current - 1]
-    is_singleton = len(cur_group.members) == 1
-    if target == current or (target == FRESH and is_singleton):
-        return 0.0
-
-    if target == FRESH:
-        tgt_with = proposal.slot_loglik
+    """Exact MH log ratio for a proposal that moves its series (``target is not current``)."""
+    n, cur_group, tgt_group = proposal.series, proposal.current, proposal.target
+    if tgt_group is proposal.slot:
+        tgt_with = tgt_fit = proposal.slot_loglik
         tgt_without = proposal.slot_log_density
-        tgt_fit = proposal.slot_loglik
     else:
-        tgt_group = state.groups[target - 1]
         table = _table(state, tables, tgt_group)
         tgt_without = table.subset_loglik(tgt_group.members, tgt_group.alpha)
         tgt_with = table.subset_loglik(tgt_group.members + [n], tgt_group.alpha)
-        tgt_fit = proposal.member_logliks[target]
+        tgt_fit = proposal.member_logliks[tgt_group]
 
     table = _table(state, tables, cur_group)
     cur_with = table.subset_loglik(cur_group.members, cur_group.alpha)
-    if is_singleton:
+    if len(cur_group.members) == 1:
         cur_without = proposal.slot_log_density
         cur_fit = cur_with
     else:
         remaining = [m for m in cur_group.members if m != n]
         cur_without = table.subset_loglik(remaining, cur_group.alpha)
-        cur_fit = proposal.member_logliks[current]
+        cur_fit = proposal.member_logliks[cur_group]
 
     return (tgt_with + cur_without) - (tgt_without + cur_with) + (cur_fit - tgt_fit)
 
 
 def accept_c(state: ChainState, proposal: ClusterProposal, rng, tables: dict, heuristic=False):
     """Accept/reject the proposal and apply it; returns (accepted, moved, log_r)."""
-    n = proposal.series
-    current = proposal.current
-    target = proposal.target
-    cur_group = state.groups[current - 1]
-    is_singleton = len(cur_group.members) == 1
-    if target == current or (target == FRESH and is_singleton):
+    n, current, target = proposal.series, proposal.current, proposal.target
+    if target is current:
         return True, False, 0.0
     log_r = 0.0
     if not heuristic:
         log_r = cluster_log_ratio(state, proposal, tables)
         if log_r < 0 and math.log(rng.random()) >= log_r:
             return False, False, log_r
-    if is_singleton:
-        state.groups.pop(current - 1)
-        for j, label in enumerate(state.assignments):
-            if label > current:
-                state.assignments[j] = label - 1
-        if target != FRESH and target > current:
-            target -= 1
+    if len(current.members) == 1:
+        state.groups.remove(current)
     else:
-        cur_group.drop_member(n)
-    if target == FRESH:
-        state.groups.append(proposal.slot)
-        target = len(state.groups)
+        current.drop_member(n)
+    if target is proposal.slot:
+        state.groups.append(target)
     else:
-        state.groups[target - 1].add_member(n, state.values, state.observed)
-    state.assignments[n] = target
+        target.add_member(n, state.values, state.observed)
     return True, True, log_r
 
 

@@ -89,6 +89,49 @@ def test_query_digest_follows_the_stored_config(runner, tmp_path, rng):
     assert edited == expected(engine.load_sampleset(out)[2])
 
 
+def fit_digest(runner, data, out, *extra):
+    """Fit ``data`` with fixed flags; returns the printed sample-set digest."""
+    result = runner.invoke(main, [
+        "fit", "--data", str(data), "--out", str(out), "--window", "1",
+        "--chains", "2", "--burnin", "2", "--particles", "4", *extra,
+    ], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return result.output.split("(config ")[1].split(",")[0]
+
+
+def forecast_file(runner, samples, out):
+    """Forecast from ``samples`` at fixed flags; returns the CSV and summary bytes."""
+    result = runner.invoke(main, [
+        "forecast", str(samples), "--horizon", "3", "--draws", "10", "--seed", "7",
+        "--out", str(out),
+    ], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return out.read_bytes(), (out.parent / f"{out.name}.summary.json").read_bytes()
+
+
+def test_digest_covers_the_data(runner, tmp_path):
+    digests, headers = [], []
+    for seed in (1, 2):
+        data = write_panel_csv(tmp_path / f"data{seed}.csv", np.random.default_rng(seed))
+        fitted = tmp_path / f"fit{seed}.json"
+        digests.append(fit_digest(runner, data, fitted))
+        csv_bytes, _ = forecast_file(runner, fitted, tmp_path / f"fc{seed}.csv")
+        headers.append(csv_bytes.splitlines()[0])  # the forecast's digest line
+    assert digests[0] != digests[1]
+    assert headers[0] != headers[1]
+
+
+def test_digest_and_forecasts_ignore_fit_threads(runner, tmp_path, rng):
+    data = write_panel_csv(tmp_path / "data.csv", rng)
+    digests, outputs = [], []
+    for threads in (1, 2):
+        fitted = tmp_path / f"fit{threads}.json"
+        digests.append(fit_digest(runner, data, fitted, "--threads", str(threads)))
+        outputs.append(forecast_file(runner, fitted, tmp_path / f"fc{threads}.csv"))
+    assert digests[0] == digests[1]
+    assert outputs[0] == outputs[1]
+
+
 def test_fit_byte_reproducible(runner, tmp_path, rng):
     data = write_panel_csv(tmp_path / "data.csv", rng)
     outs = []
@@ -449,6 +492,26 @@ def _short_fixed_hypers(doc):
     doc["config"]["fixed_hypers"] = [0.0, 1.0, 2.0]
 
 
+def _infinite_group_alpha(doc):
+    doc["chains"][0]["groups"][0]["alpha"] = float("inf")
+
+
+def _infinite_alpha0(doc):
+    doc["chains"][0]["alpha0"] = float("inf")
+
+
+def _infinite_emission_V(doc):
+    doc["chains"][0]["hypers"][0]["emission"][1] = float("inf")
+
+
+def _infinite_emission_a(doc):
+    doc["chains"][0]["hypers"][0]["emission"][2] = float("inf")
+
+
+def _infinite_emission_b(doc):
+    doc["chains"][0]["hypers"][0]["emission"][3] = float("inf")
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -489,6 +552,11 @@ def _short_fixed_hypers(doc):
         _string_config_hierarchical,
         _bool_config_particles,
         _short_fixed_hypers,
+        _infinite_group_alpha,
+        _infinite_alpha0,
+        _infinite_emission_V,
+        _infinite_emission_a,
+        _infinite_emission_b,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -548,7 +616,10 @@ def test_simulate_bad_groups_rejected(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--alpha", "0"), ("--alpha", "-1"), ("--alpha0", "0"), ("--hyper", "0 0 1 1")],
+    [
+        ("--alpha", "0"), ("--alpha", "-1"), ("--alpha0", "0"), ("--hyper", "0 0 1 1"),
+        ("--alpha", "inf"), ("--alpha0", "inf"),
+    ],
 )
 def test_simulate_out_of_range_option_exit_2(runner, tmp_path, flag, value):
     out = tmp_path / "s.csv"

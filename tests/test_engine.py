@@ -20,6 +20,7 @@ from trcrp.engine import (
     panel_from_payload,
     panel_payload,
     run_chain,
+    sampleset_hash,
     save_sampleset,
 )
 from trcrp.model import log_joint, state_from_payload, state_payload
@@ -145,10 +146,10 @@ def test_sampleset_save_load_round_trip(rng, tmp_path):
     config = quick_config(chains=2)
     samples = fit(panel, config)
     path = tmp_path / "samples.json"
-    save_sampleset(samples, config, path)
+    saved = save_sampleset(samples, config, path)
     loaded, loaded_config, digest = load_sampleset(path)
     assert loaded_config == config
-    assert digest == config_hash(config=dataclasses.asdict(config))
+    assert digest == saved == sampleset_hash(panel, config)
     assert loaded.num_chains == 2
     assert np.allclose(dependence_matrix(loaded), dependence_matrix(samples))
 

@@ -362,3 +362,26 @@ def test_stats_deviation_after_manual_churn(rng):
             group.assign(t, k, panel.values, panel.observed)
     assert group.stats_deviation(panel.values, panel.observed) < 1e-10
     group.regimes.check()
+
+
+def _three_series_two_groups(rng):
+    panel = make_panel([list(rng.normal(size=5)) for _ in range(3)], window=1)
+    return build_state(panel, uniform_hypers(3, 1), [[1, 2, 1, 1], [1, 1, 2, 2]], [1, 2, 1])
+
+
+@pytest.mark.parametrize(
+    "break_partition, message",
+    [
+        (lambda groups: groups[1].members.append(0), "do not partition"),  # 0 in two groups
+        (lambda groups: groups[0].members.remove(2), "do not partition"),  # 2 in no group
+        (lambda groups: groups[1].members.clear(), "empty group"),
+    ],
+    ids=["series_in_two_groups", "series_in_no_group", "empty_group"],
+)
+def test_check_consistency_rejects_a_broken_partition(rng, break_partition, message):
+    state = _three_series_two_groups(rng)
+    state.check_consistency()
+    assert state.assignments == [1, 2, 1]
+    break_partition(state.groups)
+    with pytest.raises(AssertionError, match=message):
+        state.check_consistency()

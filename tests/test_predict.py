@@ -16,7 +16,6 @@ from trcrp.model import SeriesHypers
 from trcrp.predict import (
     SampleSet,
     dependence_matrix,
-    dependence_probability,
     forecast,
     impute,
 )
@@ -265,9 +264,10 @@ def test_dependence_single_chain(rng):
     samples, _ = single_chain_samples(
         rng, values, [[1, 2, 1, 2, 1], [1] * 5], assignments=[1, 2, 1], num_series=3
     )
-    assert dependence_probability(samples, 0, 2) == 1.0
-    assert dependence_probability(samples, 0, 1) == 0.0
-    assert dependence_probability(samples, 1, 1) == 1.0
+    matrix = dependence_matrix(samples)
+    assert matrix[0, 2] == 1.0
+    assert matrix[0, 1] == 0.0
+    assert matrix[1, 1] == 1.0
 
 
 def test_dependence_symmetric_and_averages_exactly(rng):
@@ -278,8 +278,27 @@ def test_dependence_symmetric_and_averages_exactly(rng):
     split = build_state(panel, hypers, [[1] * 5, [1, 2, 1, 2, 1]], [1, 2])
     for frac, chains in ((1.0, [merged, merged]), (0.5, [merged, split])):
         samples = SampleSet(panel=panel, chains=list(chains))
-        assert dependence_probability(samples, 0, 1) == frac
-        assert dependence_probability(samples, 1, 0) == frac
+        matrix = dependence_matrix(samples)
+        assert matrix[0, 1] == frac
+        assert matrix[1, 0] == frac
+
+
+def test_dependence_matrix_matches_hand_count(rng):
+    values = [list(rng.normal(size=5)) for _ in range(5)]
+    panel = make_panel(values, window=1)
+    hypers = uniform_hypers(5, 1)
+    plans = ([1, 1, 2, 2, 3], [1, 1, 2, 3, 3], [1, 2, 2, 3, 1])
+    chains = [build_state(panel, hypers, [[1] * 4] * 3, plan) for plan in plans]
+    # pairs sharing a group: (0,1) (2,3) | (0,1) (3,4) | (1,2) (0,4)
+    hits = np.array([
+        [3, 2, 0, 0, 1],
+        [2, 3, 1, 0, 0],
+        [0, 1, 3, 1, 0],
+        [0, 0, 1, 3, 1],
+        [1, 0, 0, 1, 3],
+    ])
+    got = dependence_matrix(SampleSet(panel=panel, chains=chains))
+    assert np.array_equal(got, hits / 3)
 
 
 def test_dependence_matrix_shape_and_range(rng):

@@ -26,7 +26,6 @@ from trcrp.model import (
     sequence_loglik,
 )
 from trcrp.structure import (
-    FRESH,
     ClusterProposal,
     accept_c,
     cluster_log_ratio,
@@ -34,6 +33,8 @@ from trcrp.structure import (
     sweep_c,
 )
 from trcrp.util import log_gamma11_pdf
+
+FRESH = 0  # the oracle's label for a proposal's fresh slot
 
 
 def data_of(state):
@@ -46,6 +47,16 @@ def lag_loglik(z, members, alpha, hypers, values, observed, window):
     sequence prior that a fresh slot is drawn from."""
     cells = cell_layout(members, hypers, values, observed, window, emission=False)
     return prefix_stats(z, cells).subset_loglik(members, alpha, emission=False)
+
+
+def label(state, proposal, group):
+    """The oracle's label of a proposal's destination or current group: its
+    1-based index in ``state.groups``, or FRESH for a slot that is not a group."""
+    for m, g in enumerate(state.groups, start=1):
+        if g is group:
+            return m
+    assert group is proposal.slot
+    return FRESH
 
 
 def state_description(state):
@@ -106,8 +117,8 @@ def direct_weight_vector(state, n, slot_loglik):
 def exact_log_ratio(panel, hypers, state, proposal):
     """Joint differencing plus proposal correction with the slot pinned."""
     n = proposal.series
-    current = proposal.current
-    target = proposal.target
+    current = label(state, proposal, proposal.current)
+    target = label(state, proposal, proposal.target)
     cur_singleton = state.assignments.count(current) == 1
     if target == current or (target == FRESH and cur_singleton):
         return 0.0
@@ -119,7 +130,7 @@ def exact_log_ratio(panel, hypers, state, proposal):
     after = log_joint(post_state)
 
     # forward proposal
-    log_g_fwd = proposal.log_weights[proposal.targets.index(target)] - logsumexp(
+    log_g_fwd = proposal.log_weights[proposal.targets.index(proposal.target)] - logsumexp(
         proposal.log_weights
     )
     if not cur_singleton:
@@ -248,7 +259,7 @@ def test_propose_single_series_is_noop(rng):
     hypers = uniform_hypers(1, 1)
     state = build_state(panel, hypers, [[1, 1, 2, 1]], [1])
     proposal = propose_c(state, 0, rng, {})
-    assert proposal.target == FRESH
+    assert proposal.target is proposal.slot is proposal.current
     accepted, moved, log_r = accept_c(state, proposal, rng, {})
     assert accepted and not moved and log_r == 0.0
     assert state.assignments == [1]
@@ -263,7 +274,7 @@ def test_propose_weights_match_direct_evaluation(rng):
     )
     proposal = propose_c(state, 0, rng, {})
     targets, weights = direct_weight_vector(state, 0, proposal.slot_loglik)
-    assert targets == proposal.targets
+    assert targets == [label(state, proposal, g) for g in proposal.targets]
     impl = np.exp(np.array(proposal.log_weights) - logsumexp(proposal.log_weights))
     direct = np.exp(np.array(weights) - logsumexp(weights))
     assert 0.5 * np.abs(impl - direct).sum() < 1e-10
@@ -277,7 +288,8 @@ def test_symmetric_series_weigh_symmetrically(rng):
     p0 = propose_c(state, 0, np.random.default_rng(1), {})
     p1 = propose_c(state, 1, np.random.default_rng(1), {})
     # identical data: the existing-group weight must agree under the swap
-    assert p0.member_logliks[1] == pytest.approx(p1.member_logliks[1], abs=1e-12)
+    group = state.groups[0]
+    assert p0.member_logliks[group] == pytest.approx(p1.member_logliks[group], abs=1e-12)
 
 
 def gappy_state(window):
@@ -330,7 +342,7 @@ def force_proposal(state, n, target, rng):
     """Draw proposals until the sampler picks the requested target."""
     for _ in range(500):
         proposal = propose_c(state, n, rng, {})
-        if proposal.target == target:
+        if label(state, proposal, proposal.target) == target:
             return proposal
     raise AssertionError(f"never proposed target {target}")
 
@@ -445,7 +457,7 @@ def test_sweep_tables_follow_groups_through_renumbering(monkeypatch):
     checked = []
 
     def checking_accept(state, proposal, rng, tables, heuristic=False):
-        left_alone = len(state.groups[proposal.current - 1].members) == 1
+        left_alone = len(proposal.current.members) == 1
         result = real_accept(state, proposal, rng, tables, heuristic=heuristic)
         if result[1]:
             checked.append(left_alone)
@@ -487,11 +499,12 @@ def test_sweep_acceptance_decisions_invariant_to_relabeling(rng):
     state_a = build_state(panel, hypers, [z], [1, 1], alphas=[0.9])
     state_b = build_state(panel, hypers, [z_swapped], [1, 1], alphas=[0.9])
     pa = force_proposal(state_a, 0, FRESH, np.random.default_rng(12))
+    group_a, group_b = state_a.groups[0], state_b.groups[0]
     pb = ClusterProposal(
-        series=0, current=1, target=FRESH,
+        series=0, current=group_b, target=pa.slot,
         slot=pa.slot, slot_log_density=pa.slot_log_density, slot_loglik=pa.slot_loglik,
-        member_logliks=dict(pa.member_logliks), log_weights=list(pa.log_weights),
-        targets=list(pa.targets),
+        member_logliks={group_b: pa.member_logliks[group_a]}, log_weights=list(pa.log_weights),
+        targets=[group_b, pa.slot],
     )
     assert cluster_log_ratio(state_a, pa, {}) == pytest.approx(
         cluster_log_ratio(state_b, pb, {}), abs=1e-10
