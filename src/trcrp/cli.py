@@ -31,7 +31,7 @@ from .engine import (
     config_hash,
     fit,
     load_sampleset,
-    panel_payload,
+    panel_digest,
     save_sampleset,
 )
 from .hypers import build_grids, grids_payload
@@ -287,7 +287,7 @@ def cmd_inspect_grids(data, window, out):
         panel = load_csv(data, window)
     except PanelError as exc:
         _fail(EXIT_DATA, str(exc))
-    digest = config_hash(command="inspect-grids", data_panel=panel_payload(panel), window=window)
+    digest = config_hash(command="inspect-grids", data_panel=panel_digest(panel), window=window)
     doc = {"config_hash": digest, "grids": grids_payload(build_grids(panel))}
     text = json.dumps(doc, indent=2)
     if out is None:

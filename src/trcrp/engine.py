@@ -43,6 +43,7 @@ from .smc import NumericalError, smc_block_sample
 __all__ = [
     "RunConfig",
     "config_hash",
+    "panel_digest",
     "sampleset_hash",
     "fit",
     "run_chain",
@@ -68,7 +69,7 @@ class RunConfig:
     moves (initialization heuristic), and every later sweep is full MH, so
     ``init_sweeps >= burnin`` gives a heuristic-only fit.  Hyperparameter
     sweeps fire every ``hyper_cadence``-th iteration, and 0 disables them.
-    ``fixed_hypers`` pins every NIG cell to one (m, V, a, b); the
+    ``fixed_hypers`` pins every NIG cell to one valid (m, V, a, b); the
     concentrations still move on the cadence.  ``window`` must equal the
     fitted panel's.  Validation messages start with the offending field's
     name.
@@ -95,6 +96,11 @@ class RunConfig:
         for name in ("burnin", "init_sweeps", "hyper_cadence"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.fixed_hypers is not None:
+            try:
+                NigHyper(*self.fixed_hypers)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"fixed_hypers must be one NIG cell (m, V, a, b): {exc}") from None
 
 
 def config_hash(**parts) -> str:
@@ -103,18 +109,21 @@ def config_hash(**parts) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def sampleset_hash(panel: TimeSeriesPanel, config: RunConfig) -> str:
-    """The hash of a fit: every config field but ``threads``, and the panel.
+def panel_digest(panel: TimeSeriesPanel) -> str:
+    """The sha256 hex digest of a panel's array bytes (values with 0 at the
+    missing cells, then the mask), then its window, series names and raw labels."""
+    digest = hashlib.sha256(np.where(panel.observed, panel.values, 0.0).tobytes())
+    digest.update(panel.observed.tobytes())
+    digest.update(json.dumps([panel.window, panel.series_names, panel.raw_labels]).encode())
+    return digest.hexdigest()
 
-    The panel enters as the sha256 of its array bytes (values with 0 at the
-    missing cells, then the mask) and its window, series names and raw labels.
-    """
-    panel_hash = hashlib.sha256(np.where(panel.observed, panel.values, 0.0).tobytes())
-    panel_hash.update(panel.observed.tobytes())
-    panel_hash.update(json.dumps([panel.window, panel.series_names, panel.raw_labels]).encode())
+
+def sampleset_hash(panel: TimeSeriesPanel, config: RunConfig) -> str:
+    """The hash of a fit: every config field but ``threads``, and the
+    :func:`panel_digest`."""
     stored = asdict(config)
     del stored["threads"]  # chains are identical whatever the number of workers
-    return config_hash(config=stored, panel=panel_hash.hexdigest())
+    return config_hash(config=stored, panel=panel_digest(panel))
 
 
 def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict, dict]:

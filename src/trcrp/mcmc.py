@@ -6,13 +6,23 @@ steps of coupling-normalizer ratios.  That ratio is exact for this proposal:
 the CRP and predictive factors of the proposal cancel against the time-t
 factors of the joint, leaving only the downstream normalizers, whose data
 differ between the two configurations in at most the two regimes that gain or
-lose time t.  Both sets of normalizers come from the array prefix statistics
-of :func:`trcrp.model.prefix_stats`, over one emission-free
-:func:`~trcrp.model.cell_layout` of the group that a sweep builds once.
+lose time t.
 
-Always-accept mode skips the normalizer pass entirely; proposals track the
-target closely enough that this is the designated initialization strategy,
-not a correct sampler, and the engine uses it only for early sweeps.
+A full-MH sweep keeps one :class:`SweepTable` per group: the prefix
+statistics of the group's current regime sequence over its emission-free
+:func:`~trcrp.model.cell_layout`, one column per regime label, each column's
+no-emission log weight at every step and the sequence's per-step log
+normalizers, built by one :func:`~trcrp.model.prefix_stats` pass.  A site
+rescores only the columns of the regimes that lose or gain it, and only at
+the steps after it; an accepted move writes them back.  A sweep so scores
+O(T^2) (cell, step, column) entries, where a prefix pass per completed
+sequence would score O(T^2 K).  The ratio has the bits of those two passes:
+the columns are gathered in the new sequence's first-appearance order before
+the normalizers sum over them.
+
+Always-accept mode skips the ratio entirely; proposals track the target
+closely enough that this is the designated initialization strategy, not a
+correct sampler, and the engine uses it only for early sweeps.
 """
 
 from __future__ import annotations
@@ -20,18 +30,151 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import cell_layout, prefix_stats
+import numpy as np
+
+from .conjugate import predictive_logpdf_array
+from .model import PrefixStats, cell_layout, prefix_stats
 from .util import gumbel_argmax
 
-__all__ = ["MhConfig", "NEW_REGIME", "propose_z", "acceptance_log_ratio", "sweep_z"]
+__all__ = [
+    "MhConfig",
+    "NEW_REGIME",
+    "SweepTable",
+    "propose_z",
+    "acceptance_log_ratio",
+    "sweep_z",
+]
 
 # Branch descriptor for "put t in a fresh regime"; existing regimes are their label.
 NEW_REGIME = 0
+
+# Table columns before the regimes': the fresh block, then a proposal's two rescored columns.
+_FRESH = 0
+_RESERVED = 3
 
 
 @dataclass
 class MhConfig:
     full_mh: bool = True
+
+
+class SweepTable:
+    """Prefix statistics of one group's regime sequence, kept by label for a sweep.
+
+    Rows follow the group's emission-free :func:`~trcrp.model.cell_layout`,
+    ``cells``.  ``count`` is (cells, T, W) and ``sums`` (2, cells, T, W), the
+    ``total`` and ``total_sq`` of :class:`~trcrp.model.PrefixStats`; ``base``
+    is (T, W), each column's log block size plus cohesion, the fresh
+    column's log concentration plus cohesion.  Column 0 is the fresh block,
+    ``base`` columns 1 and 2 hold the rescored columns of the last proposal,
+    and ``columns[k - 1]`` is regime k's; it follows the group's labels
+    through :meth:`drop` and :meth:`settle`.  ``normalizers`` holds the
+    sequence's per-step log normalizers.  After a move at t, rows up to t
+    keep the old sequence's normalizer bits, which a sweep no longer reads.
+    """
+
+    def __init__(self, group, values, observed):
+        self.group = group
+        self.cells = cells = cell_layout(
+            group.members, group.hypers, values, observed, group.window, emission=False
+        )
+        z = group.regimes.z
+        prefix = prefix_stats(z, cells)
+        weights = prefix.log_weights(group.alpha)
+        self.normalizers = prefix.log_normalizers(weights)
+        num_blocks = weights.shape[1] - 1
+        width = 2 * (_RESERVED + num_blocks)
+        self.count = np.zeros((cells.x.shape[0], group.num_steps, width), dtype=np.int64)
+        self.sums = np.zeros((2, *self.count.shape))
+        self.base = np.full((group.num_steps, width), -np.inf)
+        blocks = slice(_RESERVED, _RESERVED + num_blocks)
+        self.count[..., blocks] = prefix.count[..., :-1]
+        self.sums[0, ..., blocks] = prefix.total[..., :-1]
+        self.sums[1, ..., blocks] = prefix.total_sq[..., :-1]
+        self.base[:, blocks] = weights[:, :-1]
+        self.base[:, _FRESH] = weights[:, -1]
+        rank = {k: r for r, k in enumerate(dict.fromkeys(z))}
+        self.columns = [_RESERVED + rank[k] for k in range(1, num_blocks + 1)]
+        self.free = list(range(_RESERVED + num_blocks, width))
+        self.stash = None  # the column of a regime that emptied at the current site
+        self.pending = None  # the last proposal's rescored labels, statistics and normalizers
+        self.moments = np.stack([cells.x, cells.x * cells.x])[..., None]
+        self.hyper = tuple(h[..., None] for h in cells.hyper)
+        row, ratio = cells.lgamma
+        self.lgamma = (row[..., None], ratio)
+        with np.errstate(divide="ignore"):
+            self.log_sizes = np.log(np.arange(group.num_steps + 1))
+
+    def drop(self, k: int) -> None:
+        """Follow :meth:`~trcrp.model.GroupModel.unassign` emptying regime k."""
+        self.stash = self.columns.pop(k - 1)
+
+    def rescore(self, t: int, labels):
+        """Rescore ``labels`` at the steps after t into ``base`` columns 1, 2, ...
+
+        Time t belongs to the last label only; every other label has lost it.
+        A label past the group's last one is a fresh regime.  Each column
+        continues its statistics before t, which stay valid, by the cumulative
+        sums over steps t..T-1 that a prefix pass makes.  Returns the rescored
+        (cells, T - t, J) counts and (2, cells, T - t, J) sums.
+        """
+        z, cells = self.group.regimes.z, self.cells
+        cols = [self.columns[k - 1] if k <= len(self.columns) else _FRESH for k in labels]
+        member = np.empty((len(z) - t, len(labels)), dtype=bool)
+        member[0] = np.arange(len(labels)) == len(labels) - 1
+        member[1:] = np.array(z[t:-1], dtype=np.int64)[:, None] == labels
+        sizes = np.cumsum(member, axis=0) + [z[: t - 1].count(k) for k in labels]
+        mask = cells.seen[:, t - 1 : -1, None] & member
+        count = np.cumsum(mask, axis=1) + self.count[:, t - 1, cols][:, None]
+        sums = np.where(mask, self.moments[:, :, t - 1 : -1], 0.0)
+        sums[:, :, 0] += self.sums[:, :, t - 1, cols]
+        sums = np.cumsum(sums, axis=2)
+        f = predictive_logpdf_array(
+            *self.hyper, count, *sums, cells.x[:, t:, None], lgamma=self.lgamma
+        )
+        cohesion = np.where(cells.seen[:, t:, None], f, 0.0).sum(axis=0)
+        self.base[t:, 1 : 1 + len(labels)] = self.log_sizes[sizes] + cohesion
+        return count, sums
+
+    def settle(self, t: int, k: int, moved: bool) -> None:
+        """Follow the group after it assigned t to regime k.
+
+        ``moved`` says the last proposal was accepted and changed t's
+        regime; then its rescored columns and normalizers become the table's.
+        Otherwise a regime that emptied at t is back, as the group's last.
+        """
+        if not moved:
+            if self.stash is not None:
+                self.columns.append(self.stash)
+            self.stash = self.pending = None
+            return
+        if self.stash is not None:
+            self.free.append(self.stash)
+            self.stash = None
+        if k > len(self.columns):
+            col = self._free_column()
+            self.columns.append(col)
+            self.count[:, :t, col] = 0
+            self.sums[..., :t, col] = 0.0
+            self.base[:t, col] = -np.inf
+        if self.pending is not None:
+            labels, count, sums, normalizers = self.pending
+            cols = [self.columns[label - 1] for label in labels]
+            self.count[:, t:, cols] = count
+            self.sums[..., t:, cols] = sums
+            self.base[t:, cols] = self.base[t:, 1 : 1 + len(labels)]
+            self.normalizers[t:] = normalizers
+            self.pending = None
+
+    def _free_column(self) -> int:
+        if not self.free:
+            width = self.base.shape[1]
+            self.count, self.sums, self.base = (
+                np.concatenate([a, np.zeros_like(a)], axis=-1)
+                for a in (self.count, self.sums, self.base)
+            )
+            self.free = list(range(width, 2 * width))
+        return self.free.pop()
 
 
 def propose_z(group, t, values, observed, rng):
@@ -47,64 +190,75 @@ def propose_z(group, t, values, observed, rng):
     return NEW_REGIME if idx == len(weights) - 1 else idx + 1
 
 
-def acceptance_log_ratio(group, t, branch_old, branch_new, cells) -> float:
+def acceptance_log_ratio(table: SweepTable, t, branch_old, branch_new) -> float:
     """Sum over later steps of the log normalizer ratio new-over-old.
 
-    Contract as in :func:`propose_z`: time t is unassigned.  ``cells`` is the
-    group's emission-free :func:`~trcrp.model.cell_layout`.  The group's
-    sequence is completed with t in ``branch_old`` and, separately, in
-    ``branch_new`` (a fresh regime takes the next unused label); the
-    no-emission per-step log normalizers of both sequences come from one
-    prefix-statistics pass each, and the ratio sums their difference over the
-    steps after t, where the two configurations differ.
+    Contract as in :func:`propose_z`: time t is unassigned, and ``table``
+    holds the group's sequence with t in ``branch_old``.  Completing the
+    sequence with t in ``branch_new`` (a fresh regime takes the next unused
+    label) changes, at the steps after t, only the columns of the regimes
+    that lose or gain t.  Those are rescored (:meth:`SweepTable.rescore`),
+    every column is gathered in the new sequence's first-appearance order, as
+    :func:`~trcrp.model.prefix_stats` numbers blocks, and the ratio sums the
+    difference of the two sequences' normalizers over the steps after t.  The
+    table keeps the new normalizers until :meth:`SweepTable.settle`.
     """
+    group = table.group
     if branch_old == branch_new or t >= group.num_steps:
         return 0.0
-    normalizers = []
-    for branch in (branch_old, branch_new):
-        z = list(group.regimes.z)
-        z[t - 1] = branch if branch != NEW_REGIME else group.regimes.num_regimes + 1
-        prefix = prefix_stats(z, cells)
-        normalizers.append(prefix.log_normalizers(prefix.log_weights(group.alpha))[t:])
-    return float((normalizers[0] - normalizers[1]).sum())
+    new = branch_new if branch_new != NEW_REGIME else group.regimes.num_regimes + 1
+    labels = [new] if branch_old == NEW_REGIME else [branch_old, new]
+    count, sums = table.rescore(t, labels)
+    z = group.regimes.z
+    rescored = {k: 1 + j for j, k in enumerate(labels)}
+    order = [
+        rescored[k] if k in rescored else table.columns[k - 1]
+        for k in dict.fromkeys(z[: t - 1] + [new] + z[t:])
+    ]
+    # take, not a fancy index, which would return the rows strided: each row
+    # must be contiguous to be summed in the order a prefix pass sums it
+    base = table.base[t:].take(order + [_FRESH], axis=1)
+    normalizers = PrefixStats.log_normalizers(base)
+    table.pending = labels, count, sums, normalizers
+    return float((table.normalizers[t:] - normalizers).sum())
 
 
-def transition_site(group, t, values, observed, rng, cells):
+def transition_site(group, t, values, observed, rng, table):
     """One propose/accept/apply step at time t; returns (moved, accepted).
 
-    ``cells`` is the layout of :func:`acceptance_log_ratio`, or None to apply
-    every proposal.
+    ``table`` is the group's :class:`SweepTable`, or None to apply every
+    proposal.
     """
     k_old, removed = group.unassign(t, values, observed)
     branch_old = NEW_REGIME if removed else k_old
+    if table is not None and removed:
+        table.drop(k_old)
     branch = propose_z(group, t, values, observed, rng)
     accepted = True
-    if cells is not None and branch != branch_old:
-        log_r = acceptance_log_ratio(group, t, branch_old, branch, cells)
+    if table is not None and branch != branch_old:
+        log_r = acceptance_log_ratio(table, t, branch_old, branch)
         if log_r < 0 and math.log(rng.random()) >= log_r:
             branch = branch_old
             accepted = False
-    if branch == NEW_REGIME:
-        k = group.add_regime()
-    else:
-        k = branch
+    k = group.add_regime() if branch == NEW_REGIME else branch
     group.assign(t, k, values, observed)
-    return branch != branch_old if accepted else False, accepted
+    moved = accepted and branch != branch_old
+    if table is not None:
+        table.settle(t, k, moved)
+    return moved, accepted
 
 
 def sweep_z(group, values, observed, rng, config: MhConfig) -> dict:
     """One pass over t = 1..T in order.
 
-    Returns acceptance statistics; in always-accept mode every proposal is
-    applied and ``accepted`` equals ``sites``.
+    A full-MH sweep builds the group's :class:`SweepTable` once and keeps it
+    through every site.  Returns acceptance statistics; in always-accept
+    mode every proposal is applied and ``accepted`` equals ``sites``.
     """
-    cells = None
-    if config.full_mh:
-        members, hypers = group.members, group.hypers
-        cells = cell_layout(members, hypers, values, observed, group.window, emission=False)
+    table = SweepTable(group, values, observed) if config.full_mh else None
     stats = {"sites": 0, "accepted": 0, "moved": 0}
     for t in range(1, group.num_steps + 1):
-        moved, accepted = transition_site(group, t, values, observed, rng, cells)
+        moved, accepted = transition_site(group, t, values, observed, rng, table)
         stats["sites"] += 1
         stats["accepted"] += accepted
         stats["moved"] += moved

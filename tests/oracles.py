@@ -4,7 +4,9 @@ Everything here recomputes model quantities from raw data lists with scipy
 densities and textbook formulas, sharing no code path with the package: the
 conjugate updates use the literal (uncentered) rate formula, densities come
 from scipy.stats.t, and sequential quantities walk explicit data subsets
-instead of sufficient statistics.
+instead of sufficient statistics.  The two exceptions say so: the bit-exact
+full-MH references (:func:`two_pass_log_ratio`, :func:`two_pass_sweep_z`) and
+the scalar forecast rollout run the package's own model code.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from itertools import permutations
 
 import numpy as np
 import scipy.stats
+
+from trcrp.mcmc import NEW_REGIME, propose_z
+from trcrp.model import cell_layout, prefix_stats
 
 
 def value(panel, n, t):
@@ -208,3 +213,52 @@ def rollout_forecast(samples, horizon, draws, seed):
             future.rollout(future_steps, ext_values, ext_observed, rng, emit=True)
         out[r] = ext_values[:, p + steps :]
     return out
+
+
+def two_pass_log_ratio(group, t, branch_old, branch_new, cells):
+    """Reference full-MH log ratio: one prefix-statistics pass per completed sequence.
+
+    Unlike most of this module it runs the package's own
+    :func:`~trcrp.model.prefix_stats`.  Time t is unassigned in ``group``;
+    its sequence is completed with t in ``branch_old`` and, separately, in
+    ``branch_new`` (``NEW_REGIME`` takes the next unused label), and the ratio
+    sums the difference of the two sequences' no-emission log normalizers
+    over the steps after t.  ``cells`` is the group's emission-free layout.
+    Every pass scores all T steps and all K+1 columns, so the incremental
+    ratio must give the same bits at a fraction of the cost.
+    """
+    if branch_old == branch_new or t >= group.num_steps:
+        return 0.0
+    normalizers = []
+    for branch in (branch_old, branch_new):
+        z = list(group.regimes.z)
+        z[t - 1] = branch if branch != NEW_REGIME else group.regimes.num_regimes + 1
+        prefix = prefix_stats(z, cells)
+        normalizers.append(prefix.log_normalizers(prefix.log_weights(group.alpha))[t:])
+    return float((normalizers[0] - normalizers[1]).sum())
+
+
+def two_pass_sweep_z(group, values, observed, rng):
+    """One full-MH sweep over t = 1..T decided by :func:`two_pass_log_ratio`.
+
+    The same draws in the same order as ``trcrp.mcmc.sweep_z`` with a full-MH
+    config, and the same end-of-sweep rebuild, but no table kept between
+    sites.  Returns the count of accepted proposals.
+    """
+    cells = cell_layout(
+        group.members, group.hypers, values, observed, group.window, emission=False
+    )
+    accepted = 0
+    for t in range(1, group.num_steps + 1):
+        k_old, removed = group.unassign(t, values, observed)
+        branch_old = NEW_REGIME if removed else k_old
+        branch = propose_z(group, t, values, observed, rng)
+        if branch != branch_old:
+            log_r = two_pass_log_ratio(group, t, branch_old, branch, cells)
+            if log_r < 0 and math.log(rng.random()) >= log_r:
+                branch = branch_old
+                accepted -= 1
+        accepted += 1
+        group.assign(t, group.add_regime() if branch == NEW_REGIME else branch, values, observed)
+    group.rebuild_stats(values, observed)
+    return accepted

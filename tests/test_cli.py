@@ -512,6 +512,10 @@ def _infinite_emission_b(doc):
     doc["chains"][0]["hypers"][0]["emission"][3] = float("inf")
 
 
+def _invalid_fixed_hypers(doc):
+    doc["config"]["fixed_hypers"] = [0.0, -1.0, float("inf"), 1.0]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -557,6 +561,7 @@ def _infinite_emission_b(doc):
         _infinite_emission_V,
         _infinite_emission_a,
         _infinite_emission_b,
+        _invalid_fixed_hypers,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -638,3 +643,20 @@ def test_inspect_grids(runner, tmp_path, rng):
     doc = json.loads(result.output)
     assert len(doc["grids"]["alpha0"]["points"]) == 30
     assert doc["grids"]["series"][0]["b"]["points"][0] == 1.0
+
+
+def test_inspect_grids_digest_follows_every_observed_value(runner, tmp_path, rng):
+    data = write_panel_csv(tmp_path / "data.csv", rng)
+    digests = []
+    for edit in (False, False, True):
+        if edit:
+            rows = data.read_text().splitlines()
+            cells = rows[7].split(",")
+            cells[2] = f"{float(cells[2]) + 1e-6:.6f}"
+            rows[7] = ",".join(cells)
+            data.write_text("\n".join(rows) + "\n")
+        result = runner.invoke(main, [
+            "inspect-grids", "--data", str(data), "--window", "1",
+        ], catch_exceptions=False)
+        digests.append(json.loads(result.output)["config_hash"])
+    assert digests[0] == digests[1] != digests[2]

@@ -2,10 +2,11 @@
 
 The ratio itself is pinned against log-joint differencing plus the proposal
 correction, which is the identity that makes the chain exact, and one whole
-full-MH sweep is checked to leave an enumerated posterior invariant.
+full-MH sweep is checked to leave an enumerated posterior invariant.  The
+sweep table's incremental ratio is pinned bit for bit against the two-pass
+reference in ``oracles``, at every site and target and over a whole sweep.
 """
 
-import copy
 import math
 from collections import Counter
 
@@ -21,26 +22,33 @@ from oracles import (
     naive_predictive_logpdf,
     seen,
     total_variation,
+    two_pass_log_ratio,
+    two_pass_sweep_z,
     value,
 )
+import trcrp.mcmc
+import trcrp.model
 from trcrp.mcmc import (
     NEW_REGIME,
     MhConfig,
+    SweepTable,
     acceptance_log_ratio,
     propose_z,
     sweep_z,
-    transition_site,
 )
 from trcrp.conjugate import NigHyper
-from trcrp.model import GroupModel, SeriesHypers, cell_layout, log_joint
-from test_model import build_group, build_state
+from trcrp.model import SeriesHypers
+from test_model import build_group
 
 
-def lag_cells(group, panel):
-    """The emission-free layout a full-MH sweep builds for ``group``."""
-    return cell_layout(
-        group.members, group.hypers, panel.values, panel.observed, group.window, emission=False
-    )
+def unassign_site(group, t, panel):
+    """The group's :class:`SweepTable`, then time t unassigned from both; returns
+    the table and t's old branch, as a full-MH sweep holds them at site t."""
+    table = SweepTable(group, panel.values, panel.observed)
+    old_label, removed = group.unassign(t, panel.values, panel.observed)
+    if removed:
+        table.drop(old_label)
+    return table, NEW_REGIME if removed else old_label
 
 
 def group_loglik_for(panel, hypers, z, alpha=1.0, members=None):
@@ -116,15 +124,15 @@ def test_proposal_distribution_matches_direct_evaluation(rng):
 def test_acceptance_identity_proposal_is_zero(rng):
     panel = make_panel([list(rng.normal(size=6))], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1, 2, 1, 2, 1])
-    group.unassign(3, panel.values, panel.observed)
-    assert acceptance_log_ratio(group, 3, 1, 1, lag_cells(group, panel)) == 0.0
+    table, _ = unassign_site(group, 3, panel)
+    assert acceptance_log_ratio(table, 3, 1, 1) == 0.0
 
 
 def test_acceptance_last_step_is_zero(rng):
     panel = make_panel([list(rng.normal(size=6))], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1, 2, 1, 2, 1])
-    group.unassign(5, panel.values, panel.observed)
-    assert acceptance_log_ratio(group, 5, 1, 2, lag_cells(group, panel)) == 0.0
+    table, _ = unassign_site(group, 5, panel)
+    assert acceptance_log_ratio(table, 5, 1, 2) == 0.0
 
 
 def exact_log_ratio(panel, hypers, z, t_site, z_new_label, alpha=1.0):
@@ -163,8 +171,7 @@ def check_every_site_and_target(panel, hypers, z, alpha):
             if target == current:
                 continue
             group = build_group(panel, hypers, z, alpha=alpha)
-            old_label, removed = group.unassign(t_site, panel.values, panel.observed)
-            branch_old = NEW_REGIME if removed else old_label
+            table, branch_old = unassign_site(group, t_site, panel)
             # translate target into the post-removal labeling
             remaining = [zz for i, zz in enumerate(z, 1) if i != t_site]
             if target in remaining:
@@ -175,9 +182,7 @@ def check_every_site_and_target(panel, hypers, z, alpha):
                 branch_new = sorted(order).index(target) + 1
             else:
                 branch_new = NEW_REGIME
-            got = acceptance_log_ratio(
-                group, t_site, branch_old, branch_new, lag_cells(group, panel)
-            )
+            got = acceptance_log_ratio(table, t_site, branch_old, branch_new)
             want = exact_log_ratio(panel, hypers, z, t_site, target, alpha=alpha)
             assert got == pytest.approx(want, abs=1e-8), (t_site, target)
 
@@ -236,15 +241,162 @@ def test_heuristic_mode_accepts_everything(rng):
     assert stats["accepted"] == stats["sites"] == 9
 
 
-def test_full_mode_cost_grows_quadratically():
-    # A full-MH sweep costs O(T^2) (two prefix passes per site); no test
-    # measures that growth. This is a smoke run of one full sweep at T=100.
-    rng = np.random.default_rng(0)
-    xs = np.sin(np.arange(101) / 5.0) + rng.normal(scale=0.1, size=101)
-    panel = make_panel([list(xs)], window=1)
-    group = build_group(panel, uniform_hypers(1, 1), [1] * 100)
-    sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=True))
-    assert group.stats_deviation(panel.values, panel.observed) < 1e-8
+def count_ratio_entries(monkeypatch, group, panel, seed):
+    """Entries the predictive kernel scores inside the ratio, per ratio call,
+    over one full-MH sweep of ``group``."""
+    entries, calls = [], [0]
+    inside = [False]
+
+    def kernel(original):
+        def counted(*args, **kwargs):
+            if inside[0]:
+                entries.append(np.broadcast(*args[4:8]).size)
+            return original(*args, **kwargs)
+
+        return counted
+
+    ratio = trcrp.mcmc.acceptance_log_ratio
+
+    def counted_ratio(*args):
+        calls[0] += 1
+        inside[0] = True
+        try:
+            return ratio(*args)
+        finally:
+            inside[0] = False
+
+    for module in (trcrp.mcmc, trcrp.model):  # the ratio's kernel and the prefix pass's
+        monkeypatch.setattr(module, "predictive_logpdf_array", kernel(module.predictive_logpdf_array))
+    monkeypatch.setattr(trcrp.mcmc, "acceptance_log_ratio", counted_ratio)
+    sweep_z(group, panel.values, panel.observed, np.random.default_rng(seed), MhConfig())
+    monkeypatch.undo()
+    assert calls[0] > 10
+    return sum(entries) / calls[0]
+
+
+def test_full_sweep_kernel_entries_do_not_grow_with_regime_count(monkeypatch):
+    # The same T=60 panel swept from about 2 and from about 10 planted
+    # regimes.  A prefix pass per completed sequence scores every step of
+    # all K+1 columns, so its entries per ratio call grow linearly in K+1
+    # (3.1x from the first panel to the second); the table rescores at most
+    # two columns at the steps after the site, whatever K is.
+    rng = np.random.default_rng(4)
+    panel = make_panel([list(rng.normal(size=61)), list(rng.normal(size=61))], window=1)
+    hypers = uniform_hypers(2, 1)
+    few = [1] * 30 + [2] * 30
+    many = [k for k in range(1, 11) for _ in range(6)]
+    per_call = [
+        count_ratio_entries(monkeypatch, build_group(panel, hypers, z), panel, seed=0)
+        for z in (few, many)
+    ]
+    assert 1 / 1.5 < per_call[1] / per_call[0] < 1.5, per_call
+
+
+def walk_sites(panel, hypers, z, alpha, decide):
+    """Walk a :class:`SweepTable` through every site of ``z``, checking each
+    ratio against the two-pass reference at every target before applying
+    ``decide(t, targets)``: a target to accept, or None to keep t.  Returns
+    the group, the table and the count of each kind of step taken."""
+    group = build_group(panel, hypers, z, alpha=alpha)
+    table = SweepTable(group, panel.values, panel.observed)
+    seen_kinds = Counter()
+    for t in range(1, len(z) + 1):
+        old_label, removed = group.unassign(t, panel.values, panel.observed)
+        branch_old = NEW_REGIME if removed else old_label
+        if removed:
+            table.drop(old_label)
+        targets = [*range(1, group.regimes.num_regimes + 1), NEW_REGIME]
+        targets.remove(branch_old)
+        for target in targets:
+            got = acceptance_log_ratio(table, t, branch_old, target)
+            assert got == two_pass_log_ratio(group, t, branch_old, target, table.cells), (t, target)
+        branch = decide(t, targets)
+        if branch is None:
+            branch = branch_old
+        elif t < group.num_steps:
+            acceptance_log_ratio(table, t, branch_old, branch)  # the accepted proposal's columns
+        kind = ("emptied " if removed else "") + ("fresh" if branch == NEW_REGIME else "existing")
+        seen_kinds[kind + (" moved" if branch != branch_old else " kept")] += 1
+        k = group.add_regime() if branch == NEW_REGIME else branch
+        group.assign(t, k, panel.values, panel.observed)
+        table.settle(t, k, branch != branch_old)
+        if removed and branch == branch_old and k != old_label:
+            seen_kinds["re-created under a new label"] += 1
+    return group, table, seen_kinds
+
+
+def test_incremental_ratio_equals_two_pass_reference_at_every_site_and_target():
+    # window 2, two series, missing cells; singletons at t = 4, 6 and 9, so
+    # regimes empty at sites whose move is accepted and at sites whose move
+    # is rejected, and the rejected ones come back as the last label
+    rng = np.random.default_rng(8)
+    values = [list(rng.normal(size=14)), list(rng.normal(size=14))]
+    values[0][4] = None
+    values[1][9] = None
+    values[1][12] = None
+    panel = make_panel(values, window=2)
+    hypers = uniform_hypers(2, 2, m=0.2, V=0.9, a=1.7, b=0.6)
+    z = [1, 2, 1, 3, 2, 4, 1, 2, 5, 1, 2, 1]
+    plan = {1: NEW_REGIME, 3: 2, 5: NEW_REGIME, 6: 1, 8: 1, 11: NEW_REGIME, 12: 2}
+
+    def decide(t, targets):
+        return plan[t] if plan.get(t) in targets else None
+
+    group, table, kinds = walk_sites(panel, hypers, z, 0.8, decide)
+    assert kinds["existing moved"] and kinds["fresh moved"] and kinds["emptied existing moved"]
+    assert kinds["re-created under a new label"] >= 1
+    # the walked table holds the prefix statistics a fresh table gives the final sequence
+    fresh = SweepTable(group, panel.values, panel.observed)
+    for col, other in zip(table.columns, fresh.columns):
+        assert (table.count[..., col] == fresh.count[..., other]).all()
+        assert (table.sums[..., col] == fresh.sums[..., other]).all()
+        assert (table.base[:, col] == fresh.base[:, other]).all()
+
+
+SINGLETONS = [1 + (t // 4) % 5 for t in range(40)]
+SINGLETONS[8], SINGLETONS[22], SINGLETONS[30] = 6, 7, 8
+
+
+@pytest.mark.parametrize(
+    "z, alpha, seed",
+    [(SINGLETONS, 1.5, 5), ([1] * 40, 200.0, 2)],
+    ids=["planted_singletons", "table_outgrown"],
+)
+def test_full_sweep_matches_two_pass_sweep(monkeypatch, z, alpha, seed):
+    # Overlapping regimes keep the sampler moving: many accepts, some
+    # rejects, fresh regimes.  The planted singletons at t = 9, 23 and 31
+    # empty, and some come back as the last label; from one regime under a
+    # large concentration, fresh regimes outgrow the table's first width.
+    # Every ratio the sweep takes is also checked against the two-pass
+    # ratio of the group as it stands.
+    rng = np.random.default_rng(2)
+    values = [list(rng.normal(scale=0.6, size=42)) for _ in range(2)]
+    values[0][10] = None
+    values[1][25] = None
+    panel = make_panel(values, window=2)
+    hypers = uniform_hypers(2, 2, m=0.0, V=0.5, a=2.0, b=0.5)
+    incremental = build_group(panel, hypers, z, alpha=alpha)
+    reference = build_group(panel, hypers, z, alpha=alpha)
+    ratio = trcrp.mcmc.acceptance_log_ratio
+    checked = []
+
+    def checked_ratio(table, t, branch_old, branch_new):
+        got = ratio(table, t, branch_old, branch_new)
+        checked.append(got == two_pass_log_ratio(table.group, t, branch_old, branch_new, table.cells))
+        return got
+
+    monkeypatch.setattr(trcrp.mcmc, "acceptance_log_ratio", checked_ratio)
+    stats = sweep_z(incremental, panel.values, panel.observed, np.random.default_rng(seed), MhConfig())
+    assert len(checked) > 10 and all(checked)
+    accepted = two_pass_sweep_z(reference, panel.values, panel.observed, np.random.default_rng(seed))
+    assert 0 < stats["moved"] and stats["accepted"] < stats["sites"]
+    assert stats["accepted"] == accepted
+    assert incremental.regimes.z == reference.regimes.z
+    for n in incremental.members:
+        for row_a, row_b in zip(incremental.cells[n], reference.cells[n], strict=True):
+            assert [(s.count, s.sum, s.sum_sq) for s in row_a] == [
+                (s.count, s.sum, s.sum_sq) for s in row_b
+            ]
 
 
 @pytest.mark.parametrize("window", [0, 1])
