@@ -152,11 +152,13 @@ def cmd_forecast(sampleset, horizon, draws, seed, out):
         result = predict.forecast(samples, horizon, draws, seed)
     except NumericalError as exc:
         _fail(EXIT_NUMERICAL, f"forecast failed: {exc}")
-    rows = []
-    for r in range(draws):
-        for n, name in enumerate(result.series_names):
-            for h in range(horizon):
-                rows.append([name, f"+{h + 1}", r, repr(float(result.draws[r, n, h]))])
+    steps = [f"+{h + 1}" for h in range(horizon)]
+    rows = [  # csv writes a float as its repr
+        [name, step, r, value]
+        for r, per_series in enumerate(result.draws.tolist())
+        for name, values in zip(result.series_names, per_series)
+        for step, value in zip(steps, values)
+    ]
     _write_draw_csv(out, digest, rows)
     with open(f"{out}.summary.json", "w") as fh:
         json.dump({"config_hash": digest, "horizon": horizon, "series": result.summary()}, fh)

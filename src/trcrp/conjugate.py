@@ -209,17 +209,16 @@ def _posterior_array(m0, v0, a0, b0, count, total, total_sq):
     return m_post, v_post, a0 + 0.5 * count, b_post
 
 
-def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma=None):
+def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma):
     """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays.
 
     ``lgamma`` is ``(row, table)`` from :func:`lgamma_rows` over cells that
-    broadcast like ``a0``, with columns up to at least the largest count; a
-    caller that scores many steps of the same cells builds it once.  Without
-    it the rows are built here.
+    broadcast like ``a0``, with columns up to at least the largest count;
+    callers build it once per cell layout, or once per chain for a hyper grid.
     """
     count = np.asarray(count)
     m_post, v_post, a_post, b_post = _posterior_array(m0, v0, a0, b0, count, total, total_sq)
-    row, ratio = lgamma_rows(a0, int(count.max(initial=0))) if lgamma is None else lgamma
+    row, ratio = lgamma
     scale_sq = b_post * (1.0 + v_post) / a_post
     dof_scale = 2.0 * a_post * scale_sq
     z = x - m_post

@@ -13,16 +13,20 @@ cell's grid gives the cell's (30, T, K+1) factors: a lag cell's replace its
 factors in the cohesion sum, so every step's normalizer moves; an emission
 cell's change only the emission term of z_t, so they need no normalizer.  An
 accepted cell move installs the chosen candidate's factors in the table.
+The kernel's lgamma rows (:func:`~trcrp.conjugate.lgamma_rows`) over a
+series' a grid and the counts 0..T are built at the series' first cell move
+and kept in the chain's :class:`Grids`; an ``m``, ``V`` or ``b`` move reads
+the row of the current a, which is always a grid point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugate import NigHyper
+from .conjugate import NigHyper, lgamma_rows
 from .model import ChainState, PrefixStats, SeriesHypers, cell_layout, prefix_stats
 from .panel import TimeSeriesPanel
 from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
@@ -94,6 +98,8 @@ class Grids:
     alpha0: HyperGrid
     group_alpha: HyperGrid
     series: tuple[SeriesGrids, ...]
+    # each series' lgamma table over its a grid, by series; see _a_rows
+    a_rows: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_grids(panel: TimeSeriesPanel) -> Grids:
@@ -193,15 +199,32 @@ def _gibbs_group_alpha(state: ChainState, group, table: PrefixStats, rng) -> Non
     group.alpha = grid[gumbel_argmax(_alpha_logits(state, table), rng)]
 
 
+def _a_rows(state: ChainState, n: int) -> np.ndarray:
+    """Series n's (30, T+1) lgamma table over its a grid, built on its first use."""
+    rows = state.grids.a_rows
+    if n not in rows:
+        rows[n] = lgamma_rows(state.grids.series[n].a.points, state.panel.num_steps)[1]
+    return rows[n]
+
+
 def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: PrefixStats):
     """Log conditional of cell (n, offset)'s ``field`` at each grid point, up to a constant.
 
     Offset 0 is the emission cell.  Returns the (G,) logits and the
-    candidates' (G, T, K+1) factors.
+    candidates' (G, T, K+1) factors.  Raises ``ValueError`` if a field other
+    than ``a`` moves while the cell's a is off its grid.
     """
-    grid = state.grids.series[n].field(field).points
-    cand = _candidates(state.hypers[n].cell(offset), field, grid)
-    return table.cell_logliks(n, offset, cand, state.group_of(n).alpha)
+    grids = state.grids.series[n]
+    current = state.hypers[n].cell(offset)
+    cand = _candidates(current, field, grids.field(field).points)
+    if field == "a":
+        row = np.arange(GRID_SIZE).reshape(-1, 1, 1)
+    elif current.a in grids.a.points:
+        row = grids.a.points.index(current.a)
+    else:
+        raise ValueError(f"{grids.a.param} = {current.a!r} is not on its grid")
+    lgamma = row, _a_rows(state, n)
+    return table.cell_logliks(n, offset, cand, state.group_of(n).alpha, lgamma)
 
 
 def _gibbs_cell(

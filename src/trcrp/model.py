@@ -470,7 +470,7 @@ class PrefixStats:
         emis = self.factors[[index[n, 0] for n in series]].sum(axis=0)
         return float(self.loglik(base, emis))
 
-    def cell_logliks(self, n: int, offset: int, cand, alpha: float):
+    def cell_logliks(self, n: int, offset: int, cand, alpha: float, lgamma=None):
         """Scores of G candidate hypers for cell (n, offset), and their factors.
 
         ``cand`` is (m, V, a, b), each a scalar or a (G, 1, 1) array.  A lag
@@ -479,12 +479,16 @@ class PrefixStats:
         concentration ``alpha``.  An emission candidate changes only the
         emission term of z_t, so the score sums those terms and needs no
         normalizer.  Either way scores differ from the conditional log
-        likelihood by a constant shared by the candidates.  Returns the (G,)
-        scores and the (G, T, K+1) factors.
+        likelihood by a constant shared by the candidates.  ``lgamma`` holds
+        the candidates' lgamma rows over counts 0..T; without it they are
+        built from ``cand``'s a.  Returns the (G,) scores and the (G, T, K+1)
+        factors.
         """
         c = self.cells.index[n, offset]
         stats = self.count[c], self.total[c], self.total_sq[c], self.cells.x[c, :, None]
-        f = predictive_logpdf_array(*cand, *stats)
+        if lgamma is None:
+            lgamma = lgamma_rows(cand[2], len(self.slot))
+        f = predictive_logpdf_array(*cand, *stats, lgamma=lgamma)
         factors = np.where(self.cells.seen[c, :, None], f, 0.0)
         if offset:
             return self.loglik(self.log_weights(alpha) + (factors - self.factors[c])), factors

@@ -73,18 +73,14 @@ class ForecastResult:
 
     def summary(self) -> dict:
         """Per-series per-step mean and equal-tailed central intervals."""
-        out = {}
-        for idx, name in enumerate(self.series_names):
-            block = self.draws[:, idx, :]
-            qs = np.quantile(block, QUANTILES, axis=0)
-            out[name] = {
-                "mean": block.mean(axis=0).tolist(),
-                "q05": qs[0].tolist(),
-                "q25": qs[1].tolist(),
-                "q75": qs[2].tolist(),
-                "q95": qs[3].tolist(),
-            }
-        return out
+        qs = np.quantile(self.draws, QUANTILES, axis=0).tolist()
+        # means per series: numpy sums a (R, N, 1) array's R in another order
+        # than a series' (R, 1) slice, which moves ulps at horizon 1
+        return {
+            name: {"mean": self.draws[:, idx, :].mean(axis=0).tolist()}
+            | {key: q[idx] for key, q in zip(("q05", "q25", "q75", "q95"), qs)}
+            for idx, name in enumerate(self.series_names)
+        }
 
 
 @dataclass

@@ -6,19 +6,21 @@ conjugate updates use the literal (uncentered) rate formula, densities come
 from scipy.stats.t, and sequential quantities walk explicit data subsets
 instead of sufficient statistics.  The two exceptions say so: the bit-exact
 full-MH references (:func:`two_pass_log_ratio`, :func:`two_pass_sweep_z`) and
-the scalar forecast rollout run the package's own model code.
+the scalar forecast rollout run the package's own model code.  The forecast
+output references (:func:`forecast_csv_rows`, :func:`forecast_summary`)
+format given draws one element and one series at a time.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 import numpy as np
 import scipy.stats
 
 from trcrp.mcmc import NEW_REGIME, propose_z
 from trcrp.model import cell_layout, prefix_stats
+from trcrp.predict import QUANTILES
 
 
 def value(panel, n, t):
@@ -212,6 +214,33 @@ def rollout_forecast(samples, horizon, draws, seed):
             future.regimes.z = future.regimes.z + [0] * horizon
             future.rollout(future_steps, ext_values, ext_observed, rng, emit=True)
         out[r] = ext_values[:, p + steps :]
+    return out
+
+
+def forecast_csv_rows(result):
+    """``trcrp forecast``'s CSV rows for a ``ForecastResult``, one ``repr`` per draw."""
+    num_draws, num_series, horizon = result.draws.shape
+    rows = []
+    for r in range(num_draws):
+        for n, name in enumerate(result.series_names):
+            for h in range(horizon):
+                rows.append([name, f"+{h + 1}", r, repr(float(result.draws[r, n, h]))])
+    return rows
+
+
+def forecast_summary(result):
+    """``ForecastResult.summary`` with one mean and quantile call per series."""
+    out = {}
+    for idx, name in enumerate(result.series_names):
+        block = result.draws[:, idx, :]
+        qs = np.quantile(block, QUANTILES, axis=0)
+        out[name] = {
+            "mean": block.mean(axis=0).tolist(),
+            "q05": qs[0].tolist(),
+            "q25": qs[1].tolist(),
+            "q75": qs[2].tolist(),
+            "q95": qs[3].tolist(),
+        }
     return out
 
 

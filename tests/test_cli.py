@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from trcrp import engine
-from trcrp.cli import main
+from oracles import forecast_csv_rows, forecast_summary
+from trcrp import engine, predict
+from trcrp.cli import _write_draw_csv, main
 from trcrp.model import state_from_payload
 from trcrp.panel import load_csv
 
@@ -247,6 +248,25 @@ def test_forecast_outputs(runner, tmp_path, rng):
     assert len(lines) == 2 + 10 * 2 * 4
     summary = json.loads((tmp_path / "fc.csv.summary.json").read_text())
     assert len(summary["series"]["s0"]["mean"]) == 4
+
+
+def test_forecast_files_match_elementwise_builders(runner, tmp_path, rng):
+    _, samples = run_fit(runner, tmp_path, rng)
+    loaded = engine.load_sampleset(samples)[0]
+    for horizon, draws in ((1, 1), (1, 6), (4, 10)):
+        out = tmp_path / f"fc{horizon}_{draws}.csv"
+        result = runner.invoke(main, [
+            "forecast", str(samples), "--horizon", str(horizon), "--draws", str(draws),
+            "--seed", "5", "--out", str(out),
+        ], catch_exceptions=False)
+        assert result.exit_code == 0
+        digest = out.read_text().splitlines()[0].removeprefix("# config_hash: ")
+        fc = predict.forecast(loaded, horizon, draws, 5)
+        want = tmp_path / "want.csv"
+        _write_draw_csv(want, digest, forecast_csv_rows(fc))
+        assert out.read_bytes() == want.read_bytes()
+        summary = {"config_hash": digest, "horizon": horizon, "series": forecast_summary(fc)}
+        assert (tmp_path / f"{out.name}.summary.json").read_text() == json.dumps(summary)
 
 
 def test_forecast_zero_horizon_rejected(runner, tmp_path, rng):

@@ -12,6 +12,7 @@ from conftest import cell_logpdf, make_panel
 from trcrp.conjugate import (
     NigHyper,
     NigStats,
+    lgamma_rows,
     marginal_loglik,
     posterior_params,
     posterior_predictive,
@@ -86,7 +87,8 @@ def test_predictive_symmetric_when_centered():
 def _array_predictive(hyper, stats, x):
     return float(
         predictive_logpdf_array(
-            hyper.m, hyper.V, hyper.a, hyper.b, stats.count, stats.sum, stats.sum_sq, x
+            hyper.m, hyper.V, hyper.a, hyper.b, stats.count, stats.sum, stats.sum_sq, x,
+            lgamma=lgamma_rows(hyper.a, stats.count),
         )
     )
 

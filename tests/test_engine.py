@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import make_panel, uniform_hypers
+from conftest import make_panel
 from trcrp import engine
 from trcrp.conjugate import NigHyper
 from trcrp.engine import (

@@ -9,14 +9,17 @@ import trcrp.hypers as hypers_mod
 from conftest import hyper_tuples, make_panel
 from oracles import naive_log_joint
 from test_model import build_state
+from trcrp.conjugate import lgamma_rows
+from trcrp.engine import RunConfig, fit, run_chain
 from trcrp.hypers import (
     GRID_SIZE,
+    NIG_FIELDS,
     build_grids,
     grids_payload,
     hyper_sweep,
     initial_hypers,
 )
-from trcrp.model import log_joint
+from trcrp.model import log_joint, state_from_payload
 
 
 def test_alpha0_grid_endpoints_n4():
@@ -416,6 +419,88 @@ def test_emission_move_touches_only_its_series(rng):
     assert np.array_equal(after, logits)
     hypers_mod._gibbs_cell(state, 0, 0, "a", table, np.random.default_rng(1))
     assert state.hypers[0].emission == drawn
+
+
+# -- the chain's lgamma rows ----------------------------------------------------
+
+
+def fitted_window2_state():
+    """A fitted one-chain state on 3 series, T=12, window 2, three cells missing."""
+    rng = np.random.default_rng(5)
+    values = [list(rng.normal(size=14)) for _ in range(3)]
+    values[0][4] = values[1][9] = values[2][13] = None
+    panel = make_panel(values, window=2)
+    config = RunConfig(window=2, chains=1, burnin=3, init_sweeps=1, particles=4)
+    payload, _ = run_chain(panel, config, np.random.SeedSequence(2))
+    state = state_from_payload(payload, panel)
+    state.grids = build_grids(panel)
+    return state
+
+
+def per_call_cell_logits(state, n, offset, field, table):
+    """``hypers._cell_logits`` with the candidates' lgamma rows built for this call alone."""
+    grid = state.grids.series[n].field(field).points
+    cand = hypers_mod._candidates(state.hypers[n].cell(offset), field, grid)
+    lgamma = lgamma_rows(cand[2], state.panel.num_steps)
+    return table.cell_logliks(n, offset, cand, state.group_of(n).alpha, lgamma)
+
+
+def assert_cell_logits_match_per_call_rows(state, n, offset, table):
+    for field in NIG_FIELDS:
+        got = hypers_mod._cell_logits(state, n, offset, field, table)
+        want = per_call_cell_logits(state, n, offset, field, table)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, offset, field)
+
+
+def test_chain_rows_score_cells_bit_equal_to_per_call_rows():
+    state = fitted_window2_state()
+    tables = {group: hypers_mod._group_table(state, group) for group in state.groups}
+    for n in range(state.num_series):
+        points = state.grids.series[n].a.points
+        table = tables[state.group_of(n)]
+        for offset in range(state.panel.window + 1):
+            assert_cell_logits_match_per_call_rows(state, n, offset, table)
+            # accept an a move to the likeliest other grid point, as _gibbs_cell
+            # does, so an m, V or b move that kept a stale row would show
+            cell = state.hypers[n].cell(offset)
+            logits, factors = hypers_mod._cell_logits(state, n, offset, "a", table)
+            j = next(j for j in np.argsort(-logits) if points[j] != cell.a)
+            table.install(n, offset, factors[j])
+            state.hypers[n] = state.hypers[n].replace_cell(offset, cell.replace(a=points[j]))
+            assert_cell_logits_match_per_call_rows(state, n, offset, table)
+    assert len(state.grids.a_rows) == state.num_series
+
+
+def test_off_grid_shape_raises():
+    state = fitted_window2_state()
+    cell = state.hypers[0].emission
+    state.hypers[0] = state.hypers[0].replace_cell(0, cell.replace(a=cell.a * (1 + 1e-9)))
+    table = hypers_mod._group_table(state, state.group_of(0))
+    for field in ("m", "V", "b"):
+        with pytest.raises(ValueError, match="not on its grid"):
+            hypers_mod._cell_logits(state, 0, 0, field, table)
+    with pytest.raises(ValueError, match="not on its grid"):
+        hyper_sweep(state, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("fixed", [None, (0.0, 1.0, 2.0, 1.0)], ids=["nig_cells", "fixed_hypers"])
+def test_chain_builds_each_series_rows_once(monkeypatch, fixed):
+    calls = []
+
+    def counting(a0, max_count):
+        calls.append(np.size(a0))
+        return lgamma_rows(a0, max_count)
+
+    monkeypatch.setattr(hypers_mod, "lgamma_rows", counting)
+    rng = np.random.default_rng(8)
+    panel = make_panel([list(rng.normal(size=12)) for _ in range(3)], window=2)
+    config = RunConfig(
+        window=2, chains=2, burnin=4, init_sweeps=1, particles=4, fixed_hypers=fixed
+    )
+    fit(panel, config)
+    # every sweep moves every cell of every series; only the first move builds rows
+    want = [] if fixed else [GRID_SIZE] * (panel.num_series * config.chains)
+    assert calls == want
 
 
 def test_grids_payload_shape(rng):

@@ -1,12 +1,16 @@
-"""Every name a module of the package imports is used in that module, and every
-function and class it defines is named by the package or the benchmark."""
+"""Every name a module of the package, the tests or the benchmark imports is
+used in that module, and every function and class the package defines is named
+by the package or the benchmark."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "trcrp").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "trcrp").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +37,7 @@ def test_sources_found():
     assert len(SOURCES) > 5
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS + BENCH, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -41,9 +45,6 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import math\nfrom os import path, sep\n__all__ = ['sep']\nmath.pi\n"
     assert unused_imports(source) == ["path (line 2)"]
-
-
-BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
 
 
 def _all_nodes(tree) -> set:

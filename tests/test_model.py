@@ -15,7 +15,7 @@ from oracles import (
     value,
 )
 import trcrp.model as model_mod
-from trcrp.conjugate import NigHyper, NigStats
+from trcrp.conjugate import NigStats
 from trcrp.model import (
     ChainState,
     GroupModel,

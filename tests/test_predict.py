@@ -1,5 +1,6 @@
 """Forecasting, imputation, and dependence probabilities over sample sets."""
 
+import json
 import math
 import warnings
 
@@ -8,12 +9,13 @@ import pytest
 import scipy.stats
 
 from conftest import make_panel, uniform_hypers
-from oracles import naive_posterior, rollout_forecast, seen, value
+from oracles import forecast_summary, naive_posterior, rollout_forecast, seen, value
 from test_model import build_state
 from trcrp.conjugate import NigHyper, posterior_predictive
 from trcrp.engine import RunConfig, fit
 from trcrp.model import SeriesHypers
 from trcrp.predict import (
+    ForecastResult,
     SampleSet,
     dependence_matrix,
     forecast,
@@ -204,6 +206,13 @@ def test_forecast_summary_shape(rng):
     entry = summary["s1"]
     assert len(entry["mean"]) == 3
     assert all(q05 <= q95 for q05, q95 in zip(entry["q05"], entry["q95"]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (7, 1, 3), (50, 3, 1), (40, 4, 6)])
+def test_forecast_summary_matches_per_series_summary(shape):
+    draws = np.random.default_rng(sum(shape)).standard_t(3.0, size=shape)
+    result = ForecastResult(tuple(f"s{n}" for n in range(shape[1])), shape[2], draws)
+    assert json.dumps(result.summary()) == json.dumps(forecast_summary(result))
 
 
 def test_impute_degenerate_regime_recovers_constant():

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import trcrp.structure as structure
-from conftest import hyper_tuples, make_panel, uniform_hypers
-from oracles import canonical_sequences, logsumexp, naive_group_loglik
+from conftest import make_panel, uniform_hypers
+from oracles import canonical_sequences, logsumexp
 from test_model import build_state
 from trcrp.model import (
     GroupModel,
