@@ -180,12 +180,11 @@ def cmd_impute(sampleset, draws, seed, out):
         result = predict.impute(samples, draws, seed)
     except NumericalError as exc:
         _fail(EXIT_NUMERICAL, f"imputation failed: {exc}")
-    rows = []
-    for ci, (n, t) in enumerate(result.cells):
-        name = result.series_names[n]
-        label = result.time_labels[t - 1]
-        for r in range(draws):
-            rows.append([name, label, r, repr(float(result.draws[ci, r]))])
+    rows = [  # csv writes a float as its repr
+        [result.series_names[n], result.time_labels[t - 1], r, value]
+        for (n, t), values in zip(result.cells, result.draws.tolist())
+        for r, value in enumerate(values)
+    ]
     _write_draw_csv(out, digest, rows)
     with open(f"{out}.summary.json", "w") as fh:
         json.dump({"config_hash": digest, "cells": result.summary()}, fh)

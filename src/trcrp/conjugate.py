@@ -30,9 +30,7 @@ import numpy as np
 __all__ = [
     "NigHyper",
     "NigStats",
-    "StudentT",
     "posterior_params",
-    "posterior_predictive",
     "predictive_logpdf_raw",
     "predictive_logpdf_array",
     "predictive_sample_array",
@@ -100,18 +98,6 @@ class NigStats:
         return f"NigStats(count={self.count}, sum={self.sum!r}, sum_sq={self.sum_sq!r})"
 
 
-@dataclass(frozen=True)
-class StudentT:
-    """Location-scale Student-T: ``dof`` degrees of freedom, squared scale."""
-
-    dof: float
-    loc: float
-    scale_sq: float
-
-    def sample(self, rng) -> float:
-        return self.loc + math.sqrt(self.scale_sq) * rng.standard_t(self.dof)
-
-
 def posterior_params(hyper: NigHyper, stats: NigStats) -> NigHyper:
     """Condition ``hyper`` on the data summarized by ``stats``.
 
@@ -134,12 +120,6 @@ def posterior_params(hyper: NigHyper, stats: NigStats) -> NigHyper:
     shift = mean - hyper.m
     b_post = hyper.b + 0.5 * centered + 0.5 * n * shift * shift / (1.0 + n * hyper.V)
     return NigHyper(m_post, v_post, a_post, b_post)
-
-
-def posterior_predictive(hyper: NigHyper, stats: NigStats) -> StudentT:
-    """Student-T posterior predictive of the next observation for this cell."""
-    post = posterior_params(hyper, stats)
-    return StudentT(2.0 * post.a, post.m, post.b * (1.0 + post.V) / post.a)
 
 
 def predictive_logpdf_raw(
@@ -233,8 +213,9 @@ def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma):
 def predictive_sample_array(m0, v0, a0, b0, count, total, total_sq, rng, size=None):
     """Draws from the Student-T posterior predictives of broadcast arrays of cells.
 
-    :func:`posterior_predictive` and :meth:`StudentT.sample` elementwise, with
-    one ``standard_t`` call; ``size`` is numpy's, so a (cells, 1) set of
+    :func:`posterior_params` and a location-scale ``standard_t`` draw
+    elementwise, with one ``standard_t`` call (dof 2a', location m', squared
+    scale b'(1 + V')/a'); ``size`` is numpy's, so a (cells, 1) set of
     statistics with ``size=(cells, R)`` gives R draws per cell.  Overflow is
     not warned about: extreme statistics give non-finite draws, which callers
     reject.

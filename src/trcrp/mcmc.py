@@ -8,13 +8,13 @@ factors of the joint, leaving only the downstream normalizers, whose data
 differ between the two configurations in at most the two regimes that gain or
 lose time t.
 
-A full-MH sweep keeps one :class:`SweepTable` per group: the prefix
-statistics of the group's current regime sequence over its emission-free
-:func:`~trcrp.model.cell_layout`, one column per regime label, each column's
-no-emission log weight at every step and the sequence's per-step log
-normalizers, built by one :func:`~trcrp.model.prefix_stats` pass.  A site
-rescores only the columns of the regimes that lose or gain it, and only at
-the steps after it; an accepted move writes them back.  A sweep so scores
+A full-MH sweep keeps one :class:`SweepTable` per group: the no-emission
+log weight of each regime label's column at every step and the sequence's
+per-step log normalizers, built by one :func:`~trcrp.model.prefix_stats`
+pass over the group's emission-free :func:`~trcrp.model.cell_layout`.  A
+site rescores only the columns of the regimes that lose or gain it, at the
+steps after it, with :func:`~trcrp.model.prefix_columns`, the same scorer
+the prefix pass runs; an accepted move writes them back.  A sweep so scores
 O(T^2) (cell, step, column) entries, where a prefix pass per completed
 sequence would score O(T^2 K).  The ratio has the bits of those two passes:
 the columns are gathered in the new sequence's first-appearance order before
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import predictive_logpdf_array
-from .model import PrefixStats, cell_layout, prefix_stats
+from .model import PrefixStats, cell_layout, prefix_columns, prefix_stats
 from .util import gumbel_argmax
 
 __all__ = [
@@ -59,49 +58,36 @@ class MhConfig:
 
 
 class SweepTable:
-    """Prefix statistics of one group's regime sequence, kept by label for a sweep.
+    """Log weights of one group's regime sequence, kept by label for a sweep.
 
-    Rows follow the group's emission-free :func:`~trcrp.model.cell_layout`,
-    ``cells``.  ``count`` is (cells, T, W) and ``sums`` (2, cells, T, W), the
-    ``total`` and ``total_sq`` of :class:`~trcrp.model.PrefixStats`; ``base``
-    is (T, W), each column's log block size plus cohesion, the fresh
-    column's log concentration plus cohesion.  Column 0 is the fresh block,
-    ``base`` columns 1 and 2 hold the rescored columns of the last proposal,
-    and ``columns[k - 1]`` is regime k's; it follows the group's labels
-    through :meth:`drop` and :meth:`settle`.  ``normalizers`` holds the
-    sequence's per-step log normalizers.  After a move at t, rows up to t
-    keep the old sequence's normalizer bits, which a sweep no longer reads.
+    ``base`` is (T, W): each column's no-emission log weight at every step,
+    the log block size plus the cohesion over the group's emission-free
+    :func:`~trcrp.model.cell_layout`, ``cells``; the fresh column holds the
+    log concentration plus cohesion.  Column 0 is the fresh block, columns 1
+    and 2 hold the rescored columns of the last proposal, and
+    ``columns[k - 1]`` is regime k's; it follows the group's labels through
+    :meth:`drop` and :meth:`settle`.  ``normalizers`` holds the sequence's
+    per-step log normalizers.  After a move at t, rows up to t keep the old
+    sequence's bits, which a sweep no longer reads.
     """
 
     def __init__(self, group, values, observed):
         self.group = group
-        self.cells = cells = cell_layout(
+        self.cells = cell_layout(
             group.members, group.hypers, values, observed, group.window, emission=False
         )
         z = group.regimes.z
-        prefix = prefix_stats(z, cells)
-        weights = prefix.log_weights(group.alpha)
-        self.normalizers = prefix.log_normalizers(weights)
+        weights = prefix_stats(z, self.cells).log_weights(group.alpha)
+        self.normalizers = PrefixStats.log_normalizers(weights)
         num_blocks = weights.shape[1] - 1
-        width = 2 * (_RESERVED + num_blocks)
-        self.count = np.zeros((cells.x.shape[0], group.num_steps, width), dtype=np.int64)
-        self.sums = np.zeros((2, *self.count.shape))
-        self.base = np.full((group.num_steps, width), -np.inf)
-        blocks = slice(_RESERVED, _RESERVED + num_blocks)
-        self.count[..., blocks] = prefix.count[..., :-1]
-        self.sums[0, ..., blocks] = prefix.total[..., :-1]
-        self.sums[1, ..., blocks] = prefix.total_sq[..., :-1]
-        self.base[:, blocks] = weights[:, :-1]
+        self.base = np.full((group.num_steps, 2 * (_RESERVED + num_blocks)), -np.inf)
+        self.base[:, _RESERVED : _RESERVED + num_blocks] = weights[:, :-1]
         self.base[:, _FRESH] = weights[:, -1]
         rank = {k: r for r, k in enumerate(dict.fromkeys(z))}
         self.columns = [_RESERVED + rank[k] for k in range(1, num_blocks + 1)]
-        self.free = list(range(_RESERVED + num_blocks, width))
+        self.free = list(range(_RESERVED + num_blocks, self.base.shape[1]))
         self.stash = None  # the column of a regime that emptied at the current site
-        self.pending = None  # the last proposal's rescored labels, statistics and normalizers
-        self.moments = np.stack([cells.x, cells.x * cells.x])[..., None]
-        self.hyper = tuple(h[..., None] for h in cells.hyper)
-        row, ratio = cells.lgamma
-        self.lgamma = (row[..., None], ratio)
+        self.pending = None  # the last proposal's rescored labels and normalizers
         with np.errstate(divide="ignore"):
             self.log_sizes = np.log(np.arange(group.num_steps + 1))
 
@@ -109,32 +95,19 @@ class SweepTable:
         """Follow :meth:`~trcrp.model.GroupModel.unassign` emptying regime k."""
         self.stash = self.columns.pop(k - 1)
 
-    def rescore(self, t: int, labels):
+    def rescore(self, t: int, labels) -> None:
         """Rescore ``labels`` at the steps after t into ``base`` columns 1, 2, ...
 
         Time t belongs to the last label only; every other label has lost it.
-        A label past the group's last one is a fresh regime.  Each column
-        continues its statistics before t, which stay valid, by the cumulative
-        sums over steps t..T-1 that a prefix pass makes.  Returns the rescored
-        (cells, T - t, J) counts and (2, cells, T - t, J) sums.
+        A label past the group's last one is a fresh regime.  The columns'
+        factors come from :func:`~trcrp.model.prefix_columns`, the scorer of
+        :func:`~trcrp.model.prefix_stats`, over the labels' membership.
         """
-        z, cells = self.group.regimes.z, self.cells
-        cols = [self.columns[k - 1] if k <= len(self.columns) else _FRESH for k in labels]
-        member = np.empty((len(z) - t, len(labels)), dtype=bool)
-        member[0] = np.arange(len(labels)) == len(labels) - 1
-        member[1:] = np.array(z[t:-1], dtype=np.int64)[:, None] == labels
-        sizes = np.cumsum(member, axis=0) + [z[: t - 1].count(k) for k in labels]
-        mask = cells.seen[:, t - 1 : -1, None] & member
-        count = np.cumsum(mask, axis=1) + self.count[:, t - 1, cols][:, None]
-        sums = np.where(mask, self.moments[:, :, t - 1 : -1], 0.0)
-        sums[:, :, 0] += self.sums[:, :, t - 1, cols]
-        sums = np.cumsum(sums, axis=2)
-        f = predictive_logpdf_array(
-            *self.hyper, count, *sums, cells.x[:, t:, None], lgamma=self.lgamma
-        )
-        cohesion = np.where(cells.seen[:, t:, None], f, 0.0).sum(axis=0)
-        self.base[t:, 1 : 1 + len(labels)] = self.log_sizes[sizes] + cohesion
-        return count, sums
+        member = np.array(self.group.regimes.z)[:, None] == labels
+        member[t - 1, -1] = True
+        factors = prefix_columns(member, self.cells, t)[3]
+        sizes = np.cumsum(member[:-1], axis=0)[t - 1 :]
+        self.base[t:, 1 : 1 + len(labels)] = self.log_sizes[sizes] + factors.sum(axis=0)
 
     def settle(self, t: int, k: int, moved: bool) -> None:
         """Follow the group after it assigned t to regime k.
@@ -154,14 +127,10 @@ class SweepTable:
         if k > len(self.columns):
             col = self._free_column()
             self.columns.append(col)
-            self.count[:, :t, col] = 0
-            self.sums[..., :t, col] = 0.0
             self.base[:t, col] = -np.inf
         if self.pending is not None:
-            labels, count, sums, normalizers = self.pending
+            labels, normalizers = self.pending
             cols = [self.columns[label - 1] for label in labels]
-            self.count[:, t:, cols] = count
-            self.sums[..., t:, cols] = sums
             self.base[t:, cols] = self.base[t:, 1 : 1 + len(labels)]
             self.normalizers[t:] = normalizers
             self.pending = None
@@ -169,10 +138,7 @@ class SweepTable:
     def _free_column(self) -> int:
         if not self.free:
             width = self.base.shape[1]
-            self.count, self.sums, self.base = (
-                np.concatenate([a, np.zeros_like(a)], axis=-1)
-                for a in (self.count, self.sums, self.base)
-            )
+            self.base = np.concatenate([self.base, np.zeros_like(self.base)], axis=-1)
             self.free = list(range(width, 2 * width))
         return self.free.pop()
 
@@ -208,7 +174,7 @@ def acceptance_log_ratio(table: SweepTable, t, branch_old, branch_new) -> float:
         return 0.0
     new = branch_new if branch_new != NEW_REGIME else group.regimes.num_regimes + 1
     labels = [new] if branch_old == NEW_REGIME else [branch_old, new]
-    count, sums = table.rescore(t, labels)
+    table.rescore(t, labels)
     z = group.regimes.z
     rescored = {k: 1 + j for j, k in enumerate(labels)}
     order = [
@@ -219,7 +185,7 @@ def acceptance_log_ratio(table: SweepTable, t, branch_old, branch_new) -> float:
     # must be contiguous to be summed in the order a prefix pass sums it
     base = table.base[t:].take(order + [_FRESH], axis=1)
     normalizers = PrefixStats.log_normalizers(base)
-    table.pending = labels, count, sums, normalizers
+    table.pending = labels, normalizers
     return float((table.normalizers[t:] - normalizers).sum())
 
 

@@ -23,10 +23,13 @@ sweeps every cell holds canonical sums.
 Every sequential quantity over a known regime sequence is a sum over t of
 terms that see only the data before t.  :func:`prefix_stats` is the one code
 that scores such a sequence, in one array pass over the cells of a
-:class:`CellLayout`, which only :func:`cell_layout` builds.  Its
-:class:`PrefixStats` serves the log joint (:func:`sequence_loglik`), the
-full-MH ratios (:mod:`trcrp.mcmc`), the outer moves (:mod:`trcrp.structure`)
-and every griddy-Gibbs conditional (:mod:`trcrp.hypers`); the particle filter
+:class:`CellLayout`, which only :func:`cell_layout` builds.  Its column
+scorer, :func:`prefix_columns`, takes any block membership and a first step,
+so the full-MH ratios (:mod:`trcrp.mcmc`) rescore the columns a site touches
+with the same code and bits.  :class:`PrefixStats` serves the log joint
+(:func:`sequence_loglik`), the full-MH sweep table, the outer moves
+(:mod:`trcrp.structure`) and every griddy-Gibbs conditional
+(:mod:`trcrp.hypers`); the particle filter
 (:mod:`trcrp.smc`) reads the same layout, and so do forecasts, which step
 many copies of a fitted group as particles.  Forward sampling of one
 sequence (:meth:`GroupModel.rollout`: simulation and the outer moves' fresh
@@ -47,7 +50,7 @@ from .conjugate import (
     NigHyper,
     NigStats,
     lgamma_rows,
-    posterior_predictive,
+    posterior_params,
     predictive_logpdf_array,
     predictive_logpdf_raw,
 )
@@ -64,6 +67,7 @@ __all__ = [
     "CellLayout",
     "cell_layout",
     "PrefixStats",
+    "prefix_columns",
     "prefix_stats",
     "sequence_loglik",
     "log_joint",
@@ -274,8 +278,10 @@ class GroupModel:
         return labels
 
     def sample_emission(self, n: int, k: int, rng) -> float:
-        """One draw from series n's emission predictive in regime k."""
-        return posterior_predictive(self.hypers[n].emission, self.cells[n][k - 1][0]).sample(rng)
+        """One draw from series n's emission predictive in regime k: a Student-T
+        with dof 2a', location m' and squared scale b'(1 + V')/a'."""
+        post = posterior_params(self.hypers[n].emission, self.cells[n][k - 1][0])
+        return post.m + math.sqrt(post.b * (1.0 + post.V) / post.a) * rng.standard_t(2.0 * post.a)
 
     # -- weights ------------------------------------------------------------
 
@@ -470,7 +476,7 @@ class PrefixStats:
         emis = self.factors[[index[n, 0] for n in series]].sum(axis=0)
         return float(self.loglik(base, emis))
 
-    def cell_logliks(self, n: int, offset: int, cand, alpha: float, lgamma=None):
+    def cell_logliks(self, n: int, offset: int, cand, alpha: float, lgamma):
         """Scores of G candidate hypers for cell (n, offset), and their factors.
 
         ``cand`` is (m, V, a, b), each a scalar or a (G, 1, 1) array.  A lag
@@ -480,14 +486,11 @@ class PrefixStats:
         emission term of z_t, so the score sums those terms and needs no
         normalizer.  Either way scores differ from the conditional log
         likelihood by a constant shared by the candidates.  ``lgamma`` holds
-        the candidates' lgamma rows over counts 0..T; without it they are
-        built from ``cand``'s a.  Returns the (G,) scores and the (G, T, K+1)
-        factors.
+        the candidates' lgamma rows over counts 0..T (:func:`lgamma_rows`).
+        Returns the (G,) scores and the (G, T, K+1) factors.
         """
         c = self.cells.index[n, offset]
         stats = self.count[c], self.total[c], self.total_sq[c], self.cells.x[c, :, None]
-        if lgamma is None:
-            lgamma = lgamma_rows(cand[2], len(self.slot))
         f = predictive_logpdf_array(*cand, *stats, lgamma=lgamma)
         factors = np.where(self.cells.seen[c, :, None], f, 0.0)
         if offset:
@@ -509,6 +512,29 @@ def _before(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def prefix_columns(member, cells: CellLayout, first: int):
+    """Prefix statistics and factors of the blocks whose (T, J) membership is ``member``.
+
+    Column j of ``member`` marks the steps assigned to block j; rows follow
+    the layout ``cells``.  Returns the (cells, T - first, J) ``count``,
+    ``total``, ``total_sq`` and ``factors`` of :class:`PrefixStats` at steps
+    ``first``..T-1 (0-based).  Sums run in time order from step 0, so a
+    step's entries have the same bits whatever ``first`` is.
+    """
+    seen = cells.seen[:, :, None]
+    x = cells.x[:, :, None]
+    mask = member & seen  # (cells, T, J)
+    count = _before(mask.astype(np.int64))[:, first:]
+    total = _before(np.where(mask, x, 0.0))[:, first:]
+    total_sq = _before(np.where(mask, x * x, 0.0))[:, first:]
+    hyper = (h[..., None] for h in cells.hyper)
+    row, ratio = cells.lgamma
+    f = predictive_logpdf_array(
+        *hyper, count, total, total_sq, x[:, first:], lgamma=(row[..., None], ratio)
+    )
+    return count, total, total_sq, np.where(seen[:, first:], f, 0.0)
+
+
 def prefix_stats(z, cells: CellLayout) -> PrefixStats:
     """:class:`PrefixStats` of the regime sequence ``z`` for the layout ``cells``.
 
@@ -528,17 +554,7 @@ def prefix_stats(z, cells: CellLayout) -> PrefixStats:
     slot[first] = num_blocks
     with np.errstate(divide="ignore"):
         log_counts = np.log(_before(onehot[None].astype(np.int64))[0])
-
-    seen = cells.seen[:, :, None]
-    x = cells.x[:, :, None]
-    mask = onehot & seen  # (cells, T, K+1)
-    count = _before(mask.astype(np.int64))
-    total = _before(np.where(mask, x, 0.0))
-    total_sq = _before(np.where(mask, x * x, 0.0))
-    hyper = (h[..., None] for h in cells.hyper)
-    row, ratio = cells.lgamma
-    f = predictive_logpdf_array(*hyper, count, total, total_sq, x, lgamma=(row[..., None], ratio))
-    factors = np.where(seen, f, 0.0)
+    count, total, total_sq, factors = prefix_columns(onehot, cells, 0)
     cohesion = factors[: cells.num_lags].sum(axis=0)
     return PrefixStats(cells, count, total, total_sq, factors, cohesion, log_counts, slot)
 

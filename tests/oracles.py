@@ -4,20 +4,24 @@ Everything here recomputes model quantities from raw data lists with scipy
 densities and textbook formulas, sharing no code path with the package: the
 conjugate updates use the literal (uncentered) rate formula, densities come
 from scipy.stats.t, and sequential quantities walk explicit data subsets
-instead of sufficient statistics.  The two exceptions say so: the bit-exact
+instead of sufficient statistics.  The exceptions say so: the bit-exact
 full-MH references (:func:`two_pass_log_ratio`, :func:`two_pass_sweep_z`) and
-the scalar forecast rollout run the package's own model code.  The forecast
-output references (:func:`forecast_csv_rows`, :func:`forecast_summary`)
-format given draws one element and one series at a time.
+the scalar forecast rollout run the package's own model code, and
+:func:`student_t` builds a cell's predictive from the package's
+``posterior_params``.  The CLI output references (:func:`forecast_csv_rows`,
+:func:`forecast_summary`, :func:`impute_csv_rows`) format given draws one
+element and one series at a time.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.stats
 
+from trcrp.conjugate import posterior_params
 from trcrp.mcmc import NEW_REGIME, propose_z
 from trcrp.model import cell_layout, prefix_stats
 from trcrp.predict import QUANTILES
@@ -57,6 +61,23 @@ def naive_predictive_logpdf(m, V, a, b, data, x):
     m_p, v_p, a_p, b_p = naive_posterior(m, V, a, b, data)
     scale = math.sqrt(b_p * (1.0 + v_p) / a_p)
     return float(scipy.stats.t.logpdf(x, df=2.0 * a_p, loc=m_p, scale=scale))
+
+
+class StudentT(NamedTuple):
+    """Location-scale Student-T: ``dof`` degrees of freedom, squared scale."""
+
+    dof: float
+    loc: float
+    scale_sq: float
+
+    def sample(self, rng) -> float:
+        return self.loc + math.sqrt(self.scale_sq) * rng.standard_t(self.dof)
+
+
+def student_t(hyper, stats) -> StudentT:
+    """The Student-T posterior predictive of a cell with NIG ``hyper`` and ``stats``."""
+    post = posterior_params(hyper, stats)
+    return StudentT(2.0 * post.a, post.m, post.b * (1.0 + post.V) / post.a)
 
 
 def canonical_sequences(length):
@@ -225,6 +246,16 @@ def forecast_csv_rows(result):
         for n, name in enumerate(result.series_names):
             for h in range(horizon):
                 rows.append([name, f"+{h + 1}", r, repr(float(result.draws[r, n, h]))])
+    return rows
+
+
+def impute_csv_rows(result):
+    """``trcrp impute``'s CSV rows for an imputation result, one ``repr`` per draw."""
+    rows = []
+    for ci, (n, t) in enumerate(result.cells):
+        name, label = result.series_names[n], result.time_labels[t - 1]
+        for r in range(result.draws.shape[1]):
+            rows.append([name, label, r, repr(float(result.draws[ci, r]))])
     return rows
 
 

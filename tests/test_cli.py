@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import forecast_csv_rows, forecast_summary
+from oracles import forecast_csv_rows, forecast_summary, impute_csv_rows
 from trcrp import engine, predict
 from trcrp.cli import _write_draw_csv, main
 from trcrp.model import state_from_payload
@@ -303,6 +303,21 @@ def test_impute_missing_cells(runner, tmp_path, rng):
     assert len(lines) == 2 + 2 * 7
     summary = json.loads((tmp_path / "imp.csv.summary.json").read_text())
     assert len(summary["cells"]) == 2
+
+
+def test_impute_file_matches_elementwise_builder(runner, tmp_path, rng):
+    _, samples = run_fit(runner, tmp_path, rng, missing=[(0, 3), (0, 9), (1, 12)])
+    loaded = engine.load_sampleset(samples)[0]
+    for draws in (1, 6):
+        out = tmp_path / f"imp{draws}.csv"
+        result = runner.invoke(main, [
+            "impute", str(samples), "--draws", str(draws), "--seed", "4", "--out", str(out),
+        ], catch_exceptions=False)
+        assert result.exit_code == 0
+        digest = out.read_text().splitlines()[0].removeprefix("# config_hash: ")
+        want = tmp_path / "want.csv"
+        _write_draw_csv(want, digest, impute_csv_rows(predict.impute(loaded, draws, 4)))
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_impute_fully_observed_writes_header_only(runner, tmp_path, rng):

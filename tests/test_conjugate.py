@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_posterior, naive_predictive_logpdf, value
+from oracles import naive_posterior, naive_predictive_logpdf, student_t, value
 from conftest import cell_logpdf, make_panel
 from trcrp.conjugate import (
     NigHyper,
@@ -15,7 +15,6 @@ from trcrp.conjugate import (
     lgamma_rows,
     marginal_loglik,
     posterior_params,
-    posterior_predictive,
     predictive_logpdf_array,
     predictive_logpdf_raw,
 )
@@ -123,7 +122,7 @@ def test_predictive_integrates_to_one(rng):
         )
         data = list(rng.normal(0.5, 1.5, size=rng.integers(0, 7)))
         s = stats_of(*data)
-        pred = posterior_predictive(hyper, s)
+        pred = student_t(hyper, s)
         total, err = scipy.integrate.quad(
             lambda x: math.exp(cell_logpdf(hyper, s, x)),
             pred.loc - 400 * math.sqrt(pred.scale_sq),
@@ -213,7 +212,7 @@ def test_posterior_composes_over_batches(rng):
 def test_predictive_scale_always_positive(m, V, a, b, data):
     hyper = NigHyper(m, V, a, b)
     stats = stats_of(*data)
-    assert posterior_predictive(hyper, stats).scale_sq > 0
+    assert student_t(hyper, stats).scale_sq > 0
     assert math.isfinite(cell_logpdf(hyper, stats, 0.0))
 
 
@@ -270,7 +269,7 @@ def test_cohesion_factorizes():
 def test_predictive_draw_moments(rng):
     hyper = NigHyper(3.0, 0.5, 6.0, 2.0)
     s = stats_of(*rng.normal(3.0, 0.4, size=30))
-    pred = posterior_predictive(hyper, s)
+    pred = student_t(hyper, s)
     draws = np.array([pred.sample(rng) for _ in range(4000)])
     assert draws.mean() == pytest.approx(pred.loc, abs=0.1)
 

@@ -249,7 +249,9 @@ def test_table_update_matches_rebuild(rng):
     for offset in (1, 0):
         table = hypers_mod._group_table(state, group)
         new_hyper = state.hypers[0].cell(offset).replace(m=2.5, V=3.0)
-        _, factors = table.cell_logliks(0, offset, stacked(new_hyper), group.alpha)
+        cand = stacked(new_hyper)
+        rows = lgamma_rows(cand[2], panel.num_steps)
+        _, factors = table.cell_logliks(0, offset, cand, group.alpha, rows)
         table.install(0, offset, factors[0])
         state.hypers[0] = state.hypers[0].replace_cell(offset, new_hyper)
         fresh = hypers_mod._group_table(state, group)
@@ -261,12 +263,13 @@ def test_table_update_matches_rebuild(rng):
             atol=1e-12,
         )
         cands = stacked(new_hyper, new_hyper.replace(a=0.7, b=4.0))
+        rows = lgamma_rows(cands[2], panel.num_steps)
         for alpha in alphas:
             for n in group.members:
                 for cell in range(panel.window + 1):
                     np.testing.assert_allclose(
-                        table.cell_logliks(n, cell, cands, alpha)[0],
-                        fresh.cell_logliks(n, cell, cands, alpha)[0],
+                        table.cell_logliks(n, cell, cands, alpha, rows)[0],
+                        fresh.cell_logliks(n, cell, cands, alpha, rows)[0],
                         rtol=0,
                         atol=1e-12,
                     )

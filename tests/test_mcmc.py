@@ -265,8 +265,10 @@ def count_ratio_entries(monkeypatch, group, panel, seed):
         finally:
             inside[0] = False
 
-    for module in (trcrp.mcmc, trcrp.model):  # the ratio's kernel and the prefix pass's
-        monkeypatch.setattr(module, "predictive_logpdf_array", kernel(module.predictive_logpdf_array))
+    # the prefix pass's kernel, which also scores the ratio's columns
+    monkeypatch.setattr(
+        trcrp.model, "predictive_logpdf_array", kernel(trcrp.model.predictive_logpdf_array)
+    )
     monkeypatch.setattr(trcrp.mcmc, "acceptance_log_ratio", counted_ratio)
     sweep_z(group, panel.values, panel.observed, np.random.default_rng(seed), MhConfig())
     monkeypatch.undo()
@@ -345,11 +347,9 @@ def test_incremental_ratio_equals_two_pass_reference_at_every_site_and_target():
     group, table, kinds = walk_sites(panel, hypers, z, 0.8, decide)
     assert kinds["existing moved"] and kinds["fresh moved"] and kinds["emptied existing moved"]
     assert kinds["re-created under a new label"] >= 1
-    # the walked table holds the prefix statistics a fresh table gives the final sequence
+    # the walked table holds the log weights a fresh table gives the final sequence
     fresh = SweepTable(group, panel.values, panel.observed)
     for col, other in zip(table.columns, fresh.columns):
-        assert (table.count[..., col] == fresh.count[..., other]).all()
-        assert (table.sums[..., col] == fresh.sums[..., other]).all()
         assert (table.base[:, col] == fresh.base[:, other]).all()
 
 

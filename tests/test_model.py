@@ -19,8 +19,10 @@ from trcrp.conjugate import NigStats
 from trcrp.model import (
     ChainState,
     GroupModel,
+    cell_layout,
     crp_log_weights,
     log_joint,
+    prefix_columns,
     sequence_loglik,
     simulate,
 )
@@ -224,6 +226,29 @@ def test_sequence_loglik_matches_naive_oracle(rng):
             (1, 1, 0, 1, 2), [0, 1], 0.8, {n: hypers[n] for n in (0, 1)},
             panel.values, panel.observed, panel.window,
         )
+
+
+def test_prefix_columns_keep_their_bits_from_every_first_step(rng):
+    # window 2 with missing cells; the membership is no sequence's one-hot:
+    # step 6 moved from the first column to the second, and a fresh column
+    # that holds step 6 too
+    values = [list(rng.normal(size=14)), list(rng.normal(size=14))]
+    values[0][4] = None
+    values[1][9] = None
+    values[1][12] = None
+    panel = make_panel(values, window=2)
+    hypers = uniform_hypers(2, 2, m=0.2, V=0.9, a=1.7, b=0.6)
+    cells = cell_layout([0, 1], hypers, panel.values, panel.observed, panel.window)
+    assert not cells.seen.all()
+    z = np.array([1, 2, 1, 3, 2, 1, 1, 2, 3, 1, 2, 1])
+    member = z[:, None] == np.array([1, 2, 3, 0])
+    member[5] = [False, True, False, True]
+    whole = prefix_columns(member, cells, 0)
+    assert all(a.shape == (cells.x.shape[0], len(z), 4) for a in whole)
+    for first in range(len(z) + 1):
+        part = prefix_columns(member, cells, first)
+        for got, want in zip(part, whole):
+            assert np.array_equal(got, want[:, first:]), first
 
 
 def test_log_joint_smallest_instance():

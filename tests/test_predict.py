@@ -9,9 +9,16 @@ import pytest
 import scipy.stats
 
 from conftest import make_panel, uniform_hypers
-from oracles import forecast_summary, naive_posterior, rollout_forecast, seen, value
+from oracles import (
+    forecast_summary,
+    naive_posterior,
+    rollout_forecast,
+    seen,
+    student_t,
+    value,
+)
 from test_model import build_state
-from trcrp.conjugate import NigHyper, posterior_predictive
+from trcrp.conjugate import NigHyper
 from trcrp.engine import RunConfig, fit
 from trcrp.model import SeriesHypers
 from trcrp.predict import (
@@ -44,7 +51,7 @@ def test_forecast_tracks_sticky_regime_mean():
     samples, state = single_chain_samples(rng, values, [1] * 30, hypers=hypers)
     state.groups[0].alpha = 1e-12
     result = forecast(samples, horizon=1, draws=400, seed=1)
-    pred = posterior_predictive(hypers[0].emission, state.groups[0].cells[0][0][0])
+    pred = student_t(hypers[0].emission, state.groups[0].cells[0][0][0])
     sd = math.sqrt(pred.scale_sq * pred.dof / (pred.dof - 2))
     assert abs(result.draws[:, 0, 0].mean() - 4.0) < 3 * sd
 
@@ -259,7 +266,7 @@ def test_impute_mean_converges_to_mixture_mean(rng):
     var = 0.0
     for chain in chains:
         k = chain.groups[0].regimes.z[3]
-        pred = posterior_predictive(hypers[0].emission, chain.groups[0].cells[0][k - 1][0])
+        pred = student_t(hypers[0].emission, chain.groups[0].cells[0][k - 1][0])
         locs.append(pred.loc)
         var += pred.scale_sq * pred.dof / (pred.dof - 2.0)
     target = float(np.mean(locs))
