@@ -91,9 +91,6 @@ class NigStats:
             self.sum -= x
             self.sum_sq -= x * x
 
-    def copy(self) -> "NigStats":
-        return NigStats(self.count, self.sum, self.sum_sq)
-
     def __repr__(self):
         return f"NigStats(count={self.count}, sum={self.sum!r}, sum_sq={self.sum_sq!r})"
 

@@ -89,9 +89,6 @@ class SeriesGrids:
     a: HyperGrid
     b: HyperGrid
 
-    def field(self, name: str) -> HyperGrid:
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class Grids:
@@ -156,7 +153,7 @@ def grids_payload(grids: Grids) -> dict:
         "alpha0": grid_dict(grids.alpha0),
         "group_alpha": grid_dict(grids.group_alpha),
         "series": [
-            {name: grid_dict(sg.field(name)) for name in NIG_FIELDS} for sg in grids.series
+            {name: grid_dict(getattr(sg, name)) for name in NIG_FIELDS} for sg in grids.series
         ],
         "lag_windows_reuse_series_grids": True,
     }
@@ -216,7 +213,7 @@ def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: Pref
     """
     grids = state.grids.series[n]
     current = state.hypers[n].cell(offset)
-    cand = _candidates(current, field, grids.field(field).points)
+    cand = _candidates(current, field, getattr(grids, field).points)
     if field == "a":
         row = np.arange(GRID_SIZE).reshape(-1, 1, 1)
     elif current.a in grids.a.points:
@@ -230,7 +227,7 @@ def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: Pref
 def _gibbs_cell(
     state: ChainState, n: int, offset: int, field: str, table: PrefixStats, rng
 ) -> None:
-    grid = state.grids.series[n].field(field).points
+    grid = getattr(state.grids.series[n], field).points
     current = state.hypers[n].cell(offset)
     logits, factors = _cell_logits(state, n, offset, field, table)
     j = gumbel_argmax(logits, rng)

@@ -9,16 +9,17 @@ differ between the two configurations in at most the two regimes that gain or
 lose time t.
 
 A full-MH sweep keeps one :class:`SweepTable` per group: the no-emission
-log weight of each regime label's column at every step and the sequence's
-per-step log normalizers, built by one :func:`~trcrp.model.prefix_stats`
-pass over the group's emission-free :func:`~trcrp.model.cell_layout`.  A
-site rescores only the columns of the regimes that lose or gain it, at the
-steps after it, with :func:`~trcrp.model.prefix_columns`, the same scorer
-the prefix pass runs; an accepted move writes them back.  A sweep so scores
-O(T^2) (cell, step, column) entries, where a prefix pass per completed
-sequence would score O(T^2 K).  The ratio has the bits of those two passes:
-the columns are gathered in the new sequence's first-appearance order before
-the normalizers sum over them.
+log weight of each regime at every step, in the column its label numbers,
+and the sequence's per-step log normalizers, built by one
+:func:`~trcrp.model.prefix_stats` pass over the group's emission-free
+:func:`~trcrp.model.cell_layout`.  A site rescores only the columns of the
+regimes that lose or gain it, at the steps after it, with
+:func:`~trcrp.model.prefix_columns`, the same scorer the prefix pass runs;
+an accepted move writes them back.  A sweep so scores O(T^2) (cell, step,
+column) entries, where a prefix pass per completed sequence would score
+O(T^2 K).  The ratio has the bits of those two passes: the columns are
+gathered in the new sequence's first-appearance order before the
+normalizers sum over them.
 
 Always-accept mode skips the ratio entirely; proposals track the target
 closely enough that this is the designated initialization strategy, not a
@@ -47,10 +48,6 @@ __all__ = [
 # Branch descriptor for "put t in a fresh regime"; existing regimes are their label.
 NEW_REGIME = 0
 
-# Table columns before the regimes': the fresh block, then a proposal's two rescored columns.
-_FRESH = 0
-_RESERVED = 3
-
 
 @dataclass
 class MhConfig:
@@ -58,17 +55,16 @@ class MhConfig:
 
 
 class SweepTable:
-    """Log weights of one group's regime sequence, kept by label for a sweep.
+    """Log weights of one group's regime sequence, one column per label, for a sweep.
 
-    ``base`` is (T, W): each column's no-emission log weight at every step,
-    the log block size plus the cohesion over the group's emission-free
-    :func:`~trcrp.model.cell_layout`, ``cells``; the fresh column holds the
-    log concentration plus cohesion.  Column 0 is the fresh block, columns 1
-    and 2 hold the rescored columns of the last proposal, and
-    ``columns[k - 1]`` is regime k's; it follows the group's labels through
-    :meth:`drop` and :meth:`settle`.  ``normalizers`` holds the sequence's
-    per-step log normalizers.  After a move at t, rows up to t keep the old
-    sequence's bits, which a sweep no longer reads.
+    ``base`` is (T, K+1): column k is regime k's no-emission log weight at
+    every step, the log block size plus the cohesion over the group's
+    emission-free :func:`~trcrp.model.cell_layout`, ``cells``; column 0 is
+    the fresh block's, the log concentration plus cohesion.  The columns
+    follow the group's labels through :meth:`drop` and :meth:`settle`.
+    ``normalizers`` holds the sequence's per-step log normalizers.  After a
+    move at t, rows up to t keep the old sequence's bits, which a sweep no
+    longer reads.
     """
 
     def __init__(self, group, values, observed):
@@ -79,24 +75,22 @@ class SweepTable:
         z = group.regimes.z
         weights = prefix_stats(z, self.cells).log_weights(group.alpha)
         self.normalizers = PrefixStats.log_normalizers(weights)
-        num_blocks = weights.shape[1] - 1
-        self.base = np.full((group.num_steps, 2 * (_RESERVED + num_blocks)), -np.inf)
-        self.base[:, _RESERVED : _RESERVED + num_blocks] = weights[:, :-1]
-        self.base[:, _FRESH] = weights[:, -1]
         rank = {k: r for r, k in enumerate(dict.fromkeys(z))}
-        self.columns = [_RESERVED + rank[k] for k in range(1, num_blocks + 1)]
-        self.free = list(range(_RESERVED + num_blocks, self.base.shape[1]))
-        self.stash = None  # the column of a regime that emptied at the current site
-        self.pending = None  # the last proposal's rescored labels and normalizers
+        self.base = weights.take([-1] + [rank[k] for k in range(1, len(rank) + 1)], axis=1)
+        self.pending = None  # the last proposal's labels, rescored columns and normalizers
         with np.errstate(divide="ignore"):
             self.log_sizes = np.log(np.arange(group.num_steps + 1))
 
     def drop(self, k: int) -> None:
-        """Follow :meth:`~trcrp.model.GroupModel.unassign` emptying regime k."""
-        self.stash = self.columns.pop(k - 1)
+        """Follow :meth:`~trcrp.model.GroupModel.unassign` emptying regime k.
 
-    def rescore(self, t: int, labels) -> None:
-        """Rescore ``labels`` at the steps after t into ``base`` columns 1, 2, ...
+        Its column moves last, where :meth:`~trcrp.model.GroupModel.add_regime`
+        puts the regime back if t stays.
+        """
+        self.base[:, k:] = np.roll(self.base[:, k:], -1, axis=1)
+
+    def rescore(self, t: int, labels) -> np.ndarray:
+        """The (T - t, L) columns of ``labels`` at the steps after t.
 
         Time t belongs to the last label only; every other label has lost it.
         A label past the group's last one is a fresh regime.  The columns'
@@ -107,40 +101,27 @@ class SweepTable:
         member[t - 1, -1] = True
         factors = prefix_columns(member, self.cells, t)[3]
         sizes = np.cumsum(member[:-1], axis=0)[t - 1 :]
-        self.base[t:, 1 : 1 + len(labels)] = self.log_sizes[sizes] + factors.sum(axis=0)
+        return self.log_sizes[sizes] + factors.sum(axis=0)
 
-    def settle(self, t: int, k: int, moved: bool) -> None:
-        """Follow the group after it assigned t to regime k.
+    def settle(self, t: int, moved: bool) -> None:
+        """Follow the group after it assigned t.
 
-        ``moved`` says the last proposal was accepted and changed t's
-        regime; then its rescored columns and normalizers become the table's.
-        Otherwise a regime that emptied at t is back, as the group's last.
+        ``base`` takes the group's width: a regime that emptied at t and did
+        not come back loses its trailing column, and a fresh regime gains a
+        column of -inf, the log size of a block with no steps before t.
+        ``moved`` says the last proposal was accepted and changed t's regime;
+        then its rescored columns and normalizers become the table's.
         """
-        if not moved:
-            if self.stash is not None:
-                self.columns.append(self.stash)
-            self.stash = self.pending = None
-            return
-        if self.stash is not None:
-            self.free.append(self.stash)
-            self.stash = None
-        if k > len(self.columns):
-            col = self._free_column()
-            self.columns.append(col)
-            self.base[:t, col] = -np.inf
-        if self.pending is not None:
-            labels, normalizers = self.pending
-            cols = [self.columns[label - 1] for label in labels]
-            self.base[t:, cols] = self.base[t:, 1 : 1 + len(labels)]
+        width = self.group.regimes.num_regimes + 1
+        if self.base.shape[1] > width:
+            self.base = self.base[:, :width]
+        elif self.base.shape[1] < width:
+            self.base = np.pad(self.base, ((0, 0), (0, 1)), constant_values=-np.inf)
+        if moved and self.pending is not None:
+            labels, block, normalizers = self.pending
+            self.base[t:, labels] = block
             self.normalizers[t:] = normalizers
-            self.pending = None
-
-    def _free_column(self) -> int:
-        if not self.free:
-            width = self.base.shape[1]
-            self.base = np.concatenate([self.base, np.zeros_like(self.base)], axis=-1)
-            self.free = list(range(width, 2 * width))
-        return self.free.pop()
+        self.pending = None
 
 
 def propose_z(group, t, values, observed, rng):
@@ -174,18 +155,15 @@ def acceptance_log_ratio(table: SweepTable, t, branch_old, branch_new) -> float:
         return 0.0
     new = branch_new if branch_new != NEW_REGIME else group.regimes.num_regimes + 1
     labels = [new] if branch_old == NEW_REGIME else [branch_old, new]
-    table.rescore(t, labels)
+    block = table.rescore(t, labels)
     z = group.regimes.z
-    rescored = {k: 1 + j for j, k in enumerate(labels)}
-    order = [
-        rescored[k] if k in rescored else table.columns[k - 1]
-        for k in dict.fromkeys(z[: t - 1] + [new] + z[t:])
-    ]
+    rescored = {k: table.base.shape[1] + j for j, k in enumerate(labels)}
+    order = [rescored.get(k, k) for k in dict.fromkeys(z[: t - 1] + [new] + z[t:])]
     # take, not a fancy index, which would return the rows strided: each row
     # must be contiguous to be summed in the order a prefix pass sums it
-    base = table.base[t:].take(order + [_FRESH], axis=1)
+    base = np.concatenate([table.base[t:], block], axis=1).take(order + [0], axis=1)
     normalizers = PrefixStats.log_normalizers(base)
-    table.pending = labels, normalizers
+    table.pending = labels, block, normalizers
     return float((table.normalizers[t:] - normalizers).sum())
 
 
@@ -210,7 +188,7 @@ def transition_site(group, t, values, observed, rng, table):
     group.assign(t, k, values, observed)
     moved = accepted and branch != branch_old
     if table is not None:
-        table.settle(t, k, moved)
+        table.settle(t, moved)
     return moved, accepted
 
 
@@ -218,8 +196,9 @@ def sweep_z(group, values, observed, rng, config: MhConfig) -> dict:
     """One pass over t = 1..T in order.
 
     A full-MH sweep builds the group's :class:`SweepTable` once and keeps it
-    through every site.  Returns acceptance statistics; in always-accept
-    mode every proposal is applied and ``accepted`` equals ``sites``.
+    through every site, one column per regime label as regimes empty and
+    appear.  Returns acceptance statistics; in always-accept mode every
+    proposal is applied and ``accepted`` equals ``sites``.
     """
     table = SweepTable(group, values, observed) if config.full_mh else None
     stats = {"sites": 0, "accepted": 0, "moved": 0}

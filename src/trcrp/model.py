@@ -329,14 +329,6 @@ class GroupModel:
     def empty_clone(self) -> "GroupModel":
         return GroupModel(self.members, self.alpha, self.num_steps, self.window, self.hypers)
 
-    def clone(self) -> "GroupModel":
-        other = self.empty_clone()
-        other.regimes.z = list(self.regimes.z)
-        other.regimes.counts = list(self.regimes.counts)
-        for n in self.members:
-            other.cells[n] = [[s.copy() for s in row] for row in self.cells[n]]
-        return other
-
     def rebuild_stats(self, values, observed) -> None:
         """Recompute every cell from raw data in time order (canonical bits)."""
         for n in self.members:
@@ -345,8 +337,8 @@ class GroupModel:
 
     def stats_deviation(self, values, observed) -> float:
         """Max |incremental - recomputed| over all cells; raises on count mismatch."""
-        fresh = self.clone()
-        fresh.rebuild_stats(values, observed)
+        fresh = self.empty_clone()
+        fresh.load_sequence(self.regimes.z, values, observed)
         worst = 0.0
         for n in self.members:
             for row_a, row_b in zip(self.cells[n], fresh.cells[n]):

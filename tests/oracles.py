@@ -212,11 +212,11 @@ def rollout_forecast(samples, horizon, draws, seed):
     """Scalar reference forecast: one draw at a time, (draws, N, horizon).
 
     Unlike the rest of this module it runs the package's own model code.
-    Each draw picks a chain uniformly, clones every group of it and rolls
-    the clone forward with ``GroupModel.rollout``, which weighs one step at a
-    time from scalar weights over the clone's incremental statistics and
-    reads the panel mask as it stands.  It shares none of the arrays over
-    draws that the package's forecast steps through.
+    Each draw picks a chain uniformly, rebuilds every group of it from its
+    sequence and rolls the copy forward with ``GroupModel.rollout``, which
+    weighs one step at a time from scalar weights over the copy's
+    incremental statistics and reads the panel mask as it stands.  It shares
+    none of the arrays over draws that the package's forecast steps through.
     """
     panel = samples.panel
     rng = np.random.default_rng(seed)
@@ -230,7 +230,8 @@ def rollout_forecast(samples, horizon, draws, seed):
         ext_values = np.zeros((num, p + steps + horizon))
         ext_values[:, : p + steps] = panel.values
         for group in chain.groups:
-            future = group.clone()
+            future = group.empty_clone()
+            future.load_sequence(group.regimes.z, ext_values, ext_observed)
             future.num_steps = steps + horizon
             future.regimes.z = future.regimes.z + [0] * horizon
             future.rollout(future_steps, ext_values, ext_observed, rng, emit=True)

@@ -55,6 +55,35 @@ def test_fit_smoke_finite_joint(rng):
         chain.check_consistency()
 
 
+def _every_third_missing(rng):
+    values = [list(rng.normal(size=22)) for _ in range(2)]
+    values[0][2::3] = [None] * len(values[0][2::3])
+    return make_panel(values, window=2)
+
+
+DEGENERATE_PANELS = {
+    "window_0": lambda rng: make_panel([list(rng.normal(size=20)) for _ in range(2)], window=0),
+    "single_series": lambda rng: small_panel(rng, num_series=1),
+    "constant_series": lambda rng: make_panel([[1.5] * 21, list(rng.normal(size=21))], window=1),
+    "missing_after_prefix": lambda rng: make_panel(
+        [list(rng.normal(size=21)), [0.3] + [None] * 20], window=1
+    ),
+    "window_2_every_third_missing": _every_third_missing,
+}
+
+
+@pytest.mark.parametrize("kind", list(DEGENERATE_PANELS))
+def test_full_mh_fit_of_degenerate_panel_stays_consistent(rng, kind):
+    # every sweep after the first is full MH, with its sweep table
+    panel = DEGENERATE_PANELS[kind](rng)
+    config = quick_config(window=panel.window, burnin=6, init_sweeps=1)
+    samples = fit(panel, config)
+    for chain, stats in zip(samples.chains, samples.provenance["chain_stats"], strict=True):
+        chain.check_consistency()
+        assert math.isfinite(stats["log_joint"])
+        assert stats["log_joint"] == log_joint(chain)
+
+
 def test_fit_deterministic_across_runs(rng, tmp_path):
     panel = small_panel(rng)
     config = quick_config()

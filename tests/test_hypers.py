@@ -297,7 +297,7 @@ def tiny_state():
 def grid_of(state, spec):
     if spec[0] == "alpha":
         return state.grids.group_alpha.points
-    return state.grids.series[0].field(spec[-1]).points
+    return getattr(state.grids.series[0], spec[-1]).points
 
 
 def brute_force_conditional(state, panel, spec):
@@ -442,7 +442,7 @@ def fitted_window2_state():
 
 def per_call_cell_logits(state, n, offset, field, table):
     """``hypers._cell_logits`` with the candidates' lgamma rows built for this call alone."""
-    grid = state.grids.series[n].field(field).points
+    grid = getattr(state.grids.series[n], field).points
     cand = hypers_mod._candidates(state.hypers[n].cell(offset), field, grid)
     lgamma = lgamma_rows(cand[2], state.panel.num_steps)
     return table.cell_logliks(n, offset, cand, state.group_of(n).alpha, lgamma)
