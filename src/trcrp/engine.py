@@ -1,14 +1,14 @@
 """Fit orchestration: chain schedules, parallel execution, SampleSet files.
 
 A fit runs S independent chains.  Each chain initializes the outer partition
-from its prior, block-samples every group's regime sequence with the particle
-filter, runs ``init_sweeps`` always-accept sweeps, then full MH sweeps, each
-followed by outer-cluster and griddy-Gibbs hyperparameter moves.  The final
-state of each chain is one posterior sample; a SampleSet file holds them with
-the panel, the :class:`RunConfig` and each chain's statistics.  The file
-stores each fact once: the config's ``window`` and ``chains`` are the panel's
-window and the chain count, and its hash (:func:`sampleset_hash`, over the
-panel and the config) is recomputed on load.
+from its prior, block-samples its groups' regime sequences with one particle
+filter over all of them, runs ``init_sweeps`` always-accept sweeps, then full
+MH sweeps, each followed by outer-cluster and griddy-Gibbs hyperparameter
+moves.  The final state of each chain is one posterior sample; a SampleSet
+file holds them with the panel, the :class:`RunConfig` and each chain's
+statistics.  The file stores each fact once: the config's ``window`` and
+``chains`` are the panel's window and the chain count, and its hash
+(:func:`sampleset_hash`, over the panel and the config) is recomputed on load.
 
 All randomness derives from the single run seed: chain i uses the i-th spawn
 of ``SeedSequence(seed)``, so results are identical, byte for byte, whether
@@ -129,8 +129,12 @@ def sampleset_hash(panel: TimeSeriesPanel, config: RunConfig) -> str:
 def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict, dict]:
     """Run one chain to completion; returns (state payload, chain stats).
 
-    A non-finite final log joint raises :class:`NumericalError` whose second
-    argument is the chain's state payload, so it survives a worker process.
+    Given the initial outer partition the groups' regime sequences are
+    independent, so one :func:`~trcrp.smc.smc_block_sample` call filters all
+    of them as one particle set; ``chain_stats["smc_log_ml"]`` holds its log
+    marginal-likelihood estimates in the order of the groups.  A non-finite
+    final log joint raises :class:`NumericalError` whose second argument is
+    the chain's state payload, so it survives a worker process.
     """
     rng = np.random.default_rng(seed_seq)
     grids = hypers_mod.build_grids(panel)
@@ -151,12 +155,12 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
     state.grids = grids
 
     smc_log_ml = []
-    for group in state.groups:
-        if config.smc_init:
-            z, log_ml = smc_block_sample(group, panel.values, panel.observed, config.particles, rng)
-            smc_log_ml.append(float(log_ml))
-        else:
-            z = [1] * panel.num_steps
+    if config.smc_init:
+        draws = smc_block_sample(state.groups, panel.values, panel.observed, config.particles, rng)
+        smc_log_ml = [log_ml for _, log_ml in draws]
+    else:
+        draws = [([1] * panel.num_steps, None)] * num_groups
+    for group, (z, _) in zip(state.groups, draws):
         group.load_sequence(z, panel.values, panel.observed)
 
     accept_z = {"sites": 0, "accepted": 0, "moved": 0}

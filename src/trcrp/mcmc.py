@@ -8,18 +8,18 @@ factors of the joint, leaving only the downstream normalizers, whose data
 differ between the two configurations in at most the two regimes that gain or
 lose time t.
 
-A full-MH sweep keeps one :class:`SweepTable` per group: the no-emission
-log weight of each regime at every step, in the column its label numbers,
-and the sequence's per-step log normalizers, built by one
+A full-MH sweep keeps one :class:`SweepTable` per group: the no-emission log
+weight of each regime at every step, in the column its label numbers, and the
+sequence's per-step log normalizers, built by one
 :func:`~trcrp.model.prefix_stats` pass over the group's emission-free
-:func:`~trcrp.model.cell_layout`.  A site rescores only the columns of the
-regimes that lose or gain it, at the steps after it, with
-:func:`~trcrp.model.prefix_columns`, the same scorer the prefix pass runs;
-an accepted move writes them back.  A sweep so scores O(T^2) (cell, step,
-column) entries, where a prefix pass per completed sequence would score
-O(T^2 K).  The ratio has the bits of those two passes: the columns are
-gathered in the new sequence's first-appearance order before the
-normalizers sum over them.
+:func:`~trcrp.model.cell_layout` at the sweep's first ratio call, so a sweep
+whose proposals all keep their regime builds none.  A site rescores only the
+columns of the regimes that lose or gain it, at the steps after it, with
+:func:`~trcrp.model.prefix_columns`, the same scorer the prefix pass runs; an
+accepted move writes them back.  A sweep so scores O(T^2) (cell, step, column)
+entries, where a prefix pass per completed sequence would score O(T^2 K).  The
+ratio has the bits of those two passes: the columns are gathered in the new
+sequence's first-appearance order before the normalizers sum over them.
 
 Always-accept mode skips the ratio entirely; proposals track the target
 closely enough that this is the designated initialization strategy, not a
@@ -64,15 +64,21 @@ class SweepTable:
     follow the group's labels through :meth:`drop` and :meth:`settle`.
     ``normalizers`` holds the sequence's per-step log normalizers.  After a
     move at t, rows up to t keep the old sequence's bits, which a sweep no
-    longer reads.
+    longer reads.  ``site`` is ``(t, branch_old)`` while t is unassigned: the
+    table is then the sequence's with t back in ``branch_old``, and a regime
+    that t's removal emptied (``NEW_REGIME``) is the last label, whose column
+    is last, where :meth:`drop` puts it.
     """
 
-    def __init__(self, group, values, observed):
+    def __init__(self, group, values, observed, site=None):
         self.group = group
         self.cells = cell_layout(
             group.members, group.hypers, values, observed, group.window, emission=False
         )
-        z = group.regimes.z
+        z = list(group.regimes.z)
+        if site is not None:
+            t, branch = site
+            z[t - 1] = branch if branch != NEW_REGIME else group.regimes.num_regimes + 1
         weights = prefix_stats(z, self.cells).log_weights(group.alpha)
         self.normalizers = PrefixStats.log_normalizers(weights)
         rank = {k: r for r, k in enumerate(dict.fromkeys(z))}
@@ -167,11 +173,12 @@ def acceptance_log_ratio(table: SweepTable, t, branch_old, branch_new) -> float:
     return float((table.normalizers[t:] - normalizers).sum())
 
 
-def transition_site(group, t, values, observed, rng, table):
-    """One propose/accept/apply step at time t; returns (moved, accepted).
+def transition_site(group, t, values, observed, rng, full_mh, table):
+    """One propose/accept/apply step at time t; returns (moved, accepted, table).
 
-    ``table`` is the group's :class:`SweepTable`, or None to apply every
-    proposal.
+    Without ``full_mh`` every proposal is applied.  With it, ``table`` is the
+    group's :class:`SweepTable`, or None until the first proposal that would
+    move t builds it for the ratio.
     """
     k_old, removed = group.unassign(t, values, observed)
     branch_old = NEW_REGIME if removed else k_old
@@ -179,7 +186,9 @@ def transition_site(group, t, values, observed, rng, table):
         table.drop(k_old)
     branch = propose_z(group, t, values, observed, rng)
     accepted = True
-    if table is not None and branch != branch_old:
+    if full_mh and branch != branch_old:
+        if table is None:
+            table = SweepTable(group, values, observed, site=(t, branch_old))
         log_r = acceptance_log_ratio(table, t, branch_old, branch)
         if log_r < 0 and math.log(rng.random()) >= log_r:
             branch = branch_old
@@ -189,21 +198,24 @@ def transition_site(group, t, values, observed, rng, table):
     moved = accepted and branch != branch_old
     if table is not None:
         table.settle(t, moved)
-    return moved, accepted
+    return moved, accepted, table
 
 
 def sweep_z(group, values, observed, rng, config: MhConfig) -> dict:
     """One pass over t = 1..T in order.
 
-    A full-MH sweep builds the group's :class:`SweepTable` once and keeps it
-    through every site, one column per regime label as regimes empty and
-    appear.  Returns acceptance statistics; in always-accept mode every
-    proposal is applied and ``accepted`` equals ``sites``.
+    A full-MH sweep builds the group's :class:`SweepTable` at its first ratio
+    call and keeps it through every later site, one column per regime label
+    as regimes empty and appear.  Returns acceptance statistics; in
+    always-accept mode every proposal is applied and ``accepted`` equals
+    ``sites``.
     """
-    table = SweepTable(group, values, observed) if config.full_mh else None
+    table = None
     stats = {"sites": 0, "accepted": 0, "moved": 0}
     for t in range(1, group.num_steps + 1):
-        moved, accepted = transition_site(group, t, values, observed, rng, table)
+        moved, accepted, table = transition_site(
+            group, t, values, observed, rng, config.full_mh, table
+        )
         stats["sites"] += 1
         stats["accepted"] += accepted
         stats["moved"] += moved

@@ -122,7 +122,7 @@ def _forecast_group(group: GroupModel, values, observed, copies: int, rng) -> np
     keeps its own row of member values, so a lag into the future reads that
     copy's draws.
     """
-    ps = ParticleSet(group, values, observed, copies)
+    ps = ParticleSet([group], values, observed, copies)
     cells = ps.cells
     p, steps = group.window, group.num_steps
     own = np.repeat(values[None, group.members], copies, axis=0)  # (copies, members, columns)

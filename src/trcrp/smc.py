@@ -1,23 +1,26 @@
-"""Particle-learning block sampler for a group's regime sequence.
+"""Particle-learning block sampler for the regime sequences of a chain's groups.
 
-The J particles live in stacked arrays.  Per particle j: the regime labels
-``z[j]`` of the steps filtered so far, its block count ``num_blocks[j]`` and
-block sizes, its log weight, and the count, sum and sum of squares of every
-cell's observed values per block, ``count[j, c, k]``.  The cells are the rows
-of the group's :class:`~trcrp.model.CellLayout`, the one prefix passes read,
-which also holds the panel's values and mask.  Block k is label k+1, and
-column ``num_blocks[j]`` is the particle's fresh block, whose statistics are
-empty.
+Given the outer partition, the groups' regime sequences are independent, so
+one filter steps all of them: G groups of J particles each live in stacked
+arrays, particle (g, j) at row g*J + j.  Per particle: the regime labels
+``z`` of the steps filtered so far, its block count ``num_blocks`` and block
+sizes, its log weight, its group's log concentration, and the count, sum and
+sum of squares of every cell's observed values per block, ``count[p, c, k]``.
+Group g's cells are its members' lag rows then their emission rows, gathered
+from one :class:`~trcrp.model.CellLayout` over the members of all the groups,
+the layout prefix passes read, and padded with never-observed rows up to the
+widest group's lag and emission rows.  Block k is label k+1, and column
+``num_blocks[p]`` is the particle's fresh block, whose statistics are empty.
 
 A step scores all particles, cells and blocks with one
 :func:`~trcrp.conjugate.predictive_logpdf_array` call, with the layout's
 lgamma rows, draws every particle's regime with one Gumbel argmax and folds
-the step's observed values into the drawn column of every particle.
-Resampling is an index gather on the arrays.  Forecasts
-(:func:`trcrp.predict.forecast`) reuse the particles as copies of a fitted
-group: they start from its statistics, score the lag cells only and give each
-particle its own row of cell values, since a future lag reads that copy's own
-draws.
+the step's observed values into the drawn column of every particle, whatever
+the number of groups.  Resampling is an index gather within each group, and
+``log_ml`` is kept per group.  Forecasts (:func:`trcrp.predict.forecast`)
+reuse the particles as copies of one fitted group: they start from its
+statistics, score the lag cells only and give each particle its own row of
+cell values, since a future lag reads that copy's own draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -36,7 +39,7 @@ import numpy as np
 
 from .conjugate import predictive_logpdf_array
 from .model import PrefixStats, cell_layout
-from .util import NEG_INF, gumbel_argmax
+from .util import NEG_INF
 
 __all__ = ["NumericalError", "ParticleSet", "smc_step", "maybe_resample", "smc_block_sample"]
 
@@ -56,92 +59,135 @@ class NumericalError(RuntimeError):
 
 
 class ParticleSet:
-    """J particles of the group's regime sequence as stacked arrays (see the module notes).
+    """J particles of each of the ``groups``' regime sequences as stacked arrays.
 
-    ``count``, ``total`` and ``total_sq`` are (J, cells, capacity) and
-    ``sizes`` is (J, capacity); the capacity doubles whenever a particle's
+    See the module notes.  The groups share the panel ``values`` and
+    ``observed`` and its steps.  A group's window may be below the panel's:
+    it then scores its own lags only, so its steps read the panel's columns.
+    ``count``, ``total`` and ``total_sq`` are (G*J, cells, capacity) and
+    ``sizes`` is (G*J, capacity); the capacity doubles whenever a particle's
     fresh block would fall outside it.  ``cells`` is the
-    :class:`~trcrp.model.CellLayout` of the group's members over the steps of
-    ``values``.  Every particle starts as a copy of ``group``: its regime
-    sequence, blocks and statistics, which are empty for the filter's empty
-    group and those of the fitted group for a forecast.
+    :class:`~trcrp.model.CellLayout` of the groups' members over the steps of
+    ``values``, and ``rows[g]`` the layout rows of group g's cells, with
+    ``len(cells.index)`` for a padding row; ``x``, ``seen``, ``hyper`` and
+    ``lgamma`` hold the layout's arrays gathered by ``rows``, the last two
+    shaped as the kernel broadcasts them against (G, J, cells, blocks)
+    operands, or (J, cells, blocks) ones for one group.  Every particle
+    of group g starts as a copy of it: its regime sequence, blocks and
+    statistics, which are empty for the filter's empty groups and those of
+    the fitted group for a forecast.
     """
 
-    def __init__(self, group, values, observed, num_particles):
+    def __init__(self, groups, values, observed, num_particles):
         if num_particles < 1:
             raise ValueError("need at least one particle")
-        self.cells = cell_layout(group.members, group.hypers, values, observed, group.window)
-        self.log_alpha = math.log(group.alpha)
-        counts = group.regimes.counts
+        series = list(dict.fromkeys(n for group in groups for n in group.members))
+        window = max(group.window for group in groups)
+        self.cells = cells = cell_layout(series, groups[0].hypers, values, observed, window)
+        lags = [[(n, i) for n in g.members for i in range(1, g.window + 1)] for g in groups]
+        emissions = [[(n, 0) for n in g.members] for g in groups]
+        self.num_lags = max(map(len, lags))
+        widest = max(map(len, emissions))
+        pad = len(cells.index)  # a row that is never observed, appended to the layout's
+        self.rows = np.array([
+            [cells.index[c] for c in lag] + [pad] * (self.num_lags - len(lag))
+            + [cells.index[c] for c in emission] + [pad] * (widest - len(emission))
+            for lag, emission in zip(lags, emissions)
+        ])
+        num_groups = len(groups)
+        self.num_particles = num_particles
+        # one group drops the group axes: numpy broadcasts three axes faster than four
+        self.lead = (num_particles,) if num_groups == 1 else (num_groups, num_particles)
+        self.per_group = (-1, 1) if num_groups == 1 else (num_groups, 1, -1, 1)
+
+        def gathered(a, fill):
+            if num_groups == 1:  # its rows are the layout's, in order
+                return a[None]
+            return np.concatenate([a, np.full_like(a[:1], fill)])[self.rows]
+
+        self.x = gathered(cells.x, 0.0)  # (G, cells, T)
+        self.seen = gathered(cells.seen, False)
+        self.hyper = tuple(gathered(h, 1.0).reshape(self.per_group) for h in cells.hyper)
+        lgamma_row, ratio = cells.lgamma
+        self.lgamma = gathered(lgamma_row, 0).reshape(self.per_group), ratio
+        self.group = np.repeat(np.arange(num_groups), num_particles)
         capacity = 4
-        while capacity <= len(counts):
+        while capacity <= max(group.regimes.num_regimes for group in groups):
             capacity *= 2
-        self.z = np.zeros((num_particles, self.cells.x.shape[1]), dtype=np.int64)
-        self.z[:, : group.num_steps] = group.regimes.z
-        self.num_blocks = np.full(num_particles, len(counts), dtype=np.int64)
-        self.sizes = np.zeros((num_particles, capacity), dtype=np.int64)
-        self.sizes[:, : len(counts)] = counts
-        shape = (len(self.cells.index), capacity)
+        z = np.zeros((num_groups, self.x.shape[2]), dtype=np.int64)
+        sizes = np.zeros((num_groups, capacity), dtype=np.int64)
+        shape = (num_groups, self.rows.shape[1], capacity)
         count, total, total_sq = np.zeros(shape, dtype=np.int64), np.zeros(shape), np.zeros(shape)
-        for (n, i), c in self.cells.index.items():
-            for k, row in enumerate(group.cells[n]):
-                count[c, k], total[c, k], total_sq[c, k] = row[i].count, row[i].sum, row[i].sum_sq
-        self.count, self.total, self.total_sq = (
-            np.repeat(stats[None], num_particles, axis=0) for stats in (count, total, total_sq)
+        for g, group in enumerate(groups):
+            counts = group.regimes.counts
+            z[g, : group.num_steps] = group.regimes.z
+            sizes[g, : len(counts)] = counts
+            for r, (n, i) in [*enumerate(lags[g]), *enumerate(emissions[g], self.num_lags)]:
+                for k, row in enumerate(group.cells[n]):
+                    cell = row[i]
+                    count[g, r, k], total[g, r, k], total_sq[g, r, k] = cell.count, cell.sum, cell.sum_sq
+        self.z, self.sizes, self.count, self.total, self.total_sq = (
+            np.repeat(a, num_particles, axis=0) for a in (z, sizes, count, total, total_sq)
         )
-        self.log_weights = np.zeros(num_particles)
+        self.num_blocks = np.repeat([g.regimes.num_regimes for g in groups], num_particles)
+        self.log_alpha = np.repeat([math.log(g.alpha) for g in groups], num_particles)
+        self.log_weights = np.zeros(len(self.group))
+        self.log_ml_acc = np.zeros(num_groups)
         self.cursor = 0
-        self.log_ml_acc = 0.0
 
     def __len__(self):
         return len(self.log_weights)
 
-    def normalized_weights(self) -> np.ndarray:
-        log_weights = np.asarray(self.log_weights, dtype=float)
-        hi = log_weights.max()
-        if hi == NEG_INF:
-            raise NumericalError("all particle weights are zero")
-        w = np.exp(log_weights - hi)
-        return w / w.sum()
+    def normalized_weights(self):
+        """Per group: the log of the summed weights, (G,), and the weights over that sum, (G, J).
 
-    def ess(self) -> float:
-        w = self.normalized_weights()
-        return 1.0 / float(np.sum(w * w))
+        Raises :class:`NumericalError` when a group's weights are all zero.
+        """
+        log_weights = np.asarray(self.log_weights, dtype=float).reshape(-1, self.num_particles)
+        hi = log_weights.max(axis=1)
+        if (hi == NEG_INF).any():
+            raise NumericalError("all particle weights of a group are zero")
+        scaled = np.exp(log_weights - hi[:, None])
+        total = scaled.sum(axis=1)
+        return hi + np.log(total), scaled / total[:, None]
 
-    def log_marginal_likelihood(self) -> float:
-        """Current estimate of the log marginal likelihood of the data so far."""
-        lse = PrefixStats.log_normalizers(np.asarray(self.log_weights, dtype=float))
-        return self.log_ml_acc + float(lse) - math.log(len(self))
+    def log_marginal_likelihood(self) -> np.ndarray:
+        """Each group's current estimate of the log marginal likelihood of the data so far."""
+        log_sum, _ = self.normalized_weights()
+        return self.log_ml_acc + log_sum - math.log(self.num_particles)
 
     def log_weights_split(self, t: int, x=None, emission=True):
-        """(base, emission) log weights of every particle at step t, each (J, K+1).
+        """(base, emission) log weights of every particle at step t, each (G*J, K+1).
 
         K is the largest block count.  ``base`` is CRP count/concentration
         plus cohesion over the observed lag cells; ``emission`` sums the
         emission predictives of the observed cells at t, and is None when
         ``emission`` is false, which scores the lag cells only.  ``x`` is each
-        particle's row of cell values at t, (J, cells); by default every
-        particle reads the layout's.  Particle j's column ``num_blocks[j]`` is
+        particle's row of cell values at t, (G*J, cells); by default every
+        particle reads its group's.  Particle p's column ``num_blocks[p]`` is
         its fresh block; its later columns have base -inf.
         """
         width = int(self.num_blocks.max()) + 1
-        cells = self.cells
-        rows = slice(None) if emission else slice(cells.num_lags)
-        stats = (s[:, rows, :width] for s in (self.count, self.total, self.total_sq))
-        x = cells.x[:, t - 1] if x is None else x
-        hyper = (h[rows] for h in cells.hyper)
-        row, ratio = cells.lgamma
-        f = predictive_logpdf_array(*hyper, *stats, x[..., rows, None], lgamma=(row[rows], ratio))
-        factors = np.where(cells.seen[rows, t - 1, None], f, 0.0)
+        rows = slice(None) if emission else slice(self.num_lags)
+        lead, per_group = self.lead, self.per_group
+        stats = (
+            s[:, rows, :width].reshape(*lead, -1, width) for s in (self.count, self.total, self.total_sq)
+        )
+        x = self.x[:, rows, t - 1].reshape(per_group) if x is None else x[:, rows].reshape(*lead, -1, 1)
+        hyper = (h[..., rows, :] for h in self.hyper)
+        row, ratio = self.lgamma
+        f = predictive_logpdf_array(*hyper, *stats, x, lgamma=(row[..., rows, :], ratio))
+        seen = self.seen[:, rows, t - 1].reshape(per_group)
+        factors = np.where(seen, f, 0.0).reshape(len(self), -1, width)
         with np.errstate(divide="ignore"):
             crp = np.log(self.sizes[:, :width])
         crp[np.arange(len(crp)), self.num_blocks] = self.log_alpha
-        lags = cells.num_lags
+        lags = self.num_lags
         base = crp + factors[:, :lags].sum(axis=1)
         return base, factors[:, lags:].sum(axis=1) if emission else None
 
     def assign(self, t: int, pick: np.ndarray, x=None) -> None:
-        """Assign step t of particle j to column ``pick[j]`` and fold in its observed values.
+        """Assign step t of particle p to column ``pick[p]`` and fold in its observed values.
 
         ``x`` is as in :meth:`log_weights_split`, with 0 at unobserved cells.
         Each cell adds its values in time order, so the sums have the bits of
@@ -152,8 +198,8 @@ class ParticleSet:
         self.z[:, t - 1] = pick + 1
         self.sizes[particles, pick] += 1
         self.num_blocks += pick == self.num_blocks
-        x = self.cells.x[:, t - 1] if x is None else x
-        self.count[particles, :, pick] += self.cells.seen[:, t - 1]
+        x = self.x[self.group, :, t - 1] if x is None else x
+        self.count[particles, :, pick] += self.seen[self.group, :, t - 1]
         self.total[particles, :, pick] += x
         self.total_sq[particles, :, pick] += x * x
         capacity = self.sizes.shape[1]
@@ -164,13 +210,13 @@ class ParticleSet:
                 setattr(self, name, np.concatenate([stats, np.zeros_like(stats)], axis=2))
 
     def gather(self, picks: np.ndarray) -> None:
-        """Make particle j a copy of particle ``picks[j]``."""
+        """Make particle p a copy of particle ``picks[p]``, one of its own group's."""
         for name in ("z", "num_blocks", "sizes", "count", "total", "total_sq"):
             setattr(self, name, getattr(self, name)[picks])
 
 
 def smc_step(ps: ParticleSet, t: int, rng) -> None:
-    """Advance every particle from t-1 to t.
+    """Advance every particle of every group from t-1 to t.
 
     Samples each particle's regime from the optimal proposal, multiplies its
     weight by the one-step predictive of the observed cells, then folds the
@@ -180,44 +226,56 @@ def smc_step(ps: ParticleSet, t: int, rng) -> None:
         raise ValueError(f"cursor at {ps.cursor}, cannot step to {t}")
     base, emis = ps.log_weights_split(t)
     full = base + emis
-    lse = PrefixStats.log_normalizers  # over the last axis
-    ps.log_weights = ps.log_weights + (lse(full) - lse(base))
+    lse = PrefixStats.log_normalizers(np.stack([full, base]))  # over the last axis
+    ps.log_weights = ps.log_weights + (lse[0] - lse[1])
     ps.assign(t, np.argmax(full + rng.gumbel(size=full.shape), axis=1))
     ps.cursor = t
 
 
 def maybe_resample(ps: ParticleSet, rng) -> bool:
-    """Multinomial resampling when ESS drops below ``ESS_THRESHOLD * J``.
+    """Multinomial resampling of each group whose ESS drops below ``ESS_THRESHOLD * J``.
 
-    On resampling, the mean weight folds into the marginal-likelihood
-    accumulator and weights reset to uniform.
+    The groups that trigger draw their (G', J) counts in one multinomial
+    call.  Each folds its mean weight into its marginal-likelihood
+    accumulator and resets its weights to uniform; the other groups are left
+    as they are.  Returns whether any group resampled.
     """
-    num = len(ps)
-    if ps.ess() >= ESS_THRESHOLD * num:
+    num = ps.num_particles
+    log_sum, probs = ps.normalized_weights()
+    low = np.flatnonzero(1.0 / np.sum(probs * probs, axis=1) < ESS_THRESHOLD * num)
+    if not low.size:
         return False
-    lse = float(PrefixStats.log_normalizers(np.asarray(ps.log_weights, dtype=float)))
-    probs = ps.normalized_weights()
-    counts = rng.multinomial(num, probs / probs.sum())
-    ps.gather(np.repeat(np.arange(num), counts))
-    ps.log_ml_acc += lse - math.log(num)
-    ps.log_weights = np.zeros(num)
+    probs = probs[low]
+    counts = rng.multinomial(num, probs / probs.sum(axis=1, keepdims=True))
+    slots = (low[:, None] * num + np.arange(num)).ravel()
+    picks = np.arange(len(ps))
+    picks[slots] = np.repeat(slots, counts.ravel())
+    ps.gather(picks)
+    ps.log_ml_acc[low] += log_sum[low] - math.log(num)
+    ps.log_weights = np.array(ps.log_weights, dtype=float)
+    ps.log_weights[slots] = 0.0
     return True
 
 
-def smc_block_sample(group, values, observed, num_particles, rng) -> tuple[list[int], float]:
-    """Run the filter over t = 1..T from the empty ``group``; returns ``(z, log_ml)``.
+def smc_block_sample(groups, values, observed, num_particles, rng) -> list[tuple[list[int], float]]:
+    """Run the filter over t = 1..T from the empty ``groups``; returns one ``(z, log_ml)`` each.
 
-    ``z`` is one particle's regime sequence drawn by weight and ``log_ml`` the
-    estimate of the log marginal likelihood.  ``group`` itself is left empty.
-    Each step is one kernel call over (J, cells, K+1) entries, so the work is
-    O(J T K N p) in O(T) array calls; normalizers never need retroactive
-    recomputation, which is what makes this linear in T.
+    ``z`` is one of the group's particles' regime sequences, drawn by weight
+    with one Gumbel draw over (G, J), and ``log_ml`` the estimate of the
+    group's log marginal likelihood.  The groups themselves are left empty.
+    Each step is one kernel call over (G*J, cells, K+1) entries, so the work
+    is O(J T K N p) in O(T) array calls for the whole chain; normalizers
+    never need retroactive recomputation, which is what makes this linear in
+    T.
     """
-    ps = ParticleSet(group, values, observed, num_particles)
-    for t in range(1, group.num_steps + 1):
+    ps = ParticleSet(groups, values, observed, num_particles)
+    num_steps = groups[0].num_steps
+    for t in range(1, num_steps + 1):
         smc_step(ps, t, rng)
-        if t < group.num_steps:
+        if t < num_steps:
             maybe_resample(ps, rng)
     log_ml = ps.log_marginal_likelihood()
-    idx = gumbel_argmax(ps.log_weights.tolist(), rng)
-    return ps.z[idx].tolist(), log_ml
+    weights = ps.log_weights.reshape(len(groups), num_particles)
+    winner = np.argmax(weights + rng.gumbel(size=weights.shape), axis=1)
+    z = ps.z[winner + num_particles * np.arange(len(groups))]
+    return [(row.tolist(), float(ml)) for row, ml in zip(z, log_ml)]

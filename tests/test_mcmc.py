@@ -358,6 +358,56 @@ def test_incremental_ratio_equals_two_pass_reference_at_every_site_and_target():
     assert np.array_equal(table.base, SweepTable(group, panel.values, panel.observed).base)
 
 
+def test_table_built_at_a_site_equals_the_sweep_table_after_the_removal():
+    # a sweep builds its table at its first ratio call, with t unassigned; it
+    # must hold what a table built before t's removal holds after drop, also
+    # when t was a singleton (t = 4 and 6) whose column goes last
+    rng = np.random.default_rng(6)
+    values = [list(rng.normal(size=9)), list(rng.normal(size=9))]
+    values[1][4] = None
+    panel = make_panel(values, window=2)
+    hypers = uniform_hypers(2, 2, m=0.1, V=0.8, a=1.9, b=0.7)
+    z = [1, 2, 1, 3, 2, 4, 1]
+    for t in range(1, len(z) + 1):
+        group = build_group(panel, hypers, z, alpha=0.9)
+        table, branch_old = unassign_site(group, t, panel)
+        built = SweepTable(group, panel.values, panel.observed, site=(t, branch_old))
+        assert np.array_equal(built.base, table.base), t
+        assert np.array_equal(built.normalizers, table.normalizers), t
+        for target in [*range(1, group.regimes.num_regimes + 1), NEW_REGIME]:
+            if target != branch_old:
+                want = two_pass_log_ratio(group, t, branch_old, target, built.cells)
+                assert acceptance_log_ratio(built, t, branch_old, target) == want, (t, target)
+
+
+def test_full_sweep_builds_its_table_at_the_first_ratio_call(monkeypatch):
+    built, ratios = [], []
+
+    class Counted(SweepTable):
+        def __init__(self, *args, **kwargs):
+            built.append(len(ratios))
+            super().__init__(*args, **kwargs)
+
+    ratio = trcrp.mcmc.acceptance_log_ratio
+
+    def counted_ratio(*args):
+        ratios.append(1)
+        return ratio(*args)
+
+    monkeypatch.setattr(trcrp.mcmc, "SweepTable", Counted)
+    monkeypatch.setattr(trcrp.mcmc, "acceptance_log_ratio", counted_ratio)
+    # one regime under a vanishing concentration: no proposal moves, no table
+    panel = make_panel([[1.0] * 8], window=1)
+    group = build_group(panel, uniform_hypers(1, 1), [1] * 7, alpha=1e-12)
+    sweep_z(group, panel.values, panel.observed, np.random.default_rng(3), MhConfig())
+    assert built == ratios == []
+    rng = np.random.default_rng(2)
+    panel = make_panel([list(rng.normal(scale=0.6, size=22))], window=1)
+    group = build_group(panel, uniform_hypers(1, 1), [1, 2] * 10 + [1], alpha=1.5)
+    sweep_z(group, panel.values, panel.observed, np.random.default_rng(5), MhConfig())
+    assert built == [0] and len(ratios) > 1
+
+
 SINGLETONS = [1 + (t // 4) % 5 for t in range(40)]
 SINGLETONS[8], SINGLETONS[22], SINGLETONS[30] = 6, 7, 8
 

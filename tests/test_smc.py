@@ -31,6 +31,11 @@ from trcrp.smc import (
 )
 
 
+# filters per smc_block_sample call in the posterior oracles: the runs are
+# independent groups of one batch
+RUNS_PER_CALL = 1_000
+
+
 def empty_group(panel, hypers, members=(0,), alpha=1.0):
     return GroupModel(members, alpha, panel.num_steps, panel.window, hypers)
 
@@ -49,7 +54,7 @@ def enumerate_log_marginal(panel, hypers, alpha):
 def test_fully_missing_row_leaves_weight_unchanged(rng):
     panel = make_panel([[0.0, 1.0, None, 2.0]], window=1)
     hypers = uniform_hypers(1, 1)
-    ps = ParticleSet(empty_group(panel, hypers), panel.values, panel.observed, 4)
+    ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, 4)
     smc_step(ps, 1, rng)
     before = list(ps.log_weights)
     smc_step(ps, 2, rng)  # row at t=2 is missing
@@ -62,7 +67,7 @@ def test_single_particle_weight_is_log_ml_estimate(rng):
     # product of one-step predictives.
     panel = make_panel([list(rng.normal(size=5))], window=1)
     hypers = uniform_hypers(1, 1)
-    ps = ParticleSet(empty_group(panel, hypers), panel.values, panel.observed, 1)
+    ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, 1)
     for t in range(1, 5):
         smc_step(ps, t, rng)
         if t < 4:
@@ -81,7 +86,7 @@ def test_mean_weight_matches_enumerated_marginal_likelihood(values, window):
     hypers = uniform_hypers(1, window)
     exact = enumerate_log_marginal(panel, hypers, 1.0)
     reps = 100_000
-    ps = ParticleSet(empty_group(panel, hypers), panel.values, panel.observed, reps)
+    ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, reps)
     for t in range(1, panel.num_steps + 1):
         smc_step(ps, t, rng)  # no resampling: mean of raw weight products
     log_mean = scipy.special.logsumexp(ps.log_weights) - math.log(reps)
@@ -90,14 +95,14 @@ def test_mean_weight_matches_enumerated_marginal_likelihood(values, window):
 
 def test_resample_skipped_on_equal_weights(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet(empty_group(panel, uniform_hypers(1, 1)), panel.values, panel.observed, 8)
+    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], panel.values, panel.observed, 8)
     assert not maybe_resample(ps, rng)
-    assert np.allclose(ps.normalized_weights().sum(), 1.0, atol=1e-12)
+    assert np.allclose(ps.normalized_weights()[1].sum(), 1.0, atol=1e-12)
 
 
 def test_resample_collapses_to_dominant_particle(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet(empty_group(panel, uniform_hypers(1, 1)), panel.values, panel.observed, 6)
+    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], panel.values, panel.observed, 6)
     smc_step(ps, 1, rng)
     marker = ps.z[2].tolist()
     ps.log_weights = [0.0 if j == 2 else -1e9 for j in range(6)]
@@ -109,7 +114,7 @@ def test_resample_collapses_to_dominant_particle(rng):
 
 def test_resample_all_zero_weights_raises(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet(empty_group(panel, uniform_hypers(1, 1)), panel.values, panel.observed, 3)
+    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], panel.values, panel.observed, 3)
     ps.log_weights = [float("-inf")] * 3
     with pytest.raises(NumericalError):
         maybe_resample(ps, rng)
@@ -137,7 +142,7 @@ def test_block_sample_deterministic():
     panel = make_panel([[0.0, 0.5, 1.2, -0.3, 0.8]], window=1)
     hypers = uniform_hypers(1, 1)
     runs = [
-        smc_block_sample(empty_group(panel, hypers), panel.values, panel.observed,
+        smc_block_sample([empty_group(panel, hypers)], panel.values, panel.observed,
                          16, np.random.default_rng(123))
         for _ in range(2)
     ]
@@ -158,10 +163,10 @@ def test_returned_partition_distribution_matches_posterior():
 
     reps = 100_000
     counts = {z: 0 for z in seqs}
-    group = empty_group(panel, hypers)
-    for _ in range(reps):
-        z, _ = smc_block_sample(group, panel.values, panel.observed, 16, rng)
-        counts[canonical_partition(z)] += 1
+    groups = [empty_group(panel, hypers)] * RUNS_PER_CALL  # independent filters in one batch
+    for _ in range(reps // RUNS_PER_CALL):
+        for z, _ in smc_block_sample(groups, panel.values, panel.observed, 16, rng):
+            counts[canonical_partition(z)] += 1
     empirical = {z: c / reps for z, c in counts.items()}
     assert total_variation(exact, empirical) < 0.03
 
@@ -224,7 +229,7 @@ def test_batched_weights_match_group_weights(rng, window):
     # from the particle's sequence so far
     panel = gappy_panel(rng, window)
     template = GroupModel(MEMBERS, 0.7, panel.num_steps, window, mixed_hypers(4, window))
-    ps = ParticleSet(template, panel.values, panel.observed, 9)
+    ps = ParticleSet([template], panel.values, panel.observed, 9)
 
     def check(t):
         if t > panel.num_steps:
@@ -253,7 +258,7 @@ def test_particle_stats_match_panel_mask(rng):
 def check_particle_stats(rng, window):
     panel = gappy_panel(rng, window)
     template = GroupModel(MEMBERS, 1.0, panel.num_steps, window, mixed_hypers(4, window))
-    ps = ParticleSet(template, panel.values, panel.observed, 12)
+    ps = ParticleSet([template], panel.values, panel.observed, 12)
 
     def check(t):
         for j in range(len(ps)):
@@ -284,17 +289,20 @@ def test_step_makes_the_same_kernel_calls_for_any_particle_count(rng, monkeypatc
 
     monkeypatch.setattr(smc, "predictive_logpdf_array", counting)
     panel = gappy_panel(rng, 2)
-    template = empty_group(panel, mixed_hypers(4, 2), members=MEMBERS)
+    hypers = mixed_hypers(4, 2)
     per_step = []
-    for num in (1, 8, 64):
-        ps = ParticleSet(template, panel.values, panel.observed, num)
-        for t in range(1, 4):
-            smc_step(ps, t, rng)
-        calls.clear()
-        smc_step(ps, 4, rng)
-        per_step.append(len(calls))
+    # nor with the number of groups filtered together
+    for split in ([MEMBERS], [(0,), (1, 3)], [(0,), (1,), (3,)]):
+        templates = [empty_group(panel, hypers, members=members) for members in split]
+        for num in (1, 8, 64):
+            ps = ParticleSet(templates, panel.values, panel.observed, num)
+            for t in range(1, 4):
+                smc_step(ps, t, rng)
+            calls.clear()
+            smc_step(ps, 4, rng)
+            per_step.append(len(calls))
     assert per_step[0] >= 1
-    assert per_step == [per_step[0]] * 3
+    assert per_step == [per_step[0]] * 9
 
 
 def test_returned_sequence_matches_posterior_with_lags_and_members():
@@ -315,10 +323,120 @@ def test_returned_sequence_matches_posterior_with_lags_and_members():
 
     reps = 8_000
     counts = {z: 0 for z in seqs}
-    group = empty_group(panel, hypers, members=(0, 1))
-    for _ in range(reps):
-        z, _ = smc_block_sample(group, panel.values, panel.observed, 16, rng)
-        counts[canonical_partition(z)] += 1
+    groups = [empty_group(panel, hypers, members=(0, 1))] * RUNS_PER_CALL
+    for _ in range(reps // RUNS_PER_CALL):
+        for z, _ in smc_block_sample(groups, panel.values, panel.observed, 16, rng):
+            counts[canonical_partition(z)] += 1
     empirical = {z: c / reps for z, c in counts.items()}
     bound = 3 * 0.5 * math.sqrt(2 * len(seqs) / (math.pi * reps))
     assert total_variation(exact, empirical) <= bound
+
+
+# Two groups of different widths in one batch, on one window-1 panel: a
+# one-member window-0 group on series 0, whose prefix column it never reads,
+# and a two-member window-1 group with a missing cell.
+TWO_WIDTHS = [[9.0, 0.6, 0.4, -1.1, 0.7], [0.2, 0.6, 0.4, -1.1, 0.7], [-0.3, 0.5, None, -0.9, 1.2]]
+
+
+def two_width_groups():
+    panel = make_panel(TWO_WIDTHS, window=1)
+    hypers = uniform_hypers(3, 1)
+    groups = [GroupModel([0], 1.0, 4, 0, hypers), GroupModel([1, 2], 1.0, 4, 1, hypers)]
+    # each group's data on its own panel, for enumeration
+    own = [
+        (make_panel([TWO_WIDTHS[0][1:]], window=0), [0], uniform_hypers(1, 0)),
+        (make_panel(TWO_WIDTHS[1:], window=1), [0, 1], uniform_hypers(2, 1)),
+    ]
+    seqs = canonical_sequences(4)
+    lls = [
+        np.array([naive_group_loglik(z, members, 1.0, hyper_tuples(h), p) for z in seqs])
+        for p, members, h in own
+    ]
+    return panel, groups, lls
+
+
+def test_batched_groups_match_their_own_enumerated_posteriors():
+    # The TV bound is the one derived in the single-group test above, at
+    # N = 8,000 winners per group.
+    panel, groups, lls = two_width_groups()
+    seqs = canonical_sequences(4)
+    reps = 8_000
+    counts = [{z: 0 for z in seqs} for _ in groups]
+    rng = np.random.default_rng(12)
+    batch = groups * (RUNS_PER_CALL // 2)
+    for _ in range(reps * len(groups) // len(batch)):
+        for g, (z, _) in enumerate(smc_block_sample(batch, panel.values, panel.observed, 16, rng)):
+            counts[g % len(groups)][canonical_partition(z)] += 1
+    bound = 3 * 0.5 * math.sqrt(2 * len(seqs) / (math.pi * reps))
+    for ll, count in zip(lls, counts):
+        exact = dict(zip(seqs, np.exp(ll - scipy.special.logsumexp(ll))))
+        assert total_variation(exact, {z: c / reps for z, c in count.items()}) <= bound
+
+
+def test_batched_groups_mean_weights_match_their_marginal_likelihoods():
+    panel, groups, lls = two_width_groups()
+    reps = 20_000
+    rng = np.random.default_rng(13)
+    ps = ParticleSet(groups, panel.values, panel.observed, reps)
+    for t in range(1, panel.num_steps + 1):
+        smc_step(ps, t, rng)  # no resampling: mean of raw weight products
+    log_mean = scipy.special.logsumexp(ps.log_weights.reshape(len(groups), reps), axis=1)
+    exact = [scipy.special.logsumexp(ll) for ll in lls]
+    assert np.all(np.abs(np.exp(log_mean - math.log(reps) - exact) - 1.0) < 0.01)
+
+
+def test_resampling_one_group_leaves_the_other_untouched(rng):
+    panel, groups, _ = two_width_groups()
+    ps = ParticleSet(groups, panel.values, panel.observed, 6)
+    for t in (1, 2):
+        smc_step(ps, t, rng)
+    ps.log_weights = np.concatenate([np.where(np.arange(6) == 2, 0.0, -1e9), np.linspace(0.0, 0.3, 6)])
+    names = ("z", "num_blocks", "sizes", "count", "total", "total_sq", "log_weights")
+    before = {name: getattr(ps, name)[6:].copy() for name in names}
+    marker = ps.z[2].copy()
+    assert maybe_resample(ps, rng)
+    for name in names:
+        assert np.array_equal(getattr(ps, name)[6:], before[name]), name
+    assert all(np.array_equal(z, marker) for z in ps.z[:6])
+    assert ps.log_weights[:6].tolist() == [0.0] * 6
+    assert ps.log_ml_acc[0] != 0.0 and ps.log_ml_acc[1] == 0.0
+
+
+def test_grouped_particles_match_their_own_group(rng):
+    # each particle's weights and statistics, at every step of a batch of two
+    # groups of different widths, equal the scalar weights and the cells of
+    # its own group loaded from its sequence so far; padding rows stay empty
+    panel = gappy_panel(rng, 2)
+    hypers = mixed_hypers(4, 2)
+    templates = [
+        GroupModel((0, 3), 0.7, panel.num_steps, 2, hypers),
+        GroupModel((1,), 1.3, panel.num_steps, 2, hypers),
+    ]
+    ps = ParticleSet(templates, panel.values, panel.observed, 9)
+    cell_of = {c: cell for cell, c in ps.cells.index.items()}
+
+    def check(t):
+        if t > panel.num_steps:
+            return
+        base, emis = ps.log_weights_split(t)
+        for p in range(len(ps)):
+            g = ps.group[p]
+            group = rebuilt_group(ps, p, templates[g], t - 1, panel)
+            want_base = group.regime_log_weights(t, panel.values, panel.observed, False)
+            want_full = group.regime_log_weights(t, panel.values, panel.observed, True)
+            k = group.regimes.num_regimes
+            assert ps.num_blocks[p] == k
+            assert np.abs(base[p, : k + 1] - want_base).max() <= 1e-12
+            assert np.abs((base + emis)[p, : k + 1] - want_full).max() <= 1e-12
+            for r, c in enumerate(ps.rows[g]):
+                stats = ps.count[p, r], ps.total[p, r], ps.total_sq[p, r]
+                if c not in cell_of:
+                    assert not any(s.any() for s in stats)
+                    continue
+                n, i = cell_of[c]
+                cells = [row[i] for row in group.cells[n]]
+                assert stats[0][:k].tolist() == [s.count for s in cells]
+                assert np.allclose(stats[1][:k], [s.sum for s in cells], rtol=0, atol=1e-8)
+                assert np.allclose(stats[2][:k], [s.sum_sq for s in cells], rtol=0, atol=1e-8)
+
+    filter_with_forced_resample(ps, rng, panel.num_steps, check)
