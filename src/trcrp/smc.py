@@ -14,13 +14,15 @@ widest group's lag and emission rows.  Block k is label k+1, and column
 
 A step scores all particles, cells and blocks with one
 :func:`~trcrp.conjugate.predictive_logpdf_array` call, with the layout's
-lgamma rows, draws every particle's regime with one Gumbel argmax and folds
-the step's observed values into the drawn column of every particle, whatever
-the number of groups.  Resampling is an index gather within each group, and
-``log_ml`` is kept per group.  Forecasts (:func:`trcrp.predict.forecast`)
-reuse the particles as copies of one fitted group: they start from its
-statistics, score the lag cells only and give each particle its own row of
-cell values, since a future lag reads that copy's own draws.
+lgamma rows, and folds the step's observed values into the drawn column of
+every particle with one gather, whatever the number of groups.  In between,
+each group takes its own :func:`smc_step`, which updates its particles'
+weights and draws their regimes with one Gumbel argmax.  Resampling is an
+index gather within each group, and ``log_ml`` is kept per group.  Forecasts
+(:func:`trcrp.predict.forecast`) reuse the particles as copies of one fitted
+group: they start from its statistics, score the lag cells only and give each
+particle its own row of cell values, since a future lag reads that copy's own
+draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -75,7 +77,9 @@ class ParticleSet:
     operands, or (J, cells, blocks) ones for one group.  Every particle
     of group g starts as a copy of it: its regime sequence, blocks and
     statistics, which are empty for the filter's empty groups and those of
-    the fitted group for a forecast.
+    the fitted group for a forecast.  ``cursor[g]`` is the last step group g
+    drew and ``picks`` the columns drawn at it, folded in once every group
+    has drawn (see :func:`smc_step`).
     """
 
     def __init__(self, groups, values, observed, num_particles):
@@ -133,7 +137,9 @@ class ParticleSet:
         self.log_alpha = np.repeat([math.log(g.alpha) for g in groups], num_particles)
         self.log_weights = np.zeros(len(self.group))
         self.log_ml_acc = np.zeros(num_groups)
-        self.cursor = 0
+        self.cursor = [0] * num_groups  # each group's last drawn step
+        self.picks = np.zeros(len(self.group), dtype=np.int64)  # the columns drawn at the step
+        self.scored = None  # (t, full log weights, weight increments) of the step scored last
 
     def __len__(self):
         return len(self.log_weights)
@@ -186,6 +192,21 @@ class ParticleSet:
         base = crp + factors[:, :lags].sum(axis=1)
         return base, factors[:, lags:].sum(axis=1) if emission else None
 
+    def step_scores(self, t: int):
+        """(full log weights, weight increments) of every particle at step t.
+
+        The full log weights are (G*J, K+1) and the increments, the log
+        one-step predictives of the observed cells, (G*J,).  The first call at
+        t scores all groups with one :meth:`log_weights_split` and both
+        normalizers with one call; later calls at t return the same arrays.
+        """
+        if self.scored is None or self.scored[0] != t:
+            base, emis = self.log_weights_split(t)
+            full = base + emis
+            lse = PrefixStats.log_normalizers(np.stack([full, base]))  # over the last axis
+            self.scored = t, full, lse[0] - lse[1]
+        return self.scored[1:]
+
     def assign(self, t: int, pick: np.ndarray, x=None) -> None:
         """Assign step t of particle p to column ``pick[p]`` and fold in its observed values.
 
@@ -211,25 +232,36 @@ class ParticleSet:
 
     def gather(self, picks: np.ndarray) -> None:
         """Make particle p a copy of particle ``picks[p]``, one of its own group's."""
-        for name in ("z", "num_blocks", "sizes", "count", "total", "total_sq"):
+        for name in ("z", "num_blocks", "sizes", "count", "total", "total_sq", "picks"):
             setattr(self, name, getattr(self, name)[picks])
+        self.scored = None
 
 
-def smc_step(ps: ParticleSet, t: int, rng) -> None:
-    """Advance every particle of every group from t-1 to t.
+def smc_step(ps: ParticleSet, t: int, rng, group: int | None = None) -> None:
+    """Advance every particle of ``group``, or of every group when None, from t-1 to t.
 
-    Samples each particle's regime from the optimal proposal, multiplies its
-    weight by the one-step predictive of the observed cells, then folds the
-    observed cells at t into its statistics.
+    Samples each particle's regime from the optimal proposal and multiplies
+    its weight by the one-step predictive of the observed cells.  The groups
+    step in lockstep: the scores at t come from one
+    :meth:`ParticleSet.step_scores` call for all of them, and the step that
+    brings the last group to t folds every particle's observed cells at t
+    into its statistics with one :meth:`ParticleSet.assign`.
     """
-    if t != ps.cursor + 1:
-        raise ValueError(f"cursor at {ps.cursor}, cannot step to {t}")
-    base, emis = ps.log_weights_split(t)
-    full = base + emis
-    lse = PrefixStats.log_normalizers(np.stack([full, base]))  # over the last axis
-    ps.log_weights = ps.log_weights + (lse[0] - lse[1])
-    ps.assign(t, np.argmax(full + rng.gumbel(size=full.shape), axis=1))
-    ps.cursor = t
+    cursor = ps.cursor
+    stepping = range(len(cursor)) if group is None else [group]
+    if any(cursor[g] != t - 1 for g in stepping) or min(cursor) < t - 1:
+        raise ValueError(f"cursors at {cursor}, cannot step groups {list(stepping)} to {t}")
+    full, gain = ps.step_scores(t)
+    rows = slice(None)
+    if group is not None:
+        rows = slice(group * ps.num_particles, (group + 1) * ps.num_particles)
+        full, gain = full[rows], gain[rows]
+    ps.log_weights[rows] += gain
+    ps.picks[rows] = np.argmax(full + rng.gumbel(size=full.shape), axis=1)
+    for g in stepping:
+        cursor[g] = t
+    if min(cursor) == t:
+        ps.assign(t, ps.picks)
 
 
 def maybe_resample(ps: ParticleSet, rng) -> bool:
@@ -263,15 +295,16 @@ def smc_block_sample(groups, values, observed, num_particles, rng) -> list[tuple
     ``z`` is one of the group's particles' regime sequences, drawn by weight
     with one Gumbel draw over (G, J), and ``log_ml`` the estimate of the
     group's log marginal likelihood.  The groups themselves are left empty.
-    Each step is one kernel call over (G*J, cells, K+1) entries, so the work
-    is O(J T K N p) in O(T) array calls for the whole chain; normalizers
-    never need retroactive recomputation, which is what makes this linear in
-    T.
+    Each step is one kernel call and one fold over (G*J, cells, K+1)
+    entries, with one :func:`smc_step` per group between them, so the work is
+    O(J T K N p) in O(T) kernel calls for the whole chain; normalizers never
+    need retroactive recomputation, which is what makes this linear in T.
     """
     ps = ParticleSet(groups, values, observed, num_particles)
     num_steps = groups[0].num_steps
     for t in range(1, num_steps + 1):
-        smc_step(ps, t, rng)
+        for g in range(len(groups)):
+            smc_step(ps, t, rng, g)
         if t < num_steps:
             maybe_resample(ps, rng)
     log_ml = ps.log_marginal_likelihood()

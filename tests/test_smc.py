@@ -402,6 +402,30 @@ def test_resampling_one_group_leaves_the_other_untouched(rng):
     assert ps.log_ml_acc[0] != 0.0 and ps.log_ml_acc[1] == 0.0
 
 
+def test_groups_step_in_lockstep_over_shared_scores(rng, monkeypatch):
+    # each group draws step t in its own smc_step; the groups share one
+    # kernel call at t, the fold waits for the last group, and no group may
+    # run ahead of the others
+    kernel = smc.predictive_logpdf_array
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(smc, "predictive_logpdf_array", counting)
+    panel, groups, _ = two_width_groups()
+    ps = ParticleSet(groups, panel.values, panel.observed, 5)
+    smc_step(ps, 1, rng, 1)
+    with pytest.raises(ValueError):
+        smc_step(ps, 2, rng, 1)
+    assert not ps.sizes.any()
+    smc_step(ps, 1, rng, 0)
+    assert len(calls) == 1
+    assert ps.sizes.sum(axis=1).tolist() == [1] * len(ps)
+    assert np.array_equal(ps.z[:, 0], ps.picks + 1)
+
+
 def test_grouped_particles_match_their_own_group(rng):
     # each particle's weights and statistics, at every step of a batch of two
     # groups of different widths, equal the scalar weights and the cells of
