@@ -9,14 +9,17 @@ Student-T predictives, one per lag offset, restricted to observed lag cells.
 
 All densities are log densities; products elsewhere in the model are sums of
 the values computed here.  The single-site proposal and the forward sampling
-of one sequence score one step of one group with
-:func:`predictive_logpdf_raw`, flat scalar code: below about 60 (cell, block)
-entries it costs less than one array call.  Passes over a whole regime
-sequence, each particle-filter step over all particles and each forecast step
-over all of a chain's draws use :func:`predictive_logpdf_array`, the same
-formula over arrays of statistics.  It broadcasts its hyperparameters, so a
-grid of candidate values on a leading axis is scored in one call.
-Forecasts and imputations draw their emissions with
+of one sequence score one step of one group entry by entry in flat scalar
+code: each statistics cell caches its :func:`student_t_form`, the part of the
+log density that does not depend on the value scored, so an entry costs one
+``log1p`` until the cell's data or hyper changes.  :func:`predictive_logpdf_raw`
+is that form and its query in one call.  Below about 60 (cell, block)
+entries the scalar loop costs less than one array call.  Passes over a whole
+regime sequence, each particle-filter step over all particles and each
+forecast step over all of a chain's draws use :func:`predictive_logpdf_array`,
+the same formula over arrays of statistics.  It broadcasts its
+hyperparameters, so a grid of candidate values on a leading axis is scored in
+one call.  Forecasts and imputations draw their emissions with
 :func:`predictive_sample_array`, which shares its posterior update.
 """
 
@@ -30,7 +33,7 @@ import numpy as np
 __all__ = [
     "NigHyper",
     "NigStats",
-    "posterior_params",
+    "student_t_form",
     "predictive_logpdf_raw",
     "predictive_logpdf_array",
     "predictive_sample_array",
@@ -66,14 +69,19 @@ class NigStats:
 
     Subtraction does not exactly undo addition in floating point; the owning
     group recomputes its cells from the data after every pass that subtracts.
+    ``form`` caches the cell's :func:`student_t_form` under ``hyper``, the
+    :class:`NigHyper` it was built for (see :meth:`student_t`).  Changing the
+    counts does not clear it: the owner sets ``hyper`` to None when it
+    changes a cell whose form may have been built.
     """
 
-    __slots__ = ("count", "sum", "sum_sq")
+    __slots__ = ("count", "sum", "sum_sq", "hyper", "form")
 
     def __init__(self, count: int = 0, sum: float = 0.0, sum_sq: float = 0.0):
         self.count = count
         self.sum = sum
         self.sum_sq = sum_sq
+        self.hyper = None
 
     def incorporate(self, x: float) -> None:
         self.count += 1
@@ -91,32 +99,62 @@ class NigStats:
             self.sum -= x
             self.sum_sq -= x * x
 
+    def student_t(self, hyper: NigHyper) -> tuple:
+        """The cell's :func:`student_t_form` under ``hyper``, built once per
+        hyper object and kept until the owner marks the cell stale."""
+        if self.hyper is not hyper:
+            self.form = student_t_form(
+                hyper.m, hyper.V, hyper.a, hyper.b, self.count, self.sum, self.sum_sq
+            )
+            self.hyper = hyper
+        return self.form
+
     def __repr__(self):
         return f"NigStats(count={self.count}, sum={self.sum!r}, sum_sq={self.sum_sq!r})"
 
 
-def posterior_params(hyper: NigHyper, stats: NigStats) -> NigHyper:
-    """Condition ``hyper`` on the data summarized by ``stats``.
+def _posterior(m0, v0, a0, b0, count, total, total_sq) -> tuple:
+    """Condition the NIG cell (m0, v0, a0, b0) on n = ``count`` observations of
+    sum s = ``total`` and sum of squares q = ``total_sq``; ``(m', V', a', b')``.
 
-    With n observations of sum s and sum of squares q:
     V' = 1/(1/V + n), m' = V'(m/V + s), a' = a + n/2, and the rate update is
     computed in centered form, b' = b + (q - s^2/n)/2 + n(s/n - m)^2/(2(1+nV)),
     which is algebraically the textbook b + (m^2/V + q - m'^2/V')/2 but does
     not cancel catastrophically for tight data.
     """
-    n = stats.count
-    if n == 0:
-        return hyper
-    v_post = 1.0 / (1.0 / hyper.V + n)
-    m_post = v_post * (hyper.m / hyper.V + stats.sum)
-    a_post = hyper.a + 0.5 * n
-    mean = stats.sum / n
-    centered = stats.sum_sq - stats.sum * mean
+    if count == 0:
+        return m0, v0, a0, b0
+    v_post = 1.0 / (1.0 / v0 + count)
+    m_post = v_post * (m0 / v0 + total)
+    a_post = a0 + 0.5 * count
+    mean = total / count
+    centered = total_sq - total * mean
     if centered < 0.0:
         centered = 0.0
-    shift = mean - hyper.m
-    b_post = hyper.b + 0.5 * centered + 0.5 * n * shift * shift / (1.0 + n * hyper.V)
-    return NigHyper(m_post, v_post, a_post, b_post)
+    shift = mean - m0
+    b_post = b0 + 0.5 * centered + 0.5 * count * shift * shift / (1.0 + count * v0)
+    return m_post, v_post, a_post, b_post
+
+
+def student_t_form(m0, v0, a0, b0, count, total, total_sq) -> tuple:
+    """The Student-T posterior predictive of a cell, in the form its queries read.
+
+    The posterior (m', V', a', b') of the cell's NIG hyper and statistics
+    gives a predictive with dof 2a', location m' and squared scale
+    b'(1 + V')/a'.  Returns ``(loc, dof_scale, a_half, const, dof,
+    scale_sq)``: the location m', dof times squared scale, a' + 1/2, the
+    value-free part of the log density, lgamma(a' + 1/2) - lgamma(a') -
+    log(dof_scale)/2 - log(pi)/2, and the dof and squared scale that a draw
+    reads.  The log density at x is ``const - a_half * log1p(z * z /
+    dof_scale)`` with z = x - loc.
+    """
+    m_post, v_post, a_post, b_post = _posterior(m0, v0, a0, b0, count, total, total_sq)
+    scale_sq = b_post * (1.0 + v_post) / a_post
+    dof = 2.0 * a_post
+    dof_scale = dof * scale_sq
+    a_half = a_post + 0.5
+    const = math.lgamma(a_half) - math.lgamma(a_post) - 0.5 * math.log(dof_scale) - 0.5 * _LOG_PI
+    return m_post, dof_scale, a_half, const, dof, scale_sq
 
 
 def predictive_logpdf_raw(
@@ -129,29 +167,11 @@ def predictive_logpdf_raw(
     total_sq: float,
     x: float,
 ) -> float:
-    # posterior_params + Student-T log density fused; no intermediate objects on the hot path.
-    if count == 0:
-        m_post, v_post, a_post, b_post = m0, v0, a0, b0
-    else:
-        v_post = 1.0 / (1.0 / v0 + count)
-        m_post = v_post * (m0 / v0 + total)
-        a_post = a0 + 0.5 * count
-        mean = total / count
-        centered = total_sq - total * mean
-        if centered < 0.0:
-            centered = 0.0
-        shift = mean - m0
-        b_post = b0 + 0.5 * centered + 0.5 * count * shift * shift / (1.0 + count * v0)
-    scale_sq = b_post * (1.0 + v_post) / a_post
-    dof = 2.0 * a_post
-    z = x - m_post
-    return (
-        math.lgamma(a_post + 0.5)
-        - math.lgamma(a_post)
-        - 0.5 * math.log(dof * scale_sq)
-        - 0.5 * _LOG_PI
-        - (a_post + 0.5) * math.log1p(z * z / (dof * scale_sq))
-    )
+    """Log posterior predictive density at ``x`` of a cell with the given
+    hyper and statistics: its :func:`student_t_form` and one query."""
+    loc, dof_scale, a_half, const, _, _ = student_t_form(m0, v0, a0, b0, count, total, total_sq)
+    z = x - loc
+    return const - a_half * math.log1p(z * z / dof_scale)
 
 
 def lgamma_rows(a0, max_count: int):
@@ -159,8 +179,8 @@ def lgamma_rows(a0, max_count: int):
 
     The table has one row per distinct ``a0`` and one column per count c in
     0..max_count; returns ``(row, table)``.  lgamma runs once per distinct
-    argument; arguments are formed as :func:`predictive_logpdf_raw` forms
-    them, so the array and scalar forms give the same lgamma bits.
+    argument; arguments are formed as :func:`student_t_form` forms them, so
+    the array and scalar forms give the same lgamma bits.
     """
     a0 = np.asarray(a0, dtype=float)
     distinct, row = np.unique(a0.ravel(), return_inverse=True)
@@ -171,7 +191,8 @@ def lgamma_rows(a0, max_count: int):
 
 
 def _posterior_array(m0, v0, a0, b0, count, total, total_sq):
-    """:func:`posterior_params` elementwise over broadcast arrays; ``(m, V, a, b)``."""
+    """The posterior update of :func:`student_t_form` elementwise over broadcast
+    arrays; ``(m, V, a, b)``."""
     empty = count == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         v_post = np.where(empty, v0, 1.0 / (1.0 / v0 + count))
@@ -210,7 +231,7 @@ def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma):
 def predictive_sample_array(m0, v0, a0, b0, count, total, total_sq, rng, size=None):
     """Draws from the Student-T posterior predictives of broadcast arrays of cells.
 
-    :func:`posterior_params` and a location-scale ``standard_t`` draw
+    The posterior update and a location-scale ``standard_t`` draw
     elementwise, with one ``standard_t`` call (dof 2a', location m', squared
     scale b'(1 + V')/a'); ``size`` is numpy's, so a (cells, 1) set of
     statistics with ``size=(cells, R)`` gives R draws per cell.  Overflow is
@@ -231,12 +252,14 @@ def marginal_loglik(hyper: NigHyper, stats: NigStats) -> float:
     n = stats.count
     if n == 0:
         return 0.0
-    post = posterior_params(hyper, stats)
+    _, v_post, a_post, b_post = _posterior(
+        hyper.m, hyper.V, hyper.a, hyper.b, n, stats.sum, stats.sum_sq
+    )
     return (
         -0.5 * n * math.log(2.0 * math.pi)
-        + 0.5 * (math.log(post.V) - math.log(hyper.V))
-        + math.lgamma(post.a)
+        + 0.5 * (math.log(v_post) - math.log(hyper.V))
+        + math.lgamma(a_post)
         - math.lgamma(hyper.a)
         + hyper.a * math.log(hyper.b)
-        - post.a * math.log(post.b)
+        - a_post * math.log(b_post)
     )

@@ -126,15 +126,17 @@ def sampleset_hash(panel: TimeSeriesPanel, config: RunConfig) -> str:
     return config_hash(config=stored, panel=panel_digest(panel))
 
 
-def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict, dict]:
-    """Run one chain to completion; returns (state payload, chain stats).
+def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[ChainState, dict]:
+    """Run one chain to completion; returns (final state, chain stats).
 
     Given the initial outer partition the groups' regime sequences are
     independent, so one :func:`~trcrp.smc.smc_block_sample` call filters all
     of them as one particle set; ``chain_stats["smc_log_ml"]`` holds its log
     marginal-likelihood estimates in the order of the groups.  A non-finite
     final log joint raises :class:`NumericalError` whose second argument is
-    the chain's state payload, so it survives a worker process.
+    the chain's state payload, so it survives a worker process.  The
+    returned state's ``grids`` are dropped, so a worker does not send its
+    lgamma rows back.
     """
     rng = np.random.default_rng(seed_seq)
     grids = hypers_mod.build_grids(panel)
@@ -188,7 +190,8 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[dict
         "accept_c": accept_c,
         "smc_log_ml": smc_log_ml,
     }
-    return state_payload(state), stats
+    state.grids = None
+    return state, stats
 
 
 def fit(panel: TimeSeriesPanel, config: RunConfig) -> SampleSet:
@@ -201,7 +204,7 @@ def fit(panel: TimeSeriesPanel, config: RunConfig) -> SampleSet:
             results = list(pool.map(run_chain, [panel] * config.chains, [config] * config.chains, seed_seqs))
     else:
         results = [run_chain(panel, config, seq) for seq in seed_seqs]
-    chains = [state_from_payload(payload, panel) for payload, _ in results]
+    chains = [state for state, _ in results]
     provenance = {"chain_stats": [stats for _, stats in results]}
     return SampleSet(panel=panel, chains=chains, provenance=provenance)
 

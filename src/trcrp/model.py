@@ -14,11 +14,16 @@ forecast rollout all read the panel mask as it stands.
 
 A group keeps one statistics table, ``cells[n][k-1][i]``: per member n,
 regime k and offset i = 0..p, with offset 0 the emission cell and offset i the
-lag-i cell.  Persistent groups inside a chain hold *full* statistics (all
+lag-i cell, and per member one always-empty row for the fresh block,
+``fresh[n]``.  Persistent groups inside a chain hold *full* statistics (all
 assigned times), which is what the single-site sampler's full conditionals
 need.  The sampler subtracts and adds one step at a time, then rebuilds the
 table from the data in time order at the end of every sweep, so between
-sweeps every cell holds canonical sums.
+sweeps every cell holds canonical sums.  Each cell caches its Student-T form
+(:meth:`~trcrp.conjugate.NigStats.student_t`) for the scalar scoring of one
+step: a site changes at most two regimes' rows, and only
+:meth:`GroupModel.assign` and :meth:`GroupModel.unassign` mark the rows they
+touch stale, so the rest of the table scores each entry with one ``log1p``.
 
 Every sequential quantity over a known regime sequence is a sum over t of
 terms that see only the data before t.  :func:`prefix_stats` is the one code
@@ -33,10 +38,10 @@ with the same code and bits.  :class:`PrefixStats` serves the log joint
 (:mod:`trcrp.smc`) reads the same layout, and so do forecasts, which step
 many copies of a fitted group as particles.  Forward sampling of one
 sequence (:meth:`GroupModel.rollout`: simulation and the outer moves' fresh
-slot) only samples, weighing each step from the group's incremental
-statistics.  Sequential sums run over the blocks occupied so far plus one
-fresh block with empty statistics, which makes every quantity invariant to
-regime relabeling.
+slot) only samples, weighing each step from the cached forms of the group's
+incremental statistics.  Sequential sums run over the blocks occupied so far
+plus one fresh block with empty statistics, which makes every quantity
+invariant to regime relabeling.
 """
 
 from __future__ import annotations
@@ -50,9 +55,8 @@ from .conjugate import (
     NigHyper,
     NigStats,
     lgamma_rows,
-    posterior_params,
     predictive_logpdf_array,
-    predictive_logpdf_raw,
+    student_t_form,
 )
 from .panel import TimeSeriesPanel
 from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
@@ -151,10 +155,11 @@ class GroupModel:
     ``cells[n][k-1][i]`` summarizes series n's observed values i steps before
     each step assigned to regime k: offset 0 is the emission cell (the value
     at the step itself), offset i >= 1 the lag-i cell, as in
-    :class:`CellLayout`.
+    :class:`CellLayout`.  ``fresh[n]`` is member n's row for the fresh block,
+    whose statistics stay empty.
     """
 
-    __slots__ = ("members", "alpha", "num_steps", "window", "hypers", "regimes", "cells")
+    __slots__ = ("members", "alpha", "num_steps", "window", "hypers", "regimes", "cells", "fresh")
 
     def __init__(self, members, alpha: float, num_steps: int, window: int, hypers):
         self.members = list(members)
@@ -164,6 +169,7 @@ class GroupModel:
         self.hypers = hypers  # SeriesHypers indexed by series (list or mapping)
         self.regimes = RegimeSeq(num_steps)
         self.cells = {n: [] for n in self.members}
+        self.fresh = {n: self._empty_row() for n in self.members}
 
     def _empty_row(self) -> list[NigStats]:
         return [NigStats() for _ in range(self.window + 1)]
@@ -198,11 +204,12 @@ class GroupModel:
         """Bring series n into the group, folding its data in against the current z."""
         self.members.append(n)
         self.cells[n] = [self._empty_row() for _ in range(self.regimes.num_regimes)]
+        self.fresh[n] = self._empty_row()
         self._fold((n,), range(1, self.num_steps + 1), values, observed)
 
     def drop_member(self, n: int) -> None:
         self.members.remove(n)
-        del self.cells[n]
+        del self.cells[n], self.fresh[n]
 
     # -- incremental assignment ---------------------------------------------
 
@@ -228,13 +235,18 @@ class GroupModel:
                         row[i].incorporate(float(vrow[col - i]))
 
     def assign(self, t: int, k: int, values, observed) -> None:
-        """Assign time t to regime k (1..K) and fold its data into the stats."""
+        """Assign time t to regime k (1..K), fold its data into the stats and
+        mark the members' regime-k rows stale."""
         self.regimes.z[t - 1] = k
         self.regimes.counts[k - 1] += 1
         self._fold(self.members, (t,), values, observed)
+        for n in self.members:
+            for s in self.cells[n][k - 1]:
+                s.hyper = None
 
     def unassign(self, t: int, values, observed) -> tuple[int, bool]:
-        """Remove time t's contributions; returns (old label, regime removed?)."""
+        """Remove time t's contributions, marking the cells they leave stale;
+        returns (old label, regime removed?)."""
         k = self.regimes.z[t - 1]
         if k == 0:
             raise ValueError(f"time {t} not assigned")
@@ -249,6 +261,7 @@ class GroupModel:
             for i in range(p + 1):
                 if orow[col - i]:
                     row[i].unincorporate(float(vrow[col - i]))
+                    row[i].hyper = None
         removed = self.regimes.counts[k - 1] == 0
         if removed:
             self._drop_regime(k)
@@ -278,10 +291,10 @@ class GroupModel:
         return labels
 
     def sample_emission(self, n: int, k: int, rng) -> float:
-        """One draw from series n's emission predictive in regime k: a Student-T
-        with dof 2a', location m' and squared scale b'(1 + V')/a'."""
-        post = posterior_params(self.hypers[n].emission, self.cells[n][k - 1][0])
-        return post.m + math.sqrt(post.b * (1.0 + post.V) / post.a) * rng.standard_t(2.0 * post.a)
+        """One draw from series n's emission predictive in regime k, read from
+        the cell's cached Student-T form."""
+        loc, _, _, _, dof, scale_sq = self.cells[n][k - 1][0].student_t(self.hypers[n].emission)
+        return loc + math.sqrt(scale_sq) * rng.standard_t(dof)
 
     # -- weights ------------------------------------------------------------
 
@@ -291,13 +304,15 @@ class GroupModel:
         Each is the CRP count or concentration plus the cohesion over the
         observed lag cells; with ``emission`` the emission predictives of the
         observed cells at t are summed apart and added last, otherwise none is
-        evaluated.  The fresh block is scored against empty statistics.
+        evaluated.  The fresh block is scored against the member's empty
+        ``fresh`` row.  Each entry reads its cell's cached Student-T form,
+        built here when the cell is stale or its hyper changed.
         """
         p = self.window
         col = p + t - 1
-        fresh_row = [NigStats()] * (p + 1)
+        log1p = math.log1p
         # per member, hoisted out of the regime loop: the observed cells
-        # [(offset, hyper, value)] and the member's stat rows plus the fresh one
+        # [(offset, hyper, value)] and the member's stat rows plus its fresh one
         queries = []
         for n in self.members:
             vrow = values[n]
@@ -308,7 +323,7 @@ class GroupModel:
                 for i in range(0 if emission else 1, p + 1)
                 if orow[col - i]
             ]
-            queries.append((seen, self.cells[n] + [fresh_row]))
+            queries.append((seen, self.cells[n] + [self.fresh[n]]))
         weights = []
         for k, w in enumerate(crp_log_weights(self.regimes.counts, self.alpha)):
             e = 0.0
@@ -316,7 +331,9 @@ class GroupModel:
                 row = rows[k]
                 for i, h, v in seen:
                     s = row[i]
-                    f = predictive_logpdf_raw(h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, v)
+                    loc, dof_scale, a_half, const, _, _ = s.form if s.hyper is h else s.student_t(h)
+                    z = v - loc
+                    f = const - a_half * log1p(z * z / dof_scale)
                     if i:
                         w += f
                     else:
@@ -328,6 +345,19 @@ class GroupModel:
 
     def empty_clone(self) -> "GroupModel":
         return GroupModel(self.members, self.alpha, self.num_steps, self.window, self.hypers)
+
+    def check_forms(self) -> None:
+        """Raise unless every cached form whose hyper is current equals a fresh
+        :func:`~trcrp.conjugate.student_t_form` of its cell."""
+        for n in self.members:
+            sh = self.hypers[n]
+            for row in self.cells[n] + [self.fresh[n]]:
+                for i, s in enumerate(row):
+                    h = sh.cell(i)
+                    if s.hyper is h and s.form != student_t_form(
+                        h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq
+                    ):
+                        raise AssertionError(f"stale Student-t form on series {n}, offset {i}")
 
     def rebuild_stats(self, values, observed) -> None:
         """Recompute every cell from raw data in time order (canonical bits)."""
@@ -624,6 +654,7 @@ class ChainState:
         self.check_outer()
         for group in self.groups:
             group.regimes.check()
+            group.check_forms()
         dev = self.stats_deviation()
         if dev > tol:
             raise AssertionError(f"sufficient statistics drifted by {dev}")

@@ -7,8 +7,8 @@ from scipy.stats.t, and sequential quantities walk explicit data subsets
 instead of sufficient statistics.  The exceptions say so: the bit-exact
 full-MH references (:func:`two_pass_log_ratio`, :func:`two_pass_sweep_z`) and
 the scalar forecast rollout run the package's own model code, and
-:func:`student_t` builds a cell's predictive from the package's
-``posterior_params``.  The CLI output references (:func:`forecast_csv_rows`,
+:func:`posterior_params` (so :func:`student_t`) runs the package's scalar
+posterior update.  The CLI output references (:func:`forecast_csv_rows`,
 :func:`forecast_summary`, :func:`impute_csv_rows`) format given draws one
 element and one series at a time.
 """
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.stats
 
-from trcrp.conjugate import posterior_params
+from trcrp.conjugate import NigHyper, _posterior
 from trcrp.mcmc import NEW_REGIME, propose_z
 from trcrp.model import cell_layout, prefix_stats
 from trcrp.predict import QUANTILES
@@ -72,6 +72,14 @@ class StudentT(NamedTuple):
 
     def sample(self, rng) -> float:
         return self.loc + math.sqrt(self.scale_sq) * rng.standard_t(self.dof)
+
+
+def posterior_params(hyper, stats) -> NigHyper:
+    """``hyper`` conditioned on the data summarized by ``stats``, by the
+    package's scalar posterior update."""
+    return NigHyper(
+        *_posterior(hyper.m, hyper.V, hyper.a, hyper.b, stats.count, stats.sum, stats.sum_sq)
+    )
 
 
 def student_t(hyper, stats) -> StudentT:

@@ -7,14 +7,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_posterior, naive_predictive_logpdf, student_t, value
+from oracles import naive_posterior, naive_predictive_logpdf, posterior_params, student_t, value
 from conftest import cell_logpdf, make_panel
 from trcrp.conjugate import (
     NigHyper,
     NigStats,
     lgamma_rows,
     marginal_loglik,
-    posterior_params,
     predictive_logpdf_array,
     predictive_logpdf_raw,
 )

@@ -25,7 +25,7 @@ from trcrp.engine import (
 )
 from trcrp.model import log_joint, state_from_payload, state_payload
 from trcrp.smc import NumericalError
-from trcrp.predict import dependence_matrix
+from trcrp.predict import dependence_matrix, forecast, impute
 
 
 def small_panel(rng, num_series=2, steps=20, missing=()):
@@ -217,9 +217,10 @@ def test_chain_stats_record_one_smc_estimate_per_initial_group(rng):
     config = quick_config(burnin=0)
     sizes = set()
     for k in range(4):
-        payload, stats = run_chain(panel, config, np.random.SeedSequence(k))
+        state, stats = run_chain(panel, config, np.random.SeedSequence(k))
+        assert state.grids is None  # a worker sends no lgamma rows back
         estimates = stats["smc_log_ml"]
-        assert len(estimates) == len(payload["groups"])
+        assert len(estimates) == len(state.groups)
         assert all(isinstance(v, float) and math.isfinite(v) for v in estimates)
         sizes.add(len(estimates))
     assert len(sizes) > 1  # the seeds cover more than one group count
@@ -236,6 +237,28 @@ def test_fit_parallel_matches_sequential(rng):
     for chain_stats in runs[0].provenance["chain_stats"]:
         assert chain_stats["smc_log_ml"]
         assert all(math.isfinite(v) for v in chain_stats["smc_log_ml"])
+
+
+def test_in_memory_fit_queries_equal_a_reloaded_copy(rng, tmp_path):
+    # the fit serves the chains run_chain built; a reload folds them from the payload
+    panel = small_panel(rng, num_series=3, missing=[(1, 7), (2, 15)])
+    config = quick_config(chains=3, burnin=4)
+    samples = fit(panel, config)
+    path = tmp_path / "fit.json"
+    save_sampleset(samples, config, path)
+    loaded = load_sampleset(path)[0]
+
+    def cell_stats(chain):
+        return [
+            (group.members, [[(s.count, s.sum, s.sum_sq) for s in row] for row in group.cells[n]])
+            for group in chain.groups
+            for n in group.members
+        ]
+
+    for fitted, back in zip(samples.chains, loaded.chains, strict=True):
+        assert cell_stats(fitted) == cell_stats(back)
+    assert np.array_equal(forecast(samples, 3, 40, 5).draws, forecast(loaded, 3, 40, 5).draws)
+    assert np.array_equal(impute(samples, 40, 5).draws, impute(loaded, 40, 5).draws)
 
 
 def test_non_finite_joint_raises_with_state_payload(rng, monkeypatch):

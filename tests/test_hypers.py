@@ -19,7 +19,7 @@ from trcrp.hypers import (
     hyper_sweep,
     initial_hypers,
 )
-from trcrp.model import log_joint, state_from_payload
+from trcrp.model import log_joint
 
 
 def test_alpha0_grid_endpoints_n4():
@@ -434,8 +434,7 @@ def fitted_window2_state():
     values[0][4] = values[1][9] = values[2][13] = None
     panel = make_panel(values, window=2)
     config = RunConfig(window=2, chains=1, burnin=3, init_sweeps=1, particles=4)
-    payload, _ = run_chain(panel, config, np.random.SeedSequence(2))
-    state = state_from_payload(payload, panel)
+    state, _ = run_chain(panel, config, np.random.SeedSequence(2))
     state.grids = build_grids(panel)
     return state
 

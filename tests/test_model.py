@@ -14,11 +14,13 @@ from oracles import (
     total_variation,
     value,
 )
-import trcrp.model as model_mod
-from trcrp.conjugate import NigStats
+import trcrp.conjugate as conjugate
+from trcrp.conjugate import NigHyper, NigStats, predictive_logpdf_raw, student_t_form
+from trcrp.mcmc import NEW_REGIME, propose_z
 from trcrp.model import (
     ChainState,
     GroupModel,
+    SeriesHypers,
     cell_layout,
     crp_log_weights,
     log_joint,
@@ -115,19 +117,23 @@ def test_reweighted_weights_normalize(rng):
 def test_reweighted_weights_evaluate_no_emission_terms(monkeypatch):
     # both cells at t=3 are observed; one of the four lag cells is not
     panel = make_panel([[0.1, 0.5, 0.9, -0.2, 0.7], [0.3, 0.2, 0.4, None, 1.1]], window=2)
-    group = build_group(panel, uniform_hypers(2, 2), [1, 2, 1])
+    lag = NigHyper(0.0, 1.0, 2.0, 1.0)
+    emission = NigHyper(0.5, 2.0, 3.0, 1.5)  # told apart from the lag cells by its values
+    hypers = [SeriesHypers(emission, (lag, lag)) for _ in range(2)]
+    group = build_group(panel, hypers, [1, 2, 1])
     group.unassign(3, panel.values, panel.observed)
-    calls = []
-    original = model_mod.predictive_logpdf_raw
+    built = []
+    original = conjugate.student_t_form
 
     def counting(*args):
-        calls.append(args)
+        built.append(args[:4])
         return original(*args)
 
-    monkeypatch.setattr(model_mod, "predictive_logpdf_raw", counting)
+    monkeypatch.setattr(conjugate, "student_t_form", counting)
     group.regime_log_weights(3, panel.values, panel.observed, False)
     num_blocks = group.regimes.num_regimes + 1
-    assert len(calls) == num_blocks * 3
+    assert built.count((emission.m, emission.V, emission.a, emission.b)) == 0
+    assert len(built) == num_blocks * 3  # one form per observed lag cell and block
 
 
 # -- step normalizer -----------------------------------------------------------
@@ -392,6 +398,74 @@ def test_stats_deviation_after_manual_churn(rng):
 def _three_series_two_groups(rng):
     panel = make_panel([list(rng.normal(size=5)) for _ in range(3)], window=1)
     return build_state(panel, uniform_hypers(3, 1), [[1, 2, 1, 1], [1, 1, 2, 2]], [1, 2, 1])
+
+
+def test_check_consistency_rejects_a_stale_form(rng):
+    state = _three_series_two_groups(rng)
+    group = state.groups[0]
+    group.regime_log_weights(3, state.values, state.observed, True)  # builds every form
+    state.check_consistency()
+    cell = group.cells[0][0][1]
+    h = state.hypers[0].cell(1)
+    assert cell.hyper is h
+    # the form of other statistics, as if the cell had changed and not been marked
+    cell.form = student_t_form(h.m, h.V, h.a, h.b, cell.count + 1, cell.sum, cell.sum_sq)
+    with pytest.raises(AssertionError, match="stale Student-t form"):
+        state.check_consistency()
+
+
+def plain_regime_log_weights(group, t, values, observed, emission):
+    """:meth:`GroupModel.regime_log_weights` summed from one
+    :func:`predictive_logpdf_raw` call per entry, in the same order."""
+    p = group.window
+    col = p + t - 1
+    empty = [NigStats() for _ in range(p + 1)]
+    weights = []
+    for k, w in enumerate(crp_log_weights(group.regimes.counts, group.alpha)):
+        e = 0.0
+        for n in group.members:
+            row = group.cells[n][k] if k < group.regimes.num_regimes else empty
+            for i in range(0 if emission else 1, p + 1):
+                if observed[n, col - i]:
+                    h, s = group.hypers[n].cell(i), row[i]
+                    x = float(values[n, col - i])
+                    f = predictive_logpdf_raw(h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, x)
+                    if i:
+                        w += f
+                    else:
+                        e += f
+        weights.append(w + e)
+    return weights
+
+
+def test_cached_forms_score_as_the_scalar_kernel_through_a_walk(rng):
+    values = [list(rng.normal(size=14)) for _ in range(4)]
+    values[1][5] = values[0][9] = values[3][2] = None
+    panel = make_panel(values, window=2)
+    z = [[1, 2, 1, 1, 3, 2, 1, 2, 2, 1, 3, 1], [1, 1, 2, 1, 2, 2, 1, 1, 2, 1, 1, 2]]
+    state = build_state(panel, uniform_hypers(4, 2), z, [1, 1, 2, 2])
+    group = state.groups[0]
+
+    def check(t):
+        for emission in (True, False):
+            got = group.regime_log_weights(t, panel.values, panel.observed, emission)
+            assert got == plain_regime_log_weights(group, t, panel.values, panel.observed, emission)
+        group.check_forms()
+
+    for step in range(60):
+        if step == 20:  # a hyper move: every form of series 1's lag-2 cells is out of date
+            state.hypers[1] = state.hypers[1].replace_cell(2, NigHyper(0.4, 0.7, 3.0, 2.5))
+        if step == 40:  # series 3 joins the walked group with empty cached rows
+            state.groups[1].drop_member(3)
+            group.add_member(3, panel.values, panel.observed)
+        t = int(rng.integers(1, panel.num_steps + 1))
+        group.unassign(t, panel.values, panel.observed)
+        check(t)
+        branch = propose_z(group, t, panel.values, panel.observed, rng)
+        k = group.add_regime() if branch == NEW_REGIME else branch
+        group.assign(t, k, panel.values, panel.observed)
+        check(int(rng.integers(1, panel.num_steps + 1)))
+    state.check_consistency()
 
 
 @pytest.mark.parametrize(
