@@ -14,13 +14,16 @@ code: each statistics cell caches its :func:`student_t_form`, the part of the
 log density that does not depend on the value scored, so an entry costs one
 ``log1p`` until the cell's data or hyper changes.  :func:`predictive_logpdf_raw`
 is that form and its query in one call.  Below about 60 (cell, block)
-entries the scalar loop costs less than one array call.  Passes over a whole
-regime sequence, each particle-filter step over all particles and each
-forecast step over all of a chain's draws use :func:`predictive_logpdf_array`,
-the same formula over arrays of statistics.  It broadcasts its
-hyperparameters, so a grid of candidate values on a leading axis is scored in
-one call.  Forecasts and imputations draw their emissions with
-:func:`predictive_sample_array`, which shares its posterior update.
+entries the scalar loop costs less than one array call.  The array path
+splits the same way: :func:`student_t_form_array` builds the forms of
+arrays of statistics and :func:`student_t_logpdf_array` scores forms at
+values, one ``log1p`` per entry.  The particle filter and the forecasts keep
+every particle's forms and rebuild only the column a step folds into.
+Passes over a whole regime sequence use :func:`predictive_logpdf_array`, the
+two in one call.  It broadcasts its hyperparameters, so a grid of candidate
+values on a leading axis is scored in one call.  Forecasts and imputations
+draw their emissions with :func:`predictive_sample_array`, which shares its
+posterior update.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ __all__ = [
     "NigStats",
     "student_t_form",
     "predictive_logpdf_raw",
+    "student_t_form_array",
+    "student_t_logpdf_array",
     "predictive_logpdf_array",
     "predictive_sample_array",
     "lgamma_rows",
@@ -184,9 +189,11 @@ def lgamma_rows(a0, max_count: int):
     """
     a0 = np.asarray(a0, dtype=float)
     distinct, row = np.unique(a0.ravel(), return_inverse=True)
-    keys = distinct[:, None] + 0.5 * np.arange(max_count + 1)
-    lg = np.array([math.lgamma(k) for k in keys.ravel().tolist()]).reshape(keys.shape)
-    lg_half = np.array([math.lgamma(k + 0.5) for k in keys.ravel().tolist()]).reshape(keys.shape)
+    keys = (distinct[:, None] + 0.5 * np.arange(max_count + 1)).ravel()
+    # keys + 1/2 is mostly another key: one lgamma call per distinct argument
+    args, where = np.unique(np.concatenate([keys, keys + 0.5]), return_inverse=True)
+    lg = np.array([math.lgamma(k) for k in args.tolist()])[where]
+    lg, lg_half = (part.reshape(len(distinct), max_count + 1) for part in np.split(lg, 2))
     return row.reshape(a0.shape), lg_half - lg
 
 
@@ -207,8 +214,9 @@ def _posterior_array(m0, v0, a0, b0, count, total, total_sq):
     return m_post, v_post, a0 + 0.5 * count, b_post
 
 
-def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma):
-    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays.
+def student_t_form_array(m0, v0, a0, b0, count, total, total_sq, lgamma):
+    """:func:`student_t_form` elementwise over broadcast numpy arrays: its
+    first four fields, ``(loc, dof_scale, a_half, const)``.
 
     ``lgamma`` is ``(row, table)`` from :func:`lgamma_rows` over cells that
     broadcast like ``a0``, with columns up to at least the largest count;
@@ -219,13 +227,22 @@ def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma):
     row, ratio = lgamma
     scale_sq = b_post * (1.0 + v_post) / a_post
     dof_scale = 2.0 * a_post * scale_sq
-    z = x - m_post
-    return (
-        ratio[row, count]
-        - 0.5 * np.log(dof_scale)
-        - 0.5 * _LOG_PI
-        - (a_post + 0.5) * np.log1p(z * z / dof_scale)
-    )
+    const = ratio[row, count] - 0.5 * np.log(dof_scale) - 0.5 * _LOG_PI
+    return m_post, dof_scale, a_post + 0.5, const
+
+
+def student_t_logpdf_array(form, x):
+    """Log density at ``x`` of a :func:`student_t_form_array` form, elementwise."""
+    loc, dof_scale, a_half, const = form
+    z = x - loc
+    return const - a_half * np.log1p(z * z / dof_scale)
+
+
+def predictive_logpdf_array(m0, v0, a0, b0, count, total, total_sq, x, lgamma):
+    """:func:`predictive_logpdf_raw` elementwise over broadcast numpy arrays:
+    the :func:`student_t_form_array` of the cells scored at ``x``."""
+    form = student_t_form_array(m0, v0, a0, b0, count, total, total_sq, lgamma)
+    return student_t_logpdf_array(form, x)
 
 
 def predictive_sample_array(m0, v0, a0, b0, count, total, total_sq, rng, size=None):

@@ -4,25 +4,28 @@ Given the outer partition, the groups' regime sequences are independent, so
 one filter steps all of them: G groups of J particles each live in stacked
 arrays, particle (g, j) at row g*J + j.  Per particle: the regime labels
 ``z`` of the steps filtered so far, its block count ``num_blocks`` and block
-sizes, its log weight, its group's log concentration, and the count, sum and
-sum of squares of every cell's observed values per block, ``count[p, c, k]``.
+sizes, its log weight, its group's log concentration, the count, sum and
+sum of squares of every cell's observed values per block, ``count[p, c, k]``,
+and the Student-t form of each (cell, block) predictive that these give,
+``form[:, p, c, k]`` (:func:`~trcrp.conjugate.student_t_form_array`).
 Group g's cells are its members' lag rows then their emission rows, gathered
 from one :class:`~trcrp.model.CellLayout` over the members of all the groups,
 the layout prefix passes read, and padded with never-observed rows up to the
 widest group's lag and emission rows.  Block k is label k+1, and column
 ``num_blocks[p]`` is the particle's fresh block, whose statistics are empty.
 
-A step scores all particles, cells and blocks with one
-:func:`~trcrp.conjugate.predictive_logpdf_array` call, with the layout's
-lgamma rows, and folds the step's observed values into the drawn column of
-every particle with one gather, whatever the number of groups.  In between,
-each group takes its own :func:`smc_step`, which updates its particles'
-weights and draws their regimes with one Gumbel argmax.  Resampling is an
-index gather within each group, and ``log_ml`` is kept per group.  Forecasts
-(:func:`trcrp.predict.forecast`) reuse the particles as copies of one fitted
-group: they start from its statistics, score the lag cells only and give each
-particle its own row of cell values, since a future lag reads that copy's own
-draws.
+A step scores all particles, cells and blocks from their forms with one
+:func:`~trcrp.conjugate.student_t_logpdf_array` call, one ``log1p`` per
+entry, and folds the step's observed values into the drawn column of every
+particle with one gather, whatever the number of groups.  Only that column's
+statistics change, so the fold rebuilds that column's forms alone.  In
+between, each group takes its own :func:`smc_step`, which updates its
+particles' weights and draws their regimes with one Gumbel argmax.
+Resampling is an index gather within each group, and ``log_ml`` is kept per
+group.  Forecasts (:func:`trcrp.predict.forecast`) reuse the particles as
+copies of one fitted group: they start from its statistics, score the lag
+cells only and give each particle its own row of cell values, since a future
+lag reads that copy's own draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -39,7 +42,7 @@ import math
 
 import numpy as np
 
-from .conjugate import predictive_logpdf_array
+from .conjugate import student_t_form_array, student_t_logpdf_array
 from .model import PrefixStats, cell_layout
 from .util import NEG_INF
 
@@ -66,20 +69,24 @@ class ParticleSet:
     See the module notes.  The groups share the panel ``values`` and
     ``observed`` and its steps.  A group's window may be below the panel's:
     it then scores its own lags only, so its steps read the panel's columns.
-    ``count``, ``total`` and ``total_sq`` are (G*J, cells, capacity) and
-    ``sizes`` is (G*J, capacity); the capacity doubles whenever a particle's
-    fresh block would fall outside it.  ``cells`` is the
+    ``count``, ``total`` and ``total_sq`` are (G*J, cells, capacity),
+    ``form`` is (4, G*J, cells, capacity), the loc, dof times squared scale,
+    a' + 1/2 and constant of :func:`~trcrp.conjugate.student_t_form_array`
+    for each entry, and ``sizes`` is (G*J, capacity).  The capacity doubles
+    when a step is scored whose fresh block would fall outside it; the new
+    blocks are empty and their forms the prior's.  ``cells`` is the
     :class:`~trcrp.model.CellLayout` of the groups' members over the steps of
     ``values``, and ``rows[g]`` the layout rows of group g's cells, with
-    ``len(cells.index)`` for a padding row; ``x``, ``seen``, ``hyper`` and
-    ``lgamma`` hold the layout's arrays gathered by ``rows``, the last two
-    shaped as the kernel broadcasts them against (G, J, cells, blocks)
-    operands, or (J, cells, blocks) ones for one group.  Every particle
-    of group g starts as a copy of it: its regime sequence, blocks and
-    statistics, which are empty for the filter's empty groups and those of
-    the fitted group for a forecast.  ``cursor[g]`` is the last step group g
-    drew and ``picks`` the columns drawn at it, folded in once every group
-    has drawn (see :func:`smc_step`).
+    ``len(cells.index)`` for a padding row; ``x`` and ``seen``, (G, cells,
+    T), hold the layout's arrays gathered by ``rows``, and ``hyper`` and
+    ``lgamma`` its hypers and lgamma rows, (G*J, cells), gathered for each
+    particle, which is what a fold reads.  Every particle of group g starts as
+    a copy of it: its regime sequence, blocks, statistics and forms, which
+    are empty (the prior's) for the filter's empty groups and those of the
+    fitted group for a forecast.  ``cursor[g]`` is the last step group g drew
+    and ``picks`` the columns drawn at it, folded in once every group has
+    drawn (see :func:`smc_step`); ``folded`` is the last step folded in and
+    ``behind`` counts the groups that have not drawn the next one.
     """
 
     def __init__(self, groups, values, observed, num_particles):
@@ -111,10 +118,12 @@ class ParticleSet:
 
         self.x = gathered(cells.x, 0.0)  # (G, cells, T)
         self.seen = gathered(cells.seen, False)
-        self.hyper = tuple(gathered(h, 1.0).reshape(self.per_group) for h in cells.hyper)
+        hyper = tuple(gathered(h, 1.0) for h in cells.hyper)  # (G, cells, 1)
         lgamma_row, ratio = cells.lgamma
-        self.lgamma = gathered(lgamma_row, 0).reshape(self.per_group), ratio
+        lgamma = gathered(lgamma_row, 0), ratio
         self.group = np.repeat(np.arange(num_groups), num_particles)
+        self.hyper = tuple(h[self.group, :, 0] for h in hyper)
+        self.lgamma = lgamma[0][self.group, :, 0], ratio
         capacity = 4
         while capacity <= max(group.regimes.num_regimes for group in groups):
             capacity *= 2
@@ -130,14 +139,18 @@ class ParticleSet:
                 for k, row in enumerate(group.cells[n]):
                     cell = row[i]
                     count[g, r, k], total[g, r, k], total_sq[g, r, k] = cell.count, cell.sum, cell.sum_sq
+        form = np.array(student_t_form_array(*hyper, count, total, total_sq, lgamma))
         self.z, self.sizes, self.count, self.total, self.total_sq = (
             np.repeat(a, num_particles, axis=0) for a in (z, sizes, count, total, total_sq)
         )
+        self.form = np.repeat(form, num_particles, axis=1)
         self.num_blocks = np.repeat([g.regimes.num_regimes for g in groups], num_particles)
         self.log_alpha = np.repeat([math.log(g.alpha) for g in groups], num_particles)
         self.log_weights = np.zeros(len(self.group))
         self.log_ml_acc = np.zeros(num_groups)
         self.cursor = [0] * num_groups  # each group's last drawn step
+        self.folded = 0  # the last step folded into the statistics, min(cursor)
+        self.behind = num_groups  # the groups still at ``folded``
         self.picks = np.zeros(len(self.group), dtype=np.int64)  # the columns drawn at the step
         self.scored = None  # (t, full log weights, weight increments) of the step scored last
 
@@ -174,15 +187,13 @@ class ParticleSet:
         its fresh block; its later columns have base -inf.
         """
         width = int(self.num_blocks.max()) + 1
+        if width > self.sizes.shape[1]:
+            self._double()
         rows = slice(None) if emission else slice(self.num_lags)
         lead, per_group = self.lead, self.per_group
-        stats = (
-            s[:, rows, :width].reshape(*lead, -1, width) for s in (self.count, self.total, self.total_sq)
-        )
+        form = self.form[:, :, rows, :width].reshape(4, *lead, -1, width)
         x = self.x[:, rows, t - 1].reshape(per_group) if x is None else x[:, rows].reshape(*lead, -1, 1)
-        hyper = (h[..., rows, :] for h in self.hyper)
-        row, ratio = self.lgamma
-        f = predictive_logpdf_array(*hyper, *stats, x, lgamma=(row[..., rows, :], ratio))
+        f = student_t_logpdf_array(form, x)
         seen = self.seen[:, rows, t - 1].reshape(per_group)
         factors = np.where(seen, f, 0.0).reshape(len(self), -1, width)
         with np.errstate(divide="ignore"):
@@ -213,27 +224,43 @@ class ParticleSet:
         ``x`` is as in :meth:`log_weights_split`, with 0 at unobserved cells.
         Each cell adds its values in time order, so the sums have the bits of
         a group rebuilt from the particle's sequence.  An unobserved cell adds
-        a count of 0 and a value of 0.
+        a count of 0 and a value of 0.  The drawn columns' forms are rebuilt
+        from their new statistics; the other columns' statistics, and so
+        their forms, are unchanged.  ``pick`` comes from a score at t, which
+        made room for every particle's fresh block.
         """
         particles = np.arange(len(pick))
+        cells, capacity = self.count.shape[1:]
         self.z[:, t - 1] = pick + 1
-        self.sizes[particles, pick] += 1
+        block = particles * capacity + pick  # flat indices of the drawn blocks
+        self.sizes.put(block, self.sizes.take(block) + 1)
         self.num_blocks += pick == self.num_blocks
         x = self.x[self.group, :, t - 1] if x is None else x
-        self.count[particles, :, pick] += self.seen[self.group, :, t - 1]
-        self.total[particles, :, pick] += x
-        self.total_sq[particles, :, pick] += x * x
-        capacity = self.sizes.shape[1]
-        if self.num_blocks.max() == capacity:
-            self.sizes = np.concatenate([self.sizes, np.zeros_like(self.sizes)], axis=1)
-            for name in ("count", "total", "total_sq"):
-                stats = getattr(self, name)
-                setattr(self, name, np.concatenate([stats, np.zeros_like(stats)], axis=2))
+        seen = self.seen[self.group, :, t - 1]
+        # and of every particle's drawn column, (G*J, cells)
+        drawn = (particles[:, None] * cells + np.arange(cells)) * capacity + pick[:, None]
+        new = []
+        for stats, value in ((self.count, seen), (self.total, x), (self.total_sq, x * x)):
+            new.append(stats.take(drawn) + value)
+            stats.put(drawn, new[-1])
+        for form, value in zip(self.form, student_t_form_array(*self.hyper, *new, self.lgamma)):
+            form.put(drawn, value)
+
+    def _double(self) -> None:
+        """Double the capacity: empty blocks, whose forms are the cells' prior forms."""
+        self.sizes = np.concatenate([self.sizes, np.zeros_like(self.sizes)], axis=1)
+        for name in ("count", "total", "total_sq"):
+            stats = getattr(self, name)
+            setattr(self, name, np.concatenate([stats, np.zeros_like(stats)], axis=2))
+        prior = np.array(student_t_form_array(*self.hyper, 0, 0.0, 0.0, self.lgamma))
+        empty = np.broadcast_to(prior[..., None], self.form.shape)
+        self.form = np.concatenate([self.form, empty], axis=3)
 
     def gather(self, picks: np.ndarray) -> None:
         """Make particle p a copy of particle ``picks[p]``, one of its own group's."""
         for name in ("z", "num_blocks", "sizes", "count", "total", "total_sq", "picks"):
             setattr(self, name, getattr(self, name)[picks])
+        self.form = self.form.take(picks, axis=1)
         self.scored = None
 
 
@@ -245,11 +272,13 @@ def smc_step(ps: ParticleSet, t: int, rng, group: int | None = None) -> None:
     step in lockstep: the scores at t come from one
     :meth:`ParticleSet.step_scores` call for all of them, and the step that
     brings the last group to t folds every particle's observed cells at t
-    into its statistics with one :meth:`ParticleSet.assign`.
+    into its statistics with one :meth:`ParticleSet.assign`.  Besides its
+    particles' rows a call costs O(1) for one group: ``ps.behind`` counts the
+    groups that have not drawn t.
     """
     cursor = ps.cursor
-    stepping = range(len(cursor)) if group is None else [group]
-    if any(cursor[g] != t - 1 for g in stepping) or min(cursor) < t - 1:
+    stepping = range(len(cursor)) if group is None else (group,)
+    if ps.folded != t - 1 or any(cursor[g] != t - 1 for g in stepping):
         raise ValueError(f"cursors at {cursor}, cannot step groups {list(stepping)} to {t}")
     full, gain = ps.step_scores(t)
     rows = slice(None)
@@ -257,11 +286,13 @@ def smc_step(ps: ParticleSet, t: int, rng, group: int | None = None) -> None:
         rows = slice(group * ps.num_particles, (group + 1) * ps.num_particles)
         full, gain = full[rows], gain[rows]
     ps.log_weights[rows] += gain
-    ps.picks[rows] = np.argmax(full + rng.gumbel(size=full.shape), axis=1)
+    ps.picks[rows] = (full + rng.gumbel(size=full.shape)).argmax(axis=1)
     for g in stepping:
         cursor[g] = t
-    if min(cursor) == t:
+    ps.behind -= len(stepping)
+    if not ps.behind:
         ps.assign(t, ps.picks)
+        ps.folded, ps.behind = t, len(cursor)
 
 
 def maybe_resample(ps: ParticleSet, rng) -> bool:

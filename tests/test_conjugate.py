@@ -111,6 +111,30 @@ def test_predictive_matches_scipy_on_random_cases(rng, predictive):
         assert got == pytest.approx(want, abs=1e-8)
 
 
+def test_lgamma_rows_call_lgamma_once_per_distinct_argument(monkeypatch):
+    # the keys a + c/2 and a + c/2 + 1/2 overlap, within one a and across
+    # the a that differ by a multiple of 1/2; the table keeps the bits of a
+    # per-key reference
+    a0 = np.array([[2.0, 1.5], [2.0, 3.25]])
+    max_count = 7
+    lgamma = math.lgamma
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counting)
+    row, table = lgamma_rows(a0, max_count)
+    monkeypatch.undo()
+    distinct = sorted(set(a0.ravel().tolist()))
+    keys = [a + 0.5 * c for a in distinct for c in range(max_count + 1)]
+    assert sorted(calls) == sorted(set(keys) | {k + 0.5 for k in keys})
+    want = [[lgamma(a + 0.5 * c + 0.5) - lgamma(a + 0.5 * c) for c in range(max_count + 1)] for a in distinct]
+    assert np.array_equal(table, np.array(want))
+    assert [distinct[r] for r in row.ravel()] == a0.ravel().tolist()
+
+
 def test_predictive_integrates_to_one(rng):
     for _ in range(15):
         hyper = NigHyper(

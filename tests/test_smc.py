@@ -5,6 +5,7 @@ instances against enumeration, and the distribution of the returned
 sequence against the enumerated posterior.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ from oracles import (
     naive_group_loglik,
     total_variation,
 )
-from trcrp import smc
-from trcrp.conjugate import NigHyper
+from trcrp import predict, smc
+from trcrp.conjugate import NigHyper, student_t_form_array
 from trcrp.model import GroupModel, SeriesHypers
 from trcrp.smc import (
     NumericalError,
@@ -277,17 +278,22 @@ def check_particle_stats(rng, window):
     assert template.regimes.num_regimes == 0  # the template group stays empty
 
 
+def count_kernel_calls(monkeypatch):
+    """Count the filter's calls of the form refresh and of the score, by name."""
+    calls = collections.Counter()
+    for name in ("student_t_form_array", "student_t_logpdf_array"):
+        def counting(*args, _kernel=getattr(smc, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(smc, name, counting)
+    return calls
+
+
 def test_step_makes_the_same_kernel_calls_for_any_particle_count(rng, monkeypatch):
     # batching guard: a step scores all particles with one set of array kernel
     # calls, so the count does not grow with J
-    kernel = smc.predictive_logpdf_array
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(smc, "predictive_logpdf_array", counting)
+    calls = count_kernel_calls(monkeypatch)
     panel = gappy_panel(rng, 2)
     hypers = mixed_hypers(4, 2)
     per_step = []
@@ -300,8 +306,8 @@ def test_step_makes_the_same_kernel_calls_for_any_particle_count(rng, monkeypatc
                 smc_step(ps, t, rng)
             calls.clear()
             smc_step(ps, 4, rng)
-            per_step.append(len(calls))
-    assert per_step[0] >= 1
+            per_step.append(dict(calls))
+    assert per_step[0]["student_t_logpdf_array"] >= 1
     assert per_step == [per_step[0]] * 9
 
 
@@ -406,22 +412,17 @@ def test_groups_step_in_lockstep_over_shared_scores(rng, monkeypatch):
     # each group draws step t in its own smc_step; the groups share one
     # kernel call at t, the fold waits for the last group, and no group may
     # run ahead of the others
-    kernel = smc.predictive_logpdf_array
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(smc, "predictive_logpdf_array", counting)
+    calls = count_kernel_calls(monkeypatch)
     panel, groups, _ = two_width_groups()
     ps = ParticleSet(groups, panel.values, panel.observed, 5)
+    calls.clear()
     smc_step(ps, 1, rng, 1)
     with pytest.raises(ValueError):
         smc_step(ps, 2, rng, 1)
     assert not ps.sizes.any()
+    assert calls == {"student_t_logpdf_array": 1}
     smc_step(ps, 1, rng, 0)
-    assert len(calls) == 1
+    assert calls == {"student_t_logpdf_array": 1, "student_t_form_array": 1}
     assert ps.sizes.sum(axis=1).tolist() == [1] * len(ps)
     assert np.array_equal(ps.z[:, 0], ps.picks + 1)
 
@@ -464,3 +465,64 @@ def test_grouped_particles_match_their_own_group(rng):
                 assert np.allclose(stats[2][:k], [s.sum_sq for s in cells], rtol=0, atol=1e-8)
 
     filter_with_forced_resample(ps, rng, panel.num_steps, check)
+
+
+def fresh_forms(ps):
+    """Every particle's Student-t forms rebuilt from its statistics and its
+    group's layout rows, (4, G*J, cells, capacity)."""
+    def padded(a, fill):
+        return np.concatenate([a, np.full_like(a[:1], fill)])[ps.rows[ps.group]]
+
+    hyper = (padded(h, 1.0) for h in ps.cells.hyper)
+    row, ratio = ps.cells.lgamma
+    lgamma = padded(row, 0), ratio
+    return np.array(student_t_form_array(*hyper, ps.count, ps.total, ps.total_sq, lgamma))
+
+
+def test_stored_forms_equal_fresh_forms_at_every_step(rng):
+    # two groups of different widths (padding rows), forced resampling, and
+    # concentrations high enough that the block capacity doubles
+    panel = gappy_panel(rng, 2)
+    hypers = mixed_hypers(4, 2)
+    templates = [
+        GroupModel((0, 3), 40.0, panel.num_steps, 2, hypers),
+        GroupModel((1,), 40.0, panel.num_steps, 1, hypers),
+    ]
+    ps = ParticleSet(templates, panel.values, panel.observed, 7)
+    capacity = ps.count.shape[2]
+
+    def check(t):
+        assert np.array_equal(ps.form, fresh_forms(ps)), t
+
+    filter_with_forced_resample(ps, rng, panel.num_steps, check)
+    assert ps.count.shape[2] > capacity
+
+
+def test_forecast_forms_equal_fresh_forms_at_every_step(rng, monkeypatch):
+    # a forecast set starts from a fitted group's statistics and folds each
+    # copy's own draws
+    panel = gappy_panel(rng, 2)
+    group = GroupModel(MEMBERS, 0.7, panel.num_steps, 2, mixed_hypers(4, 2))
+    group.load_sequence([1, 1, 2, 1, 3, 2, 4, 1], panel.values, panel.observed)
+    horizon = 6
+    known = panel.values.shape[1]
+    values = np.zeros((4, known + horizon))
+    values[:, :known] = np.where(panel.observed, panel.values, 0.0)
+    observed = np.ones(values.shape, dtype=bool)
+    observed[:, :known] = panel.observed
+    checked = []
+    score, assign = ParticleSet.log_weights_split, ParticleSet.assign
+
+    def checked_score(ps, *args, **kwargs):
+        assert np.array_equal(ps.form, fresh_forms(ps))
+        checked.append(ps.num_blocks.max())
+        return score(ps, *args, **kwargs)
+
+    def checked_assign(ps, *args, **kwargs):
+        assign(ps, *args, **kwargs)
+        assert np.array_equal(ps.form, fresh_forms(ps))
+
+    monkeypatch.setattr(ParticleSet, "log_weights_split", checked_score)
+    monkeypatch.setattr(ParticleSet, "assign", checked_assign)
+    predict._forecast_group(group, values, observed, 5, rng)
+    assert len(checked) == horizon and checked[0] == 4
