@@ -13,11 +13,11 @@ of one sequence score one step of one group entry by entry in flat scalar
 code: each statistics cell caches its :func:`student_t_form`, the part of the
 log density that does not depend on the value scored, so an entry costs one
 ``log1p`` until the cell's data or hyper changes.  :func:`predictive_logpdf_raw`
-is that form and its query in one call.  Below about 60 (cell, block)
-entries the scalar loop costs less than one array call.  The array path
-splits the same way: :func:`student_t_form_array` builds the forms of
-arrays of statistics and :func:`student_t_logpdf_array` scores forms at
-values, one ``log1p`` per entry.  The particle filter and the forecasts keep
+is that form and its query in one call.  With cached forms, below about
+115 (cell, block) entries the scalar loop costs less than one array call.
+The array path splits the same way: :func:`student_t_form_array` builds the
+forms of arrays of statistics and :func:`student_t_logpdf_array` scores
+forms at values, one ``log1p`` per entry.  The particle filter and the forecasts keep
 every particle's forms and rebuild only the column a step folds into.
 Passes over a whole regime sequence use :func:`predictive_logpdf_array`, the
 two in one call.  It broadcasts its hyperparameters, so a grid of candidate

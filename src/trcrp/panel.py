@@ -103,9 +103,11 @@ def load_csv(path, window: int) -> TimeSeriesPanel:
     conditioning prefix and must be complete.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
+        # a comment reads as a blank row, so line_num stays the physical line
+        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
+        records = filter(None, reader)  # the rows that are neither blank nor comments
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
             raise PanelError(f"{path}: empty file") from None
         if len(header) < 2 or header[0] != "time":
@@ -113,11 +115,9 @@ def load_csv(path, window: int) -> TimeSeriesPanel:
         names = tuple(header[1:])
         labels = []
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for row in records:
             if len(row) != len(header):
-                raise PanelError(f"{path}:{lineno}: expected {len(header)} cells")
+                raise PanelError(f"{path}:{reader.line_num}: expected {len(header)} cells")
             labels.append(row[0])
             parsed = []
             for name, cell in zip(names, row[1:]):
@@ -129,7 +129,7 @@ def load_csv(path, window: int) -> TimeSeriesPanel:
                         parsed.append(float(cell))
                     except ValueError:
                         raise PanelError(
-                            f"{path}:{lineno}: non-numeric cell {cell!r} in column {name}"
+                            f"{path}:{reader.line_num}: non-numeric cell {cell!r} in column {name}"
                         ) from None
             rows.append(parsed)
     if len(set(labels)) != len(labels):

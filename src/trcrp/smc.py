@@ -16,16 +16,15 @@ widest group's lag and emission rows.  Block k is label k+1, and column
 
 A step scores all particles, cells and blocks from their forms with one
 :func:`~trcrp.conjugate.student_t_logpdf_array` call, one ``log1p`` per
-entry, and folds the step's observed values into the drawn column of every
-particle with one gather, whatever the number of groups.  Only that column's
-statistics change, so the fold rebuilds that column's forms alone.  In
-between, each group takes its own :func:`smc_step`, which updates its
-particles' weights and draws their regimes with one Gumbel argmax.
-Resampling is an index gather within each group, and ``log_ml`` is kept per
-group.  Forecasts (:func:`trcrp.predict.forecast`) reuse the particles as
-copies of one fitted group: they start from its statistics, score the lag
-cells only and give each particle its own row of cell values, since a future
-lag reads that copy's own draws.
+entry.  Each group's :func:`smc_step` then updates its particles' weights
+from those scores and draws their regimes with one Gumbel argmax, and the
+loop folds every particle's draw with one :meth:`ParticleSet.assign`.  Only
+the drawn column's statistics change, so the fold rebuilds that column's
+forms alone.  Resampling is an index gather within each group, and
+``log_ml`` is kept per group.  Forecasts (:func:`trcrp.predict.forecast`)
+reuse the particles as copies of one fitted group: they start from its
+statistics, score the lag cells only and give each particle its own row of
+cell values, since a future lag reads that copy's own draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -83,10 +82,8 @@ class ParticleSet:
     particle, which is what a fold reads.  Every particle of group g starts as
     a copy of it: its regime sequence, blocks, statistics and forms, which
     are empty (the prior's) for the filter's empty groups and those of the
-    fitted group for a forecast.  ``cursor[g]`` is the last step group g drew
-    and ``picks`` the columns drawn at it, folded in once every group has
-    drawn (see :func:`smc_step`); ``folded`` is the last step folded in and
-    ``behind`` counts the groups that have not drawn the next one.
+    fitted group for a forecast.  ``scored`` holds the scores of the step
+    scored last, which every group's :func:`smc_step` at that step reads.
     """
 
     def __init__(self, groups, values, observed, num_particles):
@@ -148,10 +145,6 @@ class ParticleSet:
         self.log_alpha = np.repeat([math.log(g.alpha) for g in groups], num_particles)
         self.log_weights = np.zeros(len(self.group))
         self.log_ml_acc = np.zeros(num_groups)
-        self.cursor = [0] * num_groups  # each group's last drawn step
-        self.folded = 0  # the last step folded into the statistics, min(cursor)
-        self.behind = num_groups  # the groups still at ``folded``
-        self.picks = np.zeros(len(self.group), dtype=np.int64)  # the columns drawn at the step
         self.scored = None  # (t, full log weights, weight increments) of the step scored last
 
     def __len__(self):
@@ -162,7 +155,7 @@ class ParticleSet:
 
         Raises :class:`NumericalError` when a group's weights are all zero.
         """
-        log_weights = np.asarray(self.log_weights, dtype=float).reshape(-1, self.num_particles)
+        log_weights = self.log_weights.reshape(-1, self.num_particles)
         hi = log_weights.max(axis=1)
         if (hi == NEG_INF).any():
             raise NumericalError("all particle weights of a group are zero")
@@ -258,41 +251,26 @@ class ParticleSet:
 
     def gather(self, picks: np.ndarray) -> None:
         """Make particle p a copy of particle ``picks[p]``, one of its own group's."""
-        for name in ("z", "num_blocks", "sizes", "count", "total", "total_sq", "picks"):
+        for name in ("z", "num_blocks", "sizes", "count", "total", "total_sq"):
             setattr(self, name, getattr(self, name)[picks])
         self.form = self.form.take(picks, axis=1)
         self.scored = None
 
 
-def smc_step(ps: ParticleSet, t: int, rng, group: int | None = None) -> None:
-    """Advance every particle of ``group``, or of every group when None, from t-1 to t.
+def smc_step(ps: ParticleSet, t: int, rng, group: int) -> np.ndarray:
+    """Weigh ``group``'s particles at step t; returns the columns they draw, (J,).
 
-    Samples each particle's regime from the optimal proposal and multiplies
-    its weight by the one-step predictive of the observed cells.  The groups
-    step in lockstep: the scores at t come from one
-    :meth:`ParticleSet.step_scores` call for all of them, and the step that
-    brings the last group to t folds every particle's observed cells at t
-    into its statistics with one :meth:`ParticleSet.assign`.  Besides its
-    particles' rows a call costs O(1) for one group: ``ps.behind`` counts the
-    groups that have not drawn t.
+    Multiplies each particle's weight by the one-step predictive of the
+    observed cells and draws its regime from the optimal proposal.  The
+    scores come from :meth:`ParticleSet.step_scores`, which scores every
+    group at t once; the caller folds the draws in with
+    :meth:`ParticleSet.assign` once every group has drawn.
     """
-    cursor = ps.cursor
-    stepping = range(len(cursor)) if group is None else (group,)
-    if ps.folded != t - 1 or any(cursor[g] != t - 1 for g in stepping):
-        raise ValueError(f"cursors at {cursor}, cannot step groups {list(stepping)} to {t}")
+    rows = slice(group * ps.num_particles, (group + 1) * ps.num_particles)
     full, gain = ps.step_scores(t)
-    rows = slice(None)
-    if group is not None:
-        rows = slice(group * ps.num_particles, (group + 1) * ps.num_particles)
-        full, gain = full[rows], gain[rows]
-    ps.log_weights[rows] += gain
-    ps.picks[rows] = (full + rng.gumbel(size=full.shape)).argmax(axis=1)
-    for g in stepping:
-        cursor[g] = t
-    ps.behind -= len(stepping)
-    if not ps.behind:
-        ps.assign(t, ps.picks)
-        ps.folded, ps.behind = t, len(cursor)
+    full = full[rows]
+    ps.log_weights[rows] += gain[rows]
+    return (full + rng.gumbel(size=full.shape)).argmax(axis=1)
 
 
 def maybe_resample(ps: ParticleSet, rng) -> bool:
@@ -315,7 +293,6 @@ def maybe_resample(ps: ParticleSet, rng) -> bool:
     picks[slots] = np.repeat(slots, counts.ravel())
     ps.gather(picks)
     ps.log_ml_acc[low] += log_sum[low] - math.log(num)
-    ps.log_weights = np.array(ps.log_weights, dtype=float)
     ps.log_weights[slots] = 0.0
     return True
 
@@ -326,16 +303,17 @@ def smc_block_sample(groups, values, observed, num_particles, rng) -> list[tuple
     ``z`` is one of the group's particles' regime sequences, drawn by weight
     with one Gumbel draw over (G, J), and ``log_ml`` the estimate of the
     group's log marginal likelihood.  The groups themselves are left empty.
-    Each step is one kernel call and one fold over (G*J, cells, K+1)
-    entries, with one :func:`smc_step` per group between them, so the work is
-    O(J T K N p) in O(T) kernel calls for the whole chain; normalizers never
-    need retroactive recomputation, which is what makes this linear in T.
+    Each step is one kernel call over (G*J, cells, K+1) entries, one
+    :func:`smc_step` per group, and one fold of all the groups' draws, so the
+    work is O(J T K N p) in O(T) kernel calls for the whole chain;
+    normalizers never need retroactive recomputation, which is what makes
+    this linear in T.
     """
     ps = ParticleSet(groups, values, observed, num_particles)
     num_steps = groups[0].num_steps
     for t in range(1, num_steps + 1):
-        for g in range(len(groups)):
-            smc_step(ps, t, rng, g)
+        draws = [smc_step(ps, t, rng, g) for g in range(len(groups))]
+        ps.assign(t, np.concatenate(draws))
         if t < num_steps:
             maybe_resample(ps, rng)
     log_ml = ps.log_marginal_likelihood()

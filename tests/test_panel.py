@@ -42,6 +42,17 @@ def test_load_csv_rejects_non_numeric(tmp_path):
         load_csv(write_lines(tmp_path / "p.csv", lines), window=0)
 
 
+@pytest.mark.parametrize(
+    "bad, message", [("r2,2.0,3.0", "expected 2 cells"), ("r2,oops", "non-numeric")]
+)
+def test_load_csv_errors_name_the_physical_line(tmp_path, bad, message):
+    # a leading comment, as ``trcrp simulate`` writes, and a blank line both
+    # count: the bad third data row is line 6
+    lines = ["# config_hash abc", "time,a", "r0,1.0", "", "r1,1.5", bad, "r3,4.0"]
+    with pytest.raises(PanelError, match=f"p.csv:6: {message}"):
+        load_csv(write_lines(tmp_path / "p.csv", lines), window=0)
+
+
 def test_load_csv_rejects_missing_prefix(tmp_path):
     lines = ["time,a", "r0,", "r1,1.0", "r2,2.0"]
     with pytest.raises(PanelError, match="prefix"):

@@ -41,6 +41,12 @@ def empty_group(panel, hypers, members=(0,), alpha=1.0):
     return GroupModel(members, alpha, panel.num_steps, panel.window, hypers)
 
 
+def step_all(ps, t, rng):
+    """Step every group of ``ps`` to t and fold their draws in, as the filter does."""
+    draws = [smc_step(ps, t, rng, g) for g in range(len(ps.rows))]
+    ps.assign(t, np.concatenate(draws))
+
+
 def enumerate_log_marginal(panel, hypers, alpha):
     """Exact collapsed marginal likelihood of the panel data, z summed out."""
     tuples = hyper_tuples(hypers)
@@ -56,9 +62,9 @@ def test_fully_missing_row_leaves_weight_unchanged(rng):
     panel = make_panel([[0.0, 1.0, None, 2.0]], window=1)
     hypers = uniform_hypers(1, 1)
     ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, 4)
-    smc_step(ps, 1, rng)
+    step_all(ps, 1, rng)
     before = list(ps.log_weights)
-    smc_step(ps, 2, rng)  # row at t=2 is missing
+    step_all(ps, 2, rng)  # row at t=2 is missing
     assert ps.log_weights.tolist() == before
     assert np.isnan(panel.values[0, 2])  # nothing is imputed
 
@@ -70,7 +76,7 @@ def test_single_particle_weight_is_log_ml_estimate(rng):
     hypers = uniform_hypers(1, 1)
     ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, 1)
     for t in range(1, 5):
-        smc_step(ps, t, rng)
+        step_all(ps, t, rng)
         if t < 4:
             assert not maybe_resample(ps, rng)
     assert ps.log_marginal_likelihood() == pytest.approx(ps.log_weights[0], abs=1e-12)
@@ -89,7 +95,7 @@ def test_mean_weight_matches_enumerated_marginal_likelihood(values, window):
     reps = 100_000
     ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, reps)
     for t in range(1, panel.num_steps + 1):
-        smc_step(ps, t, rng)  # no resampling: mean of raw weight products
+        step_all(ps, t, rng)  # no resampling: mean of raw weight products
     log_mean = scipy.special.logsumexp(ps.log_weights) - math.log(reps)
     assert abs(math.exp(log_mean - exact) - 1.0) < 0.01
 
@@ -104,9 +110,9 @@ def test_resample_skipped_on_equal_weights(rng):
 def test_resample_collapses_to_dominant_particle(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
     ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], panel.values, panel.observed, 6)
-    smc_step(ps, 1, rng)
+    step_all(ps, 1, rng)
     marker = ps.z[2].tolist()
-    ps.log_weights = [0.0 if j == 2 else -1e9 for j in range(6)]
+    ps.log_weights = np.where(np.arange(6) == 2, 0.0, -1e9)
     assert maybe_resample(ps, rng)
     for z in ps.z:
         assert z.tolist() == marker
@@ -116,7 +122,7 @@ def test_resample_collapses_to_dominant_particle(rng):
 def test_resample_all_zero_weights_raises(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
     ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], panel.values, panel.observed, 3)
-    ps.log_weights = [float("-inf")] * 3
+    ps.log_weights = np.full(3, -np.inf)
     with pytest.raises(NumericalError):
         maybe_resample(ps, rng)
 
@@ -214,7 +220,7 @@ def filter_with_forced_resample(ps, rng, num_steps, check):
     """Run every step, calling ``check(t)`` before it; resample by force halfway."""
     for t in range(1, num_steps + 1):
         check(t)
-        smc_step(ps, t, rng)
+        step_all(ps, t, rng)
         if t == num_steps // 2:
             ps.log_weights = np.where(np.arange(len(ps)) % 3 == 0, 0.0, -50.0)
             assert maybe_resample(ps, rng)
@@ -303,9 +309,9 @@ def test_step_makes_the_same_kernel_calls_for_any_particle_count(rng, monkeypatc
         for num in (1, 8, 64):
             ps = ParticleSet(templates, panel.values, panel.observed, num)
             for t in range(1, 4):
-                smc_step(ps, t, rng)
+                step_all(ps, t, rng)
             calls.clear()
-            smc_step(ps, 4, rng)
+            step_all(ps, 4, rng)
             per_step.append(dict(calls))
     assert per_step[0]["student_t_logpdf_array"] >= 1
     assert per_step == [per_step[0]] * 9
@@ -385,7 +391,7 @@ def test_batched_groups_mean_weights_match_their_marginal_likelihoods():
     rng = np.random.default_rng(13)
     ps = ParticleSet(groups, panel.values, panel.observed, reps)
     for t in range(1, panel.num_steps + 1):
-        smc_step(ps, t, rng)  # no resampling: mean of raw weight products
+        step_all(ps, t, rng)  # no resampling: mean of raw weight products
     log_mean = scipy.special.logsumexp(ps.log_weights.reshape(len(groups), reps), axis=1)
     exact = [scipy.special.logsumexp(ll) for ll in lls]
     assert np.all(np.abs(np.exp(log_mean - math.log(reps) - exact) - 1.0) < 0.01)
@@ -395,7 +401,7 @@ def test_resampling_one_group_leaves_the_other_untouched(rng):
     panel, groups, _ = two_width_groups()
     ps = ParticleSet(groups, panel.values, panel.observed, 6)
     for t in (1, 2):
-        smc_step(ps, t, rng)
+        step_all(ps, t, rng)
     ps.log_weights = np.concatenate([np.where(np.arange(6) == 2, 0.0, -1e9), np.linspace(0.0, 0.3, 6)])
     names = ("z", "num_blocks", "sizes", "count", "total", "total_sq", "log_weights")
     before = {name: getattr(ps, name)[6:].copy() for name in names}
@@ -408,23 +414,43 @@ def test_resampling_one_group_leaves_the_other_untouched(rng):
     assert ps.log_ml_acc[0] != 0.0 and ps.log_ml_acc[1] == 0.0
 
 
-def test_groups_step_in_lockstep_over_shared_scores(rng, monkeypatch):
-    # each group draws step t in its own smc_step; the groups share one
-    # kernel call at t, the fold waits for the last group, and no group may
-    # run ahead of the others
+def test_group_steps_share_one_score_and_the_loop_folds(rng, monkeypatch):
+    # smc_step weighs one group's particles from the scores every group shares
+    # at t and returns their draws; smc_block_sample folds all the groups'
+    # draws once per step
     calls = count_kernel_calls(monkeypatch)
     panel, groups, _ = two_width_groups()
     ps = ParticleSet(groups, panel.values, panel.observed, 5)
     calls.clear()
-    smc_step(ps, 1, rng, 1)
-    with pytest.raises(ValueError):
-        smc_step(ps, 2, rng, 1)
+    before = ps.log_weights.copy()
+    second = smc_step(ps, 1, rng, 1)
+    assert second.shape == (5,)
+    assert np.array_equal(ps.log_weights[:5], before[:5])
+    assert (ps.log_weights[5:] != before[5:]).all()
     assert not ps.sizes.any()
+    first = smc_step(ps, 1, rng, 0)
     assert calls == {"student_t_logpdf_array": 1}
-    smc_step(ps, 1, rng, 0)
-    assert calls == {"student_t_logpdf_array": 1, "student_t_form_array": 1}
+    ps.assign(1, np.concatenate([first, second]))
     assert ps.sizes.sum(axis=1).tolist() == [1] * len(ps)
-    assert np.array_equal(ps.z[:, 0], ps.picks + 1)
+
+    # per step: one call of the score and of the fold, one smc_step per group;
+    # the construction's and the capacity doublings' form calls are not counted
+    def counting_step(*args, _step=smc.smc_step):
+        calls["smc_step"] += 1
+        return _step(*args)
+
+    def counting_assign(*args, _assign=ParticleSet.assign):
+        _assign(*args)
+        calls["fold"] += 1
+        per_step.append({name: calls.pop(name, 0) for name in counted})
+
+    counted = ("smc_step", "student_t_logpdf_array", "fold")
+    per_step = []
+    monkeypatch.setattr(smc, "smc_step", counting_step)
+    monkeypatch.setattr(ParticleSet, "assign", counting_assign)
+    calls.clear()
+    smc_block_sample(groups, panel.values, panel.observed, 5, rng)
+    assert per_step == [{"smc_step": 2, "student_t_logpdf_array": 1, "fold": 1}] * panel.num_steps
 
 
 def test_grouped_particles_match_their_own_group(rng):
