@@ -14,9 +14,10 @@ factors in the cohesion sum, so every step's normalizer moves; an emission
 cell's change only the emission term of z_t, so they need no normalizer.  An
 accepted cell move installs the chosen candidate's factors in the table.
 The kernel's lgamma rows (:func:`~trcrp.conjugate.lgamma_rows`) over a
-series' a grid and the counts 0..T are built at the series' first cell move
-and kept in the chain's :class:`Grids`; an ``m``, ``V`` or ``b`` move reads
-the row of the current a, which is always a grid point.
+series' a grid and the counts 0..T are built at the chain's first sweep that
+moves cells and kept in the chain's :class:`Grids`.  Every a is then a grid
+point: the group tables gather their cells' rows from these, and an ``m``,
+``V`` or ``b`` move reads the row of the current a.
 """
 
 from __future__ import annotations
@@ -172,9 +173,17 @@ def _candidates(current: NigHyper, field: str, points) -> tuple:
     return tuple(values[name] for name in NIG_FIELDS)
 
 
-def _group_table(state: ChainState, group) -> PrefixStats:
-    """The prefix table of ``group``'s sequence over its members' lag and emission cells."""
-    cells = cell_layout(group.members, state.hypers, state.values, state.observed, group.window)
+def _group_table(state: ChainState, group, chain_rows: bool = False) -> PrefixStats:
+    """The prefix table of ``group``'s sequence over its members' lag and emission cells.
+
+    With ``chain_rows`` the cells' lgamma rows come from the chain's tables
+    (:func:`_a_rows`), which needs every a on its grid; otherwise the layout
+    builds them.
+    """
+    a_row = (lambda n, a: _a_rows(state, n)[_grid_index(state, n, a)]) if chain_rows else None
+    cells = cell_layout(
+        group.members, state.hypers, state.values, state.observed, group.window, a_row=a_row
+    )
     return prefix_stats(group.regimes.z, cells)
 
 
@@ -204,6 +213,14 @@ def _a_rows(state: ChainState, n: int) -> np.ndarray:
     return rows[n]
 
 
+def _grid_index(state: ChainState, n: int, a: float) -> int:
+    """Index of shape ``a`` on series n's a grid; ``ValueError`` if it is off the grid."""
+    grid = state.grids.series[n].a
+    if a not in grid.points:
+        raise ValueError(f"{grid.param} = {a!r} is not on its grid")
+    return grid.points.index(a)
+
+
 def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: PrefixStats):
     """Log conditional of cell (n, offset)'s ``field`` at each grid point, up to a constant.
 
@@ -216,10 +233,8 @@ def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: Pref
     cand = _candidates(current, field, getattr(grids, field).points)
     if field == "a":
         row = np.arange(GRID_SIZE).reshape(-1, 1, 1)
-    elif current.a in grids.a.points:
-        row = grids.a.points.index(current.a)
     else:
-        raise ValueError(f"{grids.a.param} = {current.a!r} is not on its grid")
+        row = _grid_index(state, n, current.a)
     lgamma = row, _a_rows(state, n)
     return table.cell_logliks(n, offset, cand, state.group_of(n).alpha, lgamma)
 
@@ -247,7 +262,7 @@ def hyper_sweep(state: ChainState, rng, nig_cells: bool = True) -> None:
     _gibbs_alpha0(state, rng)
     tables = {}
     for group in state.groups:
-        tables[group] = _group_table(state, group)
+        tables[group] = _group_table(state, group, chain_rows=nig_cells)
         _gibbs_group_alpha(state, group, tables[group], rng)
     if not nig_cells:
         return

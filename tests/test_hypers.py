@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trcrp.hypers as hypers_mod
+import trcrp.model as model_mod
 from conftest import hyper_tuples, make_panel
 from oracles import naive_log_joint
 from test_model import build_state
@@ -500,9 +501,40 @@ def test_chain_builds_each_series_rows_once(monkeypatch, fixed):
         window=2, chains=2, burnin=4, init_sweeps=1, particles=4, fixed_hypers=fixed
     )
     fit(panel, config)
-    # every sweep moves every cell of every series; only the first move builds rows
+    # every sweep moves every cell of every series; only the first sweep builds rows
     want = [] if fixed else [GRID_SIZE] * (panel.num_series * config.chains)
     assert calls == want
+
+
+def test_chain_row_tables_are_bit_equal_to_built_tables():
+    state = fitted_window2_state()
+    for group in state.groups:
+        built = hypers_mod._group_table(state, group)
+        gathered = hypers_mod._group_table(state, group, chain_rows=True)
+        for name in ("count", "total", "total_sq", "factors", "cohesion", "log_counts"):
+            assert np.array_equal(getattr(gathered, name), getattr(built, name)), name
+    assert len(state.grids.a_rows) == state.num_series
+
+
+def test_sweep_tables_build_no_lgamma_rows_once_the_chain_holds_them(monkeypatch):
+    state = fitted_window2_state()
+    calls = {"model": 0, "hypers": 0}
+
+    def counting(module):
+        def rows(a0, max_count):
+            calls[module] += 1
+            return lgamma_rows(a0, max_count)
+
+        return rows
+
+    monkeypatch.setattr(model_mod, "lgamma_rows", counting("model"))
+    monkeypatch.setattr(hypers_mod, "lgamma_rows", counting("hypers"))
+    rng = np.random.default_rng(3)
+    # the first sweep builds each series' rows, the tables gather from them
+    hyper_sweep(state, rng)
+    assert calls == {"model": 0, "hypers": state.num_series}
+    hyper_sweep(state, rng)
+    assert calls == {"model": 0, "hypers": state.num_series}
 
 
 def test_grids_payload_shape(rng):

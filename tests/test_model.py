@@ -18,8 +18,10 @@ import trcrp.conjugate as conjugate
 from trcrp.conjugate import NigHyper, NigStats, predictive_logpdf_raw, student_t_form
 from trcrp.mcmc import NEW_REGIME, propose_z
 from trcrp.model import (
+    COLUMN_PASS_ROWS,
     ChainState,
     GroupModel,
+    PrefixStats,
     SeriesHypers,
     cell_layout,
     crp_log_weights,
@@ -255,6 +257,21 @@ def test_prefix_columns_keep_their_bits_from_every_first_step(rng):
         part = prefix_columns(member, cells, first)
         for got, want in zip(part, whole):
             assert np.array_equal(got, want[:, first:]), first
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+@pytest.mark.parametrize(
+    "shape", [(COLUMN_PASS_ROWS - 1,), (COLUMN_PASS_ROWS,), (30, 60), (2, 2000)]
+)
+def test_log_normalizers_match_the_plain_expression(rng, width, shape):
+    # log weights with empty blocks (-inf) in every column, the first included
+    base = rng.normal(scale=30.0, size=shape + (width,))
+    empty = rng.random(base.shape) < 0.3
+    empty[..., -1] = False  # the fresh block always has weight alpha
+    base[empty] = -np.inf
+    hi = base.max(axis=-1)
+    want = hi + np.log(np.sum(np.exp(base - hi[..., None]), axis=-1))
+    assert np.array_equal(PrefixStats.log_normalizers(base), want)
 
 
 def test_log_joint_smallest_instance():
