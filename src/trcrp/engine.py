@@ -1,18 +1,23 @@
 """Fit orchestration: chain schedules, parallel execution, SampleSet files.
 
-A fit runs S independent chains.  Each chain initializes the outer partition
-from its prior, block-samples its groups' regime sequences with one particle
-filter over all of them, runs ``init_sweeps`` always-accept sweeps, then full
-MH sweeps, each followed by outer-cluster and griddy-Gibbs hyperparameter
-moves.  The final state of each chain is one posterior sample; a SampleSet
+A fit runs S independent chains in two phases.  Initialisation
+(:func:`init_chains`) runs in the calling process for all the chains: each
+draws its outer partition from the prior, and one particle filter
+block-samples the regime sequences of the groups of a run of chains at once.
+Then each chain's sweeps (:func:`run_sweeps`), sequentially or in worker
+processes, run ``init_sweeps`` always-accept sweeps, then full MH sweeps,
+each followed by outer-cluster and griddy-Gibbs hyperparameter moves.  The
+final state of each chain is one posterior sample; a SampleSet
 file holds them with the panel, the :class:`RunConfig` and each chain's
 statistics.  The file stores each fact once: the config's ``window`` and
 ``chains`` are the panel's window and the chain count, and its hash
 (:func:`sampleset_hash`, over the panel and the config) is recomputed on load.
 
 All randomness derives from the single run seed: chain i uses the i-th spawn
-of ``SeedSequence(seed)``, so results are identical, byte for byte, whether
-chains run sequentially or across any number of worker processes.
+of ``SeedSequence(seed)`` for its partition, its filter draws and then its
+sweeps, and the initialisation never depends on the number of workers, so
+results are identical, byte for byte, whether the sweeps run sequentially or
+across any number of worker processes.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import hypers as hypers_mod
-from . import mcmc, structure
+from . import mcmc, smc, structure
 from .conjugate import NigHyper
 from .model import (
     ChainState,
@@ -46,7 +51,8 @@ __all__ = [
     "panel_digest",
     "sampleset_hash",
     "fit",
-    "run_chain",
+    "init_chains",
+    "run_sweeps",
     "save_sampleset",
     "load_sampleset",
     "SAMPLESET_SCHEMA_VERSION",
@@ -72,7 +78,8 @@ class RunConfig:
     ``fixed_hypers`` pins every NIG cell to one valid (m, V, a, b); the
     concentrations still move on the cadence.  ``window`` must equal the
     fitted panel's.  Validation messages start with the offending field's
-    name.
+    name.  ``threads`` worker processes run the chains' sweeps; the
+    chains are initialised in the calling process whatever it is.
     """
 
     window: int = 10
@@ -126,19 +133,47 @@ def sampleset_hash(panel: TimeSeriesPanel, config: RunConfig) -> str:
     return config_hash(config=stored, panel=panel_digest(panel))
 
 
-def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[ChainState, dict]:
-    """Run one chain to completion; returns (final state, chain stats).
+def _set_entries(groups, num_particles: int) -> int:
+    """Particle-cell entries of one particle set over ``groups``: its particle
+    rows times the lag and emission cells of its widest group."""
+    lags = max(len(group.members) * group.window for group in groups)
+    emissions = max(len(group.members) for group in groups)
+    return num_particles * len(groups) * (lags + emissions)
 
-    Given the initial outer partition the groups' regime sequences are
-    independent, so one :func:`~trcrp.smc.smc_block_sample` call filters all
-    of them as one particle set; ``chain_stats["smc_log_ml"]`` holds its log
-    marginal-likelihood estimates in the order of the groups.  A non-finite
-    final log joint raises :class:`NumericalError` whose second argument is
-    the chain's state payload, so it survives a worker process.  The
-    returned state's ``grids`` are dropped, so a worker does not send its
-    lgamma rows back.
+
+def _batches(chains, num_particles: int) -> list[list]:
+    """Runs of consecutive ``chains``, ``(state, ...)`` entries, whose groups share a set.
+
+    A chain joins the run before it while the set stays within
+    :data:`~trcrp.smc.SET_ENTRIES` entries (:func:`_set_entries`); a chain
+    above that is a run of its own.
     """
-    rng = np.random.default_rng(seed_seq)
+    runs = []
+    for chain in chains:
+        if runs:
+            groups = [group for state, *_ in [*runs[-1], chain] for group in state.groups]
+            if _set_entries(groups, num_particles) <= smc.SET_ENTRIES:
+                runs[-1].append(chain)
+                continue
+        runs.append([chain])
+    return runs
+
+
+def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tuple]:
+    """Initialise one chain per seed sequence; returns ``(state, rng, smc_log_ml)`` each.
+
+    This phase runs in the calling process for all the chains of a fit, so
+    it does not depend on ``config.threads``.  The chains share one build of
+    the :class:`~trcrp.hypers.Grids`, each with its own lgamma rows
+    (``a_rows``) as in a worker process, and start from equal hypers, each
+    in its own list.  Chain i's Generator, ``default_rng(seed_seqs[i])``,
+    draws its outer partition from the CRP, then its groups' regime
+    sequences.  Given the partitions the groups are independent, so one
+    :func:`~trcrp.smc.smc_block_sample` call filters the groups of a run of
+    chains (:func:`_batches`) as one particle set, each chain drawing from
+    its own Generator as it would alone.  ``smc_log_ml`` holds the chain's
+    log marginal-likelihood estimates in the order of its groups.
+    """
     grids = hypers_mod.build_grids(panel)
     if config.fixed_hypers is not None:
         cell = NigHyper(*config.fixed_hypers)
@@ -148,23 +183,45 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[Chai
         ]
     else:
         series_hypers = hypers_mod.initial_hypers(grids, panel.window)
-    if config.hierarchical and panel.num_series > 1:
-        assignments = crp_draw(panel.num_series, 1.0, rng)
-    else:
-        assignments = [1] * panel.num_series
-    num_groups = max(assignments)
-    state = ChainState.create(panel, 1.0, assignments, [1.0] * num_groups, series_hypers)
-    state.grids = grids
+    chains = []
+    for seq in seed_seqs:
+        rng = np.random.default_rng(seq)
+        if config.hierarchical and panel.num_series > 1:
+            assignments = crp_draw(panel.num_series, 1.0, rng)
+        else:
+            assignments = [1] * panel.num_series
+        state = ChainState.create(panel, 1.0, assignments, [1.0] * max(assignments), series_hypers)
+        state.grids = replace(grids, a_rows={})  # the chain's own lgamma rows
+        chains.append((state, rng, []))
 
-    smc_log_ml = []
-    if config.smc_init:
-        draws = smc_block_sample(state.groups, panel.values, panel.observed, config.particles, rng)
-        smc_log_ml = [log_ml for _, log_ml in draws]
-    else:
-        draws = [([1] * panel.num_steps, None)] * num_groups
-    for group, (z, _) in zip(state.groups, draws):
-        group.load_sequence(z, panel.values, panel.observed)
+    values, observed = panel.values, panel.observed
+    if not config.smc_init:
+        for state, _, _ in chains:
+            for group in state.groups:
+                group.load_sequence([1] * panel.num_steps, values, observed)
+        return chains
+    for run in _batches(chains, config.particles):
+        groups = [group for state, _, _ in run for group in state.groups]
+        group_rngs = [rng for state, rng, _ in run for _ in state.groups]
+        draws = iter(smc_block_sample(groups, values, observed, config.particles, group_rngs))
+        for state, _, smc_log_ml in run:
+            for group in state.groups:
+                z, log_ml = next(draws)
+                group.load_sequence(z, values, observed)
+                smc_log_ml.append(log_ml)
+    return chains
 
+
+def run_sweeps(state: ChainState, rng, smc_log_ml, config: RunConfig) -> tuple[ChainState, dict]:
+    """Run an initialised chain's sweeps; returns (final state, chain stats).
+
+    ``state``, ``rng`` and ``smc_log_ml`` are one entry of
+    :func:`init_chains`.  A non-finite final log joint raises
+    :class:`NumericalError` whose second argument is the chain's state
+    payload, so it survives a worker process.  The returned state's
+    ``grids`` are dropped, so a worker does not send its lgamma rows back.
+    """
+    panel = state.panel
     accept_z = {"sites": 0, "accepted": 0, "moved": 0}
     accept_c = {"series": 0, "accepted": 0, "moved": 0}
     for sweep_idx in range(config.burnin):
@@ -195,15 +252,22 @@ def run_chain(panel: TimeSeriesPanel, config: RunConfig, seed_seq) -> tuple[Chai
 
 
 def fit(panel: TimeSeriesPanel, config: RunConfig) -> SampleSet:
-    """Run all chains and assemble the sample set."""
+    """Initialise all chains here, run their sweeps, and assemble the sample set.
+
+    With ``threads > 1`` the sweeps of the chains run across that many
+    worker processes; the initialisation never does, so a fit's chains are
+    the same whatever ``threads`` is.
+    """
     if config.window != panel.window:
         raise ValueError(f"config window {config.window} != panel window {panel.window}")
     seed_seqs = np.random.SeedSequence(config.seed).spawn(config.chains)
+    chains = init_chains(panel, config, seed_seqs)
+    args = [*zip(*chains), [config] * config.chains]
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run_chain, [panel] * config.chains, [config] * config.chains, seed_seqs))
+            results = list(pool.map(run_sweeps, *args))
     else:
-        results = [run_chain(panel, config, seq) for seq in seed_seqs]
+        results = list(map(run_sweeps, *args))
     chains = [state for state, _ in results]
     provenance = {"chain_stats": [stats for _, stats in results]}
     return SampleSet(panel=panel, chains=chains, provenance=provenance)

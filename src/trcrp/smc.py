@@ -1,8 +1,11 @@
-"""Particle-learning block sampler for the regime sequences of a chain's groups.
+"""Particle-learning block sampler for the regime sequences of chains' groups.
 
 Given the outer partition, the groups' regime sequences are independent, so
 one filter steps all of them: G groups of J particles each live in stacked
-arrays, particle (g, j) at row g*J + j.  Per particle: the regime labels
+arrays, particle (g, j) at row g*J + j.  The groups may be several chains',
+each chain's adjacent and drawing from its own Generator: the engine
+initialises a fit's chains together in the calling process, in sets of up to
+:data:`SET_ENTRIES` particle-cell entries.  Per particle: the regime labels
 ``z`` of the steps filtered so far, its block count ``num_blocks`` and block
 sizes, its log weight, its group's log concentration, the count, sum and
 sum of squares of every cell's observed values per block, ``count[p, c, k]``,
@@ -21,7 +24,16 @@ from those scores and draws their regimes with one Gumbel argmax, and the
 loop folds every particle's draw with one :meth:`ParticleSet.assign`.  Only
 the drawn column's statistics change, so the fold rebuilds that column's
 forms alone.  Resampling is an index gather within each group, and
-``log_ml`` is kept per group.  Forecasts (:func:`trcrp.predict.forecast`)
+``log_ml`` is kept per group.
+
+A chain makes the Generator calls it makes when filtered alone: per step
+one (J, K_c+1) Gumbel draw for each of its groups, with K_c the largest block
+count among the chain's own particles, one ``multinomial`` call over its
+groups whose ESS falls below the threshold, and one final (G_c, J) Gumbel
+draw.  So its draws are those of a set of its own.  Its scores may differ in
+the last bit: the lag sums and the step normalizers reduce over the set's
+padded rows and width, and numpy sums 8 entries or more pairwise, in an
+order that the padding moves.  Forecasts (:func:`trcrp.predict.forecast`)
 reuse the particles as copies of one fitted group: they start from its
 statistics, score the lag cells only and give each particle its own row of
 cell values, since a future lag reads that copy's own draws.
@@ -49,6 +61,16 @@ __all__ = ["NumericalError", "ParticleSet", "smc_step", "maybe_resample", "smc_b
 
 # resample when the effective sample size drops below this fraction of J
 ESS_THRESHOLD = 0.5
+
+# Particle-cell entries (particle rows times the widest group's cells) up to
+# which the engine adds chains to one set.  A step costs a fixed ~140 us of
+# numpy calls plus a share per entry.  Measured with perf_counter on one core
+# (numpy 2.4, x86-64 with AVX-512), filtering the first 1-64 chains of one
+# 6-series, window-3 panel at J = 8, the best of 7 interleaved runs: a step
+# costs 660 ns per entry at 320 entries, 310 at 1,920, and 260-300 from 3,500
+# up to 28,000.  From about 4,000 entries on, a step's time is linear in its
+# entries, so a bigger set saves no more fixed cost; it only holds more memory.
+SET_ENTRIES = 4096
 
 
 class NumericalError(RuntimeError):
@@ -84,11 +106,23 @@ class ParticleSet:
     are empty (the prior's) for the filter's empty groups and those of the
     fitted group for a forecast.  ``scored`` holds the scores of the step
     scored last, which every group's :func:`smc_step` at that step reads.
+
+    ``chain[g]`` is group g's chain, numbered 0..C-1 in order, so that a
+    chain's groups are adjacent; by default all groups are chain 0.  The
+    groups' hypers must be equal: the layout reads the first group's.
     """
 
-    def __init__(self, groups, values, observed, num_particles):
+    def __init__(self, groups, values, observed, num_particles, chain=None):
         if num_particles < 1:
             raise ValueError("need at least one particle")
+        chain = [0] * len(groups) if chain is None else list(chain)
+        if chain[0] != 0 or any(b - a not in (0, 1) for a, b in zip(chain, chain[1:])):
+            raise ValueError("chains must be numbered 0..C-1 in the order of their groups")
+        if any(group.hypers != groups[0].hypers for group in groups):
+            raise ValueError("the groups' hypers differ")
+        self.chain = np.array(chain)
+        # the first particle row of each chain, (C,)
+        self.chain_rows = np.flatnonzero(np.diff(self.chain, prepend=-1)) * num_particles
         series = list(dict.fromkeys(n for group in groups for n in group.members))
         window = max(group.window for group in groups)
         self.cells = cells = cell_layout(series, groups[0].hypers, values, observed, window)
@@ -197,18 +231,21 @@ class ParticleSet:
         return base, factors[:, lags:].sum(axis=1) if emission else None
 
     def step_scores(self, t: int):
-        """(full log weights, weight increments) of every particle at step t.
+        """(full log weights, weight increments, widths) of every particle at step t.
 
-        The full log weights are (G*J, K+1) and the increments, the log
-        one-step predictives of the observed cells, (G*J,).  The first call at
-        t scores all groups with one :meth:`log_weights_split` and both
-        normalizers with one call; later calls at t return the same arrays.
+        The full log weights are (G*J, K+1), the increments, the log one-step
+        predictives of the observed cells, (G*J,), and ``widths[g]`` is K_c+1
+        for group g's chain c, whose particles' columns from there on are all
+        -inf.  The first call at t scores all groups with one
+        :meth:`log_weights_split` and both normalizers with one call; later
+        calls at t return the same arrays.
         """
         if self.scored is None or self.scored[0] != t:
             base, emis = self.log_weights_split(t)
             full = base + emis
             lse = PrefixStats.log_normalizers(np.stack([full, base]))  # over the last axis
-            self.scored = t, full, lse[0] - lse[1]
+            widths = np.maximum.reduceat(self.num_blocks, self.chain_rows)[self.chain] + 1
+            self.scored = t, full, lse[0] - lse[1], widths
         return self.scored[1:]
 
     def assign(self, t: int, pick: np.ndarray, x=None) -> None:
@@ -249,11 +286,16 @@ class ParticleSet:
         empty = np.broadcast_to(prior[..., None], self.form.shape)
         self.form = np.concatenate([self.form, empty], axis=3)
 
-    def gather(self, picks: np.ndarray) -> None:
-        """Make particle p a copy of particle ``picks[p]``, one of its own group's."""
+    def gather(self, slots: np.ndarray, picks: np.ndarray) -> None:
+        """Make particle ``slots[i]`` a copy of particle ``picks[i]``, one of its own group's.
+
+        Only the slots' rows are copied, so resampling a few groups of a
+        large set leaves the others' rows where they are.
+        """
         for name in ("z", "num_blocks", "sizes", "count", "total", "total_sq"):
-            setattr(self, name, getattr(self, name)[picks])
-        self.form = self.form.take(picks, axis=1)
+            stats = getattr(self, name)
+            stats[slots] = stats[picks]
+        self.form[:, slots] = self.form[:, picks]
         self.scored = None
 
 
@@ -267,8 +309,8 @@ def smc_step(ps: ParticleSet, t: int, rng, group: int) -> np.ndarray:
     :meth:`ParticleSet.assign` once every group has drawn.
     """
     rows = slice(group * ps.num_particles, (group + 1) * ps.num_particles)
-    full, gain = ps.step_scores(t)
-    full = full[rows]
+    full, gain, widths = ps.step_scores(t)
+    full = full[rows, : widths[group]]
     ps.log_weights[rows] += gain[rows]
     return (full + rng.gumbel(size=full.shape)).argmax(axis=1)
 
@@ -276,22 +318,28 @@ def smc_step(ps: ParticleSet, t: int, rng, group: int) -> np.ndarray:
 def maybe_resample(ps: ParticleSet, rng) -> bool:
     """Multinomial resampling of each group whose ESS drops below ``ESS_THRESHOLD * J``.
 
-    The groups that trigger draw their (G', J) counts in one multinomial
-    call.  Each folds its mean weight into its marginal-likelihood
-    accumulator and resets its weights to uniform; the other groups are left
-    as they are.  Returns whether any group resampled.
+    ``rng`` is one Generator, or one per chain of ``ps``.  A chain's groups
+    that trigger draw their (G', J) counts in one multinomial call from its
+    Generator; a chain with none draws nothing.  Each such group folds its
+    mean weight into its marginal-likelihood accumulator and resets its
+    weights to uniform; the other groups are left as they are.  Returns
+    whether any group resampled.
     """
     num = ps.num_particles
     log_sum, probs = ps.normalized_weights()
     low = np.flatnonzero(1.0 / np.sum(probs * probs, axis=1) < ESS_THRESHOLD * num)
     if not low.size:
         return False
+    rngs = [rng] * len(ps.chain_rows) if isinstance(rng, np.random.Generator) else rng
     probs = probs[low]
-    counts = rng.multinomial(num, probs / probs.sum(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    chain = ps.chain[low]
+    cuts = np.flatnonzero(np.diff(chain)) + 1  # where the next chain's groups start
+    counts = np.concatenate([
+        rngs[c].multinomial(num, p) for c, p in zip(chain[np.r_[0, cuts]], np.split(probs, cuts))
+    ])
     slots = (low[:, None] * num + np.arange(num)).ravel()
-    picks = np.arange(len(ps))
-    picks[slots] = np.repeat(slots, counts.ravel())
-    ps.gather(picks)
+    ps.gather(slots, np.repeat(slots, counts.ravel()))
     ps.log_ml_acc[low] += log_sum[low] - math.log(num)
     ps.log_weights[slots] = 0.0
     return True
@@ -300,24 +348,34 @@ def maybe_resample(ps: ParticleSet, rng) -> bool:
 def smc_block_sample(groups, values, observed, num_particles, rng) -> list[tuple[list[int], float]]:
     """Run the filter over t = 1..T from the empty ``groups``; returns one ``(z, log_ml)`` each.
 
-    ``z`` is one of the group's particles' regime sequences, drawn by weight
-    with one Gumbel draw over (G, J), and ``log_ml`` the estimate of the
-    group's log marginal likelihood.  The groups themselves are left empty.
-    Each step is one kernel call over (G*J, cells, K+1) entries, one
+    ``rng`` is one Generator, which makes the groups one chain, or one per
+    group: the groups that share one are a chain and must be adjacent.  ``z``
+    is one of the group's particles' regime sequences, drawn by weight with
+    one Gumbel draw over each chain's (G_c, J), and ``log_ml`` the estimate
+    of the group's log marginal likelihood.  The groups themselves are left
+    empty.  Each step is one kernel call over (G*J, cells, K+1) entries, one
     :func:`smc_step` per group, and one fold of all the groups' draws, so the
-    work is O(J T K N p) in O(T) kernel calls for the whole chain;
+    work is O(J T K N p) in O(T) kernel calls for the whole set;
     normalizers never need retroactive recomputation, which is what makes
     this linear in T.
     """
-    ps = ParticleSet(groups, values, observed, num_particles)
+    rngs = [rng] * len(groups) if isinstance(rng, np.random.Generator) else list(rng)
+    numbers = {}  # each Generator's chain, in the order of the groups
+    ps = ParticleSet(groups, values, observed, num_particles,
+                     [numbers.setdefault(id(r), len(numbers)) for r in rngs])
+    starts = ps.chain_rows // num_particles  # the first group of each chain
+    chain_rngs = [rngs[g] for g in starts]
     num_steps = groups[0].num_steps
     for t in range(1, num_steps + 1):
-        draws = [smc_step(ps, t, rng, g) for g in range(len(groups))]
+        draws = [smc_step(ps, t, r, g) for g, r in enumerate(rngs)]
         ps.assign(t, np.concatenate(draws))
         if t < num_steps:
-            maybe_resample(ps, rng)
+            maybe_resample(ps, chain_rngs)
     log_ml = ps.log_marginal_likelihood()
     weights = ps.log_weights.reshape(len(groups), num_particles)
-    winner = np.argmax(weights + rng.gumbel(size=weights.shape), axis=1)
+    winner = np.concatenate([
+        np.argmax(w + r.gumbel(size=w.shape), axis=1)
+        for r, w in zip(chain_rngs, np.split(weights, starts[1:]))
+    ])
     z = ps.z[winner + num_particles * np.arange(len(groups))]
     return [(row.tolist(), float(ml)) for row, ml in zip(z, log_ml)]

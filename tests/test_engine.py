@@ -16,10 +16,11 @@ from trcrp.engine import (
     SchemaVersionError,
     config_hash,
     fit,
+    init_chains,
     load_sampleset,
     panel_from_payload,
     panel_payload,
-    run_chain,
+    run_sweeps,
     sampleset_hash,
     save_sampleset,
 )
@@ -217,7 +218,7 @@ def test_chain_stats_record_one_smc_estimate_per_initial_group(rng):
     config = quick_config(burnin=0)
     sizes = set()
     for k in range(4):
-        state, stats = run_chain(panel, config, np.random.SeedSequence(k))
+        state, stats = run_sweeps(*init_chains(panel, config, [np.random.SeedSequence(k)])[0], config)
         assert state.grids is None  # a worker sends no lgamma rows back
         estimates = stats["smc_log_ml"]
         assert len(estimates) == len(state.groups)
@@ -239,8 +240,47 @@ def test_fit_parallel_matches_sequential(rng):
         assert all(math.isfinite(v) for v in chain_stats["smc_log_ml"])
 
 
+def test_chains_initialised_together_equal_chains_initialised_alone(rng, monkeypatch):
+    """The chains share one particle set, each drawing from its own Generator
+    as it would alone, so their states and Generators are byte-equal.  The
+    SMC estimates may differ in the last bit: the lag sums and the step
+    normalizers reduce over the set's padded rows and width, and numpy sums
+    8 entries or more pairwise, in an order that the padding moves."""
+    panel = small_panel(rng, num_series=5, steps=14, missing=[(1, 4), (3, 9)])
+    config = quick_config(chains=6, burnin=0)
+    seqs = np.random.SeedSequence(config.seed).spawn(config.chains)
+    calls = []
+
+    def counting(*args, _sample=engine.smc_block_sample):
+        calls.append(len(args[0]))
+        return _sample(*args)
+
+    monkeypatch.setattr(engine, "smc_block_sample", counting)
+    together = init_chains(panel, config, seqs)
+    states = [state for state, _, _ in together]
+    assert calls == [sum(len(state.groups) for state in states)]  # one set for all the chains
+    assert len({len(state.groups) for state in states}) > 1
+    assert len({max(len(g.members) for g in state.groups) for state in states}) > 1
+    for seq, (state, chain_rng, smc_log_ml) in zip(seqs, together, strict=True):
+        [(own, own_rng, own_log_ml)] = init_chains(panel, config, [seq])
+        assert json.dumps(state_payload(state)) == json.dumps(state_payload(own))
+        assert chain_rng.bit_generator.state == own_rng.bit_generator.state
+        assert np.allclose(smc_log_ml, own_log_ml, rtol=1e-12, atol=0)
+
+
+def test_smc_only_fit_with_threads_equals_sequential(rng):
+    # initialisation runs in the calling process; two workers split five chains' sweeps
+    panel = small_panel(rng, num_series=4, steps=12, missing=[(2, 5)])
+    config = quick_config(chains=5, burnin=0)
+    runs = [fit(panel, config), fit(panel, dataclasses.replace(config, threads=2))]
+    payloads = [[json.dumps(state_payload(c)) for c in run.chains] for run in runs]
+    stats = [json.dumps(run.provenance["chain_stats"]) for run in runs]
+    assert payloads[0] == payloads[1]
+    assert stats[0] == stats[1]
+
+
 def test_in_memory_fit_queries_equal_a_reloaded_copy(rng, tmp_path):
-    # the fit serves the chains run_chain built; a reload folds them from the payload
+    # the fit serves the chains run_sweeps built; a reload folds them from the payload
     panel = small_panel(rng, num_series=3, missing=[(1, 7), (2, 15)])
     config = quick_config(chains=3, burnin=4)
     samples = fit(panel, config)
@@ -266,7 +306,7 @@ def test_non_finite_joint_raises_with_state_payload(rng, monkeypatch):
     monkeypatch.setattr(engine, "log_joint", lambda state: math.nan)
     config = quick_config(chains=1, burnin=2)
     with pytest.raises(NumericalError) as info:
-        run_chain(panel, config, np.random.SeedSequence(0))
+        run_sweeps(*init_chains(panel, config, [np.random.SeedSequence(0)])[0], config)
     # the payload travels in the exception's arguments, which is what a worker pickles
     back = pickle.loads(pickle.dumps(info.value))
     assert str(back) == str(info.value)

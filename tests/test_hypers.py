@@ -11,7 +11,7 @@ from conftest import hyper_tuples, make_panel
 from oracles import naive_log_joint
 from test_model import build_state
 from trcrp.conjugate import lgamma_rows
-from trcrp.engine import RunConfig, fit, run_chain
+from trcrp.engine import RunConfig, fit, init_chains, run_sweeps
 from trcrp.hypers import (
     GRID_SIZE,
     NIG_FIELDS,
@@ -435,7 +435,7 @@ def fitted_window2_state():
     values[0][4] = values[1][9] = values[2][13] = None
     panel = make_panel(values, window=2)
     config = RunConfig(window=2, chains=1, burnin=3, init_sweeps=1, particles=4)
-    state, _ = run_chain(panel, config, np.random.SeedSequence(2))
+    state, _ = run_sweeps(*init_chains(panel, config, [np.random.SeedSequence(2)])[0], config)
     state.grids = build_grids(panel)
     return state
 

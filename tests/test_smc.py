@@ -414,6 +414,79 @@ def test_resampling_one_group_leaves_the_other_untouched(rng):
     assert ps.log_ml_acc[0] != 0.0 and ps.log_ml_acc[1] == 0.0
 
 
+def test_resampling_one_chain_draws_nothing_from_the_other(rng):
+    # two chains of one group each in one set: only chain 1 falls below the
+    # ESS threshold, so only its Generator makes one multinomial call
+    panel, groups, _ = two_width_groups()
+    ps = ParticleSet(groups, panel.values, panel.observed, 6, chain=[0, 1])
+    for t in (1, 2):
+        step_all(ps, t, rng)
+    ps.log_weights = np.concatenate([np.linspace(0.0, 0.3, 6), np.where(np.arange(6) == 2, 0.0, -1e9)])
+    rngs = [np.random.default_rng(21), np.random.default_rng(22)]
+    untouched = rngs[0].bit_generator.state
+    alone = np.random.default_rng(22)
+    alone.multinomial(6, [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+    assert maybe_resample(ps, rngs)
+    assert rngs[0].bit_generator.state == untouched
+    assert rngs[1].bit_generator.state == alone.bit_generator.state
+    assert ps.log_ml_acc[0] == 0.0 and ps.log_ml_acc[1] != 0.0
+
+
+def test_a_chain_draws_gumbels_of_its_own_width():
+    # chain 0's group opens blocks freely, chain 1's almost never: after a few
+    # steps chain 1's particles hold fewer blocks than the set's widest, and
+    # its group's step draws (J, K_1 + 1) Gumbels, K_1 its own largest count
+    panel, groups, _ = two_width_groups()
+    groups[0].alpha, groups[1].alpha = 1e3, 1e-9
+    ps = ParticleSet(groups, panel.values, panel.observed, 5, chain=[0, 1])
+    rng = np.random.default_rng(3)
+    for t in (1, 2, 3):
+        step_all(ps, t, rng)
+    own = int(ps.num_blocks[5:].max())
+    assert own < ps.num_blocks.max()
+    chain_rng, alone = np.random.default_rng(4), np.random.default_rng(4)
+    full, _, _ = ps.step_scores(4)
+    draws = smc_step(ps, 4, chain_rng, 1)
+    gumbel = alone.gumbel(size=(5, own + 1))
+    assert chain_rng.bit_generator.state == alone.bit_generator.state
+    assert np.array_equal(draws, (full[5:, : own + 1] + gumbel).argmax(axis=1))
+
+
+@pytest.mark.parametrize("threshold", [smc.ESS_THRESHOLD, 2.0], ids=["ess", "every_step"])
+def test_chains_filtered_in_one_set_draw_as_they_would_alone(monkeypatch, threshold):
+    # each chain makes the Generator calls of its own set and returns the same
+    # sequences; its estimates may move in the last bit (see the module notes).
+    # A threshold of 2 resamples every group of every chain at every step.
+    monkeypatch.setattr(smc, "ESS_THRESHOLD", threshold)
+    rng = np.random.default_rng(6)
+    panel = gappy_panel(rng, 2)
+    hypers = mixed_hypers(4, 2)
+    chains = [[(0, 3), (1,)], [(0, 1, 2, 3)], [(2,), (0,), (1, 3)]]
+
+    def groups_of(split):
+        return [GroupModel(members, 0.8, panel.num_steps, 2, hypers) for members in split]
+
+    alone, rngs = [], []
+    for c, split in enumerate(chains):
+        rngs.append(np.random.default_rng(30 + c))
+        alone.append(smc_block_sample(groups_of(split), panel.values, panel.observed, 6, rngs[-1]))
+    together = [np.random.default_rng(30 + c) for c in range(len(chains))]
+    group_rngs = [r for r, split in zip(together, chains) for _ in split]
+    groups = [group for split in chains for group in groups_of(split)]
+    draws = smc_block_sample(groups, panel.values, panel.observed, 6, group_rngs)
+    assert [z for z, _ in draws] == [z for run in alone for z, _ in run]
+    want = [ml for run in alone for _, ml in run]
+    assert np.allclose([ml for _, ml in draws], want, rtol=1e-12, atol=0)
+    assert [r.bit_generator.state for r in together] == [r.bit_generator.state for r in rngs]
+
+
+def test_a_chains_groups_must_be_adjacent():
+    panel, groups, _ = two_width_groups()
+    rngs = [np.random.default_rng(c) for c in range(2)]
+    with pytest.raises(ValueError, match="order of their groups"):
+        smc_block_sample(groups + groups[:1], panel.values, panel.observed, 4, rngs + rngs[:1])
+
+
 def test_group_steps_share_one_score_and_the_loop_folds(rng, monkeypatch):
     # smc_step weighs one group's particles from the scores every group shares
     # at t and returns their draws; smc_block_sample folds all the groups'

@@ -1,6 +1,6 @@
 """One sha256 over the benchmark's fits and queries, to show a change keeps every draw.
 
-    python3 tools/fit_digest.py [--seeds 0 1] [--reps 10]
+    python3 tools/fit_digest.py [--seeds 0 1] [--reps 10] [--each]
 
 Run from the root of a source checkout; the package is imported from the
 checkout's ``src/`` directory, never from an installed copy.  For every
@@ -10,6 +10,12 @@ forecasts and imputes from the reloaded copy as ``bench/measure.py`` does.
 The digest covers the panel bytes, each reloaded chain's state payload and
 chain stats, the forecast draws, the imputation draws and the dependence
 matrix.  Equal digests at two commits mean byte-identical chains and queries.
+
+With ``--each`` it first prints one line per fit: the workload, seed and
+repetition, then a separate sha256 of the chain payloads, the chain stats,
+the forecast draws, the imputation draws and the dependence matrix, so two
+commits' lines name the fit and the part that moved.  The last line is the
+digest either way.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--reps", type=int, default=10, help="repetitions 0..REPS-1 per seed")
+    parser.add_argument("--each", action="store_true", help="also print one line of part digests per fit")
     args = parser.parse_args(argv)
 
     _import_package()
@@ -61,13 +68,23 @@ def main(argv=None) -> int:
             imputed = predict.impute(loaded, workload.impute_draws, seed)
             chains = [state_payload(chain) for chain in loaded.chains]
             stats = loaded.provenance["chain_stats"]
+            parts = {
+                "chains": json.dumps(chains, sort_keys=True).encode(),
+                "stats": json.dumps(stats, sort_keys=True).encode(),
+                "forecast": forecast.draws.tobytes(),
+                "impute": imputed.draws.tobytes(),
+                "dependence": predict.dependence_matrix(loaded).tobytes(),
+            }
+            if args.each:
+                sums = " ".join(f"{part}={hashlib.sha256(blob).hexdigest()}" for part, blob in parts.items())
+                print(f"{name} seed={seed} rep={rep} {sums}")
             for blob in (
                 panel.values.tobytes(),
                 panel.observed.tobytes(),
                 json.dumps([chains, stats], sort_keys=True).encode(),
-                forecast.draws.tobytes(),
-                imputed.draws.tobytes(),
-                predict.dependence_matrix(loaded).tobytes(),
+                parts["forecast"],
+                parts["impute"],
+                parts["dependence"],
             ):
                 digest.update(blob)
     print(digest.hexdigest())
