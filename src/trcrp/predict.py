@@ -7,13 +7,22 @@ assigned to the missing cell; dependence probabilities average same-cluster
 indicators across chains.
 
 Both sampled queries draw every draw's chain first, in one call, and then
-serve each chain's R_s draws as arrays over draws.  A forecast stacks R_s
-copies of each fitted group in a :class:`~trcrp.smc.ParticleSet` and steps
-them through the horizon together: per step one kernel call over the lag
-cells, one Gumbel argmax, one Student-T call for the members' emissions and
-one fold.  An imputation computes each (chain, cell) emission predictive once
-and draws the chain's (cells, R_s) block in one Student-T call.  Draw r keeps
-one chain for all of its groups and cells.
+serve each chain's R_s draws as arrays over draws.  Given its chain, a fitted
+group's future does not depend on the chain's other groups, so a forecast
+steps many groups, of all chains, through the horizon as one
+:class:`~trcrp.smc.ParticleSet`.  The groups whose chains share their hypers
+and which have equal member counts share a set, up to
+:data:`~trcrp.smc.SET_ENTRIES` copy-cell entries; equal member counts leave
+a set no padding cells.  Each group of a set has J copies, the largest R_s
+among the set's chains: its first R_s are its chain's draws, and the others
+pad the set, step with it and are never checked or returned.  Per step a
+set makes one kernel call over the lag cells, one Gumbel argmax, one
+Student-T call for the members' emissions and one fold.  The sets run in
+the order of their first group over (chain, group), so a set of one group
+makes the Generator calls of a group forecast alone.  An imputation computes
+each (chain, cell) emission predictive once and draws the chain's (cells,
+R_s) block in one Student-T call.  Draw r keeps one chain for all of its
+groups and cells.
 
 The model's missing-data rule holds here too: an unobserved cell contributes
 no lag factor, no emission factor and no statistics.  A rollout reads the
@@ -31,8 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import smc
 from .conjugate import predictive_sample_array
-from .model import ChainState, GroupModel
+from .model import ChainState
 from .panel import TimeSeriesPanel
 from .smc import NumericalError, ParticleSet
 
@@ -114,35 +124,70 @@ def _require_finite(draws: np.ndarray, what: str) -> None:
         raise NumericalError(f"{bad} of {draws.size} {what} draws are not finite")
 
 
-def _forecast_group(group: GroupModel, values, observed, copies: int, rng) -> np.ndarray:
-    """``copies`` independent forecasts of the fitted ``group``'s members: (copies, members, h).
+def _forecast_set(groups, values, observed, copies, rng) -> np.ndarray:
+    """Forecasts of the fitted ``groups``' members: (G, J, members, h), J = max(copies).
 
-    ``values`` and ``observed`` extend the panel by the h future columns, with
-    0 at every unobserved or future value and the future observed.  Each copy
-    keeps its own row of member values, so a lag into the future reads that
-    copy's draws.
+    The groups share their hypers and member count, so the set has no
+    padding cells.  ``values`` and ``observed`` extend the panel by the h
+    future columns, with 0 at every unobserved or future value and the
+    future observed.  Group g's first ``copies[g]`` copies are its real
+    ones; the rest pad it to J and are never checked or returned.  Each copy
+    keeps its own row of its group's member values, so a lag into the future
+    reads that copy's draws.
     """
-    ps = ParticleSet([group], values, observed, copies)
-    cells = ps.cells
-    p, steps = group.window, group.num_steps
-    own = np.repeat(values[None, group.members], copies, axis=0)  # (copies, members, columns)
-    series = np.array([group.members.index(n) for n, _ in cells.index])
-    offset = np.array([i for _, i in cells.index])
-    emission = slice(cells.num_lags, None)  # the members' emission rows, in member order
-    hyper = tuple(h[emission, 0] for h in cells.hyper)
-    every = np.arange(copies)
+    num = max(copies)
+    ps = ParticleSet(groups, values, observed, num)
+    members, p, steps = len(groups[0].members), groups[0].window, groups[0].num_steps
+    # every group's cells are its members' lags, member by member, then their emissions
+    series = np.r_[np.repeat(np.arange(members), p), np.arange(members)]
+    offset = np.r_[np.tile(np.arange(1, p + 1), members), np.zeros(members, dtype=np.int64)]
+    own = np.repeat(values[[g.members for g in groups]], num, axis=0)  # (G*J, members, columns)
+    emission = slice(ps.num_lags, None)
+    hyper = tuple(h[:, emission] for h in ps.hyper)
+    every = np.arange(len(ps))
+    real = slice(None) if min(copies) == num else (np.arange(num) < np.array(copies)[:, None]).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps + 1, values.shape[1] - p + 1):
             col = p + t - 1
             base, _ = ps.log_weights_split(t, own[:, series, col - offset], emission=False)
-            if np.isnan(base).any():
+            if np.isnan(base[real]).any():
                 raise NumericalError(f"forecast step {t - steps}: regime weights are not finite")
             pick = np.argmax(base + rng.gumbel(size=base.shape), axis=1)
             stats = (s[every, emission, pick] for s in (ps.count, ps.total, ps.total_sq))
             own[:, :, col] = predictive_sample_array(*hyper, *stats, rng)
-            _require_finite(own[:, :, col], f"step {t - steps} forecast")
+            _require_finite(own[real, :, col], f"step {t - steps} forecast")
             ps.assign(t, pick, own[:, series, col - offset])
-    return own[:, :, p + steps :]
+    return own[:, :, p + steps :].reshape(len(groups), num, members, -1)
+
+
+def _forecast_sets(samples: SampleSet, picked) -> list[list[tuple]]:
+    """The particle sets of a forecast: lists of ``(chain index, group)``.
+
+    Every group of a chain with draws is in one set.  A set's groups share
+    their chain's hypers and their member count; a group joins the last set
+    of its kind while the set stays within :data:`~trcrp.smc.SET_ENTRIES`
+    copy-cell entries, and otherwise starts a new one.  Sets come in the
+    order of their first group over (chain, group).
+    """
+    kinds, last, sets = [], {}, []
+    cells = samples.panel.window + 1  # per member
+    for s, chain in enumerate(samples.chains):
+        if not picked[s].size:
+            continue
+        if chain.hypers not in kinds:
+            kinds.append(chain.hypers)
+        kind = kinds.index(chain.hypers)
+        for group in chain.groups:
+            key = kind, len(group.members)
+            run = last.get(key)
+            if run is not None:
+                num = max(picked[i].size for i, _ in [*run, (s, group)])
+                if num * (len(run) + 1) * len(group.members) * cells <= smc.SET_ENTRIES:
+                    run.append((s, group))
+                    continue
+            last[key] = [(s, group)]
+            sets.append(last[key])
+    return sets
 
 
 def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> ForecastResult:
@@ -151,8 +196,8 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     Each draw picks a chain uniformly, then simulates the generative step
     forward within every group: one shared regime per group per future step,
     emissions from the collapsed predictives, statistics updated with each
-    simulated value.  Draws are independent given the seed; a chain's draws
-    run as one batch per group (see the module notes).
+    simulated value.  Draws are independent given the seed; the groups of
+    all chains run in shared particle sets (see the module notes).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -167,13 +212,13 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     observed = np.ones((num, known + horizon), dtype=bool)
     observed[:, :known] = panel.observed
     chain_of = rng.integers(samples.num_chains, size=draws)
+    picked = [np.flatnonzero(chain_of == s) for s in range(samples.num_chains)]
     out = np.empty((draws, num, horizon))
-    for s, chain in enumerate(samples.chains):
-        picked = np.flatnonzero(chain_of == s)
-        if picked.size:
-            for group in chain.groups:
-                block = _forecast_group(group, values, observed, picked.size, rng)
-                out[np.ix_(picked, group.members)] = block
+    for run in _forecast_sets(samples, picked):
+        groups = [group for _, group in run]
+        blocks = _forecast_set(groups, values, observed, [picked[s].size for s, _ in run], rng)
+        for (s, group), block in zip(run, blocks):
+            out[np.ix_(picked[s], group.members)] = block[: picked[s].size]
     return ForecastResult(
         series_names=panel.series_names,
         horizon=horizon,

@@ -34,9 +34,10 @@ draw.  So its draws are those of a set of its own.  Its scores may differ in
 the last bit: the lag sums and the step normalizers reduce over the set's
 padded rows and width, and numpy sums 8 entries or more pairwise, in an
 order that the padding moves.  Forecasts (:func:`trcrp.predict.forecast`)
-reuse the particles as copies of one fitted group: they start from its
-statistics, score the lag cells only and give each particle its own row of
-cell values, since a future lag reads that copy's own draws.
+reuse the particles as copies of fitted groups, one set for many groups of
+equal hypers and member count across chains: each copy starts from its
+group's statistics, scores the lag cells only and has its own row of cell
+values, since a future lag reads that copy's own draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -277,14 +278,21 @@ class ParticleSet:
             form.put(drawn, value)
 
     def _double(self) -> None:
-        """Double the capacity: empty blocks, whose forms are the cells' prior forms."""
-        self.sizes = np.concatenate([self.sizes, np.zeros_like(self.sizes)], axis=1)
-        for name in ("count", "total", "total_sq"):
-            stats = getattr(self, name)
-            setattr(self, name, np.concatenate([stats, np.zeros_like(stats)], axis=2))
+        """Double the capacity: empty blocks, whose forms are the cells' prior forms.
+
+        Each array is allocated once at its new size and its old columns are
+        copied in, the largest, ``form``, first, so the peak is the old
+        arrays and the new ``form``.
+        """
+        capacity = self.sizes.shape[1]
         prior = np.array(student_t_form_array(*self.hyper, 0, 0.0, 0.0, self.lgamma))
-        empty = np.broadcast_to(prior[..., None], self.form.shape)
-        self.form = np.concatenate([self.form, empty], axis=3)
+        for name, empty in (("form", prior[..., None]), ("count", 0), ("total", 0.0),
+                            ("total_sq", 0.0), ("sizes", 0)):
+            old = getattr(self, name)
+            new = np.empty((*old.shape[:-1], 2 * capacity), dtype=old.dtype)
+            new[..., :capacity] = old
+            new[..., capacity:] = empty
+            setattr(self, name, new)
 
     def gather(self, slots: np.ndarray, picks: np.ndarray) -> None:
         """Make particle ``slots[i]`` a copy of particle ``picks[i]``, one of its own group's.

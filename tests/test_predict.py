@@ -18,6 +18,7 @@ from oracles import (
     value,
 )
 from test_model import build_state
+from trcrp import predict, smc
 from trcrp.conjugate import NigHyper
 from trcrp.engine import RunConfig, fit
 from trcrp.model import SeriesHypers
@@ -28,7 +29,7 @@ from trcrp.predict import (
     forecast,
     impute,
 )
-from trcrp.smc import NumericalError
+from trcrp.smc import NumericalError, ParticleSet
 
 
 def single_chain_samples(rng, values, z, window=1, assignments=None, hypers=None,
@@ -137,6 +138,80 @@ def test_horizon_two_forecast_matches_scalar_rollout():
         for h in range(3):
             stat = scipy.stats.ks_2samp(got[:, n, h], want[:, n, h]).statistic
             assert stat < bound, (n, h, stat, bound)
+
+
+@pytest.mark.parametrize("set_entries", [10**9, 6000], ids=["whole_buckets", "split_buckets"])
+def test_forecast_of_shared_sets_matches_scalar_rollout(monkeypatch, set_entries):
+    # Five chains at window 2 put groups of one and two members, under two
+    # different hypers, into shared particle sets; the chains' draw counts
+    # differ, so the sets pad some groups' copies.  At 10**9 entries each
+    # (hypers, member count) bucket is one set; at 6000 a set holds at most
+    # two groups of ~800 copies, so the buckets split.
+    gen = np.random.default_rng(4)
+    steps = 4
+    alternating = np.where(np.arange(2 + steps) % 2, 4.0, 0.0)
+    values = (alternating + gen.normal(0.0, 0.3, (3, 2 + steps))).tolist()
+    values[1][-1] = None
+    panel = make_panel(values, window=2)
+    tight, broad = NigHyper(2.0, 4.0, 2.0, 0.1), NigHyper(2.0, 4.0, 2.0, 50.0)
+    shifted = NigHyper(-3.0, 4.0, 3.0, 0.5)
+    kinds = {
+        "a": [SeriesHypers(tight, (tight, broad))] + [SeriesHypers(tight, (broad, broad))] * 2,
+        "b": [SeriesHypers(shifted, (tight, broad))] * 3,
+    }
+    z, w = [1, 2, 1, 2], [1, 1, 2, 3]
+    chains = [
+        build_state(panel, kinds[kind], zs, outer)
+        for kind, zs, outer in (
+            ("a", [z, w], [1, 1, 2]),
+            ("a", [w, z], [1, 2, 2]),
+            ("a", [z, w, z], [1, 2, 3]),
+            ("b", [w, z], [1, 1, 2]),
+            ("b", [z, z, w], [1, 2, 3]),
+        )
+    ]
+    samples = SampleSet(panel=panel, chains=chains)
+    monkeypatch.setattr(smc, "SET_ENTRIES", set_entries)
+    built = []
+    forecast_set = predict._forecast_set
+
+    def recording(groups, values, observed, copies, rng):
+        built.append(list(copies))
+        return forecast_set(groups, values, observed, copies, rng)
+
+    monkeypatch.setattr(predict, "_forecast_set", recording)
+    draws = 4000
+    got = forecast(samples, horizon=2, draws=draws, seed=1).draws
+    want = rollout_forecast(samples, horizon=2, draws=draws, seed=2)
+    # four buckets, each one set unless split
+    assert len(built) == 4 if set_entries == 10**9 else len(built) > 4
+    assert any(len(copies) > 1 and len(set(copies)) > 1 for copies in built)
+    got, want = (np.concatenate([d, d[:, :, 1:] - d[:, :, :1]], axis=2) for d in (got, want))
+    # 1e-3 in all, split over the nine (series, column) pairs
+    bound = ks_bound(1e-3 / got[0].size, draws, draws)
+    for n in range(3):
+        for h in range(3):
+            stat = scipy.stats.ks_2samp(got[:, n, h], want[:, n, h]).statistic
+            assert stat < bound, (n, h, stat, bound)
+
+
+def test_forecast_builds_one_set_per_member_count(monkeypatch):
+    # an SMC-only fit's chains share their initial hypers, so with few
+    # copies each member count is one set across all chains and groups
+    gen = np.random.default_rng(5)
+    panel = make_panel(gen.normal(0.0, 1.0, (6, 25)).tolist(), window=1)
+    samples = fit(panel, RunConfig(window=1, chains=4, burnin=0, particles=4, seed=3))
+    sizes = [len(group.members) for chain in samples.chains for group in chain.groups]
+    assert len(set(sizes)) < len(sizes)
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return ParticleSet(*args, **kwargs)
+
+    monkeypatch.setattr(predict, "ParticleSet", counting)
+    forecast(samples, horizon=3, draws=100, seed=0)
+    assert len(builds) == len(set(sizes))
 
 
 def test_imputation_matches_exact_mixture_over_chains():

@@ -598,11 +598,14 @@ def test_stored_forms_equal_fresh_forms_at_every_step(rng):
 
 
 def test_forecast_forms_equal_fresh_forms_at_every_step(rng, monkeypatch):
-    # a forecast set starts from a fitted group's statistics and folds each
-    # copy's own draws
+    # a forecast set starts from fitted groups' statistics and folds each
+    # copy's own draws, padding copies too
     panel = gappy_panel(rng, 2)
-    group = GroupModel(MEMBERS, 0.7, panel.num_steps, 2, mixed_hypers(4, 2))
+    hypers = mixed_hypers(4, 2)
+    group = GroupModel(MEMBERS, 0.7, panel.num_steps, 2, hypers)
     group.load_sequence([1, 1, 2, 1, 3, 2, 4, 1], panel.values, panel.observed)
+    other = GroupModel((1, 2, 3), 1.3, panel.num_steps, 2, hypers)
+    other.load_sequence([1, 2, 2, 1, 1, 3, 3, 1], panel.values, panel.observed)
     horizon = 6
     known = panel.values.shape[1]
     values = np.zeros((4, known + horizon))
@@ -623,5 +626,5 @@ def test_forecast_forms_equal_fresh_forms_at_every_step(rng, monkeypatch):
 
     monkeypatch.setattr(ParticleSet, "log_weights_split", checked_score)
     monkeypatch.setattr(ParticleSet, "assign", checked_assign)
-    predict._forecast_group(group, values, observed, 5, rng)
+    predict._forecast_set([group, other], values, observed, [5, 3], rng)
     assert len(checked) == horizon and checked[0] == 4

@@ -1,6 +1,6 @@
 """One sha256 over the benchmark's fits and queries, to show a change keeps every draw.
 
-    python3 tools/fit_digest.py [--seeds 0 1] [--reps 10] [--each]
+    python3 tools/fit_digest.py [--seeds 0 1] [--reps 10] [--each] [--parts]
 
 Run from the root of a source checkout; the package is imported from the
 checkout's ``src/`` directory, never from an installed copy.  For every
@@ -14,8 +14,10 @@ matrix.  Equal digests at two commits mean byte-identical chains and queries.
 With ``--each`` it first prints one line per fit: the workload, seed and
 repetition, then a separate sha256 of the chain payloads, the chain stats,
 the forecast draws, the imputation draws and the dependence matrix, so two
-commits' lines name the fit and the part that moved.  The last line is the
-digest either way.
+commits' lines name the fit and the part that moved.  With ``--parts`` it
+then prints one line per part, ``part=sha256`` over that part of every fit in
+order, so a change that moves one part shows it in five lines.  The last line
+is the digest either way.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--reps", type=int, default=10, help="repetitions 0..REPS-1 per seed")
     parser.add_argument("--each", action="store_true", help="also print one line of part digests per fit")
+    parser.add_argument("--parts", action="store_true", help="also print one digest per part over all fits")
     args = parser.parse_args(argv)
 
     _import_package()
@@ -56,6 +59,7 @@ def main(argv=None) -> int:
 
     names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     digest = hashlib.sha256()
+    part_digests = {}
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "fit.json"
         for name, seed, rep in itertools.product(names, args.seeds, range(args.reps)):
@@ -78,6 +82,8 @@ def main(argv=None) -> int:
             if args.each:
                 sums = " ".join(f"{part}={hashlib.sha256(blob).hexdigest()}" for part, blob in parts.items())
                 print(f"{name} seed={seed} rep={rep} {sums}")
+            for part, blob in parts.items():
+                part_digests.setdefault(part, hashlib.sha256()).update(blob)
             for blob in (
                 panel.values.tobytes(),
                 panel.observed.tobytes(),
@@ -87,6 +93,9 @@ def main(argv=None) -> int:
                 parts["dependence"],
             ):
                 digest.update(blob)
+    if args.parts:
+        for part, sums in part_digests.items():
+            print(f"{part}={sums.hexdigest()}")
     print(digest.hexdigest())
     return 0
 
