@@ -43,6 +43,7 @@ __all__ = [
     "predictive_logpdf_array",
     "predictive_sample_array",
     "lgamma_rows",
+    "LgammaTable",
     "marginal_loglik",
 ]
 
@@ -197,6 +198,35 @@ def lgamma_rows(a0, max_count: int):
     return row.reshape(a0.shape), lg_half - lg
 
 
+class LgammaTable:
+    """One :func:`lgamma_rows` row per distinct shape over counts 0..``max_count``.
+
+    A fit keeps one table over its T steps and a forecast one over T+h, and
+    every layout, grid move and particle set gathers its rows from it.  A
+    shape's row is built the first time it is asked for, then appended.  Its
+    bits depend only on the shape and count, so they equal a per-call build's.
+    """
+
+    def __init__(self, max_count: int):
+        self.max_count = max_count
+        self.index: dict[float, int] = {}  # shape -> its row
+        self.table = np.empty((0, max_count + 1))
+
+    def rows(self, a0):
+        """``(row, table)`` as :func:`lgamma_rows` returns it for shapes ``a0``.
+
+        Growing makes a new table, so a pair handed out earlier stays valid.
+        """
+        a0 = np.asarray(a0, dtype=float)
+        shapes = a0.ravel().tolist()
+        new = sorted(set(shapes).difference(self.index))  # the order of lgamma_rows' rows
+        if new:
+            self.index.update(zip(new, range(len(self.table), len(self.table) + len(new))))
+            self.table = np.concatenate([self.table, lgamma_rows(new, self.max_count)[1]])
+        row = np.fromiter(map(self.index.__getitem__, shapes), np.int64, len(shapes))
+        return row.reshape(a0.shape), self.table
+
+
 def _posterior_array(m0, v0, a0, b0, count, total, total_sq):
     """The posterior update of :func:`student_t_form` elementwise over broadcast
     arrays; ``(m, V, a, b)``."""
@@ -218,9 +248,9 @@ def student_t_form_array(m0, v0, a0, b0, count, total, total_sq, lgamma):
     """:func:`student_t_form` elementwise over broadcast numpy arrays: its
     first four fields, ``(loc, dof_scale, a_half, const)``.
 
-    ``lgamma`` is ``(row, table)`` from :func:`lgamma_rows` over cells that
-    broadcast like ``a0``, with columns up to at least the largest count;
-    callers build it once per cell layout, or once per chain for a hyper grid.
+    ``lgamma`` is ``(row, table)`` from :meth:`LgammaTable.rows` over cells
+    that broadcast like ``a0``, with columns up to at least the largest count;
+    callers gather it from their fit's or forecast's :class:`LgammaTable`.
     """
     count = np.asarray(count)
     m_post, v_post, a_post, b_post = _posterior_array(m0, v0, a0, b0, count, total, total_sq)

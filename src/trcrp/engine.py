@@ -26,13 +26,13 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import hypers as hypers_mod
 from . import mcmc, smc, structure
-from .conjugate import NigHyper
+from .conjugate import LgammaTable, NigHyper
 from .model import (
     ChainState,
     SeriesHypers,
@@ -164,11 +164,11 @@ def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tu
 
     This phase runs in the calling process for all the chains of a fit, so
     it does not depend on ``config.threads``.  The chains share one build of
-    the :class:`~trcrp.hypers.Grids`, each with its own lgamma rows
-    (``a_rows``) as in a worker process, and start from equal hypers, each
-    in its own list.  Chain i's Generator, ``default_rng(seed_seqs[i])``,
-    draws its outer partition from the CRP, then its groups' regime
-    sequences.  Given the partitions the groups are independent, so one
+    the :class:`~trcrp.hypers.Grids` and one lgamma table over T steps
+    (``state.lgamma``), and start from equal hypers, each in its own list.
+    Chain i's Generator, ``default_rng(seed_seqs[i])``, draws its outer
+    partition from the CRP, then its groups' regime sequences.  Given the
+    partitions the groups are independent, so one
     :func:`~trcrp.smc.smc_block_sample` call filters the groups of a run of
     chains (:func:`_batches`) as one particle set, each chain drawing from
     its own Generator as it would alone.  ``smc_log_ml`` holds the chain's
@@ -183,6 +183,7 @@ def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tu
         ]
     else:
         series_hypers = hypers_mod.initial_hypers(grids, panel.window)
+    lgamma = LgammaTable(panel.num_steps)
     chains = []
     for seq in seed_seqs:
         rng = np.random.default_rng(seq)
@@ -191,7 +192,7 @@ def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tu
         else:
             assignments = [1] * panel.num_series
         state = ChainState.create(panel, 1.0, assignments, [1.0] * max(assignments), series_hypers)
-        state.grids = replace(grids, a_rows={})  # the chain's own lgamma rows
+        state.grids, state.lgamma = grids, lgamma
         chains.append((state, rng, []))
 
     values, observed = panel.values, panel.observed
@@ -202,8 +203,8 @@ def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tu
         return chains
     for run in _batches(chains, config.particles):
         groups = [group for state, _, _ in run for group in state.groups]
-        group_rngs = [rng for state, rng, _ in run for _ in state.groups]
-        draws = iter(smc_block_sample(groups, values, observed, config.particles, group_rngs))
+        rngs = [rng for state, rng, _ in run for _ in state.groups]
+        draws = iter(smc_block_sample(groups, values, observed, lgamma, config.particles, rngs))
         for state, _, smc_log_ml in run:
             for group in state.groups:
                 z, log_ml = next(draws)
@@ -219,7 +220,7 @@ def run_sweeps(state: ChainState, rng, smc_log_ml, config: RunConfig) -> tuple[C
     :func:`init_chains`.  A non-finite final log joint raises
     :class:`NumericalError` whose second argument is the chain's state
     payload, so it survives a worker process.  The returned state's
-    ``grids`` are dropped, so a worker does not send its lgamma rows back.
+    ``grids`` and lgamma rows are dropped, so a worker does not send them back.
     """
     panel = state.panel
     accept_z = {"sites": 0, "accepted": 0, "moved": 0}
@@ -228,7 +229,7 @@ def run_sweeps(state: ChainState, rng, smc_log_ml, config: RunConfig) -> tuple[C
         full = sweep_idx >= config.init_sweeps
         cfg = mcmc.MhConfig(full_mh=full)
         for group in list(state.groups):
-            stats = mcmc.sweep_z(group, state.values, state.observed, rng, cfg)
+            stats = mcmc.sweep_z(group, state.values, state.observed, rng, cfg, state.lgamma)
             for key in accept_z:
                 accept_z[key] += stats[key]
         if config.hierarchical and panel.num_series > 1:
@@ -247,7 +248,7 @@ def run_sweeps(state: ChainState, rng, smc_log_ml, config: RunConfig) -> tuple[C
         "accept_c": accept_c,
         "smc_log_ml": smc_log_ml,
     }
-    state.grids = None
+    state.grids, state.lgamma = None, LgammaTable(panel.num_steps)
     return state, stats
 
 

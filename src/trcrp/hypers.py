@@ -13,22 +13,22 @@ cell's grid gives the cell's (30, T, K+1) factors: a lag cell's replace its
 factors in the cohesion sum, so every step's normalizer moves; an emission
 cell's change only the emission term of z_t, so they need no normalizer.  An
 accepted cell move installs the chosen candidate's factors in the table.
-The kernel's lgamma rows (:func:`~trcrp.conjugate.lgamma_rows`) over a
-series' a grid and the counts 0..T are built at the chain's first sweep that
-moves cells and kept in the chain's :class:`Grids`.  Every a is then a grid
-point: the group tables gather their cells' rows from these, and an ``m``,
-``V`` or ``b`` move reads the row of the current a.
+The kernel's lgamma rows over the counts 0..T come from the chain's
+:class:`~trcrp.conjugate.LgammaTable`, which the fit's chains share: the
+group tables gather their cells' rows from it, an ``a`` move asks it for the
+rows of the 30 grid shapes and an ``m``, ``V`` or ``b`` move for the row of
+the current shape, whether or not that shape is on the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import NigHyper, lgamma_rows
-from .model import ChainState, PrefixStats, SeriesHypers, cell_layout, prefix_stats
+from .conjugate import NigHyper
+from .model import ChainState, PrefixStats, SeriesHypers, prefix_stats
 from .panel import TimeSeriesPanel
 from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
 
@@ -96,8 +96,6 @@ class Grids:
     alpha0: HyperGrid
     group_alpha: HyperGrid
     series: tuple[SeriesGrids, ...]
-    # each series' lgamma table over its a grid, by series; see _a_rows
-    a_rows: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_grids(panel: TimeSeriesPanel) -> Grids:
@@ -173,18 +171,9 @@ def _candidates(current: NigHyper, field: str, points) -> tuple:
     return tuple(values[name] for name in NIG_FIELDS)
 
 
-def _group_table(state: ChainState, group, chain_rows: bool = False) -> PrefixStats:
-    """The prefix table of ``group``'s sequence over its members' lag and emission cells.
-
-    With ``chain_rows`` the cells' lgamma rows come from the chain's tables
-    (:func:`_a_rows`), which needs every a on its grid; otherwise the layout
-    builds them.
-    """
-    a_row = (lambda n, a: _a_rows(state, n)[_grid_index(state, n, a)]) if chain_rows else None
-    cells = cell_layout(
-        group.members, state.hypers, state.values, state.observed, group.window, a_row=a_row
-    )
-    return prefix_stats(group.regimes.z, cells)
+def _group_table(state: ChainState, group) -> PrefixStats:
+    """The prefix table of ``group``'s sequence over its members' lag and emission cells."""
+    return prefix_stats(group.regimes.z, state.layout(group.members, group.window))
 
 
 def _gibbs_alpha0(state: ChainState, rng) -> None:
@@ -205,38 +194,15 @@ def _gibbs_group_alpha(state: ChainState, group, table: PrefixStats, rng) -> Non
     group.alpha = grid[gumbel_argmax(_alpha_logits(state, table), rng)]
 
 
-def _a_rows(state: ChainState, n: int) -> np.ndarray:
-    """Series n's (30, T+1) lgamma table over its a grid, built on its first use."""
-    rows = state.grids.a_rows
-    if n not in rows:
-        rows[n] = lgamma_rows(state.grids.series[n].a.points, state.panel.num_steps)[1]
-    return rows[n]
-
-
-def _grid_index(state: ChainState, n: int, a: float) -> int:
-    """Index of shape ``a`` on series n's a grid; ``ValueError`` if it is off the grid."""
-    grid = state.grids.series[n].a
-    if a not in grid.points:
-        raise ValueError(f"{grid.param} = {a!r} is not on its grid")
-    return grid.points.index(a)
-
-
 def _cell_logits(state: ChainState, n: int, offset: int, field: str, table: PrefixStats):
     """Log conditional of cell (n, offset)'s ``field`` at each grid point, up to a constant.
 
     Offset 0 is the emission cell.  Returns the (G,) logits and the
-    candidates' (G, T, K+1) factors.  Raises ``ValueError`` if a field other
-    than ``a`` moves while the cell's a is off its grid.
+    candidates' (G, T, K+1) factors.
     """
-    grids = state.grids.series[n]
     current = state.hypers[n].cell(offset)
-    cand = _candidates(current, field, getattr(grids, field).points)
-    if field == "a":
-        row = np.arange(GRID_SIZE).reshape(-1, 1, 1)
-    else:
-        row = _grid_index(state, n, current.a)
-    lgamma = row, _a_rows(state, n)
-    return table.cell_logliks(n, offset, cand, state.group_of(n).alpha, lgamma)
+    cand = _candidates(current, field, getattr(state.grids.series[n], field).points)
+    return table.cell_logliks(n, offset, cand, state.group_of(n).alpha, state.lgamma.rows(cand[2]))
 
 
 def _gibbs_cell(
@@ -262,7 +228,7 @@ def hyper_sweep(state: ChainState, rng, nig_cells: bool = True) -> None:
     _gibbs_alpha0(state, rng)
     tables = {}
     for group in state.groups:
-        tables[group] = _group_table(state, group, chain_rows=nig_cells)
+        tables[group] = _group_table(state, group)
         _gibbs_group_alpha(state, group, tables[group], rng)
     if not nig_cells:
         return

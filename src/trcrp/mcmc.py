@@ -70,10 +70,10 @@ class SweepTable:
     is last, where :meth:`drop` puts it.
     """
 
-    def __init__(self, group, values, observed, site=None):
+    def __init__(self, group, values, observed, lgamma, site=None):
         self.group = group
         self.cells = cell_layout(
-            group.members, group.hypers, values, observed, group.window, emission=False
+            group.members, group.hypers, values, observed, group.window, lgamma, emission=False
         )
         z = list(group.regimes.z)
         if site is not None:
@@ -173,12 +173,12 @@ def acceptance_log_ratio(table: SweepTable, t, branch_old, branch_new) -> float:
     return float((table.normalizers[t:] - normalizers).sum())
 
 
-def transition_site(group, t, values, observed, rng, full_mh, table):
+def transition_site(group, t, values, observed, rng, full_mh, table, lgamma):
     """One propose/accept/apply step at time t; returns (moved, accepted, table).
 
     Without ``full_mh`` every proposal is applied.  With it, ``table`` is the
     group's :class:`SweepTable`, or None until the first proposal that would
-    move t builds it for the ratio.
+    move t builds it for the ratio from the chain's ``lgamma`` table.
     """
     k_old, removed = group.unassign(t, values, observed)
     branch_old = NEW_REGIME if removed else k_old
@@ -188,7 +188,7 @@ def transition_site(group, t, values, observed, rng, full_mh, table):
     accepted = True
     if full_mh and branch != branch_old:
         if table is None:
-            table = SweepTable(group, values, observed, site=(t, branch_old))
+            table = SweepTable(group, values, observed, lgamma, site=(t, branch_old))
         log_r = acceptance_log_ratio(table, t, branch_old, branch)
         if log_r < 0 and math.log(rng.random()) >= log_r:
             branch = branch_old
@@ -201,12 +201,13 @@ def transition_site(group, t, values, observed, rng, full_mh, table):
     return moved, accepted, table
 
 
-def sweep_z(group, values, observed, rng, config: MhConfig) -> dict:
+def sweep_z(group, values, observed, rng, config: MhConfig, lgamma) -> dict:
     """One pass over t = 1..T in order.
 
     A full-MH sweep builds the group's :class:`SweepTable` at its first ratio
-    call and keeps it through every later site, one column per regime label
-    as regimes empty and appear.  Returns acceptance statistics; in
+    call, from the chain's ``lgamma`` table, and keeps it through every later
+    site, one column per regime label as regimes empty and appear.  Returns
+    acceptance statistics; in
     always-accept mode every proposal is applied and ``accepted`` equals
     ``sites``.
     """
@@ -214,7 +215,7 @@ def sweep_z(group, values, observed, rng, config: MhConfig) -> dict:
     stats = {"sites": 0, "accepted": 0, "moved": 0}
     for t in range(1, group.num_steps + 1):
         moved, accepted, table = transition_site(
-            group, t, values, observed, rng, config.full_mh, table
+            group, t, values, observed, rng, config.full_mh, table, lgamma
         )
         stats["sites"] += 1
         stats["accepted"] += accepted

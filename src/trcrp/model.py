@@ -52,9 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugate import (
+    LgammaTable,
     NigHyper,
     NigStats,
-    lgamma_rows,
     predictive_logpdf_array,
     student_t_form,
 )
@@ -404,14 +404,12 @@ class CellLayout:
     lgamma: tuple
 
 
-def cell_layout(
-    series, hypers, values, observed, window: int, emission=True, a_row=None
-) -> CellLayout:
+def cell_layout(series, hypers, values, observed, window: int, lgamma, emission=True) -> CellLayout:
     """The :class:`CellLayout` of ``series`` under ``hypers``, read once here.
 
-    ``a_row(n, a)``, if given, returns series n's lgamma row at shape ``a``
-    over counts 0..T (a row of :func:`lgamma_rows`' table); the layout then
-    gathers its cells' rows from it instead of building them.
+    The cells' lgamma rows come from ``lgamma``, the fit's
+    :class:`~trcrp.conjugate.LgammaTable` over at least the layout's T steps,
+    since a cell gains at most one value per step.
     """
     p = window
     cells = [(n, i) for n in series for i in range(1, p + 1)]
@@ -427,13 +425,7 @@ def cell_layout(
     table = np.array([_hyper_list(hypers[n].cell(i)) for n, i in cells]).reshape(-1, 4)
     hyper = tuple(table.T[:, :, None])
     index = {cell: c for c, cell in enumerate(cells)}
-    if a_row is None:
-        # a cell gains at most one value per step, so counts stay within 0..T
-        lgamma = lgamma_rows(hyper[2], num_steps)
-    else:
-        ratio = np.array([a_row(n, hypers[n].cell(i).a) for n, i in cells])
-        lgamma = np.arange(len(cells)).reshape(-1, 1), ratio
-    return CellLayout(index, p, num_lags, x, seen, hyper, lgamma)
+    return CellLayout(index, p, num_lags, x, seen, hyper, lgamma.rows(hyper[2]))
 
 
 # rows from which PrefixStats.log_normalizers reduces a block one column at a time
@@ -548,7 +540,7 @@ class PrefixStats:
         emission term of z_t, so the score sums those terms and needs no
         normalizer.  Either way scores differ from the conditional log
         likelihood by a constant shared by the candidates.  ``lgamma`` holds
-        the candidates' lgamma rows over counts 0..T (:func:`lgamma_rows`).
+        the candidates' lgamma rows over counts 0..T (an ``LgammaTable.rows``).
         Returns the (G,) scores and the (G, T, K+1) factors.
         """
         c = self.cells.index[n, offset]
@@ -621,14 +613,14 @@ def prefix_stats(z, cells: CellLayout) -> PrefixStats:
     return PrefixStats(cells, count, total, total_sq, factors, cohesion, log_counts, slot)
 
 
-def sequence_loglik(z, members, alpha: float, hypers, values, observed, window: int):
+def sequence_loglik(z, members, alpha: float, hypers, values, observed, window: int, lgamma):
     """Log joint contribution of one group for a fixed regime sequence.
 
     The term at time t uses only earlier data: the normalized reweighted-CRP
     log probability of z_t plus the emission predictives of the observed
-    cells at t.
+    cells at t.  ``lgamma`` is the fit's :class:`~trcrp.conjugate.LgammaTable`.
     """
-    cells = cell_layout(members, hypers, values, observed, window)
+    cells = cell_layout(members, hypers, values, observed, window, lgamma)
     return prefix_stats(z, cells).subset_loglik(members, alpha)
 
 
@@ -639,7 +631,7 @@ class ChainState:
     """One full latent configuration: groups and hypers.  The groups' ordered
     member lists are the one record of the outer partition; the outer moves
     edit them and remove or append groups, and :attr:`assignments` and
-    :meth:`group_of` read them."""
+    :meth:`group_of` read them.  Its :meth:`layout` reads the ``lgamma`` table."""
 
     def __init__(self, panel: TimeSeriesPanel, alpha0, groups, hypers):
         self.panel = panel
@@ -651,6 +643,7 @@ class ChainState:
         for group in self.groups:
             group.hypers = self.hypers
         self.grids = None
+        self.lgamma = LgammaTable(panel.num_steps)
 
     @classmethod
     def create(cls, panel, alpha0, assignments, group_alphas, hypers):
@@ -678,6 +671,10 @@ class ChainState:
 
     def group_of(self, n: int) -> GroupModel:
         return next(group for group in self.groups if n in group.members)
+
+    def layout(self, series, window: int) -> CellLayout:
+        """The :func:`cell_layout` of ``series`` under the chain's hypers, data and lgamma table."""
+        return cell_layout(series, self.hypers, self.values, self.observed, window, self.lgamma)
 
     def check_outer(self) -> None:
         """Raise unless the groups are non-empty and partition the series."""
@@ -713,7 +710,7 @@ def log_joint(state: ChainState) -> float:
         total += log_gamma11_pdf(group.alpha)
         total += sequence_loglik(
             group.regimes.z, group.members, group.alpha, group.hypers,
-            state.values, state.observed, group.window,
+            state.values, state.observed, group.window, state.lgamma,
         )
     return total
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smc
-from .conjugate import predictive_sample_array
+from .conjugate import LgammaTable, predictive_sample_array
 from .model import ChainState
 from .panel import TimeSeriesPanel
 from .smc import NumericalError, ParticleSet
@@ -124,19 +124,19 @@ def _require_finite(draws: np.ndarray, what: str) -> None:
         raise NumericalError(f"{bad} of {draws.size} {what} draws are not finite")
 
 
-def _forecast_set(groups, values, observed, copies, rng) -> np.ndarray:
+def _forecast_set(groups, values, observed, lgamma, copies, rng) -> np.ndarray:
     """Forecasts of the fitted ``groups``' members: (G, J, members, h), J = max(copies).
 
     The groups share their hypers and member count, so the set has no
     padding cells.  ``values`` and ``observed`` extend the panel by the h
     future columns, with 0 at every unobserved or future value and the
-    future observed.  Group g's first ``copies[g]`` copies are its real
-    ones; the rest pad it to J and are never checked or returned.  Each copy
-    keeps its own row of its group's member values, so a lag into the future
-    reads that copy's draws.
+    future observed, and ``lgamma`` is a table over their T+h steps.  Group
+    g's first ``copies[g]`` copies are its real ones; the rest pad it to J
+    and are never checked or returned.  Each copy keeps its own row of its
+    group's member values, so a lag into the future reads that copy's draws.
     """
     num = max(copies)
-    ps = ParticleSet(groups, values, observed, num)
+    ps = ParticleSet(groups, values, observed, lgamma, num)
     members, p, steps = len(groups[0].members), groups[0].window, groups[0].num_steps
     # every group's cells are its members' lags, member by member, then their emissions
     series = np.r_[np.repeat(np.arange(members), p), np.arange(members)]
@@ -214,9 +214,11 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     chain_of = rng.integers(samples.num_chains, size=draws)
     picked = [np.flatnonzero(chain_of == s) for s in range(samples.num_chains)]
     out = np.empty((draws, num, horizon))
+    lgamma = LgammaTable(panel.num_steps + horizon)
     for run in _forecast_sets(samples, picked):
         groups = [group for _, group in run]
-        blocks = _forecast_set(groups, values, observed, [picked[s].size for s, _ in run], rng)
+        copies = [picked[s].size for s, _ in run]
+        blocks = _forecast_set(groups, values, observed, lgamma, copies, rng)
         for (s, group), block in zip(run, blocks):
             out[np.ix_(picked[s], group.members)] = block[: picked[s].size]
     return ForecastResult(

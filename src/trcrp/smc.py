@@ -14,8 +14,9 @@ and the Student-t form of each (cell, block) predictive that these give,
 Group g's cells are its members' lag rows then their emission rows, gathered
 from one :class:`~trcrp.model.CellLayout` over the members of all the groups,
 the layout prefix passes read, and padded with never-observed rows up to the
-widest group's lag and emission rows.  Block k is label k+1, and column
-``num_blocks[p]`` is the particle's fresh block, whose statistics are empty.
+widest group's lag and emission rows; their lgamma rows index the fit's (or
+forecast's) :class:`~trcrp.conjugate.LgammaTable`.  Block k is label k+1, and
+column ``num_blocks[p]`` is the particle's fresh block, with empty statistics.
 
 A step scores all particles, cells and blocks from their forms with one
 :func:`~trcrp.conjugate.student_t_logpdf_array` call, one ``log1p`` per
@@ -113,7 +114,7 @@ class ParticleSet:
     groups' hypers must be equal: the layout reads the first group's.
     """
 
-    def __init__(self, groups, values, observed, num_particles, chain=None):
+    def __init__(self, groups, values, observed, lgamma, num_particles, chain=None):
         if num_particles < 1:
             raise ValueError("need at least one particle")
         chain = [0] * len(groups) if chain is None else list(chain)
@@ -126,7 +127,7 @@ class ParticleSet:
         self.chain_rows = np.flatnonzero(np.diff(self.chain, prepend=-1)) * num_particles
         series = list(dict.fromkeys(n for group in groups for n in group.members))
         window = max(group.window for group in groups)
-        self.cells = cells = cell_layout(series, groups[0].hypers, values, observed, window)
+        self.cells = cells = cell_layout(series, groups[0].hypers, values, observed, window, lgamma)
         lags = [[(n, i) for n in g.members for i in range(1, g.window + 1)] for g in groups]
         emissions = [[(n, 0) for n in g.members] for g in groups]
         self.num_lags = max(map(len, lags))
@@ -139,23 +140,17 @@ class ParticleSet:
         ])
         num_groups = len(groups)
         self.num_particles = num_particles
-        # one group drops the group axes: numpy broadcasts three axes faster than four
-        self.lead = (num_particles,) if num_groups == 1 else (num_groups, num_particles)
-        self.per_group = (-1, 1) if num_groups == 1 else (num_groups, 1, -1, 1)
 
         def gathered(a, fill):
-            if num_groups == 1:  # its rows are the layout's, in order
-                return a[None]
             return np.concatenate([a, np.full_like(a[:1], fill)])[self.rows]
 
         self.x = gathered(cells.x, 0.0)  # (G, cells, T)
         self.seen = gathered(cells.seen, False)
         hyper = tuple(gathered(h, 1.0) for h in cells.hyper)  # (G, cells, 1)
-        lgamma_row, ratio = cells.lgamma
-        lgamma = gathered(lgamma_row, 0), ratio
+        lgamma_row, ratio = gathered(cells.lgamma[0], 0), cells.lgamma[1]  # (G, cells, 1) rows
         self.group = np.repeat(np.arange(num_groups), num_particles)
         self.hyper = tuple(h[self.group, :, 0] for h in hyper)
-        self.lgamma = lgamma[0][self.group, :, 0], ratio
+        self.lgamma = lgamma_row[self.group, :, 0], ratio
         capacity = 4
         while capacity <= max(group.regimes.num_regimes for group in groups):
             capacity *= 2
@@ -171,7 +166,7 @@ class ParticleSet:
                 for k, row in enumerate(group.cells[n]):
                     cell = row[i]
                     count[g, r, k], total[g, r, k], total_sq[g, r, k] = cell.count, cell.sum, cell.sum_sq
-        form = np.array(student_t_form_array(*hyper, count, total, total_sq, lgamma))
+        form = np.array(student_t_form_array(*hyper, count, total, total_sq, (lgamma_row, ratio)))
         self.z, self.sizes, self.count, self.total, self.total_sq = (
             np.repeat(a, num_particles, axis=0) for a in (z, sizes, count, total, total_sq)
         )
@@ -218,11 +213,11 @@ class ParticleSet:
         if width > self.sizes.shape[1]:
             self._double()
         rows = slice(None) if emission else slice(self.num_lags)
-        lead, per_group = self.lead, self.per_group
+        lead = (len(self.rows), self.num_particles)
         form = self.form[:, :, rows, :width].reshape(4, *lead, -1, width)
-        x = self.x[:, rows, t - 1].reshape(per_group) if x is None else x[:, rows].reshape(*lead, -1, 1)
+        x = self.x[:, None, rows, t - 1, None] if x is None else x[:, rows].reshape(*lead, -1, 1)
         f = student_t_logpdf_array(form, x)
-        seen = self.seen[:, rows, t - 1].reshape(per_group)
+        seen = self.seen[:, None, rows, t - 1, None]
         factors = np.where(seen, f, 0.0).reshape(len(self), -1, width)
         with np.errstate(divide="ignore"):
             crp = np.log(self.sizes[:, :width])
@@ -353,23 +348,23 @@ def maybe_resample(ps: ParticleSet, rng) -> bool:
     return True
 
 
-def smc_block_sample(groups, values, observed, num_particles, rng) -> list[tuple[list[int], float]]:
+def smc_block_sample(groups, values, observed, lgamma, num_particles, rng) -> list[tuple]:
     """Run the filter over t = 1..T from the empty ``groups``; returns one ``(z, log_ml)`` each.
 
-    ``rng`` is one Generator, which makes the groups one chain, or one per
-    group: the groups that share one are a chain and must be adjacent.  ``z``
-    is one of the group's particles' regime sequences, drawn by weight with
-    one Gumbel draw over each chain's (G_c, J), and ``log_ml`` the estimate
-    of the group's log marginal likelihood.  The groups themselves are left
-    empty.  Each step is one kernel call over (G*J, cells, K+1) entries, one
+    ``lgamma`` is the fit's :class:`~trcrp.conjugate.LgammaTable`.  ``rng`` is
+    one Generator, which makes the groups one chain, or one per group: the
+    groups that share one are a chain and must be adjacent.  ``z`` is one of
+    the group's particles' regime sequences, drawn by weight with one Gumbel
+    draw over each chain's (G_c, J), and ``log_ml`` the estimate of the
+    group's log marginal likelihood.  The groups themselves are left empty.
+    Each step is one kernel call over (G*J, cells, K+1) entries, one
     :func:`smc_step` per group, and one fold of all the groups' draws, so the
-    work is O(J T K N p) in O(T) kernel calls for the whole set;
-    normalizers never need retroactive recomputation, which is what makes
-    this linear in T.
+    work is O(J T K N p) in O(T) kernel calls for the whole set; normalizers
+    never need retroactive recomputation, which is what makes this linear in T.
     """
     rngs = [rng] * len(groups) if isinstance(rng, np.random.Generator) else list(rng)
     numbers = {}  # each Generator's chain, in the order of the groups
-    ps = ParticleSet(groups, values, observed, num_particles,
+    ps = ParticleSet(groups, values, observed, lgamma, num_particles,
                      [numbers.setdefault(id(r), len(numbers)) for r in rngs])
     starts = ps.chain_rows // num_particles  # the first group of each chain
     chain_rngs = [rngs[g] for g in starts]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import ChainState, GroupModel, PrefixStats, cell_layout, prefix_stats
+from .model import ChainState, GroupModel, PrefixStats, prefix_stats
 from .util import gumbel_argmax
 
 __all__ = [
@@ -49,9 +49,7 @@ def _table(state: ChainState, tables: dict, group: GroupModel) -> PrefixStats:
     """
     table = tables.get(group)
     if table is None:
-        cells = cell_layout(
-            range(state.num_series), state.hypers, state.values, state.observed, state.panel.window
-        )
+        cells = state.layout(range(state.num_series), state.panel.window)
         table = prefix_stats(group.regimes.z, cells)
         table = tables[group] = replace(table, count=None, total=None, total_sq=None)
     return table
@@ -100,8 +98,7 @@ def propose_c(state: ChainState, n: int, rng, tables: dict) -> ClusterProposal:
         alpha = float(rng.gamma(1.0, 1.0))
         slot = GroupModel([n], alpha, panel.num_steps, panel.window, state.hypers)
         slot.rollout(range(1, panel.num_steps + 1), state.values, state.observed, rng, emit=False)
-        cells = cell_layout([n], state.hypers, state.values, state.observed, panel.window)
-        table = prefix_stats(slot.regimes.z, cells)
+        table = prefix_stats(slot.regimes.z, state.layout([n], panel.window))
     slot_log_density = table.subset_loglik([n], slot.alpha, emission=False)
     slot_loglik = table.subset_loglik([n], slot.alpha)
     targets.append(slot)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.stats
 
-from trcrp.conjugate import NigHyper, _posterior
+from trcrp.conjugate import LgammaTable, NigHyper, _posterior
 from trcrp.mcmc import NEW_REGIME, propose_z
 from trcrp.model import cell_layout, prefix_stats
 from trcrp.predict import QUANTILES
@@ -315,7 +315,8 @@ def two_pass_sweep_z(group, values, observed, rng):
     sites.  Returns the count of accepted proposals.
     """
     cells = cell_layout(
-        group.members, group.hypers, values, observed, group.window, emission=False
+        group.members, group.hypers, values, observed, group.window,
+        LgammaTable(group.num_steps), emission=False,
     )
     accepted = 0
     for t in range(1, group.num_steps + 1):

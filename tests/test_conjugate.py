@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import naive_posterior, naive_predictive_logpdf, posterior_params, student_t, value
 from conftest import cell_logpdf, make_panel
 from trcrp.conjugate import (
+    LgammaTable,
     NigHyper,
     NigStats,
     lgamma_rows,
@@ -133,6 +134,59 @@ def test_lgamma_rows_call_lgamma_once_per_distinct_argument(monkeypatch):
     want = [[lgamma(a + 0.5 * c + 0.5) - lgamma(a + 0.5 * c) for c in range(max_count + 1)] for a in distinct]
     assert np.array_equal(table, np.array(want))
     assert [distinct[r] for r in row.ravel()] == a0.ravel().tolist()
+
+
+# shapes that overlap in their keys a + c/2 (1.5, 2.0 and 3.5 differ by
+# multiples of 1/2), grid-like logspace points and one far-off shape
+TABLE_SHAPES = [1.5, 2.0, 3.5, 0.7, 1e-5] + np.geomspace(0.02, 40.0, 7).tolist()
+
+
+def per_call_rows(a0, max_count):
+    """The rows of ``a0`` as one :func:`lgamma_rows` call builds them, (..., max_count + 1)."""
+    row, table = lgamma_rows(a0, max_count)
+    return table[row]
+
+
+@pytest.mark.parametrize("order", ["at_once", "ascending", "descending", "batches"])
+def test_lgamma_table_rows_equal_rows_built_per_call(order):
+    # whatever order and batch sizes fill it, the table hands out the rows
+    # that a per-call build gives, for scalar, flat and (cells, 1) queries
+    max_count = 9
+    rng = np.random.default_rng(4)
+    if order == "at_once":
+        batches = [TABLE_SHAPES]
+    elif order == "ascending":
+        batches = [[a] for a in sorted(TABLE_SHAPES)]
+    elif order == "descending":
+        batches = [[a] for a in sorted(TABLE_SHAPES, reverse=True)]
+    else:
+        shuffled = rng.permutation(TABLE_SHAPES).tolist()
+        # repeats within a batch and shapes already held
+        batches = [shuffled[:3] * 2, shuffled[1:6], shuffled[6:7], shuffled[5:], shuffled]
+    table = LgammaTable(max_count)
+    for batch in batches:
+        for query in (batch, np.reshape(batch, (-1, 1)), batch[0]):
+            row, ratio = table.rows(query)
+            assert np.shape(row) == np.shape(query)
+            assert np.array_equal(ratio[row], per_call_rows(query, max_count))
+    assert sorted(table.index) == sorted(TABLE_SHAPES)
+    row, ratio = table.rows(TABLE_SHAPES)
+    assert len(ratio) == len(TABLE_SHAPES)
+    assert np.array_equal(ratio[row], per_call_rows(TABLE_SHAPES, max_count))
+
+
+def test_lgamma_table_pairs_read_the_same_values_after_it_grows():
+    # each shape is smaller than the ones held before it, and the buffer
+    # fills and is reallocated several times; a pair taken at any point
+    # reads its shapes' rows after all of that growth
+    max_count = 6
+    table = LgammaTable(max_count)
+    pairs = []
+    for a in [*sorted(TABLE_SHAPES, reverse=True), 0.3, 0.25, 1e-7]:
+        query = [[a], [TABLE_SHAPES[0]]]
+        pairs.append((*table.rows(query), per_call_rows(query, max_count)))
+    for row, ratio, want in pairs:
+        assert np.array_equal(ratio[row], want)
 
 
 def test_predictive_integrates_to_one(rng):

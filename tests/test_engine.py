@@ -219,7 +219,8 @@ def test_chain_stats_record_one_smc_estimate_per_initial_group(rng):
     sizes = set()
     for k in range(4):
         state, stats = run_sweeps(*init_chains(panel, config, [np.random.SeedSequence(k)])[0], config)
-        assert state.grids is None  # a worker sends no lgamma rows back
+        # a worker sends neither the grids nor the fit's lgamma rows back
+        assert state.grids is None and not state.lgamma.index
         estimates = stats["smc_log_ml"]
         assert len(estimates) == len(state.groups)
         assert all(isinstance(v, float) and math.isfinite(v) for v in estimates)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import trcrp.conjugate as conjugate
 import trcrp.hypers as hypers_mod
-import trcrp.model as model_mod
 from conftest import hyper_tuples, make_panel
 from oracles import naive_log_joint
 from test_model import build_state
@@ -20,7 +20,9 @@ from trcrp.hypers import (
     hyper_sweep,
     initial_hypers,
 )
+from trcrp import mcmc, structure
 from trcrp.model import log_joint
+from trcrp.smc import smc_block_sample
 
 
 def test_alpha0_grid_endpoints_n4():
@@ -471,70 +473,85 @@ def test_chain_rows_score_cells_bit_equal_to_per_call_rows():
             table.install(n, offset, factors[j])
             state.hypers[n] = state.hypers[n].replace_cell(offset, cell.replace(a=points[j]))
             assert_cell_logits_match_per_call_rows(state, n, offset, table)
-    assert len(state.grids.a_rows) == state.num_series
-
-
-def test_off_grid_shape_raises():
-    state = fitted_window2_state()
+        assert set(points) <= set(state.lgamma.index)
+    # a shape off its grid gets its own exact row
     cell = state.hypers[0].emission
     state.hypers[0] = state.hypers[0].replace_cell(0, cell.replace(a=cell.a * (1 + 1e-9)))
     table = hypers_mod._group_table(state, state.group_of(0))
-    for field in ("m", "V", "b"):
-        with pytest.raises(ValueError, match="not on its grid"):
-            hypers_mod._cell_logits(state, 0, 0, field, table)
-    with pytest.raises(ValueError, match="not on its grid"):
-        hyper_sweep(state, np.random.default_rng(0))
+    assert_cell_logits_match_per_call_rows(state, 0, 0, table)
 
 
 @pytest.mark.parametrize("fixed", [None, (0.0, 1.0, 2.0, 1.0)], ids=["nig_cells", "fixed_hypers"])
 def test_chain_builds_each_series_rows_once(monkeypatch, fixed):
-    calls = []
+    # the chains of a fit share one lgamma table, so each distinct shape's row
+    # is built once per fit, however many chains and layouts read it
+    built = []
 
-    def counting(a0, max_count):
-        calls.append(np.size(a0))
+    def recording(a0, max_count):
+        built.extend(np.ravel(a0).tolist())
         return lgamma_rows(a0, max_count)
 
-    monkeypatch.setattr(hypers_mod, "lgamma_rows", counting)
+    monkeypatch.setattr(conjugate, "lgamma_rows", recording)
     rng = np.random.default_rng(8)
     panel = make_panel([list(rng.normal(size=12)) for _ in range(3)], window=2)
     config = RunConfig(
         window=2, chains=2, burnin=4, init_sweeps=1, particles=4, fixed_hypers=fixed
     )
     fit(panel, config)
-    # every sweep moves every cell of every series; only the first sweep builds rows
-    want = [] if fixed else [GRID_SIZE] * (panel.num_series * config.chains)
-    assert calls == want
-
-
-def test_chain_row_tables_are_bit_equal_to_built_tables():
-    state = fitted_window2_state()
-    for group in state.groups:
-        built = hypers_mod._group_table(state, group)
-        gathered = hypers_mod._group_table(state, group, chain_rows=True)
-        for name in ("count", "total", "total_sq", "factors", "cohesion", "log_counts"):
-            assert np.array_equal(getattr(gathered, name), getattr(built, name)), name
-    assert len(state.grids.a_rows) == state.num_series
+    assert len(built) == len(set(built))
+    if fixed:
+        assert built == [fixed[2]]
+    else:
+        # every sweep moves every cell of every series, so every grid shape is read
+        grids = build_grids(panel)
+        assert set(built) == {a for sg in grids.series for a in sg.a.points}
 
 
 def test_sweep_tables_build_no_lgamma_rows_once_the_chain_holds_them(monkeypatch):
-    state = fitted_window2_state()
-    calls = {"model": 0, "hypers": 0}
+    # after a chain's first sweep its table holds every shape a cell can take,
+    # so no layout of a later sweep, SMC set or log joint builds a row
+    rng = np.random.default_rng(6)
+    panel = make_panel([list(rng.normal(size=14)) for _ in range(4)], window=2)
+    config = RunConfig(window=2, chains=2, burnin=0, init_sweeps=0, particles=4, seed=1)
+    chains = init_chains(panel, config, np.random.SeedSequence(config.seed).spawn(config.chains))
+    state, rng, _ = next(chain for chain in chains if len(chain[0].groups) < panel.num_series)
+    values, observed = state.values, state.observed
 
-    def counting(module):
-        def rows(a0, max_count):
-            calls[module] += 1
-            return lgamma_rows(a0, max_count)
+    def sweep_z():
+        for group in list(state.groups):
+            mcmc.sweep_z(group, values, observed, rng, mcmc.MhConfig(), state.lgamma)
 
-        return rows
-
-    monkeypatch.setattr(model_mod, "lgamma_rows", counting("model"))
-    monkeypatch.setattr(hypers_mod, "lgamma_rows", counting("hypers"))
-    rng = np.random.default_rng(3)
-    # the first sweep builds each series' rows, the tables gather from them
+    # the first sweep, in the order run_sweeps makes it
+    sweep_z()
+    structure.sweep_c(state, rng)
     hyper_sweep(state, rng)
-    assert calls == {"model": 0, "hypers": state.num_series}
-    hyper_sweep(state, rng)
-    assert calls == {"model": 0, "hypers": state.num_series}
+    # a group of several series, whose members' fresh slots have layouts of their own
+    assert any(len(group.members) > 1 for group in state.groups)
+    built, read = [], []
+    rows = conjugate.LgammaTable.rows
+
+    def reading(table, a0):
+        read.append(np.size(a0))
+        return rows(table, a0)
+
+    def building(a0, max_count):
+        built.append(np.size(a0))
+        return lgamma_rows(a0, max_count)
+
+    monkeypatch.setattr(conjugate, "lgamma_rows", building)
+    monkeypatch.setattr(conjugate.LgammaTable, "rows", reading)
+    for layer in (
+        sweep_z,  # its full-MH SweepTables make its only table reads
+        lambda: structure.sweep_c(state, rng),
+        lambda: hyper_sweep(state, rng),
+        lambda: smc_block_sample(
+            [group.empty_clone() for group in state.groups], values, observed, state.lgamma, 4, rng
+        ),
+        lambda: log_joint(state),
+    ):
+        read.clear()
+        layer()
+        assert read and not built
 
 
 def test_grids_payload_shape(rng):

@@ -36,15 +36,20 @@ from trcrp.mcmc import (
     propose_z,
     sweep_z,
 )
-from trcrp.conjugate import NigHyper
+from trcrp.conjugate import LgammaTable, NigHyper
 from trcrp.model import SeriesHypers
 from test_model import build_group
+
+
+def lgamma_of(panel):
+    """A new lgamma table over the panel's steps, as a chain holds one."""
+    return LgammaTable(panel.num_steps)
 
 
 def unassign_site(group, t, panel):
     """The group's :class:`SweepTable`, then time t unassigned from both; returns
     the table and t's old branch, as a full-MH sweep holds them at site t."""
-    table = SweepTable(group, panel.values, panel.observed)
+    table = SweepTable(group, panel.values, panel.observed, lgamma_of(panel))
     old_label, removed = group.unassign(t, panel.values, panel.observed)
     if removed:
         table.drop(old_label)
@@ -208,7 +213,7 @@ def test_sweep_degenerate_single_regime_stays_put():
     panel = make_panel([[1.0] * 8], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1] * 7, alpha=1e-12)
     rng = np.random.default_rng(3)
-    sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=True))
+    sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=True), lgamma_of(panel))
     assert group.regimes.z == [1] * 7
 
 
@@ -218,7 +223,7 @@ def test_sweep_keeps_stats_consistent(rng):
     panel = make_panel(values, window=1)
     group = build_group(panel, uniform_hypers(2, 1), [1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1])
     for mode in (False, True):
-        sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=mode))
+        sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=mode), lgamma_of(panel))
         assert group.stats_deviation(panel.values, panel.observed) < 1e-8
         group.regimes.check()
 
@@ -230,14 +235,15 @@ def test_sweep_leaves_canonical_statistics():
     values = [list(rng.normal(scale=3.0, size=42)) for _ in range(2)]
     panel = make_panel(values, window=2)
     group = build_group(panel, uniform_hypers(2, 2), [1, 2, 3] * 13 + [1])
-    sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=False))
+    sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=False), lgamma_of(panel))
     assert group.stats_deviation(panel.values, panel.observed) == 0.0
 
 
 def test_heuristic_mode_accepts_everything(rng):
     panel = make_panel([list(rng.normal(size=10))], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1, 1, 2, 1, 2, 1, 1, 2, 1])
-    stats = sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=False))
+    config = MhConfig(full_mh=False)
+    stats = sweep_z(group, panel.values, panel.observed, rng, config, lgamma_of(panel))
     assert stats["accepted"] == stats["sites"] == 9
 
 
@@ -270,7 +276,8 @@ def count_ratio_entries(monkeypatch, group, panel, seed):
         trcrp.model, "predictive_logpdf_array", kernel(trcrp.model.predictive_logpdf_array)
     )
     monkeypatch.setattr(trcrp.mcmc, "acceptance_log_ratio", counted_ratio)
-    sweep_z(group, panel.values, panel.observed, np.random.default_rng(seed), MhConfig())
+    rng = np.random.default_rng(seed)
+    sweep_z(group, panel.values, panel.observed, rng, MhConfig(), lgamma_of(panel))
     monkeypatch.undo()
     assert calls[0] > 10
     return sum(entries) / calls[0]
@@ -304,7 +311,7 @@ def walk_sites(panel, hypers, z, alpha, decide):
     differently over another width.  Returns the group, the table and the
     count of each kind of step taken."""
     group = build_group(panel, hypers, z, alpha=alpha)
-    table = SweepTable(group, panel.values, panel.observed)
+    table = SweepTable(group, panel.values, panel.observed, lgamma_of(panel))
     seen_kinds = Counter()
     for t in range(1, len(z) + 1):
         old_label, removed = group.unassign(t, panel.values, panel.observed)
@@ -326,7 +333,7 @@ def walk_sites(panel, hypers, z, alpha, decide):
         k = group.add_regime() if branch == NEW_REGIME else branch
         group.assign(t, k, panel.values, panel.observed)
         table.settle(t, branch != branch_old)
-        fresh = SweepTable(group, panel.values, panel.observed)
+        fresh = SweepTable(group, panel.values, panel.observed, lgamma_of(panel))
         assert np.array_equal(table.base, fresh.base), t
         assert np.array_equal(table.normalizers[t:], fresh.normalizers[t:]), t
         if removed and branch == branch_old and k != old_label:
@@ -355,7 +362,8 @@ def test_incremental_ratio_equals_two_pass_reference_at_every_site_and_target():
     assert kinds["existing moved"] and kinds["fresh moved"] and kinds["emptied existing moved"]
     assert kinds["re-created under a new label"] >= 1
     # the walked table holds the log weights a fresh table gives the final sequence
-    assert np.array_equal(table.base, SweepTable(group, panel.values, panel.observed).base)
+    fresh = SweepTable(group, panel.values, panel.observed, lgamma_of(panel))
+    assert np.array_equal(table.base, fresh.base)
 
 
 def test_table_built_at_a_site_equals_the_sweep_table_after_the_removal():
@@ -371,7 +379,9 @@ def test_table_built_at_a_site_equals_the_sweep_table_after_the_removal():
     for t in range(1, len(z) + 1):
         group = build_group(panel, hypers, z, alpha=0.9)
         table, branch_old = unassign_site(group, t, panel)
-        built = SweepTable(group, panel.values, panel.observed, site=(t, branch_old))
+        built = SweepTable(
+            group, panel.values, panel.observed, lgamma_of(panel), site=(t, branch_old)
+        )
         assert np.array_equal(built.base, table.base), t
         assert np.array_equal(built.normalizers, table.normalizers), t
         for target in [*range(1, group.regimes.num_regimes + 1), NEW_REGIME]:
@@ -399,12 +409,14 @@ def test_full_sweep_builds_its_table_at_the_first_ratio_call(monkeypatch):
     # one regime under a vanishing concentration: no proposal moves, no table
     panel = make_panel([[1.0] * 8], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1] * 7, alpha=1e-12)
-    sweep_z(group, panel.values, panel.observed, np.random.default_rng(3), MhConfig())
+    rng = np.random.default_rng(3)
+    sweep_z(group, panel.values, panel.observed, rng, MhConfig(), lgamma_of(panel))
     assert built == ratios == []
     rng = np.random.default_rng(2)
     panel = make_panel([list(rng.normal(scale=0.6, size=22))], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1, 2] * 10 + [1], alpha=1.5)
-    sweep_z(group, panel.values, panel.observed, np.random.default_rng(5), MhConfig())
+    rng = np.random.default_rng(5)
+    sweep_z(group, panel.values, panel.observed, rng, MhConfig(), lgamma_of(panel))
     assert built == [0] and len(ratios) > 1
 
 
@@ -441,7 +453,10 @@ def test_full_sweep_matches_two_pass_sweep(monkeypatch, z, alpha, seed):
         return got
 
     monkeypatch.setattr(trcrp.mcmc, "acceptance_log_ratio", checked_ratio)
-    stats = sweep_z(incremental, panel.values, panel.observed, np.random.default_rng(seed), MhConfig())
+    stats = sweep_z(
+        incremental, panel.values, panel.observed, np.random.default_rng(seed), MhConfig(),
+        lgamma_of(panel),
+    )
     assert len(checked) > 10 and all(checked)
     accepted = two_pass_sweep_z(reference, panel.values, panel.observed, np.random.default_rng(seed))
     assert 0 < stats["moved"] and stats["accepted"] < stats["sites"]
@@ -480,7 +495,7 @@ def test_full_sweep_leaves_enumerated_posterior_invariant(window):
     ends = Counter()
     for i in rng.choice(len(sequences), size=num_draws, p=probs / probs.sum()):
         group = build_group(panel, hypers, list(sequences[i]), alpha=alpha)
-        sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=True))
+        sweep_z(group, panel.values, panel.observed, rng, MhConfig(full_mh=True), lgamma_of(panel))
         ends[canonical_partition(group.regimes.z)] += 1
     tv = total_variation({z: c / num_draws for z, c in ends.items()}, posterior)
     mean_tv = 0.5 * np.sqrt(probs * (1 - probs) / num_draws).sum()

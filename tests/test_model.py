@@ -15,7 +15,13 @@ from oracles import (
     value,
 )
 import trcrp.conjugate as conjugate
-from trcrp.conjugate import NigHyper, NigStats, predictive_logpdf_raw, student_t_form
+from trcrp.conjugate import (
+    LgammaTable,
+    NigHyper,
+    NigStats,
+    predictive_logpdf_raw,
+    student_t_form,
+)
 from trcrp.mcmc import NEW_REGIME, propose_z
 from trcrp.model import (
     COLUMN_PASS_ROWS,
@@ -225,14 +231,14 @@ def test_sequence_loglik_matches_naive_oracle(rng):
     for z in ((1, 1, 2, 1, 2), (1, 2, 3, 1, 2), (1, 1, 1, 1, 1)):
         got = sequence_loglik(
             z, [0, 1], 0.8, {n: hypers[n] for n in (0, 1)},
-            panel.values, panel.observed, panel.window,
+            panel.values, panel.observed, panel.window, LgammaTable(panel.num_steps),
         )
         want = naive_group_loglik(z, [0, 1], 0.8, hyper_tuples(hypers), panel)
         assert got == pytest.approx(want, abs=1e-9)
     with pytest.raises(ValueError, match="unassigned step 3"):
         sequence_loglik(
             (1, 1, 0, 1, 2), [0, 1], 0.8, {n: hypers[n] for n in (0, 1)},
-            panel.values, panel.observed, panel.window,
+            panel.values, panel.observed, panel.window, LgammaTable(panel.num_steps),
         )
 
 
@@ -246,7 +252,8 @@ def test_prefix_columns_keep_their_bits_from_every_first_step(rng):
     values[1][12] = None
     panel = make_panel(values, window=2)
     hypers = uniform_hypers(2, 2, m=0.2, V=0.9, a=1.7, b=0.6)
-    cells = cell_layout([0, 1], hypers, panel.values, panel.observed, panel.window)
+    lgamma = LgammaTable(panel.num_steps)
+    cells = cell_layout([0, 1], hypers, panel.values, panel.observed, panel.window, lgamma)
     assert not cells.seen.all()
     z = np.array([1, 2, 1, 3, 2, 1, 1, 2, 3, 1, 2, 1])
     member = z[:, None] == np.array([1, 2, 3, 0])

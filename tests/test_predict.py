@@ -175,9 +175,9 @@ def test_forecast_of_shared_sets_matches_scalar_rollout(monkeypatch, set_entries
     built = []
     forecast_set = predict._forecast_set
 
-    def recording(groups, values, observed, copies, rng):
+    def recording(groups, values, observed, lgamma, copies, rng):
         built.append(list(copies))
-        return forecast_set(groups, values, observed, copies, rng)
+        return forecast_set(groups, values, observed, lgamma, copies, rng)
 
     monkeypatch.setattr(predict, "_forecast_set", recording)
     draws = 4000

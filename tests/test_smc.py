@@ -21,7 +21,7 @@ from oracles import (
     total_variation,
 )
 from trcrp import predict, smc
-from trcrp.conjugate import NigHyper, student_t_form_array
+from trcrp.conjugate import LgammaTable, NigHyper, student_t_form_array
 from trcrp.model import GroupModel, SeriesHypers
 from trcrp.smc import (
     NumericalError,
@@ -35,6 +35,11 @@ from trcrp.smc import (
 # filters per smc_block_sample call in the posterior oracles: the runs are
 # independent groups of one batch
 RUNS_PER_CALL = 1_000
+
+
+def panel_data(panel):
+    """The panel's values and mask and an lgamma table over its steps, as a filter takes them."""
+    return panel.values, panel.observed, LgammaTable(panel.num_steps)
 
 
 def empty_group(panel, hypers, members=(0,), alpha=1.0):
@@ -61,7 +66,7 @@ def enumerate_log_marginal(panel, hypers, alpha):
 def test_fully_missing_row_leaves_weight_unchanged(rng):
     panel = make_panel([[0.0, 1.0, None, 2.0]], window=1)
     hypers = uniform_hypers(1, 1)
-    ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, 4)
+    ps = ParticleSet([empty_group(panel, hypers)], *panel_data(panel), 4)
     step_all(ps, 1, rng)
     before = list(ps.log_weights)
     step_all(ps, 2, rng)  # row at t=2 is missing
@@ -74,7 +79,7 @@ def test_single_particle_weight_is_log_ml_estimate(rng):
     # product of one-step predictives.
     panel = make_panel([list(rng.normal(size=5))], window=1)
     hypers = uniform_hypers(1, 1)
-    ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, 1)
+    ps = ParticleSet([empty_group(panel, hypers)], *panel_data(panel), 1)
     for t in range(1, 5):
         step_all(ps, t, rng)
         if t < 4:
@@ -93,7 +98,7 @@ def test_mean_weight_matches_enumerated_marginal_likelihood(values, window):
     hypers = uniform_hypers(1, window)
     exact = enumerate_log_marginal(panel, hypers, 1.0)
     reps = 100_000
-    ps = ParticleSet([empty_group(panel, hypers)], panel.values, panel.observed, reps)
+    ps = ParticleSet([empty_group(panel, hypers)], *panel_data(panel), reps)
     for t in range(1, panel.num_steps + 1):
         step_all(ps, t, rng)  # no resampling: mean of raw weight products
     log_mean = scipy.special.logsumexp(ps.log_weights) - math.log(reps)
@@ -102,14 +107,14 @@ def test_mean_weight_matches_enumerated_marginal_likelihood(values, window):
 
 def test_resample_skipped_on_equal_weights(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], panel.values, panel.observed, 8)
+    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], *panel_data(panel), 8)
     assert not maybe_resample(ps, rng)
     assert np.allclose(ps.normalized_weights()[1].sum(), 1.0, atol=1e-12)
 
 
 def test_resample_collapses_to_dominant_particle(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], panel.values, panel.observed, 6)
+    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], *panel_data(panel), 6)
     step_all(ps, 1, rng)
     marker = ps.z[2].tolist()
     ps.log_weights = np.where(np.arange(6) == 2, 0.0, -1e9)
@@ -121,7 +126,7 @@ def test_resample_collapses_to_dominant_particle(rng):
 
 def test_resample_all_zero_weights_raises(rng):
     panel = make_panel([[0.0, 1.0, 2.0]], window=1)
-    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], panel.values, panel.observed, 3)
+    ps = ParticleSet([empty_group(panel, uniform_hypers(1, 1))], *panel_data(panel), 3)
     ps.log_weights = np.full(3, -np.inf)
     with pytest.raises(NumericalError):
         maybe_resample(ps, rng)
@@ -149,7 +154,7 @@ def test_block_sample_deterministic():
     panel = make_panel([[0.0, 0.5, 1.2, -0.3, 0.8]], window=1)
     hypers = uniform_hypers(1, 1)
     runs = [
-        smc_block_sample([empty_group(panel, hypers)], panel.values, panel.observed,
+        smc_block_sample([empty_group(panel, hypers)], *panel_data(panel),
                          16, np.random.default_rng(123))
         for _ in range(2)
     ]
@@ -172,7 +177,7 @@ def test_returned_partition_distribution_matches_posterior():
     counts = {z: 0 for z in seqs}
     groups = [empty_group(panel, hypers)] * RUNS_PER_CALL  # independent filters in one batch
     for _ in range(reps // RUNS_PER_CALL):
-        for z, _ in smc_block_sample(groups, panel.values, panel.observed, 16, rng):
+        for z, _ in smc_block_sample(groups, *panel_data(panel), 16, rng):
             counts[canonical_partition(z)] += 1
     empirical = {z: c / reps for z, c in counts.items()}
     assert total_variation(exact, empirical) < 0.03
@@ -236,7 +241,7 @@ def test_batched_weights_match_group_weights(rng, window):
     # from the particle's sequence so far
     panel = gappy_panel(rng, window)
     template = GroupModel(MEMBERS, 0.7, panel.num_steps, window, mixed_hypers(4, window))
-    ps = ParticleSet([template], panel.values, panel.observed, 9)
+    ps = ParticleSet([template], *panel_data(panel), 9)
 
     def check(t):
         if t > panel.num_steps:
@@ -265,7 +270,7 @@ def test_particle_stats_match_panel_mask(rng):
 def check_particle_stats(rng, window):
     panel = gappy_panel(rng, window)
     template = GroupModel(MEMBERS, 1.0, panel.num_steps, window, mixed_hypers(4, window))
-    ps = ParticleSet([template], panel.values, panel.observed, 12)
+    ps = ParticleSet([template], *panel_data(panel), 12)
 
     def check(t):
         for j in range(len(ps)):
@@ -307,7 +312,7 @@ def test_step_makes_the_same_kernel_calls_for_any_particle_count(rng, monkeypatc
     for split in ([MEMBERS], [(0,), (1, 3)], [(0,), (1,), (3,)]):
         templates = [empty_group(panel, hypers, members=members) for members in split]
         for num in (1, 8, 64):
-            ps = ParticleSet(templates, panel.values, panel.observed, num)
+            ps = ParticleSet(templates, *panel_data(panel), num)
             for t in range(1, 4):
                 step_all(ps, t, rng)
             calls.clear()
@@ -337,7 +342,7 @@ def test_returned_sequence_matches_posterior_with_lags_and_members():
     counts = {z: 0 for z in seqs}
     groups = [empty_group(panel, hypers, members=(0, 1))] * RUNS_PER_CALL
     for _ in range(reps // RUNS_PER_CALL):
-        for z, _ in smc_block_sample(groups, panel.values, panel.observed, 16, rng):
+        for z, _ in smc_block_sample(groups, *panel_data(panel), 16, rng):
             counts[canonical_partition(z)] += 1
     empirical = {z: c / reps for z, c in counts.items()}
     bound = 3 * 0.5 * math.sqrt(2 * len(seqs) / (math.pi * reps))
@@ -377,7 +382,7 @@ def test_batched_groups_match_their_own_enumerated_posteriors():
     rng = np.random.default_rng(12)
     batch = groups * (RUNS_PER_CALL // 2)
     for _ in range(reps * len(groups) // len(batch)):
-        for g, (z, _) in enumerate(smc_block_sample(batch, panel.values, panel.observed, 16, rng)):
+        for g, (z, _) in enumerate(smc_block_sample(batch, *panel_data(panel), 16, rng)):
             counts[g % len(groups)][canonical_partition(z)] += 1
     bound = 3 * 0.5 * math.sqrt(2 * len(seqs) / (math.pi * reps))
     for ll, count in zip(lls, counts):
@@ -389,7 +394,7 @@ def test_batched_groups_mean_weights_match_their_marginal_likelihoods():
     panel, groups, lls = two_width_groups()
     reps = 20_000
     rng = np.random.default_rng(13)
-    ps = ParticleSet(groups, panel.values, panel.observed, reps)
+    ps = ParticleSet(groups, *panel_data(panel), reps)
     for t in range(1, panel.num_steps + 1):
         step_all(ps, t, rng)  # no resampling: mean of raw weight products
     log_mean = scipy.special.logsumexp(ps.log_weights.reshape(len(groups), reps), axis=1)
@@ -399,7 +404,7 @@ def test_batched_groups_mean_weights_match_their_marginal_likelihoods():
 
 def test_resampling_one_group_leaves_the_other_untouched(rng):
     panel, groups, _ = two_width_groups()
-    ps = ParticleSet(groups, panel.values, panel.observed, 6)
+    ps = ParticleSet(groups, *panel_data(panel), 6)
     for t in (1, 2):
         step_all(ps, t, rng)
     ps.log_weights = np.concatenate([np.where(np.arange(6) == 2, 0.0, -1e9), np.linspace(0.0, 0.3, 6)])
@@ -418,7 +423,7 @@ def test_resampling_one_chain_draws_nothing_from_the_other(rng):
     # two chains of one group each in one set: only chain 1 falls below the
     # ESS threshold, so only its Generator makes one multinomial call
     panel, groups, _ = two_width_groups()
-    ps = ParticleSet(groups, panel.values, panel.observed, 6, chain=[0, 1])
+    ps = ParticleSet(groups, *panel_data(panel), 6, chain=[0, 1])
     for t in (1, 2):
         step_all(ps, t, rng)
     ps.log_weights = np.concatenate([np.linspace(0.0, 0.3, 6), np.where(np.arange(6) == 2, 0.0, -1e9)])
@@ -438,7 +443,7 @@ def test_a_chain_draws_gumbels_of_its_own_width():
     # its group's step draws (J, K_1 + 1) Gumbels, K_1 its own largest count
     panel, groups, _ = two_width_groups()
     groups[0].alpha, groups[1].alpha = 1e3, 1e-9
-    ps = ParticleSet(groups, panel.values, panel.observed, 5, chain=[0, 1])
+    ps = ParticleSet(groups, *panel_data(panel), 5, chain=[0, 1])
     rng = np.random.default_rng(3)
     for t in (1, 2, 3):
         step_all(ps, t, rng)
@@ -469,11 +474,11 @@ def test_chains_filtered_in_one_set_draw_as_they_would_alone(monkeypatch, thresh
     alone, rngs = [], []
     for c, split in enumerate(chains):
         rngs.append(np.random.default_rng(30 + c))
-        alone.append(smc_block_sample(groups_of(split), panel.values, panel.observed, 6, rngs[-1]))
+        alone.append(smc_block_sample(groups_of(split), *panel_data(panel), 6, rngs[-1]))
     together = [np.random.default_rng(30 + c) for c in range(len(chains))]
     group_rngs = [r for r, split in zip(together, chains) for _ in split]
     groups = [group for split in chains for group in groups_of(split)]
-    draws = smc_block_sample(groups, panel.values, panel.observed, 6, group_rngs)
+    draws = smc_block_sample(groups, *panel_data(panel), 6, group_rngs)
     assert [z for z, _ in draws] == [z for run in alone for z, _ in run]
     want = [ml for run in alone for _, ml in run]
     assert np.allclose([ml for _, ml in draws], want, rtol=1e-12, atol=0)
@@ -484,7 +489,7 @@ def test_a_chains_groups_must_be_adjacent():
     panel, groups, _ = two_width_groups()
     rngs = [np.random.default_rng(c) for c in range(2)]
     with pytest.raises(ValueError, match="order of their groups"):
-        smc_block_sample(groups + groups[:1], panel.values, panel.observed, 4, rngs + rngs[:1])
+        smc_block_sample(groups + groups[:1], *panel_data(panel), 4, rngs + rngs[:1])
 
 
 def test_group_steps_share_one_score_and_the_loop_folds(rng, monkeypatch):
@@ -493,7 +498,7 @@ def test_group_steps_share_one_score_and_the_loop_folds(rng, monkeypatch):
     # draws once per step
     calls = count_kernel_calls(monkeypatch)
     panel, groups, _ = two_width_groups()
-    ps = ParticleSet(groups, panel.values, panel.observed, 5)
+    ps = ParticleSet(groups, *panel_data(panel), 5)
     calls.clear()
     before = ps.log_weights.copy()
     second = smc_step(ps, 1, rng, 1)
@@ -522,7 +527,7 @@ def test_group_steps_share_one_score_and_the_loop_folds(rng, monkeypatch):
     monkeypatch.setattr(smc, "smc_step", counting_step)
     monkeypatch.setattr(ParticleSet, "assign", counting_assign)
     calls.clear()
-    smc_block_sample(groups, panel.values, panel.observed, 5, rng)
+    smc_block_sample(groups, *panel_data(panel), 5, rng)
     assert per_step == [{"smc_step": 2, "student_t_logpdf_array": 1, "fold": 1}] * panel.num_steps
 
 
@@ -536,7 +541,7 @@ def test_grouped_particles_match_their_own_group(rng):
         GroupModel((0, 3), 0.7, panel.num_steps, 2, hypers),
         GroupModel((1,), 1.3, panel.num_steps, 2, hypers),
     ]
-    ps = ParticleSet(templates, panel.values, panel.observed, 9)
+    ps = ParticleSet(templates, *panel_data(panel), 9)
     cell_of = {c: cell for cell, c in ps.cells.index.items()}
 
     def check(t):
@@ -587,7 +592,7 @@ def test_stored_forms_equal_fresh_forms_at_every_step(rng):
         GroupModel((0, 3), 40.0, panel.num_steps, 2, hypers),
         GroupModel((1,), 40.0, panel.num_steps, 1, hypers),
     ]
-    ps = ParticleSet(templates, panel.values, panel.observed, 7)
+    ps = ParticleSet(templates, *panel_data(panel), 7)
     capacity = ps.count.shape[2]
 
     def check(t):
@@ -626,5 +631,6 @@ def test_forecast_forms_equal_fresh_forms_at_every_step(rng, monkeypatch):
 
     monkeypatch.setattr(ParticleSet, "log_weights_split", checked_score)
     monkeypatch.setattr(ParticleSet, "assign", checked_assign)
-    predict._forecast_set([group, other], values, observed, [5, 3], rng)
+    lgamma = LgammaTable(panel.num_steps + horizon)
+    predict._forecast_set([group, other], values, observed, lgamma, [5, 3], rng)
     assert len(checked) == horizon and checked[0] == 4

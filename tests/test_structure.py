@@ -38,14 +38,14 @@ FRESH = 0  # the oracle's label for a proposal's fresh slot
 
 
 def data_of(state):
-    """The hypers, data and window arguments of ``sequence_loglik`` for ``state``."""
-    return state.hypers, state.values, state.observed, state.panel.window
+    """The hypers, data, window and lgamma table that ``sequence_loglik`` takes for ``state``."""
+    return state.hypers, state.values, state.observed, state.panel.window, state.lgamma
 
 
-def lag_loglik(z, members, alpha, hypers, values, observed, window):
+def lag_loglik(z, members, alpha, hypers, values, observed, window, lgamma):
     """``sequence_loglik`` without emission terms: the density of the lag-reweighted
     sequence prior that a fresh slot is drawn from."""
-    cells = cell_layout(members, hypers, values, observed, window, emission=False)
+    cells = cell_layout(members, hypers, values, observed, window, lgamma, emission=False)
     return prefix_stats(z, cells).subset_loglik(members, alpha, emission=False)
 
 
