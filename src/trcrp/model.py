@@ -19,7 +19,10 @@ lag-i cell, and per member one always-empty row for the fresh block,
 assigned times), which is what the single-site sampler's full conditionals
 need.  The sampler subtracts and adds one step at a time, then rebuilds the
 table from the data in time order at the end of every sweep, so between
-sweeps every cell holds canonical sums.  Each cell caches its Student-T form
+sweeps every cell holds canonical sums.  A whole sequence (a load, a new
+member, a rebuild) is folded in one :func:`fold_stats` pass over the
+members' cells, whose sums have the bits of adding one step at a time, as
+:meth:`GroupModel.assign` does.  Each cell caches its Student-T form
 (:meth:`~trcrp.conjugate.NigStats.student_t`) for the scalar scoring of one
 step: a site changes at most two regimes' rows, and only
 :meth:`GroupModel.assign` and :meth:`GroupModel.unassign` mark the rows they
@@ -71,6 +74,7 @@ __all__ = [
     "CellLayout",
     "cell_layout",
     "PrefixStats",
+    "fold_stats",
     "prefix_columns",
     "prefix_stats",
     "sequence_loglik",
@@ -156,7 +160,10 @@ class GroupModel:
     each step assigned to regime k: offset 0 is the emission cell (the value
     at the step itself), offset i >= 1 the lag-i cell, as in
     :class:`CellLayout`.  ``fresh[n]`` is member n's row for the fresh block,
-    whose statistics stay empty.
+    whose statistics stay empty.  :meth:`load_sequence`, :meth:`add_member`
+    and :meth:`rebuild_stats` build rows from the whole sequence with one
+    :func:`fold_stats` call; :meth:`assign` and :meth:`unassign` change one
+    step's cells.
     """
 
     __slots__ = ("members", "alpha", "num_steps", "window", "hypers", "regimes", "cells", "fresh")
@@ -192,57 +199,57 @@ class GroupModel:
                 z[t] -= 1
 
     def load_sequence(self, z, values, observed) -> None:
-        """Give this empty group the regime sequence ``z`` (labels kept as given)."""
-        for _ in range(max(z, default=0)):
-            self.add_regime()
-        self.regimes.z = list(z)
+        """Give this empty group the regime sequence ``z`` (labels 1..K kept as
+        given); a label below 1 raises ``ValueError``."""
+        z = list(z)
+        if min(z, default=1) < 1:
+            raise ValueError(f"sequence has unassigned step {z.index(min(z)) + 1}")
+        counts = [0] * max(z, default=0)
         for k in z:
-            self.regimes.counts[k - 1] += 1
-        self._fold(self.members, range(1, self.num_steps + 1), values, observed)
+            counts[k - 1] += 1
+        self.regimes.z, self.regimes.counts = z, counts
+        self.rebuild_stats(values, observed)
 
     def add_member(self, n: int, values, observed) -> None:
         """Bring series n into the group, folding its data in against the current z."""
         self.members.append(n)
-        self.cells[n] = [self._empty_row() for _ in range(self.regimes.num_regimes)]
         self.fresh[n] = self._empty_row()
-        self._fold((n,), range(1, self.num_steps + 1), values, observed)
+        self._fold_sequence((n,), values, observed)
 
     def drop_member(self, n: int) -> None:
         self.members.remove(n)
         del self.cells[n], self.fresh[n]
 
-    # -- incremental assignment ---------------------------------------------
-
-    def _fold(self, members, steps, values, observed) -> None:
-        """Incorporate the data of the assigned ``steps`` into the cells of ``members``.
-
-        Callers pass steps in time order, so every cell sums its values in
-        time order and the statistics do not depend on how calls are batched.
-        """
+    def _fold_sequence(self, members, values, observed) -> None:
+        """Build the cells of ``members`` from the whole regime sequence in one
+        :func:`fold_stats` pass; unassigned (0) steps add nothing."""
         p = self.window
-        z = self.regimes.z
-        for t in steps:
-            k = z[t - 1]
-            if k == 0:
-                continue
-            col = p + t - 1
-            for n in members:
-                vrow = values[n]
-                orow = observed[n]
-                row = self.cells[n][k - 1]
-                for i in range(p + 1):
-                    if orow[col - i]:
-                        row[i].incorporate(float(vrow[col - i]))
+        rows = np.asarray(members)[:, None, None]
+        cols = p - np.arange(p + 1)[:, None] + np.arange(self.num_steps)  # (offset, step)
+        x = np.asarray(values, dtype=float)[rows, cols]
+        seen = np.asarray(observed, dtype=bool)[rows, cols]
+        stats = fold_stats(x, seen, self.regimes.z, self.regimes.num_regimes)
+        count, total, total_sq = (s.transpose(0, 2, 1).tolist() for s in stats)  # (member, k, offset)
+        for n, *blocks in zip(members, count, total, total_sq):
+            self.cells[n] = [[NigStats(*cell) for cell in zip(*row)] for row in zip(*blocks)]
+
+    # -- incremental assignment ---------------------------------------------
 
     def assign(self, t: int, k: int, values, observed) -> None:
         """Assign time t to regime k (1..K), fold its data into the stats and
         mark the members' regime-k rows stale."""
+        p = self.window
+        col = p + t - 1
         self.regimes.z[t - 1] = k
         self.regimes.counts[k - 1] += 1
-        self._fold(self.members, (t,), values, observed)
         for n in self.members:
-            for s in self.cells[n][k - 1]:
-                s.hyper = None
+            vrow = values[n]
+            orow = observed[n]
+            row = self.cells[n][k - 1]
+            for i in range(p + 1):
+                if orow[col - i]:
+                    row[i].incorporate(float(vrow[col - i]))
+                row[i].hyper = None
 
     def unassign(self, t: int, values, observed) -> tuple[int, bool]:
         """Remove time t's contributions, marking the cells they leave stale;
@@ -360,10 +367,11 @@ class GroupModel:
                         raise AssertionError(f"stale Student-t form on series {n}, offset {i}")
 
     def rebuild_stats(self, values, observed) -> None:
-        """Recompute every cell from raw data in time order (canonical bits)."""
-        for n in self.members:
-            self.cells[n] = [self._empty_row() for _ in range(self.regimes.num_regimes)]
-        self._fold(self.members, range(1, self.num_steps + 1), values, observed)
+        """Recompute every cell from raw data in time order (canonical bits).
+
+        Steps labelled 0 are skipped, so a partial sequence gives the
+        statistics of its assigned steps."""
+        self._fold_sequence(self.members, values, observed)
 
     def stats_deviation(self, values, observed) -> float:
         """Max |incremental - recomputed| over all cells; raises on count mismatch."""
@@ -564,6 +572,30 @@ def _before(a: np.ndarray) -> np.ndarray:
     out = np.zeros(a.shape, dtype=a.dtype)
     np.cumsum(a[:, :-1], axis=1, out=out[:, 1:])
     return out
+
+
+def fold_stats(x, seen, z, num_blocks: int):
+    """Whole-sequence statistics of every (cell, block): ``count``, ``total``, ``total_sq``.
+
+    ``x`` and ``seen`` are a layout's (..., cells, T) values and mask, and
+    ``z`` the labels 1..``num_blocks``, (..., T) with one row per leading
+    entry or (T,) for all, with 0 for an unassigned step, which adds
+    nothing.  Each result is (..., cells, num_blocks).  The observed entries are keyed by (cell, block) in time
+    order, and ``np.bincount`` adds a bin's weights in input order from 0.0,
+    so every sum has the bits of a scalar fold that adds the values one step
+    at a time.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    lead = x.shape[:-1]
+    shape, size = (*lead, num_blocks), math.prod(lead) * num_blocks
+    keys = np.arange(math.prod(lead)).reshape(*lead, 1) * num_blocks + (z[..., None, :] - 1)
+    keep = seen & (z[..., None, :] > 0)
+    keys, values = keys[keep], x[keep]
+    count = np.bincount(keys, minlength=size).reshape(shape)
+    # bincount of no keys gives int64 sums whatever the weights
+    total = np.bincount(keys, values, size).astype(float, copy=False).reshape(shape)
+    total_sq = np.bincount(keys, values * values, size).astype(float, copy=False).reshape(shape)
+    return count, total, total_sq
 
 
 def prefix_columns(member, cells: CellLayout, first: int):

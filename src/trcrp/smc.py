@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from .conjugate import student_t_form_array, student_t_logpdf_array
-from .model import PrefixStats, cell_layout
+from .model import PrefixStats, cell_layout, fold_stats
 from .util import NEG_INF
 
 __all__ = ["NumericalError", "ParticleSet", "smc_step", "maybe_resample", "smc_block_sample"]
@@ -106,8 +106,12 @@ class ParticleSet:
     particle, which is what a fold reads.  Every particle of group g starts as
     a copy of it: its regime sequence, blocks, statistics and forms, which
     are empty (the prior's) for the filter's empty groups and those of the
-    fitted group for a forecast.  ``scored`` holds the scores of the step
-    scored last, which every group's :func:`smc_step` at that step reads.
+    fitted group for a forecast.  The statistics come from one
+    :func:`~trcrp.model.fold_stats` pass over ``x``, ``seen`` and the groups'
+    sequences, whose labels are 0 past a group's own steps; a fitted group
+    holds canonical sums at rest, so they equal its cells' bits.  ``scored``
+    holds the scores of the step scored last, which every group's
+    :func:`smc_step` at that step reads.
 
     ``chain[g]`` is group g's chain, numbered 0..C-1 in order, so that a
     chain's groups are adjacent; by default all groups are chain 0.  The
@@ -154,18 +158,13 @@ class ParticleSet:
         capacity = 4
         while capacity <= max(group.regimes.num_regimes for group in groups):
             capacity *= 2
-        z = np.zeros((num_groups, self.x.shape[2]), dtype=np.int64)
+        z = np.zeros((num_groups, self.x.shape[2]), dtype=np.int64)  # 0 at future steps
         sizes = np.zeros((num_groups, capacity), dtype=np.int64)
-        shape = (num_groups, self.rows.shape[1], capacity)
-        count, total, total_sq = np.zeros(shape, dtype=np.int64), np.zeros(shape), np.zeros(shape)
         for g, group in enumerate(groups):
             counts = group.regimes.counts
             z[g, : group.num_steps] = group.regimes.z
             sizes[g, : len(counts)] = counts
-            for r, (n, i) in [*enumerate(lags[g]), *enumerate(emissions[g], self.num_lags)]:
-                for k, row in enumerate(group.cells[n]):
-                    cell = row[i]
-                    count[g, r, k], total[g, r, k], total_sq[g, r, k] = cell.count, cell.sum, cell.sum_sq
+        count, total, total_sq = fold_stats(self.x, self.seen, z, capacity)
         form = np.array(student_t_form_array(*hyper, count, total, total_sq, (lgamma_row, ratio)))
         self.z, self.sizes, self.count, self.total, self.total_sq = (
             np.repeat(a, num_particles, axis=0) for a in (z, sizes, count, total, total_sq)

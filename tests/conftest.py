@@ -54,3 +54,38 @@ def hyper_tuples(hypers):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# the data and missing-data patterns that every fit should handle
+ROBUSTNESS_PANELS = (
+    "scaled", "random_missing", "block_missing", "constant", "all_missing", "window_0", "single",
+)
+
+
+def robustness_panel(kind, seed=0, num_series=3, steps=24, window=2):
+    """A panel of ``kind`` from :data:`ROBUSTNESS_PANELS`, from seeded normal draws.
+
+    ``scaled`` multiplies the data by 1e3 and offsets it; ``random_missing``
+    hides about 20% of the modelled cells at random and ``block_missing``
+    about 15% in runs; ``constant`` makes one series constant and
+    ``all_missing`` hides every modelled cell of one series (a panel's
+    prefix is always observed);
+    ``window_0`` has no lags and ``single`` one series.
+    """
+    gen = np.random.default_rng(seed)
+    window = 0 if kind == "window_0" else window
+    num_series = 1 if kind == "single" else num_series
+    values = gen.normal(size=(num_series, window + steps)).cumsum(axis=1)
+    observed = np.ones(values.shape, dtype=bool)
+    if kind == "scaled":
+        values = 1e3 * values + 4321.5
+    elif kind == "random_missing":
+        observed[:, window:] = gen.random((num_series, steps)) >= 0.2
+    elif kind == "block_missing":
+        observed[0, window + 3 : window + 10] = False
+        observed[2, window + 14 : window + 18] = False
+    elif kind == "constant":
+        values[1] = 2.5
+    elif kind == "all_missing":
+        observed[1, window:] = False
+    return make_panel(np.where(observed, values, np.nan).tolist(), window, observed)

@@ -37,6 +37,31 @@ def seen(panel, n, t):
     return bool(panel.observed[n, panel.window + t - 1])
 
 
+def scalar_fold(x, seen, z, num_blocks):
+    """Reference for ``model.fold_stats``: every (cell, block)'s count, sum and sum
+    of squares, adding one observed value at a time in time order.
+
+    ``x`` and ``seen`` are (..., cells, T), ``z`` is (..., T) with 0 for an
+    unassigned step; returns three (..., cells, num_blocks) arrays.
+    """
+    x, seen = np.asarray(x, dtype=float), np.asarray(seen, dtype=bool)
+    z = np.broadcast_to(np.asarray(z), x.shape[:-2] + x.shape[-1:])
+    shape = x.shape[:-1] + (num_blocks,)
+    count, total, total_sq = np.zeros(shape, dtype=np.int64), np.zeros(shape), np.zeros(shape)
+    for cell in np.ndindex(*x.shape[:-1]):
+        sums = [[0, 0.0, 0.0] for _ in range(num_blocks)]
+        for t, k in enumerate(z[cell[:-1]].tolist()):
+            if k and seen[cell][t]:
+                v = float(x[cell][t])
+                entry = sums[k - 1]
+                entry[0] += 1
+                entry[1] += v
+                entry[2] += v * v
+        for k, (c, s, q) in enumerate(sums):
+            count[cell + (k,)], total[cell + (k,)], total_sq[cell + (k,)] = c, s, q
+    return count, total, total_sq
+
+
 def logsumexp(values):
     """Log-sum-exp of a sequence of floats, as a float."""
     return float(scipy.special.logsumexp(values))

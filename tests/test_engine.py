@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import make_panel
+from conftest import ROBUSTNESS_PANELS, make_panel, robustness_panel
 from trcrp import engine
 from trcrp.conjugate import NigHyper
 from trcrp.engine import (
@@ -182,6 +182,31 @@ def test_sampleset_save_load_round_trip(rng, tmp_path):
     assert digest == saved == sampleset_hash(panel, config)
     assert loaded.num_chains == 2
     assert np.allclose(dependence_matrix(loaded), dependence_matrix(samples))
+
+
+def cell_stats(group):
+    """Per member, regime and offset: the cell's (count, sum, sum of squares)."""
+    return [
+        [[(s.count, s.sum, s.sum_sq) for s in row] for row in group.cells[n]]
+        for n in group.members
+    ]
+
+
+@pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
+def test_round_trip_rebuilds_the_fits_stats(kind, tmp_path):
+    # load folds each group's statistics in one array pass; they must be the
+    # fitted chains' own, and so must the log joint
+    panel = robustness_panel(kind, steps=16)
+    config = quick_config(window=panel.window, burnin=3, init_sweeps=1, hyper_cadence=2)
+    samples = fit(panel, config)
+    path = tmp_path / "samples.json"
+    save_sampleset(samples, config, path)
+    loaded = load_sampleset(path)[0]
+    for chain, back in zip(samples.chains, loaded.chains, strict=True):
+        assert back.assignments == chain.assignments
+        for group, other in zip(chain.groups, back.groups, strict=True):
+            assert cell_stats(other) == cell_stats(group)
+        assert log_joint(back) == pytest.approx(log_joint(chain), rel=0, abs=1e-9)
 
 
 def test_fit_rejects_config_window_other_than_panel_window(rng):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cell_logpdf, hyper_tuples, make_panel, uniform_hypers
+from conftest import (
+    ROBUSTNESS_PANELS,
+    cell_logpdf,
+    hyper_tuples,
+    make_panel,
+    robustness_panel,
+    uniform_hypers,
+)
 from oracles import (
     canonical_partition,
     canonical_sequences,
@@ -11,6 +18,7 @@ from oracles import (
     logsumexp,
     naive_group_loglik,
     naive_log_joint,
+    scalar_fold,
     total_variation,
     value,
 )
@@ -31,6 +39,7 @@ from trcrp.model import (
     SeriesHypers,
     cell_layout,
     crp_log_weights,
+    fold_stats,
     log_joint,
     prefix_columns,
     sequence_loglik,
@@ -417,6 +426,58 @@ def test_stats_deviation_after_manual_churn(rng):
             group.assign(t, k, panel.values, panel.observed)
     assert group.stats_deviation(panel.values, panel.observed) < 1e-10
     group.regimes.check()
+
+
+def stats_of(group):
+    """Every cell of the group as (member, regime, offset, count, sum, sum of squares)."""
+    return [
+        (n, k, i, s.count, s.sum, s.sum_sq)
+        for n in group.members
+        for k, row in enumerate(group.cells[n])
+        for i, s in enumerate(row)
+    ]
+
+
+@pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
+def test_fold_stats_equal_the_scalar_fold(kind):
+    # two sequences over one layout, the first with unassigned steps; the
+    # values of unobserved cells are NaN, so a fold that read one would show
+    panel = robustness_panel(kind)
+    steps = panel.num_steps
+    layout = cell_layout(
+        range(panel.num_series), uniform_hypers(panel.num_series, panel.window),
+        panel.values, panel.observed, panel.window, LgammaTable(steps),
+    )
+    gen = np.random.default_rng(1)
+    z = np.stack([gen.integers(0, 4, size=steps), gen.integers(1, 4, size=steps)])
+    x = np.stack([np.where(layout.seen, layout.x, np.nan)] * 2)
+    seen = np.stack([layout.seen] * 2)
+    for got, want in zip(fold_stats(x, seen, z, 3), scalar_fold(x, seen, z, 3)):
+        assert got.dtype == want.dtype and got.shape == (2, len(layout.index), 3)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
+def test_load_sequence_equals_a_step_by_step_fold(kind):
+    # one array pass gives the bits of assigning the steps one at a time
+    panel = robustness_panel(kind)
+    hypers = uniform_hypers(panel.num_series, panel.window)
+    z = np.random.default_rng(2).integers(1, 4, size=panel.num_steps)
+    z[:3] = [3, 1, 2]
+    stepped = build_group(panel, hypers, z.tolist())
+    loaded = stepped.empty_clone()
+    loaded.load_sequence(z.tolist(), panel.values, panel.observed)
+    assert loaded.regimes.counts == stepped.regimes.counts
+    assert stats_of(loaded) == stats_of(stepped)
+    stepped.rebuild_stats(panel.values, panel.observed)
+    assert stats_of(stepped) == stats_of(loaded)
+
+
+def test_load_sequence_rejects_an_unassigned_step(rng):
+    panel = make_panel([list(rng.normal(size=9))], window=1)
+    group = GroupModel([0], 1.0, panel.num_steps, 1, uniform_hypers(1, 1))
+    with pytest.raises(ValueError, match="unassigned step 4"):
+        group.load_sequence([1, 2, 1, 0, 2, 2, 1, 1], panel.values, panel.observed)
 
 
 def _three_series_two_groups(rng):

@@ -184,7 +184,7 @@ def test_returned_partition_distribution_matches_posterior():
 
 
 def rebuilt_group(ps, j, template, steps, panel):
-    """A group holding particle j's sequence over steps 1..steps, loaded with add_regime/_fold."""
+    """A group holding particle j's sequence over steps 1..steps, loaded with add_regime/rebuild_stats."""
     group = template.empty_clone()
     z = ps.z[j, :steps].tolist()
     for _ in range(max(z, default=0)):
@@ -192,7 +192,7 @@ def rebuilt_group(ps, j, template, steps, panel):
     group.regimes.z[:steps] = z
     for k in z:
         group.regimes.counts[k - 1] += 1
-    group._fold(group.members, range(1, steps + 1), panel.values, panel.observed)
+    group.rebuild_stats(panel.values, panel.observed)
     return group
 
 
@@ -600,6 +600,45 @@ def test_stored_forms_equal_fresh_forms_at_every_step(rng):
 
     filter_with_forced_resample(ps, rng, panel.num_steps, check)
     assert ps.count.shape[2] > capacity
+
+
+def test_set_starts_from_its_fitted_groups_stats(rng):
+    # a set folds its start state from its own cells in one pass; fitted
+    # groups are canonical, so it equals their statistics, over the panel and
+    # over a forecast's extended steps, whose labels are 0.  The one-member
+    # group comes first, so its padded rows are checked to stay empty.
+    panel = gappy_panel(rng, 2)
+    hypers = mixed_hypers(4, 2)
+    narrow = GroupModel((2,), 1.3, panel.num_steps, 2, hypers)
+    narrow.load_sequence([1, 2, 2, 1, 1, 2, 2, 1], panel.values, panel.observed)
+    wide = GroupModel(MEMBERS, 0.7, panel.num_steps, 2, hypers)
+    wide.load_sequence([1, 1, 2, 1, 3, 2, 4, 1], panel.values, panel.observed)
+    future = np.concatenate([np.where(panel.observed, panel.values, 0.0), rng.normal(size=(4, 3))], axis=1)
+    every = np.concatenate([panel.observed, np.ones((4, 3), dtype=bool)], axis=1)
+    for values, observed in ((panel.values, panel.observed), (future, every)):
+        ps = ParticleSet([narrow, wide], values, observed, LgammaTable(values.shape[1] - 2), 3)
+        cells = list(ps.cells.index)
+        for g, group in enumerate((narrow, wide)):
+            for j, r in np.ndindex(3, ps.rows.shape[1]):
+                c = ps.rows[g, r]
+                stats = (a[3 * g + j, r].tolist() for a in (ps.count, ps.total, ps.total_sq))
+                got = list(zip(*stats))
+                want = []  # a padding row's
+                if c < len(cells):
+                    n, i = cells[c]
+                    want = [(row[i].count, row[i].sum, row[i].sum_sq) for row in group.cells[n]]
+                assert got == want + [(0, 0.0, 0.0)] * (len(got) - len(want))
+
+
+def test_set_over_empty_groups_keeps_float_totals(rng):
+    # bincount over no values returns int64 sums, which would make every
+    # later fold integer arithmetic
+    panel = gappy_panel(rng, 2)
+    groups = [empty_group(panel, mixed_hypers(4, 2), members=m) for m in ((0,), (1, 3))]
+    ps = ParticleSet(groups, *panel_data(panel), 4)
+    assert ps.count.dtype == np.int64
+    assert ps.total.dtype == ps.total_sq.dtype == ps.form.dtype == np.float64
+    assert not (ps.count.any() or ps.total.any() or ps.total_sq.any())
 
 
 def test_forecast_forms_equal_fresh_forms_at_every_step(rng, monkeypatch):
