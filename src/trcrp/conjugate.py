@@ -21,9 +21,11 @@ forms at values, one ``log1p`` per entry.  The particle filter and the forecasts
 every particle's forms and rebuild only the column a step folds into.
 Passes over a whole regime sequence use :func:`predictive_logpdf_array`, the
 two in one call.  It broadcasts its hyperparameters, so a grid of candidate
-values on a leading axis is scored in one call.  Forecasts and imputations
-draw their emissions with :func:`predictive_sample_array`, which shares its
-posterior update.
+values on a leading axis is scored in one call.  Forecasts draw their
+emissions with :func:`predictive_sample_array`, which shares its posterior
+update; imputations read each cell's :func:`student_t_form`, whose dof and
+squared scale have the same bits, and draw a chain's cells in one
+``standard_t`` call.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ class NigHyper:
 class NigStats:
     """Incrementally maintained sufficient statistics for one cell.
 
-    Subtraction does not exactly undo addition in floating point; the owning
-    group recomputes its cells from the data after every pass that subtracts.
+    Subtraction does not exactly undo addition in floating point, so a cell
+    lives for one pass (:class:`~trcrp.model.GroupStats`): the next pass
+    folds its cells afresh from the group's sequence and the data.
     ``form`` caches the cell's :func:`student_t_form` under ``hyper``, the
     :class:`NigHyper` it was built for (see :meth:`student_t`).  Changing the
     counts does not clear it: the owner sets ``hyper`` to None when it

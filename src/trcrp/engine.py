@@ -195,12 +195,12 @@ def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tu
         state.grids, state.lgamma = grids, lgamma
         chains.append((state, rng, []))
 
-    values, observed = panel.values, panel.observed
     if not config.smc_init:
         for state, _, _ in chains:
             for group in state.groups:
-                group.load_sequence([1] * panel.num_steps, values, observed)
+                group.load_sequence([1] * panel.num_steps)
         return chains
+    values, observed = panel.values, panel.observed
     for run in _batches(chains, config.particles):
         groups = [group for state, _, _ in run for group in state.groups]
         rngs = [rng for state, rng, _ in run for _ in state.groups]
@@ -208,7 +208,7 @@ def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tu
         for state, _, smc_log_ml in run:
             for group in state.groups:
                 z, log_ml = next(draws)
-                group.load_sequence(z, values, observed)
+                group.load_sequence(z)
                 smc_log_ml.append(log_ml)
     return chains
 

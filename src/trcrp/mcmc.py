@@ -8,9 +8,12 @@ factors of the joint, leaving only the downstream normalizers, whose data
 differ between the two configurations in at most the two regimes that gain or
 lose time t.
 
-A full-MH sweep keeps one :class:`SweepTable` per group: the no-emission log
-weight of each regime at every step, in the column its label numbers, and the
-sequence's per-step log normalizers, built by one
+A sweep folds the group's :class:`~trcrp.model.GroupStats` from its sequence
+at its start, scores each proposal from them, and drops them at its end, so
+a group keeps only its sequence between sweeps.  A full-MH sweep keeps one
+:class:`SweepTable` per group: the no-emission log weight of each regime at
+every step, in the column its label numbers, and the sequence's per-step log
+normalizers, built by one
 :func:`~trcrp.model.prefix_stats` pass over the group's emission-free
 :func:`~trcrp.model.cell_layout` at the sweep's first ratio call, so a sweep
 whose proposals all keep their regime builds none.  A site rescores only the
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PrefixStats, cell_layout, prefix_columns, prefix_stats
+from .model import GroupStats, PrefixStats, cell_layout, prefix_columns, prefix_stats
 from .util import gumbel_argmax
 
 __all__ = [
@@ -88,9 +91,9 @@ class SweepTable:
             self.log_sizes = np.log(np.arange(group.num_steps + 1))
 
     def drop(self, k: int) -> None:
-        """Follow :meth:`~trcrp.model.GroupModel.unassign` emptying regime k.
+        """Follow :meth:`~trcrp.model.GroupStats.unassign` emptying regime k.
 
-        Its column moves last, where :meth:`~trcrp.model.GroupModel.add_regime`
+        Its column moves last, where :meth:`~trcrp.model.GroupStats.add_regime`
         puts the regime back if t stays.
         """
         self.base[:, k:] = np.roll(self.base[:, k:], -1, axis=1)
@@ -130,15 +133,15 @@ class SweepTable:
         self.pending = None
 
 
-def propose_z(group, t, values, observed, rng):
+def propose_z(stats, t, rng):
     """Draw a candidate regime for time t from its collapsed full conditional.
 
-    Contract: time t's contributions are already removed from the group's
-    statistics.  Missing cells at t contribute no emission factor and the
-    cohesion skips unobserved lag cells.  Returns an existing label or
-    ``NEW_REGIME``.
+    Contract: time t's contributions are already removed from ``stats``, the
+    pass's :class:`~trcrp.model.GroupStats`.  Missing cells at t contribute
+    no emission factor and the cohesion skips unobserved lag cells.  Returns
+    an existing label or ``NEW_REGIME``.
     """
-    weights = group.regime_log_weights(t, values, observed, True)
+    weights = stats.regime_log_weights(t, True)
     idx = gumbel_argmax(weights, rng)
     return NEW_REGIME if idx == len(weights) - 1 else idx + 1
 
@@ -173,28 +176,29 @@ def acceptance_log_ratio(table: SweepTable, t, branch_old, branch_new) -> float:
     return float((table.normalizers[t:] - normalizers).sum())
 
 
-def transition_site(group, t, values, observed, rng, full_mh, table, lgamma):
+def transition_site(stats, t, rng, full_mh, table, lgamma):
     """One propose/accept/apply step at time t; returns (moved, accepted, table).
 
-    Without ``full_mh`` every proposal is applied.  With it, ``table`` is the
-    group's :class:`SweepTable`, or None until the first proposal that would
-    move t builds it for the ratio from the chain's ``lgamma`` table.
+    ``stats`` is the pass's :class:`~trcrp.model.GroupStats`.  Without
+    ``full_mh`` every proposal is applied.  With it, ``table`` is the group's
+    :class:`SweepTable`, or None until the first proposal that would move t
+    builds it for the ratio from the chain's ``lgamma`` table.
     """
-    k_old, removed = group.unassign(t, values, observed)
+    k_old, removed = stats.unassign(t)
     branch_old = NEW_REGIME if removed else k_old
     if table is not None and removed:
         table.drop(k_old)
-    branch = propose_z(group, t, values, observed, rng)
+    branch = propose_z(stats, t, rng)
     accepted = True
     if full_mh and branch != branch_old:
         if table is None:
-            table = SweepTable(group, values, observed, lgamma, site=(t, branch_old))
+            table = SweepTable(stats.group, stats.values, stats.observed, lgamma, site=(t, branch_old))
         log_r = acceptance_log_ratio(table, t, branch_old, branch)
         if log_r < 0 and math.log(rng.random()) >= log_r:
             branch = branch_old
             accepted = False
-    k = group.add_regime() if branch == NEW_REGIME else branch
-    group.assign(t, k, values, observed)
+    k = stats.add_regime() if branch == NEW_REGIME else branch
+    stats.assign(t, k)
     moved = accepted and branch != branch_old
     if table is not None:
         table.settle(t, moved)
@@ -204,21 +208,20 @@ def transition_site(group, t, values, observed, rng, full_mh, table, lgamma):
 def sweep_z(group, values, observed, rng, config: MhConfig, lgamma) -> dict:
     """One pass over t = 1..T in order.
 
-    A full-MH sweep builds the group's :class:`SweepTable` at its first ratio
-    call, from the chain's ``lgamma`` table, and keeps it through every later
-    site, one column per regime label as regimes empty and appear.  Returns
-    acceptance statistics; in
-    always-accept mode every proposal is applied and ``accepted`` equals
-    ``sites``.
+    The pass folds the group's :class:`~trcrp.model.GroupStats` from its
+    sequence at its start and drops them at its end.  A full-MH sweep builds
+    the group's :class:`SweepTable` at its first ratio call, from the
+    chain's ``lgamma`` table, and keeps it through every later site, one
+    column per regime label as regimes empty and appear.  Returns acceptance
+    statistics; in always-accept mode every proposal is applied and
+    ``accepted`` equals ``sites``.
     """
+    stats = GroupStats(group, values, observed)
     table = None
-    stats = {"sites": 0, "accepted": 0, "moved": 0}
+    tally = {"sites": 0, "accepted": 0, "moved": 0}
     for t in range(1, group.num_steps + 1):
-        moved, accepted, table = transition_site(
-            group, t, values, observed, rng, config.full_mh, table, lgamma
-        )
-        stats["sites"] += 1
-        stats["accepted"] += accepted
-        stats["moved"] += moved
-    group.rebuild_stats(values, observed)
-    return stats
+        moved, accepted, table = transition_site(stats, t, rng, config.full_mh, table, lgamma)
+        tally["sites"] += 1
+        tally["accepted"] += accepted
+        tally["moved"] += moved
+    return tally

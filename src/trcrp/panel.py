@@ -82,18 +82,10 @@ class TimeSeriesPanel:
     def time_labels(self) -> tuple[str, ...]:
         return self.raw_labels[self.window :]
 
-    def column(self, t: int) -> int:
-        """Array column of time t (t in -window+1 .. num_steps)."""
-        return self.window + t - 1
-
     def missing_cells(self) -> list[tuple[int, int]]:
         """(series, time) pairs of unobserved modeled cells, row-major order."""
-        out = []
-        for n in range(self.num_series):
-            for t in range(1, self.num_steps + 1):
-                if not self.observed[n, self.column(t)]:
-                    out.append((n, t))
-        return out
+        series, col = np.nonzero(~self.observed[:, self.window :])
+        return list(zip(series.tolist(), (col + 1).tolist()))
 
 
 def load_csv(path, window: int) -> TimeSeriesPanel:

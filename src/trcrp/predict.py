@@ -19,10 +19,11 @@ pad the set, step with it and are never checked or returned.  Per step a
 set makes one kernel call over the lag cells, one Gumbel argmax, one
 Student-T call for the members' emissions and one fold.  The sets run in
 the order of their first group over (chain, group), so a set of one group
-makes the Generator calls of a group forecast alone.  An imputation computes
-each (chain, cell) emission predictive once and draws the chain's (cells,
-R_s) block in one Student-T call.  Draw r keeps one chain for all of its
-groups and cells.
+makes the Generator calls of a group forecast alone.  An imputation folds
+the emission statistics of every (chain, cell) in one pass over the
+sequences and the data, reads each cell's scalar Student-T form from them,
+and draws each chain's (cells, R_s) block in one ``standard_t`` call.  Draw
+r keeps one chain for all of its groups and cells.
 
 The model's missing-data rule holds here too: an unobserved cell contributes
 no lag factor, no emission factor and no statistics.  A rollout reads the
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smc
-from .conjugate import LgammaTable, predictive_sample_array
-from .model import ChainState
+from .conjugate import LgammaTable, predictive_sample_array, student_t_form
+from .model import ChainState, fold_stats
 from .panel import TimeSeriesPanel
 from .smc import NumericalError, ParticleSet
 
@@ -228,14 +229,46 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     )
 
 
+def _emission_forms(panel: TimeSeriesPanel, chains, cells) -> list[np.ndarray]:
+    """Each chain's emission predictives of ``cells``: one (3, cells, 1) array per chain.
+
+    Per cell: the location, squared scale and dof of the
+    :func:`~trcrp.conjugate.student_t_form` of the series' emission hyper
+    and the count, sum and sum of squares of its observed values at the
+    steps its group's sequence assigns to the cell's regime.  The statistics
+    come from one :func:`~trcrp.model.fold_stats` pass over every series'
+    emission cell under its group's sequence in every chain.
+    """
+    num, p = panel.num_series, panel.window
+    z = []  # row c * num + n: series n's sequence in chain c
+    for chain in chains:
+        sequence = {n: group.regimes.z for group in chain.groups for n in group.members}
+        z += [sequence[n] for n in range(num)]
+    rows = list(range(num)) * len(chains)
+    blocks = max(len(group.regimes.counts) for chain in chains for group in chain.groups)
+    stats = fold_stats(panel.values[rows, None, p:], panel.observed[rows, None, p:], z, blocks)
+    count, total, total_sq = (s[:, 0].tolist() for s in stats)
+    forms = []
+    for c, chain in enumerate(chains):
+        columns = []
+        for n, t in cells:
+            h, r = chain.hypers[n].emission, c * num + n
+            k = z[r][t - 1] - 1
+            form = student_t_form(h.m, h.V, h.a, h.b, count[r][k], total[r][k], total_sq[r][k])
+            columns.append((form[0], form[5], form[4]))
+        forms.append(np.array(columns).T[:, :, None])  # three (cells, 1) columns
+    return forms
+
+
 def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
     """Draws from the posterior mixture over each missing cell.
 
     Each draw picks a chain, reads the regime that chain assigned to the
     cell's time step within the series' group, and samples the collapsed
-    emission predictive of that (series, regime) cell.  A chain's draws of
-    all cells come from one Student-T call.  A fully observed panel yields
-    an empty result.
+    emission predictive of that (series, regime) cell.  The statistics of
+    every chain's cells come from one fold (:func:`_emission_forms`), and a
+    chain's draws of all cells from one ``standard_t`` call.  A fully
+    observed panel yields an empty result.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
@@ -244,19 +277,14 @@ def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     chain_of = rng.integers(samples.num_chains, size=draws)
     out = np.empty((len(cells), draws))
-    for s, chain in enumerate(samples.chains):
-        picked = np.flatnonzero(chain_of == s)
-        if not (picked.size and cells):
-            continue
-        rows = []
-        labels = chain.assignments
-        for n, t in cells:
-            group = chain.groups[labels[n] - 1]
-            h = group.hypers[n].emission
-            stats = group.cells[n][group.regimes.z[t - 1] - 1][0]
-            rows.append((h.m, h.V, h.a, h.b, stats.count, stats.sum, stats.sum_sq))
-        params = np.array(rows).T[:, :, None]  # seven (cells, 1) columns
-        out[:, picked] = predictive_sample_array(*params, rng, size=(len(cells), picked.size))
+    picked = [np.flatnonzero(chain_of == s) for s in range(samples.num_chains)]
+    used = [s for s, rows in enumerate(picked) if rows.size] if cells else []
+    if used:
+        forms = _emission_forms(panel, [samples.chains[s] for s in used], cells)
+        for s, (loc, scale_sq, dof) in zip(used, forms):
+            size = (len(cells), picked[s].size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[:, picked[s]] = loc + np.sqrt(scale_sq) * rng.standard_t(dof, size=size)
     _require_finite(out, "imputation")
     return ImputationResult(
         cells=cells,

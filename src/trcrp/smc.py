@@ -36,9 +36,9 @@ the last bit: the lag sums and the step normalizers reduce over the set's
 padded rows and width, and numpy sums 8 entries or more pairwise, in an
 order that the padding moves.  Forecasts (:func:`trcrp.predict.forecast`)
 reuse the particles as copies of fitted groups, one set for many groups of
-equal hypers and member count across chains: each copy starts from its
-group's statistics, scores the lag cells only and has its own row of cell
-values, since a future lag reads that copy's own draws.
+equal hypers and member count across chains: each copy starts from the
+statistics of its group's sequence, scores the lag cells only and has its
+own row of cell values, since a future lag reads that copy's own draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -104,12 +104,11 @@ class ParticleSet:
     T), hold the layout's arrays gathered by ``rows``, and ``hyper`` and
     ``lgamma`` its hypers and lgamma rows, (G*J, cells), gathered for each
     particle, which is what a fold reads.  Every particle of group g starts as
-    a copy of it: its regime sequence, blocks, statistics and forms, which
-    are empty (the prior's) for the filter's empty groups and those of the
-    fitted group for a forecast.  The statistics come from one
-    :func:`~trcrp.model.fold_stats` pass over ``x``, ``seen`` and the groups'
-    sequences, whose labels are 0 past a group's own steps; a fitted group
-    holds canonical sums at rest, so they equal its cells' bits.  ``scored``
+    a copy of it: its regime sequence and blocks, and the statistics and
+    forms they give, which are empty (the prior's) for the filter's empty
+    groups.  The statistics come from one :func:`~trcrp.model.fold_stats`
+    pass over ``x``, ``seen`` and the groups' sequences, whose labels are 0
+    past a group's own steps.  ``scored``
     holds the scores of the step scored last, which every group's
     :func:`smc_step` at that step reads.
 

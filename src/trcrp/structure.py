@@ -20,8 +20,9 @@ Every term is a group's loglik over some ordered subset of series.  A pass
 builds one :class:`~trcrp.model.PrefixStats` table per group the first time it
 needs one, over every series' lag and emission cells, and reads each subset's
 terms from it; a fresh slot's one-series table gives its proposal density and
-its loglik.  An accepted move takes the series out of its group (removing the
-group it leaves empty) and into the target, appending the slot.
+its loglik.  An accepted move takes the series out of its group's member list
+(removing the group it leaves empty) and into the target's, appending the
+slot; a group stores no statistics, so nothing else changes.
 """
 
 from __future__ import annotations
@@ -156,11 +157,11 @@ def accept_c(state: ChainState, proposal: ClusterProposal, rng, tables: dict, he
     if len(current.members) == 1:
         state.groups.remove(current)
     else:
-        current.drop_member(n)
+        current.members.remove(n)
     if target is proposal.slot:
         state.groups.append(target)
     else:
-        target.add_member(n, state.values, state.observed)
+        target.members.append(n)
     return True, True, log_r
 
 

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from trcrp.conjugate import NigHyper, predictive_logpdf_raw
-from trcrp.model import SeriesHypers
+from trcrp.model import GroupModel, SeriesHypers
 from trcrp.panel import TimeSeriesPanel
 
 
@@ -89,3 +89,12 @@ def robustness_panel(kind, seed=0, num_series=3, steps=24, window=2):
     elif kind == "all_missing":
         observed[1, window:] = False
     return make_panel(np.where(observed, values, np.nan).tolist(), window, observed)
+
+
+def assert_resting(groups):
+    """Fail unless every group holds its members, concentration, sequence and
+    hypers and nothing else: no statistics and no Student-T forms."""
+    for group in groups:
+        assert type(group) is GroupModel and not hasattr(group, "__dict__")
+        held = {name for name in GroupModel.__slots__ if hasattr(group, name)}
+        assert held == {"members", "alpha", "num_steps", "window", "hypers", "regimes"}

@@ -8,9 +8,11 @@ instead of sufficient statistics.  The exceptions say so: the bit-exact
 full-MH references (:func:`two_pass_log_ratio`, :func:`two_pass_sweep_z`) and
 the scalar forecast rollout run the package's own model code, and
 :func:`posterior_params` (so :func:`student_t`) runs the package's scalar
-posterior update.  The CLI output references (:func:`forecast_csv_rows`,
-:func:`forecast_summary`, :func:`impute_csv_rows`) format given draws one
-element and one series at a time.
+posterior update.  The drift checks (:func:`stats_deviation`,
+:func:`check_forms`) and the imputation reference (:func:`group_stats_impute`)
+read a live ``GroupStats``.  The CLI output references
+(:func:`forecast_csv_rows`, :func:`forecast_summary`, :func:`impute_csv_rows`)
+format given draws one element and one series at a time.
 """
 
 from __future__ import annotations
@@ -21,9 +23,15 @@ from typing import NamedTuple
 import numpy as np
 import scipy.stats
 
-from trcrp.conjugate import LgammaTable, NigHyper, _posterior
+from trcrp.conjugate import (
+    LgammaTable,
+    NigHyper,
+    _posterior,
+    predictive_sample_array,
+    student_t_form,
+)
 from trcrp.mcmc import NEW_REGIME, propose_z
-from trcrp.model import cell_layout, prefix_stats
+from trcrp.model import GroupModel, GroupStats, cell_layout, prefix_stats
 from trcrp.predict import QUANTILES
 
 
@@ -60,6 +68,57 @@ def scalar_fold(x, seen, z, num_blocks):
         for k, (c, s, q) in enumerate(sums):
             count[cell + (k,)], total[cell + (k,)], total_sq[cell + (k,)] = c, s, q
     return count, total, total_sq
+
+
+def group_fold(group, values, observed):
+    """Reference rows of a ``GroupStats`` over ``group``: per member, regime
+    and offset, the cell's (count, sum, sum of squares) by :func:`scalar_fold`
+    of the group's sequence."""
+    p = group.window
+    cols = p - np.arange(p + 1)[:, None] + np.arange(group.num_steps)
+    rows = np.asarray(group.members)[:, None, None]
+    x = np.asarray(values, dtype=float)[rows, cols]
+    seen = np.asarray(observed, dtype=bool)[rows, cols]
+    stats = scalar_fold(x, seen, group.regimes.z, group.regimes.num_regimes)
+    count, total, total_sq = (s.transpose(0, 2, 1).tolist() for s in stats)  # [member][regime][offset]
+    return [[list(zip(*row)) for row in zip(*member)] for member in zip(count, total, total_sq)]
+
+
+def stats_rows(stats):
+    """A ``GroupStats``' rows as :func:`group_fold` gives them."""
+    return [
+        [[(s.count, s.sum, s.sum_sq) for s in row] for row in stats.cells[n]]
+        for n in stats.group.members
+    ]
+
+
+def stats_deviation(stats):
+    """Max |live - folded| over the cells of a live ``GroupStats`` against
+    :func:`group_fold` of its group's sequence as it stands; raises on a
+    count or shape mismatch."""
+    worst = 0.0
+    want = group_fold(stats.group, stats.values, stats.observed)
+    for n, rows_a, rows_b in zip(stats.group.members, stats_rows(stats), want, strict=True):
+        for row_a, row_b in zip(rows_a, rows_b, strict=True):
+            for (count_a, sum_a, sq_a), (count_b, sum_b, sq_b) in zip(row_a, row_b, strict=True):
+                if count_a != count_b:
+                    raise AssertionError(f"stats count drift on series {n}: {count_a} != {count_b}")
+                worst = max(worst, abs(sum_a - sum_b), abs(sq_a - sq_b))
+    return worst
+
+
+def check_forms(stats):
+    """Raise unless every cached form of a live ``GroupStats`` whose hyper is
+    current equals a fresh ``student_t_form`` of its cell."""
+    for n in stats.group.members:
+        sh = stats.group.hypers[n]
+        for row in stats.cells[n] + [stats.fresh[n]]:
+            for i, s in enumerate(row):
+                h = sh.cell(i)
+                if s.hyper is h and s.form != student_t_form(
+                    h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq
+                ):
+                    raise AssertionError(f"stale Student-t form on series {n}, offset {i}")
 
 
 def logsumexp(values):
@@ -245,11 +304,12 @@ def rollout_forecast(samples, horizon, draws, seed):
     """Scalar reference forecast: one draw at a time, (draws, N, horizon).
 
     Unlike the rest of this module it runs the package's own model code.
-    Each draw picks a chain uniformly, rebuilds every group of it from its
-    sequence and rolls the copy forward with ``GroupModel.rollout``, which
-    weighs one step at a time from scalar weights over the copy's
-    incremental statistics and reads the panel mask as it stands.  It shares
-    none of the arrays over draws that the package's forecast steps through.
+    Each draw picks a chain uniformly, copies every group of it with its
+    sequence extended by the horizon's unassigned steps, and rolls the copy
+    forward with ``GroupModel.rollout``, which weighs one step at a time
+    from scalar weights over the copy's incremental statistics and reads the
+    panel mask as it stands.  It shares none of the arrays over draws that
+    the package's forecast steps through.
     """
     panel = samples.panel
     rng = np.random.default_rng(seed)
@@ -263,13 +323,53 @@ def rollout_forecast(samples, horizon, draws, seed):
         ext_values = np.zeros((num, p + steps + horizon))
         ext_values[:, : p + steps] = panel.values
         for group in chain.groups:
-            future = group.empty_clone()
-            future.load_sequence(group.regimes.z, ext_values, ext_observed)
-            future.num_steps = steps + horizon
-            future.regimes.z = future.regimes.z + [0] * horizon
+            future = GroupModel(group.members, group.alpha, steps + horizon, p, group.hypers)
+            future.load_sequence(group.regimes.z)
+            future.regimes.z += [0] * horizon
             future.rollout(future_steps, ext_values, ext_observed, rng, emit=True)
         out[r] = ext_values[:, p + steps :]
     return out
+
+
+def missing_cells(panel):
+    """Reference for ``TimeSeriesPanel.missing_cells``: a loop over series, then steps."""
+    return [
+        (n, t)
+        for n in range(panel.num_series)
+        for t in range(1, panel.num_steps + 1)
+        if not seen(panel, n, t)
+    ]
+
+
+def group_stats_impute(samples, draws, seed):
+    """Reference imputation: ``(cells, draws)`` as ``predict.impute`` returns them.
+
+    It makes the package's Generator calls in the same order, but reads each
+    missing cell's statistics one at a time from the emission row of a
+    ``GroupStats`` over its chain's group, and lists the cells with
+    :func:`missing_cells`.
+    """
+    panel = samples.panel
+    cells = missing_cells(panel)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    chain_of = rng.integers(samples.num_chains, size=draws)
+    out = np.empty((len(cells), draws))
+    for s, chain in enumerate(samples.chains):
+        picked = np.flatnonzero(chain_of == s)
+        if not (picked.size and cells):
+            continue
+        stats = {}
+        for group in chain.groups:
+            group_stats = GroupStats(group, panel.values, panel.observed)
+            stats.update((n, group_stats) for n in group.members)
+        rows = []
+        for n, t in cells:
+            h = chain.hypers[n].emission
+            cell = stats[n].cells[n][stats[n].group.regimes.z[t - 1] - 1][0]
+            rows.append((h.m, h.V, h.a, h.b, cell.count, cell.sum, cell.sum_sq))
+        params = np.array(rows).T[:, :, None]  # seven (cells, 1) columns
+        out[:, picked] = predictive_sample_array(*params, rng, size=(len(cells), picked.size))
+    return cells, out
 
 
 def forecast_csv_rows(result):
@@ -336,24 +436,24 @@ def two_pass_sweep_z(group, values, observed, rng):
     """One full-MH sweep over t = 1..T decided by :func:`two_pass_log_ratio`.
 
     The same draws in the same order as ``trcrp.mcmc.sweep_z`` with a full-MH
-    config, and the same end-of-sweep rebuild, but no table kept between
-    sites.  Returns the count of accepted proposals.
+    config, from a ``GroupStats`` folded at its start, but no table kept
+    between sites.  Returns the count of accepted proposals.
     """
     cells = cell_layout(
         group.members, group.hypers, values, observed, group.window,
         LgammaTable(group.num_steps), emission=False,
     )
+    stats = GroupStats(group, values, observed)
     accepted = 0
     for t in range(1, group.num_steps + 1):
-        k_old, removed = group.unassign(t, values, observed)
+        k_old, removed = stats.unassign(t)
         branch_old = NEW_REGIME if removed else k_old
-        branch = propose_z(group, t, values, observed, rng)
+        branch = propose_z(stats, t, rng)
         if branch != branch_old:
             log_r = two_pass_log_ratio(group, t, branch_old, branch, cells)
             if log_r < 0 and math.log(rng.random()) >= log_r:
                 branch = branch_old
                 accepted -= 1
         accepted += 1
-        group.assign(t, group.add_regime() if branch == NEW_REGIME else branch, values, observed)
-    group.rebuild_stats(values, observed)
+        stats.assign(t, stats.add_regime() if branch == NEW_REGIME else branch)
     return accepted

@@ -18,7 +18,7 @@ from trcrp.conjugate import (
     predictive_logpdf_array,
     predictive_logpdf_raw,
 )
-from trcrp.model import GroupModel, SeriesHypers, crp_log_weights
+from trcrp.model import GroupModel, GroupStats, SeriesHypers, crp_log_weights
 
 UNIT = NigHyper(0.0, 1.0, 1.0, 1.0)
 
@@ -304,39 +304,40 @@ def test_marginal_loglik_telescopes(rng):
     assert marginal_loglik(hyper, s) == pytest.approx(total, abs=1e-10)
 
 
-def lag_group(panel, cohesion, z):
-    """One-series group over ``panel`` with lag cells ``cohesion`` and sequence ``z``."""
+def lag_stats(panel, cohesion, z):
+    """A pass's statistics over a one-series group on ``panel`` with lag cells
+    ``cohesion`` and sequence ``z``."""
     hypers = {0: SeriesHypers(UNIT, cohesion)}
     group = GroupModel([0], 1.0, panel.num_steps, panel.window, hypers)
-    group.load_sequence(z, panel.values, panel.observed)
-    return group
+    group.load_sequence(z)
+    return GroupStats(group, panel.values, panel.observed)
 
 
 def test_cohesion_empty_window_is_zero():
     panel = make_panel([[0.3, -1.2, 0.8, 2.0]], window=0)
-    group = lag_group(panel, (), [1, 2, 1, 1])
-    got = group.regime_log_weights(3, panel.values, panel.observed, False)
-    assert got == crp_log_weights(group.regimes.counts, group.alpha)
+    stats = lag_stats(panel, (), [1, 2, 1, 1])
+    got = stats.regime_log_weights(3, False)
+    assert got == crp_log_weights(stats.group.regimes.counts, stats.group.alpha)
 
 
 def test_cohesion_unobserved_lags_contribute_nothing():
     # both lag cells of the last step are missing: its weights are the CRP's
     panel = make_panel([[0.5, 1.5, 1.0, 2.0, None, None, 7.0]], window=2)
-    group = lag_group(panel, (UNIT, UNIT), [1, 2, 1, 2, 1])
-    got = group.regime_log_weights(5, panel.values, panel.observed, False)
-    assert got == crp_log_weights(group.regimes.counts, group.alpha)
+    stats = lag_stats(panel, (UNIT, UNIT), [1, 2, 1, 2, 1])
+    got = stats.regime_log_weights(5, False)
+    assert got == crp_log_weights(stats.group.regimes.counts, stats.group.alpha)
 
 
 def test_cohesion_factorizes():
     hypers = (UNIT, NigHyper(1.0, 2.0, 3.0, 4.0))
     panel = make_panel([[1.0, 2.0, -1.0, 0.5, -0.5, 3.0]], window=2)
-    group = lag_group(panel, hypers, [1, 1, 2, 2])
+    group_stats = lag_stats(panel, hypers, [1, 1, 2, 2])
     # at t = 1 both lags lie in the prefix; at t = 4 they are times 3 and 2
     for t in (1, 4):
-        weights = group.regime_log_weights(t, panel.values, panel.observed, False)
+        weights = group_stats.regime_log_weights(t, False)
         for k in (1, 2):
-            stats = group.cells[0][k - 1]
-            want = math.log(group.regimes.counts[k - 1]) + sum(
+            stats = group_stats.cells[0][k - 1]
+            want = math.log(group_stats.group.regimes.counts[k - 1]) + sum(
                 cell_logpdf(hypers[i - 1], stats[i], value(panel, 0, t - i))
                 for i in (1, 2)
             )

@@ -8,7 +8,8 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import ROBUSTNESS_PANELS, make_panel, robustness_panel
+from conftest import ROBUSTNESS_PANELS, assert_resting, make_panel, robustness_panel
+from oracles import group_fold, stats_rows
 from trcrp import engine
 from trcrp.conjugate import NigHyper
 from trcrp.engine import (
@@ -24,7 +25,7 @@ from trcrp.engine import (
     sampleset_hash,
     save_sampleset,
 )
-from trcrp.model import log_joint, state_from_payload, state_payload
+from trcrp.model import GroupStats, log_joint, state_from_payload, state_payload
 from trcrp.smc import NumericalError
 from trcrp.predict import dependence_matrix, forecast, impute
 
@@ -168,7 +169,7 @@ def test_state_payload_round_trip(rng):
     for ga, gb in zip(back.groups, chain.groups):
         assert ga.regimes.z == gb.regimes.z
         assert ga.alpha == gb.alpha
-    assert back.stats_deviation() < 1e-10
+    back.check_consistency()
 
 
 def test_sampleset_save_load_round_trip(rng, tmp_path):
@@ -184,18 +185,19 @@ def test_sampleset_save_load_round_trip(rng, tmp_path):
     assert np.allclose(dependence_matrix(loaded), dependence_matrix(samples))
 
 
-def cell_stats(group):
-    """Per member, regime and offset: the cell's (count, sum, sum of squares)."""
+def pass_stats(chain):
+    """Per group, its members and the rows of the statistics a pass folds over it."""
     return [
-        [[(s.count, s.sum, s.sum_sq) for s in row] for row in group.cells[n]]
-        for n in group.members
+        (group.members, stats_rows(GroupStats(group, chain.values, chain.observed)))
+        for group in chain.groups
     ]
 
 
 @pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
 def test_round_trip_rebuilds_the_fits_stats(kind, tmp_path):
-    # load folds each group's statistics in one array pass; they must be the
-    # fitted chains' own, and so must the log joint
+    # a group stores its sequence alone; a pass over a loaded group folds the
+    # bits a pass over the fitted group folds, which are the scalar reference
+    # fold's, and the log joint is the fit's
     panel = robustness_panel(kind, steps=16)
     config = quick_config(window=panel.window, burnin=3, init_sweeps=1, hyper_cadence=2)
     samples = fit(panel, config)
@@ -204,8 +206,9 @@ def test_round_trip_rebuilds_the_fits_stats(kind, tmp_path):
     loaded = load_sampleset(path)[0]
     for chain, back in zip(samples.chains, loaded.chains, strict=True):
         assert back.assignments == chain.assignments
-        for group, other in zip(chain.groups, back.groups, strict=True):
-            assert cell_stats(other) == cell_stats(group)
+        assert pass_stats(back) == pass_stats(chain)
+        for group, (_, rows) in zip(back.groups, pass_stats(back)):
+            assert rows == group_fold(group, panel.values, panel.observed)
         assert log_joint(back) == pytest.approx(log_joint(chain), rel=0, abs=1e-9)
 
 
@@ -228,6 +231,24 @@ def test_sampleset_schema_mismatch(rng, tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionError):
             load_sampleset(path)
+
+
+@pytest.mark.parametrize("smc_init", [True, False], ids=["smc", "no_smc"])
+def test_initialised_groups_hold_no_statistics(rng, smc_init):
+    panel = small_panel(rng, num_series=4, missing=[(1, 7)])
+    config = quick_config(chains=3, smc_init=smc_init)
+    chains = init_chains(panel, config, np.random.SeedSequence(2).spawn(3))
+    assert_resting([group for state, _, _ in chains for group in state.groups])
+
+
+def test_fitted_and_loaded_groups_hold_no_statistics(rng, tmp_path):
+    panel = small_panel(rng, num_series=4, missing=[(1, 7), (3, 12)])
+    config = quick_config(chains=3, burnin=3)
+    samples = fit(panel, config)
+    assert_resting([group for chain in samples.chains for group in chain.groups])
+    save_sampleset(samples, config, tmp_path / "fit.json")
+    loaded = load_sampleset(tmp_path / "fit.json")[0]
+    assert_resting([group for chain in loaded.chains for group in chain.groups])
 
 
 def test_no_smc_init_path(rng):
@@ -306,23 +327,15 @@ def test_smc_only_fit_with_threads_equals_sequential(rng):
 
 
 def test_in_memory_fit_queries_equal_a_reloaded_copy(rng, tmp_path):
-    # the fit serves the chains run_sweeps built; a reload folds them from the payload
+    # the fit serves the chains run_sweeps built; a reload rebuilds them from the payload
     panel = small_panel(rng, num_series=3, missing=[(1, 7), (2, 15)])
     config = quick_config(chains=3, burnin=4)
     samples = fit(panel, config)
     path = tmp_path / "fit.json"
     save_sampleset(samples, config, path)
     loaded = load_sampleset(path)[0]
-
-    def cell_stats(chain):
-        return [
-            (group.members, [[(s.count, s.sum, s.sum_sq) for s in row] for row in group.cells[n]])
-            for group in chain.groups
-            for n in group.members
-        ]
-
     for fitted, back in zip(samples.chains, loaded.chains, strict=True):
-        assert cell_stats(fitted) == cell_stats(back)
+        assert pass_stats(fitted) == pass_stats(back)
     assert np.array_equal(forecast(samples, 3, 40, 5).draws, forecast(loaded, 3, 40, 5).draws)
     assert np.array_equal(impute(samples, 40, 5).draws, impute(loaded, 40, 5).draws)
 

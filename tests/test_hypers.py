@@ -21,7 +21,7 @@ from trcrp.hypers import (
     initial_hypers,
 )
 from trcrp import mcmc, structure
-from trcrp.model import log_joint
+from trcrp.model import GroupModel, log_joint
 from trcrp.smc import smc_block_sample
 
 
@@ -545,7 +545,8 @@ def test_sweep_tables_build_no_lgamma_rows_once_the_chain_holds_them(monkeypatch
         lambda: structure.sweep_c(state, rng),
         lambda: hyper_sweep(state, rng),
         lambda: smc_block_sample(
-            [group.empty_clone() for group in state.groups], values, observed, state.lgamma, 4, rng
+            [GroupModel(g.members, g.alpha, g.num_steps, g.window, g.hypers) for g in state.groups],
+            values, observed, state.lgamma, 4, rng,
         ),
         lambda: log_joint(state),
     ):

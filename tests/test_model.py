@@ -14,11 +14,15 @@ from conftest import (
 from oracles import (
     canonical_partition,
     canonical_sequences,
+    check_forms,
     exact_crp_log_mass,
+    group_fold,
     logsumexp,
     naive_group_loglik,
     naive_log_joint,
     scalar_fold,
+    stats_deviation,
+    stats_rows,
     total_variation,
     value,
 )
@@ -35,6 +39,7 @@ from trcrp.model import (
     COLUMN_PASS_ROWS,
     ChainState,
     GroupModel,
+    GroupStats,
     PrefixStats,
     SeriesHypers,
     cell_layout,
@@ -51,22 +56,33 @@ def build_group(panel, hypers, z, members=None, alpha=1.0):
     members = members if members is not None else list(range(panel.num_series))
     hyper_map = {n: hypers[n] for n in range(panel.num_series)}
     group = GroupModel(members, alpha, panel.num_steps, panel.window, hyper_map)
-    for _ in range(max(z)):
-        group.add_regime()
-    for t, k in enumerate(z, start=1):
-        group.assign(t, k, panel.values, panel.observed)
+    load_prefix(group, z)
     return group
+
+
+def load_prefix(group, z):
+    """Give ``group`` the sequence ``z`` over its first steps; the steps after stay unassigned."""
+    group.load_sequence(z)
+    group.regimes.z += [0] * (group.num_steps - len(z))
 
 
 def build_state(panel, hypers, z_by_group, assignments, alpha0=1.0, alphas=None):
     alphas = alphas if alphas is not None else [1.0] * len(z_by_group)
     state = ChainState.create(panel, alpha0, assignments, alphas, hypers)
     for group, z in zip(state.groups, z_by_group):
-        for _ in range(max(z)):
-            group.add_regime()
-        for t, k in enumerate(z, start=1):
-            group.assign(t, k, panel.values, panel.observed)
+        load_prefix(group, z)
     return state
+
+
+def stats_over(group, panel):
+    """A pass's :class:`GroupStats` over ``group``, folded from its sequence."""
+    return GroupStats(group, panel.values, panel.observed)
+
+
+def empty_stats(group, panel):
+    """A :class:`GroupStats` over a copy of ``group`` with no sequence yet."""
+    copy = GroupModel(group.members, group.alpha, group.num_steps, group.window, group.hypers)
+    return stats_over(copy, panel)
 
 
 # -- CRP weights ------------------------------------------------------------
@@ -93,15 +109,15 @@ def test_reweighted_equals_crp_at_p0(rng):
     panel = make_panel([list(rng.normal(size=8)), list(rng.normal(size=8))], window=0)
     hypers = uniform_hypers(2, 0)
     group = build_group(panel, hypers, [1, 2, 1, 1, 2, 3, 1, 2], alpha=0.7)
-    scratch = group.empty_clone()
+    scratch = empty_stats(group, panel)
     for t in range(1, 6):
-        want = crp_log_weights(scratch.regimes.counts, 0.7)
-        got = scratch.regime_log_weights(t, panel.values, panel.observed, False)
+        want = crp_log_weights(scratch.group.regimes.counts, 0.7)
+        got = scratch.regime_log_weights(t, False)
         assert got == want
         k = group.regimes.z[t - 1]
-        while scratch.regimes.num_regimes < k:
+        while scratch.group.regimes.num_regimes < k:
             scratch.add_regime()
-        scratch.assign(t, k, panel.values, panel.observed)
+        scratch.assign(t, k)
 
 
 def test_reweighted_symmetric_regimes_get_equal_weight():
@@ -113,7 +129,7 @@ def test_reweighted_symmetric_regimes_get_equal_weight():
     # build instead with identical histories:
     panel2 = make_panel([[1.0, 1.0, 1.0, 1.0, 1.0, 2.0]], window=1)
     group2 = build_group(panel2, uniform_hypers(1, 1), [1, 2, 1, 2], alpha=1.0)
-    w = group2.regime_log_weights(5, panel2.values, panel2.observed, False)
+    w = stats_over(group2, panel2).regime_log_weights(5, False)
     assert w[0] == pytest.approx(w[1], abs=1e-12)
 
 
@@ -121,14 +137,14 @@ def test_reweighted_weights_normalize(rng):
     panel = make_panel([list(rng.normal(size=10))], window=2)
     hypers = uniform_hypers(1, 2)
     group = build_group(panel, hypers, [1, 1, 2, 1, 2, 3, 1, 1], alpha=1.3)
-    scratch = group.empty_clone()
+    scratch = empty_stats(group, panel)
     for t, k in enumerate(group.regimes.z, start=1):
-        w = scratch.regime_log_weights(t, panel.values, panel.observed, False)
+        w = scratch.regime_log_weights(t, False)
         log_b = -logsumexp(w)
         assert sum(math.exp(x + log_b) for x in w) == pytest.approx(1.0, abs=1e-12)
-        while scratch.regimes.num_regimes < k:
+        while scratch.group.regimes.num_regimes < k:
             scratch.add_regime()
-        scratch.assign(t, k, panel.values, panel.observed)
+        scratch.assign(t, k)
 
 
 def test_reweighted_weights_evaluate_no_emission_terms(monkeypatch):
@@ -137,8 +153,8 @@ def test_reweighted_weights_evaluate_no_emission_terms(monkeypatch):
     lag = NigHyper(0.0, 1.0, 2.0, 1.0)
     emission = NigHyper(0.5, 2.0, 3.0, 1.5)  # told apart from the lag cells by its values
     hypers = [SeriesHypers(emission, (lag, lag)) for _ in range(2)]
-    group = build_group(panel, hypers, [1, 2, 1])
-    group.unassign(3, panel.values, panel.observed)
+    stats = stats_over(build_group(panel, hypers, [1, 2, 1]), panel)
+    stats.unassign(3)
     built = []
     original = conjugate.student_t_form
 
@@ -147,8 +163,8 @@ def test_reweighted_weights_evaluate_no_emission_terms(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(conjugate, "student_t_form", counting)
-    group.regime_log_weights(3, panel.values, panel.observed, False)
-    num_blocks = group.regimes.num_regimes + 1
+    stats.regime_log_weights(3, False)
+    num_blocks = stats.group.regimes.num_regimes + 1
     assert built.count((emission.m, emission.V, emission.a, emission.b)) == 0
     assert len(built) == num_blocks * 3  # one form per observed lag cell and block
 
@@ -159,61 +175,61 @@ def test_reweighted_weights_evaluate_no_emission_terms(monkeypatch):
 def test_normalizer_p0_is_crp_normalizer(rng):
     panel = make_panel([list(rng.normal(size=6))], window=0)
     group = build_group(panel, uniform_hypers(1, 0), [1, 1, 2, 1, 2, 1], alpha=0.9)
-    scratch = group.empty_clone()
+    scratch = empty_stats(group, panel)
     for t, k in enumerate(group.regimes.z, start=1):
-        log_b = -logsumexp(scratch.regime_log_weights(t, panel.values, panel.observed, False))
+        log_b = -logsumexp(scratch.regime_log_weights(t, False))
         assert log_b == pytest.approx(-math.log(t - 1 + 0.9), abs=1e-12)
-        while scratch.regimes.num_regimes < k:
+        while scratch.group.regimes.num_regimes < k:
             scratch.add_regime()
-        scratch.assign(t, k, panel.values, panel.observed)
+        scratch.assign(t, k)
 
 
 def test_normalizer_single_regime_tiny_alpha_inverts_cohesion():
     panel = make_panel([[0.2, 0.4, 0.6, 0.8, 1.0]], window=1)
     hypers = uniform_hypers(1, 1)
     group = build_group(panel, hypers, [1, 1, 1], alpha=1e-300)
-    scratch = group.empty_clone()
+    scratch = empty_stats(group, panel)
     for t in (1, 2, 3):
         if t > 1:
-            log_b = -logsumexp(scratch.regime_log_weights(t, panel.values, panel.observed, False))
+            log_b = -logsumexp(scratch.regime_log_weights(t, False))
             coh = cell_logpdf(
                 hypers[0].cohesion[0], scratch.cells[0][0][1], value(panel, 0, t - 1)
             )
-            count_term = math.log(scratch.regimes.counts[0])
+            count_term = math.log(scratch.group.regimes.counts[0])
             assert log_b == pytest.approx(-(coh + count_term), abs=1e-10)
-        while scratch.regimes.num_regimes < 1:
+        while scratch.group.regimes.num_regimes < 1:
             scratch.add_regime()
-        scratch.assign(t, 1, panel.values, panel.observed)
+        scratch.assign(t, 1)
 
 
 # -- step predictive ------------------------------------------------------------
 
 
-def step_predictive(group, t, panel):
+def step_predictive(stats, t):
     """Log one-step predictive of the observed cells at t, regime summed out."""
-    full = group.regime_log_weights(t, panel.values, panel.observed, True)
-    base = group.regime_log_weights(t, panel.values, panel.observed, False)
+    full = stats.regime_log_weights(t, True)
+    base = stats.regime_log_weights(t, False)
     return logsumexp(full) - logsumexp(base)
 
 
 def test_predictive_vacuous_when_nothing_observed():
     panel = make_panel([[0.0, 1.0, None, 2.0]], window=1)
     group = build_group(panel, uniform_hypers(1, 1), [1, 1, 1])
-    scratch = group.empty_clone()
+    scratch = empty_stats(group, panel)
     scratch.add_regime()
-    scratch.assign(1, 1, panel.values, panel.observed)
-    assert step_predictive(scratch, 2, panel) == pytest.approx(0.0, abs=1e-12)
+    scratch.assign(1, 1)
+    assert step_predictive(scratch, 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_predictive_collapses_to_emission_with_one_regime():
     panel = make_panel([[0.3, 1.0, 1.2, 0.9]], window=1)
     hypers = uniform_hypers(1, 1)
     group = build_group(panel, hypers, [1, 1, 1], alpha=1e-300)
-    scratch = group.empty_clone()
+    scratch = empty_stats(group, panel)
     scratch.add_regime()
-    scratch.assign(1, 1, panel.values, panel.observed)
-    scratch.assign(2, 1, panel.values, panel.observed)
-    got = step_predictive(scratch, 3, panel)
+    scratch.assign(1, 1)
+    scratch.assign(2, 1)
+    got = step_predictive(scratch, 3)
     s = scratch.cells[0][0][0]
     want = cell_logpdf(hypers[0].emission, s, value(panel, 0, 3))
     assert got == pytest.approx(want, abs=1e-10)
@@ -223,7 +239,7 @@ def test_predictive_first_step_is_prior_student_t():
     panel = make_panel([[1.7]], window=0)
     hypers = uniform_hypers(1, 0, m=0.0, V=1.0, a=1.0, b=1.0)
     group = GroupModel([0], 1.0, 1, 0, {0: hypers[0]})
-    got = step_predictive(group, 1, panel)
+    got = step_predictive(stats_over(group, panel), 1)
     want = cell_logpdf(hypers[0].emission, NigStats(), 1.7)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -342,15 +358,15 @@ def test_log_joint_sequential_decomposition(rng):
     state = build_state(panel, hypers, [z], [1, 1], alpha0=1.0, alphas=[0.9])
     group = state.groups[0]
 
-    scratch = group.empty_clone()
+    scratch = empty_stats(group, panel)
     label_map = {}
     total = -state.alpha0 - group.alpha  # Gamma(1,1) priors
     total += math.log(state.alpha0) + math.lgamma(2) - (
         math.lgamma(state.alpha0 + 2) - math.lgamma(state.alpha0)
     )
     for t, zt in enumerate(z, start=1):
-        base = scratch.regime_log_weights(t, panel.values, panel.observed, False)
-        full = scratch.regime_log_weights(t, panel.values, panel.observed, True)
+        base = scratch.regime_log_weights(t, False)
+        full = scratch.regime_log_weights(t, True)
         q_t = logsumexp(full) - logsumexp(base)
         k = label_map.get(zt)
         idx = (k - 1) if k is not None else len(base) - 1
@@ -359,7 +375,7 @@ def test_log_joint_sequential_decomposition(rng):
         if k is None:
             k = scratch.add_regime()
             label_map[zt] = k
-        scratch.assign(t, k, panel.values, panel.observed)
+        scratch.assign(t, k)
     assert log_joint(state) == pytest.approx(total, abs=1e-8)
 
 
@@ -417,25 +433,16 @@ def test_stats_deviation_after_manual_churn(rng):
     values[0][6] = None
     panel = make_panel(values, window=2)
     group = build_group(panel, uniform_hypers(1, 2), [1, 1, 2, 1, 2, 1, 2, 2])
+    stats = stats_over(group, panel)
     for t in (3, 5, 2, 8):
-        k, removed = group.unassign(t, panel.values, panel.observed)
+        k, removed = stats.unassign(t)
         if removed:
-            group.add_regime()
-            group.assign(t, group.regimes.num_regimes, panel.values, panel.observed)
+            stats.add_regime()
+            stats.assign(t, group.regimes.num_regimes)
         else:
-            group.assign(t, k, panel.values, panel.observed)
-    assert group.stats_deviation(panel.values, panel.observed) < 1e-10
+            stats.assign(t, k)
+    assert stats_deviation(stats) < 1e-10
     group.regimes.check()
-
-
-def stats_of(group):
-    """Every cell of the group as (member, regime, offset, count, sum, sum of squares)."""
-    return [
-        (n, k, i, s.count, s.sum, s.sum_sq)
-        for n in group.members
-        for k, row in enumerate(group.cells[n])
-        for i, s in enumerate(row)
-    ]
 
 
 @pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
@@ -464,20 +471,23 @@ def test_load_sequence_equals_a_step_by_step_fold(kind):
     hypers = uniform_hypers(panel.num_series, panel.window)
     z = np.random.default_rng(2).integers(1, 4, size=panel.num_steps)
     z[:3] = [3, 1, 2]
-    stepped = build_group(panel, hypers, z.tolist())
-    loaded = stepped.empty_clone()
-    loaded.load_sequence(z.tolist(), panel.values, panel.observed)
-    assert loaded.regimes.counts == stepped.regimes.counts
-    assert stats_of(loaded) == stats_of(stepped)
-    stepped.rebuild_stats(panel.values, panel.observed)
-    assert stats_of(stepped) == stats_of(loaded)
+    group = build_group(panel, hypers, z.tolist())
+    stepped = empty_stats(group, panel)
+    for _ in range(3):
+        stepped.add_regime()
+    for t, k in enumerate(z.tolist(), start=1):
+        stepped.assign(t, k)
+    loaded = stats_over(group, panel)
+    assert stepped.group.regimes.counts == group.regimes.counts
+    assert stats_rows(loaded) == stats_rows(stepped)
+    assert stats_rows(loaded) == group_fold(group, panel.values, panel.observed)
 
 
 def test_load_sequence_rejects_an_unassigned_step(rng):
     panel = make_panel([list(rng.normal(size=9))], window=1)
     group = GroupModel([0], 1.0, panel.num_steps, 1, uniform_hypers(1, 1))
     with pytest.raises(ValueError, match="unassigned step 4"):
-        group.load_sequence([1, 2, 1, 0, 2, 2, 1, 1], panel.values, panel.observed)
+        group.load_sequence([1, 2, 1, 0, 2, 2, 1, 1])
 
 
 def _three_series_two_groups(rng):
@@ -485,23 +495,26 @@ def _three_series_two_groups(rng):
     return build_state(panel, uniform_hypers(3, 1), [[1, 2, 1, 1], [1, 1, 2, 2]], [1, 2, 1])
 
 
-def test_check_consistency_rejects_a_stale_form(rng):
+def test_check_forms_rejects_a_stale_form(rng):
+    # a pass's statistics over the group of a consistent state
     state = _three_series_two_groups(rng)
-    group = state.groups[0]
-    group.regime_log_weights(3, state.values, state.observed, True)  # builds every form
     state.check_consistency()
-    cell = group.cells[0][0][1]
+    stats = stats_over(state.groups[0], state.panel)
+    stats.regime_log_weights(3, True)  # builds every form
+    check_forms(stats)
+    cell = stats.cells[0][0][1]
     h = state.hypers[0].cell(1)
     assert cell.hyper is h
     # the form of other statistics, as if the cell had changed and not been marked
     cell.form = student_t_form(h.m, h.V, h.a, h.b, cell.count + 1, cell.sum, cell.sum_sq)
     with pytest.raises(AssertionError, match="stale Student-t form"):
-        state.check_consistency()
+        check_forms(stats)
 
 
-def plain_regime_log_weights(group, t, values, observed, emission):
-    """:meth:`GroupModel.regime_log_weights` summed from one
+def plain_regime_log_weights(stats, t, emission):
+    """:meth:`GroupStats.regime_log_weights` summed from one
     :func:`predictive_logpdf_raw` call per entry, in the same order."""
+    group = stats.group
     p = group.window
     col = p + t - 1
     empty = [NigStats() for _ in range(p + 1)]
@@ -509,11 +522,11 @@ def plain_regime_log_weights(group, t, values, observed, emission):
     for k, w in enumerate(crp_log_weights(group.regimes.counts, group.alpha)):
         e = 0.0
         for n in group.members:
-            row = group.cells[n][k] if k < group.regimes.num_regimes else empty
+            row = stats.cells[n][k] if k < group.regimes.num_regimes else empty
             for i in range(0 if emission else 1, p + 1):
-                if observed[n, col - i]:
+                if stats.observed[n, col - i]:
                     h, s = group.hypers[n].cell(i), row[i]
-                    x = float(values[n, col - i])
+                    x = float(stats.values[n, col - i])
                     f = predictive_logpdf_raw(h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, x)
                     if i:
                         w += f
@@ -530,25 +543,27 @@ def test_cached_forms_score_as_the_scalar_kernel_through_a_walk(rng):
     z = [[1, 2, 1, 1, 3, 2, 1, 2, 2, 1, 3, 1], [1, 1, 2, 1, 2, 2, 1, 1, 2, 1, 1, 2]]
     state = build_state(panel, uniform_hypers(4, 2), z, [1, 1, 2, 2])
     group = state.groups[0]
+    stats = stats_over(group, panel)
 
     def check(t):
         for emission in (True, False):
-            got = group.regime_log_weights(t, panel.values, panel.observed, emission)
-            assert got == plain_regime_log_weights(group, t, panel.values, panel.observed, emission)
-        group.check_forms()
+            got = stats.regime_log_weights(t, emission)
+            assert got == plain_regime_log_weights(stats, t, emission)
+        check_forms(stats)
 
     for step in range(60):
         if step == 20:  # a hyper move: every form of series 1's lag-2 cells is out of date
             state.hypers[1] = state.hypers[1].replace_cell(2, NigHyper(0.4, 0.7, 3.0, 2.5))
-        if step == 40:  # series 3 joins the walked group with empty cached rows
-            state.groups[1].drop_member(3)
-            group.add_member(3, panel.values, panel.observed)
+        if step == 40:  # series 3 joins the walked group; a new pass folds its rows
+            state.groups[1].members.remove(3)
+            group.members.append(3)
+            stats = stats_over(group, panel)
         t = int(rng.integers(1, panel.num_steps + 1))
-        group.unassign(t, panel.values, panel.observed)
+        stats.unassign(t)
         check(t)
-        branch = propose_z(group, t, panel.values, panel.observed, rng)
-        k = group.add_regime() if branch == NEW_REGIME else branch
-        group.assign(t, k, panel.values, panel.observed)
+        branch = propose_z(stats, t, rng)
+        k = stats.add_regime() if branch == NEW_REGIME else branch
+        stats.assign(t, k)
         check(int(rng.integers(1, panel.num_steps + 1)))
     state.check_consistency()
 

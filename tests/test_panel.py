@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_panel
-from oracles import seen, value
+from conftest import ROBUSTNESS_PANELS, make_panel, robustness_panel
+from oracles import missing_cells, seen, value
 from trcrp.panel import PanelError, load_csv, write_csv
 
 
@@ -94,3 +94,16 @@ def test_values_are_read_only():
 def test_missing_cells_enumeration():
     panel = make_panel([[0, 1, None, 3], [0, None, 2, None]], window=1)
     assert panel.missing_cells() == [(0, 2), (1, 1), (1, 3)]
+
+
+@pytest.mark.parametrize("kind", ROBUSTNESS_PANELS + ("observed",))
+def test_missing_cells_equal_a_loop_over_the_panel(kind):
+    # row-major plain-int (series, time) pairs, as a loop over the mask lists them
+    if kind == "observed":
+        panel = make_panel([[1, 2, 3, 4], [5, 6, 7, 8]], window=1)
+    else:
+        panel = robustness_panel(kind)
+    cells = panel.missing_cells()
+    assert cells == missing_cells(panel)
+    assert all(type(n) is int and type(t) is int for n, t in cells)
+    assert bool(cells) == (not panel.observed.all())

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import make_panel, uniform_hypers
+from conftest import ROBUSTNESS_PANELS, make_panel, robustness_panel, uniform_hypers
 from oracles import (
     forecast_summary,
+    group_stats_impute,
     naive_posterior,
     rollout_forecast,
     seen,
     student_t,
     value,
 )
-from test_model import build_state
+from test_model import build_state, stats_over
 from trcrp import predict, smc
 from trcrp.conjugate import NigHyper
 from trcrp.engine import RunConfig, fit
@@ -52,7 +53,7 @@ def test_forecast_tracks_sticky_regime_mean():
     samples, state = single_chain_samples(rng, values, [1] * 30, hypers=hypers)
     state.groups[0].alpha = 1e-12
     result = forecast(samples, horizon=1, draws=400, seed=1)
-    pred = student_t(hypers[0].emission, state.groups[0].cells[0][0][0])
+    pred = student_t(hypers[0].emission, stats_over(state.groups[0], samples.panel).cells[0][0][0])
     sd = math.sqrt(pred.scale_sq * pred.dof / (pred.dof - 2))
     assert abs(result.draws[:, 0, 0].mean() - 4.0) < 3 * sd
 
@@ -324,6 +325,23 @@ def test_impute_only_missing_cells(rng):
     assert result.cells == [(0, 2), (1, 1), (1, 3)]
 
 
+@pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
+def test_impute_equals_a_reference_over_group_stats(kind):
+    # every panel gets hidden cells in its first and last series, so each
+    # kind imputes across series; three chains, of one or more groups each
+    panel = robustness_panel(kind, steps=16)
+    observed = panel.observed.copy()
+    for n, t in ((0, 3), (0, 4), (panel.num_series - 1, 11)):
+        observed[n, panel.window + t - 1] = False
+    panel = make_panel(np.where(observed, panel.values, np.nan).tolist(), panel.window, observed)
+    config = RunConfig(window=panel.window, chains=3, burnin=2, init_sweeps=1, particles=4, seed=1)
+    samples = fit(panel, config)
+    result = impute(samples, draws=40, seed=5)
+    cells, draws = group_stats_impute(samples, 40, 5)
+    assert result.cells == cells and len(cells) >= 3
+    assert np.array_equal(result.draws, draws)
+
+
 def test_impute_mean_converges_to_mixture_mean(rng):
     values = [[0.0] + list(rng.normal(size=10)), [0.0] + list(rng.normal(size=10))]
     values[0][4] = None
@@ -341,7 +359,7 @@ def test_impute_mean_converges_to_mixture_mean(rng):
     var = 0.0
     for chain in chains:
         k = chain.groups[0].regimes.z[3]
-        pred = student_t(hypers[0].emission, chain.groups[0].cells[0][k - 1][0])
+        pred = student_t(hypers[0].emission, stats_over(chain.groups[0], panel).cells[0][k - 1][0])
         locs.append(pred.loc)
         var += pred.scale_sq * pred.dof / (pred.dof - 2.0)
     target = float(np.mean(locs))

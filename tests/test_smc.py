@@ -22,7 +22,7 @@ from oracles import (
 )
 from trcrp import predict, smc
 from trcrp.conjugate import LgammaTable, NigHyper, student_t_form_array
-from trcrp.model import GroupModel, SeriesHypers
+from trcrp.model import GroupModel, GroupStats, SeriesHypers
 from trcrp.smc import (
     NumericalError,
     ParticleSet,
@@ -183,17 +183,15 @@ def test_returned_partition_distribution_matches_posterior():
     assert total_variation(exact, empirical) < 0.03
 
 
-def rebuilt_group(ps, j, template, steps, panel):
-    """A group holding particle j's sequence over steps 1..steps, loaded with add_regime/rebuild_stats."""
-    group = template.empty_clone()
+def rebuilt_stats(ps, j, template, steps, panel):
+    """The statistics a pass folds over a copy of ``template`` that holds
+    particle j's sequence over steps 1..steps, the later steps unassigned."""
+    group = GroupModel(template.members, template.alpha, template.num_steps, template.window,
+                       template.hypers)
     z = ps.z[j, :steps].tolist()
-    for _ in range(max(z, default=0)):
-        group.add_regime()
     group.regimes.z[:steps] = z
-    for k in z:
-        group.regimes.counts[k - 1] += 1
-    group.rebuild_stats(panel.values, panel.observed)
-    return group
+    group.regimes.counts = [z.count(k) for k in range(1, max(z, default=0) + 1)]
+    return GroupStats(group, panel.values, panel.observed)
 
 
 # three members of a four-series panel, so the filter must skip a non-member
@@ -248,10 +246,10 @@ def test_batched_weights_match_group_weights(rng, window):
             return
         base, emis = ps.log_weights_split(t)
         for j in range(len(ps)):
-            group = rebuilt_group(ps, j, template, t - 1, panel)
-            want_base = group.regime_log_weights(t, panel.values, panel.observed, False)
-            want_full = group.regime_log_weights(t, panel.values, panel.observed, True)
-            k = group.regimes.num_regimes
+            stats = rebuilt_stats(ps, j, template, t - 1, panel)
+            want_base = stats.regime_log_weights(t, False)
+            want_full = stats.regime_log_weights(t, True)
+            k = stats.group.regimes.num_regimes
             assert ps.num_blocks[j] == k
             assert np.abs(base[j, : k + 1] - want_base).max() <= 1e-12
             assert np.abs((base + emis)[j, : k + 1] - want_full).max() <= 1e-12
@@ -274,11 +272,11 @@ def check_particle_stats(rng, window):
 
     def check(t):
         for j in range(len(ps)):
-            group = rebuilt_group(ps, j, template, t - 1, panel)
-            k = group.regimes.num_regimes
+            group_stats = rebuilt_stats(ps, j, template, t - 1, panel)
+            k = group_stats.group.regimes.num_regimes
             for c, (n, i) in enumerate(ps.cells.index):
                 for block in range(k):
-                    cell = group.cells[n][block][i]
+                    cell = group_stats.cells[n][block][i]
                     assert ps.count[j, c, block] == cell.count
                     assert abs(ps.total[j, c, block] - cell.sum) < 1e-8
                     assert abs(ps.total_sq[j, c, block] - cell.sum_sq) < 1e-8
@@ -550,10 +548,10 @@ def test_grouped_particles_match_their_own_group(rng):
         base, emis = ps.log_weights_split(t)
         for p in range(len(ps)):
             g = ps.group[p]
-            group = rebuilt_group(ps, p, templates[g], t - 1, panel)
-            want_base = group.regime_log_weights(t, panel.values, panel.observed, False)
-            want_full = group.regime_log_weights(t, panel.values, panel.observed, True)
-            k = group.regimes.num_regimes
+            group_stats = rebuilt_stats(ps, p, templates[g], t - 1, panel)
+            want_base = group_stats.regime_log_weights(t, False)
+            want_full = group_stats.regime_log_weights(t, True)
+            k = group_stats.group.regimes.num_regimes
             assert ps.num_blocks[p] == k
             assert np.abs(base[p, : k + 1] - want_base).max() <= 1e-12
             assert np.abs((base + emis)[p, : k + 1] - want_full).max() <= 1e-12
@@ -563,7 +561,7 @@ def test_grouped_particles_match_their_own_group(rng):
                     assert not any(s.any() for s in stats)
                     continue
                 n, i = cell_of[c]
-                cells = [row[i] for row in group.cells[n]]
+                cells = [row[i] for row in group_stats.cells[n]]
                 assert stats[0][:k].tolist() == [s.count for s in cells]
                 assert np.allclose(stats[1][:k], [s.sum for s in cells], rtol=0, atol=1e-8)
                 assert np.allclose(stats[2][:k], [s.sum_sq for s in cells], rtol=0, atol=1e-8)
@@ -603,22 +601,23 @@ def test_stored_forms_equal_fresh_forms_at_every_step(rng):
 
 
 def test_set_starts_from_its_fitted_groups_stats(rng):
-    # a set folds its start state from its own cells in one pass; fitted
-    # groups are canonical, so it equals their statistics, over the panel and
-    # over a forecast's extended steps, whose labels are 0.  The one-member
-    # group comes first, so its padded rows are checked to stay empty.
+    # a set folds its start state from its own cells in one pass; it equals
+    # the statistics a pass over each group folds, over the panel and over a
+    # forecast's extended steps, whose labels are 0.  The one-member group
+    # comes first, so its padded rows are checked to stay empty.
     panel = gappy_panel(rng, 2)
     hypers = mixed_hypers(4, 2)
     narrow = GroupModel((2,), 1.3, panel.num_steps, 2, hypers)
-    narrow.load_sequence([1, 2, 2, 1, 1, 2, 2, 1], panel.values, panel.observed)
+    narrow.load_sequence([1, 2, 2, 1, 1, 2, 2, 1])
     wide = GroupModel(MEMBERS, 0.7, panel.num_steps, 2, hypers)
-    wide.load_sequence([1, 1, 2, 1, 3, 2, 4, 1], panel.values, panel.observed)
+    wide.load_sequence([1, 1, 2, 1, 3, 2, 4, 1])
     future = np.concatenate([np.where(panel.observed, panel.values, 0.0), rng.normal(size=(4, 3))], axis=1)
     every = np.concatenate([panel.observed, np.ones((4, 3), dtype=bool)], axis=1)
     for values, observed in ((panel.values, panel.observed), (future, every)):
         ps = ParticleSet([narrow, wide], values, observed, LgammaTable(values.shape[1] - 2), 3)
         cells = list(ps.cells.index)
         for g, group in enumerate((narrow, wide)):
+            folded = GroupStats(group, panel.values, panel.observed).cells
             for j, r in np.ndindex(3, ps.rows.shape[1]):
                 c = ps.rows[g, r]
                 stats = (a[3 * g + j, r].tolist() for a in (ps.count, ps.total, ps.total_sq))
@@ -626,7 +625,7 @@ def test_set_starts_from_its_fitted_groups_stats(rng):
                 want = []  # a padding row's
                 if c < len(cells):
                     n, i = cells[c]
-                    want = [(row[i].count, row[i].sum, row[i].sum_sq) for row in group.cells[n]]
+                    want = [(row[i].count, row[i].sum, row[i].sum_sq) for row in folded[n]]
                 assert got == want + [(0, 0.0, 0.0)] * (len(got) - len(want))
 
 
@@ -647,9 +646,9 @@ def test_forecast_forms_equal_fresh_forms_at_every_step(rng, monkeypatch):
     panel = gappy_panel(rng, 2)
     hypers = mixed_hypers(4, 2)
     group = GroupModel(MEMBERS, 0.7, panel.num_steps, 2, hypers)
-    group.load_sequence([1, 1, 2, 1, 3, 2, 4, 1], panel.values, panel.observed)
+    group.load_sequence([1, 1, 2, 1, 3, 2, 4, 1])
     other = GroupModel((1, 2, 3), 1.3, panel.num_steps, 2, hypers)
-    other.load_sequence([1, 2, 2, 1, 1, 3, 3, 1], panel.values, panel.observed)
+    other.load_sequence([1, 2, 2, 1, 1, 3, 3, 1])
     horizon = 6
     known = panel.values.shape[1]
     values = np.zeros((4, known + horizon))

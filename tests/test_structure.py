@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import trcrp.structure as structure
-from conftest import make_panel, uniform_hypers
+from conftest import assert_resting, make_panel, uniform_hypers
 from oracles import canonical_sequences, logsumexp
 from test_model import build_state
 from trcrp.model import (
     GroupModel,
+    GroupStats,
     cell_layout,
     crp_log_weights,
     log_joint,
@@ -207,19 +208,20 @@ def test_partial_loglik_series_terms_add_across_subsets(rng):
 
     def series_terms(members):
         # cohesion and emission terms at the assigned regimes: weights minus CRP mass
-        scratch = GroupModel(members, 1.0, panel.num_steps, panel.window, state.hypers)
+        group = GroupModel(members, 1.0, panel.num_steps, panel.window, state.hypers)
+        scratch = GroupStats(group, panel.values, panel.observed)
         label_map = {}
         total = 0.0
         for t, zt in enumerate(z, start=1):
-            full = scratch.regime_log_weights(t, panel.values, panel.observed, True)
-            crp = crp_log_weights(scratch.regimes.counts, scratch.alpha)
+            full = scratch.regime_log_weights(t, True)
+            crp = crp_log_weights(group.regimes.counts, group.alpha)
             k = label_map.get(zt)
             slot = (k - 1) if k is not None else len(full) - 1
             total += full[slot] - crp[slot]
             if k is None:
                 k = scratch.add_regime()
                 label_map[zt] = k
-            scratch.assign(t, k, panel.values, panel.observed)
+            scratch.assign(t, k)
         return total
 
     parts_01, parts_0, parts_1 = series_terms([0, 1]), series_terms([0]), series_terms([1])
@@ -331,8 +333,19 @@ def test_accepted_fresh_move_appends_the_sampled_group():
     assert accepted and moved
     assert state.groups[-1] is proposal.slot
     assert state.assignments == [3, 1, 2]
-    assert proposal.slot.stats_deviation(panel.values, panel.observed) == 0.0
     state.check_consistency()
+
+
+def test_accepted_moves_leave_resting_groups():
+    # a move into an existing group and one into the fresh slot edit member
+    # lists and append the slot's sampled sequence, and no group keeps statistics
+    for n, target in ((1, 2), (0, FRESH)):
+        panel, state = gappy_state(2)
+        proposal = force_proposal(state, n, target, np.random.default_rng(4))
+        accepted, moved, _ = accept_c(state, proposal, np.random.default_rng(5), {}, heuristic=True)
+        assert accepted and moved and n in proposal.target.members
+        assert_resting(state.groups + [proposal.slot])
+        state.check_consistency()
 
 
 # -- acceptance ratio ---------------------------------------------------------------
