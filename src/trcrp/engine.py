@@ -134,19 +134,18 @@ def sampleset_hash(panel: TimeSeriesPanel, config: RunConfig) -> str:
 
 
 def _set_entries(groups, num_particles: int) -> int:
-    """Particle-cell entries of one particle set over ``groups``: its particle
-    rows times the lag and emission cells of its widest group."""
-    lags = max(len(group.members) * group.window for group in groups)
-    emissions = max(len(group.members) for group in groups)
-    return num_particles * len(groups) * (lags + emissions)
+    """Particle-cell entries of one particle set over ``groups``: each particle
+    holds its own group's lag and emission cells, J x sum of members x (p+1)."""
+    return num_particles * sum(len(group.members) * (group.window + 1) for group in groups)
 
 
 def _batches(chains, num_particles: int) -> list[list]:
     """Runs of consecutive ``chains``, ``(state, ...)`` entries, whose groups share a set.
 
     A chain joins the run before it while the set stays within
-    :data:`~trcrp.smc.SET_ENTRIES` entries (:func:`_set_entries`); a chain
-    above that is a run of its own.
+    :data:`~trcrp.smc.SET_ENTRIES` entries (:func:`_set_entries`), the
+    (particle, cell) pairs its groups hold; a chain above that is a run of
+    its own.
     """
     runs = []
     for chain in chains:

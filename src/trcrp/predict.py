@@ -12,18 +12,21 @@ group's future does not depend on the chain's other groups, so a forecast
 steps many groups, of all chains, through the horizon as one
 :class:`~trcrp.smc.ParticleSet`.  The groups whose chains share their hypers
 and which have equal member counts share a set, up to
-:data:`~trcrp.smc.SET_ENTRIES` copy-cell entries; equal member counts leave
-a set no padding cells.  Each group of a set has J copies, the largest R_s
-among the set's chains: its first R_s are its chain's draws, and the others
-pad the set, step with it and are never checked or returned.  Per step a
-set makes one kernel call over the lag cells, one Gumbel argmax, one
-Student-T call for the members' emissions and one fold.  The sets run in
-the order of their first group over (chain, group), so a set of one group
-makes the Generator calls of a group forecast alone.  An imputation folds
-the emission statistics of every (chain, cell) in one pass over the
-sequences and the data, reads each cell's scalar Student-T form from them,
-and draws each chain's (cells, R_s) block in one ``standard_t`` call.  Draw
-r keeps one chain for all of its groups and cells.
+:data:`~trcrp.smc.SET_ENTRIES` copy-cell entries.  A set holds each copy's
+own cells only, whatever its groups' sizes; the buckets by member count
+stay because they fix which groups share a set, and so the order of the
+forecast's Generator calls and its draws.  Each group of a set has J
+copies, the largest R_s among the set's chains: its first R_s are its
+chain's draws, and the others pad the set, step with it and are never
+checked or returned.  Per step a set makes one kernel call over the lag
+cells, one Gumbel argmax, one Student-T call for the members' emissions and
+one fold.  The sets run in the order of their first group over (chain,
+group), so a set of one group makes the Generator calls of a group forecast
+alone.  An imputation folds the emission statistics of every (chain, cell)
+in one pass over the sequences and the data, reads each cell's scalar
+Student-T form from them, and draws each chain's (cells, R_s) block in one
+``standard_t`` call.  Draw r keeps one chain for all of its groups and
+cells.
 
 The model's missing-data rule holds here too: an unobserved cell contributes
 no lag factor, no emission factor and no statistics.  A rollout reads the
@@ -128,37 +131,44 @@ def _require_finite(draws: np.ndarray, what: str) -> None:
 def _forecast_set(groups, values, observed, lgamma, copies, rng) -> np.ndarray:
     """Forecasts of the fitted ``groups``' members: (G, J, members, h), J = max(copies).
 
-    The groups share their hypers and member count, so the set has no
-    padding cells.  ``values`` and ``observed`` extend the panel by the h
-    future columns, with 0 at every unobserved or future value and the
-    future observed, and ``lgamma`` is a table over their T+h steps.  Group
-    g's first ``copies[g]`` copies are its real ones; the rest pad it to J
-    and are never checked or returned.  Each copy keeps its own row of its
-    group's member values, so a lag into the future reads that copy's draws.
+    The groups share their hypers and member count.  ``values`` and
+    ``observed`` extend the panel by the h future columns, with 0 at every
+    unobserved or future value and the future observed, and ``lgamma`` is a
+    table over their T+h steps.  Group g's first ``copies[g]`` copies are its
+    real ones; the rest pad it to J and are never checked or returned.  Each
+    copy keeps its own row of its group's member values over the last p
+    panel columns and the h future ones, so a lag into the future reads that
+    copy's draws; every entry of the set reads its value from its copy's row
+    of its series, shifted by its lag.
     """
     num = max(copies)
     ps = ParticleSet(groups, values, observed, lgamma, num)
     members, p, steps = len(groups[0].members), groups[0].window, groups[0].num_steps
-    # every group's cells are its members' lags, member by member, then their emissions
-    series = np.r_[np.repeat(np.arange(members), p), np.arange(members)]
-    offset = np.r_[np.tile(np.arange(1, p + 1), members), np.zeros(members, dtype=np.int64)]
-    own = np.repeat(values[[g.members for g in groups]], num, axis=0)  # (G*J, members, columns)
-    emission = slice(ps.num_lags, None)
-    hyper = tuple(h[:, emission] for h in ps.hyper)
-    every = np.arange(len(ps))
+    own = np.repeat(values[[g.members for g in groups], steps:], num, axis=0)  # (G*J, members, p+h)
+    columns = own.shape[2]
+    position = np.zeros((len(groups), len(values)), dtype=np.int64)  # of a series in its group
+    for g, group in enumerate(groups):
+        position[g, group.members] = range(members)
+    series, offset = np.array(list(ps.cells.index)).T  # of each layout row
+    # each entry's flat index into own, at column 0
+    at = (ps.particle * members + position[ps.particle // num, series[ps.row]]) * columns - offset[ps.row]
+    lags, emission = at[: ps.num_lags], np.arange(ps.num_lags, len(at))
+    hyper = tuple(h[emission] for h in ps.hyper)
     real = slice(None) if min(copies) == num else (np.arange(num) < np.array(copies)[:, None]).ravel()
+    flat = own.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps + 1, values.shape[1] - p + 1):
-            col = p + t - 1
-            base, _ = ps.log_weights_split(t, own[:, series, col - offset], emission=False)
+        for h in range(1, columns - p + 1):
+            t, col = steps + h, p + h - 1
+            base, _ = ps.log_weights_split(t, flat[lags + col], emission=False)
             if np.isnan(base[real]).any():
-                raise NumericalError(f"forecast step {t - steps}: regime weights are not finite")
+                raise NumericalError(f"forecast step {h}: regime weights are not finite")
             pick = np.argmax(base + rng.gumbel(size=base.shape), axis=1)
-            stats = (s[every, emission, pick] for s in (ps.count, ps.total, ps.total_sq))
-            own[:, :, col] = predictive_sample_array(*hyper, *stats, rng)
-            _require_finite(own[real, :, col], f"step {t - steps} forecast")
-            ps.assign(t, pick, own[:, series, col - offset])
-    return own[:, :, p + steps :].reshape(len(groups), num, members, -1)
+            drawn = pick[ps.particle[emission]]
+            stats = (s[emission, drawn] for s in (ps.count, ps.total, ps.total_sq))
+            own[:, :, col] = predictive_sample_array(*hyper, *stats, rng).reshape(len(ps), members)
+            _require_finite(own[real, :, col], f"step {h} forecast")
+            ps.assign(t, pick, flat[at + col])
+    return own[:, :, p:].reshape(len(groups), num, members, -1)
 
 
 def _forecast_sets(samples: SampleSet, picked) -> list[list[tuple]]:

@@ -5,40 +5,47 @@ one filter steps all of them: G groups of J particles each live in stacked
 arrays, particle (g, j) at row g*J + j.  The groups may be several chains',
 each chain's adjacent and drawing from its own Generator: the engine
 initialises a fit's chains together in the calling process, in sets of up to
-:data:`SET_ENTRIES` particle-cell entries.  Per particle: the regime labels
-``z`` of the steps filtered so far, its block count ``num_blocks`` and block
-sizes, its log weight, its group's log concentration, the count, sum and
-sum of squares of every cell's observed values per block, ``count[p, c, k]``,
-and the Student-t form of each (cell, block) predictive that these give,
-``form[:, p, c, k]`` (:func:`~trcrp.conjugate.student_t_form_array`).
-Group g's cells are its members' lag rows then their emission rows, gathered
-from one :class:`~trcrp.model.CellLayout` over the members of all the groups,
-the layout prefix passes read, and padded with never-observed rows up to the
-widest group's lag and emission rows; their lgamma rows index the fit's (or
+:data:`SET_ENTRIES` entries.  Per particle: the regime labels ``z`` of the
+steps filtered so far, its block count ``num_blocks`` and block sizes, its
+log weight and its group's log concentration.  Per entry, one for each
+particle and each cell its group has (its members' lags, then their
+emissions): the count, sum and sum of squares of the cell's observed values
+per block, ``count[e, k]``, and the Student-t form of each block's
+predictive that these give, ``form[:, e, k]``
+(:func:`~trcrp.conjugate.student_t_form_array`).  A set holds no entry for a
+cell its particle's group lacks.  The cells are rows of one
+:class:`~trcrp.model.CellLayout` over the members of all the groups, the
+layout prefix passes read; their lgamma rows index the fit's (or
 forecast's) :class:`~trcrp.conjugate.LgammaTable`.  Block k is label k+1, and
 column ``num_blocks[p]`` is the particle's fresh block, with empty statistics.
 
-A step scores all particles, cells and blocks from their forms with one
+A step scores every entry and block from its forms with one
 :func:`~trcrp.conjugate.student_t_logpdf_array` call, one ``log1p`` per
-entry.  Each group's :func:`smc_step` then updates its particles' weights
-from those scores and draws their regimes with one Gumbel argmax, and the
-loop folds every particle's draw with one :meth:`ParticleSet.assign`.  Only
-the drawn column's statistics change, so the fold rebuilds that column's
-forms alone.  Resampling is an index gather within each group, and
-``log_ml`` is kept per group.
+(entry, block), and adds each particle's lag and emission factors with one
+``np.bincount``.  Each group's :func:`smc_step` then updates its particles'
+weights from those scores and draws their regimes with one Gumbel argmax,
+and the loop folds every particle's draw with one
+:meth:`ParticleSet.assign`.  Only the drawn column's statistics change, so
+the fold rebuilds that column's forms alone.  Resampling is an index gather
+within each group, and ``log_ml`` is kept per group.
 
 A chain makes the Generator calls it makes when filtered alone: per step
 one (J, K_c+1) Gumbel draw for each of its groups, with K_c the largest block
 count among the chain's own particles, one ``multinomial`` call over its
 groups whose ESS falls below the threshold, and one final (G_c, J) Gumbel
-draw.  So its draws are those of a set of its own.  Its scores may differ in
-the last bit: the lag sums and the step normalizers reduce over the set's
-padded rows and width, and numpy sums 8 entries or more pairwise, in an
-order that the padding moves.  Forecasts (:func:`trcrp.predict.forecast`)
-reuse the particles as copies of fitted groups, one set for many groups of
-equal hypers and member count across chains: each copy starts from the
-statistics of its group's sequence, scores the lag cells only and has its
-own row of cell values, since a future lag reads that copy's own draws.
+draw.  So its draws are those of a set of its own.  ``bincount`` adds a
+particle's factors one at a time in entry order, whatever else the set
+holds, so its lag and emission sums have the bits of a set of its own at
+every step, the first included (there each particle has one column, and a
+numpy ``sum`` over its cells would add 8 or more of them pairwise).  Only
+its step normalizers may differ in the last bit: they reduce over the set's
+width, and numpy sums 8 columns or more pairwise, in an order that the
+columns past the chain's own width move.  Forecasts
+(:func:`trcrp.predict.forecast`) reuse the particles as copies of fitted
+groups, one set for many groups of equal hypers and member count across
+chains: each copy starts from the statistics of its group's sequence,
+scores the lag entries only and has its own row of cell values, since a
+future lag reads that copy's own draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -64,15 +71,21 @@ __all__ = ["NumericalError", "ParticleSet", "smc_step", "maybe_resample", "smc_b
 # resample when the effective sample size drops below this fraction of J
 ESS_THRESHOLD = 0.5
 
-# Particle-cell entries (particle rows times the widest group's cells) up to
-# which the engine adds chains to one set.  A step costs a fixed ~140 us of
-# numpy calls plus a share per entry.  Measured with perf_counter on one core
-# (numpy 2.4, x86-64 with AVX-512), filtering the first 1-64 chains of one
-# 6-series, window-3 panel at J = 8, the best of 7 interleaved runs: a step
-# costs 660 ns per entry at 320 entries, 310 at 1,920, and 260-300 from 3,500
-# up to 28,000.  From about 4,000 entries on, a step's time is linear in its
-# entries, so a bigger set saves no more fixed cost; it only holds more memory.
+# Entries, the (particle, cell) pairs a set holds, up to which the engine
+# adds chains to one set.  A step costs a fixed ~120 us of numpy calls plus
+# a share per entry.  Measured with perf_counter on one core (numpy 2.4,
+# x86-64 with AVX-512), filtering the first 1-64 chains of one 6-series,
+# window-3 panel at J = 8, the best of 7 runs: a step costs 950 ns per entry
+# at 192 entries, 460 at 768, and 360-410 from 1,500 up to 12,000.  From
+# about 1,500 entries on, a step's time is linear in its entries, so a bigger
+# set saves no more fixed cost; it only holds more memory.
 SET_ENTRIES = 4096
+
+
+def _ranges(first: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges ``first[i] .. first[i] + size[i] - 1``, one after another."""
+    end = np.cumsum(size)
+    return np.repeat(first - end + size, size) + np.arange(size.sum())
 
 
 class NumericalError(RuntimeError):
@@ -92,25 +105,30 @@ class ParticleSet:
     See the module notes.  The groups share the panel ``values`` and
     ``observed`` and its steps.  A group's window may be below the panel's:
     it then scores its own lags only, so its steps read the panel's columns.
-    ``count``, ``total`` and ``total_sq`` are (G*J, cells, capacity),
-    ``form`` is (4, G*J, cells, capacity), the loc, dof times squared scale,
-    a' + 1/2 and constant of :func:`~trcrp.conjugate.student_t_form_array`
-    for each entry, and ``sizes`` is (G*J, capacity).  The capacity doubles
-    when a step is scored whose fresh block would fall outside it; the new
-    blocks are empty and their forms the prior's.  ``cells`` is the
-    :class:`~trcrp.model.CellLayout` of the groups' members over the steps of
-    ``values``, and ``rows[g]`` the layout rows of group g's cells, with
-    ``len(cells.index)`` for a padding row; ``x`` and ``seen``, (G, cells,
-    T), hold the layout's arrays gathered by ``rows``, and ``hyper`` and
-    ``lgamma`` its hypers and lgamma rows, (G*J, cells), gathered for each
-    particle, which is what a fold reads.  Every particle of group g starts as
-    a copy of it: its regime sequence and blocks, and the statistics and
-    forms they give, which are empty (the prior's) for the filter's empty
-    groups.  The statistics come from one :func:`~trcrp.model.fold_stats`
-    pass over ``x``, ``seen`` and the groups' sequences, whose labels are 0
-    past a group's own steps.  ``scored``
-    holds the scores of the step scored last, which every group's
-    :func:`smc_step` at that step reads.
+    ``cells`` is the :class:`~trcrp.model.CellLayout` of the groups' members
+    over the steps of ``values``.  The entry axis holds one entry per
+    particle and cell of its group: ``row[e]`` is entry e's layout row and
+    ``particle[e]`` its particle.  The first ``num_lags`` entries are the lag
+    cells, particle by particle, each particle's in its group's member order
+    and then lag order; the emission entries follow, particle by particle.
+    ``first[0, p]`` and ``span[0, p]`` are particle p's first lag entry and
+    its number of lag entries, ``first[1, p]`` and ``span[1, p]`` the same
+    for its emission entries (see :meth:`entries`).  ``count``,
+    ``total`` and ``total_sq`` are (entries, capacity), ``form`` is (4,
+    entries, capacity), the loc, dof times squared scale, a' + 1/2 and
+    constant of :func:`~trcrp.conjugate.student_t_form_array` for each entry
+    and block, and ``sizes`` is (G*J, capacity).  ``hyper`` and ``lgamma``
+    hold each entry's hypers and lgamma row, (entries,), which is what a fold
+    reads.  The capacity doubles when a step is scored whose fresh block
+    would fall outside it; the new blocks are empty and their forms the
+    prior's.  Every particle of group g starts as a copy of it: its regime
+    sequence and blocks, and the statistics and forms they give, which are
+    empty (the prior's) for the filter's empty groups.  Each group's own
+    rows are folded by one :func:`~trcrp.model.fold_stats` pass over the
+    groups' sequences, whose labels are 0 past a group's own steps, and
+    formed once; its J particles gather them.  ``scored`` holds the scores of
+    the step scored last, which every group's :func:`smc_step` at that step
+    reads.
 
     ``chain[g]`` is group g's chain, numbered 0..C-1 in order, so that a
     chain's groups are adjacent; by default all groups are chain 0.  The
@@ -131,47 +149,47 @@ class ParticleSet:
         series = list(dict.fromkeys(n for group in groups for n in group.members))
         window = max(group.window for group in groups)
         self.cells = cells = cell_layout(series, groups[0].hypers, values, observed, window, lgamma)
-        lags = [[(n, i) for n in g.members for i in range(1, g.window + 1)] for g in groups]
-        emissions = [[(n, 0) for n in g.members] for g in groups]
-        self.num_lags = max(map(len, lags))
-        widest = max(map(len, emissions))
-        pad = len(cells.index)  # a row that is never observed, appended to the layout's
-        self.rows = np.array([
-            [cells.index[c] for c in lag] + [pad] * (self.num_lags - len(lag))
-            + [cells.index[c] for c in emission] + [pad] * (widest - len(emission))
-            for lag, emission in zip(lags, emissions)
-        ])
         num_groups = len(groups)
-        self.num_particles = num_particles
-
-        def gathered(a, fill):
-            return np.concatenate([a, np.full_like(a[:1], fill)])[self.rows]
-
-        self.x = gathered(cells.x, 0.0)  # (G, cells, T)
-        self.seen = gathered(cells.seen, False)
-        hyper = tuple(gathered(h, 1.0) for h in cells.hyper)  # (G, cells, 1)
-        lgamma_row, ratio = gathered(cells.lgamma[0], 0), cells.lgamma[1]  # (G, cells, 1) rows
-        self.group = np.repeat(np.arange(num_groups), num_particles)
-        self.hyper = tuple(h[self.group, :, 0] for h in hyper)
-        self.lgamma = lgamma_row[self.group, :, 0], ratio
+        self.num_particles = num = num_particles
+        # each group's layout rows, every group's lags before any group's emissions
+        segments = [[cells.index[n, i] for n in g.members for i in range(1, g.window + 1)] for g in groups]
+        segments += [[cells.index[n, 0] for n in g.members] for g in groups]
+        lengths = np.array([len(rows) for rows in segments])
+        rows = np.array([r for rows in segments for r in rows], dtype=np.int64)
+        owner = np.arange(2 * num_groups) % num_groups  # each segment's group
+        # every segment's J copies, particle by particle: each copy's entries
+        # and the indices into rows of their cells
+        span = np.repeat(lengths, num)
+        source = _ranges(np.repeat(np.cumsum(lengths) - lengths, num), span)
+        self.particle = np.repeat((owner[:, None] * num + np.arange(num)).ravel(), span)
+        self.row = rows[source]
+        self.num_lags = int(span[: num_groups * num].sum())
+        # each particle's lag and emission entries: the first of each and how many, (2, G*J)
+        self.first, self.span = (np.cumsum(span) - span).reshape(2, -1), span.reshape(2, -1)
         capacity = 4
         while capacity <= max(group.regimes.num_regimes for group in groups):
             capacity *= 2
-        z = np.zeros((num_groups, self.x.shape[2]), dtype=np.int64)  # 0 at future steps
+        z = np.zeros((num_groups, cells.x.shape[1]), dtype=np.int64)  # 0 at future steps
         sizes = np.zeros((num_groups, capacity), dtype=np.int64)
         for g, group in enumerate(groups):
             counts = group.regimes.counts
             z[g, : group.num_steps] = group.regimes.z
             sizes[g, : len(counts)] = counts
-        count, total, total_sq = fold_stats(self.x, self.seen, z, capacity)
-        form = np.array(student_t_form_array(*hyper, count, total, total_sq, (lgamma_row, ratio)))
-        self.z, self.sizes, self.count, self.total, self.total_sq = (
-            np.repeat(a, num_particles, axis=0) for a in (z, sizes, count, total, total_sq)
-        )
-        self.form = np.repeat(form, num_particles, axis=1)
-        self.num_blocks = np.repeat([g.regimes.num_regimes for g in groups], num_particles)
-        self.log_alpha = np.repeat([math.log(g.alpha) for g in groups], num_particles)
-        self.log_weights = np.zeros(len(self.group))
+        # one fold over each group's own rows, each row under its group's sequence
+        x, seen = cells.x[rows, None], cells.seen[rows, None]
+        stats = [s[:, 0] for s in fold_stats(x, seen, z[np.repeat(owner, lengths)], capacity)]
+        lgamma_row, ratio = cells.lgamma
+        hyper = tuple(h[rows] for h in cells.hyper)  # (rows, 1)
+        form = np.array(student_t_form_array(*hyper, *stats, (lgamma_row[rows], ratio)))
+        self.count, self.total, self.total_sq = (s.take(source, axis=0) for s in stats)
+        # in C order, unlike form[:, source], so that put writes in place
+        self.form = form.take(source, axis=1)
+        self.hyper = tuple(h[:, 0].take(self.row) for h in cells.hyper)
+        self.lgamma = lgamma_row[:, 0].take(self.row), ratio
+        self.z, self.sizes = (np.repeat(a, num, axis=0) for a in (z, sizes))
+        self.num_blocks = np.repeat([g.regimes.num_regimes for g in groups], num)
+        self.log_alpha = np.repeat([math.log(g.alpha) for g in groups], num)
+        self.log_weights = np.zeros(num_groups * num)
         self.log_ml_acc = np.zeros(num_groups)
         self.scored = None  # (t, full log weights, weight increments) of the step scored last
 
@@ -202,27 +220,31 @@ class ParticleSet:
         K is the largest block count.  ``base`` is CRP count/concentration
         plus cohesion over the observed lag cells; ``emission`` sums the
         emission predictives of the observed cells at t, and is None when
-        ``emission`` is false, which scores the lag cells only.  ``x`` is each
-        particle's row of cell values at t, (G*J, cells); by default every
-        particle reads its group's.  Particle p's column ``num_blocks[p]`` is
-        its fresh block; its later columns have base -inf.
+        ``emission`` is false, which scores the lag entries only.  ``x`` is
+        the value at t of every scored entry, (entries,) or (``num_lags``,);
+        by default each entry reads its layout row's.  Particle p's column
+        ``num_blocks[p]`` is its fresh block; its later columns have base
+        -inf.  One ``bincount`` adds every particle's lag and emission factors
+        in entry order, from 0.0, so a particle with no lag cell has a
+        cohesion of 0.
         """
         width = int(self.num_blocks.max()) + 1
         if width > self.sizes.shape[1]:
             self._double()
-        rows = slice(None) if emission else slice(self.num_lags)
-        lead = (len(self.rows), self.num_particles)
-        form = self.form[:, :, rows, :width].reshape(4, *lead, -1, width)
-        x = self.x[:, None, rows, t - 1, None] if x is None else x[:, rows].reshape(*lead, -1, 1)
-        f = student_t_logpdf_array(form, x)
-        seen = self.seen[:, None, rows, t - 1, None]
-        factors = np.where(seen, f, 0.0).reshape(len(self), -1, width)
+        scored = slice(None) if emission else slice(self.num_lags)
+        row = self.row[scored]
+        x = self.cells.x[row, t - 1] if x is None else x
+        factors = student_t_logpdf_array(self.form[:, scored, :width], x[:, None])
+        np.copyto(factors, 0.0, where=~self.cells.seen[row, t - 1][:, None])
+        # each factor's sum: its particle's lag or emission sum, of its column
+        kind = 2 * self.particle[scored] + (np.arange(len(row)) >= self.num_lags)
+        keys = (kind[:, None] * width + np.arange(width)).ravel()
+        sums = np.bincount(keys, factors.ravel(), 2 * len(self) * width)
+        sums = sums.reshape(len(self), 2, width)
         with np.errstate(divide="ignore"):
             crp = np.log(self.sizes[:, :width])
         crp[np.arange(len(crp)), self.num_blocks] = self.log_alpha
-        lags = self.num_lags
-        base = crp + factors[:, :lags].sum(axis=1)
-        return base, factors[:, lags:].sum(axis=1) if emission else None
+        return crp + sums[:, 0], sums[:, 1] if emission else None
 
     def step_scores(self, t: int):
         """(full log weights, weight increments, widths) of every particle at step t.
@@ -245,24 +267,24 @@ class ParticleSet:
     def assign(self, t: int, pick: np.ndarray, x=None) -> None:
         """Assign step t of particle p to column ``pick[p]`` and fold in its observed values.
 
-        ``x`` is as in :meth:`log_weights_split`, with 0 at unobserved cells.
-        Each cell adds its values in time order, so the sums have the bits of
-        a group rebuilt from the particle's sequence.  An unobserved cell adds
-        a count of 0 and a value of 0.  The drawn columns' forms are rebuilt
-        from their new statistics; the other columns' statistics, and so
-        their forms, are unchanged.  ``pick`` comes from a score at t, which
-        made room for every particle's fresh block.
+        ``x`` is the value at t of every entry, by default its layout row's,
+        with 0 at unobserved cells.  Each cell adds its values in time order,
+        so the sums have the bits of a group rebuilt from the particle's
+        sequence.  An unobserved cell adds a count of 0 and a value of 0.  The
+        drawn columns' forms are rebuilt from their new statistics; the other
+        columns' statistics, and so their forms, are unchanged.  ``pick``
+        comes from a score at t, which made room for every particle's fresh
+        block.
         """
-        particles = np.arange(len(pick))
-        cells, capacity = self.count.shape[1:]
+        capacity = self.sizes.shape[1]
         self.z[:, t - 1] = pick + 1
-        block = particles * capacity + pick  # flat indices of the drawn blocks
+        block = np.arange(len(pick)) * capacity + pick  # flat indices of the drawn blocks
         self.sizes.put(block, self.sizes.take(block) + 1)
         self.num_blocks += pick == self.num_blocks
-        x = self.x[self.group, :, t - 1] if x is None else x
-        seen = self.seen[self.group, :, t - 1]
-        # and of every particle's drawn column, (G*J, cells)
-        drawn = (particles[:, None] * cells + np.arange(cells)) * capacity + pick[:, None]
+        x = self.cells.x[self.row, t - 1] if x is None else x
+        seen = self.cells.seen[self.row, t - 1]
+        # and of every entry's drawn column, (entries,)
+        drawn = np.arange(len(self.row)) * capacity + pick[self.particle]
         new = []
         for stats, value in ((self.count, seen), (self.total, x), (self.total_sq, x * x)):
             new.append(stats.take(drawn) + value)
@@ -290,14 +312,21 @@ class ParticleSet:
     def gather(self, slots: np.ndarray, picks: np.ndarray) -> None:
         """Make particle ``slots[i]`` a copy of particle ``picks[i]``, one of its own group's.
 
-        Only the slots' rows are copied, so resampling a few groups of a
-        large set leaves the others' rows where they are.
+        Only the slots' rows and entries are copied, so resampling a few
+        groups of a large set leaves the others' where they are.
         """
-        for name in ("z", "num_blocks", "sizes", "count", "total", "total_sq"):
+        for name in ("z", "num_blocks", "sizes"):
             stats = getattr(self, name)
+            stats[slots] = stats[picks]
+        slots, picks = self.entries(slots), self.entries(picks)
+        for stats in (self.count, self.total, self.total_sq):
             stats[slots] = stats[picks]
         self.form[:, slots] = self.form[:, picks]
         self.scored = None
+
+    def entries(self, particles: np.ndarray) -> np.ndarray:
+        """The entries of ``particles``: each one's lag entries, then its emission entries."""
+        return _ranges(*(a[:, particles].T.ravel() for a in (self.first, self.span)))
 
 
 def smc_step(ps: ParticleSet, t: int, rng, group: int) -> np.ndarray:

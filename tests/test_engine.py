@@ -290,9 +290,9 @@ def test_fit_parallel_matches_sequential(rng):
 def test_chains_initialised_together_equal_chains_initialised_alone(rng, monkeypatch):
     """The chains share one particle set, each drawing from its own Generator
     as it would alone, so their states and Generators are byte-equal.  The
-    SMC estimates may differ in the last bit: the lag sums and the step
-    normalizers reduce over the set's padded rows and width, and numpy sums
-    8 entries or more pairwise, in an order that the padding moves."""
+    SMC estimates may differ in the last bit: the step normalizers reduce
+    over the set's width, and numpy sums 8 columns or more pairwise, in an
+    order that the columns past a chain's own width move."""
     panel = small_panel(rng, num_series=5, steps=14, missing=[(1, 4), (3, 9)])
     config = quick_config(chains=6, burnin=0)
     seqs = np.random.SeedSequence(config.seed).spawn(config.chains)

@@ -48,7 +48,7 @@ def empty_group(panel, hypers, members=(0,), alpha=1.0):
 
 def step_all(ps, t, rng):
     """Step every group of ``ps`` to t and fold their draws in, as the filter does."""
-    draws = [smc_step(ps, t, rng, g) for g in range(len(ps.rows))]
+    draws = [smc_step(ps, t, rng, g) for g in range(len(ps.log_ml_acc))]
     ps.assign(t, np.concatenate(draws))
 
 
@@ -270,18 +270,23 @@ def check_particle_stats(rng, window):
     template = GroupModel(MEMBERS, 1.0, panel.num_steps, window, mixed_hypers(4, window))
     ps = ParticleSet([template], *panel_data(panel), 12)
 
+    cell_of = list(ps.cells.index)
+
     def check(t):
         for j in range(len(ps)):
             group_stats = rebuilt_stats(ps, j, template, t - 1, panel)
             k = group_stats.group.regimes.num_regimes
-            for c, (n, i) in enumerate(ps.cells.index):
+            entries = ps.entries([j])
+            assert [cell_of[c] for c in ps.row[entries]] == cell_of  # every cell, once
+            for e in entries:
+                n, i = cell_of[ps.row[e]]
                 for block in range(k):
                     cell = group_stats.cells[n][block][i]
-                    assert ps.count[j, c, block] == cell.count
-                    assert abs(ps.total[j, c, block] - cell.sum) < 1e-8
-                    assert abs(ps.total_sq[j, c, block] - cell.sum_sq) < 1e-8
+                    assert ps.count[e, block] == cell.count
+                    assert abs(ps.total[e, block] - cell.sum) < 1e-8
+                    assert abs(ps.total_sq[e, block] - cell.sum_sq) < 1e-8
             for stats in (ps.count, ps.total, ps.total_sq):
-                assert not stats[j, :, k:].any()
+                assert not stats[entries, k:].any()
 
     filter_with_forced_resample(ps, rng, panel.num_steps, check)
     assert template.regimes.num_regimes == 0  # the template group stays empty
@@ -406,12 +411,16 @@ def test_resampling_one_group_leaves_the_other_untouched(rng):
     for t in (1, 2):
         step_all(ps, t, rng)
     ps.log_weights = np.concatenate([np.where(np.arange(6) == 2, 0.0, -1e9), np.linspace(0.0, 0.3, 6)])
-    names = ("z", "num_blocks", "sizes", "count", "total", "total_sq", "log_weights")
-    before = {name: getattr(ps, name)[6:].copy() for name in names}
+    other = ps.particle >= 6
+    rows = {name: slice(6, None) for name in ("z", "num_blocks", "sizes", "log_weights")}
+    rows |= {name: other for name in ("count", "total", "total_sq")}
+    before = {name: getattr(ps, name)[at].copy() for name, at in rows.items()}
+    form = ps.form[:, other].copy()
     marker = ps.z[2].copy()
     assert maybe_resample(ps, rng)
-    for name in names:
-        assert np.array_equal(getattr(ps, name)[6:], before[name]), name
+    for name, at in rows.items():
+        assert np.array_equal(getattr(ps, name)[at], before[name]), name
+    assert np.array_equal(ps.form[:, other], form)
     assert all(np.array_equal(z, marker) for z in ps.z[:6])
     assert ps.log_weights[:6].tolist() == [0.0] * 6
     assert ps.log_ml_acc[0] != 0.0 and ps.log_ml_acc[1] == 0.0
@@ -529,10 +538,18 @@ def test_group_steps_share_one_score_and_the_loop_folds(rng, monkeypatch):
     assert per_step == [{"smc_step": 2, "student_t_logpdf_array": 1, "fold": 1}] * panel.num_steps
 
 
+def own_cells(group):
+    """A group's cells in the order of its particles' entries: its members'
+    lags, member by member, then their emissions."""
+    lags = [(n, i) for n in group.members for i in range(1, group.window + 1)]
+    return lags + [(n, 0) for n in group.members]
+
+
 def test_grouped_particles_match_their_own_group(rng):
     # each particle's weights and statistics, at every step of a batch of two
     # groups of different widths, equal the scalar weights and the cells of
-    # its own group loaded from its sequence so far; padding rows stay empty
+    # its own group loaded from its sequence so far; the set has no entry for
+    # a cell the particle's group lacks
     panel = gappy_panel(rng, 2)
     hypers = mixed_hypers(4, 2)
     templates = [
@@ -540,14 +557,15 @@ def test_grouped_particles_match_their_own_group(rng):
         GroupModel((1,), 1.3, panel.num_steps, 2, hypers),
     ]
     ps = ParticleSet(templates, *panel_data(panel), 9)
-    cell_of = {c: cell for cell, c in ps.cells.index.items()}
+    cell_of = list(ps.cells.index)
+    assert len(ps.row) == 9 * sum(len(own_cells(group)) for group in templates)
 
     def check(t):
         if t > panel.num_steps:
             return
         base, emis = ps.log_weights_split(t)
         for p in range(len(ps)):
-            g = ps.group[p]
+            g = p // ps.num_particles
             group_stats = rebuilt_stats(ps, p, templates[g], t - 1, panel)
             want_base = group_stats.regime_log_weights(t, False)
             want_full = group_stats.regime_log_weights(t, True)
@@ -555,12 +573,12 @@ def test_grouped_particles_match_their_own_group(rng):
             assert ps.num_blocks[p] == k
             assert np.abs(base[p, : k + 1] - want_base).max() <= 1e-12
             assert np.abs((base + emis)[p, : k + 1] - want_full).max() <= 1e-12
-            for r, c in enumerate(ps.rows[g]):
-                stats = ps.count[p, r], ps.total[p, r], ps.total_sq[p, r]
-                if c not in cell_of:
-                    assert not any(s.any() for s in stats)
-                    continue
-                n, i = cell_of[c]
+            entries = ps.entries([p])
+            assert [cell_of[c] for c in ps.row[entries]] == own_cells(templates[g])
+            assert (ps.particle[entries] == p).all()
+            for e in entries:
+                stats = ps.count[e], ps.total[e], ps.total_sq[e]
+                n, i = cell_of[ps.row[e]]
                 cells = [row[i] for row in group_stats.cells[n]]
                 assert stats[0][:k].tolist() == [s.count for s in cells]
                 assert np.allclose(stats[1][:k], [s.sum for s in cells], rtol=0, atol=1e-8)
@@ -569,20 +587,68 @@ def test_grouped_particles_match_their_own_group(rng):
     filter_with_forced_resample(ps, rng, panel.num_steps, check)
 
 
-def fresh_forms(ps):
-    """Every particle's Student-t forms rebuilt from its statistics and its
-    group's layout rows, (4, G*J, cells, capacity)."""
-    def padded(a, fill):
-        return np.concatenate([a, np.full_like(a[:1], fill)])[ps.rows[ps.group]]
+def test_set_holds_each_groups_own_cells_and_draws_as_sets_of_one(rng):
+    # a 1-member and a 4-member group at window 2, each its own chain, hold
+    # J x 5 members x 3 cells entries; each draws byte for byte what a set of
+    # it alone draws from the same Generator, with weights to 1e-12
+    panel = gappy_panel(rng, 2)
+    hypers = mixed_hypers(4, 2)
+    groups = [empty_group(panel, hypers, members=m, alpha=1.3) for m in ((2,), (0, 1, 2, 3))]
+    num = 6
+    ps = ParticleSet(groups, *panel_data(panel), num, chain=[0, 1])
+    assert len(ps.row) == len(ps.particle) == num * 5 * 3
+    alone = [ParticleSet([group], *panel_data(panel), num) for group in groups]
+    rngs, alone_rngs = ([np.random.default_rng(40 + g) for g in range(2)] for _ in range(2))
+    for t in range(1, panel.num_steps + 1):
+        draws = [smc_step(ps, t, r, g) for g, r in enumerate(rngs)]
+        ps.assign(t, np.concatenate(draws))
+        for g, (own, r) in enumerate(zip(alone, alone_rngs)):
+            got = smc_step(own, t, r, 0)
+            own.assign(t, got)
+            assert got.tobytes() == draws[g].tobytes()
+            assert np.abs(ps.log_weights[g * num : (g + 1) * num] - own.log_weights).max() <= 1e-12
+            if t < panel.num_steps:
+                maybe_resample(own, r)
+        if t < panel.num_steps:
+            maybe_resample(ps, rngs)
+    for g, own in enumerate(alone):
+        assert ps.z[g * num : (g + 1) * num].tobytes() == own.z.tobytes()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone_rngs]
 
-    hyper = (padded(h, 1.0) for h in ps.cells.hyper)
+
+def test_group_without_lag_cells_has_crp_base(rng):
+    # a window-0 group next to a window-2 group has no lag entry: its base,
+    # scored with and without emissions, is its CRP weights alone
+    panel = gappy_panel(rng, 2)
+    hypers = mixed_hypers(4, 2)
+    groups = [GroupModel((0, 3), 0.7, panel.num_steps, 0, hypers),
+              GroupModel((1,), 1.3, panel.num_steps, 2, hypers)]
+    ps = ParticleSet(groups, *panel_data(panel), 5)
+    assert ps.num_lags == 5 * 2
+
+    def check(t):
+        if t > panel.num_steps:
+            return
+        for emission in (True, False):
+            base, _ = ps.log_weights_split(t, emission=emission)
+            with np.errstate(divide="ignore"):
+                crp = np.log(ps.sizes[:5, : base.shape[1]])
+            crp[np.arange(5), ps.num_blocks[:5]] = math.log(0.7)
+            assert np.array_equal(base[:5], crp)
+
+    filter_with_forced_resample(ps, rng, panel.num_steps, check)
+
+
+def fresh_forms(ps):
+    """Every entry's Student-t forms rebuilt from its statistics and its
+    layout row, (4, entries, capacity)."""
+    hyper = (h[ps.row] for h in ps.cells.hyper)
     row, ratio = ps.cells.lgamma
-    lgamma = padded(row, 0), ratio
-    return np.array(student_t_form_array(*hyper, ps.count, ps.total, ps.total_sq, lgamma))
+    return np.array(student_t_form_array(*hyper, ps.count, ps.total, ps.total_sq, (row[ps.row], ratio)))
 
 
 def test_stored_forms_equal_fresh_forms_at_every_step(rng):
-    # two groups of different widths (padding rows), forced resampling, and
+    # two groups of different widths and windows, forced resampling, and
     # concentrations high enough that the block capacity doubles
     panel = gappy_panel(rng, 2)
     hypers = mixed_hypers(4, 2)
@@ -591,20 +657,20 @@ def test_stored_forms_equal_fresh_forms_at_every_step(rng):
         GroupModel((1,), 40.0, panel.num_steps, 1, hypers),
     ]
     ps = ParticleSet(templates, *panel_data(panel), 7)
-    capacity = ps.count.shape[2]
+    capacity = ps.count.shape[1]
 
     def check(t):
         assert np.array_equal(ps.form, fresh_forms(ps)), t
 
     filter_with_forced_resample(ps, rng, panel.num_steps, check)
-    assert ps.count.shape[2] > capacity
+    assert ps.count.shape[1] > capacity
 
 
 def test_set_starts_from_its_fitted_groups_stats(rng):
     # a set folds its start state from its own cells in one pass; it equals
     # the statistics a pass over each group folds, over the panel and over a
-    # forecast's extended steps, whose labels are 0.  The one-member group
-    # comes first, so its padded rows are checked to stay empty.
+    # forecast's extended steps, whose labels are 0.  Each particle holds
+    # its own group's cells and no other.
     panel = gappy_panel(rng, 2)
     hypers = mixed_hypers(4, 2)
     narrow = GroupModel((2,), 1.3, panel.num_steps, 2, hypers)
@@ -618,15 +684,14 @@ def test_set_starts_from_its_fitted_groups_stats(rng):
         cells = list(ps.cells.index)
         for g, group in enumerate((narrow, wide)):
             folded = GroupStats(group, panel.values, panel.observed).cells
-            for j, r in np.ndindex(3, ps.rows.shape[1]):
-                c = ps.rows[g, r]
-                stats = (a[3 * g + j, r].tolist() for a in (ps.count, ps.total, ps.total_sq))
-                got = list(zip(*stats))
-                want = []  # a padding row's
-                if c < len(cells):
-                    n, i = cells[c]
+            for j in range(3):
+                entries = ps.entries([3 * g + j])
+                assert [cells[c] for c in ps.row[entries]] == own_cells(group)
+                for e in entries:
+                    n, i = cells[ps.row[e]]
+                    got = list(zip(*(a[e].tolist() for a in (ps.count, ps.total, ps.total_sq))))
                     want = [(row[i].count, row[i].sum, row[i].sum_sq) for row in folded[n]]
-                assert got == want + [(0, 0.0, 0.0)] * (len(got) - len(want))
+                    assert got == want + [(0, 0.0, 0.0)] * (len(got) - len(want))
 
 
 def test_set_over_empty_groups_keeps_float_totals(rng):
