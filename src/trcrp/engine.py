@@ -374,7 +374,8 @@ def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
                 f"sample set schema {version!r} unsupported (expected {SAMPLESET_SCHEMA_VERSION})"
             )
         panel = panel_from_payload(doc["panel"])
-        chains = [state_from_payload(entry, panel) for entry in doc["chains"]]
+        cells = {}  # every distinct NIG cell of the file, built once
+        chains = [state_from_payload(entry, panel, cells) for entry in doc["chains"]]
         config = RunConfig(window=panel.window, chains=len(chains), **_stored_config(doc["config"]))
         samples = SampleSet(panel=panel, chains=chains, provenance=doc.get("provenance", {}))
         return samples, config, sampleset_hash(panel, config)

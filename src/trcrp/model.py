@@ -420,9 +420,9 @@ class PrefixStats:
 
     Sufficient statistics depend on z alone, so one table serves every subset
     of its series (:meth:`subset_loglik`) and every candidate hyper of its
-    cells (:meth:`cell_logliks`).  Only :meth:`cell_logliks` reads ``count``,
-    ``total`` and ``total_sq``; a table kept for :meth:`subset_loglik` alone
-    may set them to None.
+    cells (:meth:`cell_logliks`, and the hyper sweep's emission moves).
+    Only those read ``count``, ``total`` and ``total_sq``; a table kept for
+    :meth:`subset_loglik` alone may set them to None.
     """
 
     cells: CellLayout
@@ -503,32 +503,28 @@ class PrefixStats:
         emis = self.factors[[index[n, 0] for n in series]].sum(axis=0)
         return float(self.loglik(base, emis))
 
-    def cell_logliks(self, n: int, offset: int, cand, alpha: float, lgamma):
-        """Scores of G candidate hypers for cell (n, offset), and their factors.
+    def cell_logliks(self, n: int, offset: int, cand, crp, lgamma):
+        """Scores of G candidate hypers for lag cell (n, offset), and their factors.
 
-        ``cand`` is (m, V, a, b), each a scalar or a (G, 1, 1) array.  A lag
+        ``cand`` is (m, V, a, b), each a scalar or a (G, 1, 1) array.  A
         candidate's factors replace the cell's in the cohesion sum, so every
-        step's normalizer moves: the score is the no-emission loglik under
-        concentration ``alpha``.  An emission candidate changes only the
-        emission term of z_t, so the score sums those terms and needs no
-        normalizer.  Either way scores differ from the conditional log
-        likelihood by a constant shared by the candidates.  ``lgamma`` holds
-        the candidates' lgamma rows over counts 0..T (an ``LgammaTable.rows``).
+        step's normalizer moves: the score is the no-emission loglik of the
+        CRP weights ``crp``, ``log_weights(alpha, 0.0)``, plus the cohesion.
+        Scores differ from the conditional log likelihood by a constant
+        shared by the candidates.  ``lgamma`` holds the candidates' lgamma
+        rows over counts 0..T (an ``LgammaTable.rows``).
         Returns the (G,) scores and the (G, T, K+1) factors.
         """
         c = self.cells.index[n, offset]
         stats = self.count[c], self.total[c], self.total_sq[c], self.cells.x[c, :, None]
         f = predictive_logpdf_array(*cand, *stats, lgamma=lgamma)
         factors = np.where(self.cells.seen[c, :, None], f, 0.0)
-        if offset:
-            return self.loglik(self.log_weights(alpha) + (factors - self.factors[c])), factors
-        return factors[..., np.arange(len(self.slot)), self.slot].sum(axis=-1), factors
+        return self.loglik(crp + self.cohesion + (factors - self.factors[c])), factors
 
     def install(self, n: int, offset: int, factors: np.ndarray) -> None:
-        """Make ``factors``, one candidate's (T, K+1) slice, cell (n, offset)'s own."""
+        """Make ``factors``, one candidate's (T, K+1) slice, lag cell (n, offset)'s own."""
         c = self.cells.index[n, offset]
-        if offset:
-            self.cohesion += factors - self.factors[c]
+        self.cohesion += factors - self.factors[c]
         self.factors[c] = factors
 
 
@@ -812,33 +808,39 @@ def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
     if any(len(entry["cohesion"]) != panel.window for entry in payload["hypers"]):
         raise ValueError(f"every series needs {panel.window} lag cells")
     cells = [h for entry in payload["hypers"] for h in (entry["emission"], *entry["cohesion"])]
-    if not all(isinstance(h, list) and len(h) == 4 for h in cells) or not all(
-        type(v) in (int, float) for h in cells for v in h  # JSON numbers, not bools
-    ):
+    if not all(isinstance(h, list) and len(h) == 4 for h in cells) or not {
+        type(v) for h in cells for v in h
+    } <= {int, float}:  # JSON numbers, not bools
         raise ValueError("every NIG cell must be four numbers (m, V, a, b)")
     concentrations = [payload["alpha0"]] + [g["alpha"] for g in groups]
     if not all(type(a) in (int, float) and 0 < a < math.inf for a in concentrations):
         raise ValueError("concentrations must be positive finite numbers")
     members = [entry["members"] for entry in groups]
-    if not all(isinstance(ns, list) and ns and all(type(n) is int for n in ns) for ns in members):
+    if not all(isinstance(ns, list) and ns for ns in members) or not {
+        type(n) for ns in members for n in ns
+    } <= {int}:
         raise ValueError("every group's members must be a non-empty list of series indices")
     if sorted(n for ns in members for n in ns) != list(range(num_series)):
         raise ValueError(f"group members {members} do not partition {num_series} series")
     for m, entry in enumerate(groups, start=1):
         z = entry["z"]
-        if not isinstance(z, list) or not all(type(k) is int for k in z):
+        if not isinstance(z, list) or not {type(k) for k in z} <= {int}:
             raise ValueError(f"group {m} sequence must be a list of integer labels")
         if len(z) != panel.num_steps or sorted(set(z)) != list(range(1, max(z, default=0) + 1)):
             raise ValueError(f"group {m} sequence must label all {panel.num_steps} steps 1..K")
 
 
-def state_from_payload(payload: dict, panel: TimeSeriesPanel) -> ChainState:
+def state_from_payload(payload: dict, panel: TimeSeriesPanel, cells=None) -> ChainState:
+    """The chain state of ``payload`` over ``panel``.  ``cells`` maps four numbers
+    to their NigHyper, so the chains of one file build each distinct cell once."""
     _check_payload(payload, panel)
+    cells = {} if cells is None else cells
+
+    def cell(h):
+        return cells.get(tuple(h)) or cells.setdefault(tuple(h), NigHyper(*h))
+
     hypers = [
-        SeriesHypers(
-            emission=NigHyper(*entry["emission"]),
-            cohesion=tuple(NigHyper(*h) for h in entry["cohesion"]),
-        )
+        SeriesHypers(cell(entry["emission"]), tuple(map(cell, entry["cohesion"])))
         for entry in payload["hypers"]
     ]
     groups = []

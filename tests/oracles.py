@@ -5,7 +5,8 @@ densities and textbook formulas, sharing no code path with the package: the
 conjugate updates use the literal (uncentered) rate formula, densities come
 from scipy.stats.t, and sequential quantities walk explicit data subsets
 instead of sufficient statistics.  The exceptions say so: the bit-exact
-full-MH references (:func:`two_pass_log_ratio`, :func:`two_pass_sweep_z`) and
+full-MH references (:func:`two_pass_log_ratio`, :func:`two_pass_sweep_z`), the
+per-move hyper sweep (:func:`per_move_hyper_sweep`, :func:`slot_sums`) and
 the scalar forecast rollout run the package's own model code, and
 :func:`posterior_params` (so :func:`student_t`) runs the package's scalar
 posterior update.  The drift checks (:func:`stats_deviation`,
@@ -23,16 +24,19 @@ from typing import NamedTuple
 import numpy as np
 import scipy.stats
 
+from trcrp import hypers
 from trcrp.conjugate import (
     LgammaTable,
     NigHyper,
     _posterior,
+    predictive_logpdf_array,
     predictive_sample_array,
     student_t_form,
 )
 from trcrp.mcmc import NEW_REGIME, propose_z
 from trcrp.model import GroupModel, GroupStats, cell_layout, prefix_stats
 from trcrp.predict import QUANTILES
+from trcrp.util import gumbel_argmax
 
 
 def value(panel, n, t):
@@ -457,3 +461,60 @@ def two_pass_sweep_z(group, values, observed, rng):
         accepted += 1
         stats.assign(t, stats.add_regime() if branch == NEW_REGIME else branch)
     return accepted
+
+
+def full_factors(table, n, offset, cand, lgamma):
+    """The (G, T, K+1) factors of G candidate hypers ``cand`` for cell (n, offset)
+    of the prefix table ``table``: every step scored under every block."""
+    c = table.cells.index[n, offset]
+    stats = table.count[c], table.total[c], table.total_sq[c], table.cells.x[c, :, None]
+    f = predictive_logpdf_array(*cand, *stats, lgamma=lgamma)
+    return np.where(table.cells.seen[c, :, None], f, 0.0)
+
+
+def slot_sums(factors, table):
+    """Sum over t of ``factors`` at z_t's block: one emission score per candidate."""
+    return factors[..., np.arange(len(table.slot)), table.slot].sum(axis=-1)
+
+
+def per_move_hyper_sweep(state, rng, nig_cells=True):
+    """Reference hyper sweep: every NIG-cell move scored and drawn on its own.
+
+    It runs the package's concentration moves and group tables
+    (:mod:`trcrp.hypers`), then per series the four emission fields and
+    each lag cell's four fields, offset by offset.  A move scores its cell's
+    full (G, T, K+1) :func:`full_factors` and draws with one
+    ``gumbel_argmax``: an emission score is the :func:`slot_sums`, a lag
+    score the no-emission loglik with the candidates' factors in place of
+    the cell's in the cohesion, which an accepted lag move installs.
+    """
+    hypers._gibbs_alpha0(state, rng)
+    tables = {}
+    for group in state.groups:
+        tables[group] = hypers._group_table(state, group)
+        hypers._gibbs_group_alpha(state, group, tables[group], rng)
+    if not nig_cells:
+        return
+    for n in range(state.num_series):
+        group = state.group_of(n)
+        table = tables[group]
+        for offset in range(state.panel.window + 1):
+            c = table.cells.index[n, offset]
+            for field in hypers.NIG_FIELDS:
+                grid = getattr(state.grids.series[n], field).points
+                current = state.hypers[n].cell(offset)
+                values = vars(current) | {field: np.reshape(grid, (-1, 1, 1))}
+                cand = [values[name] for name in hypers.NIG_FIELDS]
+                factors = full_factors(table, n, offset, cand, state.lgamma.rows(cand[2]))
+                if offset:
+                    base = table.log_weights(group.alpha) + (factors - table.factors[c])
+                    logits = table.loglik(base)
+                else:
+                    logits = slot_sums(factors, table)
+                j = gumbel_argmax(logits, rng)
+                new = current.replace(**{field: grid[j]})
+                if new != current:
+                    if offset:
+                        table.cohesion += factors[j] - table.factors[c]
+                        table.factors[c] = factors[j]
+                    state.hypers[n] = state.hypers[n].replace_cell(offset, new)

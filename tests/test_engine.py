@@ -172,6 +172,48 @@ def test_state_payload_round_trip(rng):
     back.check_consistency()
 
 
+@pytest.mark.parametrize("burnin", [0, 8], ids=["smc_only", "swept"])
+def test_load_builds_each_distinct_cell_once(rng, tmp_path, burnin):
+    # a file's cells with equal numbers share one NigHyper across its series,
+    # offsets and chains; an SMC-only fit leaves every cell at its series'
+    # grid midpoints, so each series has one
+    panel = small_panel(rng, num_series=3)
+    config = quick_config(chains=2, burnin=burnin)
+    samples = fit(panel, config)
+    save_sampleset(samples, config, tmp_path / "samples.json")
+    loaded = load_sampleset(tmp_path / "samples.json")[0]
+    cells = [
+        h for chain in loaded.chains for sh in chain.hypers for h in (sh.emission, *sh.cohesion)
+    ]
+    assert len({id(h) for h in cells}) == len({(h.m, h.V, h.a, h.b) for h in cells})
+    if not burnin:
+        assert len({id(h) for h in cells}) == panel.num_series
+    for chain, back in zip(samples.chains, loaded.chains, strict=True):
+        assert back.hypers == chain.hypers
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda c: c["hypers"][0]["emission"].__setitem__(1, True), "four numbers"),
+        (lambda c: c["hypers"][0]["cohesion"][0].__setitem__(0, "1.0"), "four numbers"),
+        (lambda c: c["hypers"][1].update(emission=[0.0, 1.0]), "four numbers"),
+        (lambda c: c["groups"][0]["members"].__setitem__(0, 0.0), "members must be"),
+        (lambda c: c["groups"][0]["members"].append(True), "members must be"),
+        (lambda c: c["groups"][0].update(members=0), "members must be"),
+        (lambda c: c["groups"][0].update(members=[]), "members must be"),
+        (lambda c: c["groups"][0]["z"].__setitem__(0, 1.0), "integer labels"),
+        (lambda c: c["groups"][0].update(z="1"), "integer labels"),
+    ],
+)
+def test_malformed_payload_names_its_fault(rng, corrupt, message):
+    panel = small_panel(rng)
+    payload = json.loads(json.dumps(state_payload(fit(panel, quick_config(chains=1)).chains[0])))
+    corrupt(payload)
+    with pytest.raises(ValueError, match=message):
+        state_from_payload(payload, panel)
+
+
 def test_sampleset_save_load_round_trip(rng, tmp_path):
     panel = small_panel(rng, missing=[(0, 3)])
     config = quick_config(chains=2)
