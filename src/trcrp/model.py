@@ -72,6 +72,7 @@ __all__ = [
     "crp_draw",
     "CellLayout",
     "cell_layout",
+    "hyper_columns",
     "PrefixStats",
     "fold_stats",
     "prefix_columns",
@@ -395,10 +396,15 @@ def cell_layout(series, hypers, values, observed, window: int, lgamma, emission=
     cols = np.array([p - i for _, i in cells], dtype=np.int64)[:, None] + np.arange(num_steps)
     seen = np.asarray(observed, dtype=bool)[rows, cols]
     x = np.where(seen, values[rows, cols], 0.0)
-    table = np.array([_hyper_list(hypers[n].cell(i)) for n, i in cells]).reshape(-1, 4)
-    hyper = tuple(table.T[:, :, None])
     index = {cell: c for c, cell in enumerate(cells)}
-    return CellLayout(index, p, num_lags, x, seen, hyper, lgamma.rows(hyper[2]))
+    nigs = [hypers[n].cell(i) for n, i in cells]
+    return CellLayout(index, p, num_lags, x, seen, *hyper_columns(nigs, lgamma))
+
+
+def hyper_columns(nigs, lgamma):
+    """m, V, a and b of the NIG cells ``nigs``, each (cells, 1), and their ``lgamma.rows``."""
+    hyper = tuple(np.array([_hyper_list(h) for h in nigs]).reshape(-1, 4).T[:, :, None])
+    return hyper, lgamma.rows(hyper[2])
 
 
 # rows from which PrefixStats.log_normalizers reduces a block one column at a time

@@ -10,23 +10,21 @@ Both sampled queries draw every draw's chain first, in one call, and then
 serve each chain's R_s draws as arrays over draws.  Given its chain, a fitted
 group's future does not depend on the chain's other groups, so a forecast
 steps many groups, of all chains, through the horizon as one
-:class:`~trcrp.smc.ParticleSet`.  The groups whose chains share their hypers
-and which have equal member counts share a set, up to
-:data:`~trcrp.smc.SET_ENTRIES` copy-cell entries.  A set holds each copy's
-own cells only, whatever its groups' sizes; the buckets by member count
-stay because they fix which groups share a set, and so the order of the
-forecast's Generator calls and its draws.  Each group of a set has J
-copies, the largest R_s among the set's chains: its first R_s are its
+:class:`~trcrp.smc.ParticleSet`, whatever their hypers and member counts:
+each entry of a set reads its own group's NIG cells.  The groups fill sets
+in (chain, group) order up to :data:`~trcrp.smc.SET_ENTRIES` copy-cell
+entries, and a set holds each copy's own cells only.  Each group of a set
+has J copies, the largest R_s among the set's chains: its first R_s are its
 chain's draws, and the others pad the set, step with it and are never
 checked or returned.  Per step a set makes one kernel call over the lag
 cells, one Gumbel argmax, one Student-T call for the members' emissions and
-one fold.  The sets run in the order of their first group over (chain,
-group), so a set of one group makes the Generator calls of a group forecast
-alone.  An imputation folds the emission statistics of every (chain, cell)
-in one pass over the sequences and the data, reads each cell's scalar
-Student-T form from them, and draws each chain's (cells, R_s) block in one
-``standard_t`` call.  Draw r keeps one chain for all of its groups and
-cells.
+one fold.  So the order of the groups fixes the order of the forecast's
+Generator calls and its draws, and a set of one group makes the Generator
+calls of a group forecast alone.  An imputation folds the emission
+statistics of every (chain, cell) in one pass over the sequences and the
+data, reads each cell's scalar Student-T form from them, and draws each
+chain's (cells, R_s) block in one ``standard_t`` call.  Draw r keeps one
+chain for all of its groups and cells.
 
 The model's missing-data rule holds here too: an unobserved cell contributes
 no lag factor, no emission factor and no statistics.  A rollout reads the
@@ -128,33 +126,36 @@ def _require_finite(draws: np.ndarray, what: str) -> None:
         raise NumericalError(f"{bad} of {draws.size} {what} draws are not finite")
 
 
-def _forecast_set(groups, values, observed, lgamma, copies, rng) -> np.ndarray:
-    """Forecasts of the fitted ``groups``' members: (G, J, members, h), J = max(copies).
+def _forecast_set(groups, values, observed, lgamma, copies, rng) -> list[np.ndarray]:
+    """Forecasts of the fitted ``groups``' members: (J, members, h) per group, J = max(copies).
 
-    The groups share their hypers and member count.  ``values`` and
-    ``observed`` extend the panel by the h future columns, with 0 at every
-    unobserved or future value and the future observed, and ``lgamma`` is a
-    table over their T+h steps.  Group g's first ``copies[g]`` copies are its
-    real ones; the rest pad it to J and are never checked or returned.  Each
-    copy keeps its own row of its group's member values over the last p
-    panel columns and the h future ones, so a lag into the future reads that
+    ``values`` and ``observed`` extend the panel by the h future columns,
+    with 0 at every unobserved or future value and the future observed, and
+    ``lgamma`` is a table over their T+h steps.  Group g's first
+    ``copies[g]`` copies are its real ones; the rest pad it to J and are
+    never checked or returned.  Each copy keeps its own row of each member's
+    values over the last p panel columns and the h future ones, in the order
+    of the set's emission entries, so a lag into the future reads that
     copy's draws; every entry of the set reads its value from its copy's row
     of its series, shifted by its lag.
     """
     num = max(copies)
     ps = ParticleSet(groups, values, observed, lgamma, num)
-    members, p, steps = len(groups[0].members), groups[0].window, groups[0].num_steps
-    own = np.repeat(values[[g.members for g in groups], steps:], num, axis=0)  # (G*J, members, p+h)
-    columns = own.shape[2]
+    p, steps = groups[0].window, groups[0].num_steps
+    series, offset = np.array(list(ps.cells.index)).T  # of each layout row
+    emission = np.arange(ps.num_lags, len(ps.row))
+    own = values[series[ps.row[emission]], steps:]  # one row per (copy, member), (rows, p+h)
+    columns = own.shape[1]
     position = np.zeros((len(groups), len(values)), dtype=np.int64)  # of a series in its group
     for g, group in enumerate(groups):
-        position[g, group.members] = range(members)
-    series, offset = np.array(list(ps.cells.index)).T  # of each layout row
+        position[g, group.members] = range(len(group.members))
     # each entry's flat index into own, at column 0
-    at = (ps.particle * members + position[ps.particle // num, series[ps.row]]) * columns - offset[ps.row]
-    lags, emission = at[: ps.num_lags], np.arange(ps.num_lags, len(at))
+    row = ps.first[1, ps.particle] - ps.num_lags + position[ps.particle // num, series[ps.row]]
+    at = row * columns - offset[ps.row]
+    lags = at[: ps.num_lags]
     hyper = tuple(h[emission] for h in ps.hyper)
-    real = slice(None) if min(copies) == num else (np.arange(num) < np.array(copies)[:, None]).ravel()
+    real = (np.arange(num) < np.array(copies)[:, None]).ravel()  # of each copy
+    real_rows = real[ps.particle[emission]]
     flat = own.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(1, columns - p + 1):
@@ -165,39 +166,35 @@ def _forecast_set(groups, values, observed, lgamma, copies, rng) -> np.ndarray:
             pick = np.argmax(base + rng.gumbel(size=base.shape), axis=1)
             drawn = pick[ps.particle[emission]]
             stats = (s[emission, drawn] for s in (ps.count, ps.total, ps.total_sq))
-            own[:, :, col] = predictive_sample_array(*hyper, *stats, rng).reshape(len(ps), members)
-            _require_finite(own[real, :, col], f"step {h} forecast")
+            own[:, col] = predictive_sample_array(*hyper, *stats, rng)
+            _require_finite(own[real_rows, col], f"step {h} forecast")
             ps.assign(t, pick, flat[at + col])
-    return own[:, :, p:].reshape(len(groups), num, members, -1)
+    cuts = np.cumsum([num * len(group.members) for group in groups])[:-1]
+    return [b.reshape(num, len(g.members), -1) for g, b in zip(groups, np.split(own[:, p:], cuts))]
 
 
 def _forecast_sets(samples: SampleSet, picked) -> list[list[tuple]]:
     """The particle sets of a forecast: lists of ``(chain index, group)``.
 
-    Every group of a chain with draws is in one set.  A set's groups share
-    their chain's hypers and their member count; a group joins the last set
-    of its kind while the set stays within :data:`~trcrp.smc.SET_ENTRIES`
-    copy-cell entries, and otherwise starts a new one.  Sets come in the
-    order of their first group over (chain, group).
+    The groups of the chains with draws fill sets in (chain, group) order,
+    whatever their hypers and member counts: a group joins the last set
+    while the set stays within :data:`~trcrp.smc.SET_ENTRIES` copy-cell
+    entries, J copies of each of its groups' member cells with J the largest
+    draw count among its chains, and otherwise starts a new one.
     """
-    kinds, last, sets = [], {}, []
+    sets = []
     cells = samples.panel.window + 1  # per member
     for s, chain in enumerate(samples.chains):
         if not picked[s].size:
             continue
-        if chain.hypers not in kinds:
-            kinds.append(chain.hypers)
-        kind = kinds.index(chain.hypers)
         for group in chain.groups:
-            key = kind, len(group.members)
-            run = last.get(key)
-            if run is not None:
-                num = max(picked[i].size for i, _ in [*run, (s, group)])
-                if num * (len(run) + 1) * len(group.members) * cells <= smc.SET_ENTRIES:
-                    run.append((s, group))
+            if sets:
+                run = [*sets[-1], (s, group)]
+                num = max(picked[i].size for i, _ in run)
+                if num * sum(len(g.members) for _, g in run) * cells <= smc.SET_ENTRIES:
+                    sets[-1] = run
                     continue
-            last[key] = [(s, group)]
-            sets.append(last[key])
+            sets.append([(s, group)])
     return sets
 
 

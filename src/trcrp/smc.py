@@ -13,11 +13,13 @@ emissions): the count, sum and sum of squares of the cell's observed values
 per block, ``count[e, k]``, and the Student-t form of each block's
 predictive that these give, ``form[:, e, k]``
 (:func:`~trcrp.conjugate.student_t_form_array`).  A set holds no entry for a
-cell its particle's group lacks.  The cells are rows of one
+cell its particle's group lacks.  The cells' values are rows of one
 :class:`~trcrp.model.CellLayout` over the members of all the groups, the
-layout prefix passes read; their lgamma rows index the fit's (or
-forecast's) :class:`~trcrp.conjugate.LgammaTable`.  Block k is label k+1, and
-column ``num_blocks[p]`` is the particle's fresh block, with empty statistics.
+layout prefix passes read; each entry's NIG cell and lgamma row, an index
+into the fit's (or forecast's) :class:`~trcrp.conjugate.LgammaTable`, are
+its own group's, so groups of different hypers share a set.  Block k is
+label k+1, and column ``num_blocks[p]`` is the particle's fresh block, with
+empty statistics.
 
 A step scores every entry and block from its forms with one
 :func:`~trcrp.conjugate.student_t_logpdf_array` call, one ``log1p`` per
@@ -42,10 +44,10 @@ its step normalizers may differ in the last bit: they reduce over the set's
 width, and numpy sums 8 columns or more pairwise, in an order that the
 columns past the chain's own width move.  Forecasts
 (:func:`trcrp.predict.forecast`) reuse the particles as copies of fitted
-groups, one set for many groups of equal hypers and member count across
-chains: each copy starts from the statistics of its group's sequence,
-scores the lag entries only and has its own row of cell values, since a
-future lag reads that copy's own draws.
+groups, one set for the groups of many chains whatever their hypers and
+member counts: each copy starts from the statistics of its group's
+sequence, scores the lag entries only and has its own row of cell values,
+since a future lag reads that copy's own draws.
 
 The missing-data rule is the model's: an unobserved cell contributes no lag
 factor, no emission factor and no statistics.  The proposal at each step is
@@ -63,7 +65,7 @@ import math
 import numpy as np
 
 from .conjugate import student_t_form_array, student_t_logpdf_array
-from .model import PrefixStats, cell_layout, fold_stats
+from .model import PrefixStats, cell_layout, fold_stats, hyper_columns
 from .util import NEG_INF
 
 __all__ = ["NumericalError", "ParticleSet", "smc_step", "maybe_resample", "smc_block_sample"]
@@ -106,7 +108,8 @@ class ParticleSet:
     ``observed`` and its steps.  A group's window may be below the panel's:
     it then scores its own lags only, so its steps read the panel's columns.
     ``cells`` is the :class:`~trcrp.model.CellLayout` of the groups' members
-    over the steps of ``values``.  The entry axis holds one entry per
+    over the steps of ``values``; its hypers are the first group's, and no
+    entry reads them.  The entry axis holds one entry per
     particle and cell of its group: ``row[e]`` is entry e's layout row and
     ``particle[e]`` its particle.  The first ``num_lags`` entries are the lag
     cells, particle by particle, each particle's in its group's member order
@@ -118,12 +121,13 @@ class ParticleSet:
     entries, capacity), the loc, dof times squared scale, a' + 1/2 and
     constant of :func:`~trcrp.conjugate.student_t_form_array` for each entry
     and block, and ``sizes`` is (G*J, capacity).  ``hyper`` and ``lgamma``
-    hold each entry's hypers and lgamma row, (entries,), which is what a fold
-    reads.  The capacity doubles when a step is scored whose fresh block
-    would fall outside it; the new blocks are empty and their forms the
-    prior's.  Every particle of group g starts as a copy of it: its regime
-    sequence and blocks, and the statistics and forms they give, which are
-    empty (the prior's) for the filter's empty groups.  Each group's own
+    hold each entry's hypers and lgamma row, (entries,), built once per cell
+    of a group from that group's ``hypers``; they are what a fold reads.
+    The capacity doubles when a step is scored whose fresh block would fall
+    outside it; the new blocks are empty and their forms the prior's.
+    Every particle of group g starts as a copy of it: its regime sequence
+    and blocks, and the statistics and forms they give, which are empty (the
+    prior's) for the filter's empty groups.  Each group's own
     rows are folded by one :func:`~trcrp.model.fold_stats` pass over the
     groups' sequences, whose labels are 0 past a group's own steps, and
     formed once; its J particles gather them.  ``scored`` holds the scores of
@@ -132,7 +136,7 @@ class ParticleSet:
 
     ``chain[g]`` is group g's chain, numbered 0..C-1 in order, so that a
     chain's groups are adjacent; by default all groups are chain 0.  The
-    groups' hypers must be equal: the layout reads the first group's.
+    groups' hypers may differ, within a chain or across chains.
     """
 
     def __init__(self, groups, values, observed, lgamma, num_particles, chain=None):
@@ -141,8 +145,6 @@ class ParticleSet:
         chain = [0] * len(groups) if chain is None else list(chain)
         if chain[0] != 0 or any(b - a not in (0, 1) for a, b in zip(chain, chain[1:])):
             raise ValueError("chains must be numbered 0..C-1 in the order of their groups")
-        if any(group.hypers != groups[0].hypers for group in groups):
-            raise ValueError("the groups' hypers differ")
         self.chain = np.array(chain)
         # the first particle row of each chain, (C,)
         self.chain_rows = np.flatnonzero(np.diff(self.chain, prepend=-1)) * num_particles
@@ -151,11 +153,15 @@ class ParticleSet:
         self.cells = cells = cell_layout(series, groups[0].hypers, values, observed, window, lgamma)
         num_groups = len(groups)
         self.num_particles = num = num_particles
-        # each group's layout rows, every group's lags before any group's emissions
-        segments = [[cells.index[n, i] for n in g.members for i in range(1, g.window + 1)] for g in groups]
-        segments += [[cells.index[n, 0] for n in g.members] for g in groups]
-        lengths = np.array([len(rows) for rows in segments])
-        rows = np.array([r for rows in segments for r in rows], dtype=np.int64)
+        # each group's (group, series, offset) cells: all groups' lags, then all emissions
+        segments = [[(g, n, i) for n in g.members for i in range(1, g.window + 1)] for g in groups]
+        segments += [[(g, n, 0) for n in g.members] for g in groups]
+        lengths = np.array([len(segment) for segment in segments])
+        group_cells = [cell for segment in segments for cell in segment]
+        rows = np.array([cells.index[n, i] for _, n, i in group_cells], dtype=np.int64)
+        # each row's hypers and lgamma row, (rows, 1), from its own group's hypers
+        nigs = [g.hypers[n].cell(i) for g, n, i in group_cells]
+        hyper, (lgamma_row, ratio) = hyper_columns(nigs, lgamma)
         owner = np.arange(2 * num_groups) % num_groups  # each segment's group
         # every segment's J copies, particle by particle: each copy's entries
         # and the indices into rows of their cells
@@ -178,14 +184,12 @@ class ParticleSet:
         # one fold over each group's own rows, each row under its group's sequence
         x, seen = cells.x[rows, None], cells.seen[rows, None]
         stats = [s[:, 0] for s in fold_stats(x, seen, z[np.repeat(owner, lengths)], capacity)]
-        lgamma_row, ratio = cells.lgamma
-        hyper = tuple(h[rows] for h in cells.hyper)  # (rows, 1)
-        form = np.array(student_t_form_array(*hyper, *stats, (lgamma_row[rows], ratio)))
+        form = np.array(student_t_form_array(*hyper, *stats, (lgamma_row, ratio)))
         self.count, self.total, self.total_sq = (s.take(source, axis=0) for s in stats)
         # in C order, unlike form[:, source], so that put writes in place
         self.form = form.take(source, axis=1)
-        self.hyper = tuple(h[:, 0].take(self.row) for h in cells.hyper)
-        self.lgamma = lgamma_row[:, 0].take(self.row), ratio
+        self.hyper = tuple(h[:, 0].take(source) for h in hyper)
+        self.lgamma = lgamma_row[:, 0].take(source), ratio
         self.z, self.sizes = (np.repeat(a, num, axis=0) for a in (z, sizes))
         self.num_blocks = np.repeat([g.regimes.num_regimes for g in groups], num)
         self.log_alpha = np.repeat([math.log(g.alpha) for g in groups], num)

@@ -70,7 +70,9 @@ def robustness_panel(kind, seed=0, num_series=3, steps=24, window=2):
     about 15% in runs; ``constant`` makes one series constant and
     ``all_missing`` hides every modelled cell of one series (a panel's
     prefix is always observed);
-    ``window_0`` has no lags and ``single`` one series.
+    ``window_0`` has no lags and ``single`` one series.  Every kind hides
+    some modelled cell: ``scaled``, ``constant``, ``window_0`` and
+    ``single`` hide series 0's at mid-panel.
     """
     gen = np.random.default_rng(seed)
     window = 0 if kind == "window_0" else window
@@ -88,6 +90,8 @@ def robustness_panel(kind, seed=0, num_series=3, steps=24, window=2):
         values[1] = 2.5
     elif kind == "all_missing":
         observed[1, window:] = False
+    if kind in ("scaled", "constant", "window_0", "single"):
+        observed[0, window + steps // 2] = False
     return make_panel(np.where(observed, values, np.nan).tolist(), window, observed)
 
 

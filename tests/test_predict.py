@@ -145,9 +145,9 @@ def test_horizon_two_forecast_matches_scalar_rollout():
 def test_forecast_of_shared_sets_matches_scalar_rollout(monkeypatch, set_entries):
     # Five chains at window 2 put groups of one and two members, under two
     # different hypers, into shared particle sets; the chains' draw counts
-    # differ, so the sets pad some groups' copies.  At 10**9 entries each
-    # (hypers, member count) bucket is one set; at 6000 a set holds at most
-    # two groups of ~800 copies, so the buckets split.
+    # differ, so the sets pad some groups' copies.  At 10**9 entries every
+    # group is in one set; at 6000 a set holds at most two one-member groups
+    # of ~800 copies, so the groups split over several sets.
     gen = np.random.default_rng(4)
     steps = 4
     alternating = np.where(np.arange(2 + steps) % 2, 4.0, 0.0)
@@ -177,16 +177,20 @@ def test_forecast_of_shared_sets_matches_scalar_rollout(monkeypatch, set_entries
     forecast_set = predict._forecast_set
 
     def recording(groups, values, observed, lgamma, copies, rng):
-        built.append(list(copies))
+        kinds = {group.hypers[0].emission for group in groups}
+        built.append((list(copies), kinds, {len(group.members) for group in groups}))
         return forecast_set(groups, values, observed, lgamma, copies, rng)
 
     monkeypatch.setattr(predict, "_forecast_set", recording)
     draws = 4000
     got = forecast(samples, horizon=2, draws=draws, seed=1).draws
     want = rollout_forecast(samples, horizon=2, draws=draws, seed=2)
-    # four buckets, each one set unless split
-    assert len(built) == 4 if set_entries == 10**9 else len(built) > 4
-    assert any(len(copies) > 1 and len(set(copies)) > 1 for copies in built)
+    # one set of both hypers kinds and both member counts, unless split
+    if set_entries == 10**9:
+        assert [(kinds, sizes) for _, kinds, sizes in built] == [({tight, shifted}, {1, 2})]
+    else:
+        assert len(built) > 1
+    assert any(len(copies) > 1 and len(set(copies)) > 1 for copies, _, _ in built)
     got, want = (np.concatenate([d, d[:, :, 1:] - d[:, :, :1]], axis=2) for d in (got, want))
     # 1e-3 in all, split over the nine (series, column) pairs
     bound = ks_bound(1e-3 / got[0].size, draws, draws)
@@ -196,14 +200,17 @@ def test_forecast_of_shared_sets_matches_scalar_rollout(monkeypatch, set_entries
             assert stat < bound, (n, h, stat, bound)
 
 
-def test_forecast_builds_one_set_per_member_count(monkeypatch):
-    # an SMC-only fit's chains share their initial hypers, so with few
-    # copies each member count is one set across all chains and groups
+def test_forecast_builds_one_set_across_hypers_and_member_counts(monkeypatch):
+    # the hyper sweeps move each chain's hypers apart, and the chains' groups
+    # differ in member count; with few copies all of them share one set
     gen = np.random.default_rng(5)
     panel = make_panel(gen.normal(0.0, 1.0, (6, 25)).tolist(), window=1)
-    samples = fit(panel, RunConfig(window=1, chains=4, burnin=0, particles=4, seed=3))
+    config = RunConfig(window=1, chains=4, burnin=2, init_sweeps=1, particles=4, seed=3)
+    samples = fit(panel, config)
+    hypers = [chain.hypers for chain in samples.chains]
+    assert all(a != b for i, a in enumerate(hypers) for b in hypers[:i])
     sizes = [len(group.members) for chain in samples.chains for group in chain.groups]
-    assert len(set(sizes)) < len(sizes)
+    assert len(set(sizes)) > 1
     builds = []
 
     def counting(*args, **kwargs):
@@ -212,7 +219,7 @@ def test_forecast_builds_one_set_per_member_count(monkeypatch):
 
     monkeypatch.setattr(predict, "ParticleSet", counting)
     forecast(samples, horizon=3, draws=100, seed=0)
-    assert len(builds) == len(set(sizes))
+    assert len(builds) == 1 and len(builds[0]) == len(sizes)
 
 
 def test_imputation_matches_exact_mixture_over_chains():
@@ -339,6 +346,19 @@ def test_impute_equals_a_reference_over_group_stats(kind):
     result = impute(samples, draws=40, seed=5)
     cells, draws = group_stats_impute(samples, 40, 5)
     assert result.cells == cells and len(cells) >= 3
+    assert np.array_equal(result.draws, draws)
+
+
+@pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
+def test_impute_equals_a_reference_on_each_robustness_panel(kind):
+    # each kind's panel, as the fits of other tests see it, hides a modelled cell
+    panel = robustness_panel(kind, steps=16)
+    assert panel.missing_cells()
+    config = RunConfig(window=panel.window, chains=2, burnin=2, init_sweeps=1, particles=4, seed=2)
+    samples = fit(panel, config)
+    result = impute(samples, draws=30, seed=6)
+    cells, draws = group_stats_impute(samples, 30, 6)
+    assert result.cells == cells == panel.missing_cells()
     assert np.array_equal(result.draws, draws)
 
 

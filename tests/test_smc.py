@@ -207,13 +207,15 @@ def gappy_panel(rng, window):
     return make_panel(values, window=window)
 
 
-def mixed_hypers(num_series, window):
+def mixed_hypers(num_series, window, shift=0.0):
     # a distinct hyper per series and cell, so a cell scored against the wrong
-    # hyper shows
+    # hyper shows; a shift moves every cell's m, a and b, for a group whose
+    # hypers differ from another's
     return [
         SeriesHypers(
-            NigHyper(0.3 * n, 1.0 + n, 2.0 + 0.5 * n, 1.0 + 0.2 * n),
-            tuple(NigHyper(-0.2 * i, 0.5 * i, 1.5 + i + n, 2.0) for i in range(1, window + 1)),
+            NigHyper(0.3 * n + shift, 1.0 + n, 2.0 + 0.5 * n + shift, 1.0 + 0.2 * n + shift),
+            tuple(NigHyper(-0.2 * i + shift, 0.5 * i, 1.5 + i + n + shift, 2.0 + shift)
+                  for i in range(1, window + 1)),
         )
         for n in range(num_series)
     ]
@@ -549,12 +551,11 @@ def test_grouped_particles_match_their_own_group(rng):
     # each particle's weights and statistics, at every step of a batch of two
     # groups of different widths, equal the scalar weights and the cells of
     # its own group loaded from its sequence so far; the set has no entry for
-    # a cell the particle's group lacks
+    # a cell the particle's group lacks.  The groups' hypers differ.
     panel = gappy_panel(rng, 2)
-    hypers = mixed_hypers(4, 2)
     templates = [
-        GroupModel((0, 3), 0.7, panel.num_steps, 2, hypers),
-        GroupModel((1,), 1.3, panel.num_steps, 2, hypers),
+        GroupModel((0, 3), 0.7, panel.num_steps, 2, mixed_hypers(4, 2)),
+        GroupModel((1,), 1.3, panel.num_steps, 2, mixed_hypers(4, 2, shift=0.7)),
     ]
     ps = ParticleSet(templates, *panel_data(panel), 9)
     cell_of = list(ps.cells.index)
@@ -639,28 +640,32 @@ def test_group_without_lag_cells_has_crp_base(rng):
     filter_with_forced_resample(ps, rng, panel.num_steps, check)
 
 
-def fresh_forms(ps):
+def fresh_forms(ps, groups):
     """Every entry's Student-t forms rebuilt from its statistics and its
-    layout row, (4, entries, capacity)."""
-    hyper = (h[ps.row] for h in ps.cells.hyper)
-    row, ratio = ps.cells.lgamma
-    return np.array(student_t_form_array(*hyper, ps.count, ps.total, ps.total_sq, (row[ps.row], ratio)))
+    own group's NIG cell, (4, entries, capacity)."""
+    cell_of = list(ps.cells.index)
+    nigs = [
+        groups[p // ps.num_particles].hypers[n].cell(i)
+        for p, (n, i) in zip(ps.particle.tolist(), (cell_of[r] for r in ps.row.tolist()))
+    ]
+    hyper = [np.array([[getattr(h, name)] for h in nigs]) for name in ("m", "V", "a", "b")]
+    lgamma = LgammaTable(ps.cells.x.shape[1]).rows(hyper[2])
+    return np.array(student_t_form_array(*hyper, ps.count, ps.total, ps.total_sq, lgamma))
 
 
 def test_stored_forms_equal_fresh_forms_at_every_step(rng):
-    # two groups of different widths and windows, forced resampling, and
-    # concentrations high enough that the block capacity doubles
+    # two groups of different widths, windows and hypers, forced resampling,
+    # and concentrations high enough that the block capacity doubles
     panel = gappy_panel(rng, 2)
-    hypers = mixed_hypers(4, 2)
     templates = [
-        GroupModel((0, 3), 40.0, panel.num_steps, 2, hypers),
-        GroupModel((1,), 40.0, panel.num_steps, 1, hypers),
+        GroupModel((0, 3), 40.0, panel.num_steps, 2, mixed_hypers(4, 2)),
+        GroupModel((1,), 40.0, panel.num_steps, 1, mixed_hypers(4, 2, shift=0.7)),
     ]
     ps = ParticleSet(templates, *panel_data(panel), 7)
     capacity = ps.count.shape[1]
 
     def check(t):
-        assert np.array_equal(ps.form, fresh_forms(ps)), t
+        assert np.array_equal(ps.form, fresh_forms(ps, templates)), t
 
     filter_with_forced_resample(ps, rng, panel.num_steps, check)
     assert ps.count.shape[1] > capacity
@@ -707,12 +712,11 @@ def test_set_over_empty_groups_keeps_float_totals(rng):
 
 def test_forecast_forms_equal_fresh_forms_at_every_step(rng, monkeypatch):
     # a forecast set starts from fitted groups' statistics and folds each
-    # copy's own draws, padding copies too
+    # copy's own draws, padding copies too; the groups' hypers differ
     panel = gappy_panel(rng, 2)
-    hypers = mixed_hypers(4, 2)
-    group = GroupModel(MEMBERS, 0.7, panel.num_steps, 2, hypers)
+    group = GroupModel(MEMBERS, 0.7, panel.num_steps, 2, mixed_hypers(4, 2))
     group.load_sequence([1, 1, 2, 1, 3, 2, 4, 1])
-    other = GroupModel((1, 2, 3), 1.3, panel.num_steps, 2, hypers)
+    other = GroupModel((1, 2), 1.3, panel.num_steps, 2, mixed_hypers(4, 2, shift=0.7))
     other.load_sequence([1, 2, 2, 1, 1, 3, 3, 1])
     horizon = 6
     known = panel.values.shape[1]
@@ -724,16 +728,54 @@ def test_forecast_forms_equal_fresh_forms_at_every_step(rng, monkeypatch):
     score, assign = ParticleSet.log_weights_split, ParticleSet.assign
 
     def checked_score(ps, *args, **kwargs):
-        assert np.array_equal(ps.form, fresh_forms(ps))
+        assert np.array_equal(ps.form, fresh_forms(ps, [group, other]))
         checked.append(ps.num_blocks.max())
         return score(ps, *args, **kwargs)
 
     def checked_assign(ps, *args, **kwargs):
         assign(ps, *args, **kwargs)
-        assert np.array_equal(ps.form, fresh_forms(ps))
+        assert np.array_equal(ps.form, fresh_forms(ps, [group, other]))
 
     monkeypatch.setattr(ParticleSet, "log_weights_split", checked_score)
     monkeypatch.setattr(ParticleSet, "assign", checked_assign)
     lgamma = LgammaTable(panel.num_steps + horizon)
     predict._forecast_set([group, other], values, observed, lgamma, [5, 3], rng)
     assert len(checked) == horizon and checked[0] == 4
+
+
+def test_groups_of_different_hypers_share_a_set_and_draw_as_sets_of_one():
+    # a 1-member and a 3-member group whose NIG cells all differ, each its own
+    # chain, share one set; at every step each draws byte for byte what a set
+    # of it alone draws from the same Generator, and its sequences and log_ml
+    # end byte-equal.  Every width stays below 8 columns, where a step's
+    # normalizers add one column at a time.
+    rng = np.random.default_rng(14)
+    panel = gappy_panel(rng, 2)
+    groups = [
+        empty_group(panel, mixed_hypers(4, 2), members=(2,), alpha=0.9),
+        empty_group(panel, mixed_hypers(4, 2, shift=0.7), members=MEMBERS, alpha=0.6),
+    ]
+    num, steps = 6, panel.num_steps
+    ps = ParticleSet(groups, *panel_data(panel), num, chain=[0, 1])
+    # each emission entry holds its own group's m
+    emission = slice(ps.num_lags, None)
+    assert ps.hyper[0][emission].tolist() == [0.3 * 2] * num + [0.3 * n + 0.7 for n in MEMBERS] * num
+    alone = [ParticleSet([group], *panel_data(panel), num) for group in groups]
+    rngs, alone_rngs = ([np.random.default_rng(50 + g) for g in range(2)] for _ in range(2))
+    for t in range(1, steps + 1):
+        draws = [smc_step(ps, t, r, g) for g, r in enumerate(rngs)]
+        ps.assign(t, np.concatenate(draws))
+        for g, (own, r) in enumerate(zip(alone, alone_rngs)):
+            got = smc_step(own, t, r, 0)
+            own.assign(t, got)
+            assert got.tobytes() == draws[g].tobytes()
+            if t < steps:
+                maybe_resample(own, r)
+        if t < steps:
+            maybe_resample(ps, rngs)
+    assert ps.num_blocks.max() < 7
+    log_ml = ps.log_marginal_likelihood()
+    for g, own in enumerate(alone):
+        assert ps.z[g * num : (g + 1) * num].tobytes() == own.z.tobytes()
+        assert log_ml[g : g + 1].tobytes() == own.log_marginal_likelihood().tobytes()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone_rngs]
