@@ -10,11 +10,14 @@ Student-T predictives, one per lag offset, restricted to observed lag cells.
 All densities are log densities; products elsewhere in the model are sums of
 the values computed here.  The single-site proposal and the forward sampling
 of one sequence score one step of one group entry by entry in flat scalar
-code: each statistics cell caches its :func:`student_t_form`, the part of the
-log density that does not depend on the value scored, so an entry costs one
-``log1p`` until the cell's data or hyper changes.  :func:`predictive_logpdf_raw`
-is that form and its query in one call.  With cached forms, below about
-115 (cell, block) entries the scalar loop costs less than one array call.
+code: each statistics cell (:class:`NigStats`) caches its
+:func:`student_t_form`, the part of the log density that does not depend on
+the value scored, so an entry costs one ``log1p`` until the cell's data
+changes.  A cell lives for one pass, within which no hyper moves, so the
+cache needs no key: its owner clears it when it changes the cell's data.
+:func:`predictive_logpdf_raw` is that form and its query in one call.  With
+cached forms, below about 115 (cell, block) entries the scalar loop costs
+less than one array call.
 The array path splits the same way: :func:`student_t_form_array` builds the
 forms of arrays of statistics and :func:`student_t_logpdf_array` scores
 forms at values, one ``log1p`` per entry.  The particle filter and the forecasts keep
@@ -23,9 +26,7 @@ Passes over a whole regime sequence use :func:`predictive_logpdf_array`, the
 two in one call.  It broadcasts its hyperparameters, so a grid of candidate
 values on a leading axis is scored in one call.  Forecasts draw their
 emissions with :func:`predictive_sample_array`, which shares its posterior
-update; imputations read each cell's :func:`student_t_form`, whose dof and
-squared scale have the same bits, and draw a chain's cells in one
-``standard_t`` call.
+update, and so do imputations, one ``standard_t`` call for a chain's cells.
 """
 
 from __future__ import annotations
@@ -66,11 +67,6 @@ class NigHyper:
         if not all(math.isfinite(x) for x in (self.m, self.V, self.a, self.b)):
             raise ValueError(f"m, V, a, b must be finite, got {self}")
 
-    def replace(self, **kwargs) -> "NigHyper":
-        fields = {"m": self.m, "V": self.V, "a": self.a, "b": self.b}
-        fields.update(kwargs)
-        return NigHyper(**fields)
-
 
 class NigStats:
     """Incrementally maintained sufficient statistics for one cell.
@@ -78,19 +74,19 @@ class NigStats:
     Subtraction does not exactly undo addition in floating point, so a cell
     lives for one pass (:class:`~trcrp.model.GroupStats`): the next pass
     folds its cells afresh from the group's sequence and the data.
-    ``form`` caches the cell's :func:`student_t_form` under ``hyper``, the
-    :class:`NigHyper` it was built for (see :meth:`student_t`).  Changing the
-    counts does not clear it: the owner sets ``hyper`` to None when it
+    ``form`` caches the cell's :func:`student_t_form` under the one hyper
+    the pass reads it with (see :meth:`student_t`), or is None.  Changing
+    the counts does not clear it: the owner sets ``form`` to None when it
     changes a cell whose form may have been built.
     """
 
-    __slots__ = ("count", "sum", "sum_sq", "hyper", "form")
+    __slots__ = ("count", "sum", "sum_sq", "form")
 
     def __init__(self, count: int = 0, sum: float = 0.0, sum_sq: float = 0.0):
         self.count = count
         self.sum = sum
         self.sum_sq = sum_sq
-        self.hyper = None
+        self.form = None
 
     def incorporate(self, x: float) -> None:
         self.count += 1
@@ -108,14 +104,12 @@ class NigStats:
             self.sum -= x
             self.sum_sq -= x * x
 
-    def student_t(self, hyper: NigHyper) -> tuple:
-        """The cell's :func:`student_t_form` under ``hyper``, built once per
-        hyper object and kept until the owner marks the cell stale."""
-        if self.hyper is not hyper:
-            self.form = student_t_form(
-                hyper.m, hyper.V, hyper.a, hyper.b, self.count, self.sum, self.sum_sq
-            )
-            self.hyper = hyper
+    def student_t(self, hyper) -> tuple:
+        """The cell's :func:`student_t_form` under ``hyper``, its (m, V, a, b),
+        built once and kept until the owner marks the cell stale."""
+        if self.form is None:
+            m, V, a, b = hyper  # unpacked: a starred call costs more per build
+            self.form = student_t_form(m, V, a, b, self.count, self.sum, self.sum_sq)
         return self.form
 
     def __repr__(self):

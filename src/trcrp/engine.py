@@ -37,6 +37,7 @@ from .model import (
     ChainState,
     SeriesHypers,
     crp_draw,
+    hyper_array,
     log_joint,
     state_from_payload,
     state_payload,
@@ -133,55 +134,28 @@ def sampleset_hash(panel: TimeSeriesPanel, config: RunConfig) -> str:
     return config_hash(config=stored, panel=panel_digest(panel))
 
 
-def _set_entries(groups, num_particles: int) -> int:
-    """Particle-cell entries of one particle set over ``groups``: each particle
-    holds its own group's lag and emission cells, J x sum of members x (p+1)."""
-    return num_particles * sum(len(group.members) * (group.window + 1) for group in groups)
-
-
-def _batches(chains, num_particles: int) -> list[list]:
-    """Runs of consecutive ``chains``, ``(state, ...)`` entries, whose groups share a set.
-
-    A chain joins the run before it while the set stays within
-    :data:`~trcrp.smc.SET_ENTRIES` entries (:func:`_set_entries`), the
-    (particle, cell) pairs its groups hold; a chain above that is a run of
-    its own.
-    """
-    runs = []
-    for chain in chains:
-        if runs:
-            groups = [group for state, *_ in [*runs[-1], chain] for group in state.groups]
-            if _set_entries(groups, num_particles) <= smc.SET_ENTRIES:
-                runs[-1].append(chain)
-                continue
-        runs.append([chain])
-    return runs
-
-
 def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tuple]:
     """Initialise one chain per seed sequence; returns ``(state, rng, smc_log_ml)`` each.
 
     This phase runs in the calling process for all the chains of a fit, so
     it does not depend on ``config.threads``.  The chains share one build of
     the :class:`~trcrp.hypers.Grids` and one lgamma table over T steps
-    (``state.lgamma``), and start from equal hypers, each in its own list.
+    (``state.lgamma``), and start from equal hypers, each in its own array.
     Chain i's Generator, ``default_rng(seed_seqs[i])``, draws its outer
     partition from the CRP, then its groups' regime sequences.  Given the
     partitions the groups are independent, so one
     :func:`~trcrp.smc.smc_block_sample` call filters the groups of a run of
-    chains (:func:`_batches`) as one particle set, each chain drawing from
-    its own Generator as it would alone.  ``smc_log_ml`` holds the chain's
+    chains (:func:`~trcrp.smc.set_runs`) as one particle set, each chain
+    drawing from its own Generator as it would alone.  ``smc_log_ml`` holds the chain's
     log marginal-likelihood estimates in the order of its groups.
     """
     grids = hypers_mod.build_grids(panel)
     if config.fixed_hypers is not None:
         cell = NigHyper(*config.fixed_hypers)
-        series_hypers = [
-            SeriesHypers(cell, tuple(cell for _ in range(panel.window)))
-            for _ in range(panel.num_series)
-        ]
+        series_hypers = [SeriesHypers(cell, (cell,) * panel.window)] * panel.num_series
     else:
         series_hypers = hypers_mod.initial_hypers(grids, panel.window)
+    hypers = hyper_array(series_hypers)
     lgamma = LgammaTable(panel.num_steps)
     chains = []
     for seq in seed_seqs:
@@ -190,7 +164,7 @@ def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tu
             assignments = crp_draw(panel.num_series, 1.0, rng)
         else:
             assignments = [1] * panel.num_series
-        state = ChainState.create(panel, 1.0, assignments, [1.0] * max(assignments), series_hypers)
+        state = ChainState.create(panel, 1.0, assignments, [1.0] * max(assignments), hypers)
         state.grids, state.lgamma = grids, lgamma
         chains.append((state, rng, []))
 
@@ -200,7 +174,8 @@ def init_chains(panel: TimeSeriesPanel, config: RunConfig, seed_seqs) -> list[tu
                 group.load_sequence([1] * panel.num_steps)
         return chains
     values, observed = panel.values, panel.observed
-    for run in _batches(chains, config.particles):
+    for run in smc.set_runs([(config.particles, state.groups) for state, _, _ in chains]):
+        run = chains[run]
         groups = [group for state, _, _ in run for group in state.groups]
         rngs = [rng for state, rng, _ in run for _ in state.groups]
         draws = iter(smc_block_sample(groups, values, observed, lgamma, config.particles, rngs))
@@ -374,8 +349,7 @@ def load_sampleset(path) -> tuple[SampleSet, RunConfig, str]:
                 f"sample set schema {version!r} unsupported (expected {SAMPLESET_SCHEMA_VERSION})"
             )
         panel = panel_from_payload(doc["panel"])
-        cells = {}  # every distinct NIG cell of the file, built once
-        chains = [state_from_payload(entry, panel, cells) for entry in doc["chains"]]
+        chains = [state_from_payload(entry, panel) for entry in doc["chains"]]
         config = RunConfig(window=panel.window, chains=len(chains), **_stored_config(doc["config"]))
         samples = SampleSet(panel=panel, chains=chains, provenance=doc.get("provenance", {}))
         return samples, config, sampleset_hash(panel, config)

@@ -4,7 +4,11 @@ Every hyperparameter moves on a 30-point data-dependent grid; a transition
 evaluates the conditional log likelihood restricted to the terms the
 parameter touches, adds the log prior (Gamma(1,1) for concentrations, uniform
 on the grid otherwise), and samples from the normalized categorical by
-Gumbel-max.
+Gumbel-max.  A fit builds and checks its :class:`Grids` once, as arrays:
+one per concentration and one (N, 4, G) array of every series' NIG-field
+grids, which its lag cells reuse.  A move to point j of cell (n, offset)'s
+field f writes ``grids.cells[n, f, j]`` into the chain's hypers array at
+``[n, offset, f]``.
 
 A sweep builds one table per group, the group's
 :class:`~trcrp.model.PrefixStats` over its members' lag and emission cells,
@@ -21,14 +25,13 @@ installed.  A lag cell's (30, T, K+1) factors replace its own
 in the cohesion sum, so every step's normalizer moves; lag moves run in
 series order and install the chosen factors.  Every lgamma row comes from
 the fit's :class:`~trcrp.conjugate.LgammaTable`: a sweep asks it for each
-member's a-grid rows, and an ``m``, ``V`` or ``b`` move for the current
-shape's row, on the grid or not.
+member's a-grid rows, and each lag cell for its current shape's row once,
+before its ``m`` move; its ``b`` move reads the row of the shape its ``a``
+move drew from the a-grid rows.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +43,6 @@ from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
 
 __all__ = [
     "GRID_SIZE",
-    "HyperGrid",
-    "SeriesGrids",
     "Grids",
     "build_grids",
     "initial_hypers",
@@ -53,21 +54,38 @@ GRID_SIZE = 30
 _CLAMP = 1e-6
 
 NIG_FIELDS = ("m", "V", "a", "b")
+# each NIG field's grid rule, as grids_payload reports it
+_RULES = {
+    "m": "30 linear points on [min-5, max+5]",
+    "V": "logspace(1/T, T)",
+    "a": "logspace(ssqdev/100, ssqdev)",
+    "b": "logspace(1, T)",
+}
 
 
 @dataclass(frozen=True)
-class HyperGrid:
-    param: str
-    points: tuple[float, ...]
-    rule: str
+class Grids:
+    """A fit's grids: ``alpha0`` and ``group_alpha``, each (G,), and ``cells``,
+    (N, 4, G), series n's grid of NIG field f (in :data:`NIG_FIELDS` order) at
+    ``cells[n, f]``; ``names`` are the series' names.  Every grid has
+    :data:`GRID_SIZE` finite, strictly increasing points."""
+
+    alpha0: np.ndarray
+    group_alpha: np.ndarray
+    cells: np.ndarray
+    names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.points) != GRID_SIZE:
-            raise ValueError(f"{self.param}: grid must have {GRID_SIZE} points")
-        if not all(map(math.isfinite, self.points)):
-            raise ValueError(f"{self.param}: non-finite grid point")
-        if not all(map(operator.lt, self.points, self.points[1:])):
-            raise ValueError(f"{self.param}: grid not strictly increasing")
+        if any(g.shape[-1] != GRID_SIZE for g in (self.alpha0, self.group_alpha, self.cells)):
+            raise ValueError(f"every grid must have {GRID_SIZE} points")
+        grids = np.vstack([self.alpha0, self.group_alpha, self.cells.reshape(-1, GRID_SIZE)])
+        params = ["alpha0", "alpha"] + [f"{f}[{name}]" for name in self.names for f in NIG_FIELDS]
+        bad = ~np.isfinite(grids).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{params[bad.argmax()]}: non-finite grid point")
+        bad = ~(np.diff(grids) > 0).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{params[bad.argmax()]}: grid not strictly increasing")
 
 
 def _logspace(lo, hi) -> np.ndarray:
@@ -76,27 +94,6 @@ def _logspace(lo, hi) -> np.ndarray:
     two-decade span above the clamp."""
     lo = np.maximum(lo, _CLAMP)
     return np.geomspace(lo, np.where(hi <= lo, lo * 100.0, hi), GRID_SIZE, axis=-1)
-
-
-def _grid(param: str, points: np.ndarray, rule: str) -> HyperGrid:
-    return HyperGrid(param, tuple(points.tolist()), rule)
-
-
-@dataclass(frozen=True)
-class SeriesGrids:
-    """Grids for one series' NIG cells; lag windows reuse these (whole-series stats)."""
-
-    m: HyperGrid
-    V: HyperGrid
-    a: HyperGrid
-    b: HyperGrid
-
-
-@dataclass(frozen=True)
-class Grids:
-    alpha0: HyperGrid
-    group_alpha: HyperGrid
-    series: tuple[SeriesGrids, ...]
 
 
 def build_grids(panel: TimeSeriesPanel) -> Grids:
@@ -124,45 +121,35 @@ def build_grids(panel: TimeSeriesPanel) -> Grids:
     lo, hi, ssqdev = np.array(spans).T
     m = np.linspace(lo, np.where(hi <= lo, lo + 10.0, hi), GRID_SIZE, axis=-1)
     a = _logspace(ssqdev / 100.0, ssqdev)
-    V = _logspace(1.0 / steps, float(steps))
-    b = _logspace(1.0, float(steps))
-    series = tuple(
-        SeriesGrids(
-            m=_grid(f"m[{name}]", m[n], "30 linear points on [min-5, max+5]"),
-            V=_grid(f"V[{name}]", V, "logspace(1/T, T)"),
-            a=_grid(f"a[{name}]", a[n], "logspace(ssqdev/100, ssqdev)"),
-            b=_grid(f"b[{name}]", b, "logspace(1, T)"),
-        )
-        for n, name in enumerate(panel.series_names)
-    )
+    V = np.broadcast_to(_logspace(1.0 / steps, float(steps)), m.shape)
+    b = np.broadcast_to(_logspace(1.0, float(steps)), m.shape)
     return Grids(
-        alpha0=_grid("alpha0", _logspace(1.0 / num, float(num)), "logspace(1/N, N)"),
-        group_alpha=_grid("alpha", _logspace(1.0 / steps, float(steps)), "logspace(1/T, T)"),
-        series=series,
+        alpha0=_logspace(1.0 / num, float(num)),
+        group_alpha=_logspace(1.0 / steps, float(steps)),
+        cells=np.stack([m, V, a, b], axis=1),
+        names=tuple(panel.series_names),
     )
 
 
 def initial_hypers(grids: Grids, window: int) -> list[SeriesHypers]:
     """Grid-midpoint starting values for every series (deterministic)."""
     out = []
-    for sg in grids.series:
-        mid = GRID_SIZE // 2
-        cell = NigHyper(
-            m=sg.m.points[mid], V=sg.V.points[mid], a=sg.a.points[mid], b=sg.b.points[mid]
-        )
-        out.append(SeriesHypers(emission=cell, cohesion=tuple(cell for _ in range(window))))
+    for fields in grids.cells[:, :, GRID_SIZE // 2].tolist():
+        cell = NigHyper(*fields)
+        out.append(SeriesHypers(emission=cell, cohesion=(cell,) * window))
     return out
 
 
 def grids_payload(grids: Grids) -> dict:
-    def grid_dict(g: HyperGrid) -> dict:
-        return {"param": g.param, "rule": g.rule, "points": list(g.points)}
+    def grid_dict(param: str, points: np.ndarray, rule: str) -> dict:
+        return {"param": param, "rule": rule, "points": points.tolist()}
 
     return {
-        "alpha0": grid_dict(grids.alpha0),
-        "group_alpha": grid_dict(grids.group_alpha),
+        "alpha0": grid_dict("alpha0", grids.alpha0, "logspace(1/N, N)"),
+        "group_alpha": grid_dict("alpha", grids.group_alpha, "logspace(1/T, T)"),
         "series": [
-            {name: grid_dict(getattr(sg, name)) for name in NIG_FIELDS} for sg in grids.series
+            {f: grid_dict(f"{f}[{name}]", points, _RULES[f]) for f, points in zip(NIG_FIELDS, cells)}
+            for name, cells in zip(grids.names, grids.cells)
         ],
         "lag_windows_reuse_series_grids": True,
     }
@@ -171,15 +158,14 @@ def grids_payload(grids: Grids) -> dict:
 # -- transitions -----------------------------------------------------------------
 
 
-def _grid_arrays(state: ChainState, series) -> tuple:
-    """Every series' grids, (N, 4, G) in NIG_FIELDS order, and the lgamma rows
-    of the a-grids of ``series``, (N, G), asked for one series at a time: a
-    first build makes a Python float per lgamma argument."""
-    points = np.array([[getattr(sg, f).points for f in NIG_FIELDS] for sg in state.grids.series])
-    rows = np.zeros(points.shape[::2], dtype=np.int64)
+def _shape_rows(state: ChainState, series) -> np.ndarray:
+    """The lgamma rows of the a-grids of ``series``, (N, G), asked for one
+    series at a time: a first build makes a Python float per lgamma argument."""
+    cells = state.grids.cells
+    rows = np.zeros(cells.shape[::2], dtype=np.int64)
     for n in series:
-        rows[n] = state.lgamma.rows(points[n, 2])[0]
-    return points, rows
+        rows[n] = state.lgamma.rows(cells[n, 2])[0]
+    return rows
 
 
 def _pick(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -196,7 +182,7 @@ def _group_table(state: ChainState, group) -> PrefixStats:
 
 
 def _gibbs_alpha0(state: ChainState, rng) -> None:
-    grid = state.grids.alpha0.points
+    grid = state.grids.alpha0.tolist()
     sizes = [len(g.members) for g in state.groups]
     logits = [crp_partition_log_mass(sizes, a) + log_gamma11_pdf(a) for a in grid]
     state.alpha0 = grid[gumbel_argmax(logits, rng)]
@@ -204,22 +190,21 @@ def _gibbs_alpha0(state: ChainState, rng) -> None:
 
 def _alpha_logits(state: ChainState, table: PrefixStats) -> np.ndarray:
     """Unnormalised log conditional of a group's alpha at each grid point."""
-    grid = state.grids.group_alpha.points
+    grid = state.grids.group_alpha.tolist()
     return table.loglik(table.log_weights(grid)) + np.array([log_gamma11_pdf(a) for a in grid])
 
 
 def _gibbs_group_alpha(state: ChainState, group, table: PrefixStats, rng) -> None:
-    grid = state.grids.group_alpha.points
+    grid = state.grids.group_alpha.tolist()
     group.alpha = grid[gumbel_argmax(_alpha_logits(state, table), rng)]
 
 
-def _set_cell(state: ChainState, n: int, offset: int, field: str, j: int) -> bool:
-    """Set ``field`` of cell (n, offset) to point ``j`` of its grid; False if it is there."""
-    value = getattr(state.grids.series[n], field).points[j]
-    current = state.hypers[n].cell(offset)
-    if getattr(current, field) == value:
+def _set_cell(state: ChainState, n: int, offset: int, f: int, j: int) -> bool:
+    """Set field ``f`` of cell (n, offset) to point ``j`` of its grid; False if it is there."""
+    value = state.grids.cells[n, f, j]
+    if state.hypers[n, offset, f] == value:
         return False
-    state.hypers[n] = state.hypers[n].replace_cell(offset, current.replace(**{field: value}))
+    state.hypers[n, offset, f] = value
     return True
 
 
@@ -236,48 +221,47 @@ def _emission_scores(table: PrefixStats, series, cand, lgamma) -> np.ndarray:
     return np.where(table.cells.seen[rows, steps], f, 0.0).sum(axis=0)
 
 
-def _emission_logits(state, chunk, field: str, table: PrefixStats, grids):
+def _emission_logits(state, chunk, field: str, table: PrefixStats, shape_rows):
     """(S, G) log conditionals of ``field`` of the emission cells of the S
-    series ``chunk``, each on its own grid, up to a constant per series."""
-    points, shape_rows = grids
+    series ``chunk``, each on its own grid, up to a constant per series;
+    ``shape_rows`` are the a-grids' lgamma rows (:func:`_shape_rows`)."""
     f = NIG_FIELDS.index(field)
-    current = np.array([[h.m, h.V, h.a, h.b] for h in (state.hypers[n].emission for n in chunk)])
-    cand = [col[:, None] for col in current.T]
-    cand[f] = points[chunk, f]
+    cand = [col[:, None] for col in state.hypers[chunk, 0].T]
+    cand[f] = state.grids.cells[chunk, f]
     lgamma = (shape_rows[chunk], state.lgamma.table) if field == "a" else state.lgamma.rows(cand[2])
     return _emission_scores(table, chunk, cand, lgamma)
 
 
-def _emission_moves(state, chunk, field: str, table: PrefixStats, grids, noise):
+def _emission_moves(state, chunk, field: str, table: PrefixStats, shape_rows, noise):
     """Move ``field`` of the emission cells of ``chunk``, each series with its row of ``noise``."""
-    picks = _pick(_emission_logits(state, chunk, field, table, grids), noise[chunk])
+    picks = _pick(_emission_logits(state, chunk, field, table, shape_rows), noise[chunk])
+    f = NIG_FIELDS.index(field)
     for n, j in zip(chunk, picks.tolist()):
-        _set_cell(state, n, 0, field, j)
+        _set_cell(state, n, 0, f, j)
 
 
-def _lag_logits(state, n: int, offset: int, field: str, table: PrefixStats, crp, grids):
+def _lag_logits(state, n: int, offset: int, field: str, table: PrefixStats, crp, shape_rows,
+                shape):
     """Log conditional of lag cell (n, offset)'s ``field`` at each grid point, up to
     a constant, and the candidates' (G, T, K+1) factors; ``crp`` is as
-    :meth:`~trcrp.model.PrefixStats.cell_logliks` reads it."""
-    points, shape_rows = grids
+    :meth:`~trcrp.model.PrefixStats.cell_logliks` reads it, and ``shape`` the
+    lgamma row of the cell's current shape, which an ``a`` move does not read."""
     f = NIG_FIELDS.index(field)
-    current = state.hypers[n].cell(offset)
-    cand = [current.m, current.V, current.a, current.b]
-    cand[f] = points[n, f, :, None, None]
-    if field == "a":
-        lgamma = shape_rows[n, :, None, None], state.lgamma.table
-    else:
-        lgamma = state.lgamma.rows(current.a)
-    return table.cell_logliks(n, offset, cand, crp, lgamma)
+    cand = state.hypers[n, offset].tolist()
+    cand[f] = state.grids.cells[n, f, :, None, None]
+    row = shape_rows[n, :, None, None] if field == "a" else shape
+    return table.cell_logliks(n, offset, cand, crp, (row, state.lgamma.table))
 
 
-def _lag_move(state, n: int, offset: int, field: str, table: PrefixStats, crp, grids, noise):
+def _lag_move(state, n: int, offset: int, field: str, table: PrefixStats, crp, shape_rows,
+              noise, shape) -> int:
     """Move ``field`` of lag cell (n, offset) with the (G,) ``noise``, installing
-    the chosen factors when the cell changes."""
-    logits, factors = _lag_logits(state, n, offset, field, table, crp, grids)
+    the chosen factors when the cell changes; returns the grid point drawn."""
+    logits, factors = _lag_logits(state, n, offset, field, table, crp, shape_rows, shape)
     j = int(_pick(logits, noise))
-    if _set_cell(state, n, offset, field, j):
+    if _set_cell(state, n, offset, NIG_FIELDS.index(field), j):
         table.install(n, offset, factors[j])
+    return j
 
 
 def hyper_sweep(state: ChainState, rng, nig_cells: bool = True) -> None:
@@ -297,14 +281,18 @@ def hyper_sweep(state: ChainState, rng, nig_cells: bool = True) -> None:
     window = state.panel.window
     noise = rng.gumbel(size=(state.num_series, window + 1, len(NIG_FIELDS), GRID_SIZE))
     for group, table in tables.items():
-        grids = _grid_arrays(state, group.members)
+        shape_rows = _shape_rows(state, group.members)
         size = table.log_counts.shape[-1]  # K+1
         for start in range(0, len(group.members), size):
             chunk = group.members[start : start + size]
             for f, field in enumerate(NIG_FIELDS):
-                _emission_moves(state, chunk, field, table, grids, noise[:, 0, f])
+                _emission_moves(state, chunk, field, table, shape_rows, noise[:, 0, f])
         crp = table.log_weights(group.alpha, 0.0)
         for n in sorted(group.members):
             for offset in range(1, window + 1):
+                shape = state.lgamma.rows(state.hypers[n, offset, 2])[0]
                 for f, field in enumerate(NIG_FIELDS):
-                    _lag_move(state, n, offset, field, table, crp, grids, noise[n, offset, f])
+                    j = _lag_move(state, n, offset, field, table, crp, shape_rows,
+                                  noise[n, offset, f], shape)
+                    if field == "a":  # the b move reads the drawn shape's row
+                        shape = shape_rows[n, j]

@@ -2,11 +2,16 @@
 full-model log joint, and forward simulation.
 
 A chain's latent configuration is a :class:`ChainState`: an outer partition of
-the series into groups, and per group a :class:`GroupModel` holding its
-members, concentration and shared regime sequence.  Emission parameters are
-collapsed throughout; all per-cell densities are Student-T posterior
-predictives, whose sufficient statistics are a function of the sequence and
-the panel, so no group stores them.
+the series into groups, per group a :class:`GroupModel` holding its members,
+concentration and shared regime sequence, and the chain's NIG
+hyperparameters, one float array ``hypers`` of shape (N, p+1, 4): row
+``hypers[n, i]`` is series n's cell at offset i (0 the emission cell, i >= 1
+the lag-i cell) and its last axis holds m, V, a and b.  Each chain owns its
+array, and its groups share it by reference, so a grid move that writes it
+is seen by every reader.  Emission parameters are collapsed throughout; all
+per-cell densities are Student-T posterior predictives, whose sufficient
+statistics are a function of the sequence and the panel, so no group stores
+them.
 
 One missing-data rule holds in every layer: an unobserved cell contributes
 no lag factor, no emission factor and no statistics.  Nothing is imputed to
@@ -20,12 +25,13 @@ and per member one always-empty row for the fresh block, ``fresh[n]``.  The
 single-site sweep (:func:`trcrp.mcmc.sweep_z`) folds it from the group's
 sequence at its start, in one :func:`fold_stats` pass whose sums have the
 bits of adding one step at a time, and subtracts and adds one step at a time
-from there; :meth:`GroupModel.rollout` starts it from an empty group.  Each
-cell caches its Student-T form (:meth:`~trcrp.conjugate.NigStats.student_t`)
-for the scalar scoring of one step: a site changes at most two regimes' rows,
-and only :meth:`GroupStats.assign` and :meth:`GroupStats.unassign` mark the
-rows they touch stale, so the rest of the table scores each entry with one
-``log1p``.
+from there; :meth:`GroupModel.rollout` starts it from an empty group.  It
+reads its members' hyper rows as Python floats once, since no hyper moves
+within a pass.  Each cell caches its Student-T form
+(:meth:`~trcrp.conjugate.NigStats.student_t`) for the scalar scoring of one
+step: a site changes at most two regimes' rows, and only
+:meth:`GroupStats.assign` and :meth:`GroupStats.unassign` mark the rows they
+touch stale, so the rest of the table scores each entry with one ``log1p``.
 
 Every sequential quantity over a known regime sequence is a sum over t of
 terms that see only the data before t.  :func:`prefix_stats` is the one code
@@ -64,6 +70,7 @@ from .util import crp_partition_log_mass, gumbel_argmax, log_gamma11_pdf
 
 __all__ = [
     "SeriesHypers",
+    "hyper_array",
     "RegimeSeq",
     "GroupModel",
     "GroupStats",
@@ -92,17 +99,11 @@ class SeriesHypers:
     emission: NigHyper
     cohesion: tuple[NigHyper, ...]
 
-    def cell(self, offset: int) -> NigHyper:
-        """The hyper of cell ``offset``: 0 is the emission cell, i >= 1 the lag-i cell."""
-        return self.cohesion[offset - 1] if offset else self.emission
 
-    def replace_cell(self, offset: int, hyper: NigHyper) -> "SeriesHypers":
-        """A copy with cell ``offset`` (numbered as in :meth:`cell`) set to ``hyper``."""
-        if not offset:
-            return SeriesHypers(hyper, self.cohesion)
-        lags = list(self.cohesion)
-        lags[offset - 1] = hyper
-        return SeriesHypers(self.emission, tuple(lags))
+def hyper_array(series_hypers) -> np.ndarray:
+    """The (N, p+1, 4) hypers array of a list of :class:`SeriesHypers`."""
+    cells = [(sh.emission, *sh.cohesion) for sh in series_hypers]
+    return np.array([[[h.m, h.V, h.a, h.b] for h in row] for row in cells], dtype=float)
 
 
 class RegimeSeq:
@@ -170,7 +171,7 @@ class GroupModel:
         self.alpha = float(alpha)
         self.num_steps = num_steps
         self.window = window
-        self.hypers = hypers  # SeriesHypers indexed by series (list or mapping)
+        self.hypers = hypers  # the chain's (N, p+1, 4) array
         self.regimes = RegimeSeq(num_steps)
 
     def load_sequence(self, z) -> None:
@@ -222,16 +223,18 @@ class GroupStats:
     then change the group's sequence and one step's cells, and mark the rows
     they touch stale.  Each cell caches its Student-T form
     (:meth:`~trcrp.conjugate.NigStats.student_t`), so a step scores an entry
-    whose row it did not touch with one ``log1p``.  ``values`` and
+    whose row it did not touch with one ``log1p``.  ``hyper[n][i]`` is member
+    n's (m, V, a, b) at offset i as Python floats, read once.  ``values`` and
     ``observed`` are the data the pass reads; a rollout that emits writes
     its draws into ``values``.
     """
 
-    __slots__ = ("group", "values", "observed", "cells", "fresh")
+    __slots__ = ("group", "values", "observed", "hyper", "cells", "fresh")
 
     def __init__(self, group: GroupModel, values, observed):
         self.group, self.values, self.observed = group, values, observed
         p, members = group.window, group.members
+        self.hyper = dict(zip(members, group.hypers[members].tolist()))
         self.fresh = {n: [NigStats() for _ in range(p + 1)] for n in members}
         self.cells = {n: [] for n in members}
         if not group.regimes.num_regimes:
@@ -277,7 +280,7 @@ class GroupStats:
             for i in range(p + 1):
                 if orow[col - i]:
                     row[i].incorporate(float(vrow[col - i]))
-                row[i].hyper = None
+                row[i].form = None
 
     def unassign(self, t: int) -> tuple[int, bool]:
         """Remove time t's contributions, marking the cells they leave stale;
@@ -297,7 +300,7 @@ class GroupStats:
             for i in range(p + 1):
                 if orow[col - i]:
                     row[i].unincorporate(float(vrow[col - i]))
-                    row[i].hyper = None
+                    row[i].form = None
         removed = group.regimes.counts[k - 1] == 0
         if removed:
             self._drop_regime(k)
@@ -306,8 +309,7 @@ class GroupStats:
     def sample_emission(self, n: int, k: int, rng) -> float:
         """One draw from series n's emission predictive in regime k, read from
         the cell's cached Student-T form."""
-        hyper = self.group.hypers[n].emission
-        loc, _, _, _, dof, scale_sq = self.cells[n][k - 1][0].student_t(hyper)
+        loc, _, _, _, dof, scale_sq = self.cells[n][k - 1][0].student_t(self.hyper[n][0])
         return loc + math.sqrt(scale_sq) * rng.standard_t(dof)
 
     def regime_log_weights(self, t: int, emission: bool) -> list:
@@ -318,7 +320,7 @@ class GroupStats:
         observed cells at t are summed apart and added last, otherwise none is
         evaluated.  The fresh block is scored against the member's empty
         ``fresh`` row.  Each entry reads its cell's cached Student-T form,
-        built here when the cell is stale or its hyper changed.
+        built here when the cell is stale.
         """
         group = self.group
         p = group.window
@@ -330,9 +332,9 @@ class GroupStats:
         for n in group.members:
             vrow = self.values[n]
             orow = self.observed[n]
-            sh = group.hypers[n]
+            hyper = self.hyper[n]
             seen = [
-                (i, sh.cell(i), float(vrow[col - i]))
+                (i, hyper[i], float(vrow[col - i]))
                 for i in range(0 if emission else 1, p + 1)
                 if orow[col - i]
             ]
@@ -344,7 +346,7 @@ class GroupStats:
                 row = rows[k]
                 for i, h, v in seen:
                     s = row[i]
-                    loc, dof_scale, a_half, const, _, _ = s.form if s.hyper is h else s.student_t(h)
+                    loc, dof_scale, a_half, const, _, _ = s.form or s.student_t(h)
                     z = v - loc
                     f = const - a_half * log1p(z * z / dof_scale)
                     if i:
@@ -366,7 +368,8 @@ class CellLayout:
     1..p (the first ``num_lags`` rows), then any emission cells, offset 0.
     ``x`` and ``seen`` are (cells, T): each cell's value at every step (0 where
     unobserved) and whether it is observed; ``hyper`` holds m, V, a and b,
-    each (cells, 1), and ``lgamma`` the lgamma rows of a over counts 0..T.
+    each (cells, 1), gathered from a chain's hypers array, and ``lgamma`` the
+    lgamma rows of a over counts 0..T.
     """
 
     index: dict
@@ -379,7 +382,8 @@ class CellLayout:
 
 
 def cell_layout(series, hypers, values, observed, window: int, lgamma, emission=True) -> CellLayout:
-    """The :class:`CellLayout` of ``series`` under ``hypers``, read once here.
+    """The :class:`CellLayout` of ``series`` under ``hypers``, a chain's
+    (N, p+1, 4) array, read once here.
 
     The cells' lgamma rows come from ``lgamma``, the fit's
     :class:`~trcrp.conjugate.LgammaTable` over at least the layout's T steps,
@@ -392,18 +396,19 @@ def cell_layout(series, hypers, values, observed, window: int, lgamma, emission=
         cells += [(n, 0) for n in series]
     values = np.asarray(values, dtype=float)
     num_steps = values.shape[1] - p
-    rows = np.array([n for n, _ in cells], dtype=np.int64)[:, None]
-    cols = np.array([p - i for _, i in cells], dtype=np.int64)[:, None] + np.arange(num_steps)
+    n, i = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    rows = n[:, None]
+    cols = (p - i)[:, None] + np.arange(num_steps)
     seen = np.asarray(observed, dtype=bool)[rows, cols]
     x = np.where(seen, values[rows, cols], 0.0)
     index = {cell: c for c, cell in enumerate(cells)}
-    nigs = [hypers[n].cell(i) for n, i in cells]
-    return CellLayout(index, p, num_lags, x, seen, *hyper_columns(nigs, lgamma))
+    return CellLayout(index, p, num_lags, x, seen, *hyper_columns(hypers[n, i], lgamma))
 
 
-def hyper_columns(nigs, lgamma):
-    """m, V, a and b of the NIG cells ``nigs``, each (cells, 1), and their ``lgamma.rows``."""
-    hyper = tuple(np.array([_hyper_list(h) for h in nigs]).reshape(-1, 4).T[:, :, None])
+def hyper_columns(nigs: np.ndarray, lgamma):
+    """m, V, a and b of the (cells, 4) NIG rows ``nigs``, each (cells, 1), and
+    their ``lgamma.rows``."""
+    hyper = tuple(nigs.T[:, :, None])
     return hyper, lgamma.rows(hyper[2])
 
 
@@ -630,7 +635,9 @@ class ChainState:
     """One full latent configuration: groups and hypers.  The groups' ordered
     member lists are the one record of the outer partition; the outer moves
     edit them and remove or append groups, and :attr:`assignments` and
-    :meth:`group_of` read them.  Its :meth:`layout` reads the ``lgamma`` table."""
+    :meth:`group_of` read them.  ``hypers`` is the chain's own copy of the
+    given (N, p+1, 4) array, which its groups share.  Its :meth:`layout`
+    reads the ``lgamma`` table."""
 
     def __init__(self, panel: TimeSeriesPanel, alpha0, groups, hypers):
         self.panel = panel
@@ -638,7 +645,7 @@ class ChainState:
         self.observed = panel.observed
         self.alpha0 = float(alpha0)
         self.groups = groups
-        self.hypers = list(hypers)  # list[SeriesHypers] indexed by series, shared by the groups
+        self.hypers = np.array(hypers, dtype=float)
         for group in self.groups:
             group.hypers = self.hypers
         self.grids = None
@@ -736,8 +743,9 @@ def simulate(
     ``prefix`` is an (N, window) array of known initial values.  Group
     concentrations are drawn from Gamma(1,1) unless ``alpha`` pins them; the
     outer assignment is drawn from a CRP(alpha0) unless ``assignments`` plants
-    it.  Emissions are drawn from the collapsed Student-T predictives, so the
-    output distribution matches the collapsed joint exactly.
+    it.  ``hypers`` is a list of :class:`SeriesHypers`.  Emissions are drawn
+    from the collapsed Student-T predictives, so the output distribution
+    matches the collapsed joint exactly.
     """
     prefix = np.asarray(prefix, dtype=float)
     num_series = prefix.shape[0]
@@ -746,6 +754,7 @@ def simulate(
     assignments = crp_draw(num_series, alpha0, rng) if assignments is None else list(assignments)
     num_groups = max(assignments)
 
+    hypers = hyper_array(hypers)
     values = np.zeros((num_series, window + num_steps))
     values[:, :window] = prefix
     observed = np.ones_like(values, dtype=bool)
@@ -773,10 +782,6 @@ def simulate(
 # -- serialization ---------------------------------------------------------------
 
 
-def _hyper_list(h: NigHyper) -> list[float]:
-    return [h.m, h.V, h.a, h.b]
-
-
 def state_payload(state: ChainState) -> dict:
     """JSON-serializable snapshot: ``alpha0``, ``groups`` (each its ``alpha``,
     ordered ``members`` and ``z``) and per-series ``hypers``.  The outer
@@ -792,21 +797,19 @@ def state_payload(state: ChainState) -> dict:
             for g in state.groups
         ],
         "hypers": [
-            {
-                "emission": _hyper_list(sh.emission),
-                "cohesion": [_hyper_list(h) for h in sh.cohesion],
-            }
-            for sh in state.hypers
+            {"emission": cells[0], "cohesion": cells[1:]} for cells in state.hypers.tolist()
         ],
     }
 
 
-def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
-    """Raise ``ValueError`` unless the groups' member lists are non-empty lists of
+def _check_payload(payload: dict, panel: TimeSeriesPanel) -> np.ndarray:
+    """The payload's (N, p+1, 4) hypers array, checked as the rest of it.
+
+    Raise ``ValueError`` unless the groups' member lists are non-empty lists of
     integers that partition the panel's series, every regime sequence is a
     list of contiguous integer labels 1..K for all T steps, every series has
-    one lag cell per offset, every NIG cell is four numbers and every
-    concentration is a positive finite number."""
+    one lag cell per offset, every NIG cell is four finite numbers whose V, a
+    and b are positive, and every concentration is a positive finite number."""
     groups = payload["groups"]
     num_series = panel.num_series
     if len(payload["hypers"]) != num_series:
@@ -818,6 +821,11 @@ def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
         type(v) for h in cells for v in h
     } <= {int, float}:  # JSON numbers, not bools
         raise ValueError("every NIG cell must be four numbers (m, V, a, b)")
+    hypers = np.array(cells, dtype=float).reshape(num_series, panel.window + 1, 4)
+    if not (hypers[..., 1:] > 0).all():
+        raise ValueError("every NIG cell's V, a and b must be positive")
+    if not np.isfinite(hypers).all():
+        raise ValueError("every NIG cell's m, V, a and b must be finite")
     concentrations = [payload["alpha0"]] + [g["alpha"] for g in groups]
     if not all(type(a) in (int, float) and 0 < a < math.inf for a in concentrations):
         raise ValueError("concentrations must be positive finite numbers")
@@ -834,21 +842,12 @@ def _check_payload(payload: dict, panel: TimeSeriesPanel) -> None:
             raise ValueError(f"group {m} sequence must be a list of integer labels")
         if len(z) != panel.num_steps or sorted(set(z)) != list(range(1, max(z, default=0) + 1)):
             raise ValueError(f"group {m} sequence must label all {panel.num_steps} steps 1..K")
+    return hypers
 
 
-def state_from_payload(payload: dict, panel: TimeSeriesPanel, cells=None) -> ChainState:
-    """The chain state of ``payload`` over ``panel``.  ``cells`` maps four numbers
-    to their NigHyper, so the chains of one file build each distinct cell once."""
-    _check_payload(payload, panel)
-    cells = {} if cells is None else cells
-
-    def cell(h):
-        return cells.get(tuple(h)) or cells.setdefault(tuple(h), NigHyper(*h))
-
-    hypers = [
-        SeriesHypers(cell(entry["emission"]), tuple(map(cell, entry["cohesion"])))
-        for entry in payload["hypers"]
-    ]
+def state_from_payload(payload: dict, panel: TimeSeriesPanel) -> ChainState:
+    """The chain state of ``payload`` over ``panel``, with a hypers array of its own."""
+    hypers = _check_payload(payload, panel)
     groups = []
     for entry in payload["groups"]:
         group = GroupModel(entry["members"], entry["alpha"], panel.num_steps, panel.window, hypers)

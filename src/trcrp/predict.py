@@ -13,17 +13,18 @@ steps many groups, of all chains, through the horizon as one
 :class:`~trcrp.smc.ParticleSet`, whatever their hypers and member counts:
 each entry of a set reads its own group's NIG cells.  The groups fill sets
 in (chain, group) order up to :data:`~trcrp.smc.SET_ENTRIES` copy-cell
-entries, and a set holds each copy's own cells only.  Each group of a set
-has J copies, the largest R_s among the set's chains: its first R_s are its
-chain's draws, and the others pad the set, step with it and are never
-checked or returned.  Per step a set makes one kernel call over the lag
+entries (:func:`~trcrp.smc.set_runs`), and a set holds each copy's own
+cells only.  Each group of a set has J copies, the largest R_s among the
+set's chains: its first R_s are its chain's draws, and the others pad the
+set, step with it and are never checked or returned.  Per step a set makes one kernel call over the lag
 cells, one Gumbel argmax, one Student-T call for the members' emissions and
 one fold.  So the order of the groups fixes the order of the forecast's
 Generator calls and its draws, and a set of one group makes the Generator
 calls of a group forecast alone.  An imputation folds the emission
 statistics of every (chain, cell) in one pass over the sequences and the
-data, reads each cell's scalar Student-T form from them, and draws each
-chain's (cells, R_s) block in one ``standard_t`` call.  Draw r keeps one
+data, gathers each cell's statistics at its regime and its emission row of
+the chain's hypers, and draws each chain's (cells, R_s) block with one
+:func:`~trcrp.conjugate.predictive_sample_array` call.  Draw r keeps one
 chain for all of its groups and cells.
 
 The model's missing-data rule holds here too: an unobserved cell contributes
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smc
-from .conjugate import LgammaTable, predictive_sample_array, student_t_form
+from .conjugate import LgammaTable, predictive_sample_array
 from .model import ChainState, fold_stats
 from .panel import TimeSeriesPanel
 from .smc import NumericalError, ParticleSet
@@ -173,31 +174,6 @@ def _forecast_set(groups, values, observed, lgamma, copies, rng) -> list[np.ndar
     return [b.reshape(num, len(g.members), -1) for g, b in zip(groups, np.split(own[:, p:], cuts))]
 
 
-def _forecast_sets(samples: SampleSet, picked) -> list[list[tuple]]:
-    """The particle sets of a forecast: lists of ``(chain index, group)``.
-
-    The groups of the chains with draws fill sets in (chain, group) order,
-    whatever their hypers and member counts: a group joins the last set
-    while the set stays within :data:`~trcrp.smc.SET_ENTRIES` copy-cell
-    entries, J copies of each of its groups' member cells with J the largest
-    draw count among its chains, and otherwise starts a new one.
-    """
-    sets = []
-    cells = samples.panel.window + 1  # per member
-    for s, chain in enumerate(samples.chains):
-        if not picked[s].size:
-            continue
-        for group in chain.groups:
-            if sets:
-                run = [*sets[-1], (s, group)]
-                num = max(picked[i].size for i, _ in run)
-                if num * sum(len(g.members) for _, g in run) * cells <= smc.SET_ENTRIES:
-                    sets[-1] = run
-                    continue
-            sets.append([(s, group)])
-    return sets
-
-
 def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> ForecastResult:
     """Ancestral forecasts over an h-step horizon.
 
@@ -223,7 +199,11 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     picked = [np.flatnonzero(chain_of == s) for s in range(samples.num_chains)]
     out = np.empty((draws, num, horizon))
     lgamma = LgammaTable(panel.num_steps + horizon)
-    for run in _forecast_sets(samples, picked):
+    # the groups of the chains with draws, in (chain, group) order
+    pairs = [(s, group) for s, chain in enumerate(samples.chains) if picked[s].size
+             for group in chain.groups]
+    for run in smc.set_runs([(picked[s].size, [group]) for s, group in pairs]):
+        run = pairs[run]
         groups = [group for _, group in run]
         copies = [picked[s].size for s, _ in run]
         blocks = _forecast_set(groups, values, observed, lgamma, copies, rng)
@@ -236,14 +216,12 @@ def forecast(samples: SampleSet, horizon: int, draws: int, seed: int) -> Forecas
     )
 
 
-def _emission_forms(panel: TimeSeriesPanel, chains, cells) -> list[np.ndarray]:
-    """Each chain's emission predictives of ``cells``: one (3, cells, 1) array per chain.
+def _emission_stats(panel: TimeSeriesPanel, chains, cells) -> list[tuple]:
+    """Each chain's emission statistics of ``cells``: three (cells, 1) arrays per chain.
 
-    Per cell: the location, squared scale and dof of the
-    :func:`~trcrp.conjugate.student_t_form` of the series' emission hyper
-    and the count, sum and sum of squares of its observed values at the
-    steps its group's sequence assigns to the cell's regime.  The statistics
-    come from one :func:`~trcrp.model.fold_stats` pass over every series'
+    Per cell: the count, sum and sum of squares of its series' observed
+    values at the steps its group's sequence assigns to the cell's regime,
+    from one :func:`~trcrp.model.fold_stats` pass over every series'
     emission cell under its group's sequence in every chain.
     """
     num, p = panel.num_series, panel.window
@@ -254,17 +232,9 @@ def _emission_forms(panel: TimeSeriesPanel, chains, cells) -> list[np.ndarray]:
     rows = list(range(num)) * len(chains)
     blocks = max(len(group.regimes.counts) for chain in chains for group in chain.groups)
     stats = fold_stats(panel.values[rows, None, p:], panel.observed[rows, None, p:], z, blocks)
-    count, total, total_sq = (s[:, 0].tolist() for s in stats)
-    forms = []
-    for c, chain in enumerate(chains):
-        columns = []
-        for n, t in cells:
-            h, r = chain.hypers[n].emission, c * num + n
-            k = z[r][t - 1] - 1
-            form = student_t_form(h.m, h.V, h.a, h.b, count[r][k], total[r][k], total_sq[r][k])
-            columns.append((form[0], form[5], form[4]))
-        forms.append(np.array(columns).T[:, :, None])  # three (cells, 1) columns
-    return forms
+    cell_rows = [c * num + n for c in range(len(chains)) for n, _ in cells]  # (chain, cell) order
+    at = cell_rows, 0, [z[r][t - 1] - 1 for r, (_, t) in zip(cell_rows, cells * len(chains))]
+    return list(zip(*(s[at].reshape(len(chains), -1, 1) for s in stats)))
 
 
 def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
@@ -273,7 +243,7 @@ def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
     Each draw picks a chain, reads the regime that chain assigned to the
     cell's time step within the series' group, and samples the collapsed
     emission predictive of that (series, regime) cell.  The statistics of
-    every chain's cells come from one fold (:func:`_emission_forms`), and a
+    every chain's cells come from one fold (:func:`_emission_stats`), and a
     chain's draws of all cells from one ``standard_t`` call.  A fully
     observed panel yields an empty result.
     """
@@ -287,11 +257,12 @@ def impute(samples: SampleSet, draws: int, seed: int) -> ImputationResult:
     picked = [np.flatnonzero(chain_of == s) for s in range(samples.num_chains)]
     used = [s for s, rows in enumerate(picked) if rows.size] if cells else []
     if used:
-        forms = _emission_forms(panel, [samples.chains[s] for s in used], cells)
-        for s, (loc, scale_sq, dof) in zip(used, forms):
+        series = [n for n, _ in cells]
+        stats = _emission_stats(panel, [samples.chains[s] for s in used], cells)
+        for s, cell_stats in zip(used, stats):
+            hyper = samples.chains[s].hypers[series, 0].T[:, :, None]  # four (cells, 1) columns
             size = (len(cells), picked[s].size)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out[:, picked[s]] = loc + np.sqrt(scale_sq) * rng.standard_t(dof, size=size)
+            out[:, picked[s]] = predictive_sample_array(*hyper, *cell_stats, rng, size=size)
     _require_finite(out, "imputation")
     return ImputationResult(
         cells=cells,

@@ -5,9 +5,10 @@ one filter steps all of them: G groups of J particles each live in stacked
 arrays, particle (g, j) at row g*J + j.  The groups may be several chains',
 each chain's adjacent and drawing from its own Generator: the engine
 initialises a fit's chains together in the calling process, in sets of up to
-:data:`SET_ENTRIES` entries.  Per particle: the regime labels ``z`` of the
-steps filtered so far, its block count ``num_blocks`` and block sizes, its
-log weight and its group's log concentration.  Per entry, one for each
+:data:`SET_ENTRIES` entries, which :func:`set_runs` packs for SMC init and
+forecasts alike.  Per particle: the regime labels ``z`` of the steps
+filtered so far, its block count ``num_blocks`` and block sizes, its log
+weight and its group's log concentration.  Per entry, one for each
 particle and each cell its group has (its members' lags, then their
 emissions): the count, sum and sum of squares of the cell's observed values
 per block, ``count[e, k]``, and the Student-t form of each block's
@@ -15,9 +16,10 @@ predictive that these give, ``form[:, e, k]``
 (:func:`~trcrp.conjugate.student_t_form_array`).  A set holds no entry for a
 cell its particle's group lacks.  The cells' values are rows of one
 :class:`~trcrp.model.CellLayout` over the members of all the groups, the
-layout prefix passes read; each entry's NIG cell and lgamma row, an index
-into the fit's (or forecast's) :class:`~trcrp.conjugate.LgammaTable`, are
-its own group's, so groups of different hypers share a set.  Block k is
+layout prefix passes read; each entry's NIG cell, gathered from its own
+group's chain hypers array, and lgamma row, an index into the fit's (or
+forecast's) :class:`~trcrp.conjugate.LgammaTable`, are its own group's, so
+groups of different hypers, or of different chains, share a set.  Block k is
 label k+1, and column ``num_blocks[p]`` is the particle's fresh block, with
 empty statistics.
 
@@ -68,7 +70,14 @@ from .conjugate import student_t_form_array, student_t_logpdf_array
 from .model import PrefixStats, cell_layout, fold_stats, hyper_columns
 from .util import NEG_INF
 
-__all__ = ["NumericalError", "ParticleSet", "smc_step", "maybe_resample", "smc_block_sample"]
+__all__ = [
+    "NumericalError",
+    "ParticleSet",
+    "set_runs",
+    "smc_step",
+    "maybe_resample",
+    "smc_block_sample",
+]
 
 # resample when the effective sample size drops below this fraction of J
 ESS_THRESHOLD = 0.5
@@ -82,6 +91,28 @@ ESS_THRESHOLD = 0.5
 # about 1,500 entries on, a step's time is linear in its entries, so a bigger
 # set saves no more fixed cost; it only holds more memory.
 SET_ENTRIES = 4096
+
+
+def set_runs(items) -> list[slice]:
+    """Runs of consecutive ``items`` whose groups share a particle set, as slices.
+
+    An item is ``(copies, groups)``: SMC init packs a chain's groups at its
+    particle count, a forecast one group at its chain's draw count.  An item
+    joins the run before it while the run's set stays within
+    :data:`SET_ENTRIES` entries, the largest copy count of the run times the
+    cells of all its groups' members, J x sum of members x (p+1); otherwise
+    it starts a run, alone if it is above that itself.
+    """
+    runs = []
+    for i, (num, groups) in enumerate(items):
+        size = sum(len(group.members) * (group.window + 1) for group in groups)
+        if runs and max(copies, num) * (cells + size) <= SET_ENTRIES:
+            runs[-1] = slice(runs[-1].start, i + 1)
+            copies, cells = max(copies, num), cells + size
+        else:
+            runs.append(slice(i, i + 1))
+            copies, cells = num, size
+    return runs
 
 
 def _ranges(first: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -121,8 +152,9 @@ class ParticleSet:
     entries, capacity), the loc, dof times squared scale, a' + 1/2 and
     constant of :func:`~trcrp.conjugate.student_t_form_array` for each entry
     and block, and ``sizes`` is (G*J, capacity).  ``hyper`` and ``lgamma``
-    hold each entry's hypers and lgamma row, (entries,), built once per cell
-    of a group from that group's ``hypers``; they are what a fold reads.
+    hold each entry's hypers and lgamma row, (entries,), gathered once per
+    cell of a group from that group's ``hypers`` array; they are what a fold
+    reads.
     The capacity doubles when a step is scored whose fresh block would fall
     outside it; the new blocks are empty and their forms the prior's.
     Every particle of group g starts as a copy of it: its regime sequence
@@ -159,9 +191,11 @@ class ParticleSet:
         lengths = np.array([len(segment) for segment in segments])
         group_cells = [cell for segment in segments for cell in segment]
         rows = np.array([cells.index[n, i] for _, n, i in group_cells], dtype=np.int64)
-        # each row's hypers and lgamma row, (rows, 1), from its own group's hypers
-        nigs = [g.hypers[n].cell(i) for g, n, i in group_cells]
-        hyper, (lgamma_row, ratio) = hyper_columns(nigs, lgamma)
+        # each row's hypers and lgamma row, (rows, 1), from its own group's hypers,
+        # in the order of segments
+        nigs = [g.hypers[g.members, 1 : g.window + 1].reshape(-1, 4) for g in groups]
+        nigs += [g.hypers[g.members, 0] for g in groups]
+        hyper, (lgamma_row, ratio) = hyper_columns(np.concatenate(nigs), lgamma)
         owner = np.arange(2 * num_groups) % num_groups  # each segment's group
         # every segment's J copies, particle by particle: each copy's entries
         # and the indices into rows of their cells

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from trcrp.conjugate import NigHyper, predictive_logpdf_raw
-from trcrp.model import GroupModel, SeriesHypers
+from trcrp.model import GroupModel, SeriesHypers, hyper_array
 from trcrp.panel import TimeSeriesPanel
 
 
@@ -29,9 +29,16 @@ def make_panel(values, window, observed=None, names=None):
     )
 
 
-def uniform_hypers(num_series, window, m=0.0, V=1.0, a=2.0, b=1.0):
+def uniform_series_hypers(num_series, window, m=0.0, V=1.0, a=2.0, b=1.0):
+    """One NIG cell for every series and offset, as the :class:`SeriesHypers`
+    list that ``simulate`` takes."""
     cell = NigHyper(m, V, a, b)
     return [SeriesHypers(cell, tuple(cell for _ in range(window))) for _ in range(num_series)]
+
+
+def uniform_hypers(num_series, window, m=0.0, V=1.0, a=2.0, b=1.0):
+    """One NIG cell for every series and offset, as a chain's (N, p+1, 4) hypers array."""
+    return hyper_array(uniform_series_hypers(num_series, window, m, V, a, b))
 
 
 def cell_logpdf(hyper, stats, x):
@@ -42,13 +49,11 @@ def cell_logpdf(hyper, stats, x):
 
 
 def hyper_tuples(hypers):
-    """Convert SeriesHypers into the plain-tuple form the oracles use."""
-    out = {}
-    for n, sh in enumerate(hypers):
-        em = (sh.emission.m, sh.emission.V, sh.emission.a, sh.emission.b)
-        lags = [(h.m, h.V, h.a, h.b) for h in sh.cohesion]
-        out[n] = (em, lags)
-    return out
+    """Convert a (N, p+1, 4) hypers array into the plain-tuple form the oracles use."""
+    return {
+        n: (tuple(cells[0]), [tuple(cell) for cell in cells[1:]])
+        for n, cells in enumerate(np.asarray(hypers).tolist())
+    }
 
 
 @pytest.fixture

@@ -13,7 +13,9 @@ posterior update.  The drift checks (:func:`stats_deviation`,
 :func:`check_forms`) and the imputation reference (:func:`group_stats_impute`)
 read a live ``GroupStats``.  The CLI output references
 (:func:`forecast_csv_rows`, :func:`forecast_summary`, :func:`impute_csv_rows`)
-format given draws one element and one series at a time.
+format given draws one element and one series at a time.  The grid
+references (:func:`per_series_grid_points`, :func:`per_series_grids_payload`)
+call numpy's ``linspace`` and ``geomspace`` once per series and parameter.
 """
 
 from __future__ import annotations
@@ -112,15 +114,14 @@ def stats_deviation(stats):
 
 
 def check_forms(stats):
-    """Raise unless every cached form of a live ``GroupStats`` whose hyper is
-    current equals a fresh ``student_t_form`` of its cell."""
+    """Raise unless every cached form of a live ``GroupStats`` equals a fresh
+    ``student_t_form`` of its cell under the chain's current hypers."""
     for n in stats.group.members:
-        sh = stats.group.hypers[n]
+        hyper = stats.group.hypers[n].tolist()
         for row in stats.cells[n] + [stats.fresh[n]]:
             for i, s in enumerate(row):
-                h = sh.cell(i)
-                if s.hyper is h and s.form != student_t_form(
-                    h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq
+                if s.form is not None and s.form != student_t_form(
+                    *hyper[i], s.count, s.sum, s.sum_sq
                 ):
                     raise AssertionError(f"stale Student-t form on series {n}, offset {i}")
 
@@ -368,9 +369,8 @@ def group_stats_impute(samples, draws, seed):
             stats.update((n, group_stats) for n in group.members)
         rows = []
         for n, t in cells:
-            h = chain.hypers[n].emission
             cell = stats[n].cells[n][stats[n].group.regimes.z[t - 1] - 1][0]
-            rows.append((h.m, h.V, h.a, h.b, cell.count, cell.sum, cell.sum_sq))
+            rows.append((*chain.hypers[n, 0].tolist(), cell.count, cell.sum, cell.sum_sq))
         params = np.array(rows).T[:, :, None]  # seven (cells, 1) columns
         out[:, picked] = predictive_sample_array(*params, rng, size=(len(cells), picked.size))
     return cells, out
@@ -500,11 +500,10 @@ def per_move_hyper_sweep(state, rng, nig_cells=True):
         table = tables[group]
         for offset in range(state.panel.window + 1):
             c = table.cells.index[n, offset]
-            for field in hypers.NIG_FIELDS:
-                grid = getattr(state.grids.series[n], field).points
-                current = state.hypers[n].cell(offset)
-                values = vars(current) | {field: np.reshape(grid, (-1, 1, 1))}
-                cand = [values[name] for name in hypers.NIG_FIELDS]
+            for f in range(len(hypers.NIG_FIELDS)):
+                grid = state.grids.cells[n, f].tolist()
+                cand = state.hypers[n, offset].tolist()
+                cand[f] = np.reshape(grid, (-1, 1, 1))
                 factors = full_factors(table, n, offset, cand, state.lgamma.rows(cand[2]))
                 if offset:
                     base = table.log_weights(group.alpha) + (factors - table.factors[c])
@@ -512,9 +511,60 @@ def per_move_hyper_sweep(state, rng, nig_cells=True):
                 else:
                     logits = slot_sums(factors, table)
                 j = gumbel_argmax(logits, rng)
-                new = current.replace(**{field: grid[j]})
-                if new != current:
+                if grid[j] != state.hypers[n, offset, f]:
                     if offset:
                         table.cohesion += factors[j] - table.factors[c]
                         table.factors[c] = factors[j]
-                    state.hypers[n] = state.hypers[n].replace_cell(offset, new)
+                    state.hypers[n, offset, f] = grid[j]
+
+
+def logspace(lo, hi):
+    """One geometric grid from ``lo`` to ``hi`` under build_grids' rule: ``lo``
+    clamped to 1e-6, and a collapsed range spanning two decades above it."""
+    lo = max(lo, 1e-6)
+    return tuple(np.geomspace(lo, lo * 100.0 if hi <= lo else hi, hypers.GRID_SIZE).tolist())
+
+
+def per_series_grid_points(panel):
+    """Every series' (m, V, a, b) grid points, one scalar ``np.linspace`` or
+    ``np.geomspace`` call per series and parameter, under build_grids' rules."""
+    steps, out = panel.num_steps, []
+    for n in range(panel.num_series):
+        xs = panel.values[n, panel.window :][panel.observed[n, panel.window :]]
+        if xs.size == 0:
+            xs = panel.values[n][panel.observed[n]]
+        lo, hi, ssq = -5.0, 5.0, 0.0
+        if xs.size:
+            lo, hi = float(xs.min()) - 5.0, float(xs.max()) + 5.0
+            ssq = float(((xs - xs.mean()) ** 2).sum())
+        m = tuple(np.linspace(lo, hi if hi > lo else lo + 10.0, hypers.GRID_SIZE).tolist())
+        V, a, b = logspace(1.0 / steps, steps), logspace(ssq / 100.0, ssq), logspace(1.0, steps)
+        out.append((m, V, a, b))
+    return out
+
+
+def per_series_grids_payload(panel):
+    """Reference for ``hypers.grids_payload(build_grids(panel))``: every grid
+    built on its own from :func:`per_series_grid_points` and one
+    :func:`logspace` call per concentration, each a dict of its name, rule
+    and points."""
+    def grid(param, rule, points):
+        return {"param": param, "rule": rule, "points": list(points)}
+
+    num, steps = panel.num_series, panel.num_steps
+    rules = {
+        "m": "30 linear points on [min-5, max+5]",
+        "V": "logspace(1/T, T)",
+        "a": "logspace(ssqdev/100, ssqdev)",
+        "b": "logspace(1, T)",
+    }
+    series = [
+        {f: grid(f"{f}[{name}]", rules[f], points) for f, points in zip("mVab", cells)}
+        for name, cells in zip(panel.series_names, per_series_grid_points(panel))
+    ]
+    return {
+        "alpha0": grid("alpha0", "logspace(1/N, N)", logspace(1.0 / num, num)),
+        "group_alpha": grid("alpha", "logspace(1/T, T)", logspace(1.0 / steps, steps)),
+        "series": series,
+        "lag_windows_reuse_series_grids": True,
+    }

@@ -551,6 +551,29 @@ def _invalid_fixed_hypers(doc):
     doc["config"]["fixed_hypers"] = [0.0, -1.0, float("inf"), 1.0]
 
 
+def _last_cell(doc, offset):
+    """The NIG cell at ``offset`` (0 the emission cell, i the lag-i cell) of
+    the last series of the last chain."""
+    entry = doc["chains"][-1]["hypers"][-1]
+    return entry["cohesion"][offset - 1] if offset else entry["emission"]
+
+
+def _zero_last_lag_a(doc):
+    _last_cell(doc, 1)[2] = 0.0
+
+
+def _negative_last_lag_b(doc):
+    _last_cell(doc, 1)[3] = -1.0
+
+
+def _infinite_last_lag_m(doc):
+    _last_cell(doc, 1)[0] = float("inf")
+
+
+def _infinite_last_emission_m(doc):
+    _last_cell(doc, 0)[0] = float("inf")
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -597,6 +620,10 @@ def _invalid_fixed_hypers(doc):
         _infinite_emission_a,
         _infinite_emission_b,
         _invalid_fixed_hypers,
+        _zero_last_lag_a,
+        _negative_last_lag_b,
+        _infinite_last_lag_m,
+        _infinite_last_emission_m,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

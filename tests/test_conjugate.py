@@ -18,7 +18,7 @@ from trcrp.conjugate import (
     predictive_logpdf_array,
     predictive_logpdf_raw,
 )
-from trcrp.model import GroupModel, GroupStats, SeriesHypers, crp_log_weights
+from trcrp.model import GroupModel, GroupStats, SeriesHypers, crp_log_weights, hyper_array
 
 UNIT = NigHyper(0.0, 1.0, 1.0, 1.0)
 
@@ -307,7 +307,7 @@ def test_marginal_loglik_telescopes(rng):
 def lag_stats(panel, cohesion, z):
     """A pass's statistics over a one-series group on ``panel`` with lag cells
     ``cohesion`` and sequence ``z``."""
-    hypers = {0: SeriesHypers(UNIT, cohesion)}
+    hypers = hyper_array([SeriesHypers(UNIT, cohesion)])
     group = GroupModel([0], 1.0, panel.num_steps, panel.window, hypers)
     group.load_sequence(z)
     return GroupStats(group, panel.values, panel.observed)

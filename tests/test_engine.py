@@ -11,7 +11,6 @@ import pytest
 from conftest import ROBUSTNESS_PANELS, assert_resting, make_panel, robustness_panel
 from oracles import group_fold, stats_rows
 from trcrp import engine
-from trcrp.conjugate import NigHyper
 from trcrp.engine import (
     RunConfig,
     SchemaVersionError,
@@ -25,6 +24,7 @@ from trcrp.engine import (
     sampleset_hash,
     save_sampleset,
 )
+from trcrp.hypers import build_grids, hyper_sweep
 from trcrp.model import GroupStats, log_joint, state_from_payload, state_payload
 from trcrp.smc import NumericalError
 from trcrp.predict import dependence_matrix, forecast, impute
@@ -108,14 +108,12 @@ def test_fit_fixed_hypers_and_alpha(rng):
     panel = small_panel(rng)
     config = quick_config(fixed_hypers=(0.0, 1.0, 2.0, 1.0), burnin=4)
     samples = fit(panel, config)
-    cell = NigHyper(0.0, 1.0, 2.0, 1.0)
     for chain in samples.chains:
         # the concentrations still move, onto their grids, which miss 1.0
         assert chain.alpha0 != 1.0
         assert all(group.alpha != 1.0 for group in chain.groups)
-        for sh in chain.hypers:
-            assert sh.emission == cell
-            assert sh.cohesion == (cell,)
+        assert chain.hypers.shape == (panel.num_series, panel.window + 1, 4)
+        assert (chain.hypers == [0.0, 1.0, 2.0, 1.0]).all()
 
 
 def test_init_sweeps_at_burnin_accept_every_move(rng):
@@ -172,24 +170,43 @@ def test_state_payload_round_trip(rng):
     back.check_consistency()
 
 
-@pytest.mark.parametrize("burnin", [0, 8], ids=["smc_only", "swept"])
-def test_load_builds_each_distinct_cell_once(rng, tmp_path, burnin):
-    # a file's cells with equal numbers share one NigHyper across its series,
-    # offsets and chains; an SMC-only fit leaves every cell at its series'
-    # grid midpoints, so each series has one
+def assert_chains_own_their_hypers(chains):
+    """Fail unless each chain holds its hypers in one (N, p+1, 4) float array
+    that its groups share and that shares no memory with another chain's."""
+    for i, chain in enumerate(chains):
+        panel = chain.panel
+        assert chain.hypers.dtype == float
+        assert chain.hypers.shape == (panel.num_series, panel.window + 1, 4)
+        assert all(group.hypers is chain.hypers for group in chain.groups)
+        assert not any(np.shares_memory(chain.hypers, other.hypers) for other in chains[:i])
+
+
+def sweep_one_chain_hypers(chains, grids):
+    """Move the first chain's hypers with one hyper sweep; fail unless they
+    move and the other chains' arrays stay as they were."""
+    before = [chain.hypers.copy() for chain in chains]
+    chains[0].grids = grids
+    hyper_sweep(chains[0], np.random.default_rng(4))
+    assert not np.array_equal(chains[0].hypers, before[0])
+    for chain, hypers in zip(chains[1:], before[1:]):
+        assert np.array_equal(chain.hypers, hypers)
+    assert_chains_own_their_hypers(chains)
+
+
+def test_chains_own_their_hypers(rng, tmp_path):
+    # chains start from equal hypers and a file's chains may hold equal ones,
+    # but a move of one chain's hypers never shows in another's
     panel = small_panel(rng, num_series=3)
-    config = quick_config(chains=2, burnin=burnin)
-    samples = fit(panel, config)
-    save_sampleset(samples, config, tmp_path / "samples.json")
-    loaded = load_sampleset(tmp_path / "samples.json")[0]
-    cells = [
-        h for chain in loaded.chains for sh in chain.hypers for h in (sh.emission, *sh.cohesion)
-    ]
-    assert len({id(h) for h in cells}) == len({(h.m, h.V, h.a, h.b) for h in cells})
-    if not burnin:
-        assert len({id(h) for h in cells}) == panel.num_series
-    for chain, back in zip(samples.chains, loaded.chains, strict=True):
-        assert back.hypers == chain.hypers
+    config = quick_config(chains=3, burnin=2, init_sweeps=1)
+    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
+    initial = [state for state, _, _ in init_chains(panel, config, seeds)]
+    assert all(np.array_equal(chain.hypers, initial[0].hypers) for chain in initial)
+    assert_chains_own_their_hypers(initial)
+    sweep_one_chain_hypers(initial, build_grids(panel))
+    save_sampleset(fit(panel, config), config, tmp_path / "samples.json")
+    loaded = load_sampleset(tmp_path / "samples.json")[0].chains
+    assert_chains_own_their_hypers(loaded)
+    sweep_one_chain_hypers(loaded, build_grids(panel))
 
 
 @pytest.mark.parametrize(

@@ -10,20 +10,28 @@ import pytest
 import trcrp.conjugate as conjugate
 import trcrp.hypers as hypers_mod
 from conftest import ROBUSTNESS_PANELS, hyper_tuples, make_panel, robustness_panel
-from oracles import full_factors, naive_log_joint, per_move_hyper_sweep, slot_sums
+from oracles import (
+    full_factors,
+    naive_log_joint,
+    per_move_hyper_sweep,
+    per_series_grid_points,
+    per_series_grids_payload,
+    slot_sums,
+)
 from test_model import build_state
 from trcrp.conjugate import lgamma_rows
 from trcrp.engine import RunConfig, fit, init_chains, run_sweeps
 from trcrp.hypers import (
     GRID_SIZE,
     NIG_FIELDS,
+    Grids,
     build_grids,
     grids_payload,
     hyper_sweep,
     initial_hypers,
 )
 from trcrp import mcmc, structure
-from trcrp.model import GroupModel, log_joint, state_payload
+from trcrp.model import GroupModel, hyper_array, log_joint, state_payload
 from trcrp.util import gumbel_argmax
 from trcrp.smc import smc_block_sample
 
@@ -31,22 +39,22 @@ from trcrp.smc import smc_block_sample
 def test_alpha0_grid_endpoints_n4():
     panel = make_panel([list(range(10))] * 4, window=0)
     grids = build_grids(panel)
-    assert grids.alpha0.points[0] == pytest.approx(0.25)
-    assert grids.alpha0.points[-1] == pytest.approx(4.0)
-    assert len(grids.alpha0.points) == GRID_SIZE
+    assert grids.alpha0[0] == pytest.approx(0.25)
+    assert grids.alpha0[-1] == pytest.approx(4.0)
+    assert grids.alpha0.shape == (GRID_SIZE,)
 
 
 def test_rate_grid_endpoints_t100():
     panel = make_panel([list(np.linspace(0, 5, 100))], window=0)
     grids = build_grids(panel)
-    assert grids.series[0].b.points[0] == pytest.approx(1.0)
-    assert grids.series[0].b.points[-1] == pytest.approx(100.0)
+    assert grids.cells[0, 3, 0] == pytest.approx(1.0)
+    assert grids.cells[0, 3, -1] == pytest.approx(100.0)
 
 
 def test_constant_series_shape_grid_clamped():
     panel = make_panel([[3.0] * 20], window=0)
     grids = build_grids(panel)
-    pts = grids.series[0].a.points
+    pts = grids.cells[0, 2].tolist()
     assert all(math.isfinite(x) and x > 0 for x in pts)
     assert pts[0] == pytest.approx(1e-6)
     assert all(b > a for a, b in zip(pts, pts[1:]))
@@ -57,74 +65,79 @@ def test_every_grid_has_30_increasing_points(rng):
     values[0][7] = None
     panel = make_panel(values, window=2)
     grids = build_grids(panel)
-    all_grids = [grids.alpha0, grids.group_alpha]
-    for sg in grids.series:
-        all_grids += [sg.m, sg.V, sg.a, sg.b]
-    for g in all_grids:
-        assert len(g.points) == GRID_SIZE
-        assert all(b > a for a, b in zip(g.points, g.points[1:]))
+    assert grids.cells.shape == (2, 4, GRID_SIZE)
+    for g in [grids.alpha0, grids.group_alpha, *grids.cells.reshape(-1, GRID_SIZE)]:
+        points = g.tolist()
+        assert len(points) == GRID_SIZE
+        assert all(b > a for a, b in zip(points, points[1:]))
+
+
+def test_grids_name_their_first_bad_grid(rng):
+    # the grids are checked as arrays once per fit; a fault names its grid
+    panel = make_panel([list(rng.normal(size=12)) for _ in range(3)], window=1)
+    grids = build_grids(panel)
+    cells = grids.cells.copy()
+    cells[1, 2, 5] = np.inf
+    with pytest.raises(ValueError, match=r"^a\[s2\]: non-finite grid point"):
+        Grids(grids.alpha0, grids.group_alpha, cells, grids.names)
+    cells[1, 2, 5] = cells[1, 2, 4]
+    with pytest.raises(ValueError, match=r"^a\[s2\]: grid not strictly increasing"):
+        Grids(grids.alpha0, grids.group_alpha, cells, grids.names)
+    with pytest.raises(ValueError, match=r"^alpha: grid not strictly increasing"):
+        Grids(grids.alpha0, grids.group_alpha[::-1], grids.cells, grids.names)
+    with pytest.raises(ValueError, match=f"{GRID_SIZE} points"):
+        Grids(grids.alpha0[1:], grids.group_alpha, grids.cells, grids.names)
 
 
 def test_location_grid_is_linear_over_data_span(rng):
     xs = list(rng.normal(2.0, 3.0, size=25))
     panel = make_panel([xs], window=0)
-    g = build_grids(panel).series[0].m
-    assert g.points[0] == pytest.approx(min(xs) - 5.0)
-    assert g.points[-1] == pytest.approx(max(xs) + 5.0)
-    diffs = np.diff(g.points)
+    g = build_grids(panel).cells[0, 0]
+    assert g[0] == pytest.approx(min(xs) - 5.0)
+    assert g[-1] == pytest.approx(max(xs) + 5.0)
+    diffs = np.diff(g)
     assert np.allclose(diffs, diffs[0])
 
 
 def test_ssqdev_uses_observed_cells_only():
     values = [[0.0, 1.0, None, 3.0, 5.0]]
     panel = make_panel(values, window=0)
-    g = build_grids(panel).series[0].a
+    g = build_grids(panel).cells[0, 2]
     xs = np.array([0.0, 1.0, 3.0, 5.0])
     ssq = float(((xs - xs.mean()) ** 2).sum())
-    assert g.points[-1] == pytest.approx(ssq)
-    assert g.points[0] == pytest.approx(ssq / 100.0)
+    assert g[-1] == pytest.approx(ssq)
+    assert g[0] == pytest.approx(ssq / 100.0)
 
 
 def test_initial_hypers_are_grid_members(rng):
     panel = make_panel([list(rng.normal(size=12))], window=2)
     grids = build_grids(panel)
     hyp = initial_hypers(grids, 2)[0]
-    sg = grids.series[0]
-    assert hyp.emission.m in sg.m.points
-    assert hyp.emission.V in sg.V.points
+    assert hyp.emission.m in grids.cells[0, 0].tolist()
+    assert hyp.emission.V in grids.cells[0, 1].tolist()
     assert len(hyp.cohesion) == 2
-
-
-def per_series_grid_points(panel):
-    """Every series' (m, V, a, b) grid points, one scalar ``np.linspace`` or
-    ``np.geomspace`` call per series and parameter, under build_grids' rules."""
-    def logspace(lo, hi):
-        lo = max(lo, 1e-6)
-        return tuple(np.geomspace(lo, lo * 100.0 if hi <= lo else hi, GRID_SIZE).tolist())
-
-    steps, out = panel.num_steps, []
-    for n in range(panel.num_series):
-        xs = panel.values[n, panel.window :][panel.observed[n, panel.window :]]
-        if xs.size == 0:
-            xs = panel.values[n][panel.observed[n]]
-        lo, hi, ssq = -5.0, 5.0, 0.0
-        if xs.size:
-            lo, hi = float(xs.min()) - 5.0, float(xs.max()) + 5.0
-            ssq = float(((xs - xs.mean()) ** 2).sum())
-        m = tuple(np.linspace(lo, hi if hi > lo else lo + 10.0, GRID_SIZE).tolist())
-        V, a, b = logspace(1.0 / steps, steps), logspace(ssq / 100.0, ssq), logspace(1.0, steps)
-        out.append((m, V, a, b))
-    return out
+    hypers = start_hypers(grids, 2)
+    assert hypers.shape == (1, 3, 4)
+    assert (hypers == grids.cells[0, :, GRID_SIZE // 2]).all()
 
 
 @pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
 def test_grids_equal_per_series_calls(kind):
     panel = robustness_panel(kind)
     grids = build_grids(panel)
-    got = [tuple(getattr(sg, f).points for f in NIG_FIELDS) for sg in grids.series]
+    got = [tuple(map(tuple, cells)) for cells in grids.cells.tolist()]
     assert got == per_series_grid_points(panel)
     # bit for bit, not only equal as numbers
     assert json.dumps(got) == json.dumps(per_series_grid_points(panel))
+
+
+@pytest.mark.parametrize("kind", ROBUSTNESS_PANELS)
+def test_grids_payload_equals_per_series_reference(kind):
+    # inspect-grids prints this payload: every name, rule and point as the
+    # grids built one series and one parameter at a time give them
+    panel = robustness_panel(kind)
+    got = json.dumps(grids_payload(build_grids(panel)), indent=2)
+    assert got == json.dumps(per_series_grids_payload(panel), indent=2)
 
 
 def test_batched_grid_points_equal_scalar_calls():
@@ -134,7 +147,7 @@ def test_batched_grid_points_equal_scalar_calls():
     hi[:5] = lo[:5]  # collapsed ranges
     # build_grids' linear rule; a pair with a zero step would move numpy's
     # batched call to its denormal path for every pair, but its own grid
-    # repeats a point and fails HyperGrid's check either way
+    # repeats a point and fails the Grids check either way
     hi_m = np.where(hi <= lo, lo + 10.0, hi)
     linear = np.linspace(lo, hi_m, GRID_SIZE, axis=-1)
     geometric = hypers_mod._logspace(lo, hi)
@@ -146,15 +159,25 @@ def test_batched_grid_points_equal_scalar_calls():
 
 
 def grid_arrays(state):
-    """The grid arrays a sweep's cell moves read, every series' lgamma rows included."""
-    return hypers_mod._grid_arrays(state, range(state.num_series))
+    """The lgamma rows of every series' a-grid, which a sweep's cell moves read."""
+    return hypers_mod._shape_rows(state, range(state.num_series))
+
+
+def start_hypers(grids, window):
+    """The grid-midpoint hypers array a fit starts from."""
+    return hyper_array(initial_hypers(grids, window))
+
+
+def current_shape(state, n, offset):
+    """The lgamma row of cell (n, offset)'s current shape, as a sweep's lag moves read it."""
+    return state.lgamma.rows(state.hypers[n, offset, 2])[0]
 
 
 def state_for_gibbs(rng, num_series=2, steps=8, window=1):
     values = [list(rng.normal(size=steps + window)) for _ in range(num_series)]
     panel = make_panel(values, window=window)
     grids = build_grids(panel)
-    hypers = initial_hypers(grids, window)
+    hypers = start_hypers(grids, window)
     z = [1, 2, 1, 1, 2, 1, 2, 1][:steps]
     state = build_state(panel, hypers, [z] * 1, [1] * num_series, alphas=[1.0])
     state.grids = grids
@@ -167,7 +190,7 @@ def test_equal_conditionals_sample_uniformly():
     values = [[0.0] + [None] * 8]
     panel = make_panel(values, window=1)
     grids = build_grids(panel)
-    hypers = initial_hypers(grids, 1)
+    hypers = start_hypers(grids, 1)
     state = build_state(panel, hypers, [[1, 1, 2, 1, 2, 1, 1, 2]], [1])
     state.grids = grids
     rng = np.random.default_rng(0)
@@ -177,8 +200,8 @@ def test_equal_conditionals_sample_uniformly():
         table = hypers_mod._group_table(state, state.groups[0])
         noise = rng.gumbel(size=(1, GRID_SIZE))
         hypers_mod._emission_moves(state, [0], "V", table, arrays, noise)
-        draws.append(state.hypers[0].emission.V)
-    freqs = np.array([draws.count(p) for p in grids.series[0].V.points]) / len(draws)
+        draws.append(float(state.hypers[0, 0, 1]))
+    freqs = np.array([draws.count(p) for p in grids.cells[0, 1].tolist()]) / len(draws)
     assert abs(freqs - 1.0 / GRID_SIZE).max() < 0.02
 
 
@@ -192,11 +215,14 @@ def test_sampled_values_are_grid_members(rng):
     hypers_mod._emission_moves(state, [0], "b", table, arrays, rng.gumbel(size=(2, GRID_SIZE)))
     table = hypers_mod._group_table(state, group)
     crp = table.log_weights(group.alpha, 0.0)
-    hypers_mod._lag_move(state, 1, 1, "m", table, crp, arrays, rng.gumbel(size=GRID_SIZE))
-    assert state.alpha0 in state.grids.alpha0.points
-    assert state.groups[0].alpha in state.grids.group_alpha.points
-    assert state.hypers[0].emission.b in state.grids.series[0].b.points
-    assert state.hypers[1].cohesion[0].m in state.grids.series[1].m.points
+    hypers_mod._lag_move(state, 1, 1, "m", table, crp, arrays, rng.gumbel(size=GRID_SIZE),
+                         current_shape(state, 1, 1))
+    # the concentrations stay Python floats
+    assert type(state.alpha0) is float and type(state.groups[0].alpha) is float
+    assert state.alpha0 in state.grids.alpha0.tolist()
+    assert state.groups[0].alpha in state.grids.group_alpha.tolist()
+    assert state.hypers[0, 0, 3] in state.grids.cells[0, 3].tolist()
+    assert state.hypers[1, 1, 0] in state.grids.cells[1, 0].tolist()
 
 
 def test_alpha_tracks_regime_count():
@@ -205,7 +231,7 @@ def test_alpha_tracks_regime_count():
     values = [list(rng.normal(size=13))]
     panel = make_panel(values, window=1)
     grids = build_grids(panel)
-    hypers = initial_hypers(grids, 1)
+    hypers = start_hypers(grids, 1)
 
     def mean_alpha(z):
         state = build_state(panel, hypers, [z], [1])
@@ -227,14 +253,14 @@ def test_alpha0_restricted_matches_log_joint(rng):
     values = [list(rng.normal(size=7)) for _ in range(3)]
     panel = make_panel(values, window=1)
     grids = build_grids(panel)
-    hypers = initial_hypers(grids, 1)
+    hypers = start_hypers(grids, 1)
     state = build_state(panel, hypers, [[1, 2, 1, 1, 2, 1], [1, 1, 2, 1, 2, 2]], [1, 1, 2],
                         alphas=[1.0, 0.8])
     state.grids = grids
     from trcrp.util import crp_partition_log_mass, log_gamma11_pdf
 
     sizes = [len(g.members) for g in state.groups]
-    points = grids.alpha0.points[:6]
+    points = grids.alpha0.tolist()[:6]
     restricted = [crp_partition_log_mass(sizes, a) + log_gamma11_pdf(a) for a in points]
     joints = []
     for a in points:
@@ -250,7 +276,7 @@ def test_group_alpha_restricted_matches_log_joint(rng):
     panel, state = state_for_gibbs(rng, num_series=2, steps=8, window=1)
     group = state.groups[0]
     table = hypers_mod._group_table(state, group)
-    points = state.grids.group_alpha.points[:6]
+    points = state.grids.group_alpha.tolist()[:6]
     restricted = hypers_mod._alpha_logits(state, table)[:6]
     joints = []
     for a in points:
@@ -266,13 +292,12 @@ def test_emission_restricted_matches_log_joint(rng):
     panel, state = state_for_gibbs(rng)
     n = 0
     table = hypers_mod._group_table(state, state.groups[0])
-    current = state.hypers[n].emission
-    points = state.grids.series[n].b.points[:6]
+    points = state.grids.cells[n, 3, :6]
     arrays = grid_arrays(state)
     restricted = hypers_mod._emission_logits(state, [n], "b", table, arrays)[0][:6]
     joints = []
     for value in points:
-        state.hypers[n] = state.hypers[n].replace_cell(0, current.replace(b=value))
+        state.hypers[n, 0, 3] = value
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -285,20 +310,20 @@ def test_cohesion_restricted_matches_log_joint(rng):
     values[0][4] = None
     panel = make_panel(values, window=2)
     grids = build_grids(panel)
-    hypers = initial_hypers(grids, 2)
+    hypers = start_hypers(grids, 2)
     state = build_state(panel, hypers, [[1, 2, 1, 1, 2, 1, 1]], [1, 1])
     state.grids = grids
     group = state.groups[0]
     n, offset = 0, 2
     table = hypers_mod._group_table(state, group)
-    current = state.hypers[n].cohesion[offset - 1]
-    points = grids.series[n].V.points[:6]
+    points = grids.cells[n, 1, :6]
     crp = table.log_weights(group.alpha, 0.0)
     arrays = grid_arrays(state)
-    restricted = hypers_mod._lag_logits(state, n, offset, "V", table, crp, arrays)[0][:6]
+    shape = current_shape(state, n, offset)
+    restricted = hypers_mod._lag_logits(state, n, offset, "V", table, crp, arrays, shape)[0][:6]
     joints = []
     for value in points:
-        state.hypers[n] = state.hypers[n].replace_cell(offset, current.replace(V=value))
+        state.hypers[n, offset, 1] = value
         joints.append(log_joint(state))
     for i in range(1, len(points)):
         assert (restricted[i] - restricted[0]) == pytest.approx(
@@ -308,25 +333,25 @@ def test_cohesion_restricted_matches_log_joint(rng):
 
 def stacked(*cells):
     """(m, V, a, b) of the given NIG cells, each field a (G, 1, 1) candidate axis."""
-    return tuple(np.reshape([getattr(c, f) for c in cells], (-1, 1, 1)) for f in "mVab")
+    return tuple(np.reshape(field, (-1, 1, 1)) for field in zip(*cells))
 
 
 def test_table_update_matches_rebuild(rng):
     panel, state = state_for_gibbs(rng, num_series=2)
     group = state.groups[0]
-    alphas = state.grids.group_alpha.points[::6]
+    alphas = state.grids.group_alpha.tolist()[::6]
     # a lag move installs its factors; an emission move installs none, and the
     # table it leaves scores every cell as a rebuilt one does
     for offset in (1, 0):
         table = hypers_mod._group_table(state, group)
-        new_hyper = state.hypers[0].cell(offset).replace(m=2.5, V=3.0)
+        new_hyper = [2.5, 3.0, *state.hypers[0, offset, 2:]]
         if offset:
             cand = stacked(new_hyper)
             rows = lgamma_rows(cand[2], panel.num_steps)
             crp = table.log_weights(group.alpha, 0.0)
             _, factors = table.cell_logliks(0, offset, cand, crp, rows)
             table.install(0, offset, factors[0])
-        state.hypers[0] = state.hypers[0].replace_cell(offset, new_hyper)
+        state.hypers[0, offset] = new_hyper
         fresh = hypers_mod._group_table(state, group)
         lags = table.cells.num_lags
         np.testing.assert_array_equal(table.factors[:lags], fresh.factors[:lags])
@@ -336,7 +361,7 @@ def test_table_update_matches_rebuild(rng):
             rtol=0,
             atol=1e-12,
         )
-        cands = stacked(new_hyper, new_hyper.replace(a=0.7, b=4.0))
+        cands = stacked(new_hyper, [2.5, 3.0, 0.7, 4.0])
         rows = lgamma_rows(cands[2], panel.num_steps)
         for alpha in alphas:
             for n in group.members:
@@ -369,7 +394,7 @@ def tiny_state():
     panel = make_panel(values, window=2)
     grids = build_grids(panel)
     state = build_state(
-        panel, initial_hypers(grids, 2), [[1, 2, 1, 1, 2, 2]], [1, 1], alpha0=1.3, alphas=[0.7]
+        panel, start_hypers(grids, 2), [[1, 2, 1, 1, 2, 2]], [1, 1], alpha0=1.3, alphas=[0.7]
     )
     state.grids = grids
     return panel, state
@@ -377,8 +402,8 @@ def tiny_state():
 
 def grid_of(state, spec):
     if spec[0] == "alpha":
-        return state.grids.group_alpha.points
-    return getattr(state.grids.series[0], spec[-1]).points
+        return state.grids.group_alpha.tolist()
+    return state.grids.cells[0, NIG_FIELDS.index(spec[-1])].tolist()
 
 
 def brute_force_conditional(state, panel, spec):
@@ -421,7 +446,10 @@ def grid_conditional(state, spec):
     if spec[0] == "emission":
         return softmax(hypers_mod._emission_logits(state, [0], spec[-1], table, arrays)[0])
     crp = table.log_weights(group.alpha, 0.0)
-    return softmax(hypers_mod._lag_logits(state, 0, spec[1], spec[-1], table, crp, arrays)[0])
+    shape = current_shape(state, 0, spec[1])
+    return softmax(
+        hypers_mod._lag_logits(state, 0, spec[1], spec[-1], table, crp, arrays, shape)[0]
+    )
 
 
 @pytest.mark.parametrize(
@@ -450,23 +478,22 @@ def test_lag_sampler_matches_brute_force_conditional():
     # a location far from the data and a tight prior variance make the V
     # conditional far from uniform (total variation 0.19), so a sampler that
     # maps draws to the wrong grid point shows
-    sg = state.grids.series[0]
-    lag = state.hypers[0].cohesion[1].replace(
-        m=sg.m.points[0], a=sg.a.points[-1], b=sg.b.points[0]
-    )
-    state.hypers[0] = state.hypers[0].replace_cell(2, lag)
+    cells = state.grids.cells[0]
+    state.hypers[0, 2, [0, 2, 3]] = cells[0, 0], cells[2, -1], cells[3, 0]
     want = brute_force_conditional(state, panel, ("cohesion", 2, "V"))
     assert 0.5 * np.abs(want - 1.0 / GRID_SIZE).sum() > 0.15
     table = hypers_mod._group_table(state, state.groups[0])
     crp = table.log_weights(state.groups[0].alpha, 0.0)
     arrays = grid_arrays(state)
     index = {v: i for i, v in enumerate(grid_of(state, ("cohesion", 2, "V")))}
+    shape = current_shape(state, 0, 2)  # a V move keeps the shape
     rng = np.random.default_rng(3)
     num = 20_000
     counts = np.zeros(GRID_SIZE)
     for _ in range(num):
-        hypers_mod._lag_move(state, 0, 2, "V", table, crp, arrays, rng.gumbel(size=GRID_SIZE))
-        counts[index[state.hypers[0].cohesion[1].V]] += 1
+        noise = rng.gumbel(size=GRID_SIZE)
+        hypers_mod._lag_move(state, 0, 2, "V", table, crp, arrays, noise, shape)
+        counts[index[state.hypers[0, 2, 1]]] += 1
     bound = 3 * 0.5 * math.sqrt(2 * GRID_SIZE / (math.pi * num))
     assert 0.5 * np.abs(counts / num - want).sum() <= bound
 
@@ -475,11 +502,11 @@ def test_hyper_sweep_p0_touches_only_emission_and_alphas(rng):
     values = [list(rng.normal(size=8))]
     panel = make_panel(values, window=0)
     grids = build_grids(panel)
-    hypers = initial_hypers(grids, 0)
+    hypers = start_hypers(grids, 0)
     state = build_state(panel, hypers, [[1, 2, 1, 1, 2, 1, 2, 1]], [1])
     state.grids = grids
     hyper_sweep(state, rng)
-    assert state.hypers[0].cohesion == ()
+    assert state.hypers.shape == (1, 1, 4)
     state.check_consistency()
 
 
@@ -494,12 +521,12 @@ def test_emission_move_touches_only_its_series(rng):
     group = state.groups[0]
     arrays = grid_arrays(state)
     noise = np.random.default_rng(1).gumbel(size=(2, GRID_SIZE))
-    before = state.hypers[0]
+    before = state.hypers.copy()
     table = hypers_mod._group_table(state, group)
     logits = hypers_mod._emission_logits(state, [0], "a", table, arrays)
     hypers_mod._emission_moves(state, [0], "a", table, arrays, noise)
-    drawn = state.hypers[0].emission
-    state.hypers[0] = before
+    drawn = state.hypers.copy()
+    state.hypers[:] = before  # in place: the groups share the array
     table = hypers_mod._group_table(state, group)
     for offset in range(panel.window + 1):
         row = table.cells.index[1, offset]
@@ -509,7 +536,7 @@ def test_emission_move_touches_only_its_series(rng):
     assert np.isfinite(after).all()
     assert np.array_equal(after, logits)
     hypers_mod._emission_moves(state, [0], "a", table, arrays, noise)
-    assert state.hypers[0].emission == drawn
+    assert np.array_equal(state.hypers, drawn)
 
 
 # -- the sweep against the per-move reference ----------------------------------
@@ -526,7 +553,7 @@ def two_group_state():
     grids = build_grids(panel)
     z = [1, 2, 2, 1, 3, 3, 1, 2, 1, 1, 3, 2, 2, 1]
     state = build_state(
-        panel, initial_hypers(grids, 2), [z, [1] * 14], [1, 2, 1, 2, 2], alpha0=0.9,
+        panel, start_hypers(grids, 2), [z, [1] * 14], [1, 2, 1, 2, 2], alpha0=0.9,
         alphas=[0.7, 1.6],
     )
     state.grids = grids
@@ -563,9 +590,8 @@ def test_hyper_sweep_equals_per_move_reference(kind, nig_cells):
 
 def reference_scores(state, table, n, offset, field):
     """The per-move reference's scores of cell (n, offset)'s ``field``."""
-    grid = getattr(state.grids.series[n], field).points
-    values = vars(state.hypers[n].cell(offset)) | {field: np.reshape(grid, (-1, 1, 1))}
-    cand = [values[name] for name in NIG_FIELDS]
+    cand = state.hypers[n, offset].tolist()
+    cand[NIG_FIELDS.index(field)] = state.grids.cells[n, NIG_FIELDS.index(field), :, None, None]
     factors = full_factors(table, n, offset, cand, state.lgamma.rows(cand[2]))
     if not offset:
         return slot_sums(factors, table)
@@ -590,7 +616,10 @@ def test_sweep_scores_equal_per_move_scores(kind):
                 assert row.tobytes() == want.tobytes(), (kind, n, field)
             for n in group.members:
                 for offset in range(1, group.window + 1):
-                    got = hypers_mod._lag_logits(state, n, offset, field, table, crp, arrays)[0]
+                    shape = current_shape(state, n, offset)
+                    got = hypers_mod._lag_logits(
+                        state, n, offset, field, table, crp, arrays, shape
+                    )[0]
                     want = reference_scores(state, table, n, offset, field)
                     assert got.tobytes() == want.tobytes(), (kind, n, offset, field)
 
@@ -641,9 +670,8 @@ def fitted_window2_state():
 def per_call_cell_logits(state, n, offset, field, table, crp):
     """The logits of cell (n, offset)'s ``field`` (and a lag cell's factors),
     with the candidates' lgamma rows built for this call alone."""
-    grid = getattr(state.grids.series[n], field).points
-    values = vars(state.hypers[n].cell(offset)) | {field: np.reshape(grid, (-1, 1, 1))}
-    cand = [values[name] for name in NIG_FIELDS]
+    cand = state.hypers[n, offset].tolist()
+    cand[NIG_FIELDS.index(field)] = state.grids.cells[n, NIG_FIELDS.index(field), :, None, None]
     if offset:
         return table.cell_logliks(n, offset, cand, crp, lgamma_rows(cand[2], state.panel.num_steps))
     cand = [np.reshape(c, (1, -1)) for c in cand]  # one series, G candidates or one
@@ -654,7 +682,8 @@ def per_call_cell_logits(state, n, offset, field, table, crp):
 def chain_cell_logits(state, n, offset, field, table, crp, arrays):
     """The sweep's logits of cell (n, offset)'s ``field`` (and a lag cell's factors)."""
     if offset:
-        return hypers_mod._lag_logits(state, n, offset, field, table, crp, arrays)
+        shape = current_shape(state, n, offset)
+        return hypers_mod._lag_logits(state, n, offset, field, table, crp, arrays, shape)
     return (hypers_mod._emission_logits(state, [n], field, table, arrays)[0],)
 
 
@@ -671,24 +700,22 @@ def test_chain_rows_score_cells_bit_equal_to_per_call_rows():
     tables = {group: hypers_mod._group_table(state, group) for group in state.groups}
     arrays = grid_arrays(state)
     for n in range(state.num_series):
-        points = state.grids.series[n].a.points
+        points = state.grids.cells[n, 2].tolist()
         table = tables[state.group_of(n)]
         crp = table.log_weights(state.group_of(n).alpha, 0.0)
         for offset in range(state.panel.window + 1):
             assert_cell_logits_match_per_call_rows(state, n, offset, table, arrays)
             # accept an a move to the likeliest other grid point, as a sweep's
             # move does, so an m, V or b move that kept a stale row would show
-            cell = state.hypers[n].cell(offset)
             scored = chain_cell_logits(state, n, offset, "a", table, crp, arrays)
-            j = next(j for j in np.argsort(-scored[0]) if points[j] != cell.a)
+            j = next(j for j in np.argsort(-scored[0]) if points[j] != state.hypers[n, offset, 2])
             if offset:
                 table.install(n, offset, scored[1][j])
-            state.hypers[n] = state.hypers[n].replace_cell(offset, cell.replace(a=points[j]))
+            state.hypers[n, offset, 2] = points[j]
             assert_cell_logits_match_per_call_rows(state, n, offset, table, arrays)
         assert set(points) <= set(state.lgamma.index)
     # a shape off its grid gets its own exact row
-    cell = state.hypers[0].emission
-    state.hypers[0] = state.hypers[0].replace_cell(0, cell.replace(a=cell.a * (1 + 1e-9)))
+    state.hypers[0, 0, 2] *= 1 + 1e-9
     table = hypers_mod._group_table(state, state.group_of(0))
     assert_cell_logits_match_per_call_rows(state, 0, 0, table, arrays)
 
@@ -716,7 +743,7 @@ def test_chain_builds_each_series_rows_once(monkeypatch, fixed):
     else:
         # every sweep moves every cell of every series, so every grid shape is read
         grids = build_grids(panel)
-        assert set(built) == {a for sg in grids.series for a in sg.a.points}
+        assert set(built) == set(grids.cells[:, 2].ravel().tolist())
 
 
 def test_sweep_tables_build_no_lgamma_rows_once_the_chain_holds_them(monkeypatch):

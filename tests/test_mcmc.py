@@ -41,7 +41,7 @@ from trcrp.mcmc import (
     sweep_z,
 )
 from trcrp.conjugate import LgammaTable, NigHyper
-from trcrp.model import GroupStats, SeriesHypers
+from trcrp.model import GroupStats, SeriesHypers, hyper_array
 from test_model import build_group, stats_over
 
 
@@ -512,7 +512,7 @@ def test_full_sweep_leaves_enumerated_posterior_invariant(window):
     values[1][window + 2] = None
     panel = make_panel(values, window=window)
     cell = SeriesHypers(NigHyper(0.0, 4.0, 2.0, 0.2), (NigHyper(0.0, 4.0, 3.0, 0.05),) * window)
-    hypers = [cell, cell]
+    hypers = hyper_array([cell, cell])
     alpha = 2.0
     posterior, _ = enumerate_posterior(panel, [0, 1], alpha, hyper_tuples(hypers))
     sequences = list(posterior)

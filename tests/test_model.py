@@ -10,6 +10,7 @@ from conftest import (
     make_panel,
     robustness_panel,
     uniform_hypers,
+    uniform_series_hypers,
 )
 from oracles import (
     canonical_partition,
@@ -45,6 +46,7 @@ from trcrp.model import (
     cell_layout,
     crp_log_weights,
     fold_stats,
+    hyper_array,
     log_joint,
     prefix_columns,
     sequence_loglik,
@@ -54,8 +56,7 @@ from trcrp.model import (
 
 def build_group(panel, hypers, z, members=None, alpha=1.0):
     members = members if members is not None else list(range(panel.num_series))
-    hyper_map = {n: hypers[n] for n in range(panel.num_series)}
-    group = GroupModel(members, alpha, panel.num_steps, panel.window, hyper_map)
+    group = GroupModel(members, alpha, panel.num_steps, panel.window, hypers)
     load_prefix(group, z)
     return group
 
@@ -152,7 +153,7 @@ def test_reweighted_weights_evaluate_no_emission_terms(monkeypatch):
     panel = make_panel([[0.1, 0.5, 0.9, -0.2, 0.7], [0.3, 0.2, 0.4, None, 1.1]], window=2)
     lag = NigHyper(0.0, 1.0, 2.0, 1.0)
     emission = NigHyper(0.5, 2.0, 3.0, 1.5)  # told apart from the lag cells by its values
-    hypers = [SeriesHypers(emission, (lag, lag)) for _ in range(2)]
+    hypers = hyper_array([SeriesHypers(emission, (lag, lag)) for _ in range(2)])
     stats = stats_over(build_group(panel, hypers, [1, 2, 1]), panel)
     stats.unassign(3)
     built = []
@@ -193,7 +194,7 @@ def test_normalizer_single_regime_tiny_alpha_inverts_cohesion():
         if t > 1:
             log_b = -logsumexp(scratch.regime_log_weights(t, False))
             coh = cell_logpdf(
-                hypers[0].cohesion[0], scratch.cells[0][0][1], value(panel, 0, t - 1)
+                NigHyper(*hypers[0, 1]), scratch.cells[0][0][1], value(panel, 0, t - 1)
             )
             count_term = math.log(scratch.group.regimes.counts[0])
             assert log_b == pytest.approx(-(coh + count_term), abs=1e-10)
@@ -231,16 +232,16 @@ def test_predictive_collapses_to_emission_with_one_regime():
     scratch.assign(2, 1)
     got = step_predictive(scratch, 3)
     s = scratch.cells[0][0][0]
-    want = cell_logpdf(hypers[0].emission, s, value(panel, 0, 3))
+    want = cell_logpdf(NigHyper(*hypers[0, 0]), s, value(panel, 0, 3))
     assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_predictive_first_step_is_prior_student_t():
     panel = make_panel([[1.7]], window=0)
     hypers = uniform_hypers(1, 0, m=0.0, V=1.0, a=1.0, b=1.0)
-    group = GroupModel([0], 1.0, 1, 0, {0: hypers[0]})
+    group = GroupModel([0], 1.0, 1, 0, hypers)
     got = step_predictive(stats_over(group, panel), 1)
-    want = cell_logpdf(hypers[0].emission, NigStats(), 1.7)
+    want = cell_logpdf(NigHyper(*hypers[0, 0]), NigStats(), 1.7)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -255,14 +256,14 @@ def test_sequence_loglik_matches_naive_oracle(rng):
     hypers = uniform_hypers(2, 2, m=0.3, V=1.5, a=2.0, b=1.2)
     for z in ((1, 1, 2, 1, 2), (1, 2, 3, 1, 2), (1, 1, 1, 1, 1)):
         got = sequence_loglik(
-            z, [0, 1], 0.8, {n: hypers[n] for n in (0, 1)},
+            z, [0, 1], 0.8, hypers,
             panel.values, panel.observed, panel.window, LgammaTable(panel.num_steps),
         )
         want = naive_group_loglik(z, [0, 1], 0.8, hyper_tuples(hypers), panel)
         assert got == pytest.approx(want, abs=1e-9)
     with pytest.raises(ValueError, match="unassigned step 3"):
         sequence_loglik(
-            (1, 1, 0, 1, 2), [0, 1], 0.8, {n: hypers[n] for n in (0, 1)},
+            (1, 1, 0, 1, 2), [0, 1], 0.8, hypers,
             panel.values, panel.observed, panel.window, LgammaTable(panel.num_steps),
         )
 
@@ -313,7 +314,7 @@ def test_log_joint_smallest_instance():
     got = log_joint(state)
     # Gamma(1,1) priors on both concentrations, trivial partition mass (0),
     # trivial assignment mass (0), prior emission predictive at x_1.
-    want = -1.0 - 1.0 + cell_logpdf(hypers[0].emission, NigStats(), 2.5)
+    want = -1.0 - 1.0 + cell_logpdf(NigHyper(*hypers[0, 0]), NigStats(), 2.5)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -394,13 +395,13 @@ def test_log_joint_finite_on_random_states(rng):
 
 
 def test_simulate_degenerate_alpha_single_regime(rng):
-    hypers = uniform_hypers(1, 0)
+    hypers = uniform_series_hypers(1, 0)
     res = simulate(12, 0, np.zeros((1, 0)), hypers, rng, alpha=1e-300, assignments=[1])
     assert res.group_z[0] == [1] * 12
 
 
 def test_simulate_deterministic_given_seed():
-    hypers = uniform_hypers(2, 1)
+    hypers = uniform_series_hypers(2, 1)
     a = simulate(10, 1, np.zeros((2, 1)), hypers, np.random.default_rng(42), alpha=1.0,
                  assignments=[1, 1])
     b = simulate(10, 1, np.zeros((2, 1)), hypers, np.random.default_rng(42), alpha=1.0,
@@ -410,7 +411,7 @@ def test_simulate_deterministic_given_seed():
 
 
 def test_simulate_matches_crp_partition_size_law_at_p0():
-    hypers = uniform_hypers(1, 0)
+    hypers = uniform_series_hypers(1, 0)
     alpha = 1.0
     exact = {}
     for z in canonical_sequences(4):
@@ -503,10 +504,9 @@ def test_check_forms_rejects_a_stale_form(rng):
     stats.regime_log_weights(3, True)  # builds every form
     check_forms(stats)
     cell = stats.cells[0][0][1]
-    h = state.hypers[0].cell(1)
-    assert cell.hyper is h
+    assert cell.form is not None
     # the form of other statistics, as if the cell had changed and not been marked
-    cell.form = student_t_form(h.m, h.V, h.a, h.b, cell.count + 1, cell.sum, cell.sum_sq)
+    cell.form = student_t_form(*state.hypers[0, 1], cell.count + 1, cell.sum, cell.sum_sq)
     with pytest.raises(AssertionError, match="stale Student-t form"):
         check_forms(stats)
 
@@ -525,9 +525,9 @@ def plain_regime_log_weights(stats, t, emission):
             row = stats.cells[n][k] if k < group.regimes.num_regimes else empty
             for i in range(0 if emission else 1, p + 1):
                 if stats.observed[n, col - i]:
-                    h, s = group.hypers[n].cell(i), row[i]
+                    h, s = group.hypers[n, i].tolist(), row[i]
                     x = float(stats.values[n, col - i])
-                    f = predictive_logpdf_raw(h.m, h.V, h.a, h.b, s.count, s.sum, s.sum_sq, x)
+                    f = predictive_logpdf_raw(*h, s.count, s.sum, s.sum_sq, x)
                     if i:
                         w += f
                     else:
@@ -552,8 +552,9 @@ def test_cached_forms_score_as_the_scalar_kernel_through_a_walk(rng):
         check_forms(stats)
 
     for step in range(60):
-        if step == 20:  # a hyper move: every form of series 1's lag-2 cells is out of date
-            state.hypers[1] = state.hypers[1].replace_cell(2, NigHyper(0.4, 0.7, 3.0, 2.5))
+        if step == 20:  # a hyper move between passes: the next pass reads the new cell
+            state.hypers[1, 2] = 0.4, 0.7, 3.0, 2.5
+            stats = stats_over(group, panel)
         if step == 40:  # series 3 joins the walked group; a new pass folds its rows
             state.groups[1].members.remove(3)
             group.members.append(3)

@@ -22,7 +22,7 @@ from test_model import build_state, stats_over
 from trcrp import predict, smc
 from trcrp.conjugate import NigHyper
 from trcrp.engine import RunConfig, fit
-from trcrp.model import SeriesHypers
+from trcrp.model import SeriesHypers, hyper_array
 from trcrp.predict import (
     ForecastResult,
     SampleSet,
@@ -37,7 +37,7 @@ def single_chain_samples(rng, values, z, window=1, assignments=None, hypers=None
                          num_series=None):
     panel = make_panel(values, window=window)
     num_series = num_series or panel.num_series
-    hypers = hypers or uniform_hypers(num_series, window)
+    hypers = uniform_hypers(num_series, window) if hypers is None else hypers
     assignments = assignments or [1] * num_series
     groups = max(assignments)
     zs = z if isinstance(z[0], list) else [list(z)] * groups
@@ -53,7 +53,8 @@ def test_forecast_tracks_sticky_regime_mean():
     samples, state = single_chain_samples(rng, values, [1] * 30, hypers=hypers)
     state.groups[0].alpha = 1e-12
     result = forecast(samples, horizon=1, draws=400, seed=1)
-    pred = student_t(hypers[0].emission, stats_over(state.groups[0], samples.panel).cells[0][0][0])
+    cell = stats_over(state.groups[0], samples.panel).cells[0][0][0]
+    pred = student_t(NigHyper(*hypers[0, 0]), cell)
     sd = math.sqrt(pred.scale_sq * pred.dof / (pred.dof - 2))
     assert abs(result.draws[:, 0, 0].mean() - 4.0) < 3 * sd
 
@@ -84,7 +85,7 @@ def test_forecast_skips_missing_final_lag_cell(rng):
     samples, _ = single_chain_samples(rng, values, [1] * 4 + [2] * 5, hypers=hypers)
     draws = forecast(samples, horizon=1, draws=4000, seed=6).draws[:, 0, 0]
 
-    h = hypers[0].emission
+    h = NigHyper(*hypers[0, 0])
     components = []
     for weight, data in ((4.0, low), (5.0, high), (1.0, [])):
         m, v, a, b = naive_posterior(h.m, h.V, h.a, h.b, data)
@@ -125,7 +126,9 @@ def test_horizon_two_forecast_matches_scalar_rollout():
     values[0][-1] = None
     panel = make_panel(values, window=2)
     tight, broad = NigHyper(2.0, 4.0, 2.0, 0.1), NigHyper(2.0, 4.0, 2.0, 50.0)
-    hypers = [SeriesHypers(tight, (tight, broad))] + [SeriesHypers(tight, (broad, broad))] * 2
+    hypers = hyper_array(
+        [SeriesHypers(tight, (tight, broad))] + [SeriesHypers(tight, (broad, broad))] * 2
+    )
     z = [1, 2] * (steps // 2)
     chains = [build_state(panel, hypers, [z, z], outer) for outer in ([1, 1, 2], [1, 2, 2])]
     samples = SampleSet(panel=panel, chains=chains)
@@ -160,6 +163,7 @@ def test_forecast_of_shared_sets_matches_scalar_rollout(monkeypatch, set_entries
         "a": [SeriesHypers(tight, (tight, broad))] + [SeriesHypers(tight, (broad, broad))] * 2,
         "b": [SeriesHypers(shifted, (tight, broad))] * 3,
     }
+    kinds = {kind: hyper_array(hypers) for kind, hypers in kinds.items()}
     z, w = [1, 2, 1, 2], [1, 1, 2, 3]
     chains = [
         build_state(panel, kinds[kind], zs, outer)
@@ -177,7 +181,7 @@ def test_forecast_of_shared_sets_matches_scalar_rollout(monkeypatch, set_entries
     forecast_set = predict._forecast_set
 
     def recording(groups, values, observed, lgamma, copies, rng):
-        kinds = {group.hypers[0].emission for group in groups}
+        kinds = {NigHyper(*group.hypers[0, 0]) for group in groups}
         built.append((list(copies), kinds, {len(group.members) for group in groups}))
         return forecast_set(groups, values, observed, lgamma, copies, rng)
 
@@ -207,7 +211,7 @@ def test_forecast_builds_one_set_across_hypers_and_member_counts(monkeypatch):
     panel = make_panel(gen.normal(0.0, 1.0, (6, 25)).tolist(), window=1)
     config = RunConfig(window=1, chains=4, burnin=2, init_sweeps=1, particles=4, seed=3)
     samples = fit(panel, config)
-    hypers = [chain.hypers for chain in samples.chains]
+    hypers = [chain.hypers.tobytes() for chain in samples.chains]
     assert all(a != b for i, a in enumerate(hypers) for b in hypers[:i])
     sizes = [len(group.members) for chain in samples.chains for group in chain.groups]
     assert len(set(sizes)) > 1
@@ -240,7 +244,7 @@ def test_imputation_matches_exact_mixture_over_chains():
     samples = SampleSet(panel=panel, chains=[build_state(panel, hypers, *plan) for plan in plans])
     draws = 20_000
     result = impute(samples, draws=draws, seed=5)
-    h = hypers[0].emission
+    h = NigHyper(*hypers[0, 0])
     bound = ks_bound(1e-3 / len(result.cells), draws)
     for row, (n, t) in zip(result.draws, result.cells):
         components = []
@@ -379,7 +383,8 @@ def test_impute_mean_converges_to_mixture_mean(rng):
     var = 0.0
     for chain in chains:
         k = chain.groups[0].regimes.z[3]
-        pred = student_t(hypers[0].emission, stats_over(chain.groups[0], panel).cells[0][k - 1][0])
+        cell = stats_over(chain.groups[0], panel).cells[0][k - 1][0]
+        pred = student_t(NigHyper(*hypers[0, 0]), cell)
         locs.append(pred.loc)
         var += pred.scale_sq * pred.dof / (pred.dof - 2.0)
     target = float(np.mean(locs))

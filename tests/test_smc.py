@@ -22,7 +22,7 @@ from oracles import (
 )
 from trcrp import predict, smc
 from trcrp.conjugate import LgammaTable, NigHyper, student_t_form_array
-from trcrp.model import GroupModel, GroupStats, SeriesHypers
+from trcrp.model import GroupModel, GroupStats, SeriesHypers, hyper_array
 from trcrp.smc import (
     NumericalError,
     ParticleSet,
@@ -211,14 +211,14 @@ def mixed_hypers(num_series, window, shift=0.0):
     # a distinct hyper per series and cell, so a cell scored against the wrong
     # hyper shows; a shift moves every cell's m, a and b, for a group whose
     # hypers differ from another's
-    return [
+    return hyper_array([
         SeriesHypers(
             NigHyper(0.3 * n + shift, 1.0 + n, 2.0 + 0.5 * n + shift, 1.0 + 0.2 * n + shift),
             tuple(NigHyper(-0.2 * i + shift, 0.5 * i, 1.5 + i + n + shift, 2.0 + shift)
                   for i in range(1, window + 1)),
         )
         for n in range(num_series)
-    ]
+    ])
 
 
 def filter_with_forced_resample(ps, rng, num_steps, check):
@@ -645,10 +645,10 @@ def fresh_forms(ps, groups):
     own group's NIG cell, (4, entries, capacity)."""
     cell_of = list(ps.cells.index)
     nigs = [
-        groups[p // ps.num_particles].hypers[n].cell(i)
+        groups[p // ps.num_particles].hypers[n, i].tolist()
         for p, (n, i) in zip(ps.particle.tolist(), (cell_of[r] for r in ps.row.tolist()))
     ]
-    hyper = [np.array([[getattr(h, name)] for h in nigs]) for name in ("m", "V", "a", "b")]
+    hyper = [np.array(field)[:, None] for field in zip(*nigs)]
     lgamma = LgammaTable(ps.cells.x.shape[1]).rows(hyper[2])
     return np.array(student_t_form_array(*hyper, ps.count, ps.total, ps.total_sq, lgamma))
 
